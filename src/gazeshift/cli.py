@@ -29,7 +29,7 @@ from .reasoner import OracleBackend, RemoteBackend, ScriptedBackend, load_scenar
 from .reasoner.backends import RemoteConfig
 from .reasoner.replay import replay_evaluate, write_success_table
 from .so3 import EyePose, HeadPose
-from .trainer import (METRICS_FILE, PRIOR_CHECKPOINT, STAGE1_CHECKPOINT,
+from .trainer import (PRIOR_CHECKPOINT, STAGE1_CHECKPOINT,
                       TrainConfig, dataset_arrays, infer, record_codes,
                       run_training, validate_stage1, validate_stage2)
 from .vqvae import ConditionalVQVAE, ConditionVector
@@ -145,7 +145,7 @@ def cmd_gen_data(args) -> int:
     dataset_path = out_dir / "dataset.jsonl"
     write_dataset(dataset, dataset_path)
     print(f"wrote {len(dataset.samples)} samples "
-          f"({len(dataset.train_samples())} train / {len(dataset.val_samples())} val) "
+          f"({dataset.split.count('train')} train / {dataset.split.count('val')} val) "
           f"to {dataset_path}")
     write_manifest(out_dir, "gen-data", {"seed": seed, "generator": config.to_dict()},
                    inputs=[], outputs=[dataset_path],
@@ -190,10 +190,10 @@ def cmd_eval(args) -> int:
     t0 = time.monotonic()
     dataset = read_dataset(args.dataset)
     model, prior = _load_models(args.run)
-    Yv, Cv, eye_v, head_v = dataset_arrays(dataset, "val")
-    eye1, head1, utilization = validate_stage1(model, Yv, Cv, eye_v, head_v)
+    Yv, Cv = dataset_arrays(dataset, "val")
+    eye1, head1, utilization = validate_stage1(model, Yv, Cv)
     val_labels = np.array([lab.index for lab in record_codes(model, dataset, "val")])
-    eye2, head2, top1 = validate_stage2(model, prior, Cv, eye_v, head_v, val_labels)
+    eye2, head2, top1 = validate_stage2(model, prior, Yv, Cv, val_labels)
 
     # How each code splits work between head and eyes, over validation
     # conditions that argmax-decode to it.
@@ -230,6 +230,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sample(args) -> int:
     t0 = time.monotonic()
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     model, prior = _load_models(args.run)
     eye = _parse_floats(args.eye, 2, "--eye")
     head = _parse_floats(args.head, 3, "--head")

@@ -138,12 +138,6 @@ class Dataset:
     def subset(self, which: str) -> list:
         return [s for s, tag in zip(self.samples, self.split) if tag == which]
 
-    def train_samples(self) -> list:
-        return self.subset("train")
-
-    def val_samples(self) -> list:
-        return self.subset("val")
-
     def content_hash(self) -> str:
         return hashlib.sha256(serialize_dataset(self).encode("utf-8")).hexdigest()
 
@@ -216,11 +210,9 @@ def allocate_shift(eye: EyePose, head: HeadPose, target: np.ndarray, alpha: floa
     return delta_eye, delta_head
 
 
-def draw_alpha(rng: np.random.Generator, config: GeneratorConfig,
-               strategy_mix: float | None = None):
+def draw_alpha(rng: np.random.Generator, config: GeneratorConfig):
     """Head-contribution ratio from the two-component mixture, clamped to [0, 1]."""
-    mix = config.strategy_mix if strategy_mix is None else strategy_mix
-    if rng.random() < mix:
+    if rng.random() < config.strategy_mix:
         strategy, mean = HEAD_DOMINANT, config.alpha_head_mean
     else:
         strategy, mean = EYE_DOMINANT, config.alpha_eye_mean
@@ -252,8 +244,7 @@ def check_sample(sample: GazeSample, config: GeneratorConfig) -> str | None:
 
 
 def generate_sample(rng: np.random.Generator,
-                    config: GeneratorConfig = GeneratorConfig(),
-                    strategy_mix: float | None = None) -> GazeSample:
+                    config: GeneratorConfig = GeneratorConfig()) -> GazeSample:
     """One valid sample by rejection sampling.
 
     Raises DataError after ``config.max_attempts`` consecutive rejections,
@@ -277,7 +268,7 @@ def generate_sample(rng: np.random.Generator,
             math.cos(el) * math.sin(az),
             math.sin(el),
         ])
-        alpha, strategy = draw_alpha(rng, config, strategy_mix)
+        alpha, strategy = draw_alpha(rng, config)
         delta_eye, delta_head = allocate_shift(eye, head, target, alpha, config, rng)
         if max(abs(float(x)) for x in np.concatenate([delta_eye, delta_head])) > math.pi:
             continue
@@ -352,7 +343,7 @@ def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> list[float]:
     return [float(x) for x in value]
 
 
-def read_dataset(path, validate: bool = True) -> Dataset:
+def read_dataset(path) -> Dataset:
     """Read and validate a dataset file.
 
     Every sample is re-checked against the generator invariants recorded in
@@ -399,10 +390,9 @@ def read_dataset(path, validate: bool = True) -> Dataset:
             )
         except ValueError as exc:
             raise DataError(f"line {line_no}: {exc}") from exc
-        if validate:
-            violation = check_sample(sample, config)
-            if violation is not None:
-                raise DataError(f"line {line_no}: invariant violation: {violation}")
+        violation = check_sample(sample, config)
+        if violation is not None:
+            raise DataError(f"line {line_no}: invariant violation: {violation}")
         samples.append(sample)
         split.append(doc["split"])
     if header.get("n_samples") != len(samples):

@@ -34,6 +34,23 @@ class NonFiniteGradient(ValueError):
         self.name = name
 
 
+def assign_params(own: dict[str, np.ndarray], given: dict) -> None:
+    """Copy ``given`` into the live arrays of ``own``, all or nothing.
+
+    Raises ValueError unless ``given`` has exactly the keys and shapes of
+    ``own``: a parameter must not keep its initialisation or broadcast.
+    """
+    missing, extra = sorted(set(own) - set(given)), sorted(set(given) - set(own))
+    if missing or extra:
+        raise ValueError(f"parameter keys differ: missing {missing}, unexpected {extra}")
+    for name, p in own.items():
+        if np.shape(given[name]) != p.shape:
+            raise ValueError(f"parameter {name!r} has shape {list(np.shape(given[name]))}, "
+                             f"expected {list(p.shape)}")
+    for name, p in own.items():
+        p[...] = given[name]
+
+
 class DenseNetwork:
     """Fully connected network: y = act(x @ W + b) per layer.
 
@@ -79,9 +96,6 @@ class DenseNetwork:
     def sizes(self):
         return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
 
-    def n_params(self) -> int:
-        return sum(W.size for W in self.weights) + sum(b.size for b in self.biases)
-
     def params(self) -> dict[str, np.ndarray]:
         """Live references, keyed '0.W', '0.b', '1.W', ..."""
         out = {}
@@ -91,9 +105,7 @@ class DenseNetwork:
         return out
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        for i in range(len(self.weights)):
-            self.weights[i][...] = params[f"{i}.W"]
-            self.biases[i][...] = params[f"{i}.b"]
+        assign_params(self.params(), params)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

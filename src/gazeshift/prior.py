@@ -10,9 +10,11 @@ where z* is the code the frozen encoder assigned to the training sample,
 ``focal`` is the focal loss -(1 - pi[z*])**gamma * log(pi[z*]), and ``mc``
 is a motion-consistency check: decode the currently most likely code with
 the frozen decoder and measure the geodesic error of the resulting target
-poses against ground truth. The argmax blocks any gradient, so mc shapes
-checkpoint selection and reporting but contributes exactly zero gradient
-wherever the argmax index is locally constant.
+poses against ground truth (:func:`motion_consistency_rows`). The argmax
+blocks any gradient, so mc shapes checkpoint selection and reporting but
+contributes exactly zero gradient wherever the argmax index is locally
+constant; no relaxation is applied, and checkpoints record this as
+``"mc_gradient": "none"``.
 
 At inference time a code is sampled from pi (or the argmax is taken) and
 decoded into a motion allocation.
@@ -20,14 +22,12 @@ decoded into a motion allocation.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import nets, so3
-from .so3 import EyePose, HeadPose
-from .vqvae import ConditionVector
+from . import nets
+from .vqvae import ConditionVector, pose_errors_rows
 
 PROB_FLOOR = 1e-12  # floor on pi[z*] before the log
 _DIST_ATOL = 1e-9   # tolerated deviation of sum(pi) from 1
@@ -40,11 +40,6 @@ class PriorConfig:
     gamma: float = 2.0
     eta: float = 1.0
     lambda_mc: float = 1.0
-    # Gradient treatment of the motion-consistency term. Only "none" is
-    # implemented: the argmax code lookup is non-differentiable and no
-    # relaxation is applied. The knob exists so a relaxed variant can be
-    # added without changing checkpoints.
-    mc_gradient: str = "none"
 
     def __post_init__(self):
         if self.codebook_size < 1 or self.hidden_width < 1:
@@ -53,8 +48,6 @@ class PriorConfig:
             raise ValueError("gamma must be non-negative")
         if self.eta < 0 or self.lambda_mc < 0:
             raise ValueError("eta and lambda_mc must be non-negative")
-        if self.mc_gradient != "none":
-            raise ValueError(f"unsupported mc_gradient mode {self.mc_gradient!r}")
 
 
 @dataclass(frozen=True)
@@ -84,15 +77,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def focal_loss(pi: np.ndarray, index: int, gamma: float = 2.0) -> float:
-    """-(1 - pi[index])**gamma * log(pi[index]), with the probability floored."""
-    pi = check_distribution(pi)
-    if not 0 <= index < len(pi):
-        raise ValueError(f"code index {index} outside codebook of size {len(pi)}")
-    p = float(pi[index])
-    return -((1.0 - p) ** gamma) * math.log(max(p, PROB_FLOOR))
-
-
 def focal_loss_rows(logits: np.ndarray, labels: np.ndarray, gamma: float = 2.0):
     """Batch-mean focal loss and its gradient in the logits.
 
@@ -119,41 +103,17 @@ def focal_loss_rows(logits: np.ndarray, labels: np.ndarray, gamma: float = 2.0):
     return float(vals.mean()), vals, dlogits
 
 
-def motion_consistency_loss(model, code: int, c: ConditionVector,
-                            target_eye: EyePose, target_head: HeadPose,
-                            lambda_mc: float = 1.0) -> float:
-    """Geodesic error of the decoded code against ground-truth target poses.
+def motion_consistency_rows(model, logits: np.ndarray, Y: np.ndarray, C: np.ndarray,
+                            lambda_mc: float = 1.0) -> np.ndarray:
+    """Per-row geodesic error of the most likely code's decoded allocation.
 
-    ``model`` only needs ``decode(z_q, c)`` and a ``codebook`` array, so a
-    frozen VQ-VAE or a lightweight stub both work.
+    ``model`` needs a ``codebook`` array and ``decode_rows(Zq, C)``. Returns
+    d_eye + lambda_mc * d_head against the true allocations ``Y``; the
+    argmax makes the value piecewise constant in ``logits``.
     """
-    codebook = np.asarray(model.codebook, dtype=float)
-    if not 0 <= code < len(codebook):
-        raise ValueError(f"code index {code} outside codebook of size {len(codebook)}")
-    alloc = model.decode(codebook[code], c)
-    eye_hat = so3.compose_target_pose(c.eye, EyePose(*alloc.delta_eye))
-    head_hat = so3.compose_target_pose(c.head, HeadPose(*alloc.delta_head))
-    d_eye = so3.geodesic_distance(so3.euler_to_matrix(eye_hat), so3.euler_to_matrix(target_eye))
-    d_head = so3.geodesic_distance(so3.euler_to_matrix(head_hat), so3.euler_to_matrix(target_head))
+    pred = model.decode_rows(model.codebook[np.argmax(logits, axis=1)], C)
+    d_eye, d_head = pose_errors_rows(pred, Y, C)
     return d_eye + lambda_mc * d_head
-
-
-def prior_loss(model, pi: np.ndarray, label: int, c: ConditionVector,
-               target_eye: EyePose, target_head: HeadPose, *,
-               gamma: float = 2.0, eta: float = 1.0, lambda_mc: float = 1.0,
-               code_hat: int | None = None) -> float:
-    """Focal + eta * motion-consistency for one sample.
-
-    ``code_hat`` defaults to argmax(pi). The value is differentiable in pi
-    only through the focal term; the consistency term rides on the frozen
-    decoder output of a discrete code.
-    """
-    pi = check_distribution(pi)
-    if code_hat is None:
-        code_hat = int(np.argmax(pi))
-    return focal_loss(pi, label, gamma) + eta * motion_consistency_loss(
-        model, code_hat, c, target_eye, target_head, lambda_mc
-    )
 
 
 def sample_code(pi: np.ndarray, rng: np.random.Generator) -> int:
@@ -202,12 +162,8 @@ class ConditionalPrior:
         meta = dict(metadata or {})
         meta["model"] = {
             "kind": "conditional-prior",
-            "codebook_size": self.config.codebook_size,
-            "hidden_width": self.config.hidden_width,
-            "gamma": self.config.gamma,
-            "eta": self.config.eta,
-            "lambda_mc": self.config.lambda_mc,
-            "mc_gradient": self.config.mc_gradient,
+            **asdict(self.config),
+            "mc_gradient": "none",
             "target_scale": self.target_scale,
             "stage1_fingerprint": stage1_fingerprint,
         }
@@ -219,20 +175,15 @@ class ConditionalPrior:
         spec = ck.metadata.get("model", {})
         if spec.get("kind") != "conditional-prior":
             raise ValueError(f"{path}: checkpoint does not hold a conditional prior")
+        if spec.get("mc_gradient", "none") != "none":
+            raise ValueError(f"{path}: unsupported mc_gradient mode {spec['mc_gradient']!r}")
         stored = spec.get("stage1_fingerprint")
         if expect_stage1_fingerprint is not None and stored != expect_stage1_fingerprint:
             raise ValueError(
                 "prior checkpoint was trained against a different first-stage model "
                 f"(stored fingerprint {stored!r})"
             )
-        config = PriorConfig(
-            codebook_size=spec["codebook_size"],
-            hidden_width=spec["hidden_width"],
-            gamma=spec["gamma"],
-            eta=spec["eta"],
-            lambda_mc=spec["lambda_mc"],
-            mc_gradient=spec.get("mc_gradient", "none"),
-        )
+        config = PriorConfig(**{f.name: spec[f.name] for f in fields(PriorConfig)})
         prior = cls(config, target_scale=spec.get("target_scale", 2.0))
         prior.set_params(ck.params)
         return prior, ck

@@ -38,10 +38,9 @@ class GroupRow:
         return 100.0 * self.correct / self.clips if self.clips else 0.0
 
 
-def replay_scenario(scenario: Scenario, backend, history_k: int = 10,
-                    log_fh=None) -> ReplayResult:
+def replay_scenario(scenario: Scenario, backend, log_fh=None) -> ReplayResult:
     """Run every cycle in order and apply the two-cycle correctness rule."""
-    buffer = MemoryBuffer(k=history_k)
+    buffer = MemoryBuffer()
     records = []
     for cycle in scenario.cycles:
         t0 = time.monotonic()
@@ -73,8 +72,7 @@ def replay_scenario(scenario: Scenario, backend, history_k: int = 10,
                         tuple(records), correct)
 
 
-def replay_evaluate(scenarios, backend_factory, history_k: int = 10,
-                    log_path=None):
+def replay_evaluate(scenarios, backend_factory, log_path=None):
     """Score a scenario set; returns (group rows, results, excluded ids).
 
     ``backend_factory(scenario)`` builds a fresh backend per scenario (a
@@ -91,8 +89,7 @@ def replay_evaluate(scenarios, backend_factory, history_k: int = 10,
                               "target; excluded from scoring")
                 excluded.append(scenario.scenario_id)
                 continue
-            results.append(replay_scenario(scenario, backend_factory(scenario),
-                                           history_k=history_k, log_fh=log_fh))
+            results.append(replay_scenario(scenario, backend_factory(scenario), log_fh=log_fh))
     finally:
         if log_fh is not None:
             log_fh.close()

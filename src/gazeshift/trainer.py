@@ -19,20 +19,18 @@ from __future__ import annotations
 
 import copy
 import csv
-import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import nets, prior as prior_mod, so3
+from . import nets, prior as prior_mod
 from .datagen import Dataset
 from .errors import ConfigError, TrainingError
 from .prior import CodeLabel, ConditionalPrior, PriorConfig
-from .so3 import EyePose, HeadPose
-from .vqvae import ConditionalVQVAE, MotionAllocation, VQVAEConfig, quantize_rows
+from .vqvae import ConditionalVQVAE, MotionAllocation, VQVAEConfig, pose_errors_rows, quantize_rows
 
 STAGE1_CHECKPOINT = "stage1.json"
 PRIOR_CHECKPOINT = "prior.json"
@@ -138,60 +136,24 @@ class EpochMetrics:
         return self.val_eye_mgd_deg + self.val_head_mgd_deg
 
     def row(self) -> list:
-        doc = {
-            "stage": self.stage, "epoch": self.epoch, "lr": self.lr,
-            "loss_total": self.loss_total, "loss_rec": self.loss_rec,
-            "loss_embed": self.loss_embed, "loss_commit": self.loss_commit,
-            "loss_focal": self.loss_focal, "loss_mc": self.loss_mc,
-            "val_eye_mgd_deg": self.val_eye_mgd_deg,
-            "val_head_mgd_deg": self.val_head_mgd_deg,
-            "codebook_utilization": self.codebook_utilization,
-            "prior_top1_acc": self.prior_top1_acc,
-        }
+        doc = asdict(self)  # the fields are exactly METRICS_COLUMNS
         return ["" if doc[c] is None else repr(doc[c]) if isinstance(doc[c], float) else doc[c]
                 for c in METRICS_COLUMNS]
 
 
-def mgd(predicted, ground_truth, component: str) -> float:
-    """Mean geodesic distance between pose lists, in degrees.
-
-    ``component`` is "eye" or "head" and must match the pose kinds.
-    """
-    if component not in ("eye", "head"):
-        raise ValueError(f"unknown component {component!r}")
-    if len(predicted) != len(ground_truth):
-        raise ValueError("pose lists must have equal length")
-    if not predicted:
-        raise ValueError("mgd of empty pose lists is undefined")
-    kind = EyePose if component == "eye" else HeadPose
-    total = 0.0
-    for p, g in zip(predicted, ground_truth):
-        if not (isinstance(p, kind) and isinstance(g, kind)):
-            raise ValueError(f"{component} mgd expects {kind.__name__} entries")
-        total += so3.geodesic_distance(so3.euler_to_matrix(p), so3.euler_to_matrix(g))
-    return math.degrees(total / len(predicted))
-
-
 def dataset_arrays(dataset: Dataset, which: str):
-    """(Y, C) rows plus ground-truth target angle arrays for one split."""
+    """(Y, C) allocation and condition rows for one split."""
     samples = dataset.subset(which)
     if not samples:
         raise TrainingError(f"dataset has no {which!r} samples")
     Y = np.stack([s.allocation.as_vector() for s in samples])
     C = np.stack([s.condition.as_input() for s in samples])
-    eye_t = C[:, 0:2] + Y[:, 0:2]
-    head_t = C[:, 2:5] + Y[:, 2:5]
-    return Y, C, eye_t, head_t
+    return Y, C
 
 
-def _mgd_rows(pred: np.ndarray, C: np.ndarray, eye_true: np.ndarray, head_true: np.ndarray):
-    """Vectorised per-component MGD (degrees) for predicted allocation rows."""
-    zeros = np.zeros((len(pred), 1))
-    eye_pred = np.concatenate([C[:, 0:2] + pred[:, 0:2], zeros], axis=1)
-    head_pred = C[:, 2:5] + pred[:, 2:5]
-    eye_ref = np.concatenate([eye_true, zeros], axis=1)
-    d_eye = so3.geodesic_rows(so3.rotation_zyx(eye_pred), so3.rotation_zyx(eye_ref))
-    d_head = so3.geodesic_rows(so3.rotation_zyx(head_pred), so3.rotation_zyx(head_true))
+def _mgd_rows(pred: np.ndarray, Y: np.ndarray, C: np.ndarray):
+    """Per-component MGD (degrees) of predicted allocation rows."""
+    d_eye, d_head = pose_errors_rows(pred, Y, C)
     return math.degrees(float(d_eye.mean())), math.degrees(float(d_head.mean()))
 
 
@@ -215,11 +177,9 @@ def _batches(n: int, batch_size: int, perm: np.ndarray):
         yield perm[start:start + batch_size]
 
 
-def validate_stage1(model: ConditionalVQVAE, Yv, Cv, eye_true, head_true):
-    z_e = model.encode_rows(Yv, Cv)
-    idx, z_q = quantize_rows(z_e, model.codebook)
-    pred = model.decode_rows(z_q, Cv)
-    eye_mgd, head_mgd = _mgd_rows(pred, Cv, eye_true, head_true)
+def validate_stage1(model: ConditionalVQVAE, Yv, Cv):
+    idx, _, _, pred = model.forward_rows(Yv, Cv)
+    eye_mgd, head_mgd = _mgd_rows(pred, Yv, Cv)
     utilization = len(np.unique(idx)) / model.config.codebook_size
     return eye_mgd, head_mgd, utilization
 
@@ -229,8 +189,8 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
     shuffle_rng = np.random.default_rng(seeds[1])
-    Y, C, _, _ = dataset_arrays(dataset, "train")
-    Yv, Cv, eye_v, head_v = dataset_arrays(dataset, "val")
+    Y, C = dataset_arrays(dataset, "train")
+    Yv, Cv = dataset_arrays(dataset, "val")
     params = model.params()
     adam = nets.AdamState.for_params(params, lr=config.lr, weight_decay=config.weight_decay)
     schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
@@ -248,7 +208,7 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
                 raise TrainingError(f"stage 1 epoch {epoch}: {exc}") from exc
             sums += np.array([terms.total, terms.rec, terms.embed, terms.commit]) * len(batch)
         sums /= len(Y)
-        eye_mgd, head_mgd, utilization = validate_stage1(model, Yv, Cv, eye_v, head_v)
+        eye_mgd, head_mgd, utilization = validate_stage1(model, Yv, Cv)
         entry = EpochMetrics(
             stage=1, epoch=epoch, lr=adam.lr, loss_total=sums[0],
             loss_rec=sums[1], loss_embed=sums[2], loss_commit=sums[3],
@@ -265,16 +225,15 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
 
 def record_codes(model: ConditionalVQVAE, dataset: Dataset, which: str = "train"):
     """Code index assigned by the frozen encoder to each sample of a split."""
-    Y, C, _, _ = dataset_arrays(dataset, which)
+    Y, C = dataset_arrays(dataset, which)
     idx, _ = quantize_rows(model.encode_rows(Y, C), model.codebook)
     return [CodeLabel(int(k), i) for i, k in enumerate(idx)]
 
 
-def validate_stage2(model, prior, Cv, eye_true, head_true, val_labels):
-    pi = prior.forward_rows(Cv)
-    codes = np.argmax(pi, axis=1)
+def validate_stage2(model, prior, Yv, Cv, val_labels):
+    codes = np.argmax(prior.forward_rows(Cv), axis=1)
     pred = model.decode_rows(model.codebook[codes], Cv)
-    eye_mgd, head_mgd = _mgd_rows(pred, Cv, eye_true, head_true)
+    eye_mgd, head_mgd = _mgd_rows(pred, Yv, Cv)
     top1 = float((codes == val_labels).mean())
     return eye_mgd, head_mgd, top1
 
@@ -286,7 +245,7 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
     ``labels`` must come from record_codes on the same model and dataset.
     The VQ-VAE is treated as frozen throughout.
     """
-    Y, C, eye_t, head_t = dataset_arrays(dataset, "train")
+    Y, C = dataset_arrays(dataset, "train")
     if len(labels) != len(Y):
         raise TrainingError(f"{len(labels)} labels for {len(Y)} training samples")
     label_arr = np.array([lab.index for lab in labels], dtype=int)
@@ -296,7 +255,7 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
     prior = ConditionalPrior(config.prior_config(), seed=config.seed + 1,
                              target_scale=config.target_scale)
     shuffle_rng = np.random.default_rng(seeds[3])
-    _, Cv, eye_v, head_v = dataset_arrays(dataset, "val")
+    Yv, Cv = dataset_arrays(dataset, "val")
     val_labels = np.array([lab.index for lab in record_codes(model, dataset, "val")])
     params = prior.params()
     adam = nets.AdamState.for_params(params, lr=config.lr, weight_decay=config.weight_decay)
@@ -311,18 +270,9 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
         for batch in _batches(len(C), config.batch_size, perm):
             logits = prior.logits_rows(C[batch])
             focal, _, dlogits = prior_mod.focal_loss_rows(logits, label_arr[batch], config.gamma)
-            # Motion consistency of the currently most likely code. The
-            # argmax blocks any gradient, so this term is value-only.
-            codes = np.argmax(logits, axis=1)
-            pred = model.decode_rows(model.codebook[codes], C[batch])
-            zeros = np.zeros((len(batch), 1))
-            d_eye = so3.geodesic_rows(
-                so3.rotation_zyx(np.concatenate([C[batch, 0:2] + pred[:, 0:2], zeros], axis=1)),
-                so3.rotation_zyx(np.concatenate([eye_t[batch], zeros], axis=1)))
-            d_head = so3.geodesic_rows(
-                so3.rotation_zyx(C[batch, 2:5] + pred[:, 2:5]),
-                so3.rotation_zyx(head_t[batch]))
-            mc = float((d_eye + config.lambda_mc * d_head).mean())
+            # Value-only: the argmax inside blocks any gradient.
+            mc = float(prior_mod.motion_consistency_rows(
+                model, logits, Y[batch], C[batch], config.lambda_mc).mean())
             if not (math.isfinite(focal) and math.isfinite(mc)):
                 raise TrainingError(f"stage 2 epoch {epoch}: non-finite loss")
             try:
@@ -334,7 +284,7 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
             mc_sum += mc * len(batch)
         focal_mean = focal_sum / len(C)
         mc_mean = mc_sum / len(C)
-        eye_mgd, head_mgd, top1 = validate_stage2(model, prior, Cv, eye_v, head_v, val_labels)
+        eye_mgd, head_mgd, top1 = validate_stage2(model, prior, Yv, Cv, val_labels)
         entry = EpochMetrics(
             stage=2, epoch=epoch, lr=adam.lr,
             loss_total=focal_mean + config.eta * mc_mean,
@@ -370,12 +320,23 @@ def infer(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str = "samp
     return InferenceResult(allocation, code, pi)
 
 
-def write_metrics_csv(path, metrics) -> None:
+def write_metrics_csv(path, rows) -> None:
+    """Header plus one formatted row (``EpochMetrics.row()``) per epoch."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
-        for entry in metrics:
-            writer.writerow(entry.row())
+        writer.writerows(rows)
+
+
+def _stage1_rows(path: Path) -> list:
+    """The stage-1 rows of an earlier run's metrics file, kept by a stage-2 run."""
+    if not path.exists():
+        return []
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != METRICS_COLUMNS:
+        raise TrainingError(f"{path} does not have the metrics header {METRICS_COLUMNS}")
+    return [row for row in rows[1:] if row[:1] == ["1"]]
 
 
 def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "both") -> dict:
@@ -390,13 +351,14 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     out.mkdir(parents=True, exist_ok=True)
     dataset_hash = dataset.content_hash()
     t0 = time.monotonic()
-    all_metrics = []
+    # A stage-2-only run keeps the stage-1 rows, so the file matches "both".
+    rows = _stage1_rows(out / METRICS_FILE) if stage == "2" else []
     summary = {"dataset_hash": dataset_hash, "config": config.to_dict(), "stage": stage}
 
     model = None
     if stage in ("1", "both"):
         model, s1 = train_stage1(dataset, config)
-        all_metrics.extend(s1.metrics)
+        rows.extend(m.row() for m in s1.metrics)
         model.save(out / STAGE1_CHECKPOINT, optimizer=s1.best_optimizer, metadata={
             "stage": 1,
             "dataset_hash": dataset_hash,
@@ -419,7 +381,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
                 raise TrainingError("stage-1 checkpoint was trained on a different dataset")
         labels = record_codes(model, dataset)
         prior, s2 = train_stage2(model, labels, dataset, config)
-        all_metrics.extend(s2.metrics)
+        rows.extend(m.row() for m in s2.metrics)
         prior.save(out / PRIOR_CHECKPOINT, optimizer=s2.best_optimizer,
                    stage1_fingerprint=model.fingerprint(), metadata={
             "stage": 2,
@@ -433,7 +395,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
             "val_eye_mgd_deg": s2.best_eye_mgd,
             "val_head_mgd_deg": s2.best_head_mgd,
         }
-    write_metrics_csv(out / METRICS_FILE, all_metrics)
+    write_metrics_csv(out / METRICS_FILE, rows)
     summary["elapsed_s"] = time.monotonic() - t0
     summary["outputs"] = [str(out / METRICS_FILE)]
     if stage in ("1", "both"):

@@ -33,7 +33,7 @@ reports, APIs).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -155,15 +155,12 @@ class MotionAllocation:
         return cls(vec[:2], vec[2:5])
 
 
-@dataclass
-class QuantizationResult:
-    index: int
-    z_e: np.ndarray
-    z_q: np.ndarray
-
-
 def quantize_rows(Z: np.ndarray, codebook: np.ndarray):
-    """Nearest codebook entry per row; ties go to the smallest index."""
+    """Nearest codebook entry per row; ties go to the smallest index.
+
+    During backpropagation the lookup is treated as identity
+    (straight-through); see ConditionalVQVAE.loss_and_grads.
+    """
     codebook = np.asarray(codebook, dtype=float)
     if codebook.ndim != 2 or codebook.shape[0] == 0:
         raise ValueError("codebook must be a non-empty (K, D) array")
@@ -177,53 +174,43 @@ def quantize_rows(Z: np.ndarray, codebook: np.ndarray):
     return idx, codebook[idx]
 
 
-def quantize(z_e: np.ndarray, codebook: np.ndarray) -> QuantizationResult:
-    """Quantise a single latent vector.
+def _target_angles(A: np.ndarray, C: np.ndarray):
+    """Compose allocation rows with the current poses in ``C``.
 
-    During backpropagation the lookup is treated as identity
-    (straight-through); see ConditionalVQVAE.loss_and_grads.
+    Returns (eye, head) Euler rows of shape (n, 3); eye rows carry roll 0.
     """
-    z_e = np.asarray(z_e, dtype=float)
-    if z_e.ndim != 1:
-        raise ValueError("quantize expects a single latent vector")
-    if not np.all(np.isfinite(z_e)):
-        raise ValueError("latent vector must be finite")
-    idx, z_q = quantize_rows(z_e[None, :], codebook)
-    return QuantizationResult(int(idx[0]), z_e.copy(), z_q[0].copy())
+    A = np.asarray(A, dtype=float)
+    C = np.asarray(C, dtype=float)
+    eye = np.concatenate([C[:, 0:2] + A[:, 0:2], np.zeros((len(A), 1))], axis=1)
+    return eye, C[:, 2:5] + A[:, 2:5]
+
+
+def pose_errors_rows(pred: np.ndarray, Y: np.ndarray, C: np.ndarray):
+    """Geodesic error (radians) of predicted against true target poses.
+
+    Both allocations are composed with the current poses from ``C`` and
+    compared as rotations, so the values lie in [0, pi] and are invariant
+    to 2*pi shifts of any angle. Returns (d_eye (n,), d_head (n,)).
+    """
+    eye_pred, head_pred = _target_angles(pred, C)
+    eye_true, head_true = _target_angles(Y, C)
+    d_eye = so3.geodesic_rows(so3.rotation_zyx(eye_pred), so3.rotation_zyx(eye_true))
+    d_head = so3.geodesic_rows(so3.rotation_zyx(head_pred), so3.rotation_zyx(head_true))
+    return d_eye, d_head
 
 
 def reconstruction_terms(pred: np.ndarray, true: np.ndarray, cond: np.ndarray,
-                         lambda_rc: float = 1.0, want_grad: bool = True):
-    """Rotation-aware reconstruction loss per sample.
+                         lambda_rc: float = 1.0):
+    """Rotation-aware reconstruction loss per sample and its gradient.
 
-    Both allocations are composed with the current poses from ``cond`` and
-    compared as rotations: loss_i = d(eye_hat, eye_true) + lambda_rc *
-    d(head_hat, head_true). Because the comparison happens on SO(3) the
-    value is invariant to 2*pi shifts in any predicted angle. Returns
-    (values (n,), grad wrt pred (n, 5) or None).
+    loss_i = d_eye_i + lambda_rc * d_head_i, the errors of
+    :func:`pose_errors_rows`. Returns (values (n,), grad wrt pred (n, 5)).
     """
-    pred = np.asarray(pred, dtype=float)
-    true = np.asarray(true, dtype=float)
-    cond = np.asarray(cond, dtype=float)
-    eye_true = cond[:, 0:2] + true[:, 0:2]
-    head_true = cond[:, 2:5] + true[:, 2:5]
-    eye_pred = cond[:, 0:2] + pred[:, 0:2]
-    head_pred = cond[:, 2:5] + pred[:, 2:5]
-    zeros = np.zeros((len(pred), 1))
-    R_eye_true = so3.rotation_zyx(np.concatenate([eye_true, zeros], axis=1))
-    R_head_true = so3.rotation_zyx(head_true)
-    if want_grad:
-        d_eye, g_eye = so3.geodesic_to_reference_with_grad(
-            np.concatenate([eye_pred, zeros], axis=1), R_eye_true
-        )
-        d_head, g_head = so3.geodesic_to_reference_with_grad(head_pred, R_head_true)
-        grad = np.concatenate([g_eye[:, :2], lambda_rc * g_head], axis=1)
-    else:
-        d_eye = so3.geodesic_rows(
-            so3.rotation_zyx(np.concatenate([eye_pred, zeros], axis=1)), R_eye_true
-        )
-        d_head = so3.geodesic_rows(so3.rotation_zyx(head_pred), R_head_true)
-        grad = None
+    eye_pred, head_pred = _target_angles(pred, cond)
+    eye_true, head_true = _target_angles(true, cond)
+    d_eye, g_eye = so3.geodesic_to_reference_with_grad(eye_pred, so3.rotation_zyx(eye_true))
+    d_head, g_head = so3.geodesic_to_reference_with_grad(head_pred, so3.rotation_zyx(head_true))
+    grad = np.concatenate([g_eye[:, :2], lambda_rc * g_head], axis=1)
     return d_eye + lambda_rc * d_head, grad
 
 
@@ -272,9 +259,7 @@ class ConditionalVQVAE:
         return out
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        own = self.params()
-        for name, value in params.items():
-            own[name][...] = value
+        nets.assign_params(self.params(), params)
 
     def fingerprint(self) -> str:
         return nets.params_fingerprint(self.params())
@@ -297,10 +282,6 @@ class ConditionalVQVAE:
         h = self.fusion_out.forward(np.concatenate([Zq, f_c], axis=1))
         return self.decoder.forward(h)
 
-    def encode(self, y: MotionAllocation, c: ConditionVector) -> np.ndarray:
-        """Continuous latent for one (allocation, condition) pair."""
-        return self.encode_rows(y.as_vector()[None, :], c.as_input()[None, :])[0]
-
     def decode(self, z_q: np.ndarray, c: ConditionVector) -> MotionAllocation:
         """Motion allocation for one latent (typically a codebook entry)."""
         z_q = np.asarray(z_q, dtype=float)
@@ -309,18 +290,24 @@ class ConditionalVQVAE:
         pred = self.decode_rows(z_q[None, :], c.as_input()[None, :])[0]
         return MotionAllocation(pred[:2], pred[2:5])
 
+    def forward_rows(self, Y: np.ndarray, C: np.ndarray):
+        """Teacher-forced pass: encode (Y, C), quantise, decode.
+
+        Runs every section once, so the cached activations serve the
+        backward pass of :meth:`loss_and_grads`. Returns (idx, z_e, z_q, pred).
+        """
+        f_y = self.recon_encoder.forward(np.asarray(Y, dtype=float))
+        f_c = self.cond_encoder.forward(self.condition_inputs(C))
+        z_e = self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
+        idx, z_q = quantize_rows(z_e, self.codebook)
+        h = self.fusion_out.forward(np.concatenate([z_q, f_c], axis=1))
+        return idx, z_e, z_q, self.decoder.forward(h)
+
     # -- loss ----------------------------------------------------------------
 
-    def vq_loss(self, y: MotionAllocation, c: ConditionVector) -> VQLossTerms:
-        terms, _ = self.loss_and_grads(
-            y.as_vector()[None, :], c.as_input()[None, :], want_grads=False
-        )
-        return terms
-
     def loss_and_grads(self, Y: np.ndarray, C: np.ndarray, *, rec_weight: float = 1.0,
-                       embed_weight: float = 1.0, commit_weight: float | None = None,
-                       want_grads: bool = True):
-        """Batch-mean loss terms and, optionally, parameter gradients.
+                       embed_weight: float = 1.0, commit_weight: float | None = None):
+        """Batch-mean loss terms and parameter gradients.
 
         ``commit_weight`` defaults to config.beta; the tests zero individual
         weights to check that gradient routing honours the stop-gradients.
@@ -341,16 +328,8 @@ class ConditionalVQVAE:
         H = self.config.hidden_width
         D = self.config.latent_dim
 
-        f_y = self.recon_encoder.forward(Y)
-        f_c = self.cond_encoder.forward(self.condition_inputs(C))
-        z_e = self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
-        idx, z_q = quantize_rows(z_e, self.codebook)
-        h = self.fusion_out.forward(np.concatenate([z_q, f_c], axis=1))
-        pred = self.decoder.forward(h)
-
-        rec_vals, rec_grad = reconstruction_terms(
-            pred, Y, C, self.config.lambda_rc, want_grad=want_grads
-        )
+        idx, z_e, z_q, pred = self.forward_rows(Y, C)
+        rec_vals, rec_grad = reconstruction_terms(pred, Y, C, self.config.lambda_rc)
         diff = z_e - z_q
         vq_vals = (diff * diff).sum(axis=1)
 
@@ -362,8 +341,6 @@ class ConditionalVQVAE:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite loss term {name!r}")
         terms = VQLossTerms(total, rec, embed, commit)
-        if not want_grads:
-            return terms, None
 
         grads = {}
         g_pred = rec_weight * rec_grad / n

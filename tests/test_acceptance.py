@@ -126,8 +126,8 @@ def _stable_case(config: VQVAEConfig, seed_start: int):
             continue
         pred = model.decode_rows(
             quantize_rows(model.encode_rows(Y, C), model.codebook)[1], C)
-        v_eye, _ = reconstruction_terms(pred, Y, C, 0.0, want_grad=False)
-        v_both, _ = reconstruction_terms(pred, Y, C, 1.0, want_grad=False)
+        v_eye, _ = reconstruction_terms(pred, Y, C, 0.0)
+        v_both, _ = reconstruction_terms(pred, Y, C, 1.0)
         v_head = v_both - v_eye
         lows = min(v_eye.min(), v_head.min())
         highs = max(v_eye.max(), v_head.max())
@@ -144,10 +144,10 @@ def _fd_probe(model, Y, C, name: str, j: int, weights, h: float = FD_H) -> float
     rec_w, embed_w, commit_w = weights
     p[j] = orig + h
     up, _ = model.loss_and_grads(Y, C, rec_weight=rec_w, embed_weight=embed_w,
-                                 commit_weight=commit_w, want_grads=False)
+                                 commit_weight=commit_w)
     p[j] = orig - h
     down, _ = model.loss_and_grads(Y, C, rec_weight=rec_w, embed_weight=embed_w,
-                                   commit_weight=commit_w, want_grads=False)
+                                   commit_weight=commit_w)
     p[j] = orig
     return (up.total - down.total) / (2 * h)
 
@@ -221,8 +221,7 @@ def test_criterion_2_loss_term_gradients():
             z_e = model.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
             h = model.fusion_out.forward(np.concatenate([z_e + offset, f_c], axis=1))
             pred = model.decoder.forward(h)
-            vals, _ = reconstruction_terms(pred, Y, C, config.lambda_rc,
-                                           want_grad=False)
+            vals, _ = reconstruction_terms(pred, Y, C, config.lambda_rc)
             return float(vals.mean())
 
         _, g_rec = model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
@@ -307,7 +306,7 @@ def test_criterion_2_loss_term_gradients():
 def test_criterion_3_memorization_capacity():
     t0 = time.perf_counter()
     dataset = generate_dataset(0, GeneratorConfig(n_samples=17, train_fraction=0.97))
-    Y, C, eye_t, head_t = dataset_arrays(dataset, "train")
+    Y, C = dataset_arrays(dataset, "train")
     assert len(Y) == 16
     config = TrainConfig(stage1_epochs=2000, stage2_epochs=1, codebook_size=16,
                          batch_size=16, lr=3e-3, weight_decay=0.0,
@@ -325,7 +324,7 @@ def test_criterion_3_memorization_capacity():
         perm = shuffle.permutation(len(Y))
         _, grads = model.loss_and_grads(Y[perm], C[perm])
         nets.adam_step(adam, params, grads)
-        eye_mgd, head_mgd, _ = validate_stage1(model, Y, C, eye_t, head_t)
+        eye_mgd, head_mgd, _ = validate_stage1(model, Y, C)
         summed = eye_mgd + head_mgd
         if summed < best:
             best = summed
@@ -387,7 +386,7 @@ def test_criterion_5_prior_code_diversity(default_run):
     model, _ = ConditionalVQVAE.load(out / trainer.STAGE1_CHECKPOINT)
     prior, _ = ConditionalPrior.load(out / trainer.PRIOR_CHECKPOINT,
                                      expect_stage1_fingerprint=model.fingerprint())
-    _, Cv, _, _ = dataset_arrays(dataset, "val")
+    _, Cv = dataset_arrays(dataset, "val")
     rng = np.random.default_rng(42)
     picks = rng.choice(len(Cv), size=20, replace=False)
     diverse = 0
@@ -410,8 +409,8 @@ def test_criterion_5_prior_code_diversity(default_run):
 def test_criterion_6_dataset_integrity(default_run):
     dataset, _, _, _ = default_run
     n = len(dataset.samples)
-    n_train = len(dataset.train_samples())
-    n_val = len(dataset.val_samples())
+    n_train = len(dataset.subset("train"))
+    n_val = len(dataset.subset("val"))
     n_ok = sum(1 for s in dataset.samples if check_sample(s, dataset.config) is None)
     worst = 0.0
     for s in dataset.samples:

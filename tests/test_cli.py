@@ -195,6 +195,18 @@ def test_train_stage2_without_stage1_exit_training(pipeline, tmp_path):
                  "--out", str(tmp_path / "fresh")]) == 4
 
 
+def test_train_stage1_then_stage2_matches_both(pipeline, tmp_path):
+    _, config, data_dir, run_dir = pipeline
+    staged = tmp_path / "staged"
+    # the repeated stage 2 replaces its own rows and keeps the stage-1 ones
+    for stage in ("1", "2", "2"):
+        assert main(["train", "--config", config, "--seed", "0", "--stage", stage,
+                     "--dataset", str(data_dir / "dataset.jsonl"),
+                     "--out", str(staged)]) == 0
+    for name in ("metrics.csv", "stage1.json", "prior.json"):
+        assert (staged / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
 # -- eval ----------------------------------------------------------------------------------
 
 def test_eval_writes_report(pipeline, tmp_path, capsys):
@@ -219,6 +231,36 @@ def test_eval_missing_run_exit_training(pipeline, tmp_path):
     _, _, data_dir, _ = pipeline
     assert main(["eval", "--dataset", str(data_dir / "dataset.jsonl"),
                  "--run", str(tmp_path / "void"), "--out", str(tmp_path / "e")]) == 4
+
+
+def _drop_bias(params):
+    del params["decoder.2.b"]
+
+
+def _short_bias(params):
+    params["decoder.0.b"] = {"shape": [1], "data": [0.5]}
+
+
+def _extra_param(params):
+    params["3.W"] = {"shape": [1, 1], "data": [0.0]}
+
+
+@pytest.mark.parametrize("name, edit, reason", [
+    ("stage1.json", _drop_bias, "missing"),
+    ("stage1.json", _short_bias, "shape"),
+    ("prior.json", _extra_param, "unexpected"),
+])
+def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name, edit, reason):
+    _, _, data_dir, run_dir = pipeline
+    damaged = tmp_path / "damaged"
+    shutil.copytree(run_dir, damaged)
+    doc = json.loads((damaged / name).read_text(encoding="utf-8"))
+    edit(doc["params"])
+    (damaged / name).write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(data_dir / "dataset.jsonl"),
+                 "--run", str(damaged), "--out", str(tmp_path / "e")]) == 4
+    assert reason in capsys.readouterr().err
 
 
 # -- sample --------------------------------------------------------------------------------
@@ -266,6 +308,15 @@ def test_sample_rejects_malformed_condition(pipeline, tmp_path):
                  "--out", str(tmp_path / "s")]) == 2
     assert main(["sample", "--run", str(run_dir), "--target", "0,0,0",
                  "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_sample_rejects_non_positive_n(pipeline, tmp_path, capsys, n):
+    _, _, _, run_dir = pipeline
+    out = tmp_path / "s"
+    assert main(["sample", "--run", str(run_dir), "--n", n, "--out", str(out)]) == 2
+    assert "--n must be at least 1" in capsys.readouterr().err
+    assert not (out / "samples.json").exists()
 
 
 # -- replay --------------------------------------------------------------------------------

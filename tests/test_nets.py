@@ -300,6 +300,23 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert nets.params_fingerprint(ck.params) == nets.params_fingerprint(params)
 
 
+def test_set_params_requires_exact_keys_and_shapes():
+    rng = np.random.default_rng(17)
+    net = DenseNetwork.create([3, 5, 2], rng)
+    before = {k: v.copy() for k, v in net.params().items()}
+    good = {k: np.full_like(v, 0.5) for k, v in before.items()}
+    missing = {k: v for k, v in good.items() if k != "1.b"}
+    short = dict(good, **{"0.b": np.array([0.5])})  # would broadcast
+    extra = dict(good, **{"2.W": np.zeros((2, 2))})
+    for bad, match in ((missing, "missing"), (short, "shape"), (extra, "unexpected")):
+        with pytest.raises(ValueError, match=match):
+            net.set_params(bad)
+        for k, v in net.params().items():  # a refused set touches nothing
+            np.testing.assert_array_equal(v, before[k])
+    net.set_params(good)
+    assert all(np.all(v == 0.5) for v in net.params().values())
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"format": "something-else", "version": 1}')

@@ -1,25 +1,25 @@
 """Conditional prior: softmax, focal loss, motion consistency, sampling.
 
-The motion-consistency term rides on the argmax code through the frozen
-decoder, so wherever the argmax is locally constant the term is locally
-constant in the prior parameters — the tests assert its finite difference
-is exactly zero there, and that the training gradient is the focal
-gradient alone.
+The motion-consistency term (``motion_consistency_rows``, the code stage-2
+training runs) rides on the argmax code through the frozen decoder, so
+wherever the argmax is locally constant the term is locally constant in
+the prior parameters — the tests assert its finite difference is exactly
+zero there, and that the training gradient is the focal gradient alone.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gazeshift.prior import (CodeLabel, ConditionalPrior, PriorConfig,
-                             check_distribution, focal_loss, focal_loss_rows,
-                             motion_consistency_loss, prior_loss, sample_code,
-                             softmax_rows)
+from gazeshift.prior import (PROB_FLOOR, CodeLabel, ConditionalPrior, PriorConfig,
+                             check_distribution, focal_loss_rows,
+                             motion_consistency_rows, sample_code, softmax_rows)
 from gazeshift.so3 import EyePose, HeadPose
-from gazeshift.vqvae import ConditionalVQVAE, ConditionVector, MotionAllocation, VQVAEConfig
+from gazeshift.vqvae import ConditionalVQVAE, ConditionVector, VQVAEConfig
 
 FD_H = 1e-6
 FD_REL = 1e-4
@@ -34,16 +34,41 @@ def a_condition() -> ConditionVector:
                            [1.4, 0.6, 0.3])
 
 
+def focal_loss(pi: np.ndarray, index: int, gamma: float = 2.0) -> float:
+    """Scalar reference: -(1 - pi[index])**gamma * log(pi[index]), floored."""
+    pi = check_distribution(pi)
+    if not 0 <= index < len(pi):
+        raise ValueError(f"code index {index} outside codebook of size {len(pi)}")
+    p = float(pi[index])
+    return -((1.0 - p) ** gamma) * math.log(max(p, PROB_FLOOR))
+
+
 class FixedDecoder:
     """Decodes code k to a preset allocation, ignoring the condition."""
 
     def __init__(self, allocations):
-        self._allocations = [MotionAllocation(a[:2], a[2:]) for a in allocations]
+        self._allocations = np.array(allocations, dtype=float)
         # one-hot codebook rows so codebook[k] identifies k
         self.codebook = np.eye(len(allocations))
 
-    def decode(self, z_q, c):
-        return self._allocations[int(np.argmax(z_q))]
+    def decode_rows(self, Zq, C):
+        return self._allocations[np.argmax(Zq, axis=1)]
+
+
+def logits_for(code: int, k: int) -> np.ndarray:
+    """One row of logits whose argmax is ``code``."""
+    logits = np.zeros((1, k))
+    logits[0, code] = 1.0
+    return logits
+
+
+def mc_rows(model, logits, c: ConditionVector, target_eye: EyePose,
+            target_head: HeadPose, lambda_mc: float = 1.0) -> np.ndarray:
+    """motion_consistency_rows for one condition and its true target poses."""
+    C = c.as_input()[None, :]
+    Y = np.concatenate([target_eye.as_array() - c.eye.as_array(),
+                        target_head.as_array() - c.head.as_array()])[None, :]
+    return motion_consistency_rows(model, logits, Y, C, lambda_mc)
 
 
 # -- softmax and distribution checks ----------------------------------------------
@@ -156,7 +181,7 @@ def test_motion_consistency_zero_on_exact_match():
     decoder = FixedDecoder([alloc])
     target_eye = EyePose(c.eye.yaw + 0.05, c.eye.pitch - 0.02)
     target_head = HeadPose(c.head.yaw + 0.15, c.head.pitch + 0.08, c.head.roll - 0.01)
-    val = motion_consistency_loss(decoder, 0, c, target_eye, target_head)
+    val = mc_rows(decoder, logits_for(0, 1), c, target_eye, target_head)[0]
     assert val == pytest.approx(0.0, abs=1e-7)
 
 
@@ -164,31 +189,9 @@ def test_motion_consistency_same_axis_oracle():
     # eye exact, head yaw off by 0.3 rad -> mc = lambda_mc * 0.3
     c = ConditionVector(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0])
     decoder = FixedDecoder([np.zeros(5)])
-    val = motion_consistency_loss(decoder, 0, c, EyePose(0, 0),
-                                  HeadPose(0.3, 0, 0), lambda_mc=2.0)
+    val = mc_rows(decoder, logits_for(0, 1), c, EyePose(0, 0),
+                  HeadPose(0.3, 0, 0), lambda_mc=2.0)[0]
     assert val == pytest.approx(0.6, abs=1e-9)
-
-
-def test_motion_consistency_rejects_bad_code():
-    decoder = FixedDecoder([np.zeros(5)])
-    with pytest.raises(ValueError):
-        motion_consistency_loss(decoder, 1, a_condition(), EyePose(0, 0),
-                                HeadPose(0, 0, 0))
-
-
-def test_prior_loss_composes_terms():
-    c = a_condition()
-    decoder = FixedDecoder([np.zeros(5), np.zeros(5)])
-    pi = np.array([0.3, 0.7])
-    target_eye = EyePose(c.eye.yaw, c.eye.pitch)
-    target_head = HeadPose(c.head.yaw + 0.2, c.head.pitch, c.head.roll)
-    mc = motion_consistency_loss(decoder, 1, c, target_eye, target_head)
-    total = prior_loss(decoder, pi, 0, c, target_eye, target_head,
-                       gamma=2.0, eta=0.5)
-    assert total == pytest.approx(focal_loss(pi, 0, 2.0) + 0.5 * mc, abs=1e-12)
-    # eta = 0 leaves the focal term alone
-    assert prior_loss(decoder, pi, 0, c, target_eye, target_head,
-                      gamma=2.0, eta=0.0) == pytest.approx(focal_loss(pi, 0, 2.0))
 
 
 # -- the argmax blocks the consistency gradient ------------------------------------------
@@ -203,9 +206,8 @@ def test_consistency_term_has_exactly_zero_gradient_in_prior_params():
     target_head = HeadPose(0.3, 0.1, 0.0)
 
     def mc_of_phi() -> float:
-        pi = prior.forward(c)
-        code_hat = int(np.argmax(pi))
-        return motion_consistency_loss(frozen, code_hat, c, target_eye, target_head)
+        logits = prior.logits_rows(c.as_input()[None, :])
+        return float(mc_rows(frozen, logits, c, target_eye, target_head).mean())
 
     base_pi = prior.forward(c)
     base_code = int(np.argmax(base_pi))
@@ -242,9 +244,9 @@ def test_training_gradient_is_focal_gradient_alone():
     target_eye, target_head = EyePose(0.2, -0.1), HeadPose(0.3, 0.1, 0.0)
 
     def objective(lg):
-        pi = softmax_rows(lg)[0]
-        return prior_loss(frozen, pi, label, c, target_eye, target_head,
-                          gamma=2.0, eta=1.0)
+        # the stage-2 objective focal + eta * mc, at eta = 1
+        focal, _, _ = focal_loss_rows(lg, np.array([label]), gamma=2.0)
+        return focal + float(mc_rows(frozen, lg, c, target_eye, target_head).mean())
 
     _, _, dlogits = focal_loss_rows(logits, np.array([label]), gamma=2.0)
     for j in range(4):
@@ -304,8 +306,6 @@ def test_prior_config_validation():
         PriorConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         PriorConfig(codebook_size=0)
-    with pytest.raises(ValueError):
-        PriorConfig(mc_gradient="gumbel")
 
 
 def test_code_label_fields():
@@ -322,6 +322,37 @@ def test_prior_checkpoint_round_trip(tmp_path):
     assert loaded.config == prior.config
     np.testing.assert_array_equal(loaded.forward(a_condition()),
                                   prior.forward(a_condition()))
+
+
+def _edit_checkpoint(path, edit) -> None:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_prior_checkpoint_mc_gradient_is_none_or_absent(tmp_path):
+    path = tmp_path / "prior.json"
+    small_prior(seed=5).save(path)
+    assert json.loads(path.read_text())["metadata"]["model"]["mc_gradient"] == "none"
+    ConditionalPrior.load(path)
+    _edit_checkpoint(path, lambda doc: doc["metadata"]["model"].pop("mc_gradient"))
+    ConditionalPrior.load(path)  # older checkpoints without the key still load
+    _edit_checkpoint(path, lambda doc: doc["metadata"]["model"].update(mc_gradient="gumbel"))
+    with pytest.raises(ValueError, match="mc_gradient"):
+        ConditionalPrior.load(path)
+
+
+def test_prior_load_rejects_extra_or_misshapen_params(tmp_path):
+    path = tmp_path / "prior.json"
+    small_prior(seed=5).save(path)
+    extra = {"shape": [1], "data": [0.0]}
+    _edit_checkpoint(path, lambda doc: doc["params"].update({"3.W": extra}))
+    with pytest.raises(ValueError, match="unexpected"):
+        ConditionalPrior.load(path)
+    small_prior(seed=5).save(path)
+    _edit_checkpoint(path, lambda doc: doc["params"].update({"2.b": extra}))
+    with pytest.raises(ValueError, match="shape"):
+        ConditionalPrior.load(path)
 
 
 def test_prior_load_rejects_fingerprint_mismatch(tmp_path):

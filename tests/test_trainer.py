@@ -10,11 +10,13 @@ summed error, and the first stage is bit-frozen while the second trains.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gazeshift import so3
 from gazeshift.datagen import Dataset, GeneratorConfig, generate_dataset
 from gazeshift.errors import ConfigError, TrainingError
 from gazeshift.prior import ConditionalPrior
@@ -22,7 +24,7 @@ from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                PRIOR_CHECKPOINT, STAGE1_CHECKPOINT,
                                EpochMetrics, TrainConfig, dataset_arrays,
-                               infer, mgd, record_codes, run_training,
+                               infer, record_codes, run_training,
                                train_stage1, train_stage2, validate_stage1,
                                validate_stage2, write_metrics_csv)
 from gazeshift.vqvae import ConditionalVQVAE, quantize_rows
@@ -31,6 +33,28 @@ SMALL_GEN = GeneratorConfig(n_samples=60)
 SMALL_TRAIN = TrainConfig(stage1_epochs=8, stage2_epochs=6, batch_size=16,
                           hidden_width=16, codebook_size=4, latent_dim=3,
                           milestones=(4,), seed=0)
+
+
+def mgd(predicted, ground_truth, component: str) -> float:
+    """Mean geodesic distance between pose lists, in degrees.
+
+    A per-pose reference built on the validated so3 scalars; the trainer's
+    batch path must agree with it. ``component`` is "eye" or "head" and
+    must match the pose kinds.
+    """
+    if component not in ("eye", "head"):
+        raise ValueError(f"unknown component {component!r}")
+    if len(predicted) != len(ground_truth):
+        raise ValueError("pose lists must have equal length")
+    if not predicted:
+        raise ValueError("mgd of empty pose lists is undefined")
+    kind = EyePose if component == "eye" else HeadPose
+    total = 0.0
+    for p, g in zip(predicted, ground_truth):
+        if not (isinstance(p, kind) and isinstance(g, kind)):
+            raise ValueError(f"{component} mgd expects {kind.__name__} entries")
+        total += so3.geodesic_distance(so3.euler_to_matrix(p), so3.euler_to_matrix(g))
+    return math.degrees(total / len(predicted))
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +138,11 @@ def test_epoch_metrics_row_layout():
 # -- dataset plumbing -----------------------------------------------------------------------
 
 def test_dataset_arrays_targets(small_dataset):
-    Y, C, eye_t, head_t = dataset_arrays(small_dataset, "train")
+    Y, C = dataset_arrays(small_dataset, "train")
     assert Y.shape == (48, 5) and C.shape == (48, 8)
-    np.testing.assert_array_equal(eye_t, C[:, 0:2] + Y[:, 0:2])
-    np.testing.assert_array_equal(head_t, C[:, 2:5] + Y[:, 2:5])
+    train = small_dataset.subset("train")
+    np.testing.assert_array_equal(Y, [s.allocation.as_vector() for s in train])
+    np.testing.assert_array_equal(C, [s.condition.as_input() for s in train])
 
 
 def test_dataset_arrays_rejects_missing_split(small_dataset):
@@ -131,8 +156,9 @@ def test_dataset_arrays_rejects_missing_split(small_dataset):
 
 def test_validate_stage1_recomputes_from_public_pieces(trained, small_dataset):
     model = trained[0]
-    Yv, Cv, eye_v, head_v = dataset_arrays(small_dataset, "val")
-    eye_mgd, head_mgd, util = validate_stage1(model, Yv, Cv, eye_v, head_v)
+    Yv, Cv = dataset_arrays(small_dataset, "val")
+    eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
+    eye_mgd, head_mgd, util = validate_stage1(model, Yv, Cv)
     idx, z_q = quantize_rows(model.encode_rows(Yv, Cv), model.codebook)
     pred = model.decode_rows(z_q, Cv)
     eye_poses = [EyePose(*(Cv[i, 0:2] + pred[i, 0:2])) for i in range(len(Cv))]
@@ -163,7 +189,7 @@ def test_stage1_is_deterministic(small_dataset, trained):
 
 def test_record_codes_matches_quantizer(trained, small_dataset):
     model, labels = trained[0], trained[2]
-    Y, C, _, _ = dataset_arrays(small_dataset, "train")
+    Y, C = dataset_arrays(small_dataset, "train")
     idx, _ = quantize_rows(model.encode_rows(Y, C), model.codebook)
     assert [lab.index for lab in labels] == list(idx)
     assert [lab.sample_index for lab in labels] == list(range(48))
@@ -182,9 +208,10 @@ def test_stage2_leaves_stage1_frozen(small_dataset):
 
 def test_validate_stage2_recomputes_from_public_pieces(trained, small_dataset):
     model, prior = trained[0], trained[3]
-    _, Cv, eye_v, head_v = dataset_arrays(small_dataset, "val")
+    Yv, Cv = dataset_arrays(small_dataset, "val")
+    eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
     val_labels = np.array([lab.index for lab in record_codes(model, small_dataset, "val")])
-    eye_mgd, head_mgd, top1 = validate_stage2(model, prior, Cv, eye_v, head_v, val_labels)
+    eye_mgd, head_mgd, top1 = validate_stage2(model, prior, Yv, Cv, val_labels)
     codes = np.argmax(prior.forward_rows(Cv), axis=1)
     pred = model.decode_rows(model.codebook[codes], Cv)
     eye_poses = [EyePose(*(Cv[i, 0:2] + pred[i, 0:2])) for i in range(len(Cv))]
@@ -207,6 +234,19 @@ def test_stage2_best_selection_and_gap(trained):
     assert s2.best_summed() >= s1.best_summed() - 0.5
 
 
+def test_stage2_loss_total_composes_terms(trained, small_dataset):
+    # the logged stage-2 objective is focal + eta * mc, epoch by epoch
+    model, labels, s2 = trained[0], trained[2], trained[4]
+    for m in s2.metrics:
+        assert m.loss_total == m.loss_focal + SMALL_TRAIN.eta * m.loss_mc
+        assert m.loss_focal > 0 and m.loss_mc > 0
+    # eta = 0 leaves the focal term alone
+    _, s2_focal = train_stage2(model, labels, small_dataset,
+                               dataclasses.replace(SMALL_TRAIN, eta=0.0))
+    for m in s2_focal.metrics:
+        assert m.loss_total == m.loss_focal
+
+
 def test_stage2_rejects_mismatched_labels(trained, small_dataset):
     model, labels = trained[0], trained[2]
     with pytest.raises(TrainingError, match="labels"):
@@ -217,7 +257,7 @@ def test_stage2_rejects_mismatched_labels(trained, small_dataset):
 
 def test_infer_argmax_is_deterministic(trained, small_dataset):
     model, prior = trained[0], trained[3]
-    c = small_dataset.val_samples()[0].condition
+    c = small_dataset.subset("val")[0].condition
     a = infer(model, prior, c, mode="argmax")
     b = infer(model, prior, c, mode="argmax")
     assert a.code == b.code == int(np.argmax(a.pi))
@@ -227,7 +267,7 @@ def test_infer_argmax_is_deterministic(trained, small_dataset):
 
 def test_infer_sampling_follows_pi(trained, small_dataset):
     model, prior = trained[0], trained[3]
-    c = small_dataset.val_samples()[1].condition
+    c = small_dataset.subset("val")[1].condition
     pi = prior.forward(c)
     rng = np.random.default_rng(17)
     draws = np.array([infer(model, prior, c, mode="sample", rng=rng).code
@@ -239,7 +279,7 @@ def test_infer_sampling_follows_pi(trained, small_dataset):
 def test_infer_rejects_unknown_mode(trained, small_dataset):
     model, prior = trained[0], trained[3]
     with pytest.raises(ValueError):
-        infer(model, prior, small_dataset.val_samples()[0].condition, mode="map")
+        infer(model, prior, small_dataset.subset("val")[0].condition, mode="map")
 
 
 # -- persistence of runs -----------------------------------------------------------------------------
@@ -247,7 +287,7 @@ def test_infer_rejects_unknown_mode(trained, small_dataset):
 def test_metrics_csv_layout(tmp_path, trained):
     s1, s2 = trained[1], trained[4]
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, s1.metrics + s2.metrics)
+    write_metrics_csv(path, [m.row() for m in s1.metrics + s2.metrics])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == METRICS_COLUMNS
@@ -289,6 +329,14 @@ def test_run_training_is_reproducible(tmp_path, small_dataset):
     assert a["stage2"] == b["stage2"]
     assert ((tmp_path / "a" / METRICS_FILE).read_bytes()
             == (tmp_path / "b" / METRICS_FILE).read_bytes())
+
+
+def test_run_training_stage2_rejects_foreign_metrics_file(tmp_path, small_dataset):
+    out = tmp_path / "run"
+    run_training(small_dataset, SMALL_TRAIN, out, stage="1")
+    (out / METRICS_FILE).write_text("epoch,loss\n0,1.0\n", encoding="utf-8")
+    with pytest.raises(TrainingError, match="metrics header"):
+        run_training(small_dataset, SMALL_TRAIN, out, stage="2")
 
 
 def test_run_training_stage2_needs_stage1(tmp_path, small_dataset):

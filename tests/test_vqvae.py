@@ -10,14 +10,18 @@ margin to the nearest rectifier kink and codebook decision boundary first.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gazeshift import so3
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, MotionAllocation,
-                             VQVAEConfig, quantize, quantize_rows,
+                             VQVAEConfig, pose_errors_rows, quantize_rows,
                              reconstruction_terms)
 from gazeshift.so3 import EyePose, HeadPose
 
@@ -77,7 +81,7 @@ def stable_fixture(seed_start: int = 0):
             continue
         # geodesic distances must stay away from the metric's kinks at 0, pi
         pred = model.decode_rows(quantize_rows(model.encode_rows(Y, C), model.codebook)[1], C)
-        vals, _ = reconstruction_terms(pred, Y, C, 1.0, want_grad=False)
+        vals, _ = reconstruction_terms(pred, Y, C, 1.0)
         if vals.min() < 0.05 or vals.max() > math.pi - 0.1:
             continue
         return model, Y, C
@@ -116,22 +120,22 @@ def test_motion_allocation_validation():
 
 def test_quantize_nearest_neighbor():
     book = np.array([[0.0, 0.0], [1.0, 1.0]])
-    res = quantize(np.array([0.1, 0.2]), book)
-    assert res.index == 0  # nearest entry is the first one
-    np.testing.assert_array_equal(res.z_q, [0.0, 0.0])
+    idx, z_q = quantize_rows(np.array([[0.1, 0.2]]), book)
+    assert idx[0] == 0  # nearest entry is the first one
+    np.testing.assert_array_equal(z_q[0], [0.0, 0.0])
 
 
 def test_quantize_exact_hit():
     book = np.array([[0.0, 0.0], [1.0, 1.0]])
-    res = quantize(np.array([1.0, 1.0]), book)
-    assert res.index == 1
-    np.testing.assert_array_equal(res.z_q, [1.0, 1.0])
+    idx, z_q = quantize_rows(np.array([[1.0, 1.0]]), book)
+    assert idx[0] == 1
+    np.testing.assert_array_equal(z_q[0], [1.0, 1.0])
 
 
 def test_quantize_tie_breaks_to_smallest_index():
     book = np.array([[0.0, 0.0], [1.0, 0.0]])
-    res = quantize(np.array([0.5, 0.0]), book)  # exactly equidistant
-    assert res.index == 0
+    idx, _ = quantize_rows(np.array([[0.5, 0.0]]), book)  # exactly equidistant
+    assert idx[0] == 0
 
 
 def test_quantize_exhaustive_against_oracle():
@@ -148,18 +152,16 @@ def test_quantize_exhaustive_against_oracle():
 def test_quantize_idempotent():
     rng = np.random.default_rng(22)
     book = rng.normal(size=(5, 3))
-    res = quantize(rng.normal(size=3), book)
-    again = quantize(res.z_q, book)
-    assert again.index == res.index
+    idx, z_q = quantize_rows(rng.normal(size=(6, 3)), book)
+    again, _ = quantize_rows(z_q, book)
+    np.testing.assert_array_equal(again, idx)
 
 
 def test_quantize_validates_inputs():
     with pytest.raises(ValueError):
-        quantize(np.zeros(3), np.zeros((0, 3)))
+        quantize_rows(np.zeros((1, 3)), np.zeros((0, 3)))
     with pytest.raises(ValueError):
-        quantize(np.zeros(3), np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        quantize(np.array([1.0, np.inf, 0.0]), np.zeros((4, 3)))
+        quantize_rows(np.zeros((1, 3)), np.zeros((4, 2)))
 
 
 # -- encode / decode ---------------------------------------------------------------
@@ -167,10 +169,23 @@ def test_quantize_validates_inputs():
 def test_encode_shape_and_determinism():
     c = ConditionVector(EyePose(0.1, 0.0), HeadPose(0.2, -0.1, 0.0), [1.5, 0.3, 0.2])
     y = MotionAllocation([0.05, 0.02], [0.2, -0.1, 0.0])
-    a = ConditionalVQVAE(VQVAEConfig(), seed=5).encode(y, c)
-    b = ConditionalVQVAE(VQVAEConfig(), seed=5).encode(y, c)
-    assert a.shape == (VQVAEConfig().latent_dim,) == (8,)
+    Y, C = y.as_vector()[None, :], c.as_input()[None, :]
+    a = ConditionalVQVAE(VQVAEConfig(), seed=5).encode_rows(Y, C)
+    b = ConditionalVQVAE(VQVAEConfig(), seed=5).encode_rows(Y, C)
+    assert a.shape == (1, VQVAEConfig().latent_dim) == (1, 8)
     np.testing.assert_array_equal(a, b)
+
+
+def test_forward_rows_matches_encode_quantize_decode():
+    rng = np.random.default_rng(26)
+    model = small_model(3)
+    Y, C = fixture_batch(rng, n=7)
+    idx, z_e, z_q, pred = model.forward_rows(Y, C)
+    np.testing.assert_array_equal(z_e, model.encode_rows(Y, C))
+    idx_ref, z_q_ref = quantize_rows(z_e, model.codebook)
+    np.testing.assert_array_equal(idx, idx_ref)
+    np.testing.assert_array_equal(z_q, z_q_ref)
+    np.testing.assert_array_equal(pred, model.decode_rows(z_q, C))
 
 
 def test_decode_shape_and_split():
@@ -208,7 +223,7 @@ def test_encode_input_gradients_match_fd():
 def test_reconstruction_zero_for_exact_prediction():
     rng = np.random.default_rng(23)
     Y, C = fixture_batch(rng)
-    vals, _ = reconstruction_terms(Y, Y, C, 1.0, want_grad=False)
+    vals, _ = reconstruction_terms(Y, Y, C, 1.0)
     # arccos near u = 1 resolves zero only to about sqrt(eps)
     np.testing.assert_allclose(vals, 0.0, atol=1e-7)
 
@@ -217,7 +232,7 @@ def test_reconstruction_nonnegative():
     rng = np.random.default_rng(24)
     Y, C = fixture_batch(rng, n=20)
     pred = Y + rng.normal(scale=0.2, size=Y.shape)
-    vals, _ = reconstruction_terms(pred, Y, C, 1.0, want_grad=False)
+    vals, _ = reconstruction_terms(pred, Y, C, 1.0)
     assert np.all(vals >= 0)
 
 
@@ -227,8 +242,8 @@ def test_reconstruction_invariant_to_wrapped_targets():
     Y, C = fixture_batch(rng)
     shifted = Y.copy()
     shifted[:, 2] += 2 * math.pi
-    a, _ = reconstruction_terms(Y + 0.1, Y, C, 1.0, want_grad=False)
-    b, _ = reconstruction_terms(Y + 0.1, shifted, C, 1.0, want_grad=False)
+    a, _ = reconstruction_terms(Y + 0.1, Y, C, 1.0)
+    b, _ = reconstruction_terms(Y + 0.1, shifted, C, 1.0)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -239,7 +254,7 @@ def test_reconstruction_same_axis_value():
     C[0, 5] = 1.0  # any valid target; unused by the loss
     pred = Y.copy()
     pred[0, 2] = math.radians(30)
-    vals, _ = reconstruction_terms(pred, Y, C, 1.0, want_grad=False)
+    vals, _ = reconstruction_terms(pred, Y, C, 1.0)
     assert vals[0] == pytest.approx(math.radians(30), abs=1e-12)
 
 
@@ -250,9 +265,63 @@ def test_reconstruction_lambda_scales_head_term():
     pred = Y.copy()
     pred[0, 0] = 0.2   # eye yaw error
     pred[0, 2] = 0.3   # head yaw error
-    v1, _ = reconstruction_terms(pred, Y, C, 1.0, want_grad=False)
-    v2, _ = reconstruction_terms(pred, Y, C, 2.0, want_grad=False)
+    v1, _ = reconstruction_terms(pred, Y, C, 1.0)
+    v2, _ = reconstruction_terms(pred, Y, C, 2.0)
     assert v2[0] - v1[0] == pytest.approx(0.3, abs=1e-12)
+
+
+# -- pose errors: the one value path for the geodesic metric --------------------------
+
+def _pose_reference(a, c):
+    """Target eye and head poses of allocation row ``a`` from condition row ``c``."""
+    return (EyePose(*(c[0:2] + a[0:2])), HeadPose(*(c[2:5] + a[2:5])))
+
+
+ANGLES = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def assert_same_angle(a, b):
+    """Equal to 1e-9 rad; within 1e-5 rad of 0 or pi, where arccos of a trace
+    rounded by a few ulps resolves only to about sqrt(eps), to 1e-7 rad."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    near_end = np.minimum(b, math.pi - b) < 1e-5
+    np.testing.assert_array_less(np.abs(a - b), np.where(near_end, 1e-7, 1e-9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pred=arrays(float, (4, 5), elements=ANGLES),
+       Y=arrays(float, (4, 5), elements=ANGLES),
+       cond=arrays(float, (4, 5), elements=st.floats(-0.5, 0.5, allow_nan=False)),
+       shifts=arrays(np.int64, (4, 5), elements=st.integers(-3, 3)))
+def test_pose_errors_rows_properties(pred, Y, cond, shifts):
+    C = np.concatenate([cond, np.ones((4, 3))], axis=1)
+    d_eye, d_head = pose_errors_rows(pred, Y, C)
+    for d in (d_eye, d_head):
+        assert d.shape == (4,)
+        assert np.all((d >= 0.0) & (d <= math.pi))
+    # zero on an exact prediction, to the sqrt(eps) resolution of arccos near 1
+    for d in pose_errors_rows(Y, Y, C):
+        np.testing.assert_allclose(d, 0.0, atol=1e-7)
+    # rotations ignore 2*pi shifts of any predicted angle
+    for a, b in zip(pose_errors_rows(pred + 2 * math.pi * shifts, Y, C), (d_eye, d_head)):
+        assert_same_angle(a, b)
+    # each row matches the validated scalar path
+    for i in range(4):
+        eye_p, head_p = _pose_reference(pred[i], C[i])
+        eye_t, head_t = _pose_reference(Y[i], C[i])
+        assert_same_angle(d_eye[i], so3.geodesic_distance(
+            so3.euler_to_matrix(eye_p), so3.euler_to_matrix(eye_t)))
+        assert_same_angle(d_head[i], so3.geodesic_distance(
+            so3.euler_to_matrix(head_p), so3.euler_to_matrix(head_t)))
+
+
+def test_reconstruction_values_are_pose_errors():
+    rng = np.random.default_rng(27)
+    Y, C = fixture_batch(rng, n=12)
+    pred = Y + rng.normal(scale=0.3, size=Y.shape)
+    d_eye, d_head = pose_errors_rows(pred, Y, C)
+    vals, _ = reconstruction_terms(pred, Y, C, 1.7)
+    np.testing.assert_array_equal(vals, d_eye + 1.7 * d_head)
 
 
 # -- vq loss: values ------------------------------------------------------------------
@@ -263,7 +332,7 @@ def test_vq_loss_zero_at_perfect_reconstruction():
     model.set_params(zeros)  # zero nets and zero codebook: z_e = z_q = pred = 0
     c = ConditionVector(EyePose(0.1, 0.0), HeadPose(0.2, 0.0, 0.0), [1.0, 0.2, 0.1])
     y = MotionAllocation([0.0, 0.0], [0.0, 0.0, 0.0])
-    terms = model.vq_loss(y, c)
+    terms, _ = model.loss_and_grads(y.as_vector()[None, :], c.as_input()[None, :])
     assert terms.total == pytest.approx(0.0, abs=1e-12)
     assert terms.rec == pytest.approx(0.0, abs=1e-12)
     assert terms.embed == terms.commit == pytest.approx(0.0, abs=1e-12)
@@ -271,7 +340,7 @@ def test_vq_loss_zero_at_perfect_reconstruction():
 
 def test_vq_loss_beta_weighs_only_commit():
     model, Y, C = stable_fixture(40)
-    terms, _ = model.loss_and_grads(Y, C, want_grads=False)
+    terms, _ = model.loss_and_grads(Y, C)
     beta = model.config.beta
     assert terms.commit == terms.embed  # same value, different gradient routing
     assert terms.total == pytest.approx(terms.rec + (1 + beta) * terms.embed, rel=1e-12)
@@ -298,10 +367,10 @@ def fd_probe(model, Y, C, name, j, weights, h=FD_H):
     rec_w, embed_w, commit_w = weights
     p[j] = orig + h
     up, _ = model.loss_and_grads(Y, C, rec_weight=rec_w, embed_weight=embed_w,
-                                 commit_weight=commit_w, want_grads=False)
+                                 commit_weight=commit_w)
     p[j] = orig - h
     down, _ = model.loss_and_grads(Y, C, rec_weight=rec_w, embed_weight=embed_w,
-                                   commit_weight=commit_w, want_grads=False)
+                                   commit_weight=commit_w)
     p[j] = orig
     return (up.total - down.total) / (2 * h)
 
@@ -379,8 +448,7 @@ def test_rec_gradients_match_straight_through_surrogate():
         z_e = model.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
         h = model.fusion_out.forward(np.concatenate([z_e + offset, f_c], axis=1))
         pred = model.decoder.forward(h)
-        vals, _ = reconstruction_terms(pred, Y, C, model.config.lambda_rc,
-                                       want_grad=False)
+        vals, _ = reconstruction_terms(pred, Y, C, model.config.lambda_rc)
         return float(vals.mean())
 
     _, grads = model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
@@ -434,9 +502,26 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.fingerprint() == model.fingerprint()
     assert ck.metadata["note"] == "fixture"
     np.testing.assert_array_equal(loaded.codebook, model.codebook)
-    terms_a, _ = model.loss_and_grads(Y, C, want_grads=False)
-    terms_b, _ = loaded.loss_and_grads(Y, C, want_grads=False)
+    terms_a, _ = model.loss_and_grads(Y, C)
+    terms_b, _ = loaded.loss_and_grads(Y, C)
     assert terms_a.total == terms_b.total
+
+
+def test_load_rejects_missing_or_misshapen_params(tmp_path):
+    # a missing bias used to keep its initialisation and a short one to broadcast
+    model = small_model(4)
+    path = tmp_path / "model.json"
+    for edit, match in ((lambda p: p.pop("decoder.2.b"), "missing"),
+                        (lambda p: p.update({"decoder.0.b": {"shape": [1], "data": [0.5]}}),
+                         "shape"),
+                        (lambda p: p.update({"decoder.9.b": {"shape": [1], "data": [0.5]}}),
+                         "unexpected")):
+        model.save(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc["params"])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            ConditionalVQVAE.load(path)
 
 
 def test_load_rejects_other_checkpoints(tmp_path):
