@@ -6,19 +6,23 @@ decay, a multi-step learning-rate schedule, and versioned JSON
 checkpoints. Everything is plain float64 numpy so that a fixed seed
 reproduces training bit for bit and checkpoints round-trip exactly.
 
-Parameters live in string-keyed dicts of arrays (``"0.W"``, ``"0.b"``, ...).
-The optimizer mutates those arrays in place, so a network and its
-optimizer state share storage by construction.
+A model keeps all of its parameters back to back in one flat float64
+vector; a :class:`Layout` names the stretches of it (``"0.W"``, ``"0.b"``,
+...). ``params()`` returns named views into that vector, gradients and
+the Adam moments are flat vectors in the same layout, and the optimizer
+updates the whole vector in place with a few whole-array operations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
 
 CHECKPOINT_FORMAT = "gazeshift-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -34,21 +38,51 @@ class NonFiniteGradient(ValueError):
         self.name = name
 
 
-def assign_params(own: dict[str, np.ndarray], given: dict) -> None:
-    """Copy ``given`` into the live arrays of ``own``, all or nothing.
+class Layout:
+    """Names and shapes of parameters stored back to back in one flat vector."""
 
-    Raises ValueError unless ``given`` has exactly the keys and shapes of
-    ``own``: a parameter must not keep its initialisation or broadcast.
-    """
-    missing, extra = sorted(set(own) - set(given)), sorted(set(given) - set(own))
-    if missing or extra:
-        raise ValueError(f"parameter keys differ: missing {missing}, unexpected {extra}")
-    for name, p in own.items():
-        if np.shape(given[name]) != p.shape:
-            raise ValueError(f"parameter {name!r} has shape {list(np.shape(given[name]))}, "
-                             f"expected {list(p.shape)}")
-    for name, p in own.items():
-        p[...] = given[name]
+    def __init__(self, shapes):
+        self.shapes = {name: tuple(shape) for name, shape in shapes}
+        self.offsets = {}
+        size = 0
+        for name, shape in self.shapes.items():
+            self.offsets[name] = size
+            size += math.prod(shape)
+        self.size = size
+
+    @classmethod
+    def of(cls, arrays: dict) -> "Layout":
+        return cls((name, np.shape(a)) for name, a in arrays.items())
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into ``flat``; writing through a view writes ``flat``."""
+        return {name: flat[o:o + math.prod(shape)].reshape(shape)
+                for (name, shape), o in zip(self.shapes.items(), self.offsets.values())}
+
+    def pack(self, arrays: dict) -> np.ndarray:
+        """A new flat vector holding ``arrays``.
+
+        Raises ValueError unless ``arrays`` has exactly the keys and shapes
+        of the layout: a parameter must not keep its initialisation or
+        broadcast.
+        """
+        missing = sorted(set(self.shapes) - set(arrays))
+        extra = sorted(set(arrays) - set(self.shapes))
+        if missing or extra:
+            raise ValueError(f"parameter keys differ: missing {missing}, unexpected {extra}")
+        for name, shape in self.shapes.items():
+            if np.shape(arrays[name]) != shape:
+                raise ValueError(f"parameter {name!r} has shape {list(np.shape(arrays[name]))}, "
+                                 f"expected {list(shape)}")
+        flat = np.empty(self.size)
+        for name, view in self.views(flat).items():
+            view[...] = arrays[name]
+        return flat
+
+    def name_at(self, index: int) -> str:
+        """Name of the parameter that holds flat position ``index``."""
+        names = list(self.offsets)
+        return names[bisect_right(list(self.offsets.values()), index) - 1]
 
 
 class DenseNetwork:
@@ -68,10 +102,25 @@ class DenseNetwork:
         for act in activations:
             if act not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
-        self.weights = [np.asarray(W, dtype=float) for W in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
         self.activations = list(activations)
+        arrays = {}
+        for i, (W, b) in enumerate(zip(weights, biases)):
+            arrays[f"{i}.W"] = np.asarray(W, dtype=float)
+            arrays[f"{i}.b"] = np.asarray(b, dtype=float)
+        self.layout = Layout.of(arrays)
+        self.bind(self.layout.pack(arrays))
         self._cache = None
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Keep the parameters in ``flat`` from now on; its values become theirs.
+
+        A model made of several networks binds each to a stretch of its own
+        flat vector, so one vector holds all of its parameters.
+        """
+        views = self.layout.views(flat)
+        self.flat = flat
+        self.weights = [views[f"{i}.W"] for i in range(len(self.activations))]
+        self.biases = [views[f"{i}.b"] for i in range(len(self.activations))]
 
     @classmethod
     def create(cls, sizes, rng, activations=None):
@@ -97,15 +146,11 @@ class DenseNetwork:
         return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
 
     def params(self) -> dict[str, np.ndarray]:
-        """Live references, keyed '0.W', '0.b', '1.W', ..."""
-        out = {}
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{i}.W"] = W
-            out[f"{i}.b"] = b
-        return out
+        """Live views into ``flat``, keyed '0.W', '0.b', '1.W', ..."""
+        return self.layout.views(self.flat)
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        assign_params(self.params(), params)
+        self.flat[...] = self.layout.pack(params)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -136,11 +181,13 @@ class DenseNetwork:
         self.forward(x)
         return [z.copy() for z in self._cache[1]]
 
-    def backward(self, grad_out: np.ndarray):
+    def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None):
         """Backprop the cached forward pass.
 
-        Returns (param_grads, grad_in). ``param_grads`` are summed over the
-        batch rows; scale the upstream gradient when a mean is wanted.
+        Returns (grad, grad_in): ``grad`` is a flat vector in ``layout``
+        (written into ``out`` when given) holding the parameter gradients
+        summed over the batch rows; scale the upstream gradient when a mean
+        is wanted.
         """
         if self._cache is None:
             raise RuntimeError("backward called before any forward pass")
@@ -149,19 +196,20 @@ class DenseNetwork:
         g = g[None, :] if single else g
         if g.shape != (inputs[-1].shape[0], self.weights[-1].shape[1]):
             raise ValueError(f"upstream gradient has wrong shape {g.shape}")
-        grads = {}
+        grad = np.empty(self.layout.size) if out is None else out
+        views = self.layout.views(grad)
         for i in range(len(self.weights) - 1, -1, -1):
             if self.activations[i] == "relu":
                 g = g * (preacts[i] > 0.0)
-            grads[f"{i}.W"] = inputs[i].T @ g
-            grads[f"{i}.b"] = g.sum(axis=0)
+            np.matmul(inputs[i].T, g, out=views[f"{i}.W"])
+            np.sum(g, axis=0, out=views[f"{i}.b"])
             g = g @ self.weights[i].T
-        return grads, (g[0] if single else g)
+        return grad, (g[0] if single else g)
 
 
 @dataclass
 class AdamState:
-    """Adam moments plus the hyperparameters that drive the update."""
+    """Flat Adam moments, their layout, and the hyperparameters of the update."""
 
     lr: float
     weight_decay: float = 0.0
@@ -169,45 +217,50 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    layout: Layout = field(default_factory=lambda: Layout(()))
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
-        state = cls(lr=lr, weight_decay=weight_decay)
-        state.m = {k: np.zeros_like(p) for k, p in params.items()}
-        state.v = {k: np.zeros_like(p) for k, p in params.items()}
-        return state
+        """Zeroed moments laid out like ``params`` (names and shapes, in order)."""
+        layout = Layout.of(params)
+        return cls(lr=lr, weight_decay=weight_decay, layout=layout,
+                   m=np.zeros(layout.size), v=np.zeros(layout.size))
+
+    def moments(self) -> tuple[dict, dict]:
+        """Named views of the first and second moments."""
+        return self.layout.views(self.m), self.layout.views(self.v)
+
+    def copy(self) -> "AdamState":
+        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     """One Adam update with decoupled weight decay, mutating params in place.
 
-    The whole step is rejected (no parameter touched) if any gradient is
-    non-finite, so a bad batch cannot corrupt the model.
+    ``params`` and ``grad`` are flat vectors in ``state.layout``. The whole
+    step is rejected (no parameter touched) if any gradient is non-finite,
+    so a bad batch cannot corrupt the model.
     """
-    for name in params:
-        if name not in grads:
-            raise KeyError(f"missing gradient for parameter {name!r}")
-        if grads[name].shape != params[name].shape:
-            raise ValueError(f"gradient shape mismatch for parameter {name!r}")
-        if not np.all(np.isfinite(grads[name])):
-            raise NonFiniteGradient(name)
+    if np.shape(grad) != np.shape(params) or np.shape(params) != state.m.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)} and parameter shape "
+                         f"{np.shape(params)} must both be {state.m.shape}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        raise NonFiniteGradient(state.layout.name_at(int(np.argmin(finite))))
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        if state.weight_decay:
-            p *= 1.0 - state.lr * state.weight_decay
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    if state.weight_decay:
+        params *= 1.0 - state.lr * state.weight_decay
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return params
 
 
@@ -271,6 +324,7 @@ def save_checkpoint(path, params, optimizer: AdamState | None = None, metadata: 
         "metadata": metadata or {},
     }
     if optimizer is not None:
+        m, v = optimizer.moments()
         doc["optimizer"] = {
             "lr": optimizer.lr,
             "weight_decay": optimizer.weight_decay,
@@ -278,8 +332,8 @@ def save_checkpoint(path, params, optimizer: AdamState | None = None, metadata: 
             "beta2": optimizer.beta2,
             "eps": optimizer.eps,
             "step_count": optimizer.step_count,
-            "m": encode_params(optimizer.m),
-            "v": encode_params(optimizer.v),
+            "m": encode_params(m),
+            "v": encode_params(v),
         }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -296,6 +350,8 @@ def load_checkpoint(path) -> Checkpoint:
     optimizer = None
     if doc.get("optimizer"):
         opt = doc["optimizer"]
+        m = decode_params(opt["m"])
+        layout = Layout.of(m)
         optimizer = AdamState(
             lr=opt["lr"],
             weight_decay=opt["weight_decay"],
@@ -303,7 +359,8 @@ def load_checkpoint(path) -> Checkpoint:
             beta2=opt["beta2"],
             eps=opt["eps"],
             step_count=opt["step_count"],
-            m=decode_params(opt["m"]),
-            v=decode_params(opt["v"]),
+            layout=layout,
+            m=layout.pack(m),
+            v=layout.pack(decode_params(opt["v"])),
         )
     return Checkpoint(decode_params(doc["params"]), optimizer, doc.get("metadata", {}))

@@ -17,7 +17,6 @@ spawns, so a rerun reproduces parameter trajectories bit for bit.
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 import time
@@ -164,7 +163,7 @@ class StageResult:
     best_epoch: int
     best_eye_mgd: float
     best_head_mgd: float
-    best_params: dict
+    best_params: np.ndarray  # flat copy, in the trained model's layout
     best_optimizer: nets.AdamState
 
     def best_summed(self) -> float:
@@ -191,8 +190,8 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     shuffle_rng = np.random.default_rng(seeds[1])
     Y, C = dataset_arrays(dataset, "train")
     Yv, Cv = dataset_arrays(dataset, "val")
-    params = model.params()
-    adam = nets.AdamState.for_params(params, lr=config.lr, weight_decay=config.weight_decay)
+    adam = nets.AdamState.for_params(model.params(), lr=config.lr,
+                                     weight_decay=config.weight_decay)
     schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
     metrics = []
     best = None
@@ -202,8 +201,8 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
         sums = np.zeros(4)
         for batch in _batches(len(Y), config.batch_size, perm):
             try:
-                terms, grads = model.loss_and_grads(Y[batch], C[batch])
-                nets.adam_step(adam, params, grads)
+                terms, grad = model.loss_and_grads(Y[batch], C[batch])
+                nets.adam_step(adam, model.flat, grad)
             except (ValueError, nets.NonFiniteGradient) as exc:
                 raise TrainingError(f"stage 1 epoch {epoch}: {exc}") from exc
             sums += np.array([terms.total, terms.rec, terms.embed, terms.commit]) * len(batch)
@@ -218,8 +217,8 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
         metrics.append(entry)
         if best is None or entry.summed_mgd() < best.best_summed():
             best = StageResult(1, metrics, epoch, eye_mgd, head_mgd,
-                               copy.deepcopy(params), copy.deepcopy(adam))
-    model.set_params(best.best_params)
+                               model.flat.copy(), adam.copy())
+    model.flat[...] = best.best_params
     return model, best
 
 
@@ -257,8 +256,9 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
     shuffle_rng = np.random.default_rng(seeds[3])
     Yv, Cv = dataset_arrays(dataset, "val")
     val_labels = np.array([lab.index for lab in record_codes(model, dataset, "val")])
-    params = prior.params()
-    adam = nets.AdamState.for_params(params, lr=config.lr, weight_decay=config.weight_decay)
+    net = prior.net
+    adam = nets.AdamState.for_params(net.params(), lr=config.lr,
+                                     weight_decay=config.weight_decay)
     schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
     metrics = []
     best = None
@@ -276,8 +276,8 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
             if not (math.isfinite(focal) and math.isfinite(mc)):
                 raise TrainingError(f"stage 2 epoch {epoch}: non-finite loss")
             try:
-                grads, _ = prior.net.backward(dlogits)
-                nets.adam_step(adam, params, grads)
+                grad, _ = net.backward(dlogits)
+                nets.adam_step(adam, net.flat, grad)
             except (ValueError, nets.NonFiniteGradient) as exc:
                 raise TrainingError(f"stage 2 epoch {epoch}: {exc}") from exc
             focal_sum += focal * len(batch)
@@ -294,8 +294,8 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
         metrics.append(entry)
         if best is None or entry.summed_mgd() < best.best_summed():
             best = StageResult(2, metrics, epoch, eye_mgd, head_mgd,
-                               copy.deepcopy(params), copy.deepcopy(adam))
-    prior.set_params(best.best_params)
+                               net.flat.copy(), adam.copy())
+    net.flat[...] = best.best_params
     return prior, best
 
 

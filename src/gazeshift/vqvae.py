@@ -247,19 +247,30 @@ class ConditionalVQVAE:
             "fusion_out": self.fusion_out,
             "decoder": self.decoder,
         }
+        # One flat vector holds every parameter, section by section, then
+        # the codebook; the networks and the codebook are views into it.
+        arrays = {f"{section}.{name}": p for section, net in self._sections.items()
+                  for name, p in net.params().items()}
+        arrays["codebook"] = self.codebook
+        self.layout = nets.Layout.of(arrays)
+        self.flat = self.layout.pack(arrays)
+        self._slices = {}
+        start = 0
+        for section, net in self._sections.items():
+            self._slices[section] = slice(start, start + net.layout.size)
+            net.bind(self.flat[self._slices[section]])
+            start += net.layout.size
+        self._slices["codebook"] = slice(start, self.layout.size)
+        self.codebook = self.flat[self._slices["codebook"]].reshape(K, D)
 
     # -- parameter plumbing -------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for section, net in self._sections.items():
-            for name, p in net.params().items():
-                out[f"{section}.{name}"] = p
-        out["codebook"] = self.codebook
-        return out
+        """Live views into ``flat``, keyed '<section>.<layer>.W', ..., 'codebook'."""
+        return self.layout.views(self.flat)
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        nets.assign_params(self.params(), params)
+        self.flat[...] = self.layout.pack(params)
 
     def fingerprint(self) -> str:
         return nets.params_fingerprint(self.params())
@@ -307,7 +318,7 @@ class ConditionalVQVAE:
 
     def loss_and_grads(self, Y: np.ndarray, C: np.ndarray, *, rec_weight: float = 1.0,
                        embed_weight: float = 1.0, commit_weight: float | None = None):
-        """Batch-mean loss terms and parameter gradients.
+        """Batch-mean loss terms and the flat parameter gradient (in ``layout``).
 
         ``commit_weight`` defaults to config.beta; the tests zero individual
         weights to check that gradient routing honours the stop-gradients.
@@ -342,34 +353,25 @@ class ConditionalVQVAE:
                 raise ValueError(f"non-finite loss term {name!r}")
         terms = VQLossTerms(total, rec, embed, commit)
 
-        grads = {}
+        grad = np.empty(self.layout.size)
+        part = {section: grad[sl] for section, sl in self._slices.items()}
         g_pred = rec_weight * rec_grad / n
-        dec_grads, g_h = self.decoder.backward(g_pred)
-        fo_grads, g_d = self.fusion_out.backward(g_h)
+        _, g_h = self.decoder.backward(g_pred, out=part["decoder"])
+        _, g_d = self.fusion_out.backward(g_h, out=part["fusion_out"])
         g_zq = g_d[:, :D]
         g_fc_dec = g_d[:, D:]
         # Straight-through: the reconstruction gradient at z_q lands on z_e
         # unchanged; the commitment term pulls z_e toward the (frozen) code.
         g_ze = g_zq + commit_weight * (2.0 / n) * diff
-        codebook_grad = np.zeros_like(self.codebook)
+        codebook_grad = part["codebook"].reshape(self.codebook.shape)
+        codebook_grad[...] = 0.0
         np.add.at(codebook_grad, idx, embed_weight * (2.0 / n) * (-diff))
-        fi_grads, g_u = self.fusion_in.backward(g_ze)
+        _, g_u = self.fusion_in.backward(g_ze, out=part["fusion_in"])
         g_fy = g_u[:, :H]
         g_fc = g_u[:, H:] + g_fc_dec
-        re_grads, _ = self.recon_encoder.backward(g_fy)
-        ce_grads, _ = self.cond_encoder.backward(g_fc)
-
-        for section, section_grads in (
-            ("recon_encoder", re_grads),
-            ("cond_encoder", ce_grads),
-            ("fusion_in", fi_grads),
-            ("fusion_out", fo_grads),
-            ("decoder", dec_grads),
-        ):
-            for name, g in section_grads.items():
-                grads[f"{section}.{name}"] = g
-        grads["codebook"] = codebook_grad
-        return terms, grads
+        self.recon_encoder.backward(g_fy, out=part["recon_encoder"])
+        self.cond_encoder.backward(g_fc, out=part["cond_encoder"])
+        return terms, grad
 
     # -- persistence -----------------------------------------------------------
 

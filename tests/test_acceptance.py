@@ -182,15 +182,15 @@ def test_criterion_2_loss_term_gradients():
         beta = config.beta
 
         # stop-gradient routing: these must be exact zeros, not small numbers
-        _, g = model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0)
+        g = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0)[1])
         if np.any(g["codebook"] != 0.0):
             problems.append(f"case {case}: codebook gradient without the embed term")
-        _, g_embed = model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
-                                          commit_weight=0.0)
+        g_embed = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
+                                                          commit_weight=0.0)[1])
         if any(np.any(g_embed[n] != 0.0) for n in g_embed if n != "codebook"):
             problems.append(f"case {case}: embed term leaks past the stop-gradient")
-        _, g_commit = model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=0.0,
-                                           commit_weight=beta)
+        g_commit = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=0.0,
+                                                           commit_weight=beta)[1])
         if np.any(g_commit["codebook"] != 0.0) or any(
                 np.any(g_commit[n] != 0.0) for n in g_commit
                 if n.startswith(("decoder.", "fusion_out."))):
@@ -224,8 +224,8 @@ def test_criterion_2_loss_term_gradients():
             vals, _ = reconstruction_terms(pred, Y, C, config.lambda_rc)
             return float(vals.mean())
 
-        _, g_rec = model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
-                                        commit_weight=0.0)
+        g_rec = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
+                                                        commit_weight=0.0)[1])
         rec_names = sorted(n for n in g_rec if n != "codebook")
         for _ in range(4):
             name = rec_names[int(rng_case.integers(len(rec_names)))]
@@ -259,7 +259,7 @@ def test_criterion_2_loss_term_gradients():
         assert prior is not None, f"case {case}: no kink-safe prior"
         labels = rng_case.integers(0, config.codebook_size, size=len(C))
         _, _, dlogits = focal_loss_rows(prior.logits_rows(C), labels, pconf.gamma)
-        g_focal, _ = prior.net.backward(dlogits)
+        g_focal = prior.net.layout.views(prior.net.backward(dlogits)[0])
         pnames = sorted(prior.params())
         for _ in range(3):
             name = pnames[int(rng_case.integers(len(pnames)))]
@@ -312,8 +312,7 @@ def test_criterion_3_memorization_capacity():
                          batch_size=16, lr=3e-3, weight_decay=0.0,
                          milestones=(1200, 1600), codebook_init_scale=0.5, seed=0)
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
-    params = model.params()
-    adam = nets.AdamState.for_params(params, lr=config.lr,
+    adam = nets.AdamState.for_params(model.params(), lr=config.lr,
                                      weight_decay=config.weight_decay)
     schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
     shuffle = np.random.default_rng(1)
@@ -322,8 +321,8 @@ def test_criterion_3_memorization_capacity():
     for epoch in range(config.stage1_epochs):
         adam.lr = schedule.lr_at(epoch)
         perm = shuffle.permutation(len(Y))
-        _, grads = model.loss_and_grads(Y[perm], C[perm])
-        nets.adam_step(adam, params, grads)
+        _, grad = model.loss_and_grads(Y[perm], C[perm])
+        nets.adam_step(adam, model.flat, grad)
         eye_mgd, head_mgd, _ = validate_stage1(model, Y, C)
         summed = eye_mgd + head_mgd
         if summed < best:

@@ -33,7 +33,7 @@ def loss_and_grads(net: DenseNetwork, x: np.ndarray, w: np.ndarray):
     """Scalar probe loss sum(w * net(x)) and its analytic parameter grads."""
     out = net.forward(x)
     grads, grad_in = net.backward(w)
-    return float(np.sum(w * out)), grads, grad_in
+    return float(np.sum(w * out)), net.layout.views(grads), grad_in
 
 
 # -- forward -------------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_backward_zero_upstream_zero_grads():
     net = DenseNetwork.create([3, 5, 2], rng)
     net.forward(rng.normal(size=3))
     grads, grad_in = net.backward(np.zeros(2))
-    assert all(np.all(g == 0) for g in grads.values())
+    assert all(np.all(g == 0) for g in net.layout.views(grads).values())
     np.testing.assert_array_equal(grad_in, np.zeros(3))
 
 
@@ -158,11 +158,11 @@ def test_backward_sums_over_batch_rows():
     X = rng.normal(size=(6, 3))
     W_up = rng.normal(size=(6, 2))
     net.forward(X)
-    batch_grads, _ = net.backward(W_up)
+    batch_grads = net.layout.views(net.backward(W_up)[0])
     summed = None
     for i in range(6):
         net.forward(X[i])
-        g, _ = net.backward(W_up[i])
+        g = net.layout.views(net.backward(W_up[i])[0])
         if summed is None:
             summed = {k: v.copy() for k, v in g.items()}
         else:
@@ -177,14 +177,14 @@ def test_backward_sums_over_batch_rows():
 def test_adam_zero_grad_zero_decay_is_identity():
     params = {"w": np.array([1.0, -2.0])}
     state = AdamState.for_params(params, lr=1e-3)
-    nets.adam_step(state, params, {"w": np.zeros(2)})
+    nets.adam_step(state, params["w"], np.zeros(2))
     np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
 
 def test_adam_single_step_scalar():
     params = {"w": np.array([1.0])}
     state = AdamState.for_params(params, lr=1e-3)
-    nets.adam_step(state, params, {"w": np.array([1.0])})
+    nets.adam_step(state, params["w"], np.array([1.0]))
     delta = params["w"][0] - 1.0
     assert delta < 0  # moves against the gradient
     assert abs(delta) <= 1e-3 * (1 + 1e-6)
@@ -196,22 +196,23 @@ def test_adam_bias_correction_step_size_independent_of_scale():
     for scale in (1e-3, 1.0, 1e6):
         params = {"w": np.array([0.0])}
         state = AdamState.for_params(params, lr=1e-3)
-        nets.adam_step(state, params, {"w": np.array([scale])})
+        nets.adam_step(state, params["w"], np.array([scale]))
         assert abs(params["w"][0]) == pytest.approx(1e-3, rel=1e-4)
 
 
 def test_adam_decoupled_decay_closed_form():
     params = {"w": np.array([2.0])}
     state = AdamState.for_params(params, lr=1e-3, weight_decay=0.1)
-    nets.adam_step(state, params, {"w": np.array([0.0])})
+    nets.adam_step(state, params["w"], np.array([0.0]))
     assert params["w"][0] == pytest.approx(2.0 * (1 - 1e-3 * 0.1), abs=1e-15)
 
 
 def test_adam_rejects_non_finite_gradient_without_touching_params():
-    params = {"a": np.array([1.0]), "b": np.array([2.0])}
+    flat = np.array([1.0, 2.0])
+    params = {"a": flat[:1], "b": flat[1:]}
     state = AdamState.for_params(params, lr=1e-3)
     with pytest.raises(NonFiniteGradient) as err:
-        nets.adam_step(state, params, {"a": np.array([0.5]), "b": np.array([np.nan])})
+        nets.adam_step(state, flat, np.array([0.5, np.nan]))
     assert err.value.name == "b"
     np.testing.assert_array_equal(params["a"], [1.0])  # whole step rejected
     np.testing.assert_array_equal(params["b"], [2.0])
@@ -221,10 +222,11 @@ def test_adam_rejects_non_finite_gradient_without_touching_params():
 def test_adam_rejects_missing_or_misshapen_gradient():
     params = {"w": np.zeros((2, 2))}
     state = AdamState.for_params(params, lr=1e-3)
-    with pytest.raises(KeyError):
-        nets.adam_step(state, params, {})
+    # a flat gradient has no keys to miss: a missing one is a short vector
     with pytest.raises(ValueError):
-        nets.adam_step(state, params, {"w": np.zeros(3)})
+        nets.adam_step(state, params["w"].ravel(), np.zeros(0))
+    with pytest.raises(ValueError):
+        nets.adam_step(state, params["w"].ravel(), np.zeros(3))
 
 
 def test_adam_matches_reference_trajectory():
@@ -246,7 +248,7 @@ def test_adam_matches_reference_trajectory():
     params = {"w": p0.copy()}
     state = AdamState.for_params(params, lr=lr, weight_decay=wd)
     for g in grads:
-        nets.adam_step(state, params, {"w": g})
+        nets.adam_step(state, params["w"], g)
     np.testing.assert_allclose(params["w"], ref, atol=1e-15)
     assert state.step_count == 5
 
@@ -286,18 +288,36 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     # a few steps so the moments are nontrivial
     for _ in range(3):
         net.forward(rng.normal(size=(4, 3)))
-        grads, _ = net.backward(rng.normal(size=(4, 2)))
-        nets.adam_step(state, params, grads)
+        grad, _ = net.backward(rng.normal(size=(4, 2)))
+        nets.adam_step(state, net.flat, grad)
     path = tmp_path / "net.json"
     nets.save_checkpoint(path, params, optimizer=state, metadata={"epoch": 3})
     ck = nets.load_checkpoint(path)
     assert ck.metadata == {"epoch": 3}
+    (m_saved, v_saved), (m_live, v_live) = ck.optimizer.moments(), state.moments()
     for name in params:
         np.testing.assert_array_equal(ck.params[name], params[name])
-        np.testing.assert_array_equal(ck.optimizer.m[name], state.m[name])
-        np.testing.assert_array_equal(ck.optimizer.v[name], state.v[name])
+        np.testing.assert_array_equal(m_saved[name], m_live[name])
+        np.testing.assert_array_equal(v_saved[name], v_live[name])
     assert ck.optimizer.step_count == 3
     assert nets.params_fingerprint(ck.params) == nets.params_fingerprint(params)
+
+
+def test_params_and_gradients_share_one_flat_layout():
+    rng = np.random.default_rng(18)
+    net = DenseNetwork.create([3, 5, 2], rng)
+    params = net.params()
+    assert list(params) == ["0.W", "0.b", "1.W", "1.b"]
+    for name, p in params.items():
+        assert np.shares_memory(p, net.flat), name
+        start = net.layout.offsets[name]
+        np.testing.assert_array_equal(p.ravel(), net.flat[start:start + p.size])
+    params["1.b"][:] = 7.0
+    assert np.all(net.biases[1] == 7.0)
+    net.forward(rng.normal(size=(4, 3)))
+    out = np.full(net.layout.size, np.nan)
+    grad, _ = net.backward(rng.normal(size=(4, 2)), out=out)
+    assert grad is out and np.all(np.isfinite(out))
 
 
 def test_set_params_requires_exact_keys_and_shapes():

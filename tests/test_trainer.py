@@ -177,8 +177,9 @@ def test_stage1_restores_best_epoch(trained):
     assert len(summed) == SMALL_TRAIN.stage1_epochs
     assert s1.best_epoch == int(np.argmin(summed))
     assert s1.best_summed() == pytest.approx(min(summed), abs=1e-12)
+    best = model.layout.views(s1.best_params)
     for name, p in model.params().items():
-        np.testing.assert_array_equal(p, s1.best_params[name])
+        np.testing.assert_array_equal(p, best[name])
 
 
 def test_stage1_is_deterministic(small_dataset, trained):

@@ -356,10 +356,6 @@ def test_vq_loss_rejects_bad_batches():
 
 # -- vq loss: gradient routing and finite differences ----------------------------------
 
-def flat_params(model):
-    return {name: p for name, p in model.params().items()}
-
-
 def fd_probe(model, Y, C, name, j, weights, h=FD_H):
     """Central difference of the weighted loss in one parameter coordinate."""
     p = model.params()[name].ravel()
@@ -378,12 +374,12 @@ def fd_probe(model, Y, C, name, j, weights, h=FD_H):
 def test_codebook_gradient_comes_only_from_embed_term():
     model, Y, C = stable_fixture(50)
     # rec + commit active, embed off: codebook gradient must vanish exactly
-    _, grads = model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0)
+    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0)[1])
     assert np.all(grads["codebook"] == 0.0)
     # embed alone: codebook gradient matches finite differences of the real
     # loss while the code assignment is stable
-    _, grads = model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
-                                    commit_weight=0.0)
+    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
+                                                    commit_weight=0.0)[1])
     idx, _ = quantize_rows(model.encode_rows(Y, C), model.codebook)
     flat = grads["codebook"].ravel()
     D = model.config.latent_dim
@@ -398,8 +394,8 @@ def test_codebook_gradient_comes_only_from_embed_term():
 
 def test_encoder_gradient_blocked_on_embed_term():
     model, Y, C = stable_fixture(60)
-    _, grads = model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
-                                    commit_weight=0.0)
+    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
+                                                    commit_weight=0.0)[1])
     for name, g in grads.items():
         if name != "codebook":
             assert np.all(g == 0.0), name
@@ -408,8 +404,8 @@ def test_encoder_gradient_blocked_on_embed_term():
 def test_commit_gradient_reaches_encoder_not_codebook():
     model, Y, C = stable_fixture(70)
     beta = model.config.beta
-    _, grads = model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=0.0,
-                                    commit_weight=beta)
+    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=0.0,
+                                                    commit_weight=beta)[1])
     assert np.all(grads["codebook"] == 0.0)
     # decoder is behind the stop-gradient too
     for name, g in grads.items():
@@ -451,8 +447,8 @@ def test_rec_gradients_match_straight_through_surrogate():
         vals, _ = reconstruction_terms(pred, Y, C, model.config.lambda_rc)
         return float(vals.mean())
 
-    _, grads = model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
-                                    commit_weight=0.0)
+    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
+                                                    commit_weight=0.0)[1])
     assert np.all(grads["codebook"] == 0.0)
     checked = 0
     for name, g in grads.items():
@@ -478,13 +474,13 @@ def test_rec_gradients_match_straight_through_surrogate():
 def test_total_gradient_is_sum_of_term_gradients():
     model, Y, C = stable_fixture(90)
     beta = model.config.beta
-    _, g_total = model.loss_and_grads(Y, C)
-    _, g_rec = model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
-                                    commit_weight=0.0)
-    _, g_embed = model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
-                                      commit_weight=0.0)
-    _, g_commit = model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=0.0,
-                                       commit_weight=beta)
+    g_total = model.layout.views(model.loss_and_grads(Y, C)[1])
+    g_rec = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
+                                                    commit_weight=0.0)[1])
+    g_embed = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
+                                                      commit_weight=0.0)[1])
+    g_commit = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=0.0,
+                                                       commit_weight=beta)[1])
     for name in g_total:
         np.testing.assert_allclose(
             g_total[name], g_rec[name] + g_embed[name] + g_commit[name],
@@ -505,6 +501,62 @@ def test_checkpoint_round_trip(tmp_path):
     terms_a, _ = model.loss_and_grads(Y, C)
     terms_b, _ = loaded.loss_and_grads(Y, C)
     assert terms_a.total == terms_b.total
+
+
+def test_params_are_views_of_one_flat_vector():
+    model = small_model(5)
+    params = model.params()
+    assert list(params) == list(model.layout.shapes)
+    assert list(params)[-1] == "codebook"
+    start = 0
+    for name, p in params.items():  # back to back, in key order
+        assert p.base is model.flat or p.base is model.flat.base, name
+        np.testing.assert_array_equal(p.ravel(), model.flat[start:start + p.size])
+        start += p.size
+    assert start == model.flat.size
+    # the networks and the codebook read the same storage
+    model.flat[:] = np.arange(model.flat.size, dtype=float)
+    np.testing.assert_array_equal(model.decoder.weights[0], params["decoder.0.W"])
+    np.testing.assert_array_equal(model.codebook, params["codebook"])
+    params["fusion_in.0.b"][:] = -1.0
+    assert np.all(model.fusion_in.biases[0] == -1.0)
+
+
+def test_adam_names_the_non_finite_parameter_of_the_flat_vector():
+    from gazeshift import nets
+    model = small_model(6)
+    adam = nets.AdamState.for_params(model.params(), lr=1e-3)
+    before = model.flat.copy()
+    grad = np.zeros(model.flat.size)
+    grad[model.layout.offsets["decoder.2.b"] + 1] = np.inf
+    with pytest.raises(nets.NonFiniteGradient) as err:
+        nets.adam_step(adam, model.flat, grad)
+    assert err.value.name == "decoder.2.b"
+    np.testing.assert_array_equal(model.flat, before)
+    assert adam.step_count == 0
+
+
+def test_checkpoint_round_trip_keeps_params_and_moments_per_key(tmp_path):
+    from gazeshift import nets
+    model, Y, C = stable_fixture(110)
+    adam = nets.AdamState.for_params(model.params(), lr=1e-3, weight_decay=1e-4)
+    for _ in range(3):
+        _, grad = model.loss_and_grads(Y, C)
+        nets.adam_step(adam, model.flat, grad)
+    path = tmp_path / "model.json"
+    model.save(path, optimizer=adam)
+    loaded, ck = ConditionalVQVAE.load(path)
+    assert list(ck.params) == list(model.params())
+    for name, p in model.params().items():
+        np.testing.assert_array_equal(ck.params[name], p)
+        np.testing.assert_array_equal(loaded.params()[name], p)
+    np.testing.assert_array_equal(loaded.flat, model.flat)
+    (m_saved, v_saved), (m_live, v_live) = ck.optimizer.moments(), adam.moments()
+    assert list(m_saved) == list(v_saved) == list(model.params())
+    for name in model.params():
+        np.testing.assert_array_equal(m_saved[name], m_live[name])
+        np.testing.assert_array_equal(v_saved[name], v_live[name])
+    assert ck.optimizer.step_count == 3
 
 
 def test_load_rejects_missing_or_misshapen_params(tmp_path):
