@@ -13,15 +13,14 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .atomic import open_atomic
 from .datagen import GeneratorConfig, generate_dataset, read_dataset, write_dataset
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
 from .prior import ConditionalPrior
@@ -59,17 +58,9 @@ def sha256_file(path) -> str:
 
 
 def write_json_atomic(doc: dict, path) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with open_atomic(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_manifest(out_dir, subcommand: str, config: dict, inputs: list,

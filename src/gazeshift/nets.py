@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomic import open_atomic
 
 CHECKPOINT_FORMAT = "gazeshift-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -335,7 +336,7 @@ def save_checkpoint(path, params, optimizer: AdamState | None = None, metadata: 
             "m": encode_params(m),
             "v": encode_params(v),
         }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
 

@@ -142,42 +142,6 @@ def rotation_zyx(angles: np.ndarray) -> np.ndarray:
     return R
 
 
-def _zyx_factors(angles: np.ndarray):
-    """Per-axis factor matrices Rz, Ry, Rx and their angle derivatives."""
-    angles = np.asarray(angles, dtype=float)
-    shape = angles.shape[:-1]
-    y, p, r = angles[..., 0], angles[..., 1], angles[..., 2]
-    zero = np.zeros(shape)
-    one = np.ones(shape)
-
-    def stack(rows):
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-    cy, sy = np.cos(y), np.sin(y)
-    cp, sp = np.cos(p), np.sin(p)
-    cr, sr = np.cos(r), np.sin(r)
-    Rz = stack([[cy, -sy, zero], [sy, cy, zero], [zero, zero, one]])
-    Ry = stack([[cp, zero, sp], [zero, one, zero], [-sp, zero, cp]])
-    Rx = stack([[one, zero, zero], [zero, cr, -sr], [zero, sr, cr]])
-    dRz = stack([[-sy, -cy, zero], [cy, -sy, zero], [zero, zero, zero]])
-    dRy = stack([[-sp, zero, cp], [zero, zero, zero], [-cp, zero, -sp]])
-    dRx = stack([[zero, zero, zero], [zero, -sr, -cr], [zero, cr, -sr]])
-    return Rz, Ry, Rx, dRz, dRy, dRx
-
-
-def rotation_zyx_derivs(angles: np.ndarray) -> np.ndarray:
-    """Derivatives of :func:`rotation_zyx` with respect to each angle.
-
-    Returns shape (..., 3, 3, 3): axis -3 indexes the angle (yaw, pitch,
-    roll); the trailing two axes are the matrix derivative.
-    """
-    Rz, Ry, Rx, dRz, dRy, dRx = _zyx_factors(angles)
-    d_yaw = dRz @ Ry @ Rx
-    d_pitch = Rz @ dRy @ Rx
-    d_roll = Rz @ Ry @ dRx
-    return np.stack([d_yaw, d_pitch, d_roll], axis=-3)
-
-
 def euler_to_matrix(pose: Pose) -> np.ndarray:
     """Rotation matrix of a pose; eye poses are promoted with roll = 0."""
     if not isinstance(pose, (EyePose, HeadPose)):
@@ -186,15 +150,27 @@ def euler_to_matrix(pose: Pose) -> np.ndarray:
 
 
 def check_rotation(R: np.ndarray, atol: float = ROTATION_ATOL) -> None:
-    """Raise if R is not a rotation matrix to within ``atol``."""
+    """Raise if R is not a rotation matrix to within ``atol``.
+
+    Orthogonality uses ``np.allclose``'s rule entry by entry,
+    |(R R^T)_kl - I_kl| <= atol + 1e-5 * |I_kl|, with NaN failing; the
+    determinant is the cofactor expansion along the first row.
+    """
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got shape {R.shape}")
-    if not np.all(np.isfinite(R)):
+    rows = R.tolist()
+    if not all(math.isfinite(x) for row in rows for x in row):
         raise ValueError("rotation matrix contains non-finite entries")
-    if not np.allclose(R @ R.T, np.eye(3), atol=atol):
-        raise ValueError("matrix is not orthogonal within tolerance")
-    if abs(np.linalg.det(R) - 1.0) > atol:
+    for k, a in enumerate(rows):
+        for m, b in enumerate(rows):
+            dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+            eye = 1.0 if k == m else 0.0
+            if not abs(dot - eye) <= atol + 1e-5 * eye:
+                raise ValueError("matrix is not orthogonal within tolerance")
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if abs(det - 1.0) > atol:
         raise ValueError("matrix determinant differs from +1 beyond tolerance")
 
 
@@ -232,12 +208,26 @@ def geodesic_to_reference_with_grad(
     """
     angles = np.asarray(angles, dtype=float)
     R = rotation_zyx(angles)
-    dR = rotation_zyx_derivs(angles)
-    tr = np.einsum("...ij,...ij->...", R, R_ref)
+    F = np.broadcast_to(R_ref, R.shape)
+    tr = np.einsum("...ij,...ij->...", R, F)
     u = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
     dist = np.arccos(u)
     # |d arccos/du| = 1/sqrt(1-u^2), capped at grad_cap.
     denom = np.sqrt(np.maximum(1.0 - u * u, 1.0 / (grad_cap * grad_cap)))
     dd_du = -1.0 / denom
-    du_dangles = 0.5 * np.einsum("...aij,...ij->...a", dR, R_ref)
-    return dist, dd_du[..., None] * du_dangles
+    # d tr(R F^T) / d angle = sum_ij dR_ij F_ij, with dR read off the entries
+    # of rotation_zyx: d/d yaw turns rows (0, 1) of R into (-row 1, row 0)
+    # and leaves row 2 at zero; d/d roll turns columns (1, 2) into
+    # (column 2, -column 1) and leaves column 0 at zero; d/d pitch turns
+    # rows 0 and 1 into cos(yaw) and sin(yaw) times row 2 of R, and row 2
+    # into -(cos p, sin p sin r, sin p cos r).
+    y, p, r = angles[..., 0], angles[..., 1], angles[..., 2]
+    cy, sy = np.cos(y), np.sin(y)
+    cp, sp = np.cos(p), np.sin(p)
+    cr, sr = np.cos(r), np.sin(r)
+    dtr = np.empty(angles.shape)
+    dtr[..., 0] = (R[..., 0, :] * F[..., 1, :] - R[..., 1, :] * F[..., 0, :]).sum(axis=-1)
+    dtr[..., 1] = ((R[..., 2, :] * (cy[..., None] * F[..., 0, :] + sy[..., None] * F[..., 1, :]))
+                   .sum(axis=-1) - cp * F[..., 2, 0] - sp * (sr * F[..., 2, 1] + cr * F[..., 2, 2]))
+    dtr[..., 2] = (R[..., :, 2] * F[..., :, 1] - R[..., :, 1] * F[..., :, 2]).sum(axis=-1)
+    return dist, (0.5 * dd_du)[..., None] * dtr

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nets, prior as prior_mod
+from .atomic import open_atomic
 from .datagen import Dataset
 from .errors import ConfigError, TrainingError
 from .prior import CodeLabel, ConditionalPrior, PriorConfig
@@ -136,8 +137,9 @@ class EpochMetrics:
 
     def row(self) -> list:
         doc = asdict(self)  # the fields are exactly METRICS_COLUMNS
-        return ["" if doc[c] is None else repr(doc[c]) if isinstance(doc[c], float) else doc[c]
-                for c in METRICS_COLUMNS]
+        # float() first: the repr of a numpy scalar carries its type name
+        return ["" if doc[c] is None else repr(float(doc[c])) if isinstance(doc[c], float)
+                else doc[c] for c in METRICS_COLUMNS]
 
 
 def dataset_arrays(dataset: Dataset, which: str):
@@ -322,7 +324,7 @@ def infer(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str = "samp
 
 def write_metrics_csv(path, rows) -> None:
     """Header plus one formatted row (``EpochMetrics.row()``) per epoch."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         writer.writerows(rows)
@@ -377,8 +379,9 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
             if not ckpt_path.exists():
                 raise TrainingError(f"stage 2 requested but {ckpt_path} does not exist")
             model, ck = ConditionalVQVAE.load(ckpt_path)
-            if ck.metadata.get("dataset_hash") not in (None, dataset_hash):
-                raise TrainingError("stage-1 checkpoint was trained on a different dataset")
+            if ck.metadata.get("dataset_hash") != dataset_hash:
+                raise TrainingError("stage-1 checkpoint was trained on a different dataset "
+                                    "or records no dataset hash")
         labels = record_codes(model, dataset)
         prior, s2 = train_stage2(model, labels, dataset, config)
         rows.extend(m.row() for m in s2.metrics)

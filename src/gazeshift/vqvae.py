@@ -174,15 +174,15 @@ def quantize_rows(Z: np.ndarray, codebook: np.ndarray):
     return idx, codebook[idx]
 
 
-def _target_angles(A: np.ndarray, C: np.ndarray):
+def _target_angles(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Compose allocation rows with the current poses in ``C``.
 
-    Returns (eye, head) Euler rows of shape (n, 3); eye rows carry roll 0.
+    Returns the (2n, 3) Euler rows [eye; head]; eye rows carry roll 0.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
     eye = np.concatenate([C[:, 0:2] + A[:, 0:2], np.zeros((len(A), 1))], axis=1)
-    return eye, C[:, 2:5] + A[:, 2:5]
+    return np.concatenate([eye, C[:, 2:5] + A[:, 2:5]])
 
 
 def pose_errors_rows(pred: np.ndarray, Y: np.ndarray, C: np.ndarray):
@@ -192,11 +192,9 @@ def pose_errors_rows(pred: np.ndarray, Y: np.ndarray, C: np.ndarray):
     compared as rotations, so the values lie in [0, pi] and are invariant
     to 2*pi shifts of any angle. Returns (d_eye (n,), d_head (n,)).
     """
-    eye_pred, head_pred = _target_angles(pred, C)
-    eye_true, head_true = _target_angles(Y, C)
-    d_eye = so3.geodesic_rows(so3.rotation_zyx(eye_pred), so3.rotation_zyx(eye_true))
-    d_head = so3.geodesic_rows(so3.rotation_zyx(head_pred), so3.rotation_zyx(head_true))
-    return d_eye, d_head
+    d = so3.geodesic_rows(so3.rotation_zyx(_target_angles(pred, C)),
+                          so3.rotation_zyx(_target_angles(Y, C)))
+    return d[:len(C)], d[len(C):]
 
 
 def reconstruction_terms(pred: np.ndarray, true: np.ndarray, cond: np.ndarray,
@@ -206,12 +204,11 @@ def reconstruction_terms(pred: np.ndarray, true: np.ndarray, cond: np.ndarray,
     loss_i = d_eye_i + lambda_rc * d_head_i, the errors of
     :func:`pose_errors_rows`. Returns (values (n,), grad wrt pred (n, 5)).
     """
-    eye_pred, head_pred = _target_angles(pred, cond)
-    eye_true, head_true = _target_angles(true, cond)
-    d_eye, g_eye = so3.geodesic_to_reference_with_grad(eye_pred, so3.rotation_zyx(eye_true))
-    d_head, g_head = so3.geodesic_to_reference_with_grad(head_pred, so3.rotation_zyx(head_true))
-    grad = np.concatenate([g_eye[:, :2], lambda_rc * g_head], axis=1)
-    return d_eye + lambda_rc * d_head, grad
+    n = len(cond)
+    d, g = so3.geodesic_to_reference_with_grad(
+        _target_angles(pred, cond), so3.rotation_zyx(_target_angles(true, cond)))
+    grad = np.concatenate([g[:n, :2], lambda_rc * g[n:]], axis=1)
+    return d[:n] + lambda_rc * d[n:], grad
 
 
 @dataclass

@@ -195,6 +195,30 @@ def test_train_stage2_without_stage1_exit_training(pipeline, tmp_path):
                  "--out", str(tmp_path / "fresh")]) == 4
 
 
+def test_train_stage2_without_dataset_hash_exit_training(pipeline, tmp_path):
+    _, config, data_dir, run_dir = pipeline
+    staged = tmp_path / "staged"
+    staged.mkdir()
+    doc = json.loads((run_dir / "stage1.json").read_text(encoding="utf-8"))
+    del doc["metadata"]["dataset_hash"]
+    (staged / "stage1.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train", "--config", config, "--seed", "0", "--stage", "2",
+                 "--dataset", str(data_dir / "dataset.jsonl"),
+                 "--out", str(staged)]) == 4
+    assert not (staged / "prior.json").exists()
+
+
+def test_write_json_atomic_failing_midway_keeps_previous_file(tmp_path):
+    from gazeshift.cli import write_json_atomic
+    path = tmp_path / "report.json"
+    write_json_atomic({"a": 1}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json_atomic({"a": 2, "b": object()}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_train_stage1_then_stage2_matches_both(pipeline, tmp_path):
     _, config, data_dir, run_dir = pipeline
     staged = tmp_path / "staged"

@@ -337,6 +337,19 @@ def test_set_params_requires_exact_keys_and_shapes():
     assert all(np.all(v == 0.5) for v in net.params().values())
 
 
+def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path):
+    net = DenseNetwork.create([3, 5, 2], np.random.default_rng(19))
+    path = tmp_path / "net.json"
+    nets.save_checkpoint(path, net.params(), metadata={"epoch": 1})
+    before = path.read_bytes()
+    net.flat[:] = 0.0
+    # the parameters serialise first, then the metadata fails to
+    with pytest.raises(TypeError):
+        nets.save_checkpoint(path, net.params(), metadata={"epoch": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.json"]
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"format": "something-else", "version": 1}')

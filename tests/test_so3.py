@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gazeshift import so3
 from gazeshift.so3 import EyePose, HeadPose, compose_target_pose
@@ -26,6 +28,53 @@ def rodrigues(axis, angle: float) -> np.ndarray:
 def zyx_oracle(yaw: float, pitch: float, roll: float) -> np.ndarray:
     """Intrinsic Z-Y-X via three independent single-axis rotations."""
     return rodrigues([0, 0, 1], yaw) @ rodrigues([0, 1, 0], pitch) @ rodrigues([1, 0, 0], roll)
+
+
+def rotation_zyx_derivs(angles: np.ndarray) -> np.ndarray:
+    """Derivatives of ``so3.rotation_zyx`` in each angle, as matrix products.
+
+    Returns shape (..., 3, 3, 3): axis -3 indexes the angle (yaw, pitch,
+    roll). Each derivative differentiates one factor of Rz @ Ry @ Rx; this
+    is the reference the closed-form gradient of
+    ``so3.geodesic_to_reference_with_grad`` is checked against.
+    """
+    angles = np.asarray(angles, dtype=float)
+    shape = angles.shape[:-1]
+    y, p, r = angles[..., 0], angles[..., 1], angles[..., 2]
+    zero = np.zeros(shape)
+    one = np.ones(shape)
+
+    def stack(rows):
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+    cy, sy = np.cos(y), np.sin(y)
+    cp, sp = np.cos(p), np.sin(p)
+    cr, sr = np.cos(r), np.sin(r)
+    Rz = stack([[cy, -sy, zero], [sy, cy, zero], [zero, zero, one]])
+    Ry = stack([[cp, zero, sp], [zero, one, zero], [-sp, zero, cp]])
+    Rx = stack([[one, zero, zero], [zero, cr, -sr], [zero, sr, cr]])
+    dRz = stack([[-sy, -cy, zero], [cy, -sy, zero], [zero, zero, zero]])
+    dRy = stack([[-sp, zero, cp], [zero, zero, zero], [-cp, zero, -sp]])
+    dRx = stack([[zero, zero, zero], [zero, -sr, -cr], [zero, cr, -sr]])
+    return np.stack([dRz @ Ry @ Rx, Rz @ dRy @ Rx, Rz @ Ry @ dRx], axis=-3)
+
+
+def geodesic_grad_reference(angles: np.ndarray, R_ref: np.ndarray,
+                            grad_cap: float = so3.GRAD_CAP) -> np.ndarray:
+    """Gradient of d(R(angles), R_ref) contracted from the matrix derivatives."""
+    tr = np.einsum("...ij,...ij->...", so3.rotation_zyx(angles), R_ref)
+    u = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
+    dd_du = -1.0 / np.sqrt(np.maximum(1.0 - u * u, 1.0 / (grad_cap * grad_cap)))
+    du_dangles = 0.5 * np.einsum("...aij,...ij->...a", rotation_zyx_derivs(angles), R_ref)
+    return dd_du[..., None] * du_dangles
+
+
+def check_rotation_reference(R, atol: float = so3.ROTATION_ATOL) -> bool:
+    """The original whole-array rotation check: allclose and an LU determinant."""
+    R = np.asarray(R, dtype=float)
+    return (R.shape == (3, 3) and bool(np.all(np.isfinite(R)))
+            and bool(np.allclose(R @ R.T, np.eye(3), atol=atol))
+            and not abs(np.linalg.det(R) - 1.0) > atol)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -214,7 +263,7 @@ def test_rotation_zyx_derivs_match_fd():
     h = 1e-6
     for _ in range(10):
         angles = rng.uniform(-1.2, 1.2, size=3)
-        derivs = so3.rotation_zyx_derivs(angles)
+        derivs = rotation_zyx_derivs(angles)
         for axis in range(3):
             step = np.zeros(3)
             step[axis] = h
@@ -240,6 +289,38 @@ def test_geodesic_grad_matches_fd_away_from_kinks():
             assert grad[axis] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+def test_geodesic_grad_closed_form_matches_matrix_derivative_reference():
+    rng = np.random.default_rng(10)
+    angles = rng.uniform(-math.pi, math.pi, size=(1000, 3))
+    ref = so3.rotation_zyx(rng.uniform(-math.pi, math.pi, size=(1000, 3)))
+    for R_ref in (ref, ref[0]):  # per-row references and one broadcast reference
+        dist, grad = so3.geodesic_to_reference_with_grad(angles, R_ref)
+        np.testing.assert_array_equal(
+            dist, so3.geodesic_rows(so3.rotation_zyx(angles), np.broadcast_to(R_ref, ref.shape)))
+        np.testing.assert_allclose(grad, geodesic_grad_reference(angles, R_ref), rtol=0, atol=1e-10)
+
+
+angle = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(angle, angle, angle), st.tuples(angle, angle, angle))
+def test_geodesic_grad_matches_fd_over_whole_domain(angles, ref_angles):
+    # Central differences anywhere in the angle domain, away from the ends
+    # of the metric, where the arccos derivative diverges and GRAD_CAP acts.
+    angles = np.array(angles)
+    ref = so3.rotation_zyx(np.array(ref_angles))
+    dist, grad = so3.geodesic_to_reference_with_grad(angles, ref)
+    assume(0.05 < dist < math.pi - 0.05)
+    h = 1e-6
+    for axis in range(3):
+        step = np.zeros(3)
+        step[axis] = h
+        dp, _ = so3.geodesic_to_reference_with_grad(angles + step, ref)
+        dm, _ = so3.geodesic_to_reference_with_grad(angles - step, ref)
+        assert grad[axis] == pytest.approx((dp - dm) / (2 * h), rel=1e-5, abs=1e-7), axis
+
+
 def test_geodesic_grad_finite_at_zero_distance():
     # the exact arccos derivative diverges where the two rotations agree;
     # the guard must keep the reported gradient finite
@@ -256,3 +337,45 @@ def test_geodesic_grad_cap_bounds_arccos_derivative():
     angles = np.zeros(3)
     dist, grad = so3.geodesic_to_reference_with_grad(angles, np.eye(3), grad_cap=10.0)
     assert np.all(np.abs(grad) <= 10.0 * 1.0 + 1e-12)
+
+
+# -- the scalar rotation check against the whole-array original -----------------
+
+def _near_rotation(draw):
+    R = so3.rotation_zyx(np.array([draw(angle), draw(angle), draw(angle)]))
+    scale = 10.0 ** draw(st.floats(-12, -2))
+    noise = np.array(draw(st.lists(st.floats(-1, 1), min_size=9, max_size=9))).reshape(3, 3)
+    return R + scale * noise
+
+
+@st.composite
+def rotation_check_inputs(draw):
+    kind = draw(st.sampled_from(["near", "scaled", "reflected", "non_finite", "shape", "any"]))
+    if kind == "near":
+        return _near_rotation(draw)
+    if kind == "scaled":
+        return _near_rotation(draw) * (1.0 + draw(st.floats(-2e-5, 2e-5)))
+    if kind == "reflected":
+        R = _near_rotation(draw)
+        R[:, draw(st.integers(0, 2))] *= -1.0
+        return R
+    if kind == "non_finite":
+        R = _near_rotation(draw)
+        R[draw(st.integers(0, 2)), draw(st.integers(0, 2))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+        return R
+    if kind == "shape":  # rotation entries in the wrong shape
+        R = np.eye(3)
+        return draw(st.sampled_from([R[0], R[:2], R[:, :2], np.eye(4), R[None], R[..., None]]))
+    return np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))).reshape(3, 3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rotation_check_inputs())
+def test_check_rotation_agrees_with_whole_array_check(R):
+    try:
+        so3.check_rotation(R)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == check_rotation_reference(R)

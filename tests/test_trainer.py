@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -323,6 +324,32 @@ def test_run_training_writes_everything(tmp_path, small_dataset):
     assert prior.config.codebook_size == SMALL_TRAIN.codebook_size
 
 
+def test_run_training_metrics_cells_are_plain_numbers(tmp_path, small_dataset):
+    # numpy scalars used to reach the file as "np.float64(...)"
+    out = tmp_path / "run"
+    run_training(small_dataset, SMALL_TRAIN, out)
+    with open(out / METRICS_FILE, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cells = [cell for row in rows for cell in row if cell]
+    assert len(cells) > len(rows)
+    assert all(math.isfinite(float(cell)) for cell in cells)
+
+
+def test_write_metrics_csv_failing_midway_keeps_previous_file(tmp_path, trained):
+    path = tmp_path / METRICS_FILE
+    write_metrics_csv(path, [m.row() for m in trained[1].metrics])
+    before = path.read_bytes()
+
+    def rows():
+        yield trained[4].metrics[0].row()
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_metrics_csv(path, rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [METRICS_FILE]
+
+
 def test_run_training_is_reproducible(tmp_path, small_dataset):
     a = run_training(small_dataset, SMALL_TRAIN, tmp_path / "a")
     b = run_training(small_dataset, SMALL_TRAIN, tmp_path / "b")
@@ -351,6 +378,16 @@ def test_run_training_stage2_checks_dataset_hash(tmp_path, small_dataset):
     other = generate_dataset(99, SMALL_GEN)
     with pytest.raises(TrainingError, match="different dataset"):
         run_training(other, SMALL_TRAIN, out, stage="2")
+
+
+def test_run_training_stage2_requires_recorded_dataset_hash(tmp_path, small_dataset):
+    out = tmp_path / "run"
+    run_training(small_dataset, SMALL_TRAIN, out, stage="1")
+    doc = json.loads((out / STAGE1_CHECKPOINT).read_text(encoding="utf-8"))
+    del doc["metadata"]["dataset_hash"]
+    (out / STAGE1_CHECKPOINT).write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(TrainingError, match="no dataset hash"):
+        run_training(small_dataset, SMALL_TRAIN, out, stage="2")
 
 
 def test_run_training_rejects_bad_stage(tmp_path, small_dataset):
