@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -213,14 +213,14 @@ class AdamState:
     """Flat Adam moments, their layout, and the hyperparameters of the update."""
 
     lr: float
+    layout: Layout
+    m: np.ndarray
+    v: np.ndarray
     weight_decay: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    layout: Layout = field(default_factory=lambda: Layout(()))
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
