@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import uuid
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -14,10 +14,12 @@ def open_atomic(path, newline: str | None = None):
 
     When the block ends normally the file replaces ``path`` in one
     ``os.replace``; when it raises, the temporary file is removed and
-    ``path`` keeps its previous contents.
+    ``path`` keeps its previous contents. The file gets the permissions a
+    plain ``open(path, "w")`` would give it (0o666 less the umask).
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
             yield fh

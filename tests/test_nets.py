@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import stat
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,15 @@ def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path):
         nets.save_checkpoint(path, net.params(), metadata={"epoch": object()})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["net.json"]
+
+
+def test_checkpoint_file_gets_plain_open_permissions(tmp_path):
+    # the temporary file renamed into place must not be owner-only
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x", encoding="utf-8")
+    path = tmp_path / "net.json"
+    nets.save_checkpoint(path, {"w": np.zeros(2)})
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
