@@ -23,13 +23,13 @@ from . import __version__
 from .atomic import open_atomic
 from .datagen import GeneratorConfig, generate_dataset, read_dataset, write_dataset
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
-from .prior import ConditionalPrior
+from .prior import ConditionalPrior, sample_code
 from .reasoner import OracleBackend, RemoteBackend, ScriptedBackend, load_scenario_dir
 from .reasoner.backends import RemoteConfig
 from .reasoner.replay import replay_evaluate, write_success_table
 from .so3 import EyePose, HeadPose
 from .trainer import (PRIOR_CHECKPOINT, STAGE1_CHECKPOINT,
-                      TrainConfig, dataset_arrays, infer, record_codes,
+                      TrainConfig, dataset_arrays, record_codes,
                       run_training, validate_stage1, validate_stage2)
 from .vqvae import ConditionalVQVAE, ConditionVector
 
@@ -61,6 +61,38 @@ def write_json_atomic(doc: dict, path) -> None:
     with open_atomic(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _indented(value, level: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as it reads nested ``level`` deep."""
+    # Strings escape their newlines, so every newline in the text is layout.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+def iter_shared_items(doc: dict):
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, in pieces.
+
+    Each distinct object (by identity) in a top-level list value is encoded
+    once, however often the list repeats it, and a long list is yielded
+    item by item rather than held as one string.
+    """
+    opening = "{"
+    for key in sorted(doc):
+        value = doc[key]
+        yield f"{opening}\n  {json.dumps(key)}: "
+        opening = ","
+        if isinstance(value, list) and value:
+            texts = {}
+            separator = "[\n    "
+            for item in value:
+                if id(item) not in texts:
+                    texts[id(item)] = _indented(item, 2)
+                yield separator + texts[id(item)]
+                separator = ",\n    "
+            yield "\n  ]"
+        else:
+            yield _indented(value, 1)
+    yield "{}\n" if opening == "{" else "\n}\n"
 
 
 def write_manifest(out_dir, subcommand: str, config: dict, inputs: list,
@@ -236,16 +268,22 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seed = 0 if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(args.n):
-        result = infer(model, prior, condition, mode=args.mode, rng=rng)
-        samples.append({
-            "code": result.code,
-            "delta_eye_deg": [math.degrees(v) for v in result.allocation.delta_eye],
-            "delta_head_deg": [math.degrees(v) for v in result.allocation.delta_head],
-        })
     pi = prior.forward(condition)
+    # One draw call and one decode per distinct code; the draws match n
+    # single `infer` calls on the same generator.
+    if args.mode == "argmax":
+        codes = np.full(args.n, int(np.argmax(pi)))
+    else:
+        codes = sample_code(pi, np.random.default_rng(seed), size=args.n)
+    drawn = {}
+    for k in np.unique(codes).tolist():
+        allocation = model.decode(model.codebook[k], condition)
+        drawn[k] = {
+            "code": k,
+            "delta_eye_deg": [math.degrees(v) for v in allocation.delta_eye],
+            "delta_head_deg": [math.degrees(v) for v in allocation.delta_head],
+        }
+    samples = [drawn[k] for k in codes.tolist()]
     diverse = {str(k): float(pi[k]) for k in range(len(pi)) if pi[k] > DIVERSITY_THRESHOLD}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,7 +296,8 @@ def cmd_sample(args) -> int:
         "codes_above_threshold": diverse,
     }
     report_path = out_dir / "samples.json"
-    write_json_atomic(report, report_path)
+    with open_atomic(report_path) as fh:
+        fh.writelines(iter_shared_items(report))
     print(f"{args.n} draws ({args.mode}); codes with prior probability > "
           f"{DIVERSITY_THRESHOLD:.0%}: "
           f"{', '.join(f'{k} ({v:.1%})' for k, v in sorted(diverse.items())) or 'none'}")

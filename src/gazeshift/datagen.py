@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import so3
+from .atomic import open_atomic
 from .errors import ConfigError, DataError
 from .so3 import EyePose, HeadPose
 from .vqvae import ConditionVector, MotionAllocation
@@ -331,7 +332,7 @@ def serialize_dataset(dataset: Dataset) -> str:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         fh.write(serialize_dataset(dataset))
 
 

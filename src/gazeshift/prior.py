@@ -116,10 +116,15 @@ def motion_consistency_rows(model, logits: np.ndarray, Y: np.ndarray, C: np.ndar
     return d_eye + lambda_mc * d_head
 
 
-def sample_code(pi: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a code index from the distribution pi."""
+def sample_code(pi: np.ndarray, rng: np.random.Generator, size: int | None = None):
+    """Draw a code index from the distribution pi.
+
+    ``size=None`` returns one ``int``; ``size=n`` returns an array of n
+    indices and leaves ``rng`` where n single draws would leave it.
+    """
     pi = check_distribution(pi)
-    return int(rng.choice(len(pi), p=pi / pi.sum()))
+    codes = rng.choice(len(pi), size=size, p=pi / pi.sum())
+    return int(codes) if size is None else codes
 
 
 class ConditionalPrior:

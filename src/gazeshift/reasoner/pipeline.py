@@ -176,7 +176,10 @@ def parse_response(raw: str, marked: MarkedScene) -> int:
     match = _TARGET_RE.search(raw)
     if match is None:
         raise ResponseParseError(f"no TARGET line in response: {raw[:80]!r}")
-    mark = int(match.group(1))
+    try:
+        mark = int(match.group(1))
+    except ValueError as exc:  # more digits than int() converts
+        raise ResponseParseError(f"mark of {len(match.group(1))} digits in response") from exc
     if mark not in marked.marks:
         raise ResponseParseError(f"mark {mark} not among {sorted(marked.marks)}")
     return mark

@@ -11,8 +11,8 @@ import json
 import time
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
+from ..atomic import open_atomic
 from .pipeline import MemoryBuffer, step_cycle
 from .scenario import REGULARITIES, Scenario
 
@@ -104,7 +104,7 @@ def replay_evaluate(scenarios, backend_factory, log_path=None):
 
 def write_success_table(rows, path) -> None:
     """CSV with the success-table schema: regularity, clips, correct, rate."""
-    lines = ["regularity,clips,correct,success_rate"]
-    for row in rows:
-        lines.append(f"{row.regularity},{row.clips},{row.correct},{row.success_rate:.1f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open_atomic(path) as fh:
+        fh.write("regularity,clips,correct,success_rate\n")
+        for row in rows:
+            fh.write(f"{row.regularity},{row.clips},{row.correct},{row.success_rate:.1f}\n")

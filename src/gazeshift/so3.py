@@ -41,13 +41,16 @@ def wrap_angle(angle: float) -> float:
         raise ValueError(f"cannot wrap non-finite angle {angle!r}")
     if -math.pi < angle <= math.pi:
         return angle
-    return math.pi - (math.pi - angle) % TWO_PI
+    wrapped = math.pi - (math.pi - angle) % TWO_PI
+    # The modulo can round up to 2*pi, which lands on -pi.
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
     """Vectorised :func:`wrap_angle`."""
     angles = np.asarray(angles, dtype=float)
     wrapped = np.pi - (np.pi - angles) % TWO_PI
+    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     return np.where((angles > -np.pi) & (angles <= np.pi), angles, wrapped)
 
 
@@ -177,17 +180,22 @@ def check_rotation(R: np.ndarray, atol: float = ROTATION_ATOL) -> None:
 def geodesic_distance(R1: np.ndarray, R2: np.ndarray) -> float:
     """Geodesic angle between two validated rotation matrices, in [0, pi].
 
-    Identical matrices denote the same rotation, so that case is answered
-    with an exact 0.0 rather than arccos of a trace within rounding of 1.
+    The angle of R1 R2^T is atan2(|v|, tr - 1): tr is its trace, 1 + 2 cos,
+    and v, the sum over k of column k of R2 crossed with column k of R1,
+    has length 2 sin. Unlike arccos of the trace this keeps full precision
+    near 0 and pi. Swapping R1 and R2 only negates v, so the result is
+    symmetric, and identical matrices give exactly 0.0.
     """
     check_rotation(R1)
     check_rotation(R2)
-    R1 = np.asarray(R1, dtype=float)
-    R2 = np.asarray(R2, dtype=float)
-    if np.array_equal(R1, R2):
-        return 0.0
-    tr = float(np.trace(R1 @ R2.T))
-    return float(math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0))))
+    v0 = v1 = v2 = tr = 0.0
+    for a, b in zip(np.asarray(R1, dtype=float).T.tolist(),
+                    np.asarray(R2, dtype=float).T.tolist()):
+        v0 += b[1] * a[2] - b[2] * a[1]
+        v1 += b[2] * a[0] - b[0] * a[2]
+        v2 += b[0] * a[1] - b[1] * a[0]
+        tr += a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    return math.atan2(math.hypot(v0, v1, v2), tr - 1.0)
 
 
 def geodesic_rows(Ra: np.ndarray, Rb: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -22,10 +23,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gazeshift
-from gazeshift.cli import main
+from gazeshift.cli import DIVERSITY_THRESHOLD, iter_shared_items, main
+from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV
+from gazeshift.so3 import EyePose, HeadPose
+from gazeshift.trainer import infer
+from gazeshift.vqvae import ConditionalVQVAE, ConditionVector
 
 SMALL_CONFIG = {
     "generator": {"n_samples": 50},
@@ -288,6 +295,80 @@ def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name,
 
 
 # -- sample --------------------------------------------------------------------------------
+
+def reference_samples_json(run_dir: Path, seed: int, mode: str, n: int, eye: str,
+                           head: str, target: str) -> bytes:
+    """samples.json as the per-draw loop wrote it: ``infer`` n times, then ``json.dump``."""
+    model, _ = ConditionalVQVAE.load(run_dir / "stage1.json")
+    prior, _ = ConditionalPrior.load(run_dir / "prior.json")
+    eye, head, target = ([float(v) for v in text.split(",")] for text in (eye, head, target))
+    condition = ConditionVector(eye=EyePose(*[math.radians(v) for v in eye]),
+                                head=HeadPose(*[math.radians(v) for v in head]),
+                                target=np.array(target))
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(n):
+        result = infer(model, prior, condition, mode=mode, rng=rng)
+        samples.append({
+            "code": result.code,
+            "delta_eye_deg": [math.degrees(v) for v in result.allocation.delta_eye],
+            "delta_head_deg": [math.degrees(v) for v in result.allocation.delta_head],
+        })
+    pi = prior.forward(condition)
+    report = {
+        "condition": {"eye_deg": eye, "head_deg": head, "target_m": target},
+        "mode": mode,
+        "seed": seed,
+        "samples": samples,
+        "pi": [float(p) for p in pi],
+        "codes_above_threshold": {str(k): float(pi[k]) for k in range(len(pi))
+                                  if pi[k] > DIVERSITY_THRESHOLD},
+    }
+    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n", [1, 400])
+def test_sample_writes_the_per_draw_loops_bytes(pipeline, tmp_path, mode, seed, n):
+    _, _, _, run_dir = pipeline
+    # a condition where the small model's prior spreads over several codes
+    condition = {"eye": "4,-2", "head": "-30,5,0", "target": "0.6,-1.2,0.9"}
+    out = tmp_path / "s"
+    assert main(["sample", "--run", str(run_dir), "--seed", str(seed), "--mode", mode,
+                 "--n", str(n), "--out", str(out)]
+                + [f"--{k}={v}" for k, v in condition.items()]) == 0
+    written = (out / "samples.json").read_bytes()
+    assert written == reference_samples_json(run_dir, seed, mode, n, **condition)
+    codes = {s["code"] for s in json.loads(written)["samples"]}
+    if mode == "sample" and n > 1:
+        assert len(codes) >= 3
+    else:
+        assert len(codes) == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+SHARED = {"code": 2, "delta_eye_deg": [1.5, -0.25], "note": "a\nb \u00e9"}
+OTHER = {"code": 0, "nested": {"z": [], "a": {}}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), st.one_of(
+    json_values,
+    # a list that repeats a few objects by reference, as samples.json does
+    st.tuples(st.lists(json_values, min_size=1, max_size=3), st.lists(st.integers(0, 2)))
+    .map(lambda pool_picks: [pool_picks[0][i % len(pool_picks[0])] for i in pool_picks[1]]),
+), max_size=5))
+@example({})
+@example({"samples": [SHARED, OTHER, SHARED, SHARED, OTHER], "seed": 3, "empty": [],
+          "condition": {"eye_deg": [0.0, 0.0]}, "mode": "sample", "none": None})
+@example({"z": [[1, [2, 3]], [1, [2, 3]]], "\u00e9": [SHARED] * 3, "a": "x"})
+def test_iter_shared_items_matches_json_dumps(doc):
+    assert "".join(iter_shared_items(doc)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
 
 def test_sample_argmax_is_constant(pipeline, tmp_path):
     _, _, _, run_dir = pipeline

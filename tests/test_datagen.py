@@ -254,6 +254,18 @@ def test_round_trip_is_byte_identical(tmp_path, default_dataset):
     assert back.split == default_dataset.split
 
 
+def test_write_dataset_failing_midway_keeps_previous_file(tmp_path, default_dataset):
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(default_dataset, path)
+    before = path.read_bytes()
+    broken = Dataset(default_dataset.samples[:3] + [object()], ["train"] * 4,
+                     seed=default_dataset.seed, config=default_dataset.config)
+    with pytest.raises(AttributeError):
+        write_dataset(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
+
+
 def small_file(tmp_path, mutate=None):
     """A tiny valid dataset file, optionally damaged by ``mutate(lines)``."""
     dataset = generate_dataset(3, GeneratorConfig(n_samples=5))

@@ -283,6 +283,22 @@ def test_sample_code_seed_determinism():
 def test_sample_code_rejects_invalid_distribution():
     with pytest.raises(ValueError):
         sample_code(np.array([0.5, 0.4]), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_code(np.array([0.5, 0.4]), np.random.default_rng(0), size=5)
+
+
+@pytest.mark.parametrize("pi", [np.array([0.2, 0.3, 0.5]), np.eye(6)[4], np.full(10, 0.1),
+                                np.random.default_rng(3).dirichlet(np.ones(10))])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_sample_code_size_n_equals_n_single_draws(pi, seed):
+    one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+    singles = [sample_code(pi, one) for _ in range(500)]
+    assert all(type(code) is int for code in singles)
+    drawn = sample_code(pi, many, size=500)
+    assert drawn.shape == (500,)
+    assert drawn.tolist() == singles
+    # both calls leave the generator in the same state
+    assert one.random() == many.random()
 
 
 # -- the prior network -----------------------------------------------------------------------

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazeshift.errors import BackendError, ConfigError, DataError
 from gazeshift.reasoner.backends import (API_KEY_ENV, OracleBackend,
@@ -188,6 +190,38 @@ def test_parse_rejects_out_of_range_mark():
         parse_response("TARGET: 9", marked)
 
 
+def test_parse_rejects_mark_beyond_int_digit_limit():
+    marked = mark_scene(make_cycle(0, "scene"))
+    with pytest.raises(ResponseParseError, match="5000 digits"):
+        parse_response("TARGET: " + "1" * 5000, marked)
+
+
+# Arbitrary text, and text around a TARGET line whose mark is small, has
+# more digits than int() converts, or is made of any Unicode decimal digits.
+answers = st.one_of(
+    st.text(),
+    st.tuples(
+        st.text(),
+        st.sampled_from(["TARGET:", "TARGET: ", "TARGET:\t", "TARGET -"]),
+        st.one_of(st.integers(-3, 12).map(str),
+                  st.integers(4000, 6000).map(lambda n: "7" * n),
+                  st.text(st.characters(whitelist_categories=("Nd",)), min_size=1)),
+        st.text(),
+    ).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(answers)
+def test_parse_response_returns_listed_mark_or_raises_parse_error(raw):
+    marked = mark_scene(make_cycle(0, "scene"))
+    try:
+        mark = parse_response(raw, marked)
+    except ResponseParseError:
+        return
+    assert mark in marked.marks
+
+
 # -- localization ------------------------------------------------------------------------
 
 def test_back_project_principal_point():
@@ -325,6 +359,58 @@ def test_empty_scene_is_survivable():
                         GarbageBackend())
     assert record.held
     assert len(buffer.history) == 1 and "empty scene" in buffer.history[0]
+
+
+class Raises:
+    """A backend outcome: raise a fresh ``kind`` exception."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+
+class OutcomeBackend:
+    def __init__(self, outcomes):
+        self.outcomes = outcomes
+
+    def query(self, prompt, image_ref, cycle_index):
+        outcome = self.outcomes[cycle_index]
+        if isinstance(outcome, Raises):
+            raise outcome.kind("backend trouble")
+        return outcome
+
+
+outcomes = st.one_of(
+    answers,
+    st.sampled_from([Exception, RuntimeError, ValueError, KeyError, TypeError,
+                     OSError, TimeoutError, ZeroDivisionError, RecursionError,
+                     BackendError, ResponseParseError, EmptySceneError]).map(Raises),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.binary(),
+              st.lists(st.text(), max_size=2), st.dictionaries(st.text(), st.text(), max_size=2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(outcomes, min_size=1, max_size=6))
+def test_step_cycle_is_total_whatever_the_backend_does(script):
+    buffer = MemoryBuffer()
+    backend = OutcomeBackend(script)
+    for index in range(len(script)):
+        record = step_cycle(make_cycle(index, "scene"), buffer, backend)
+        assert isinstance(record, GazeTargetRecord)
+        assert record.held or record.mark in (1, 2, 3)
+        assert buffer.prev_record is record
+    assert len(buffer.history) == len(script)
+
+
+def test_oversized_mark_holds_one_cycle_of_a_bundled_replay():
+    scenario = load_scenario(BUNDLED / "h1_point_cup.json")
+    cue = scenario.cue_cycle().index
+    before = cue - 1
+    backend = ScriptedBackend(scenario)
+    backend.responses[before] = "TARGET: " + "1" * 5000
+    result = replay_scenario(scenario, backend)
+    assert result.records[before].held
+    assert result.correct
 
 
 def test_successful_cycle_record_is_complete():
@@ -509,6 +595,16 @@ def test_replay_writes_cycle_log(tmp_path):
     assert [d["cycle"] for d in docs] == [0, 1, 2, 3]
     assert docs[0]["instance"] == "c_mug"
     assert all("elapsed_s" in d for d in docs)
+
+
+def test_success_table_failing_midway_keeps_previous_file(tmp_path):
+    path = tmp_path / "table.csv"
+    write_success_table([GroupRow("H1", 3, 3)], path)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        write_success_table([GroupRow("H1", 3, 2), object()], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_success_table_format(tmp_path):

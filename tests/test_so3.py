@@ -117,6 +117,37 @@ def test_wrap_angle_range():
         assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-12)
 
 
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# Any finite float, plus the floats within a few ulps of odd and even
+# multiples of pi (small and large), where the wrap rounds.
+wrappable = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda k, ulps: _nudged(k * math.pi, ulps),
+              st.one_of(st.integers(-4, 4), st.integers(-10**15, 10**15)),
+              st.integers(-4, 4)),
+)
+
+
+def test_wrap_angle_just_above_pi_stays_in_range():
+    above = math.nextafter(math.pi, 4.0)
+    assert so3.wrap_angle(above) == math.pi
+    assert so3.wrap_angles(np.array([above]))[0] == math.pi
+
+
+@settings(max_examples=1000, deadline=None)
+@given(wrappable)
+def test_wrap_angle_range_idempotence_and_vector_agreement(a):
+    w = so3.wrap_angle(a)
+    assert -math.pi < w <= math.pi
+    assert so3.wrap_angle(w) == w
+    assert so3.wrap_angles(np.array([a, w])).tolist() == [w, w]
+
+
 # -- euler_to_matrix -----------------------------------------------------------
 
 def test_euler_identity():
@@ -236,6 +267,36 @@ def test_geodesic_axis_angle_agreement():
         angle = rng.uniform(0, math.pi)
         assert so3.geodesic_distance(np.eye(3), rodrigues(axis, angle)) == pytest.approx(
             angle, abs=1e-9)
+
+
+rotation_angles = st.tuples(*[st.floats(-math.pi, math.pi, allow_nan=False)] * 3)
+
+
+@st.composite
+def rotation_triples(draw):
+    """Three rotations anywhere, or some within 1e-6 rad per angle of the first."""
+    a = draw(rotation_angles)
+    near = st.tuples(*[st.floats(-1e-6, 1e-6)] * 3).map(
+        lambda d: tuple(x + y for x, y in zip(a, d)))
+    b, c = draw(st.one_of(rotation_angles, near)), draw(st.one_of(rotation_angles, near))
+    return [so3.rotation_zyx(np.array(x)) for x in (a, b, c)]
+
+
+def test_geodesic_keeps_precision_near_zero():
+    # arccos of the trace reads 0, 0 and 2.1e-8 here
+    Ra, Rb, Rc = (so3.euler_to_matrix(HeadPose(y, 0.0, 0.0)) for y in (0.0, 1e-8, 2e-8))
+    assert so3.geodesic_distance(Ra, Rb) == pytest.approx(1e-8, rel=1e-6)
+    assert so3.geodesic_distance(Ra, Rc) == pytest.approx(2e-8, rel=1e-6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rotation_triples())
+def test_geodesic_is_a_metric_over_whole_domain(triple):
+    Ra, Rb, Rc = triple
+    d_ab = so3.geodesic_distance(Ra, Rb)
+    assert d_ab == so3.geodesic_distance(Rb, Ra)
+    assert 0.0 <= d_ab <= math.pi
+    assert so3.geodesic_distance(Ra, Rc) <= d_ab + so3.geodesic_distance(Rb, Rc) + 1e-9
 
 
 def test_geodesic_rows_matches_scalar():
