@@ -57,12 +57,6 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_json_atomic(doc: dict, path) -> None:
-    with open_atomic(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _indented(value, level: int) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` as it reads nested ``level`` deep."""
     # Strings escape their newlines, so every newline in the text is layout.
@@ -93,6 +87,12 @@ def iter_shared_items(doc: dict):
         else:
             yield _indented(value, 1)
     yield "{}\n" if opening == "{" else "\n}\n"
+
+
+def write_json_atomic(doc: dict, path) -> None:
+    """Write ``doc`` (string keys) as indented, key-sorted JSON, atomically."""
+    with open_atomic(path) as fh:
+        fh.writelines(iter_shared_items(doc))
 
 
 def write_manifest(out_dir, subcommand: str, config: dict, inputs: list,
@@ -296,8 +296,7 @@ def cmd_sample(args) -> int:
         "codes_above_threshold": diverse,
     }
     report_path = out_dir / "samples.json"
-    with open_atomic(report_path) as fh:
-        fh.writelines(iter_shared_items(report))
+    write_json_atomic(report, report_path)
     print(f"{args.n} draws ({args.mode}); codes with prior probability > "
           f"{DIVERSITY_THRESHOLD:.0%}: "
           f"{', '.join(f'{k} ({v:.1%})' for k, v in sorted(diverse.items())) or 'none'}")
