@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,16 +134,9 @@ def load_config_file(path) -> dict:
     return doc
 
 
-def _generator_config(doc: dict) -> GeneratorConfig:
-    section = dict(doc.get("generator", {}))
-    return GeneratorConfig.from_dict(section)
-
-
 def _train_config(doc: dict, seed_flag) -> TrainConfig:
-    section = dict(doc.get("training", {}))
-    if seed_flag is not None:
-        section["seed"] = seed_flag
-    return TrainConfig.from_dict(section)
+    config = TrainConfig.from_dict(doc.get("training", {}))
+    return config if seed_flag is None else replace(config, seed=seed_flag)
 
 
 def _parse_floats(text: str, n: int, what: str) -> list:
@@ -160,7 +154,7 @@ def _parse_floats(text: str, n: int, what: str) -> list:
 def cmd_gen_data(args) -> int:
     t0 = time.monotonic()
     doc = load_config_file(args.config)
-    config = _generator_config(doc)
+    config = GeneratorConfig.from_dict(doc.get("generator", {}))
     seed = 0 if args.seed is None else args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -215,7 +209,7 @@ def cmd_eval(args) -> int:
     model, prior = _load_models(args.run)
     Yv, Cv = dataset_arrays(dataset, "val")
     eye1, head1, utilization = validate_stage1(model, Yv, Cv)
-    val_labels = np.array([lab.index for lab in record_codes(model, dataset, "val")])
+    val_labels = record_codes(model, dataset, "val")
     eye2, head2, top1 = validate_stage2(model, prior, Yv, Cv, val_labels)
 
     # How each code splits work between head and eyes, over validation

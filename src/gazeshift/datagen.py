@@ -27,6 +27,7 @@ import numpy as np
 
 from . import so3
 from .atomic import open_atomic
+from .config import read_config
 from .errors import ConfigError, DataError
 from .so3 import EyePose, HeadPose
 from .vqvae import ConditionVector, MotionAllocation
@@ -100,15 +101,8 @@ class GeneratorConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GeneratorConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown generator config fields: {sorted(unknown)}")
-        try:
-            return cls(**doc)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    def from_dict(cls, doc) -> "GeneratorConfig":
+        return read_config(cls, doc, "generator")
 
 
 @dataclass(frozen=True)
@@ -365,7 +359,10 @@ def read_dataset(path) -> Dataset:
         raise DataError(f"{path}: missing {DATASET_SCHEMA} header")
     if header.get("version") != DATASET_VERSION:
         raise DataError(f"{path}: unsupported dataset version {header.get('version')!r}")
-    config = GeneratorConfig.from_dict(header.get("generator", {}))
+    try:
+        config = GeneratorConfig.from_dict(header.get("generator", {}))
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad generator header: {exc}") from exc
     samples, split = [], []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():

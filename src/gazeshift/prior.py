@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nets
-from .vqvae import ConditionVector, pose_errors_rows
+from .vqvae import ConditionVector, condition_inputs, pose_errors_rows
 
 PROB_FLOOR = 1e-12  # floor on pi[z*] before the log
 _DIST_ATOL = 1e-9   # tolerated deviation of sum(pi) from 1
@@ -48,14 +48,6 @@ class PriorConfig:
             raise ValueError("gamma must be non-negative")
         if self.eta < 0 or self.lambda_mc < 0:
             raise ValueError("eta and lambda_mc must be non-negative")
-
-
-@dataclass(frozen=True)
-class CodeLabel:
-    """A code index recorded for one training sample by the frozen encoder."""
-
-    index: int
-    sample_index: int
 
 
 def check_distribution(pi: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -147,13 +139,8 @@ class ConditionalPrior:
     def fingerprint(self) -> str:
         return nets.params_fingerprint(self.params())
 
-    def _inputs(self, C: np.ndarray) -> np.ndarray:
-        X = np.array(C, dtype=float)
-        X[:, 5:8] /= self.target_scale
-        return X
-
     def logits_rows(self, C: np.ndarray) -> np.ndarray:
-        return self.net.forward(self._inputs(np.asarray(C, dtype=float)))
+        return self.net.forward(condition_inputs(C, self.target_scale))
 
     def forward_rows(self, C: np.ndarray) -> np.ndarray:
         return softmax_rows(self.logits_rows(C))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import requests
 
-from ..errors import BackendError, ConfigError
+from ..config import read_config
+from ..errors import BackendError
 from .pipeline import mark_scene
 from .scenario import Scenario
 
@@ -82,14 +83,8 @@ class RemoteConfig:
     max_tokens: int = 64
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RemoteConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown backend config fields: {sorted(unknown)}")
-        if "endpoint" not in doc or "model" not in doc:
-            raise ConfigError("backend config requires 'endpoint' and 'model'")
-        return cls(**doc)
+    def from_dict(cls, doc) -> "RemoteConfig":
+        return read_config(cls, doc, "backend")
 
 
 def build_request(config: RemoteConfig, prompt: str, image_ref: str | None) -> dict:

@@ -105,25 +105,16 @@ class MemoryBuffer:
     previous gaze record, and a capped textual history (FIFO eviction).
     """
 
-    k: int = HISTORY_LENGTH
     prev_semantics: str | None = None
     prev_image_ref: str | None = None
     prev_record: GazeTargetRecord | None = None
-    history: deque = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("history capacity must be positive")
-        if self.history is None:
-            self.history = deque(maxlen=self.k)
-        elif self.history.maxlen != self.k:
-            raise ValueError("history deque capacity must equal k")
+    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_LENGTH), init=False)
 
     def is_empty(self) -> bool:
         return self.prev_record is None and not self.history
 
     def advance(self, marked: MarkedScene | None, record: GazeTargetRecord) -> None:
-        """Record this cycle's outcome; oldest history entry falls off at k."""
+        """Record this cycle's outcome; the oldest history entry falls off at HISTORY_LENGTH."""
         if marked is not None:
             self.prev_semantics = marked.semantics
             self.prev_image_ref = marked.image_ref

@@ -5,6 +5,11 @@ terms). Stage 2 freezes it, records the code index the encoder assigns to
 every training sample, and fits the conditional prior to those labels with
 the focal + motion-consistency objective.
 
+Both stages run through one epoch loop (``_fit``: Adam, LR schedule,
+shuffle, batches, best-epoch copy and restore); a stage supplies only its
+batch step and its epoch metrics. A ValueError in a step, such as a
+non-finite loss or gradient, aborts the run as a TrainingError.
+
 Every epoch is validated: stage 1 teacher-forced (encode the ground-truth
 allocation, quantise, decode), stage 2 with the prior's argmax code. The
 metric is the mean geodesic distance (MGD, degrees) between predicted and
@@ -27,9 +32,10 @@ import numpy as np
 
 from . import nets, prior as prior_mod
 from .atomic import open_atomic
+from .config import read_config
 from .datagen import Dataset
 from .errors import ConfigError, TrainingError
-from .prior import CodeLabel, ConditionalPrior, PriorConfig
+from .prior import ConditionalPrior, PriorConfig
 from .vqvae import ConditionalVQVAE, MotionAllocation, VQVAEConfig, pose_errors_rows, quantize_rows
 
 STAGE1_CHECKPOINT = "stage1.json"
@@ -71,10 +77,13 @@ class TrainConfig:
             raise ValueError("epoch counts must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        # The model configs and the schedule (lr, milestones, lr_decay) check the rest.
+        self.vqvae_config(), self.prior_config(), self.lr_schedule()
+
+    def lr_schedule(self) -> nets.LrSchedule:
+        return nets.LrSchedule(self.lr, tuple(self.milestones), self.lr_decay)
 
     def vqvae_config(self) -> VQVAEConfig:
         return VQVAEConfig(
@@ -102,18 +111,8 @@ class TrainConfig:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown training config fields: {sorted(unknown)}")
-        doc = dict(doc)
-        if "milestones" in doc:
-            doc["milestones"] = tuple(doc["milestones"])
-        try:
-            return cls(**doc)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    def from_dict(cls, doc) -> "TrainConfig":
+        return read_config(cls, doc, "training")
 
 
 @dataclass
@@ -163,19 +162,45 @@ class StageResult:
     stage: int
     metrics: list
     best_epoch: int
-    best_eye_mgd: float
-    best_head_mgd: float
     best_params: np.ndarray  # flat copy, in the trained model's layout
     best_optimizer: nets.AdamState
 
     def best_summed(self) -> float:
-        return self.best_eye_mgd + self.best_head_mgd
+        return self.metrics[self.best_epoch].summed_mgd()
 
 
-def _batches(n: int, batch_size: int, perm: np.ndarray):
-    # Every sample is used each epoch; a short final batch is kept.
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
+def _fit(stage: int, flat: np.ndarray, params: dict, n: int, epochs: int,
+         rng: np.random.Generator, config: TrainConfig, step, end_epoch) -> StageResult:
+    """The epoch loop of both stages; leaves ``flat`` at its best epoch.
+
+    Each epoch walks a shuffle of the n training rows in batches (a short
+    final batch is kept). ``step(batch)`` returns (loss-term array, flat
+    gradient) for Adam to apply to ``flat``, laid out like ``params``;
+    ``end_epoch(epoch, lr, means)`` turns the row-weighted mean terms into
+    EpochMetrics. A ValueError from a step or the update (a
+    NonFiniteGradient among them) becomes a TrainingError.
+    """
+    adam = nets.AdamState.for_params(params, lr=config.lr, weight_decay=config.weight_decay)
+    schedule = config.lr_schedule()
+    metrics = []
+    best = None
+    for epoch in range(epochs):
+        adam.lr = schedule.lr_at(epoch)
+        perm = rng.permutation(n)
+        sums = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = perm[start:start + config.batch_size]
+            try:
+                terms, grad = step(batch)
+                nets.adam_step(adam, flat, grad)
+            except ValueError as exc:
+                raise TrainingError(f"stage {stage} epoch {epoch}: {exc}") from exc
+            sums = sums + terms * len(batch)
+        metrics.append(end_epoch(epoch, adam.lr, sums / n))
+        if best is None or metrics[-1].summed_mgd() < best.best_summed():
+            best = StageResult(stage, metrics, epoch, flat.copy(), adam.copy())
+    flat[...] = best.best_params
+    return best
 
 
 def validate_stage1(model: ConditionalVQVAE, Yv, Cv):
@@ -189,46 +214,33 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     """Train the VQ-VAE; returns (model restored to best epoch, StageResult)."""
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
-    shuffle_rng = np.random.default_rng(seeds[1])
     Y, C = dataset_arrays(dataset, "train")
     Yv, Cv = dataset_arrays(dataset, "val")
-    adam = nets.AdamState.for_params(model.params(), lr=config.lr,
-                                     weight_decay=config.weight_decay)
-    schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
-    metrics = []
-    best = None
-    for epoch in range(config.stage1_epochs):
-        adam.lr = schedule.lr_at(epoch)
-        perm = shuffle_rng.permutation(len(Y))
-        sums = np.zeros(4)
-        for batch in _batches(len(Y), config.batch_size, perm):
-            try:
-                terms, grad = model.loss_and_grads(Y[batch], C[batch])
-                nets.adam_step(adam, model.flat, grad)
-            except (ValueError, nets.NonFiniteGradient) as exc:
-                raise TrainingError(f"stage 1 epoch {epoch}: {exc}") from exc
-            sums += np.array([terms.total, terms.rec, terms.embed, terms.commit]) * len(batch)
-        sums /= len(Y)
+
+    def step(batch):
+        terms, grad = model.loss_and_grads(Y[batch], C[batch])
+        return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
+
+    def end_epoch(epoch, lr, means):
+        total, rec, embed, commit = means.tolist()
         eye_mgd, head_mgd, utilization = validate_stage1(model, Yv, Cv)
-        entry = EpochMetrics(
-            stage=1, epoch=epoch, lr=adam.lr, loss_total=sums[0],
-            loss_rec=sums[1], loss_embed=sums[2], loss_commit=sums[3],
+        return EpochMetrics(
+            stage=1, epoch=epoch, lr=lr, loss_total=total,
+            loss_rec=rec, loss_embed=embed, loss_commit=commit,
             val_eye_mgd_deg=eye_mgd, val_head_mgd_deg=head_mgd,
             codebook_utilization=utilization,
         )
-        metrics.append(entry)
-        if best is None or entry.summed_mgd() < best.best_summed():
-            best = StageResult(1, metrics, epoch, eye_mgd, head_mgd,
-                               model.flat.copy(), adam.copy())
-    model.flat[...] = best.best_params
-    return model, best
+
+    result = _fit(1, model.flat, model.params(), len(Y), config.stage1_epochs,
+                  np.random.default_rng(seeds[1]), config, step, end_epoch)
+    return model, result
 
 
-def record_codes(model: ConditionalVQVAE, dataset: Dataset, which: str = "train"):
-    """Code index assigned by the frozen encoder to each sample of a split."""
+def record_codes(model: ConditionalVQVAE, dataset: Dataset, which: str = "train") -> np.ndarray:
+    """Code index assigned by the frozen encoder to each sample of a split, in order."""
     Y, C = dataset_arrays(dataset, which)
     idx, _ = quantize_rows(model.encode_rows(Y, C), model.codebook)
-    return [CodeLabel(int(k), i) for i, k in enumerate(idx)]
+    return idx
 
 
 def validate_stage2(model, prior, Yv, Cv, val_labels):
@@ -247,58 +259,40 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
     The VQ-VAE is treated as frozen throughout.
     """
     Y, C = dataset_arrays(dataset, "train")
+    labels = np.asarray(labels, dtype=int)
     if len(labels) != len(Y):
         raise TrainingError(f"{len(labels)} labels for {len(Y)} training samples")
-    label_arr = np.array([lab.index for lab in labels], dtype=int)
-    if label_arr.min() < 0 or label_arr.max() >= config.codebook_size:
+    if labels.min() < 0 or labels.max() >= config.codebook_size:
         raise TrainingError("code labels outside the codebook range")
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     prior = ConditionalPrior(config.prior_config(), seed=config.seed + 1,
                              target_scale=config.target_scale)
-    shuffle_rng = np.random.default_rng(seeds[3])
     Yv, Cv = dataset_arrays(dataset, "val")
-    val_labels = np.array([lab.index for lab in record_codes(model, dataset, "val")])
-    net = prior.net
-    adam = nets.AdamState.for_params(net.params(), lr=config.lr,
-                                     weight_decay=config.weight_decay)
-    schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
-    metrics = []
-    best = None
-    for epoch in range(config.stage2_epochs):
-        adam.lr = schedule.lr_at(epoch)
-        perm = shuffle_rng.permutation(len(C))
-        focal_sum = 0.0
-        mc_sum = 0.0
-        for batch in _batches(len(C), config.batch_size, perm):
-            logits = prior.logits_rows(C[batch])
-            focal, _, dlogits = prior_mod.focal_loss_rows(logits, label_arr[batch], config.gamma)
-            # Value-only: the argmax inside blocks any gradient.
-            mc = float(prior_mod.motion_consistency_rows(
-                model, logits, Y[batch], C[batch], config.lambda_mc).mean())
-            if not (math.isfinite(focal) and math.isfinite(mc)):
-                raise TrainingError(f"stage 2 epoch {epoch}: non-finite loss")
-            try:
-                grad, _ = net.backward(dlogits)
-                nets.adam_step(adam, net.flat, grad)
-            except (ValueError, nets.NonFiniteGradient) as exc:
-                raise TrainingError(f"stage 2 epoch {epoch}: {exc}") from exc
-            focal_sum += focal * len(batch)
-            mc_sum += mc * len(batch)
-        focal_mean = focal_sum / len(C)
-        mc_mean = mc_sum / len(C)
+    val_labels = record_codes(model, dataset, "val")
+
+    def step(batch):
+        logits = prior.logits_rows(C[batch])
+        focal, _, dlogits = prior_mod.focal_loss_rows(logits, labels[batch], config.gamma)
+        # Value-only: the argmax inside blocks any gradient.
+        mc = float(prior_mod.motion_consistency_rows(
+            model, logits, Y[batch], C[batch], config.lambda_mc).mean())
+        if not (math.isfinite(focal) and math.isfinite(mc)):
+            raise ValueError("non-finite loss")
+        grad, _ = prior.net.backward(dlogits)
+        return np.array([focal, mc]), grad
+
+    def end_epoch(epoch, lr, means):
+        focal, mc = means.tolist()
         eye_mgd, head_mgd, top1 = validate_stage2(model, prior, Yv, Cv, val_labels)
-        entry = EpochMetrics(
-            stage=2, epoch=epoch, lr=adam.lr,
-            loss_total=focal_mean + config.eta * mc_mean,
-            loss_focal=focal_mean, loss_mc=mc_mean,
+        return EpochMetrics(
+            stage=2, epoch=epoch, lr=lr, loss_total=focal + config.eta * mc,
+            loss_focal=focal, loss_mc=mc,
             val_eye_mgd_deg=eye_mgd, val_head_mgd_deg=head_mgd, prior_top1_acc=top1,
         )
-        metrics.append(entry)
-        if best is None or entry.summed_mgd() < best.best_summed():
-            best = StageResult(2, metrics, epoch, eye_mgd, head_mgd,
-                               net.flat.copy(), adam.copy())
-    net.flat[...] = best.best_params
-    return prior, best
+
+    result = _fit(2, prior.net.flat, prior.net.params(), len(C), config.stage2_epochs,
+                  np.random.default_rng(seeds[3]), config, step, end_epoch)
+    return prior, result
 
 
 @dataclass
@@ -355,24 +349,24 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     t0 = time.monotonic()
     # A stage-2-only run keeps the stage-1 rows, so the file matches "both".
     rows = _stage1_rows(out / METRICS_FILE) if stage == "2" else []
+    outputs = [out / METRICS_FILE]
     summary = {"dataset_hash": dataset_hash, "config": config.to_dict(), "stage": stage}
+
+    def record(result: StageResult, path: Path) -> dict:
+        """Log a trained stage; returns the metadata for its checkpoint at ``path``."""
+        best = result.metrics[result.best_epoch]
+        mgd = {"val_eye_mgd_deg": best.val_eye_mgd_deg, "val_head_mgd_deg": best.val_head_mgd_deg}
+        rows.extend(m.row() for m in result.metrics)
+        outputs.append(path)
+        summary[f"stage{result.stage}"] = {"best_epoch": result.best_epoch, **mgd}
+        return {"stage": result.stage, "dataset_hash": dataset_hash,
+                "train_config": config.to_dict(), "best": {"epoch": result.best_epoch, **mgd}}
 
     model = None
     if stage in ("1", "both"):
         model, s1 = train_stage1(dataset, config)
-        rows.extend(m.row() for m in s1.metrics)
-        model.save(out / STAGE1_CHECKPOINT, optimizer=s1.best_optimizer, metadata={
-            "stage": 1,
-            "dataset_hash": dataset_hash,
-            "train_config": config.to_dict(),
-            "best": {"epoch": s1.best_epoch, "val_eye_mgd_deg": s1.best_eye_mgd,
-                     "val_head_mgd_deg": s1.best_head_mgd},
-        })
-        summary["stage1"] = {
-            "best_epoch": s1.best_epoch,
-            "val_eye_mgd_deg": s1.best_eye_mgd,
-            "val_head_mgd_deg": s1.best_head_mgd,
-        }
+        model.save(out / STAGE1_CHECKPOINT, optimizer=s1.best_optimizer,
+                   metadata=record(s1, out / STAGE1_CHECKPOINT))
     if stage in ("2", "both"):
         if model is None:
             ckpt_path = out / STAGE1_CHECKPOINT
@@ -382,27 +376,11 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
             if ck.metadata.get("dataset_hash") != dataset_hash:
                 raise TrainingError("stage-1 checkpoint was trained on a different dataset "
                                     "or records no dataset hash")
-        labels = record_codes(model, dataset)
-        prior, s2 = train_stage2(model, labels, dataset, config)
-        rows.extend(m.row() for m in s2.metrics)
+        prior, s2 = train_stage2(model, record_codes(model, dataset), dataset, config)
         prior.save(out / PRIOR_CHECKPOINT, optimizer=s2.best_optimizer,
-                   stage1_fingerprint=model.fingerprint(), metadata={
-            "stage": 2,
-            "dataset_hash": dataset_hash,
-            "train_config": config.to_dict(),
-            "best": {"epoch": s2.best_epoch, "val_eye_mgd_deg": s2.best_eye_mgd,
-                     "val_head_mgd_deg": s2.best_head_mgd},
-        })
-        summary["stage2"] = {
-            "best_epoch": s2.best_epoch,
-            "val_eye_mgd_deg": s2.best_eye_mgd,
-            "val_head_mgd_deg": s2.best_head_mgd,
-        }
+                   stage1_fingerprint=model.fingerprint(),
+                   metadata=record(s2, out / PRIOR_CHECKPOINT))
     write_metrics_csv(out / METRICS_FILE, rows)
     summary["elapsed_s"] = time.monotonic() - t0
-    summary["outputs"] = [str(out / METRICS_FILE)]
-    if stage in ("1", "both"):
-        summary["outputs"].append(str(out / STAGE1_CHECKPOINT))
-    if stage in ("2", "both"):
-        summary["outputs"].append(str(out / PRIOR_CHECKPOINT))
+    summary["outputs"] = [str(p) for p in outputs]
     return summary

@@ -64,6 +64,13 @@ ALLOCATION_FIELDS = (
 _MIN_TARGET_NORM = 0.05
 
 
+def condition_inputs(C: np.ndarray, target_scale: float) -> np.ndarray:
+    """Condition rows as network inputs: the target columns divided by ``target_scale``."""
+    X = np.array(C, dtype=float)
+    X[:, 5:8] /= target_scale
+    return X
+
+
 @dataclass(frozen=True)
 class VQVAEConfig:
     codebook_size: int = 10
@@ -276,9 +283,7 @@ class ConditionalVQVAE:
 
     def condition_inputs(self, C: np.ndarray) -> np.ndarray:
         """Normalise raw condition rows for the condition encoder."""
-        X = np.array(C, dtype=float)
-        X[:, 5:8] /= self.config.target_scale
-        return X
+        return condition_inputs(C, self.config.target_scale)
 
     def encode_rows(self, Y: np.ndarray, C: np.ndarray) -> np.ndarray:
         f_y = self.recon_encoder.forward(np.asarray(Y, dtype=float))

@@ -471,13 +471,13 @@ def test_criterion_7_reasoner_plumbing():
     # the history actually saturates at its capacity
     max_hist = 0
     for scenario in scenarios:
-        buffer = MemoryBuffer(k=10)
+        buffer = MemoryBuffer()
         backend = ScriptedBackend(scenario)
         for cycle in scenario.cycles:
             step_cycle(cycle, buffer, backend)
             max_hist = max(max_hist, len(buffer.history))
     longest = max(scenarios, key=lambda s: len(s.cycles))
-    buffer = MemoryBuffer(k=10)
+    buffer = MemoryBuffer()
     backend = ScriptedBackend(longest)
     for _ in range(3):
         for cycle in longest.cycles:

@@ -123,6 +123,38 @@ def test_unknown_generator_field_exit_config(tmp_path):
     assert main(["gen-data", "--config", config, "--out", str(tmp_path / "d")]) == 2
 
 
+@pytest.mark.parametrize("section", ["abc", {"n_samples": "many"}])
+def test_malformed_generator_section_exit_config(tmp_path, capsys, section):
+    config = write_config(tmp_path, {"generator": section})
+    assert main(["gen-data", "--config", config, "--out", str(tmp_path / "d")]) == 2
+    assert "generator config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", [{"lr": "fast"}, [1], {"milestones": 5},
+                                     {"stage1_epochs": 1.5}, {"stage2_epochs": True},
+                                     {"lr": math.nan}, {"codebook_size": 0},
+                                     {"lr_decay": -1.0}, {"gamma": -1.0}])
+def test_malformed_training_section_exit_config(pipeline, tmp_path, capsys, section):
+    _, _, data_dir, _ = pipeline
+    config = write_config(tmp_path, {"training": section})
+    assert main(["train", "--config", config, "--dataset", str(data_dir / "dataset.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator", [{"n_samples": "many"}, {"n_sample": 50}, "abc"])
+def test_malformed_dataset_header_exit_data(pipeline, tmp_path, capsys, generator):
+    _, config, data_dir, _ = pipeline
+    lines = (data_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines(True)
+    header = json.loads(lines[0])
+    header["generator"] = generator
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    assert main(["train", "--config", config, "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "bad generator header" in capsys.readouterr().err
+
+
 def test_malformed_config_file_exit_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json", encoding="utf-8")
@@ -200,6 +232,24 @@ def test_train_stage2_without_stage1_exit_training(pipeline, tmp_path):
     assert main(["train", "--config", config, "--stage", "2",
                  "--dataset", str(data_dir / "dataset.jsonl"),
                  "--out", str(tmp_path / "fresh")]) == 4
+
+
+def test_train_stage2_forward_value_error_exit_training(pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+    _, config, data_dir, run_dir = pipeline
+    staged = tmp_path / "staged"
+    staged.mkdir()
+    shutil.copy(run_dir / "stage1.json", staged / "stage1.json")
+
+    def broken(self, C):
+        raise ValueError("bad condition rows")
+
+    monkeypatch.setattr(ConditionalPrior, "logits_rows", broken)
+    assert main(["train", "--config", config, "--seed", "0", "--stage", "2",
+                 "--dataset", str(data_dir / "dataset.jsonl"),
+                 "--out", str(staged)]) == 4
+    assert "stage 2 epoch 0: bad condition rows" in capsys.readouterr().err
+    assert not (staged / "prior.json").exists()
 
 
 def test_train_stage2_without_dataset_hash_exit_training(pipeline, tmp_path):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from gazeshift.prior import (PROB_FLOOR, CodeLabel, ConditionalPrior, PriorConfig,
+from gazeshift.prior import (PROB_FLOOR, ConditionalPrior, PriorConfig,
                              check_distribution, focal_loss_rows,
                              motion_consistency_rows, sample_code, softmax_rows)
 from gazeshift.so3 import EyePose, HeadPose
@@ -322,11 +322,6 @@ def test_prior_config_validation():
         PriorConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         PriorConfig(codebook_size=0)
-
-
-def test_code_label_fields():
-    lab = CodeLabel(index=3, sample_index=17)
-    assert (lab.index, lab.sample_index) == (3, 17)
 
 
 def test_prior_checkpoint_round_trip(tmp_path):

@@ -21,6 +21,7 @@ from gazeshift.errors import BackendError, ConfigError, DataError
 from gazeshift.reasoner.backends import (API_KEY_ENV, OracleBackend,
                                          RemoteBackend, RemoteConfig,
                                          ScriptedBackend, build_request)
+from gazeshift.reasoner.corpus import write_corpus
 from gazeshift.reasoner.pipeline import (HISTORY_LENGTH, REST_RECORD,
                                          EmptySceneError, GazeTargetRecord,
                                          MarkedScene, MemoryBuffer,
@@ -305,12 +306,6 @@ def test_history_is_capped_fifo():
     assert not buffer.is_empty()
 
 
-def test_buffer_capacity_validation():
-    with pytest.raises(ValueError):
-        MemoryBuffer(k=0)
-    assert MemoryBuffer(k=3).history.maxlen == 3
-
-
 # -- pipeline totality ---------------------------------------------------------------------
 
 class ExplodingBackend:
@@ -482,6 +477,10 @@ def test_remote_config_validation():
         RemoteConfig.from_dict({"endpoint": "e", "model": "m", "retries": 3})
     with pytest.raises(ConfigError, match="requires"):
         RemoteConfig.from_dict({"model": "m"})
+    with pytest.raises(ConfigError, match="JSON object"):
+        RemoteConfig.from_dict(["endpoint", "model"])
+    with pytest.raises(ConfigError, match="'timeout' must be a finite number"):
+        RemoteConfig.from_dict({"endpoint": "e", "model": "m", "timeout": "slow"})
     cfg = RemoteConfig.from_dict({"endpoint": "e", "model": "m", "timeout": 0.7})
     assert cfg.timeout == 0.7
 
@@ -532,6 +531,14 @@ def test_bundled_scenarios_load_and_carry_metadata():
     assert all(s.has_evaluation_metadata() for s in scenarios)
     with pytest.raises(DataError, match="no scenario files"):
         load_scenario_dir(BUNDLED.parent / "reasoner")
+
+
+def test_corpus_builder_reproduces_bundled_files(tmp_path):
+    # `python -m gazeshift.reasoner.corpus <dir>` regenerates the bundle
+    written = write_corpus(tmp_path)
+    assert sorted(p.name for p in written) == sorted(p.name for p in BUNDLED.glob("*.json"))
+    for path in written:
+        assert path.read_bytes() == (BUNDLED / path.name).read_bytes(), path.name
 
 
 # -- replay scoring --------------------------------------------------------------------------------

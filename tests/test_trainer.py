@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from gazeshift import so3
+from gazeshift import prior as prior_module, so3
 from gazeshift.datagen import Dataset, GeneratorConfig, generate_dataset
 from gazeshift.errors import ConfigError, TrainingError
 from gazeshift.prior import ConditionalPrior
@@ -193,9 +193,21 @@ def test_record_codes_matches_quantizer(trained, small_dataset):
     model, labels = trained[0], trained[2]
     Y, C = dataset_arrays(small_dataset, "train")
     idx, _ = quantize_rows(model.encode_rows(Y, C), model.codebook)
-    assert [lab.index for lab in labels] == list(idx)
-    assert [lab.sample_index for lab in labels] == list(range(48))
-    assert all(0 <= lab.index < SMALL_TRAIN.codebook_size for lab in labels)
+    assert labels.shape == (48,) and labels.dtype.kind == "i"
+    np.testing.assert_array_equal(labels, idx)
+    assert labels.min() >= 0 and labels.max() < SMALL_TRAIN.codebook_size
+
+
+def test_stage1_non_finite_gradient_names_stage_and_epoch(small_dataset, monkeypatch):
+    real = ConditionalVQVAE.loss_and_grads
+
+    def poisoned(self, Y, C):
+        terms, grad = real(self, Y, C)
+        return terms, np.full_like(grad, np.nan)
+
+    monkeypatch.setattr(ConditionalVQVAE, "loss_and_grads", poisoned)
+    with pytest.raises(TrainingError, match="stage 1 epoch 0: non-finite gradient"):
+        train_stage1(small_dataset, SMALL_TRAIN)
 
 
 # -- stage 2 ------------------------------------------------------------------------------------
@@ -212,7 +224,7 @@ def test_validate_stage2_recomputes_from_public_pieces(trained, small_dataset):
     model, prior = trained[0], trained[3]
     Yv, Cv = dataset_arrays(small_dataset, "val")
     eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
-    val_labels = np.array([lab.index for lab in record_codes(model, small_dataset, "val")])
+    val_labels = record_codes(model, small_dataset, "val")
     eye_mgd, head_mgd, top1 = validate_stage2(model, prior, Yv, Cv, val_labels)
     codes = np.argmax(prior.forward_rows(Cv), axis=1)
     pred = model.decode_rows(model.codebook[codes], Cv)
@@ -253,6 +265,20 @@ def test_stage2_rejects_mismatched_labels(trained, small_dataset):
     model, labels = trained[0], trained[2]
     with pytest.raises(TrainingError, match="labels"):
         train_stage2(model, labels[:-1], small_dataset, SMALL_TRAIN)
+
+
+def test_stage2_non_finite_focal_loss_names_stage_and_epoch(trained, small_dataset,
+                                                           monkeypatch):
+    model, labels = trained[0], trained[2]
+    real = prior_module.focal_loss_rows
+
+    def poisoned(logits, labels, gamma):
+        _, vals, dlogits = real(logits, labels, gamma)
+        return math.nan, vals, dlogits
+
+    monkeypatch.setattr(prior_module, "focal_loss_rows", poisoned)
+    with pytest.raises(TrainingError, match="stage 2 epoch 0: non-finite loss"):
+        train_stage2(model, labels, small_dataset, SMALL_TRAIN)
 
 
 # -- inference ------------------------------------------------------------------------------------
