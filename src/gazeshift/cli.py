@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -302,26 +303,33 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _make_backend_factory(args, doc: dict):
+@contextmanager
+def _backend_factory(args, doc: dict):
+    """Yield ``factory(scenario) -> backend`` for one replay run.
+
+    The remote backend is one object for the whole run, and its connection
+    closes when the run ends, however it ends.
+    """
     kind = args.backend
     if kind == "scripted":
-        return lambda scenario: ScriptedBackend(scenario)
-    if kind == "oracle":
-        return lambda scenario: OracleBackend(scenario, delay=1)
-    if kind == "adversarial":
-        return lambda scenario: OracleBackend(scenario, delay=3)
-    if kind == "remote":
+        yield ScriptedBackend
+    elif kind == "oracle":
+        yield lambda scenario: OracleBackend(scenario, delay=1)
+    elif kind == "adversarial":
+        yield lambda scenario: OracleBackend(scenario, delay=3)
+    elif kind == "remote":
         section = doc.get("backend")
         if not section:
             raise ConfigError("remote backend requires a 'backend' config section")
         config = RemoteConfig.from_dict(section)
-        backend = RemoteBackend(config)
-        # Fail fast here: inside the replay loop every backend error is
-        # absorbed by the per-cycle fallback, which would silently turn a
-        # bad credential into a 0% run.
-        backend.preflight()
-        return lambda scenario: backend
-    raise ConfigError(f"unknown backend {kind!r}")
+        with closing(RemoteBackend(config)) as backend:
+            # Fail fast here: inside the replay loop every backend error is
+            # absorbed by the per-cycle fallback, which would silently turn a
+            # bad credential into a 0% run.
+            backend.preflight()
+            yield lambda scenario: backend
+    else:
+        raise ConfigError(f"unknown backend {kind!r}")
 
 
 def cmd_replay(args) -> int:
@@ -329,11 +337,11 @@ def cmd_replay(args) -> int:
     doc = load_config_file(args.config)
     scenario_dir = args.scenarios or str(Path(__file__).parent / "scenarios")
     scenarios = load_scenario_dir(scenario_dir)
-    factory = _make_backend_factory(args, doc)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "cycles.jsonl"
-    rows, results, excluded = replay_evaluate(scenarios, factory, log_path=log_path)
+    with _backend_factory(args, doc) as factory:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        rows, results, excluded = replay_evaluate(scenarios, factory, log_path=log_path)
     table_path = out_dir / "success_table.csv"
     write_success_table(rows, table_path)
     for row in rows:
@@ -404,6 +412,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except GazeshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)

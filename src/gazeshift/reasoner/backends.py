@@ -4,18 +4,22 @@ ScriptedBackend replays canned responses from a scenario file (pure,
 offline). OracleBackend answers from evaluation metadata with a
 configurable delay — delay 1 is the always-correct reference, delay 3
 lands outside the two-cycle correctness window and must score zero.
-RemoteBackend talks to a chat-completions HTTP endpoint.
+RemoteBackend talks to a chat-completions HTTP endpoint over one
+kept-alive connection (standard library only).
 
 Every backend implements query(prompt, image_ref, cycle_index) -> text.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import os
+import ssl
 from dataclasses import dataclass
-
-import requests
+from urllib.parse import unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from ..config import read_config
 from ..errors import BackendError
@@ -100,11 +104,62 @@ def build_request(config: RemoteConfig, prompt: str, image_ref: str | None) -> d
     }
 
 
+def _split_url(text: str, what: str, schemes=("http", "https")):
+    """``(urlsplit(text), its port or None)``; BackendError unless it is a URL
+    of one of ``schemes`` with a host and a valid port."""
+    url = urlsplit(text)
+    try:
+        port = url.port
+    except ValueError as exc:
+        raise BackendError(f"{what} {text!r}: {exc}") from None
+    if url.scheme not in schemes or not url.hostname:
+        raise BackendError(f"{what} {text!r} is not an {' or '.join(schemes)} URL")
+    return url, port
+
+
+def _connection_for(endpoint: str, timeout: float):
+    """``(connection, request target, proxy headers)`` for POSTs to ``endpoint``.
+
+    The ``http_proxy``/``https_proxy``/``no_proxy`` environment is read here,
+    once. Through an HTTP proxy the target is the absolute URL; an HTTPS
+    endpoint behind a proxy is reached through a CONNECT tunnel. TLS verifies
+    against the system CA store. ``timeout`` bounds the connect and each read.
+    No socket opens until the first request.
+    """
+    url, port = _split_url(endpoint, "endpoint")
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    proxy = None if proxy_bypass(url.netloc.rpartition("@")[2]) else getproxies().get(url.scheme)
+    tls = {"context": ssl.create_default_context()} if url.scheme == "https" else {}
+    connection_cls = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+    if proxy is None:
+        return connection_cls(url.hostname, port, timeout=timeout, **tls), target, {}
+    proxy_url, proxy_port = _split_url(proxy if "://" in proxy else f"http://{proxy}",
+                                       f"{url.scheme} proxy", schemes=("http",))
+    auth = {}
+    if proxy_url.username is not None:
+        credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+        auth["Proxy-Authorization"] = \
+            "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+    conn = connection_cls(proxy_url.hostname, proxy_port or 80, timeout=timeout, **tls)
+    if tls:
+        conn.set_tunnel(url.hostname, port, headers=auth)
+        return conn, target, {}
+    return conn, url._replace(fragment="").geturl(), auth
+
+
 class RemoteBackend:
-    """One chat-completion HTTP request per cycle, within a hard deadline."""
+    """One chat-completion HTTP request per cycle, within a hard deadline.
+
+    Every request goes over one kept-alive connection, opened on the first
+    query. A transport failure closes it and the next query reconnects, so a
+    connection the server dropped costs one failed query. ``close`` ends it.
+    """
 
     def __init__(self, config: RemoteConfig):
         self.config = config
+        self._conn, self._target, self._headers = _connection_for(
+            config.endpoint, config.timeout)
+        self._headers["Content-Type"] = "application/json"
 
     def _auth_token(self) -> str:
         token = self.config.api_key or os.environ.get(API_KEY_ENV)
@@ -114,27 +169,33 @@ class RemoteBackend:
         return token
 
     def preflight(self) -> None:
-        """Check deadline and credentials without sending anything."""
+        """Check deadline and credentials without sending anything.
+
+        The bearer token is resolved here, once, for every later query.
+        """
         if self.config.timeout <= 0:
             raise BackendError("backend deadline is not positive; "
                                "requests would never be sent")
-        self._auth_token()
+        self._headers["Authorization"] = f"Bearer {self._auth_token()}"
 
     def query(self, prompt: str, image_ref: str | None, cycle_index: int) -> str:
-        self.preflight()
-        token = self._auth_token()
-        body = build_request(self.config, prompt, image_ref)
+        if "Authorization" not in self._headers:
+            self.preflight()
+        body = json.dumps(build_request(self.config, prompt, image_ref)).encode("utf-8")
         try:
-            resp = requests.post(
-                self.config.endpoint,
-                json=body,
-                headers={"Authorization": f"Bearer {token}"},
-                timeout=self.config.timeout,
-            )
-            resp.raise_for_status()
-            doc = resp.json()
-            return doc["choices"][0]["message"]["content"]
-        except requests.RequestException as exc:
-            raise BackendError(f"transport failure: {exc}") from exc
-        except (KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
+            self._conn.request("POST", self._target, body, self._headers)
+            resp = self._conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            self._conn.close()
+            raise BackendError(f"transport failure: {type(exc).__name__}: {exc}") from exc
+        if not 200 <= resp.status < 300:
+            raise BackendError(f"transport failure: HTTP {resp.status} {resp.reason} "
+                               f"from {self.config.endpoint}")
+        try:
+            return json.loads(data.decode("utf-8"))["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion payload: {exc}") from exc
+
+    def close(self) -> None:
+        self._conn.close()

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         # The model configs and the schedule (lr, milestones, lr_decay) check the rest.
         self.vqvae_config(), self.prior_config(), self.lr_schedule()
 

@@ -474,6 +474,33 @@ def test_sample_rejects_non_positive_n(pipeline, tmp_path, capsys, n):
     assert not (out / "samples.json").exists()
 
 
+# -- negative seeds ------------------------------------------------------------------------
+
+def test_gen_data_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["gen-data", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_rejects_negative_seed(pipeline, tmp_path, capsys):
+    _, _, _, run_dir = pipeline
+    out = tmp_path / "s"
+    assert main(["sample", "--run", str(run_dir), "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_training_config_rejects_negative_seed(pipeline, tmp_path, capsys):
+    _, _, data_dir, _ = pipeline
+    config = write_config(tmp_path, {"training": {"seed": -1}})
+    out = tmp_path / "run"
+    assert main(["train", "--config", config, "--dataset", str(data_dir / "dataset.jsonl"),
+                 "--out", str(out)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- replay --------------------------------------------------------------------------------
 
 def test_replay_scripted_bundle(tmp_path, capsys):
@@ -523,6 +550,15 @@ def test_replay_remote_fails_fast_on_dead_deadline(tmp_path, monkeypatch):
         "timeout": 0.0}})
     assert main(["replay", "--backend", "remote", "--config", config,
                  "--out", str(tmp_path / "r")]) == 5
+
+
+def test_replay_remote_fails_fast_on_non_http_endpoint(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    config = write_config(tmp_path, {"backend": {"endpoint": "example.test/v1", "model": "m"}})
+    out = tmp_path / "r"
+    assert main(["replay", "--backend", "remote", "--config", config, "--out", str(out)]) == 5
+    assert "is not an http or https URL" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- manifest integrity ----------------------------------------------------------------------
@@ -580,3 +616,19 @@ def test_console_script_on_path_runs():
     proc = subprocess.run(["gazeshift", "--version"],
                           capture_output=True, text=True)
     assert_prints_version(proc)
+
+
+# -- dependencies --------------------------------------------------------------------------
+
+def test_cli_import_pulls_in_no_http_library():
+    """The CLI, remote backend included, needs only numpy and the standard library."""
+    package_root = str(Path(gazeshift.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root,
+                                               os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, gazeshift.cli; "
+             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert read_pyproject()["project"]["dependencies"] == ["numpy>=1.24"]
