@@ -30,7 +30,7 @@ from .reasoner import OracleBackend, RemoteBackend, ScriptedBackend, load_scenar
 from .reasoner.backends import RemoteConfig
 from .reasoner.replay import replay_evaluate, write_success_table
 from .so3 import EyePose, HeadPose
-from .trainer import (PRIOR_CHECKPOINT, STAGE1_CHECKPOINT,
+from .trainer import (PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, CodeErrors,
                       TrainConfig, dataset_arrays, record_codes,
                       run_training, validate_stage1, validate_stage2)
 from .vqvae import ConditionalVQVAE, ConditionVector
@@ -211,20 +211,19 @@ def cmd_eval(args) -> int:
     Yv, Cv = dataset_arrays(dataset, "val")
     eye1, head1, utilization = validate_stage1(model, Yv, Cv)
     val_labels = record_codes(model, dataset, "val")
-    eye2, head2, top1 = validate_stage2(model, prior, Yv, Cv, val_labels)
+    preds = model.decode_codes(Cv)
+    eye2, head2, top1 = validate_stage2(prior, Cv, CodeErrors.of(preds, Yv, Cv), val_labels)
 
     # How each code splits work between head and eyes, over validation
     # conditions that argmax-decode to it.
-    pi = prior.forward_rows(Cv)
-    codes = np.argmax(pi, axis=1)
+    codes = np.argmax(prior.forward_rows(Cv), axis=1)
     per_code = {}
-    for k in sorted(set(int(c) for c in codes)):
-        rows = np.where(codes == k)[0]
-        pred = model.decode_rows(np.tile(model.codebook[k], (len(rows), 1)), Cv[rows])
+    for k in np.unique(codes).tolist():
+        pred = preds[k, codes == k]
         head_mag = np.linalg.norm(pred[:, 2:4], axis=1)
         eye_mag = np.linalg.norm(pred[:, 0:2], axis=1)
         ratio = head_mag / np.maximum(head_mag + eye_mag, 1e-12)
-        per_code[str(k)] = {"val_count": int(len(rows)),
+        per_code[str(k)] = {"val_count": len(pred),
                             "mean_head_contribution": float(ratio.mean())}
     report = {
         "stage1": {"val_eye_mgd_deg": eye1, "val_head_mgd_deg": head1,

@@ -10,7 +10,9 @@ where z* is the code the frozen encoder assigned to the training sample,
 ``focal`` is the focal loss -(1 - pi[z*])**gamma * log(pi[z*]), and ``mc``
 is a motion-consistency check: decode the currently most likely code with
 the frozen decoder and measure the geodesic error of the resulting target
-poses against ground truth (:func:`motion_consistency_rows`). The argmax
+poses against ground truth, d_eye + lambda_mc * d_head. Stage 2 looks the
+errors up in tables of every code decoded for every row
+(``trainer.CodeErrors``), built once because the decoder is frozen. The argmax
 blocks any gradient, so mc shapes checkpoint selection and reporting but
 contributes exactly zero gradient wherever the argmax index is locally
 constant; no relaxation is applied, and checkpoints record this as
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nets
-from .vqvae import ConditionVector, condition_inputs, pose_errors_rows
+from .vqvae import ConditionVector, condition_inputs
 
 PROB_FLOOR = 1e-12  # floor on pi[z*] before the log
 _DIST_ATOL = 1e-9   # tolerated deviation of sum(pi) from 1
@@ -93,19 +95,6 @@ def focal_loss_rows(logits: np.ndarray, labels: np.ndarray, gamma: float = 2.0):
     dlogits = pi * (-(dval_dp * p))[:, None] / n
     dlogits[rows, labels] += dval_dp * p / n
     return float(vals.mean()), vals, dlogits
-
-
-def motion_consistency_rows(model, logits: np.ndarray, Y: np.ndarray, C: np.ndarray,
-                            lambda_mc: float = 1.0) -> np.ndarray:
-    """Per-row geodesic error of the most likely code's decoded allocation.
-
-    ``model`` needs a ``codebook`` array and ``decode_rows(Zq, C)``. Returns
-    d_eye + lambda_mc * d_head against the true allocations ``Y``; the
-    argmax makes the value piecewise constant in ``logits``.
-    """
-    pred = model.decode_rows(model.codebook[np.argmax(logits, axis=1)], C)
-    d_eye, d_head = pose_errors_rows(pred, Y, C)
-    return d_eye + lambda_mc * d_head
 
 
 def sample_code(pi: np.ndarray, rng: np.random.Generator, size: int | None = None):

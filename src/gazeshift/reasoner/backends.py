@@ -13,13 +13,10 @@ Every backend implements query(prompt, image_ref, cycle_index) -> text.
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import os
-import ssl
 from dataclasses import dataclass
 from urllib.parse import unquote, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from ..config import read_config
 from ..errors import BackendError
@@ -126,6 +123,12 @@ def _connection_for(endpoint: str, timeout: float):
     against the system CA store. ``timeout`` bounds the connect and each read.
     No socket opens until the first request.
     """
+    # Imported here, not at module level: they take a tenth of the CLI's
+    # import time, and only a remote backend needs them.
+    import http.client
+    import ssl
+    from urllib.request import getproxies, proxy_bypass
+
     url, port = _split_url(endpoint, "endpoint")
     target = (url.path or "/") + (f"?{url.query}" if url.query else "")
     proxy = None if proxy_bypass(url.netloc.rpartition("@")[2]) else getproxies().get(url.scheme)
@@ -156,10 +159,13 @@ class RemoteBackend:
     """
 
     def __init__(self, config: RemoteConfig):
+        import http.client
+
         self.config = config
         self._conn, self._target, self._headers = _connection_for(
             config.endpoint, config.timeout)
         self._headers["Content-Type"] = "application/json"
+        self._transport_errors = (OSError, http.client.HTTPException)
 
     def _auth_token(self) -> str:
         token = self.config.api_key or os.environ.get(API_KEY_ENV)
@@ -186,7 +192,7 @@ class RemoteBackend:
             self._conn.request("POST", self._target, body, self._headers)
             resp = self._conn.getresponse()
             data = resp.read()
-        except (OSError, http.client.HTTPException) as exc:
+        except self._transport_errors as exc:
             self._conn.close()
             raise BackendError(f"transport failure: {type(exc).__name__}: {exc}") from exc
         if not 200 <= resp.status < 300:

@@ -11,7 +11,10 @@ batch step and its epoch metrics. A ValueError in a step, such as a
 non-finite loss or gradient, aborts the run as a TrainingError.
 
 Every epoch is validated: stage 1 teacher-forced (encode the ground-truth
-allocation, quantise, decode), stage 2 with the prior's argmax code. The
+allocation, quantise, decode), stage 2 with the prior's argmax code. With
+the VQ-VAE frozen, the pose errors of a decoded code depend only on (row,
+code), so stage 2 decodes every code once per row before it starts
+(``CodeErrors``) and its steps and validations look the errors up. The
 metric is the mean geodesic distance (MGD, degrees) between predicted and
 ground-truth target poses, per component; the best checkpoint of each
 stage minimises the summed eye+head validation MGD.
@@ -153,9 +156,8 @@ def dataset_arrays(dataset: Dataset, which: str):
     return Y, C
 
 
-def _mgd_rows(pred: np.ndarray, Y: np.ndarray, C: np.ndarray):
-    """Per-component MGD (degrees) of predicted allocation rows."""
-    d_eye, d_head = pose_errors_rows(pred, Y, C)
+def _mgd(d_eye: np.ndarray, d_head: np.ndarray):
+    """Per-component MGD (degrees) of per-row pose errors (radians)."""
     return math.degrees(float(d_eye.mean())), math.degrees(float(d_head.mean()))
 
 
@@ -207,7 +209,7 @@ def _fit(stage: int, flat: np.ndarray, params: dict, n: int, epochs: int,
 
 def validate_stage1(model: ConditionalVQVAE, Yv, Cv):
     idx, _, _, pred = model.forward_rows(Yv, Cv)
-    eye_mgd, head_mgd = _mgd_rows(pred, Yv, Cv)
+    eye_mgd, head_mgd = _mgd(*pose_errors_rows(pred, Yv, Cv))
     utilization = len(np.unique(idx)) / model.config.codebook_size
     return eye_mgd, head_mgd, utilization
 
@@ -245,10 +247,27 @@ def record_codes(model: ConditionalVQVAE, dataset: Dataset, which: str = "train"
     return idx
 
 
-def validate_stage2(model, prior, Yv, Cv, val_labels):
+@dataclass(frozen=True)
+class CodeErrors:
+    """Pose errors (radians) of every code's decoded allocation: (n, K) per component."""
+
+    eye: np.ndarray
+    head: np.ndarray
+
+    @classmethod
+    def of(cls, preds: np.ndarray, Y: np.ndarray, C: np.ndarray) -> "CodeErrors":
+        """Tables for ``preds = model.decode_codes(C)`` against the true rows ``Y``."""
+        eye, head = zip(*(pose_errors_rows(pred, Y, C) for pred in preds))
+        return cls(np.stack(eye, axis=1), np.stack(head, axis=1))
+
+    def at(self, rows: np.ndarray, codes: np.ndarray):
+        """(d_eye, d_head) of ``codes[i]`` decoded for row ``rows[i]``."""
+        return self.eye[rows, codes], self.head[rows, codes]
+
+
+def validate_stage2(prior, Cv, val_errors: CodeErrors, val_labels):
     codes = np.argmax(prior.forward_rows(Cv), axis=1)
-    pred = model.decode_rows(model.codebook[codes], Cv)
-    eye_mgd, head_mgd = _mgd_rows(pred, Yv, Cv)
+    eye_mgd, head_mgd = _mgd(*val_errors.at(np.arange(len(codes)), codes))
     top1 = float((codes == val_labels).mean())
     return eye_mgd, head_mgd, top1
 
@@ -271,13 +290,16 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
                              target_scale=config.target_scale)
     Yv, Cv = dataset_arrays(dataset, "val")
     val_labels = record_codes(model, dataset, "val")
+    errors = CodeErrors.of(model.decode_codes(C), Y, C)
+    val_errors = CodeErrors.of(model.decode_codes(Cv), Yv, Cv)
 
     def step(batch):
         logits = prior.logits_rows(C[batch])
         focal, _, dlogits = prior_mod.focal_loss_rows(logits, labels[batch], config.gamma)
-        # Value-only: the argmax inside blocks any gradient.
-        mc = float(prior_mod.motion_consistency_rows(
-            model, logits, Y[batch], C[batch], config.lambda_mc).mean())
+        # Motion consistency of the argmax code, value-only: the argmax blocks
+        # any gradient.
+        d_eye, d_head = errors.at(batch, np.argmax(logits, axis=1))
+        mc = float((d_eye + config.lambda_mc * d_head).mean())
         if not (math.isfinite(focal) and math.isfinite(mc)):
             raise ValueError("non-finite loss")
         grad, _ = prior.net.backward(dlogits)
@@ -285,7 +307,7 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
 
     def end_epoch(epoch, lr, means):
         focal, mc = means.tolist()
-        eye_mgd, head_mgd, top1 = validate_stage2(model, prior, Yv, Cv, val_labels)
+        eye_mgd, head_mgd, top1 = validate_stage2(prior, Cv, val_errors, val_labels)
         return EpochMetrics(
             stage=2, epoch=epoch, lr=lr, loss_total=focal + config.eta * mc,
             loss_focal=focal, loss_mc=mc,

@@ -62,6 +62,9 @@ ALLOCATION_FIELDS = (
 )
 
 _MIN_TARGET_NORM = 0.05
+# Most rows per decode_rows call in decode_codes: one validation pass, so
+# building the per-code tables caches no larger activations than validation.
+_DECODE_CHUNK = 161
 
 
 def condition_inputs(C: np.ndarray, target_scale: float) -> np.ndarray:
@@ -294,6 +297,21 @@ class ConditionalVQVAE:
         f_c = self.cond_encoder.forward(self.condition_inputs(C))
         h = self.fusion_out.forward(np.concatenate([Zq, f_c], axis=1))
         return self.decoder.forward(h)
+
+    def decode_codes(self, C: np.ndarray) -> np.ndarray:
+        """(K, n, 5): the allocation every code decodes to for every condition row.
+
+        Decodes code by code, in near-equal row chunks of at most
+        ``_DECODE_CHUNK``, so no chunk is a single row unless ``C`` is. A
+        row decodes to the same bits in any batch of two or more rows, but
+        numpy multiplies a lone row by a matrix-vector path whose last bits
+        can differ.
+        """
+        chunks = np.array_split(np.asarray(C, dtype=float), -(-len(C) // _DECODE_CHUNK))
+        return np.stack([
+            np.concatenate([self.decode_rows(np.broadcast_to(z_q, (len(rows), len(z_q))), rows)
+                            for rows in chunks])
+            for z_q in self.codebook])
 
     def decode(self, z_q: np.ndarray, c: ConditionVector) -> MotionAllocation:
         """Motion allocation for one latent (typically a codebook entry)."""

@@ -621,12 +621,14 @@ def test_console_script_on_path_runs():
 # -- dependencies --------------------------------------------------------------------------
 
 def test_cli_import_pulls_in_no_http_library():
-    """The CLI, remote backend included, needs only numpy and the standard library."""
+    """The CLI, remote backend included, needs only numpy and the standard library,
+    and loads the standard library's HTTP and TLS modules only for a remote backend."""
     package_root = str(Path(gazeshift.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root,
                                                os.environ.get("PYTHONPATH")]))
     probe = ("import sys, gazeshift.cli; "
-             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+             "print(sorted({'requests', 'urllib3', 'ssl', 'http.client', 'urllib.request'}"
+             " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == 0, proc.stderr

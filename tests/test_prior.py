@@ -1,10 +1,13 @@
 """Conditional prior: softmax, focal loss, motion consistency, sampling.
 
-The motion-consistency term (``motion_consistency_rows``, the code stage-2
-training runs) rides on the argmax code through the frozen decoder, so
-wherever the argmax is locally constant the term is locally constant in
-the prior parameters — the tests assert its finite difference is exactly
-zero there, and that the training gradient is the focal gradient alone.
+The motion-consistency term rides on the argmax code through the frozen
+decoder, so wherever the argmax is locally constant the term is locally
+constant in the prior parameters — the tests assert its finite difference
+is exactly zero there, and that the training gradient is the focal
+gradient alone. ``motion_consistency_rows`` below decodes the argmax code
+batch by batch; it is the oracle for the per-code error tables
+(``trainer.CodeErrors``) that stage-2 training and validation look up, and
+the tests require the two to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ import numpy as np
 import pytest
 
 from gazeshift.prior import (PROB_FLOOR, ConditionalPrior, PriorConfig,
-                             check_distribution, focal_loss_rows,
-                             motion_consistency_rows, sample_code, softmax_rows)
+                             check_distribution, focal_loss_rows, sample_code,
+                             softmax_rows)
 from gazeshift.so3 import EyePose, HeadPose
-from gazeshift.vqvae import ConditionalVQVAE, ConditionVector, VQVAEConfig
+from gazeshift.trainer import CodeErrors, validate_stage2
+from gazeshift.vqvae import ConditionalVQVAE, ConditionVector, VQVAEConfig, pose_errors_rows
 
 FD_H = 1e-6
 FD_REL = 1e-4
@@ -32,6 +36,19 @@ def small_prior(seed: int = 0) -> ConditionalPrior:
 def a_condition() -> ConditionVector:
     return ConditionVector(EyePose(0.1, -0.05), HeadPose(0.2, 0.1, 0.02),
                            [1.4, 0.6, 0.3])
+
+
+def motion_consistency_rows(model, logits: np.ndarray, Y: np.ndarray, C: np.ndarray,
+                            lambda_mc: float = 1.0) -> np.ndarray:
+    """Per-row geodesic error of the most likely code's decoded allocation.
+
+    ``model`` needs a ``codebook`` array and ``decode_rows(Zq, C)``. Returns
+    d_eye + lambda_mc * d_head against the true allocations ``Y``; the
+    argmax makes the value piecewise constant in ``logits``.
+    """
+    pred = model.decode_rows(model.codebook[np.argmax(logits, axis=1)], C)
+    d_eye, d_head = pose_errors_rows(pred, Y, C)
+    return d_eye + lambda_mc * d_head
 
 
 def focal_loss(pi: np.ndarray, index: int, gamma: float = 2.0) -> float:
@@ -192,6 +209,49 @@ def test_motion_consistency_same_axis_oracle():
     val = mc_rows(decoder, logits_for(0, 1), c, EyePose(0, 0),
                   HeadPose(0.3, 0, 0), lambda_mc=2.0)[0]
     assert val == pytest.approx(0.6, abs=1e-9)
+
+
+class FixedPrior:
+    """A prior whose code distribution per row is given up front."""
+
+    def __init__(self, pi):
+        self.pi = pi
+
+    def forward_rows(self, C):
+        return self.pi
+
+
+@pytest.mark.parametrize("n", [170, 162, 161, 40])
+@pytest.mark.parametrize("lambda_mc", [1.0, 0.7])
+def test_code_error_tables_equal_per_batch_decoding(n, lambda_mc):
+    """The gathered stage-2 values and validation MGDs equal the oracle bit for bit.
+
+    At the shipped widths. 170 and 162 rows do not fill whole 161-row
+    decode chunks; 162 would leave a single-row chunk if cut greedily.
+    """
+    rng = np.random.default_rng(n)
+    model = ConditionalVQVAE(VQVAEConfig(), seed=3)
+    K = model.config.codebook_size
+    C = np.concatenate([rng.uniform(-0.3, 0.3, (n, 5)), rng.uniform(0.5, 2.0, (n, 3))], axis=1)
+    Y = rng.uniform(-0.6, 0.6, (n, 5))
+    logits = rng.normal(size=(n, K)) * 3
+    errors = CodeErrors.of(model.decode_codes(C), Y, C)
+    # Training batches: a shuffle cut into batches of 32 and a short
+    # remainder, plus batches of 2 and 3. Not single rows: numpy decodes a
+    # one-row batch by a matrix-vector path whose last bits can differ.
+    perm = rng.permutation(n)
+    batches = [perm[i:i + 32] for i in range(0, n, 32)] + [perm[:2], perm[-3:]]
+    for batch in (b for b in batches if len(b) > 1):
+        d_eye, d_head = errors.at(batch, np.argmax(logits[batch], axis=1))
+        oracle = motion_consistency_rows(model, logits[batch], Y[batch], C[batch], lambda_mc)
+        assert np.array_equal(d_eye + lambda_mc * d_head, oracle)
+    # Validation over all rows at once.
+    labels = rng.integers(0, K, size=n)
+    codes = np.argmax(logits, axis=1)
+    d_eye, d_head = pose_errors_rows(model.decode_rows(model.codebook[codes], C), Y, C)
+    expected = (math.degrees(float(d_eye.mean())), math.degrees(float(d_head.mean())),
+                float((codes == labels).mean()))
+    assert validate_stage2(FixedPrior(softmax_rows(logits)), C, errors, labels) == expected
 
 
 # -- the argmax blocks the consistency gradient ------------------------------------------

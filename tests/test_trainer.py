@@ -24,7 +24,7 @@ from gazeshift.prior import ConditionalPrior
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                PRIOR_CHECKPOINT, STAGE1_CHECKPOINT,
-                               EpochMetrics, TrainConfig, dataset_arrays,
+                               CodeErrors, EpochMetrics, TrainConfig, dataset_arrays,
                                infer, record_codes, run_training,
                                train_stage1, train_stage2, validate_stage1,
                                validate_stage2, write_metrics_csv)
@@ -220,12 +220,33 @@ def test_stage2_leaves_stage1_frozen(small_dataset):
     assert model.fingerprint() == before
 
 
+def test_stage2_decodes_as_often_at_any_epoch_count(trained, small_dataset, monkeypatch):
+    """Stage 2 decodes its tables once; no step or validation decodes again."""
+    model, labels = trained[0], trained[2]
+    real = ConditionalVQVAE.decode_rows
+    calls = []
+
+    def counted(self, Zq, C):
+        calls.append(len(C))
+        return real(self, Zq, C)
+
+    monkeypatch.setattr(ConditionalVQVAE, "decode_rows", counted)
+    counts = []
+    for epochs in (1, 3):
+        calls.clear()
+        train_stage2(model, labels, small_dataset,
+                     dataclasses.replace(SMALL_TRAIN, stage2_epochs=epochs))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_validate_stage2_recomputes_from_public_pieces(trained, small_dataset):
     model, prior = trained[0], trained[3]
     Yv, Cv = dataset_arrays(small_dataset, "val")
     eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
     val_labels = record_codes(model, small_dataset, "val")
-    eye_mgd, head_mgd, top1 = validate_stage2(model, prior, Yv, Cv, val_labels)
+    val_errors = CodeErrors.of(model.decode_codes(Cv), Yv, Cv)
+    eye_mgd, head_mgd, top1 = validate_stage2(prior, Cv, val_errors, val_labels)
     codes = np.argmax(prior.forward_rows(Cv), axis=1)
     pred = model.decode_rows(model.codebook[codes], Cv)
     eye_poses = [EyePose(*(Cv[i, 0:2] + pred[i, 0:2])) for i in range(len(Cv))]
