@@ -1,10 +1,11 @@
 """Command-line entry point: gen-data, train, eval, sample, replay.
 
-Every subcommand accepts --seed, --config and --out, reads an optional
-JSON config file (sections: "generator", "training", "backend"; explicit
-flags win over file values), and writes a run manifest next to its
-outputs. Failure classes map to distinct exit codes so scripts can react:
-config 2, data 3, training 4, backend 5.
+Every subcommand accepts --config and --out, reads an optional JSON config
+file (sections: "generator", "training", "backend"; explicit flags win over
+file values), and writes a run manifest next to its outputs. gen-data, train
+and sample, the subcommands that draw random numbers, also accept --seed;
+eval and replay reject it as a usage error. Failure classes map to distinct
+exit codes so scripts can react: config 2, data 3, training 4, backend 5.
 """
 
 from __future__ import annotations
@@ -366,17 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
+    def common(p, seeded: bool = False):
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="runs/latest", help="output directory")
 
     p = sub.add_parser("gen-data", help="generate a synthetic gaze-shift dataset")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run stage-1/stage-2 training")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--dataset", required=True, help="dataset JSONL path")
     p.add_argument("--stage", choices=("1", "2", "both"), default="both")
     p.set_defaults(func=cmd_train)
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="draw diverse allocations for one condition")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--run", required=True, help="training output directory")
     p.add_argument("--n", type=int, default=10, help="number of draws")
     p.add_argument("--mode", choices=("sample", "argmax"), default="sample")
@@ -411,8 +413,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {seed}")
         return args.func(args)
     except GazeshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,7 +92,10 @@ class DenseNetwork:
     Inputs may be a single vector (d,) or a row batch (n, d). ``forward``
     caches layer inputs and pre-activations; ``backward`` consumes the most
     recent cache and returns parameter gradients summed over the batch rows
-    together with the gradient at the input.
+    together with the gradient at the input. ``forward`` checks the input
+    width but not its values: the models check their rows once, where they
+    enter (``vqvae.condition_inputs``, ``encode_rows``, ``decode_rows``),
+    and ``load_checkpoint`` refuses non-finite parameters.
     """
 
     def __init__(self, weights, biases, activations):
@@ -155,8 +158,6 @@ class DenseNetwork:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("network input contains non-finite values")
         single = x.ndim == 1
         h = x[None, :] if single else x
         if h.shape[1] != self.weights[0].shape[0]:
@@ -364,4 +365,8 @@ def load_checkpoint(path) -> Checkpoint:
             m=layout.pack(m),
             v=layout.pack(decode_params(opt["v"])),
         )
-    return Checkpoint(decode_params(doc["params"]), optimizer, doc.get("metadata", {}))
+    params = decode_params(doc["params"])
+    for name, p in params.items():
+        if not np.isfinite(p).all():
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
+    return Checkpoint(params, optimizer, doc.get("metadata", {}))

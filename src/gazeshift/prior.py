@@ -56,7 +56,7 @@ def check_distribution(pi: np.ndarray, k: int | None = None) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or (k is not None and pi.shape[0] != k):
         raise ValueError(f"distribution has wrong shape {pi.shape}")
-    if not np.all(np.isfinite(pi)) or np.any(pi < 0):
+    if not np.isfinite(pi).all() or (pi < 0).any():
         raise ValueError("distribution entries must be finite and non-negative")
     if abs(float(pi.sum()) - 1.0) > _DIST_ATOL:
         raise ValueError(f"distribution sums to {pi.sum()!r}, not 1")
@@ -102,9 +102,15 @@ def sample_code(pi: np.ndarray, rng: np.random.Generator, size: int | None = Non
 
     ``size=None`` returns one ``int``; ``size=n`` returns an array of n
     indices and leaves ``rng`` where n single draws would leave it.
+
+    The draws are those of ``rng.choice(len(pi), size=size, p=pi / pi.sum())``
+    (numpy's own inverse-CDF search, written out), without ``choice``'s
+    second validation of a ``pi`` that ``check_distribution`` has passed.
     """
     pi = check_distribution(pi)
-    codes = rng.choice(len(pi), size=size, p=pi / pi.sum())
+    cdf = np.cumsum(pi / pi.sum())
+    cdf /= cdf[-1]
+    codes = cdf.searchsorted(rng.random(size), side="right")
     return int(codes) if size is None else codes
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..atomic import open_atomic
@@ -78,11 +79,12 @@ def replay_evaluate(scenarios, backend_factory, log_path=None):
     ``backend_factory(scenario)`` builds a fresh backend per scenario (a
     scripted backend is bound to one scenario's canned responses).
     Scenarios without evaluation metadata are excluded with a warning.
+    The cycle log at ``log_path`` is written atomically: a replay that fails
+    or is killed leaves the previous log as it was.
     """
     results = []
     excluded = []
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    with (open_atomic(log_path) if log_path else nullcontext()) as log_fh:
         for scenario in scenarios:
             if not scenario.has_evaluation_metadata():
                 warnings.warn(f"scenario {scenario.scenario_id} has no cue/expected "
@@ -90,9 +92,6 @@ def replay_evaluate(scenarios, backend_factory, log_path=None):
                 excluded.append(scenario.scenario_id)
                 continue
             results.append(replay_scenario(scenario, backend_factory(scenario), log_fh=log_fh))
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     rows = []
     for group in REGULARITIES:
         group_results = [r for r in results if r.regularity == group]

@@ -331,13 +331,16 @@ def infer(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str = "samp
     """Draw (or argmax) a code from the prior and decode it for condition c."""
     if mode not in ("sample", "argmax"):
         raise ValueError(f"unknown inference mode {mode!r}")
-    pi = prior.forward(c)
+    # One flattened condition row feeds both models; decoding keeps the
+    # single-row product that `model.decode` runs, so the bits are its bits.
+    x = c.as_input()[None, :]
+    pi = prior.forward_rows(x)[0]
     if mode == "argmax":
         code = int(np.argmax(pi))
     else:
         code = prior_mod.sample_code(pi, rng if rng is not None else np.random.default_rng())
-    allocation = model.decode(model.codebook[code], c)
-    return InferenceResult(allocation, code, pi)
+    pred = model.decode_rows(model.codebook[code][None, :], x)[0]
+    return InferenceResult(MotionAllocation(pred[:2], pred[2:5]), code, pi)
 
 
 def write_metrics_csv(path, rows) -> None:

@@ -67,9 +67,25 @@ _MIN_TARGET_NORM = 0.05
 _DECODE_CHUNK = 161
 
 
+def _finite_rows(A: np.ndarray, what: str) -> np.ndarray:
+    """``A`` as a float array; raises ValueError if any entry is NaN or inf.
+
+    Rows are checked here, once, where they enter a model: the networks'
+    ``forward`` does not check values again.
+    """
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{what} contain non-finite values")
+    return A
+
+
 def condition_inputs(C: np.ndarray, target_scale: float) -> np.ndarray:
-    """Condition rows as network inputs: the target columns divided by ``target_scale``."""
-    X = np.array(C, dtype=float)
+    """Condition rows as network inputs: the target columns divided by ``target_scale``.
+
+    Every condition row of either model enters through here, and a NaN or
+    inf in ``C`` raises ValueError.
+    """
+    X = _finite_rows(np.array(C, dtype=float), "condition rows")
     X[:, 5:8] /= target_scale
     return X
 
@@ -147,9 +163,10 @@ class MotionAllocation:
         dh = np.asarray(self.delta_head, dtype=float)
         if de.shape != (2,) or dh.shape != (3,):
             raise ValueError("delta_eye must be (2,) and delta_head (3,)")
-        if not (np.all(np.isfinite(de)) and np.all(np.isfinite(dh))):
+        both = np.concatenate([de, dh])
+        if not np.isfinite(both).all():
             raise ValueError("motion increments must be finite")
-        if np.abs(de).max() > math.pi or np.abs(dh).max() > math.pi:
+        if np.abs(both).max() > math.pi:
             raise ValueError("motion increments must lie within [-pi, pi]")
         object.__setattr__(self, "delta_eye", de)
         object.__setattr__(self, "delta_head", dh)
@@ -289,11 +306,12 @@ class ConditionalVQVAE:
         return condition_inputs(C, self.config.target_scale)
 
     def encode_rows(self, Y: np.ndarray, C: np.ndarray) -> np.ndarray:
-        f_y = self.recon_encoder.forward(np.asarray(Y, dtype=float))
+        f_y = self.recon_encoder.forward(_finite_rows(Y, "allocation rows"))
         f_c = self.cond_encoder.forward(self.condition_inputs(C))
         return self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
 
     def decode_rows(self, Zq: np.ndarray, C: np.ndarray) -> np.ndarray:
+        Zq = _finite_rows(Zq, "latent rows")
         f_c = self.cond_encoder.forward(self.condition_inputs(C))
         h = self.fusion_out.forward(np.concatenate([Zq, f_c], axis=1))
         return self.decoder.forward(h)
@@ -327,7 +345,7 @@ class ConditionalVQVAE:
         Runs every section once, so the cached activations serve the
         backward pass of :meth:`loss_and_grads`. Returns (idx, z_e, z_q, pred).
         """
-        f_y = self.recon_encoder.forward(np.asarray(Y, dtype=float))
+        f_y = self.recon_encoder.forward(_finite_rows(Y, "allocation rows"))
         f_c = self.cond_encoder.forward(self.condition_inputs(C))
         z_e = self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
         idx, z_q = quantize_rows(z_e, self.codebook)

@@ -326,10 +326,27 @@ def _extra_param(params):
     params["3.W"] = {"shape": [1, 1], "data": [0.0]}
 
 
+def _nan_weight(params):
+    # json writes and reads NaN and Infinity, and no forward pass checks
+    # parameter values, so loading must refuse them
+    params["decoder.1.W"]["data"][3] = math.nan
+
+
+def _inf_bias(params):
+    params["1.b"]["data"][0] = math.inf
+
+
+def _minus_inf_codebook(params):
+    params["codebook"]["data"][2] = -math.inf
+
+
 @pytest.mark.parametrize("name, edit, reason", [
     ("stage1.json", _drop_bias, "missing"),
     ("stage1.json", _short_bias, "shape"),
     ("prior.json", _extra_param, "unexpected"),
+    ("stage1.json", _nan_weight, "parameter 'decoder.1.W' holds a non-finite value"),
+    ("stage1.json", _minus_inf_codebook, "parameter 'codebook' holds a non-finite value"),
+    ("prior.json", _inf_bias, "parameter '1.b' holds a non-finite value"),
 ])
 def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name, edit, reason):
     _, _, data_dir, run_dir = pipeline
@@ -499,6 +516,23 @@ def test_training_config_rejects_negative_seed(pipeline, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- --seed only where a seed is read ------------------------------------------------------
+
+@pytest.mark.parametrize("subcommand", ["replay", "eval"])
+def test_seed_is_a_usage_error_where_nothing_is_random(pipeline, tmp_path, capsys, subcommand):
+    _, _, data_dir, run_dir = pipeline
+    out = tmp_path / "o"
+    argv = {"replay": ["replay", "--backend", "scripted"],
+            "eval": ["eval", "--dataset", str(data_dir / "dataset.jsonl"),
+                     "--run", str(run_dir)]}[subcommand]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "7", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--out", str(out)]) == 0
 
 
 # -- replay --------------------------------------------------------------------------------

@@ -361,6 +361,37 @@ def test_sample_code_size_n_equals_n_single_draws(pi, seed):
     assert one.random() == many.random()
 
 
+def _pinned_distribution(seed: int):
+    """K = 1..40 in turn; dense, one-hot, then with zero entries, each K twice."""
+    k = 1 + seed % 40
+    rng = np.random.default_rng(10_000 + seed)
+    kind = (seed // 40) % 3
+    if kind == 1:
+        return k, np.eye(k)[rng.integers(k)]
+    pi = rng.random(k)
+    if kind == 2:
+        pi[rng.random(k) < 0.4] = 0.0
+        pi[rng.integers(k)] = 1.0
+    return k, pi / pi.sum()
+
+
+def test_sample_code_equals_generator_choice_draw_for_draw():
+    # sample_code writes out numpy's inverse-CDF search; a numpy release that
+    # changes Generator.choice must fail here, not drift silently.
+    for seed in range(240):
+        k, pi = _pinned_distribution(seed)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (None, 1, 7, 1000):
+            drawn = sample_code(pi, ours, size=size)
+            expected = numpys.choice(k, size=size, p=pi / pi.sum())
+            if size is None:
+                assert type(drawn) is int and drawn == int(expected), (seed, size)
+            else:
+                assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
+                assert np.array_equal(drawn, expected), (seed, size)
+        assert ours.random() == numpys.random(), seed
+
+
 # -- the prior network -----------------------------------------------------------------------
 
 def test_prior_uniform_at_zero_parameters():

@@ -604,6 +604,25 @@ def test_replay_writes_cycle_log(tmp_path):
     assert all("elapsed_s" in d for d in docs)
 
 
+def test_cycle_log_failing_midway_keeps_previous_file(tmp_path):
+    scenario = demo_scenario({0: "TARGET: 1", 1: "TARGET: 2", 2: "TARGET: 1",
+                              3: "TARGET: 1"})
+    log = tmp_path / "cycles.jsonl"
+    replay_evaluate([scenario], ScriptedBackend, log_path=log)
+    before = log.read_bytes()
+
+    def failing_factory(s):
+        if s is not scenario:
+            raise RuntimeError("killed")
+        return ScriptedBackend(s)
+
+    # the first scenario logs its four cycles before the second one fails
+    with pytest.raises(RuntimeError):
+        replay_evaluate([scenario, demo_scenario({})], failing_factory, log_path=log)
+    assert log.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cycles.jsonl"]
+
+
 def test_success_table_failing_midway_keeps_previous_file(tmp_path):
     path = tmp_path / "table.csv"
     write_success_table([GroupRow("H1", 3, 3)], path)

@@ -325,6 +325,24 @@ def test_infer_sampling_follows_pi(trained, small_dataset):
     assert 0.5 * np.abs(freq - pi).sum() <= 0.05  # total variation
 
 
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+def test_infer_equals_forward_sample_and_decode(trained, small_dataset, mode):
+    # infer flattens the condition once and decodes through decode_rows; it
+    # must give the bits of the public pieces it stands for
+    model, prior = trained[0], trained[3]
+    rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+    for sample in small_dataset.subset("val"):
+        c = sample.condition
+        result = infer(model, prior, c, mode=mode, rng=rng)
+        pi = prior.forward(c)
+        code = int(np.argmax(pi)) if mode == "argmax" else prior_module.sample_code(pi, ref_rng)
+        allocation = model.decode(model.codebook[code], c)
+        assert result.code == code
+        assert result.pi.tobytes() == pi.tobytes()
+        assert result.allocation.as_vector().tobytes() == allocation.as_vector().tobytes()
+    assert rng.random() == ref_rng.random()
+
+
 def test_infer_rejects_unknown_mode(trained, small_dataset):
     model, prior = trained[0], trained[3]
     with pytest.raises(ValueError):

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gazeshift import so3
+from gazeshift.prior import ConditionalPrior, PriorConfig
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, MotionAllocation,
-                             VQVAEConfig, pose_errors_rows, quantize_rows,
-                             reconstruction_terms)
+                             VQVAEConfig, condition_inputs, pose_errors_rows,
+                             quantize_rows, reconstruction_terms)
 from gazeshift.so3 import EyePose, HeadPose
 
 FD_H = 1e-6
@@ -117,6 +118,33 @@ def test_motion_allocation_validation():
 
 
 # -- quantize --------------------------------------------------------------------
+
+# Where rows enter a model, and which rows: DenseNetwork.forward does not
+# check values, so each entry point must refuse a NaN or inf row itself.
+_ENTRY_POINTS = {
+    "condition_inputs": ("C", lambda m, p, Y, C, Z: condition_inputs(C, 2.0)),
+    "prior.logits_rows": ("C", lambda m, p, Y, C, Z: p.logits_rows(C)),
+    "prior.forward_rows": ("C", lambda m, p, Y, C, Z: p.forward_rows(C)),
+    "encode_rows": ("Y", lambda m, p, Y, C, Z: m.encode_rows(Y, C)),
+    "forward_rows": ("Y", lambda m, p, Y, C, Z: m.forward_rows(Y, C)),
+    "loss_and_grads": ("Y", lambda m, p, Y, C, Z: m.loss_and_grads(Y, C)),
+    "decode": ("Z", lambda m, p, Y, C, Z: m.decode(Z[1], ConditionVector.from_input(C[1]))),
+    "decode_rows": ("Z", lambda m, p, Y, C, Z: m.decode_rows(Z, C)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_points_reject_non_finite_rows(entry, bad):
+    model = small_model(5)
+    prior = ConditionalPrior(PriorConfig(codebook_size=4, hidden_width=8), seed=5)
+    Y, C = fixture_batch(np.random.default_rng(23))
+    rows = {"Y": Y, "C": C, "Z": model.codebook[:3].copy()}
+    poisoned, call = _ENTRY_POINTS[entry]
+    rows[poisoned][1, -1] = bad
+    with pytest.raises(ValueError, match="contain non-finite values"):
+        call(model, prior, **rows)
+
 
 def test_quantize_nearest_neighbor():
     book = np.array([[0.0, 0.0], [1.0, 1.0]])
