@@ -32,7 +32,7 @@ from .reasoner.backends import RemoteConfig
 from .reasoner.replay import replay_evaluate, write_success_table
 from .so3 import EyePose, HeadPose
 from .trainer import (PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, CodeErrors,
-                      TrainConfig, dataset_arrays, record_codes,
+                      TrainConfig, checkpoint_errors, dataset_arrays, record_codes,
                       run_training, validate_stage1, validate_stage2)
 from .vqvae import ConditionalVQVAE, ConditionVector
 
@@ -196,12 +196,10 @@ def cmd_train(args) -> int:
 
 def _load_models(run_dir):
     run = Path(run_dir)
-    try:
+    with checkpoint_errors(run):
         model, _ = ConditionalVQVAE.load(run / STAGE1_CHECKPOINT)
         prior, _ = ConditionalPrior.load(run / PRIOR_CHECKPOINT,
                                          expect_stage1_fingerprint=model.fingerprint())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise TrainingError(f"cannot load checkpoints from {run}: {exc}") from exc
     return model, prior
 
 

@@ -11,6 +11,8 @@ vector; a :class:`Layout` names the stretches of it (``"0.W"``, ``"0.b"``,
 ...). ``params()`` returns named views into that vector, gradients and
 the Adam moments are flat vectors in the same layout, and the optimizer
 updates the whole vector in place with a few whole-array operations.
+The moments live only in memory while a stage trains: a checkpoint holds
+the weights and their metadata, which is all a load uses.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,15 +176,6 @@ class DenseNetwork:
         self._cache = (inputs, preacts, single)
         return h[0] if single else h
 
-    def preactivations(self, x: np.ndarray) -> list[np.ndarray]:
-        """Pre-activation values per layer for ``x``.
-
-        Finite-difference tests use this to confirm a fixture keeps clear of
-        rectifier kinks, where two-sided differences are meaningless.
-        """
-        self.forward(x)
-        return [z.copy() for z in self._cache[1]]
-
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None):
         """Backprop the cached forward pass.
 
@@ -229,13 +222,6 @@ class AdamState:
         layout = Layout.of(params)
         return cls(lr=lr, weight_decay=weight_decay, layout=layout,
                    m=np.zeros(layout.size), v=np.zeros(layout.size))
-
-    def moments(self) -> tuple[dict, dict]:
-        """Named views of the first and second moments."""
-        return self.layout.views(self.m), self.layout.views(self.v)
-
-    def copy(self) -> "AdamState":
-        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
@@ -296,10 +282,29 @@ def encode_params(params: dict[str, np.ndarray]) -> dict:
     }
 
 
-def decode_params(doc: dict) -> dict[str, np.ndarray]:
+def decode_params(doc, path) -> dict[str, np.ndarray]:
+    """The arrays of an ``encode_params`` document read from ``path``.
+
+    Raises ValueError naming ``path`` unless ``doc`` is an object of
+    ``{"shape": [int, ...], "data": [...]}`` entries whose data fills the
+    shape with finite numbers.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: params must be an object, not {type(doc).__name__}")
     out = {}
     for name, entry in doc.items():
-        arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
+        if not (isinstance(entry, dict) and "shape" in entry and "data" in entry):
+            raise ValueError(f"{path}: parameter {name!r} needs a shape and data")
+        shape = entry["shape"]
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"{path}: parameter {name!r} has shape {shape!r}, "
+                             "not a list of non-negative integers")
+        try:
+            arr = np.array(entry["data"], dtype=float).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: parameter {name!r} has unusable data: {exc}") from exc
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
         out[name] = arr
     return out
 
@@ -313,60 +318,39 @@ def params_fingerprint(params: dict[str, np.ndarray]) -> str:
 @dataclass
 class Checkpoint:
     params: dict
-    optimizer: AdamState | None
     metadata: dict
 
 
-def save_checkpoint(path, params, optimizer: AdamState | None = None, metadata: dict | None = None):
+def save_checkpoint(path, params, metadata: dict | None = None):
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "params": encode_params(params),
-        "optimizer": None,
         "metadata": metadata or {},
     }
-    if optimizer is not None:
-        m, v = optimizer.moments()
-        doc["optimizer"] = {
-            "lr": optimizer.lr,
-            "weight_decay": optimizer.weight_decay,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "step_count": optimizer.step_count,
-            "m": encode_params(m),
-            "v": encode_params(v),
-        }
     with open_atomic(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read ``path``; any file that is not a whole, finite checkpoint raises ValueError.
+
+    Only ``format``, ``version``, ``params`` and ``metadata`` are read, so
+    the ``optimizer`` entry that earlier builds wrote is ignored.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-    optimizer = None
-    if doc.get("optimizer"):
-        opt = doc["optimizer"]
-        m = decode_params(opt["m"])
-        layout = Layout.of(m)
-        optimizer = AdamState(
-            lr=opt["lr"],
-            weight_decay=opt["weight_decay"],
-            beta1=opt["beta1"],
-            beta2=opt["beta2"],
-            eps=opt["eps"],
-            step_count=opt["step_count"],
-            layout=layout,
-            m=layout.pack(m),
-            v=layout.pack(decode_params(opt["v"])),
-        )
-    params = decode_params(doc["params"])
-    for name, p in params.items():
-        if not np.isfinite(p).all():
-            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
-    return Checkpoint(params, optimizer, doc.get("metadata", {}))
+    if "params" not in doc:
+        raise ValueError(f"{path}: checkpoint holds no params")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"{path}: metadata must be an object")
+    return Checkpoint(decode_params(doc["params"], path), metadata)

@@ -144,7 +144,7 @@ class ConditionalPrior:
         """Code distribution pi for one condition."""
         return self.forward_rows(c.as_input()[None, :])[0]
 
-    def save(self, path, optimizer=None, metadata: dict | None = None,
+    def save(self, path, metadata: dict | None = None,
              stage1_fingerprint: str | None = None) -> None:
         meta = dict(metadata or {})
         meta["model"] = {
@@ -154,13 +154,13 @@ class ConditionalPrior:
             "target_scale": self.target_scale,
             "stage1_fingerprint": stage1_fingerprint,
         }
-        nets.save_checkpoint(path, self.params(), optimizer=optimizer, metadata=meta)
+        nets.save_checkpoint(path, self.params(), metadata=meta)
 
     @classmethod
     def load(cls, path, expect_stage1_fingerprint: str | None = None):
         ck = nets.load_checkpoint(path)
         spec = ck.metadata.get("model", {})
-        if spec.get("kind") != "conditional-prior":
+        if not isinstance(spec, dict) or spec.get("kind") != "conditional-prior":
             raise ValueError(f"{path}: checkpoint does not hold a conditional prior")
         if spec.get("mc_gradient", "none") != "none":
             raise ValueError(f"{path}: unsupported mc_gradient mode {spec['mc_gradient']!r}")
@@ -170,7 +170,10 @@ class ConditionalPrior:
                 "prior checkpoint was trained against a different first-stage model "
                 f"(stored fingerprint {stored!r})"
             )
-        config = PriorConfig(**{f.name: spec[f.name] for f in fields(PriorConfig)})
+        try:
+            config = PriorConfig(**{f.name: spec[f.name] for f in fields(PriorConfig)})
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: unusable model config: {exc!r}") from exc
         prior = cls(config, target_scale=spec.get("target_scale", 2.0))
         prior.set_params(ck.params)
         return prior, ck

@@ -110,9 +110,6 @@ class MemoryBuffer:
     prev_record: GazeTargetRecord | None = None
     history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_LENGTH), init=False)
 
-    def is_empty(self) -> bool:
-        return self.prev_record is None and not self.history
-
     def advance(self, marked: MarkedScene | None, record: GazeTargetRecord) -> None:
         """Record this cycle's outcome; the oldest history entry falls off at HISTORY_LENGTH."""
         if marked is not None:

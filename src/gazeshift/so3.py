@@ -103,24 +103,6 @@ class HeadPose:
 Pose = EyePose | HeadPose
 
 
-def compose_target_pose(current: Pose, delta: Pose) -> Pose:
-    """Componentwise sum of a pose and a same-kind increment, wrapped to (-pi, pi]."""
-    if type(current) is not type(delta):
-        raise ValueError(
-            f"cannot compose {type(current).__name__} with {type(delta).__name__}"
-        )
-    if isinstance(current, EyePose):
-        return EyePose(
-            wrap_angle(current.yaw + delta.yaw),
-            wrap_angle(current.pitch + delta.pitch),
-        )
-    return HeadPose(
-        wrap_angle(current.yaw + delta.yaw),
-        wrap_angle(current.pitch + delta.pitch),
-        wrap_angle(current.roll + delta.roll),
-    )
-
-
 def rotation_zyx(angles: np.ndarray) -> np.ndarray:
     """Rotation matrices for intrinsic Z-Y-X Euler angles.
 

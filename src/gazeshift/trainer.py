@@ -6,9 +6,10 @@ every training sample, and fits the conditional prior to those labels with
 the focal + motion-consistency objective.
 
 Both stages run through one epoch loop (``_fit``: Adam, LR schedule,
-shuffle, batches, best-epoch copy and restore); a stage supplies only its
-batch step and its epoch metrics. A ValueError in a step, such as a
-non-finite loss or gradient, aborts the run as a TrainingError.
+shuffle, batches, best-epoch copy of the weights and restore); a stage
+supplies only its batch step and its epoch metrics. A ValueError in a
+step, such as a non-finite loss or gradient, aborts the run as a
+TrainingError.
 
 Every epoch is validated: stage 1 teacher-forced (encode the ground-truth
 allocation, quantise, decode), stage 2 with the prior's argmax code. With
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -167,7 +169,6 @@ class StageResult:
     metrics: list
     best_epoch: int
     best_params: np.ndarray  # flat copy, in the trained model's layout
-    best_optimizer: nets.AdamState
 
     def best_summed(self) -> float:
         return self.metrics[self.best_epoch].summed_mgd()
@@ -202,7 +203,7 @@ def _fit(stage: int, flat: np.ndarray, params: dict, n: int, epochs: int,
             sums = sums + terms * len(batch)
         metrics.append(end_epoch(epoch, adam.lr, sums / n))
         if best is None or metrics[-1].summed_mgd() < best.best_summed():
-            best = StageResult(stage, metrics, epoch, flat.copy(), adam.copy())
+            best = StageResult(stage, metrics, epoch, flat.copy())
     flat[...] = best.best_params
     return best
 
@@ -362,6 +363,20 @@ def _stage1_rows(path: Path) -> list:
     return [row for row in rows[1:] if row[:1] == ["1"]]
 
 
+@contextmanager
+def checkpoint_errors(run_dir):
+    """Report a checkpoint of ``run_dir`` that cannot be read or used as a TrainingError.
+
+    The loaders raise OSError for a file they cannot open and ValueError
+    for anything else: a damaged file, parameters that do not fit the
+    model, or a mismatched stage-1 fingerprint.
+    """
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise TrainingError(f"cannot load checkpoints from {run_dir}: {exc}") from exc
+
+
 def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "both") -> dict:
     """Train the requested stages and write checkpoints + metrics under out_dir.
 
@@ -392,20 +407,19 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     model = None
     if stage in ("1", "both"):
         model, s1 = train_stage1(dataset, config)
-        model.save(out / STAGE1_CHECKPOINT, optimizer=s1.best_optimizer,
-                   metadata=record(s1, out / STAGE1_CHECKPOINT))
+        model.save(out / STAGE1_CHECKPOINT, metadata=record(s1, out / STAGE1_CHECKPOINT))
     if stage in ("2", "both"):
         if model is None:
             ckpt_path = out / STAGE1_CHECKPOINT
             if not ckpt_path.exists():
                 raise TrainingError(f"stage 2 requested but {ckpt_path} does not exist")
-            model, ck = ConditionalVQVAE.load(ckpt_path)
+            with checkpoint_errors(out):
+                model, ck = ConditionalVQVAE.load(ckpt_path)
             if ck.metadata.get("dataset_hash") != dataset_hash:
                 raise TrainingError("stage-1 checkpoint was trained on a different dataset "
                                     "or records no dataset hash")
         prior, s2 = train_stage2(model, record_codes(model, dataset), dataset, config)
-        prior.save(out / PRIOR_CHECKPOINT, optimizer=s2.best_optimizer,
-                   stage1_fingerprint=model.fingerprint(),
+        prior.save(out / PRIOR_CHECKPOINT, stage1_fingerprint=model.fingerprint(),
                    metadata=record(s2, out / PRIOR_CHECKPOINT))
     write_metrics_csv(out / METRICS_FILE, rows)
     summary["elapsed_s"] = time.monotonic() - t0

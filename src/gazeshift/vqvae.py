@@ -174,13 +174,6 @@ class MotionAllocation:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.delta_eye, self.delta_head])
 
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "MotionAllocation":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (len(ALLOCATION_FIELDS),):
-            raise ValueError(f"allocation vector must have {len(ALLOCATION_FIELDS)} entries")
-        return cls(vec[:2], vec[2:5])
-
 
 def quantize_rows(Z: np.ndarray, codebook: np.ndarray):
     """Nearest codebook entry per row; ties go to the smallest index.
@@ -413,16 +406,16 @@ class ConditionalVQVAE:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, path, optimizer=None, metadata: dict | None = None) -> None:
+    def save(self, path, metadata: dict | None = None) -> None:
         meta = dict(metadata or {})
         meta["model"] = {"kind": "conditional-vqvae", **asdict(self.config)}
-        nets.save_checkpoint(path, self.params(), optimizer=optimizer, metadata=meta)
+        nets.save_checkpoint(path, self.params(), metadata=meta)
 
     @classmethod
     def load(cls, path) -> tuple["ConditionalVQVAE", nets.Checkpoint]:
         ck = nets.load_checkpoint(path)
         spec = ck.metadata.get("model", {})
-        if spec.get("kind") != "conditional-vqvae":
+        if not isinstance(spec, dict) or spec.get("kind") != "conditional-vqvae":
             raise ValueError(f"{path}: checkpoint does not hold a conditional VQ-VAE")
         fields = {k: v for k, v in spec.items() if k != "kind"}
         try:

@@ -10,9 +10,11 @@ Twelve hand-authored scenarios, three per interaction regularity:
 Canned responses are authored through mark_scene, so the scripted backend
 answers the expected target's actual mark one cycle after cue onset (and
 dwells there for a second cycle), behaving as a perfect reasoner under
-the two-cycle correctness rule. Regenerate the bundled files with:
+the two-cycle correctness rule. The package ships only the files; this
+builder lives beside the test that checks it reproduces them byte for
+byte. Regenerate the bundled files from the repository root with:
 
-    python -m gazeshift.reasoner.corpus <output dir>
+    PYTHONPATH=src python tests/scenario_corpus.py src/gazeshift/scenarios
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .pipeline import mark_scene
-from .scenario import (CameraIntrinsics, Instance, RigidTransform, Scenario,
-                       ScenarioCycle, write_scenario)
+from gazeshift.reasoner.pipeline import mark_scene
+from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance, RigidTransform, Scenario,
+                                         ScenarioCycle, write_scenario)
 
 CAMERA = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480)
 

@@ -32,6 +32,7 @@ from gazeshift.trainer import (TrainConfig, dataset_arrays, run_training,
                                validate_stage1)
 from gazeshift.vqvae import (ConditionalVQVAE, VQVAEConfig, quantize_rows,
                              reconstruction_terms)
+from net_oracles import preactivations
 
 BUNDLED_SCENARIOS = Path(gazeshift.__file__).parent / "scenarios"
 
@@ -108,7 +109,7 @@ def _kink_margin(model: ConditionalVQVAE, Y, C) -> float:
     margins = []
     for net, x in ((model.recon_encoder, Y), (model.cond_encoder, Cn),
                    (model.decoder, h)):
-        for z, act in zip(net.preactivations(x), net.activations):
+        for z, act in zip(preactivations(net, x), net.activations):
             if act == "relu":
                 margins.append(float(np.abs(z).min()))
     return min(margins)
@@ -250,7 +251,7 @@ def test_criterion_2_loss_term_gradients():
             X = np.array(C)
             X[:, 5:8] /= candidate.target_scale
             margin = min(float(np.abs(z).min())
-                         for z, act in zip(candidate.net.preactivations(X),
+                         for z, act in zip(preactivations(candidate.net, X),
                                            candidate.net.activations)
                          if act == "relu")
             if margin >= 1e-4:

@@ -314,30 +314,66 @@ def test_eval_missing_run_exit_training(pipeline, tmp_path):
                  "--run", str(tmp_path / "void"), "--out", str(tmp_path / "e")]) == 4
 
 
-def _drop_bias(params):
-    del params["decoder.2.b"]
+# Each edit damages a checkpoint document in place, or returns the text to
+# write instead of it.
+
+def _drop_bias(doc):
+    del doc["params"]["decoder.2.b"]
 
 
-def _short_bias(params):
-    params["decoder.0.b"] = {"shape": [1], "data": [0.5]}
+def _short_bias(doc):
+    doc["params"]["decoder.0.b"] = {"shape": [1], "data": [0.5]}
 
 
-def _extra_param(params):
-    params["3.W"] = {"shape": [1, 1], "data": [0.0]}
+def _extra_param(doc):
+    doc["params"]["3.W"] = {"shape": [1, 1], "data": [0.0]}
 
 
-def _nan_weight(params):
+def _nan_weight(doc):
     # json writes and reads NaN and Infinity, and no forward pass checks
     # parameter values, so loading must refuse them
-    params["decoder.1.W"]["data"][3] = math.nan
+    doc["params"]["decoder.1.W"]["data"][3] = math.nan
 
 
-def _inf_bias(params):
-    params["1.b"]["data"][0] = math.inf
+def _inf_bias(doc):
+    doc["params"]["1.b"]["data"][0] = math.inf
 
 
-def _minus_inf_codebook(params):
-    params["codebook"]["data"][2] = -math.inf
+def _minus_inf_codebook(doc):
+    doc["params"]["codebook"]["data"][2] = -math.inf
+
+
+def _truncated(doc):
+    text = json.dumps(doc)
+    return text[:len(text) // 2]
+
+
+def _no_params(doc):
+    del doc["params"]
+
+
+def _params_list(doc):
+    doc["params"] = list(doc["params"].values())
+
+
+def _text_shape(doc):
+    doc["params"]["decoder.0.W"]["shape"] = "x"
+
+
+def _entry_without_data(doc):
+    del doc["params"]["0.b"]["data"]
+
+
+def _metadata_list(doc):
+    doc["metadata"] = []
+
+
+def _no_gamma(doc):
+    del doc["metadata"]["model"]["gamma"]
+
+
+def _model_spec_list(doc):
+    doc["metadata"]["model"] = []
 
 
 @pytest.mark.parametrize("name, edit, reason", [
@@ -347,18 +383,36 @@ def _minus_inf_codebook(params):
     ("stage1.json", _nan_weight, "parameter 'decoder.1.W' holds a non-finite value"),
     ("stage1.json", _minus_inf_codebook, "parameter 'codebook' holds a non-finite value"),
     ("prior.json", _inf_bias, "parameter '1.b' holds a non-finite value"),
+    ("stage1.json", _truncated, "stage1.json: not valid JSON"),
+    ("stage1.json", _no_params, "stage1.json: checkpoint holds no params"),
+    ("prior.json", _params_list, "prior.json: params must be an object, not list"),
+    ("stage1.json", _text_shape, "stage1.json: parameter 'decoder.0.W' has shape 'x'"),
+    ("prior.json", _entry_without_data, "prior.json: parameter '0.b' needs a shape and data"),
+    ("stage1.json", _metadata_list, "stage1.json: metadata must be an object"),
+    ("prior.json", _no_gamma, "prior.json: unusable model config: KeyError('gamma')"),
+    ("stage1.json", _model_spec_list, "stage1.json: checkpoint does not hold a conditional VQ-VAE"),
+    ("prior.json", _model_spec_list, "prior.json: checkpoint does not hold a conditional prior"),
 ])
 def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name, edit, reason):
-    _, _, data_dir, run_dir = pipeline
+    # eval and sample read both checkpoints, train --stage 2 the stage-1 one
+    _, config, data_dir, run_dir = pipeline
     damaged = tmp_path / "damaged"
     shutil.copytree(run_dir, damaged)
     doc = json.loads((damaged / name).read_text(encoding="utf-8"))
-    edit(doc["params"])
-    (damaged / name).write_text(json.dumps(doc), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["eval", "--dataset", str(data_dir / "dataset.jsonl"),
-                 "--run", str(damaged), "--out", str(tmp_path / "e")]) == 4
-    assert reason in capsys.readouterr().err
+    text = edit(doc)
+    (damaged / name).write_text(json.dumps(doc) if text is None else text, encoding="utf-8")
+    dataset = str(data_dir / "dataset.jsonl")
+    commands = [["eval", "--dataset", dataset, "--run", str(damaged), "--out", str(tmp_path / "e")],
+                ["sample", "--run", str(damaged), "--n", "3", "--out", str(tmp_path / "s")]]
+    if name == "stage1.json":
+        commands.append(["train", "--config", config, "--seed", "0", "--stage", "2",
+                         "--dataset", dataset, "--out", str(damaged)])
+    before = {p.name: p.read_bytes() for p in damaged.iterdir()}
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 4, argv[0]
+        assert reason in capsys.readouterr().err, argv[0]
+    assert {p.name: p.read_bytes() for p in damaged.iterdir()} == before
 
 
 # -- sample --------------------------------------------------------------------------------

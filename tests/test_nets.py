@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import stat
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from gazeshift import nets
 from gazeshift.nets import AdamState, DenseNetwork, LrSchedule, NonFiniteGradient
+from net_oracles import preactivations
 
 FD_H = 1e-5
 FD_REL = 1e-4
@@ -22,7 +24,7 @@ def kink_safe_input(net: DenseNetwork, rng: np.random.Generator) -> np.ndarray:
     for _ in range(100):
         x = rng.normal(size=net.sizes[0])
         margin = min(
-            (np.abs(z).min() for z, act in zip(net.preactivations(x), net.activations)
+            (np.abs(z).min() for z, act in zip(preactivations(net, x), net.activations)
              if act == "relu"),
             default=1.0,
         )
@@ -281,22 +283,46 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     net = DenseNetwork.create([3, 5, 2], rng)
     params = net.params()
     state = AdamState.for_params(params, lr=1e-3, weight_decay=1e-4)
-    # a few steps so the moments are nontrivial
+    # a few steps so the weights leave their initialisation
     for _ in range(3):
         net.forward(rng.normal(size=(4, 3)))
         grad, _ = net.backward(rng.normal(size=(4, 2)))
         nets.adam_step(state, net.flat, grad)
     path = tmp_path / "net.json"
-    nets.save_checkpoint(path, params, optimizer=state, metadata={"epoch": 3})
+    nets.save_checkpoint(path, params, metadata={"epoch": 3})
     ck = nets.load_checkpoint(path)
     assert ck.metadata == {"epoch": 3}
-    (m_saved, v_saved), (m_live, v_live) = ck.optimizer.moments(), state.moments()
     for name in params:
         np.testing.assert_array_equal(ck.params[name], params[name])
-        np.testing.assert_array_equal(m_saved[name], m_live[name])
-        np.testing.assert_array_equal(v_saved[name], v_live[name])
-    assert ck.optimizer.step_count == 3
     assert nets.params_fingerprint(ck.params) == nets.params_fingerprint(params)
+
+
+def test_checkpoint_holds_only_what_a_load_uses(tmp_path):
+    net = DenseNetwork.create([3, 5, 2], np.random.default_rng(20))
+    path = tmp_path / "net.json"
+    nets.save_checkpoint(path, net.params(), metadata={"epoch": 1})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert set(doc) == {"format", "version", "params", "metadata"}
+    assert doc["version"] == nets.CHECKPOINT_VERSION == 1
+
+
+def test_checkpoint_with_optimizer_entry_loads_same_params(tmp_path):
+    # earlier builds stored the Adam moments beside the weights; a load
+    # ignores them, so their run directories still load
+    net = DenseNetwork.create([3, 5, 2], np.random.default_rng(21))
+    path = tmp_path / "net.json"
+    nets.save_checkpoint(path, net.params(), metadata={"epoch": 2})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    moments = nets.encode_params({k: np.zeros_like(v) for k, v in net.params().items()})
+    doc["optimizer"] = {"lr": 1e-3, "weight_decay": 1e-4, "beta1": 0.9, "beta2": 0.999,
+                        "eps": 1e-8, "step_count": 2, "m": moments, "v": moments}
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(doc), encoding="utf-8")
+    ck, old = nets.load_checkpoint(path), nets.load_checkpoint(legacy)
+    assert old.metadata == ck.metadata == {"epoch": 2}
+    assert list(old.params) == list(ck.params)
+    for name, p in ck.params.items():
+        np.testing.assert_array_equal(old.params[name], p)
 
 
 def test_params_and_gradients_share_one_flat_layout():

@@ -21,7 +21,6 @@ from gazeshift.errors import BackendError, ConfigError, DataError
 from gazeshift.reasoner.backends import (API_KEY_ENV, OracleBackend,
                                          RemoteBackend, RemoteConfig,
                                          ScriptedBackend, build_request)
-from gazeshift.reasoner.corpus import write_corpus
 from gazeshift.reasoner.pipeline import (HISTORY_LENGTH, REST_RECORD,
                                          EmptySceneError, GazeTargetRecord,
                                          MarkedScene, MemoryBuffer,
@@ -37,6 +36,7 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
                                          load_scenario, load_scenario_dir,
                                          scenario_from_doc, scenario_to_doc,
                                          write_scenario)
+from scenario_corpus import write_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
 BUNDLED = Path(__file__).parent.parent / "src" / "gazeshift" / "scenarios"
@@ -295,7 +295,7 @@ def test_localize_applies_base_from_camera():
 
 def test_history_is_capped_fifo():
     buffer = MemoryBuffer()
-    assert buffer.is_empty()
+    assert buffer.prev_record is None and not buffer.history
     for i in range(HISTORY_LENGTH + 3):
         cycle = make_cycle(i, f"scene {i}")
         marked = mark_scene(cycle)
@@ -303,7 +303,7 @@ def test_history_is_capped_fifo():
     assert len(buffer.history) == HISTORY_LENGTH
     assert "cycle 3:" in buffer.history[0]  # cycles 0..2 were evicted
     assert f"cycle {HISTORY_LENGTH + 2}:" in buffer.history[-1]
-    assert not buffer.is_empty()
+    assert buffer.prev_record is not None and buffer.history
 
 
 # -- pipeline totality ---------------------------------------------------------------------
@@ -534,7 +534,7 @@ def test_bundled_scenarios_load_and_carry_metadata():
 
 
 def test_corpus_builder_reproduces_bundled_files(tmp_path):
-    # `python -m gazeshift.reasoner.corpus <dir>` regenerates the bundle
+    # `PYTHONPATH=src python tests/scenario_corpus.py <dir>` regenerates the bundle
     written = write_corpus(tmp_path)
     assert sorted(p.name for p in written) == sorted(p.name for p in BUNDLED.glob("*.json"))
     for path in written:
