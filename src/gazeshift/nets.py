@@ -13,6 +13,15 @@ the Adam moments are flat vectors in the same layout, and the optimizer
 updates the whole vector in place with a few whole-array operations.
 The moments live only in memory while a stage trains: a checkpoint holds
 the weights and their metadata, which is all a load uses.
+
+The training step avoids fixed per-call costs. ``DenseNetwork.backward``
+writes each layer's gradient through (slice, shape) spans worked out once
+when the network is built. ``adam_step`` first checks that the gradient's
+sum is finite and scans element by element only when it is not (NaN, an
+inf, or finite values whose sum overflows); it runs the update's
+per-element expressions, in their usual operand order, through two
+scratch vectors its :class:`AdamState` owns, so a step allocates nothing
+and gives the same bits as the whole-array expressions would.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +56,13 @@ class Layout:
     def __init__(self, shapes):
         self.shapes = {name: tuple(shape) for name, shape in shapes}
         self.offsets = {}
+        # name -> (slice of the flat vector, shape): flat[sl].reshape(shape)
+        # is the parameter's view.
+        self.spans = {}
         size = 0
         for name, shape in self.shapes.items():
             self.offsets[name] = size
+            self.spans[name] = (slice(size, size + math.prod(shape)), shape)
             size += math.prod(shape)
         self.size = size
 
@@ -59,8 +72,7 @@ class Layout:
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into ``flat``; writing through a view writes ``flat``."""
-        return {name: flat[o:o + math.prod(shape)].reshape(shape)
-                for (name, shape), o in zip(self.shapes.items(), self.offsets.values())}
+        return {name: flat[sl].reshape(shape) for name, (sl, shape) in self.spans.items()}
 
     def pack(self, arrays: dict) -> np.ndarray:
         """A new flat vector holding ``arrays``.
@@ -114,6 +126,10 @@ class DenseNetwork:
             arrays[f"{i}.W"] = np.asarray(W, dtype=float)
             arrays[f"{i}.b"] = np.asarray(b, dtype=float)
         self.layout = Layout.of(arrays)
+        # Per layer, the (slice, shape) spans of its weight and bias
+        # gradients in a flat gradient vector.
+        self._grad_spans = [(self.layout.spans[f"{i}.W"], self.layout.spans[f"{i}.b"])
+                            for i in range(len(self.activations))]
         self.bind(self.layout.pack(arrays))
         self._cache = None
 
@@ -192,19 +208,24 @@ class DenseNetwork:
         if g.shape != (inputs[-1].shape[0], self.weights[-1].shape[1]):
             raise ValueError(f"upstream gradient has wrong shape {g.shape}")
         grad = np.empty(self.layout.size) if out is None else out
-        views = self.layout.views(grad)
         for i in range(len(self.weights) - 1, -1, -1):
             if self.activations[i] == "relu":
                 g = g * (preacts[i] > 0.0)
-            np.matmul(inputs[i].T, g, out=views[f"{i}.W"])
-            np.sum(g, axis=0, out=views[f"{i}.b"])
+            (w_span, w_shape), (b_span, b_shape) = self._grad_spans[i]
+            np.matmul(inputs[i].T, g, out=grad[w_span].reshape(w_shape))
+            np.add.reduce(g, axis=0, out=grad[b_span].reshape(b_shape))
             g = g @ self.weights[i].T
         return grad, (g[0] if single else g)
 
 
 @dataclass
 class AdamState:
-    """Flat Adam moments, their layout, and the hyperparameters of the update."""
+    """Flat Adam moments, their layout, and the hyperparameters of the update.
+
+    ``scratch`` holds two vectors shaped like the moments; ``adam_step``
+    writes its intermediate results there instead of allocating them.
+    Their contents mean nothing between steps.
+    """
 
     lr: float
     layout: Layout
@@ -215,6 +236,10 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty(self.m.shape), np.empty(self.m.shape))
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
@@ -229,14 +254,32 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
 
     ``params`` and ``grad`` are flat vectors in ``state.layout``. The whole
     step is rejected (no parameter touched) if any gradient is non-finite,
-    so a bad batch cannot corrupt the model.
+    so a bad batch cannot corrupt the model. A finite sum proves every
+    element finite, so the element scan runs only when the sum is not:
+    then it names the first non-finite element, or finds none when finite
+    elements overflowed the sum, and the step goes ahead.
+
+    After the decoupled decay, ``params *= 1 - lr * weight_decay``, the
+    update is the whole-array form
+
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + ((1 - beta2) * grad) * grad
+        params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    evaluated with the same ufuncs in the same operand order, writing its
+    temporaries into ``state.scratch``, so the bits are those of the
+    whole-array expressions.
     """
     if np.shape(grad) != np.shape(params) or np.shape(params) != state.m.shape:
         raise ValueError(f"gradient shape {np.shape(grad)} and parameter shape "
                          f"{np.shape(params)} must both be {state.m.shape}")
-    finite = np.isfinite(grad)
-    if not finite.all():
-        raise NonFiniteGradient(state.layout.name_at(int(np.argmin(finite))))
+    grad = np.asarray(grad, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(grad.sum())
+    if not math.isfinite(total):
+        finite = np.isfinite(grad)
+        if not finite.all():
+            raise NonFiniteGradient(state.layout.name_at(int(np.argmin(finite))))
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
@@ -244,11 +287,21 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     if state.weight_decay:
         params *= 1.0 - state.lr * state.weight_decay
     m, v = state.m, state.v
+    a, b = state.scratch
     m *= state.beta1
-    m += (1.0 - state.beta1) * grad
+    np.multiply(1.0 - state.beta1, grad, out=a)
+    m += a
     v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    np.multiply(1.0 - state.beta2, grad, out=a)
+    np.multiply(a, grad, out=a)
+    v += a
+    np.divide(m, bc1, out=a)
+    np.multiply(state.lr, a, out=a)
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, state.eps, out=b)
+    np.divide(a, b, out=a)
+    params -= a
     return params
 
 
@@ -328,8 +381,9 @@ def save_checkpoint(path, params, metadata: dict | None = None):
         "params": encode_params(params),
         "metadata": metadata or {},
     }
+    # json.dumps runs the C encoder; json.dump to a file runs the pure-Python one.
     with open_atomic(path) as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

@@ -11,10 +11,19 @@ Conventions used throughout the toolkit:
   * Eye poses have no roll axis; where a full rotation is needed they are
     promoted with roll = 0.
 
-The distance between two rotations is the geodesic angle on SO(3):
-``d(R1, R2) = arccos((trace(R1 @ R2.T) - 1) / 2)``, with the trace argument
-clamped to [-1, 1] before arccos so floating-point noise near the ends of
-the metric cannot produce NaN.
+The distance between two rotations is the geodesic angle on SO(3),
+``d(R1, R2) = arccos((trace(R1 @ R2.T) - 1) / 2)``. Two formulas compute
+it. The scalar, validated :func:`geodesic_distance` takes the ``atan2`` of
+the skew and trace parts of R1 R2^T, which keeps full precision near 0
+and pi. The batch paths that training, validation and the reports run,
+:func:`geodesic_rows` and :func:`geodesic_to_reference_with_grad`, still
+take the arccos of the trace, with its argument clamped to [-1, 1] so
+floating-point noise near the ends of the metric cannot produce NaN.
+
+:func:`geodesic_to_reference_with_grad` builds R(angles) from the same
+cosines and sines its gradient uses (``_rotation_from_trig``, which
+:func:`rotation_zyx` runs too), so its distances equal
+``geodesic_rows(rotation_zyx(angles), R_ref)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -111,10 +120,12 @@ def rotation_zyx(angles: np.ndarray) -> np.ndarray:
     """
     angles = np.asarray(angles, dtype=float)
     y, p, r = angles[..., 0], angles[..., 1], angles[..., 2]
-    cy, sy = np.cos(y), np.sin(y)
-    cp, sp = np.cos(p), np.sin(p)
-    cr, sr = np.cos(r), np.sin(r)
-    R = np.empty(angles.shape[:-1] + (3, 3))
+    return _rotation_from_trig(np.cos(y), np.sin(y), np.cos(p), np.sin(p), np.cos(r), np.sin(r))
+
+
+def _rotation_from_trig(cy, sy, cp, sp, cr, sr) -> np.ndarray:
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll) from the cosines and sines of the angles."""
+    R = np.empty(np.shape(cy) + (3, 3))
     R[..., 0, 0] = cy * cp
     R[..., 0, 1] = cy * sp * sr - sy * cr
     R[..., 0, 2] = cy * sp * cr + sy * sr
@@ -197,7 +208,11 @@ def geodesic_to_reference_with_grad(
     ends of the metric, where the exact derivative diverges.
     """
     angles = np.asarray(angles, dtype=float)
-    R = rotation_zyx(angles)
+    y, p, r = angles[..., 0], angles[..., 1], angles[..., 2]
+    cy, sy = np.cos(y), np.sin(y)
+    cp, sp = np.cos(p), np.sin(p)
+    cr, sr = np.cos(r), np.sin(r)
+    R = _rotation_from_trig(cy, sy, cp, sp, cr, sr)
     F = np.broadcast_to(R_ref, R.shape)
     tr = np.einsum("...ij,...ij->...", R, F)
     u = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
@@ -211,10 +226,6 @@ def geodesic_to_reference_with_grad(
     # (column 2, -column 1) and leaves column 0 at zero; d/d pitch turns
     # rows 0 and 1 into cos(yaw) and sin(yaw) times row 2 of R, and row 2
     # into -(cos p, sin p sin r, sin p cos r).
-    y, p, r = angles[..., 0], angles[..., 1], angles[..., 2]
-    cy, sy = np.cos(y), np.sin(y)
-    cp, sp = np.cos(p), np.sin(p)
-    cr, sr = np.cos(r), np.sin(r)
     dtr = np.empty(angles.shape)
     dtr[..., 0] = (R[..., 0, :] * F[..., 1, :] - R[..., 1, :] * F[..., 0, :]).sum(axis=-1)
     dtr[..., 1] = ((R[..., 2, :] * (cy[..., None] * F[..., 0, :] + sy[..., None] * F[..., 1, :]))

@@ -20,6 +20,15 @@ metric is the mean geodesic distance (MGD, degrees) between predicted and
 ground-truth target poses, per component; the best checkpoint of each
 stage minimises the summed eye+head validation MGD.
 
+Stage 1 computes the rotations of the ground-truth target poses of its
+training split once and hands each step its batch's rows of them.
+
+``_fit`` also times each epoch's phases with ``time.perf_counter``: the
+batch steps (forward pass, loss and backward pass), the optimizer updates
+and the end-of-epoch validation. ``run_training`` writes them to
+``timings.jsonl``, one line per epoch and stage, apart from the
+byte-for-byte reproducible ``metrics.csv``.
+
 All randomness flows from TrainConfig.seed through named SeedSequence
 spawns, so a rerun reproduces parameter trajectories bit for bit.
 """
@@ -27,6 +36,7 @@ spawns, so a rerun reproduces parameter trajectories bit for bit.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -41,11 +51,13 @@ from .config import read_config
 from .datagen import Dataset
 from .errors import ConfigError, TrainingError
 from .prior import ConditionalPrior, PriorConfig
-from .vqvae import ConditionalVQVAE, MotionAllocation, VQVAEConfig, pose_errors_rows, quantize_rows
+from .vqvae import (ConditionalVQVAE, MotionAllocation, VQVAEConfig, pose_errors_rows,
+                    quantize_rows, target_rotations)
 
 STAGE1_CHECKPOINT = "stage1.json"
 PRIOR_CHECKPOINT = "prior.json"
 METRICS_FILE = "metrics.csv"
+TIMINGS_FILE = "timings.jsonl"
 
 METRICS_COLUMNS = [
     "stage", "epoch", "lr", "loss_total", "loss_rec", "loss_embed", "loss_commit",
@@ -169,6 +181,8 @@ class StageResult:
     metrics: list
     best_epoch: int
     best_params: np.ndarray  # flat copy, in the trained model's layout
+    # per epoch: {"stage", "epoch", "step_s", "optimizer_s", "validation_s"}
+    timings: list
 
     def best_summed(self) -> float:
         return self.metrics[self.best_epoch].summed_mgd()
@@ -183,27 +197,38 @@ def _fit(stage: int, flat: np.ndarray, params: dict, n: int, epochs: int,
     gradient) for Adam to apply to ``flat``, laid out like ``params``;
     ``end_epoch(epoch, lr, means)`` turns the row-weighted mean terms into
     EpochMetrics. A ValueError from a step or the update (a
-    NonFiniteGradient among them) becomes a TrainingError.
+    NonFiniteGradient among them) becomes a TrainingError. The wall time
+    of each epoch's steps, updates and ``end_epoch`` goes to the result's
+    ``timings``.
     """
     adam = nets.AdamState.for_params(params, lr=config.lr, weight_decay=config.weight_decay)
     schedule = config.lr_schedule()
-    metrics = []
+    metrics, timings = [], []
     best = None
     for epoch in range(epochs):
         adam.lr = schedule.lr_at(epoch)
         perm = rng.permutation(n)
         sums = 0.0
+        step_s = optimizer_s = 0.0
         for start in range(0, n, config.batch_size):
             batch = perm[start:start + config.batch_size]
             try:
+                t0 = time.perf_counter()
                 terms, grad = step(batch)
+                t1 = time.perf_counter()
                 nets.adam_step(adam, flat, grad)
+                t2 = time.perf_counter()
             except ValueError as exc:
                 raise TrainingError(f"stage {stage} epoch {epoch}: {exc}") from exc
+            step_s += t1 - t0
+            optimizer_s += t2 - t1
             sums = sums + terms * len(batch)
+        t0 = time.perf_counter()
         metrics.append(end_epoch(epoch, adam.lr, sums / n))
+        timings.append({"stage": stage, "epoch": epoch, "step_s": step_s,
+                        "optimizer_s": optimizer_s, "validation_s": time.perf_counter() - t0})
         if best is None or metrics[-1].summed_mgd() < best.best_summed():
-            best = StageResult(stage, metrics, epoch, flat.copy())
+            best = StageResult(stage, metrics, epoch, flat.copy(), timings)
     flat[...] = best.best_params
     return best
 
@@ -221,9 +246,12 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
     Y, C = dataset_arrays(dataset, "train")
     Yv, Cv = dataset_arrays(dataset, "val")
+    # [eye; head] rotations of the true rows, indexed [part, row].
+    R_true = target_rotations(Y, C).reshape(2, len(Y), 3, 3)
 
     def step(batch):
-        terms, grad = model.loss_and_grads(Y[batch], C[batch])
+        terms, grad = model.loss_and_grads(Y[batch], C[batch],
+                                           R_true=R_true[:, batch].reshape(-1, 3, 3))
         return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
 
     def end_epoch(epoch, lr, means):
@@ -363,6 +391,24 @@ def _stage1_rows(path: Path) -> list:
     return [row for row in rows[1:] if row[:1] == ["1"]]
 
 
+def write_timings_jsonl(path, records) -> None:
+    """One JSON object per line, one line per record (``StageResult.timings``)."""
+    with open_atomic(path) as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+
+
+def _stage1_timings(path: Path) -> list:
+    """The stage-1 records of an earlier run's timings file, kept by a stage-2 run."""
+    if not path.exists():
+        return []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            records = [json.loads(line) for line in fh]
+        except json.JSONDecodeError as exc:
+            raise TrainingError(f"{path} is not one JSON object per line: {exc}") from exc
+    return [r for r in records if isinstance(r, dict) and r.get("stage") == 1]
+
+
 @contextmanager
 def checkpoint_errors(run_dir):
     """Report a checkpoint of ``run_dir`` that cannot be read or used as a TrainingError.
@@ -389,9 +435,10 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     out.mkdir(parents=True, exist_ok=True)
     dataset_hash = dataset.content_hash()
     t0 = time.monotonic()
-    # A stage-2-only run keeps the stage-1 rows, so the file matches "both".
+    # A stage-2-only run keeps the stage-1 rows, so the files match "both".
     rows = _stage1_rows(out / METRICS_FILE) if stage == "2" else []
-    outputs = [out / METRICS_FILE]
+    timings = _stage1_timings(out / TIMINGS_FILE) if stage == "2" else []
+    outputs = [out / METRICS_FILE, out / TIMINGS_FILE]
     summary = {"dataset_hash": dataset_hash, "config": config.to_dict(), "stage": stage}
 
     def record(result: StageResult, path: Path) -> dict:
@@ -399,6 +446,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
         best = result.metrics[result.best_epoch]
         mgd = {"val_eye_mgd_deg": best.val_eye_mgd_deg, "val_head_mgd_deg": best.val_head_mgd_deg}
         rows.extend(m.row() for m in result.metrics)
+        timings.extend(result.timings)
         outputs.append(path)
         summary[f"stage{result.stage}"] = {"best_epoch": result.best_epoch, **mgd}
         return {"stage": result.stage, "dataset_hash": dataset_hash,
@@ -422,6 +470,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
         prior.save(out / PRIOR_CHECKPOINT, stage1_fingerprint=model.fingerprint(),
                    metadata=record(s2, out / PRIOR_CHECKPOINT))
     write_metrics_csv(out / METRICS_FILE, rows)
+    write_timings_jsonl(out / TIMINGS_FILE, timings)
     summary["elapsed_s"] = time.monotonic() - t0
     summary["outputs"] = [str(p) for p in outputs]
     return summary

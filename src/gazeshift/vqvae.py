@@ -205,6 +205,15 @@ def _target_angles(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.concatenate([eye, C[:, 2:5] + A[:, 2:5]])
 
 
+def target_rotations(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(2n, 3, 3) rotations of the target poses [eye; head] of allocation rows ``A``.
+
+    Row by row: the rotations of a subset of rows are the same bits as
+    the matching rows of the whole set's rotations.
+    """
+    return so3.rotation_zyx(_target_angles(A, C))
+
+
 def pose_errors_rows(pred: np.ndarray, Y: np.ndarray, C: np.ndarray):
     """Geodesic error (radians) of predicted against true target poses.
 
@@ -212,21 +221,23 @@ def pose_errors_rows(pred: np.ndarray, Y: np.ndarray, C: np.ndarray):
     compared as rotations, so the values lie in [0, pi] and are invariant
     to 2*pi shifts of any angle. Returns (d_eye (n,), d_head (n,)).
     """
-    d = so3.geodesic_rows(so3.rotation_zyx(_target_angles(pred, C)),
-                          so3.rotation_zyx(_target_angles(Y, C)))
+    d = so3.geodesic_rows(target_rotations(pred, C), target_rotations(Y, C))
     return d[:len(C)], d[len(C):]
 
 
 def reconstruction_terms(pred: np.ndarray, true: np.ndarray, cond: np.ndarray,
-                         lambda_rc: float = 1.0):
+                         lambda_rc: float = 1.0, R_true: np.ndarray | None = None):
     """Rotation-aware reconstruction loss per sample and its gradient.
 
     loss_i = d_eye_i + lambda_rc * d_head_i, the errors of
-    :func:`pose_errors_rows`. Returns (values (n,), grad wrt pred (n, 5)).
+    :func:`pose_errors_rows`. ``R_true`` is ``target_rotations(true, cond)``
+    when a caller has it already; it is computed here otherwise. Returns
+    (values (n,), grad wrt pred (n, 5)).
     """
     n = len(cond)
-    d, g = so3.geodesic_to_reference_with_grad(
-        _target_angles(pred, cond), so3.rotation_zyx(_target_angles(true, cond)))
+    if R_true is None:
+        R_true = target_rotations(true, cond)
+    d, g = so3.geodesic_to_reference_with_grad(_target_angles(pred, cond), R_true)
     grad = np.concatenate([g[:n, :2], lambda_rc * g[n:]], axis=1)
     return d[:n] + lambda_rc * d[n:], grad
 
@@ -348,11 +359,15 @@ class ConditionalVQVAE:
     # -- loss ----------------------------------------------------------------
 
     def loss_and_grads(self, Y: np.ndarray, C: np.ndarray, *, rec_weight: float = 1.0,
-                       embed_weight: float = 1.0, commit_weight: float | None = None):
-        """Batch-mean loss terms and the flat parameter gradient (in ``layout``).
+                       embed_weight: float = 1.0, commit_weight: float | None = None,
+                       R_true: np.ndarray | None = None):
+        """Batch-mean loss terms and a new flat parameter gradient (in ``layout``).
 
-        ``commit_weight`` defaults to config.beta; the tests zero individual
-        weights to check that gradient routing honours the stop-gradients.
+        ``R_true``, when given, is ``target_rotations(Y, C)``: training
+        computes it once for its whole split, since the true rows never
+        change. ``commit_weight`` defaults to config.beta; the tests zero
+        individual weights to check that gradient routing honours the
+        stop-gradients.
         Gradients follow the straight-through convention: the quantisation
         step is skipped (identity) on the reconstruction path, the codebook
         is driven only by the embed term, the encoder additionally by the
@@ -366,12 +381,15 @@ class ConditionalVQVAE:
             raise ValueError("Y and C must be matching row batches")
         if len(Y) == 0:
             raise ValueError("empty batch")
+        if R_true is not None and np.shape(R_true) != (2 * len(Y), 3, 3):
+            raise ValueError(f"R_true has shape {np.shape(R_true)}, "
+                             f"expected {(2 * len(Y), 3, 3)}")
         n = len(Y)
         H = self.config.hidden_width
         D = self.config.latent_dim
 
         idx, z_e, z_q, pred = self.forward_rows(Y, C)
-        rec_vals, rec_grad = reconstruction_terms(pred, Y, C, self.config.lambda_rc)
+        rec_vals, rec_grad = reconstruction_terms(pred, Y, C, self.config.lambda_rc, R_true)
         diff = z_e - z_q
         vq_vals = (diff * diff).sum(axis=1)
 

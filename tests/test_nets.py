@@ -251,6 +251,76 @@ def test_adam_matches_reference_trajectory():
     assert state.step_count == 5
 
 
+def adam_whole_array(state: dict, params: np.ndarray, grad: np.ndarray) -> None:
+    """Adam with decoupled decay as whole-array expressions: the oracle ``adam_step``
+    must match bit for bit. ``state`` holds lr, weight_decay, m, v and t."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    state["t"] += 1
+    bc1 = 1.0 - b1**state["t"]
+    bc2 = 1.0 - b2**state["t"]
+    if state["weight_decay"]:
+        params *= 1.0 - state["lr"] * state["weight_decay"]
+    m, v = state["m"], state["v"]
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    params -= state["lr"] * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_adam_matches_whole_array_expressions_bit_for_bit():
+    rng = np.random.default_rng(16)
+    p0 = rng.normal(size=1000)
+    params = {"a": p0[:600].copy(), "b": p0[600:].copy()}
+    flat = np.concatenate(list(params.values()))
+    state = AdamState.for_params(params, lr=1e-3, weight_decay=1e-4)
+    ref_params = p0.copy()
+    ref = {"lr": 1e-3, "weight_decay": 1e-4, "m": np.zeros(1000), "v": np.zeros(1000), "t": 0}
+    for step in range(12):
+        if step == 6:  # a schedule milestone
+            state.lr = ref["lr"] = 5e-4
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=1000)
+        g[rng.integers(0, 1000, size=50)] = 0.0
+        nets.adam_step(state, flat, g)
+        adam_whole_array(ref, ref_params, g)
+        np.testing.assert_array_equal(flat, ref_params)
+        np.testing.assert_array_equal(state.m, ref["m"])
+        np.testing.assert_array_equal(state.v, ref["v"])
+    assert state.step_count == 12
+
+
+def test_adam_steps_when_finite_elements_overflow_their_sum():
+    # the sum is inf although every element is finite: the element scan finds
+    # nothing, and the step goes ahead
+    params = {"w": np.array([1.0, -1.0])}
+    state = AdamState.for_params(params, lr=1e-3)
+    grad = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):  # here, and in v = ((1 - beta2) * g) * g
+        assert np.sum(grad) == np.inf
+        nets.adam_step(state, params["w"], grad)
+    assert state.step_count == 1
+    np.testing.assert_array_equal(state.m, (1.0 - 0.9) * grad)
+    assert np.isfinite(params["w"]).all()
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                         ids=["nan", "+inf", "-inf", "inf-inf"])
+def test_adam_non_finite_gradient_leaves_everything_untouched(bad):
+    flat = np.array([1.0, 2.0, 3.0, 4.0])
+    params = {"a": flat[:1], "b": flat[1:3], "c": flat[3:]}
+    state = AdamState.for_params(params, lr=1e-3, weight_decay=1e-2)
+    nets.adam_step(state, flat, np.array([0.1, -0.2, 0.3, -0.4]))  # non-zero moments
+    before = flat.copy(), state.m.copy(), state.v.copy()
+    grad = np.array([0.5, 0.5, 0.5, 0.5])
+    grad[1:1 + len(bad)] = bad  # the first non-finite element lies in "b"
+    with pytest.raises(NonFiniteGradient) as err:
+        nets.adam_step(state, flat, grad)
+    assert err.value.name == "b"
+    for now, then in zip((flat, state.m, state.v), before):
+        np.testing.assert_array_equal(now, then)
+    assert state.step_count == 1
+
+
 # -- lr schedule ---------------------------------------------------------------
 
 def test_lr_schedule_reference_points():

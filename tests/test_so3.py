@@ -400,6 +400,35 @@ def test_geodesic_grad_matches_fd_over_whole_domain(angles, ref_angles):
         assert grad[axis] == pytest.approx((dp - dm) / (2 * h), rel=1e-5, abs=1e-7), axis
 
 
+@st.composite
+def reference_cases(draw):
+    """Angle rows over +-4 pi and references at a random, a near-zero or a near-pi distance."""
+    wide = st.floats(-4 * math.pi, 4 * math.pi)
+    n = draw(st.integers(1, 5))
+    angles = np.array([[draw(wide) for _ in range(3)] for _ in range(n)])
+    kind = draw(st.sampled_from(["random", "near 0", "near pi"]))
+    if kind == "random":
+        return angles, so3.rotation_zyx(np.array([[draw(wide) for _ in range(3)]
+                                                  for _ in range(n)]))
+    small = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-4)))
+    turn = small if kind == "near 0" else math.pi - small
+    axis = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    assume(np.linalg.norm(axis) > 0.1)
+    return angles, so3.rotation_zyx(angles) @ rodrigues(axis, turn)
+
+
+@settings(max_examples=500, deadline=None)
+@given(reference_cases())
+def test_geodesic_with_grad_shares_trig_bit_for_bit(case):
+    angles, F = case
+    dist, _ = so3.geodesic_to_reference_with_grad(angles, F)
+    np.testing.assert_array_equal(dist, so3.geodesic_rows(so3.rotation_zyx(angles), F))
+    y, p, r = angles.T
+    np.testing.assert_array_equal(
+        so3._rotation_from_trig(np.cos(y), np.sin(y), np.cos(p), np.sin(p), np.cos(r), np.sin(r)),
+        so3.rotation_zyx(angles))
+
+
 def test_geodesic_grad_finite_at_zero_distance():
     # the exact arccos derivative diverges where the two rotations agree;
     # the guard must keep the reported gradient finite

@@ -23,7 +23,7 @@ from gazeshift.errors import ConfigError, TrainingError
 from gazeshift.prior import ConditionalPrior
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
-                               PRIOR_CHECKPOINT, STAGE1_CHECKPOINT,
+                               PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, TIMINGS_FILE,
                                CodeErrors, EpochMetrics, TrainConfig, dataset_arrays,
                                infer, record_codes, run_training,
                                train_stage1, train_stage2, validate_stage1,
@@ -201,8 +201,8 @@ def test_record_codes_matches_quantizer(trained, small_dataset):
 def test_stage1_non_finite_gradient_names_stage_and_epoch(small_dataset, monkeypatch):
     real = ConditionalVQVAE.loss_and_grads
 
-    def poisoned(self, Y, C):
-        terms, grad = real(self, Y, C)
+    def poisoned(self, Y, C, **kw):
+        terms, grad = real(self, Y, C, **kw)
         return terms, np.full_like(grad, np.nan)
 
     monkeypatch.setattr(ConditionalVQVAE, "loss_and_grads", poisoned)
@@ -422,6 +422,27 @@ def test_run_training_is_reproducible(tmp_path, small_dataset):
     assert a["stage2"] == b["stage2"]
     assert ((tmp_path / "a" / METRICS_FILE).read_bytes()
             == (tmp_path / "b" / METRICS_FILE).read_bytes())
+
+
+def test_run_training_writes_one_timing_line_per_epoch_per_stage(tmp_path, small_dataset):
+    out = tmp_path / "run"
+    run_training(small_dataset, SMALL_TRAIN, out, stage="1")
+    # a stage-2 run keeps the stage-1 lines, as it keeps the stage-1 metrics rows
+    summary = run_training(small_dataset, SMALL_TRAIN, out, stage="2")
+    assert str(out / TIMINGS_FILE) in summary["outputs"]
+    records = [json.loads(line) for line in
+               (out / TIMINGS_FILE).read_text(encoding="utf-8").splitlines()]
+    assert [(r["stage"], r["epoch"]) for r in records] == (
+        [(1, e) for e in range(SMALL_TRAIN.stage1_epochs)]
+        + [(2, e) for e in range(SMALL_TRAIN.stage2_epochs)])
+    for r in records:
+        assert set(r) == {"stage", "epoch", "step_s", "optimizer_s", "validation_s"}
+        assert all(r[k] > 0 for k in ("step_s", "optimizer_s", "validation_s"))
+    with open(out / METRICS_FILE, newline="") as fh:
+        assert next(csv.reader(fh)) == METRICS_COLUMNS
+    (out / TIMINGS_FILE).write_text("{not json\n", encoding="utf-8")
+    with pytest.raises(TrainingError, match="one JSON object per line"):
+        run_training(small_dataset, SMALL_TRAIN, out, stage="2")
 
 
 def test_run_training_stage2_rejects_foreign_metrics_file(tmp_path, small_dataset):

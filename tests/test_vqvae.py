@@ -23,7 +23,7 @@ from gazeshift import so3
 from gazeshift.prior import ConditionalPrior, PriorConfig
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, MotionAllocation,
                              VQVAEConfig, condition_inputs, pose_errors_rows,
-                             quantize_rows, reconstruction_terms)
+                             quantize_rows, reconstruction_terms, target_rotations)
 from gazeshift.so3 import EyePose, HeadPose
 from net_oracles import preactivations
 
@@ -515,6 +515,54 @@ def test_total_gradient_is_sum_of_term_gradients():
         np.testing.assert_allclose(
             g_total[name], g_rec[name] + g_embed[name] + g_commit[name],
             atol=1e-12, err_msg=name)
+
+
+def test_precomputed_true_rotations_give_the_same_bits():
+    # training computes the true rows' rotations once for its whole split and
+    # hands each batch its rows of them
+    model = ConditionalVQVAE(VQVAEConfig(hidden_width=16), seed=3)
+    rng = np.random.default_rng(41)
+    Y, C = fixture_batch(rng, n=40)
+    R_split = target_rotations(Y, C).reshape(2, len(Y), 3, 3)
+    for batch in (np.arange(40), rng.permutation(40)[:32], np.array([7])):
+        terms, grad = model.loss_and_grads(Y[batch], C[batch])
+        given_terms, given_grad = model.loss_and_grads(
+            Y[batch], C[batch], R_true=R_split[:, batch].reshape(-1, 3, 3))
+        assert given_terms == terms
+        np.testing.assert_array_equal(given_grad, grad)
+        vals, g = reconstruction_terms(Y[batch] + 0.1, Y[batch], C[batch], 0.5)
+        given_vals, given_g = reconstruction_terms(Y[batch] + 0.1, Y[batch], C[batch], 0.5,
+                                                   R_split[:, batch].reshape(-1, 3, 3))
+        np.testing.assert_array_equal(given_vals, vals)
+        np.testing.assert_array_equal(given_g, g)
+    with pytest.raises(ValueError, match="R_true"):
+        model.loss_and_grads(Y, C, R_true=R_split[0])
+
+
+def test_loss_and_grads_returns_a_new_gradient_every_call():
+    model, Y, C = stable_fixture(110)
+    _, first = model.loss_and_grads(Y, C)
+    kept = first.copy()
+    _, second = model.loss_and_grads(Y[:2], C[:2])
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, kept)
+
+
+def test_backward_into_reused_out_matches_fresh_vector():
+    model = small_model(7)
+    rng = np.random.default_rng(8)
+    for net in (model.recon_encoder, model.fusion_in, model.decoder):
+        out = np.full(net.layout.size, np.nan)  # stale contents must not leak through
+        for n in (5, 1):
+            net.forward(rng.normal(size=(n, net.sizes[0])))
+            g = rng.normal(size=(n, net.sizes[-1]))
+            fresh, fresh_in = net.backward(g)
+            again, _ = net.backward(g)
+            reused, reused_in = net.backward(g, out=out)
+            assert reused is out
+            assert not np.shares_memory(fresh, again)
+            np.testing.assert_array_equal(reused, fresh)
+            np.testing.assert_array_equal(reused_in, fresh_in)
 
 
 # -- persistence ----------------------------------------------------------------------
