@@ -34,7 +34,7 @@ from .so3 import EyePose, HeadPose
 from .trainer import (PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, CodeErrors,
                       TrainConfig, checkpoint_errors, dataset_arrays, record_codes,
                       run_training, validate_stage1, validate_stage2)
-from .vqvae import ConditionalVQVAE, ConditionVector
+from .vqvae import ConditionalVQVAE, ConditionVector, target_rotations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,7 +124,7 @@ def load_config_file(path) -> dict:
         return {}
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -208,10 +208,11 @@ def cmd_eval(args) -> int:
     dataset = read_dataset(args.dataset)
     model, prior = _load_models(args.run)
     Yv, Cv = dataset_arrays(dataset, "val")
-    eye1, head1, utilization = validate_stage1(model, Yv, Cv)
+    Rv = target_rotations(Yv, Cv)
+    eye1, head1, utilization = validate_stage1(model, Yv, Cv, Rv)
     val_labels = record_codes(model, dataset, "val")
     preds = model.decode_codes(Cv)
-    eye2, head2, top1 = validate_stage2(prior, Cv, CodeErrors.of(preds, Yv, Cv), val_labels)
+    eye2, head2, top1 = validate_stage2(prior, Cv, CodeErrors.of(preds, Cv, Rv), val_labels)
 
     # How each code splits work between head and eyes, over validation
     # conditions that argmax-decode to it.

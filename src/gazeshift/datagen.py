@@ -347,7 +347,7 @@ def read_dataset(path) -> Dataset:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty dataset file")
@@ -371,6 +371,8 @@ def read_dataset(path) -> Dataset:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataError(f"line {line_no}: a sample must be a JSON object")
         theta_e = _parse_floats(doc, "theta_e", 2, line_no)
         theta_h = _parse_floats(doc, "theta_h", 3, line_no)
         target = _parse_floats(doc, "target", 3, line_no)

@@ -42,6 +42,7 @@ class PriorConfig:
     gamma: float = 2.0
     eta: float = 1.0
     lambda_mc: float = 1.0
+    target_scale: float = 2.0
 
     def __post_init__(self):
         if self.codebook_size < 1 or self.hidden_width < 1:
@@ -50,6 +51,8 @@ class PriorConfig:
             raise ValueError("gamma must be non-negative")
         if self.eta < 0 or self.lambda_mc < 0:
             raise ValueError("eta and lambda_mc must be non-negative")
+        if not 0 < self.target_scale < float("inf"):
+            raise ValueError(f"target_scale must be positive and finite, not {self.target_scale}")
 
 
 def check_distribution(pi: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -117,10 +120,8 @@ def sample_code(pi: np.ndarray, rng: np.random.Generator, size: int | None = Non
 class ConditionalPrior:
     """Logit network over codes, conditioned on the 8 context inputs."""
 
-    def __init__(self, config: PriorConfig = PriorConfig(), seed: int = 0,
-                 target_scale: float = 2.0):
+    def __init__(self, config: PriorConfig = PriorConfig(), seed: int = 0):
         self.config = config
-        self.target_scale = target_scale
         H, K = config.hidden_width, config.codebook_size
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         self.net = nets.DenseNetwork.create([8, H, H, K], rng, ["relu", "relu", "identity"])
@@ -135,7 +136,7 @@ class ConditionalPrior:
         return nets.params_fingerprint(self.params())
 
     def logits_rows(self, C: np.ndarray) -> np.ndarray:
-        return self.net.forward(condition_inputs(C, self.target_scale))
+        return self.net.forward(condition_inputs(C, self.config.target_scale))
 
     def forward_rows(self, C: np.ndarray) -> np.ndarray:
         return softmax_rows(self.logits_rows(C))
@@ -151,7 +152,6 @@ class ConditionalPrior:
             "kind": "conditional-prior",
             **asdict(self.config),
             "mc_gradient": "none",
-            "target_scale": self.target_scale,
             "stage1_fingerprint": stage1_fingerprint,
         }
         nets.save_checkpoint(path, self.params(), metadata=meta)
@@ -172,8 +172,8 @@ class ConditionalPrior:
             )
         try:
             config = PriorConfig(**{f.name: spec[f.name] for f in fields(PriorConfig)})
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: unusable model config: {exc!r}") from exc
-        prior = cls(config, target_scale=spec.get("target_scale", 2.0))
+        prior = cls(config)
         prior.set_params(ck.params)
         return prior, ck

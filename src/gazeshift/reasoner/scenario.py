@@ -239,6 +239,8 @@ def write_scenario(scenario: Scenario, path) -> None:
 
 
 def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:
+    if not isinstance(doc, dict):
+        raise DataError(f"{origin}: a scenario must be a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != SCENARIO_SCHEMA:
         raise DataError(f"{origin}: not a scenario file (schema {doc.get('schema')!r})")
     if doc.get("version") != SCENARIO_VERSION:
@@ -279,7 +281,7 @@ def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:
         )
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{origin}: {exc}") from exc
 
 
@@ -287,7 +289,7 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text, or not JSON
         raise DataError(f"{path}: {exc}") from exc
     return scenario_from_doc(doc, origin=str(path))
 

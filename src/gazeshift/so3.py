@@ -11,14 +11,12 @@ Conventions used throughout the toolkit:
   * Eye poses have no roll axis; where a full rotation is needed they are
     promoted with roll = 0.
 
-The distance between two rotations is the geodesic angle on SO(3),
-``d(R1, R2) = arccos((trace(R1 @ R2.T) - 1) / 2)``. Two formulas compute
-it. The scalar, validated :func:`geodesic_distance` takes the ``atan2`` of
-the skew and trace parts of R1 R2^T, which keeps full precision near 0
-and pi. The batch paths that training, validation and the reports run,
-:func:`geodesic_rows` and :func:`geodesic_to_reference_with_grad`, still
-take the arccos of the trace, with its argument clamped to [-1, 1] so
-floating-point noise near the ends of the metric cannot produce NaN.
+The distance between two rotations is the geodesic angle on SO(3), the
+angle of the relative rotation R1^T R2 (Huynh 2009, "Metrics for 3D
+rotations"). One helper, ``_geodesic_from_trace``, computes it for every
+caller as ``atan2(|v|, tr - 1)``, with ``tr`` the relative rotation's trace,
+1 + 2 cos, and ``v`` its skew part, of length 2 sin. Unlike the inverse
+cosine of the trace, this keeps full precision near 0 and pi.
 
 :func:`geodesic_to_reference_with_grad` builds R(angles) from the same
 cosines and sines its gradient uses (``_rotation_from_trig``, which
@@ -39,8 +37,8 @@ TWO_PI = 2.0 * math.pi
 # to this absolute tolerance before a geodesic distance is computed.
 ROTATION_ATOL = 1e-6
 
-# The arccos derivative is unbounded as the geodesic distance approaches
-# 0 or pi; training code caps its magnitude here so gradients stay finite.
+# The geodesic gradient differentiates acos of the trace, unbounded as the
+# distance nears 0 or pi; its magnitude is capped here so it stays finite.
 GRAD_CAP = 1e4
 
 
@@ -171,41 +169,37 @@ def check_rotation(R: np.ndarray, atol: float = ROTATION_ATOL) -> None:
 
 
 def geodesic_distance(R1: np.ndarray, R2: np.ndarray) -> float:
-    """Geodesic angle between two validated rotation matrices, in [0, pi].
-
-    The angle of R1 R2^T is atan2(|v|, tr - 1): tr is its trace, 1 + 2 cos,
-    and v, the sum over k of column k of R2 crossed with column k of R1,
-    has length 2 sin. Unlike arccos of the trace this keeps full precision
-    near 0 and pi. Swapping R1 and R2 only negates v, so the result is
-    symmetric, and identical matrices give exactly 0.0.
-    """
+    """Geodesic angle between two validated rotation matrices, in [0, pi]."""
     check_rotation(R1)
     check_rotation(R2)
-    v0 = v1 = v2 = tr = 0.0
-    for a, b in zip(np.asarray(R1, dtype=float).T.tolist(),
-                    np.asarray(R2, dtype=float).T.tolist()):
-        v0 += b[1] * a[2] - b[2] * a[1]
-        v1 += b[2] * a[0] - b[0] * a[2]
-        v2 += b[0] * a[1] - b[1] * a[0]
-        tr += a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    return math.atan2(math.hypot(v0, v1, v2), tr - 1.0)
+    return float(geodesic_rows(R1, R2))
+
+
+def _geodesic_from_trace(Ra: np.ndarray, Rb: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Angles atan2(|v|, tr - 1) of Ra^T Rb: ``tr`` is its trace, ``v`` its skew part.
+
+    Ra^T Rb has the angle of Rb Ra^T, and numpy multiplies a stack whose first
+    operand is transposed about 3x faster. Swapping Ra and Rb only negates v.
+    """
+    M = np.matmul(np.swapaxes(Ra, -1, -2), Rb)
+    v0 = M[..., 2, 1] - M[..., 1, 2]
+    v1 = M[..., 0, 2] - M[..., 2, 0]
+    v2 = M[..., 1, 0] - M[..., 0, 1]
+    return np.arctan2(np.sqrt(v0 * v0 + v1 * v1 + v2 * v2), tr - 1.0)
 
 
 def geodesic_rows(Ra: np.ndarray, Rb: np.ndarray) -> np.ndarray:
     """Geodesic angles for stacks of rotations; trusted inputs, no validation."""
-    tr = np.einsum("...ij,...ij->...", Ra, Rb)
-    return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    return _geodesic_from_trace(Ra, Rb, np.einsum("...ij,...ij->...", Ra, Rb))
 
 
-def geodesic_to_reference_with_grad(
-    angles: np.ndarray, R_ref: np.ndarray, grad_cap: float = GRAD_CAP
-):
+def geodesic_to_reference_with_grad(angles: np.ndarray, R_ref: np.ndarray):
     """Geodesic distance d(R(angles), R_ref) and its gradient in the angles.
 
     ``angles`` has shape (..., 3); ``R_ref`` broadcasts as (..., 3, 3).
-    Returns (distance (...,), gradient (..., 3)). The arccos derivative
-    magnitude is capped at ``grad_cap`` so the gradient stays finite at the
-    ends of the metric, where the exact derivative diverges.
+    Returns (distance (...,), gradient (..., 3)). The gradient is that of
+    acos((tr - 1) / 2), with |d acos/du| capped at ``GRAD_CAP`` so it stays
+    finite at the ends of the metric, where the exact derivative diverges.
     """
     angles = np.asarray(angles, dtype=float)
     y, p, r = angles[..., 0], angles[..., 1], angles[..., 2]
@@ -215,11 +209,10 @@ def geodesic_to_reference_with_grad(
     R = _rotation_from_trig(cy, sy, cp, sp, cr, sr)
     F = np.broadcast_to(R_ref, R.shape)
     tr = np.einsum("...ij,...ij->...", R, F)
+    dist = _geodesic_from_trace(R, F, tr)
+    # |d acos/du| = 1/sqrt(1-u^2), capped at GRAD_CAP.
     u = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
-    dist = np.arccos(u)
-    # |d arccos/du| = 1/sqrt(1-u^2), capped at grad_cap.
-    denom = np.sqrt(np.maximum(1.0 - u * u, 1.0 / (grad_cap * grad_cap)))
-    dd_du = -1.0 / denom
+    dd_du = -1.0 / np.sqrt(np.maximum(1.0 - u * u, 1.0 / (GRAD_CAP * GRAD_CAP)))
     # d tr(R F^T) / d angle = sum_ij dR_ij F_ij, with dR read off the entries
     # of rotation_zyx: d/d yaw turns rows (0, 1) of R into (-row 1, row 0)
     # and leaves row 2 at zero; d/d roll turns columns (1, 2) into

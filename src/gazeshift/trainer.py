@@ -20,8 +20,8 @@ metric is the mean geodesic distance (MGD, degrees) between predicted and
 ground-truth target poses, per component; the best checkpoint of each
 stage minimises the summed eye+head validation MGD.
 
-Stage 1 computes the rotations of the ground-truth target poses of its
-training split once and hands each step its batch's rows of them.
+Each stage computes the rotations of its splits' ground-truth target poses
+once (``vqvae.target_rotations``) and hands steps and validations their rows.
 
 ``_fit`` also times each epoch's phases with ``time.perf_counter``: the
 batch steps (forward pass, loss and backward pass), the optimizer updates
@@ -122,6 +122,7 @@ class TrainConfig:
             gamma=self.gamma,
             eta=self.eta,
             lambda_mc=self.lambda_mc,
+            target_scale=self.target_scale,
         )
 
     def to_dict(self) -> dict:
@@ -233,9 +234,9 @@ def _fit(stage: int, flat: np.ndarray, params: dict, n: int, epochs: int,
     return best
 
 
-def validate_stage1(model: ConditionalVQVAE, Yv, Cv):
+def validate_stage1(model: ConditionalVQVAE, Yv, Cv, Rv):
     idx, _, _, pred = model.forward_rows(Yv, Cv)
-    eye_mgd, head_mgd = _mgd(*pose_errors_rows(pred, Yv, Cv))
+    eye_mgd, head_mgd = _mgd(*pose_errors_rows(pred, Cv, Rv))
     utilization = len(np.unique(idx)) / model.config.codebook_size
     return eye_mgd, head_mgd, utilization
 
@@ -248,6 +249,7 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     Yv, Cv = dataset_arrays(dataset, "val")
     # [eye; head] rotations of the true rows, indexed [part, row].
     R_true = target_rotations(Y, C).reshape(2, len(Y), 3, 3)
+    Rv = target_rotations(Yv, Cv)
 
     def step(batch):
         terms, grad = model.loss_and_grads(Y[batch], C[batch],
@@ -256,7 +258,7 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
 
     def end_epoch(epoch, lr, means):
         total, rec, embed, commit = means.tolist()
-        eye_mgd, head_mgd, utilization = validate_stage1(model, Yv, Cv)
+        eye_mgd, head_mgd, utilization = validate_stage1(model, Yv, Cv, Rv)
         return EpochMetrics(
             stage=1, epoch=epoch, lr=lr, loss_total=total,
             loss_rec=rec, loss_embed=embed, loss_commit=commit,
@@ -284,9 +286,9 @@ class CodeErrors:
     head: np.ndarray
 
     @classmethod
-    def of(cls, preds: np.ndarray, Y: np.ndarray, C: np.ndarray) -> "CodeErrors":
-        """Tables for ``preds = model.decode_codes(C)`` against the true rows ``Y``."""
-        eye, head = zip(*(pose_errors_rows(pred, Y, C) for pred in preds))
+    def of(cls, preds: np.ndarray, C: np.ndarray, R_true: np.ndarray) -> "CodeErrors":
+        """Tables for ``preds = model.decode_codes(C)`` against ``R_true``, the true rotations."""
+        eye, head = zip(*(pose_errors_rows(pred, C, R_true) for pred in preds))
         return cls(np.stack(eye, axis=1), np.stack(head, axis=1))
 
     def at(self, rows: np.ndarray, codes: np.ndarray):
@@ -315,12 +317,11 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
     if labels.min() < 0 or labels.max() >= config.codebook_size:
         raise TrainingError("code labels outside the codebook range")
     seeds = np.random.SeedSequence(config.seed).spawn(4)
-    prior = ConditionalPrior(config.prior_config(), seed=config.seed + 1,
-                             target_scale=config.target_scale)
+    prior = ConditionalPrior(config.prior_config(), seed=config.seed + 1)
     Yv, Cv = dataset_arrays(dataset, "val")
     val_labels = record_codes(model, dataset, "val")
-    errors = CodeErrors.of(model.decode_codes(C), Y, C)
-    val_errors = CodeErrors.of(model.decode_codes(Cv), Yv, Cv)
+    errors = CodeErrors.of(model.decode_codes(C), C, target_rotations(Y, C))
+    val_errors = CodeErrors.of(model.decode_codes(Cv), Cv, target_rotations(Yv, Cv))
 
     def step(batch):
         logits = prior.logits_rows(C[batch])

@@ -113,8 +113,8 @@ class VQVAEConfig:
             raise ValueError("latent_dim and hidden_width must be positive")
         if self.beta < 0 or self.lambda_rc < 0:
             raise ValueError("beta and lambda_rc must be non-negative")
-        if self.target_scale <= 0:
-            raise ValueError("target_scale must be positive")
+        if not 0 < self.target_scale < float("inf"):
+            raise ValueError("target_scale must be positive and finite")
         if self.codebook_init_scale <= 0:
             raise ValueError("codebook_init_scale must be positive")
 
@@ -214,14 +214,14 @@ def target_rotations(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return so3.rotation_zyx(_target_angles(A, C))
 
 
-def pose_errors_rows(pred: np.ndarray, Y: np.ndarray, C: np.ndarray):
+def pose_errors_rows(pred: np.ndarray, C: np.ndarray, R_true: np.ndarray):
     """Geodesic error (radians) of predicted against true target poses.
 
-    Both allocations are composed with the current poses from ``C`` and
-    compared as rotations, so the values lie in [0, pi] and are invariant
-    to 2*pi shifts of any angle. Returns (d_eye (n,), d_head (n,)).
+    ``pred`` is composed with the current poses from ``C`` and compared as
+    rotations with ``R_true = target_rotations(Y, C)``, so the values lie in
+    [0, pi] and are invariant to 2*pi shifts of any angle. Returns (d_eye, d_head).
     """
-    d = so3.geodesic_rows(target_rotations(pred, C), target_rotations(Y, C))
+    d = so3.geodesic_rows(target_rotations(pred, C), R_true)
     return d[:len(C)], d[len(C):]
 
 

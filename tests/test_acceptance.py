@@ -31,7 +31,7 @@ from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import (TrainConfig, dataset_arrays, run_training,
                                validate_stage1)
 from gazeshift.vqvae import (ConditionalVQVAE, VQVAEConfig, quantize_rows,
-                             reconstruction_terms)
+                             reconstruction_terms, target_rotations)
 from net_oracles import preactivations
 
 BUNDLED_SCENARIOS = Path(gazeshift.__file__).parent / "scenarios"
@@ -243,13 +243,13 @@ def test_criterion_2_loss_term_gradients():
 
         # focal classification loss: prior parameter gradients
         pconf = PriorConfig(codebook_size=config.codebook_size, hidden_width=8,
-                            gamma=gammas[case % len(gammas)])
+                            gamma=gammas[case % len(gammas)],
+                            target_scale=config.target_scale)
         prior = None
         for pseed in range(10 * case, 10 * case + 40):
-            candidate = ConditionalPrior(pconf, seed=pseed,
-                                         target_scale=config.target_scale)
+            candidate = ConditionalPrior(pconf, seed=pseed)
             X = np.array(C)
-            X[:, 5:8] /= candidate.target_scale
+            X[:, 5:8] /= pconf.target_scale
             margin = min(float(np.abs(z).min())
                          for z, act in zip(preactivations(candidate.net, X),
                                            candidate.net.activations)
@@ -317,6 +317,7 @@ def test_criterion_3_memorization_capacity():
                                      weight_decay=config.weight_decay)
     schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
     shuffle = np.random.default_rng(1)
+    R_true = target_rotations(Y, C)
     best = math.inf
     first_below = None
     for epoch in range(config.stage1_epochs):
@@ -324,7 +325,7 @@ def test_criterion_3_memorization_capacity():
         perm = shuffle.permutation(len(Y))
         _, grad = model.loss_and_grads(Y[perm], C[perm])
         nets.adam_step(adam, model.flat, grad)
-        eye_mgd, head_mgd, _ = validate_stage1(model, Y, C)
+        eye_mgd, head_mgd, _ = validate_stage1(model, Y, C, R_true)
         summed = eye_mgd + head_mgd
         if summed < best:
             best = summed

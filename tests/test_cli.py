@@ -161,6 +161,14 @@ def test_malformed_config_file_exit_config(tmp_path):
     assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
 
 
+def test_config_file_not_utf8_exit_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"generator": {"n_samples": 50}} \xff\n')
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+
 def test_missing_config_file_exit_config(tmp_path):
     assert main(["gen-data", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "d")]) == 2
@@ -225,6 +233,23 @@ def test_train_missing_dataset_exit_data(tmp_path):
     assert main(["train", "--config", config,
                  "--dataset", str(tmp_path / "absent.jsonl"),
                  "--out", str(tmp_path / "run")]) == 3
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda lines: lines[:1] + [b"[1,2,3]\n"] + lines[2:], "line 2: a sample must be a JSON object"),
+    (lambda lines: lines[:3] + [lines[3].rstrip(b"\n") + b" \xff\n"] + lines[4:],
+     "cannot read dataset"),
+], ids=["sample_not_an_object", "not_utf8"])
+def test_damaged_dataset_exit_data(pipeline, tmp_path, capsys, damage, reason):
+    _, config, data_dir, _ = pipeline
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(b"".join(damage((data_dir / "dataset.jsonl").read_bytes()
+                                        .splitlines(True))))
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err and err.count("\n") == 1
 
 
 def test_train_stage2_without_stage1_exit_training(pipeline, tmp_path):
@@ -376,6 +401,34 @@ def _model_spec_list(doc):
     doc["metadata"]["model"] = []
 
 
+def _target_scale_text(doc):
+    doc["metadata"]["model"]["target_scale"] = "x"
+
+
+def _target_scale_null(doc):
+    doc["metadata"]["model"]["target_scale"] = None
+
+
+def _target_scale_zero(doc):
+    doc["metadata"]["model"]["target_scale"] = 0
+
+
+def _target_scale_negative(doc):
+    doc["metadata"]["model"]["target_scale"] = -2
+
+
+def _no_target_scale(doc):
+    del doc["metadata"]["model"]["target_scale"]
+
+
+def _target_scale_nan(doc):
+    doc["metadata"]["model"]["target_scale"] = math.nan
+
+
+def _target_scale_inf(doc):
+    doc["metadata"]["model"]["target_scale"] = math.inf
+
+
 @pytest.mark.parametrize("name, edit, reason", [
     ("stage1.json", _drop_bias, "missing"),
     ("stage1.json", _short_bias, "shape"),
@@ -392,6 +445,14 @@ def _model_spec_list(doc):
     ("prior.json", _no_gamma, "prior.json: unusable model config: KeyError('gamma')"),
     ("stage1.json", _model_spec_list, "stage1.json: checkpoint does not hold a conditional VQ-VAE"),
     ("prior.json", _model_spec_list, "prior.json: checkpoint does not hold a conditional prior"),
+    ("prior.json", _target_scale_text, "prior.json: unusable model config: TypeError"),
+    ("prior.json", _target_scale_null, "prior.json: unusable model config: TypeError"),
+    ("prior.json", _target_scale_zero, "target_scale must be positive and finite, not 0"),
+    ("prior.json", _target_scale_negative, "target_scale must be positive and finite, not -2"),
+    ("prior.json", _no_target_scale, "prior.json: unusable model config: KeyError('target_scale')"),
+    ("prior.json", _target_scale_nan, "target_scale must be positive and finite, not nan"),
+    ("stage1.json", _target_scale_nan, "target_scale must be positive and finite"),
+    ("stage1.json", _target_scale_inf, "target_scale must be positive and finite"),
 ])
 def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name, edit, reason):
     # eval and sample read both checkpoints, train --stage 2 the stage-1 one
@@ -616,6 +677,27 @@ def test_replay_adversarial_scores_zero(tmp_path):
 def test_replay_empty_scenario_dir_exit_data(tmp_path):
     assert main(["replay", "--scenarios", str(tmp_path),
                  "--out", str(tmp_path / "r")]) == 3
+
+
+@pytest.mark.parametrize("text, reason", [
+    (b"[]", "a scenario must be a JSON object, not list"),
+    (None, "'list' object has no attribute 'items'"),
+    (b'{"schema": "gazeshift-scenario", "description": "\xff"}', "can't decode byte 0xff"),
+], ids=["not_an_object", "responses_list", "not_utf8"])
+def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, text, reason):
+    bundled = Path(gazeshift.__file__).parent / "scenarios"
+    shutil.copytree(bundled, tmp_path / "s")
+    damaged = sorted((tmp_path / "s").glob("*.json"))[0]
+    if text is None:
+        doc = json.loads(damaged.read_text(encoding="utf-8"))
+        doc["responses"] = [1]
+        text = json.dumps(doc).encode("utf-8")
+    damaged.write_bytes(text)
+    assert main(["replay", "--scenarios", str(tmp_path / "s"),
+                 "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {damaged}") and reason in err and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
 
 
 def test_replay_remote_requires_backend_section(tmp_path):

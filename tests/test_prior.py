@@ -23,7 +23,8 @@ from gazeshift.prior import (PROB_FLOOR, ConditionalPrior, PriorConfig,
                              softmax_rows)
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import CodeErrors, validate_stage2
-from gazeshift.vqvae import ConditionalVQVAE, ConditionVector, VQVAEConfig, pose_errors_rows
+from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, pose_errors_rows,
+                             target_rotations)
 
 FD_H = 1e-6
 FD_REL = 1e-4
@@ -47,7 +48,7 @@ def motion_consistency_rows(model, logits: np.ndarray, Y: np.ndarray, C: np.ndar
     argmax makes the value piecewise constant in ``logits``.
     """
     pred = model.decode_rows(model.codebook[np.argmax(logits, axis=1)], C)
-    d_eye, d_head = pose_errors_rows(pred, Y, C)
+    d_eye, d_head = pose_errors_rows(pred, C, target_rotations(Y, C))
     return d_eye + lambda_mc * d_head
 
 
@@ -235,7 +236,7 @@ def test_code_error_tables_equal_per_batch_decoding(n, lambda_mc):
     C = np.concatenate([rng.uniform(-0.3, 0.3, (n, 5)), rng.uniform(0.5, 2.0, (n, 3))], axis=1)
     Y = rng.uniform(-0.6, 0.6, (n, 5))
     logits = rng.normal(size=(n, K)) * 3
-    errors = CodeErrors.of(model.decode_codes(C), Y, C)
+    errors = CodeErrors.of(model.decode_codes(C), C, target_rotations(Y, C))
     # Training batches: a shuffle cut into batches of 32 and a short
     # remainder, plus batches of 2 and 3. Not single rows: numpy decodes a
     # one-row batch by a matrix-vector path whose last bits can differ.
@@ -248,7 +249,8 @@ def test_code_error_tables_equal_per_batch_decoding(n, lambda_mc):
     # Validation over all rows at once.
     labels = rng.integers(0, K, size=n)
     codes = np.argmax(logits, axis=1)
-    d_eye, d_head = pose_errors_rows(model.decode_rows(model.codebook[codes], C), Y, C)
+    d_eye, d_head = pose_errors_rows(model.decode_rows(model.codebook[codes], C), C,
+                                     target_rotations(Y, C))
     expected = (math.degrees(float(d_eye.mean())), math.degrees(float(d_head.mean())),
                 float((codes == labels).mean()))
     assert validate_stage2(FixedPrior(softmax_rows(logits)), C, errors, labels) == expected

@@ -509,6 +509,12 @@ def test_scenario_rejects_bad_documents():
     bad_box["cycles"][0]["instances"][0]["box"] = [700.0, 80.0, 720.0, 460.0]
     with pytest.raises(DataError, match="exceeds"):
         scenario_from_doc(bad_box)
+    for not_object in ([], "scenario", 1, None):
+        with pytest.raises(DataError, match="must be a JSON object"):
+            scenario_from_doc(not_object)
+    for responses in ([1], "abc", 2):
+        with pytest.raises(DataError, match="attribute 'items'"):
+            scenario_from_doc({**good, "responses": responses})
 
 
 def test_scenario_validates_structure():

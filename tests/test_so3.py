@@ -59,12 +59,12 @@ def rotation_zyx_derivs(angles: np.ndarray) -> np.ndarray:
     return np.stack([dRz @ Ry @ Rx, Rz @ dRy @ Rx, Rz @ Ry @ dRx], axis=-3)
 
 
-def geodesic_grad_reference(angles: np.ndarray, R_ref: np.ndarray,
-                            grad_cap: float = so3.GRAD_CAP) -> np.ndarray:
-    """Gradient of d(R(angles), R_ref) contracted from the matrix derivatives."""
+def geodesic_grad_reference(angles: np.ndarray, R_ref: np.ndarray) -> np.ndarray:
+    """Gradient of arccos((trace(R(angles) R_ref^T) - 1) / 2), the arccos
+    derivative capped at GRAD_CAP, contracted from the matrix derivatives."""
     tr = np.einsum("...ij,...ij->...", so3.rotation_zyx(angles), R_ref)
     u = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
-    dd_du = -1.0 / np.sqrt(np.maximum(1.0 - u * u, 1.0 / (grad_cap * grad_cap)))
+    dd_du = -1.0 / np.sqrt(np.maximum(1.0 - u * u, 1.0 / (so3.GRAD_CAP * so3.GRAD_CAP)))
     du_dangles = 0.5 * np.einsum("...aij,...ij->...a", rotation_zyx_derivs(angles), R_ref)
     return dd_du[..., None] * du_dangles
 
@@ -242,7 +242,7 @@ def test_compose_then_matrix_round_trip():
 
 def test_geodesic_identical():
     R = so3.euler_to_matrix(HeadPose(0.3, 0.1, -0.2))
-    assert so3.geodesic_distance(R, R) == pytest.approx(0.0, abs=1e-9)
+    assert so3.geodesic_distance(R, R) == 0.0
 
 
 def test_geodesic_antipodal():
@@ -305,6 +305,18 @@ def test_geodesic_keeps_precision_near_zero():
     Ra, Rb, Rc = (so3.euler_to_matrix(HeadPose(y, 0.0, 0.0)) for y in (0.0, 1e-8, 2e-8))
     assert so3.geodesic_distance(Ra, Rb) == pytest.approx(1e-8, rel=1e-6)
     assert so3.geodesic_distance(Ra, Rc) == pytest.approx(2e-8, rel=1e-6)
+
+
+@pytest.mark.parametrize("frame", [np.eye(3), so3.rotation_zyx(np.array([0.3, -1.2, 2.0]))])
+def test_geodesic_rows_keeps_precision_near_zero_and_pi(frame):
+    # Pairs 1e-8 and 2e-8 rad from agreeing or from antipodal, seen from a
+    # plain and a turned frame; arccos of the trace reads 0 and 2.1e-8 rad,
+    # and pi and pi - 2.1e-8, in the plain frame.
+    yaws = np.array([1e-8, 2e-8, math.pi - 1e-8, math.pi - 2e-8])
+    Rb = frame @ so3.rotation_zyx(np.stack([yaws, np.zeros(4), np.zeros(4)], axis=1))
+    d = so3.geodesic_rows(np.broadcast_to(frame, Rb.shape), Rb)
+    np.testing.assert_allclose(d[:2], [1e-8, 2e-8], rtol=1e-6)
+    np.testing.assert_allclose(math.pi - d[2:], [1e-8, 2e-8], rtol=1e-6)
 
 
 @settings(max_examples=500, deadline=None)
@@ -435,16 +447,19 @@ def test_geodesic_grad_finite_at_zero_distance():
     angles = np.array([0.3, -0.2, 0.1])
     ref = so3.rotation_zyx(angles)
     dist, grad = so3.geodesic_to_reference_with_grad(angles, ref)
-    assert dist == pytest.approx(0.0, abs=1e-9)
+    assert dist == 0.0
     assert np.all(np.isfinite(grad))
     assert np.max(np.abs(grad)) <= so3.GRAD_CAP
 
 
 def test_geodesic_grad_cap_bounds_arccos_derivative():
-    # at u = (tr-1)/2 clipped to 1, denominator is floored at 1/GRAD_CAP
-    angles = np.zeros(3)
-    dist, grad = so3.geodesic_to_reference_with_grad(angles, np.eye(3), grad_cap=10.0)
-    assert np.all(np.abs(grad) <= 10.0 * 1.0 + 1e-12)
+    # 1e-6 rad of yaw from the reference, |d arccos/du| = 1/sin(1e-6) would
+    # be 1e6; the cap holds it at GRAD_CAP, so the slope reads
+    # GRAD_CAP * sin(1e-6) instead of 1, while the distance stays exact
+    dist, grad = so3.geodesic_to_reference_with_grad(np.array([1e-6, 0.0, 0.0]), np.eye(3))
+    assert dist == pytest.approx(1e-6, rel=1e-9)
+    assert grad[0] == pytest.approx(so3.GRAD_CAP * math.sin(1e-6), rel=1e-6)
+    assert grad[1] == grad[2] == 0.0
 
 
 # -- the scalar rotation check against the whole-array original -----------------

@@ -28,7 +28,7 @@ from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                infer, record_codes, run_training,
                                train_stage1, train_stage2, validate_stage1,
                                validate_stage2, write_metrics_csv)
-from gazeshift.vqvae import ConditionalVQVAE, quantize_rows
+from gazeshift.vqvae import ConditionalVQVAE, quantize_rows, target_rotations
 
 SMALL_GEN = GeneratorConfig(n_samples=60)
 SMALL_TRAIN = TrainConfig(stage1_epochs=8, stage2_epochs=6, batch_size=16,
@@ -159,7 +159,7 @@ def test_validate_stage1_recomputes_from_public_pieces(trained, small_dataset):
     model = trained[0]
     Yv, Cv = dataset_arrays(small_dataset, "val")
     eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
-    eye_mgd, head_mgd, util = validate_stage1(model, Yv, Cv)
+    eye_mgd, head_mgd, util = validate_stage1(model, Yv, Cv, target_rotations(Yv, Cv))
     idx, z_q = quantize_rows(model.encode_rows(Yv, Cv), model.codebook)
     pred = model.decode_rows(z_q, Cv)
     eye_poses = [EyePose(*(Cv[i, 0:2] + pred[i, 0:2])) for i in range(len(Cv))]
@@ -245,7 +245,7 @@ def test_validate_stage2_recomputes_from_public_pieces(trained, small_dataset):
     Yv, Cv = dataset_arrays(small_dataset, "val")
     eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
     val_labels = record_codes(model, small_dataset, "val")
-    val_errors = CodeErrors.of(model.decode_codes(Cv), Yv, Cv)
+    val_errors = CodeErrors.of(model.decode_codes(Cv), Cv, target_rotations(Yv, Cv))
     eye_mgd, head_mgd, top1 = validate_stage2(prior, Cv, val_errors, val_labels)
     codes = np.argmax(prior.forward_rows(Cv), axis=1)
     pred = model.decode_rows(model.codebook[codes], Cv)

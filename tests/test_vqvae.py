@@ -254,8 +254,7 @@ def test_reconstruction_zero_for_exact_prediction():
     rng = np.random.default_rng(23)
     Y, C = fixture_batch(rng)
     vals, _ = reconstruction_terms(Y, Y, C, 1.0)
-    # arccos near u = 1 resolves zero only to about sqrt(eps)
-    np.testing.assert_allclose(vals, 0.0, atol=1e-7)
+    np.testing.assert_array_equal(vals, 0.0)
 
 
 def test_reconstruction_nonnegative():
@@ -310,14 +309,6 @@ def _pose_reference(a, c):
 ANGLES = st.floats(-1.0, 1.0, allow_nan=False)
 
 
-def assert_same_angle(a, b):
-    """Equal to 1e-9 rad; within 1e-5 rad of 0 or pi, where arccos of a trace
-    rounded by a few ulps resolves only to about sqrt(eps), to 1e-7 rad."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    near_end = np.minimum(b, math.pi - b) < 1e-5
-    np.testing.assert_array_less(np.abs(a - b), np.where(near_end, 1e-7, 1e-9))
-
-
 @settings(max_examples=200, deadline=None)
 @given(pred=arrays(float, (4, 5), elements=ANGLES),
        Y=arrays(float, (4, 5), elements=ANGLES),
@@ -325,31 +316,32 @@ def assert_same_angle(a, b):
        shifts=arrays(np.int64, (4, 5), elements=st.integers(-3, 3)))
 def test_pose_errors_rows_properties(pred, Y, cond, shifts):
     C = np.concatenate([cond, np.ones((4, 3))], axis=1)
-    d_eye, d_head = pose_errors_rows(pred, Y, C)
+    R_true = target_rotations(Y, C)
+    d_eye, d_head = pose_errors_rows(pred, C, R_true)
     for d in (d_eye, d_head):
         assert d.shape == (4,)
         assert np.all((d >= 0.0) & (d <= math.pi))
-    # zero on an exact prediction, to the sqrt(eps) resolution of arccos near 1
-    for d in pose_errors_rows(Y, Y, C):
-        np.testing.assert_allclose(d, 0.0, atol=1e-7)
+    # exactly zero on an exact prediction
+    for d in pose_errors_rows(Y, C, R_true):
+        np.testing.assert_array_equal(d, 0.0)
     # rotations ignore 2*pi shifts of any predicted angle
-    for a, b in zip(pose_errors_rows(pred + 2 * math.pi * shifts, Y, C), (d_eye, d_head)):
-        assert_same_angle(a, b)
+    for a, b in zip(pose_errors_rows(pred + 2 * math.pi * shifts, C, R_true), (d_eye, d_head)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
     # each row matches the validated scalar path
     for i in range(4):
         eye_p, head_p = _pose_reference(pred[i], C[i])
         eye_t, head_t = _pose_reference(Y[i], C[i])
-        assert_same_angle(d_eye[i], so3.geodesic_distance(
-            so3.euler_to_matrix(eye_p), so3.euler_to_matrix(eye_t)))
-        assert_same_angle(d_head[i], so3.geodesic_distance(
-            so3.euler_to_matrix(head_p), so3.euler_to_matrix(head_t)))
+        assert d_eye[i] == pytest.approx(so3.geodesic_distance(
+            so3.euler_to_matrix(eye_p), so3.euler_to_matrix(eye_t)), rel=0, abs=1e-12)
+        assert d_head[i] == pytest.approx(so3.geodesic_distance(
+            so3.euler_to_matrix(head_p), so3.euler_to_matrix(head_t)), rel=0, abs=1e-12)
 
 
 def test_reconstruction_values_are_pose_errors():
     rng = np.random.default_rng(27)
     Y, C = fixture_batch(rng, n=12)
     pred = Y + rng.normal(scale=0.3, size=Y.shape)
-    d_eye, d_head = pose_errors_rows(pred, Y, C)
+    d_eye, d_head = pose_errors_rows(pred, C, target_rotations(Y, C))
     vals, _ = reconstruction_terms(pred, Y, C, 1.7)
     np.testing.assert_array_equal(vals, d_eye + 1.7 * d_head)
 
