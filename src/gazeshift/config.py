@@ -1,4 +1,4 @@
-"""The one reader that turns a JSON config section into a config dataclass."""
+"""The one reader that turns a JSON config section or checkpoint model config into a dataclass."""
 
 from __future__ import annotations
 

@@ -12,7 +12,9 @@ vector; a :class:`Layout` names the stretches of it (``"0.W"``, ``"0.b"``,
 the Adam moments are flat vectors in the same layout, and the optimizer
 updates the whole vector in place with a few whole-array operations.
 The moments live only in memory while a stage trains: a checkpoint holds
-the weights and their metadata, which is all a load uses.
+the weights and their metadata, which is all a load uses. A model's
+config goes into ``metadata["model"]`` through ``save_model`` and comes
+back through ``load_model``, which checks every field with ``read_config``.
 
 The training step avoids fixed per-call costs. ``DenseNetwork.backward``
 writes each layer's gradient through (slice, shape) spans worked out once
@@ -30,11 +32,13 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .atomic import open_atomic
+from .config import read_config
+from .errors import ConfigError
 
 CHECKPOINT_FORMAT = "gazeshift-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -408,3 +412,32 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(metadata, dict):
         raise ValueError(f"{path}: metadata must be an object")
     return Checkpoint(decode_params(doc["params"], path), metadata)
+
+
+def save_model(path, params, kind: str, config, metadata: dict | None = None, **extra) -> None:
+    """Save a checkpoint whose ``metadata["model"]`` records ``kind``, ``config`` and ``extra``."""
+    model = {"kind": kind, **asdict(config), **extra}
+    save_checkpoint(path, params, metadata={**(metadata or {}), "model": model})
+
+
+def load_model(path, model_cls, kind: str, config_cls, extra=()):
+    """``model_cls(config)`` holding the weights of a ``save_model`` file, and its checkpoint.
+
+    A record of another ``kind``, or whose ``config_cls`` config has a
+    missing, invalid or unknown field (other than the names in ``extra``),
+    raises ValueError naming ``path``.
+    """
+    ck = load_checkpoint(path)
+    spec = ck.metadata.get("model")
+    if not isinstance(spec, dict) or spec.get("kind") != kind:
+        raise ValueError(f"{path}: checkpoint does not hold a {kind} model")
+    doc = {name: value for name, value in spec.items() if name != "kind" and name not in extra}
+    try:
+        missing = [f.name for f in fields(config_cls) if f.name not in doc]
+        if missing:
+            raise ConfigError(f"model config lacks {', '.join(map(repr, missing))}")
+        model = model_cls(read_config(config_cls, doc, "model"))
+    except ConfigError as exc:
+        raise ValueError(f"{path}: unusable checkpoint: {exc}") from exc
+    model.set_params(ck.params)
+    return model, ck

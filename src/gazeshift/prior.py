@@ -20,11 +20,13 @@ constant; no relaxation is applied, and checkpoints record this as
 
 At inference time a code is sampled from pi (or the argmax is taken) and
 decoded into a motion allocation.
+Checkpoints record every :class:`PriorConfig` field, ``mc_gradient`` and
+the stage-1 fingerprint (``nets.save_model``); ``load`` checks the last two.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,21 +149,14 @@ class ConditionalPrior:
 
     def save(self, path, metadata: dict | None = None,
              stage1_fingerprint: str | None = None) -> None:
-        meta = dict(metadata or {})
-        meta["model"] = {
-            "kind": "conditional-prior",
-            **asdict(self.config),
-            "mc_gradient": "none",
-            "stage1_fingerprint": stage1_fingerprint,
-        }
-        nets.save_checkpoint(path, self.params(), metadata=meta)
+        nets.save_model(path, self.params(), "conditional-prior", self.config, metadata,
+                        mc_gradient="none", stage1_fingerprint=stage1_fingerprint)
 
     @classmethod
     def load(cls, path, expect_stage1_fingerprint: str | None = None):
-        ck = nets.load_checkpoint(path)
-        spec = ck.metadata.get("model", {})
-        if not isinstance(spec, dict) or spec.get("kind") != "conditional-prior":
-            raise ValueError(f"{path}: checkpoint does not hold a conditional prior")
+        prior, ck = nets.load_model(path, cls, "conditional-prior", PriorConfig,
+                                    extra=("mc_gradient", "stage1_fingerprint"))
+        spec = ck.metadata["model"]
         if spec.get("mc_gradient", "none") != "none":
             raise ValueError(f"{path}: unsupported mc_gradient mode {spec['mc_gradient']!r}")
         stored = spec.get("stage1_fingerprint")
@@ -170,10 +165,4 @@ class ConditionalPrior:
                 "prior checkpoint was trained against a different first-stage model "
                 f"(stored fingerprint {stored!r})"
             )
-        try:
-            config = PriorConfig(**{f.name: spec[f.name] for f in fields(PriorConfig)})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: unusable model config: {exc!r}") from exc
-        prior = cls(config)
-        prior.set_params(ck.params)
         return prior, ck

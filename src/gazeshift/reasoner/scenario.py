@@ -55,10 +55,6 @@ class CameraIntrinsics:
             raise ValueError("point must lie in front of the camera")
         return (self.fx * x / z + self.cx, self.fy * y / z + self.cy)
 
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "width": self.width, "height": self.height}
-
 
 @dataclass(frozen=True)
 class RigidTransform:
@@ -78,9 +74,6 @@ class RigidTransform:
 
     def apply(self, point: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(point, dtype=float) + self.translation
-
-    def to_dict(self) -> dict:
-        return {"rotation": self.rotation.tolist(), "translation": self.translation.tolist()}
 
 
 def _check_box(box, camera: CameraIntrinsics, what: str):
@@ -193,49 +186,6 @@ class Scenario:
     def has_evaluation_metadata(self) -> bool:
         cue = self.cue_cycle()
         return cue is not None and cue.expected_instance is not None
-
-
-def scenario_to_doc(scenario: Scenario) -> dict:
-    first = scenario.cycles[0]
-    cycles = []
-    for c in scenario.cycles:
-        doc = {
-            "index": c.index,
-            "semantics": c.semantics,
-            "instances": [
-                {k: v for k, v in {
-                    "id": inst.instance_id,
-                    "category": inst.category,
-                    "box": list(inst.box),
-                    "depth": inst.depth,
-                    "face_box": list(inst.face_box) if inst.face_box else None,
-                }.items() if v is not None}
-                for inst in c.instances
-            ],
-        }
-        if c.image_ref:
-            doc["image_ref"] = c.image_ref
-        if c.cue_onset:
-            doc["cue_onset"] = True
-        if c.expected_instance:
-            doc["expected_instance"] = c.expected_instance
-        cycles.append(doc)
-    return {
-        "schema": SCENARIO_SCHEMA,
-        "version": SCENARIO_VERSION,
-        "scenario_id": scenario.scenario_id,
-        "regularity": scenario.regularity,
-        "description": scenario.description,
-        "camera": first.camera.to_dict(),
-        "base_from_camera": first.base_from_camera.to_dict(),
-        "cycles": cycles,
-        "responses": {str(k): v for k, v in sorted(scenario.responses.items())},
-    }
-
-
-def write_scenario(scenario: Scenario, path) -> None:
-    doc = scenario_to_doc(scenario)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:

@@ -40,7 +40,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +58,6 @@ STAGE1_CHECKPOINT = "stage1.json"
 PRIOR_CHECKPOINT = "prior.json"
 METRICS_FILE = "metrics.csv"
 TIMINGS_FILE = "timings.jsonl"
-
-METRICS_COLUMNS = [
-    "stage", "epoch", "lr", "loss_total", "loss_rec", "loss_embed", "loss_commit",
-    "loss_focal", "loss_mc", "val_eye_mgd_deg", "val_head_mgd_deg",
-    "codebook_utilization", "prior_top1_acc",
-]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -105,25 +98,10 @@ class TrainConfig:
         return nets.LrSchedule(self.lr, tuple(self.milestones), self.lr_decay)
 
     def vqvae_config(self) -> VQVAEConfig:
-        return VQVAEConfig(
-            codebook_size=self.codebook_size,
-            latent_dim=self.latent_dim,
-            hidden_width=self.hidden_width,
-            beta=self.beta,
-            lambda_rc=self.lambda_rc,
-            target_scale=self.target_scale,
-            codebook_init_scale=self.codebook_init_scale,
-        )
+        return VQVAEConfig(**{f.name: getattr(self, f.name) for f in fields(VQVAEConfig)})
 
     def prior_config(self) -> PriorConfig:
-        return PriorConfig(
-            codebook_size=self.codebook_size,
-            hidden_width=self.hidden_width,
-            gamma=self.gamma,
-            eta=self.eta,
-            lambda_mc=self.lambda_mc,
-            target_scale=self.target_scale,
-        )
+        return PriorConfig(**{f.name: getattr(self, f.name) for f in fields(PriorConfig)})
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -135,19 +113,21 @@ class TrainConfig:
         return read_config(cls, doc, "training")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EpochMetrics:
+    """One epoch's row of ``metrics.csv``; the fields are its columns, in order."""
+
     stage: int
     epoch: int
     lr: float
     loss_total: float
-    val_eye_mgd_deg: float
-    val_head_mgd_deg: float
     loss_rec: float | None = None
     loss_embed: float | None = None
     loss_commit: float | None = None
     loss_focal: float | None = None
     loss_mc: float | None = None
+    val_eye_mgd_deg: float
+    val_head_mgd_deg: float
     codebook_utilization: float | None = None
     prior_top1_acc: float | None = None
 
@@ -155,10 +135,12 @@ class EpochMetrics:
         return self.val_eye_mgd_deg + self.val_head_mgd_deg
 
     def row(self) -> list:
-        doc = asdict(self)  # the fields are exactly METRICS_COLUMNS
         # float() first: the repr of a numpy scalar carries its type name
-        return ["" if doc[c] is None else repr(float(doc[c])) if isinstance(doc[c], float)
-                else doc[c] for c in METRICS_COLUMNS]
+        return ["" if v is None else repr(float(v)) if isinstance(v, float) else v
+                for v in asdict(self).values()]
+
+
+METRICS_COLUMNS = [f.name for f in fields(EpochMetrics)]
 
 
 def dataset_arrays(dataset: Dataset, which: str):
@@ -385,11 +367,17 @@ def _stage1_rows(path: Path) -> list:
     """The stage-1 rows of an earlier run's metrics file, kept by a stage-2 run."""
     if not path.exists():
         return []
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8
+        raise TrainingError(f"cannot read {path}: {exc}") from exc
     if not rows or rows[0] != METRICS_COLUMNS:
         raise TrainingError(f"{path} does not have the metrics header {METRICS_COLUMNS}")
-    return [row for row in rows[1:] if row[:1] == ["1"]]
+    kept = [row for row in rows[1:] if row[:1] == ["1"]]
+    if any(len(row) != len(METRICS_COLUMNS) for row in kept):
+        raise TrainingError(f"{path} has a stage-1 row without {len(METRICS_COLUMNS)} cells")
+    return kept
 
 
 def write_timings_jsonl(path, records) -> None:
@@ -402,11 +390,11 @@ def _stage1_timings(path: Path) -> list:
     """The stage-1 records of an earlier run's timings file, kept by a stage-2 run."""
     if not path.exists():
         return []
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh]
-        except json.JSONDecodeError as exc:
-            raise TrainingError(f"{path} is not one JSON object per line: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise TrainingError(f"cannot read {path} as one JSON object per line: {exc}") from exc
     return [r for r in records if isinstance(r, dict) and r.get("stage") == 1]
 
 

@@ -28,12 +28,14 @@ and the reconstruction term is invariant to 2*pi shifts of any angle.
 
 Codes are 0-based indices into the codebook array everywhere (files,
 reports, APIs).
+Checkpoints record every :class:`VQVAEConfig` field (``nets.save_model``);
+one that lacks a field or holds a mistyped one does not load.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -425,21 +427,8 @@ class ConditionalVQVAE:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path, metadata: dict | None = None) -> None:
-        meta = dict(metadata or {})
-        meta["model"] = {"kind": "conditional-vqvae", **asdict(self.config)}
-        nets.save_checkpoint(path, self.params(), metadata=meta)
+        nets.save_model(path, self.params(), "conditional-vqvae", self.config, metadata)
 
     @classmethod
     def load(cls, path) -> tuple["ConditionalVQVAE", nets.Checkpoint]:
-        ck = nets.load_checkpoint(path)
-        spec = ck.metadata.get("model", {})
-        if not isinstance(spec, dict) or spec.get("kind") != "conditional-vqvae":
-            raise ValueError(f"{path}: checkpoint does not hold a conditional VQ-VAE")
-        fields = {k: v for k, v in spec.items() if k != "kind"}
-        try:
-            config = VQVAEConfig(**fields)
-        except TypeError as exc:
-            raise ValueError(f"{path}: unusable model config: {exc}") from exc
-        model = cls(config)
-        model.set_params(ck.params)
-        return model, ck
+        return nets.load_model(path, cls, "conditional-vqvae", VQVAEConfig)

@@ -15,18 +15,24 @@ builder lives beside the test that checks it reproduces them byte for
 byte. Regenerate the bundled files from the repository root with:
 
     PYTHONPATH=src python tests/scenario_corpus.py src/gazeshift/scenarios
+
+``scenario_to_doc`` and ``write_scenario``, the inverse of the package's
+``scenario_from_doc`` and ``load_scenario``, live here too: only this
+builder and the round-trip tests write scenario files.
 """
 
 from __future__ import annotations
 
+import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from gazeshift.reasoner.pipeline import mark_scene
-from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance, RigidTransform, Scenario,
-                                         ScenarioCycle, write_scenario)
+from gazeshift.reasoner.scenario import (SCENARIO_SCHEMA, SCENARIO_VERSION, CameraIntrinsics,
+                                         Instance, RigidTransform, Scenario, ScenarioCycle)
 
 CAMERA = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -244,6 +250,52 @@ def build_corpus() -> list:
         t0=3, expected="book", default_target="ben"))
 
     return scenarios
+
+
+def scenario_to_doc(scenario: Scenario) -> dict:
+    """The scenario document that ``scenario_from_doc`` reads back as ``scenario``."""
+    first = scenario.cycles[0]
+    cycles = []
+    for c in scenario.cycles:
+        doc = {
+            "index": c.index,
+            "semantics": c.semantics,
+            "instances": [
+                {k: v for k, v in {
+                    "id": inst.instance_id,
+                    "category": inst.category,
+                    "box": list(inst.box),
+                    "depth": inst.depth,
+                    "face_box": list(inst.face_box) if inst.face_box else None,
+                }.items() if v is not None}
+                for inst in c.instances
+            ],
+        }
+        if c.image_ref:
+            doc["image_ref"] = c.image_ref
+        if c.cue_onset:
+            doc["cue_onset"] = True
+        if c.expected_instance:
+            doc["expected_instance"] = c.expected_instance
+        cycles.append(doc)
+    transform = first.base_from_camera
+    return {
+        "schema": SCENARIO_SCHEMA,
+        "version": SCENARIO_VERSION,
+        "scenario_id": scenario.scenario_id,
+        "regularity": scenario.regularity,
+        "description": scenario.description,
+        "camera": asdict(first.camera),
+        "base_from_camera": {"rotation": transform.rotation.tolist(),
+                             "translation": transform.translation.tolist()},
+        "cycles": cycles,
+        "responses": {str(k): v for k, v in sorted(scenario.responses.items())},
+    }
+
+
+def write_scenario(scenario: Scenario, path) -> None:
+    doc = scenario_to_doc(scenario)
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_corpus(out_dir) -> list:

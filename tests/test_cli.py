@@ -290,6 +290,40 @@ def test_train_stage2_without_dataset_hash_exit_training(pipeline, tmp_path):
     assert not (staged / "prior.json").exists()
 
 
+def _append(name, data):
+    return lambda run: (run / name).write_bytes((run / name).read_bytes() + data)
+
+
+def _directory_instead(name):
+    def damage(run):
+        (run / name).unlink()
+        (run / name).mkdir()
+    return damage
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (_append("metrics.csv", b"\xff"), "'utf-8' codec can't decode byte 0xff"),
+    (_append("timings.jsonl", b"\xff"), "'utf-8' codec can't decode byte 0xff"),
+    (_directory_instead("metrics.csv"), "Is a directory"),
+    (_append("metrics.csv", b'1,"x'), "has a stage-1 row without 13 cells"),
+], ids=["metrics_not_utf8", "timings_not_utf8", "metrics_is_a_directory", "short_stage1_row"])
+def test_train_stage2_damaged_earlier_file_exit_training(pipeline, tmp_path, capsys,
+                                                          damage, reason):
+    # a stage-2 run keeps the stage-1 rows and timings of the earlier run
+    _, config, data_dir, run_dir = pipeline
+    damaged = tmp_path / "damaged"
+    shutil.copytree(run_dir, damaged)
+    damage(damaged)
+    before = {p.name: p.read_bytes() if p.is_file() else None for p in damaged.iterdir()}
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--seed", "0", "--stage", "2",
+                 "--dataset", str(data_dir / "dataset.jsonl"), "--out", str(damaged)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err and err.count("\n") == 1
+    assert {p.name: p.read_bytes() if p.is_file() else None
+            for p in damaged.iterdir()} == before
+
+
 def test_write_json_atomic_failing_midway_keeps_previous_file(tmp_path):
     from gazeshift.cli import write_json_atomic
     path = tmp_path / "report.json"
@@ -429,6 +463,18 @@ def _target_scale_inf(doc):
     doc["metadata"]["model"]["target_scale"] = math.inf
 
 
+def _codebook_size_float(doc):
+    doc["metadata"]["model"]["codebook_size"] = 10.0
+
+
+def _latent_dim_true(doc):
+    doc["metadata"]["model"]["latent_dim"] = True
+
+
+def _unknown_model_field(doc):
+    doc["metadata"]["model"]["dropout"] = 0.1
+
+
 @pytest.mark.parametrize("name, edit, reason", [
     ("stage1.json", _drop_bias, "missing"),
     ("stage1.json", _short_bias, "shape"),
@@ -442,17 +488,34 @@ def _target_scale_inf(doc):
     ("stage1.json", _text_shape, "stage1.json: parameter 'decoder.0.W' has shape 'x'"),
     ("prior.json", _entry_without_data, "prior.json: parameter '0.b' needs a shape and data"),
     ("stage1.json", _metadata_list, "stage1.json: metadata must be an object"),
-    ("prior.json", _no_gamma, "prior.json: unusable model config: KeyError('gamma')"),
-    ("stage1.json", _model_spec_list, "stage1.json: checkpoint does not hold a conditional VQ-VAE"),
-    ("prior.json", _model_spec_list, "prior.json: checkpoint does not hold a conditional prior"),
-    ("prior.json", _target_scale_text, "prior.json: unusable model config: TypeError"),
-    ("prior.json", _target_scale_null, "prior.json: unusable model config: TypeError"),
+    ("prior.json", _no_gamma, "prior.json: unusable checkpoint: model config lacks 'gamma'"),
+    ("stage1.json", _model_spec_list,
+     "stage1.json: checkpoint does not hold a conditional-vqvae model"),
+    ("prior.json", _model_spec_list,
+     "prior.json: checkpoint does not hold a conditional-prior model"),
+    ("prior.json", _target_scale_text, "prior.json: unusable checkpoint: "
+     "model config field 'target_scale' must be a finite number, got 'x'"),
+    ("prior.json", _target_scale_null, "prior.json: unusable checkpoint: "
+     "model config field 'target_scale' must be a finite number, got None"),
     ("prior.json", _target_scale_zero, "target_scale must be positive and finite, not 0"),
     ("prior.json", _target_scale_negative, "target_scale must be positive and finite, not -2"),
-    ("prior.json", _no_target_scale, "prior.json: unusable model config: KeyError('target_scale')"),
-    ("prior.json", _target_scale_nan, "target_scale must be positive and finite, not nan"),
-    ("stage1.json", _target_scale_nan, "target_scale must be positive and finite"),
-    ("stage1.json", _target_scale_inf, "target_scale must be positive and finite"),
+    ("prior.json", _no_target_scale,
+     "prior.json: unusable checkpoint: model config lacks 'target_scale'"),
+    ("prior.json", _target_scale_nan, "target_scale' must be a finite number, got nan"),
+    ("stage1.json", _target_scale_nan, "target_scale' must be a finite number, got nan"),
+    ("stage1.json", _target_scale_inf, "target_scale' must be a finite number, got inf"),
+    # the VQ-VAE loader used to fill a missing field with its default
+    ("stage1.json", _no_target_scale,
+     "stage1.json: unusable checkpoint: model config lacks 'target_scale'"),
+    ("prior.json", _codebook_size_float,
+     "model config field 'codebook_size' must be an integer, got 10.0"),
+    ("stage1.json", _codebook_size_float,
+     "model config field 'codebook_size' must be an integer, got 10.0"),
+    ("stage1.json", _latent_dim_true,
+     "model config field 'latent_dim' must be an integer, got True"),
+    ("stage1.json", _unknown_model_field, "unknown model config fields: ['dropout']"),
+    # the prior loader used to ignore a field it does not know
+    ("prior.json", _unknown_model_field, "unknown model config fields: ['dropout']"),
 ])
 def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name, edit, reason):
     # eval and sample read both checkpoints, train --stage 2 the stage-1 one

@@ -34,9 +34,8 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
                                          RigidTransform, Scenario,
                                          ScenarioCycle, box_center,
                                          load_scenario, load_scenario_dir,
-                                         scenario_from_doc, scenario_to_doc,
-                                         write_scenario)
-from scenario_corpus import write_corpus
+                                         scenario_from_doc)
+from scenario_corpus import scenario_to_doc, write_corpus, write_scenario
 
 DATA_DIR = Path(__file__).parent / "data"
 BUNDLED = Path(__file__).parent.parent / "src" / "gazeshift" / "scenarios"

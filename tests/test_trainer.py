@@ -20,7 +20,7 @@ import pytest
 from gazeshift import prior as prior_module, so3
 from gazeshift.datagen import Dataset, GeneratorConfig, generate_dataset
 from gazeshift.errors import ConfigError, TrainingError
-from gazeshift.prior import ConditionalPrior
+from gazeshift.prior import ConditionalPrior, PriorConfig
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, TIMINGS_FILE,
@@ -28,7 +28,7 @@ from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                infer, record_codes, run_training,
                                train_stage1, train_stage2, validate_stage1,
                                validate_stage2, write_metrics_csv)
-from gazeshift.vqvae import ConditionalVQVAE, quantize_rows, target_rotations
+from gazeshift.vqvae import ConditionalVQVAE, VQVAEConfig, quantize_rows, target_rotations
 
 SMALL_GEN = GeneratorConfig(n_samples=60)
 SMALL_TRAIN = TrainConfig(stage1_epochs=8, stage2_epochs=6, batch_size=16,
@@ -118,13 +118,27 @@ def test_train_config_rejects_unknown_and_bad_fields():
 
 
 def test_train_config_propagates_to_model_configs():
-    cfg = TrainConfig(codebook_size=6, latent_dim=4, hidden_width=32,
-                      beta=0.3, gamma=1.5, codebook_init_scale=0.7)
-    vq = cfg.vqvae_config()
-    assert (vq.codebook_size, vq.latent_dim, vq.beta) == (6, 4, 0.3)
-    assert vq.codebook_init_scale == 0.7
-    pr = cfg.prior_config()
-    assert (pr.codebook_size, pr.gamma) == (6, 1.5)
+    cfg = TrainConfig(codebook_size=7, latent_dim=5, hidden_width=24, beta=0.4, lambda_rc=0.6,
+                      gamma=1.25, eta=0.3, lambda_mc=2.5, target_scale=3.0,
+                      codebook_init_scale=0.9, lr=2e-3, seed=4)
+    # the hand-written mappings TrainConfig used before it copied fields by name
+    assert cfg.vqvae_config() == VQVAEConfig(
+        codebook_size=cfg.codebook_size, latent_dim=cfg.latent_dim,
+        hidden_width=cfg.hidden_width, beta=cfg.beta, lambda_rc=cfg.lambda_rc,
+        target_scale=cfg.target_scale, codebook_init_scale=cfg.codebook_init_scale)
+    assert cfg.prior_config() == PriorConfig(
+        codebook_size=cfg.codebook_size, hidden_width=cfg.hidden_width, gamma=cfg.gamma,
+        eta=cfg.eta, lambda_mc=cfg.lambda_mc, target_scale=cfg.target_scale)
+    assert cfg.vqvae_config() != VQVAEConfig() and cfg.prior_config() != PriorConfig()
+
+
+def test_metrics_columns_keep_their_order():
+    # metrics.csv's bytes follow this order, which EpochMetrics' fields set
+    assert METRICS_COLUMNS == [
+        "stage", "epoch", "lr", "loss_total", "loss_rec", "loss_embed", "loss_commit",
+        "loss_focal", "loss_mc", "val_eye_mgd_deg", "val_head_mgd_deg",
+        "codebook_utilization", "prior_top1_acc",
+    ]
 
 
 def test_epoch_metrics_row_layout():
