@@ -16,14 +16,18 @@ the weights and their metadata, which is all a load uses. A model's
 config goes into ``metadata["model"]`` through ``save_model`` and comes
 back through ``load_model``, which checks every field with ``read_config``.
 
-The training step avoids fixed per-call costs. ``DenseNetwork.backward``
-writes each layer's gradient through (slice, shape) spans worked out once
-when the network is built. ``adam_step`` first checks that the gradient's
-sum is finite and scans element by element only when it is not (NaN, an
-inf, or finite values whose sum overflows); it runs the update's
-per-element expressions, in their usual operand order, through two
-scratch vectors its :class:`AdamState` owns, so a step allocates nothing
-and gives the same bits as the whole-array expressions would.
+The training step avoids fixed per-call costs and keeps every bit of the
+plain whole-array expressions. Each ``DenseNetwork`` owns a workspace: its
+hidden layers' activations, rectifier masks and input gradients go into
+buffers through ``out=``, with the same ufuncs in the same operand order,
+and ``backward`` writes each layer's gradient through (slice, shape) spans
+worked out once when the network is built. ``adam_step`` first checks
+that the gradient's sum is finite and scans element by element only when
+it is not (NaN, an inf, or finite values whose sum overflows); it runs the
+update's per-element expressions, in their usual operand order, through
+two scratch vectors its :class:`AdamState` owns, so a step allocates
+nothing. ``save_checkpoint`` writes the text of one ``json.dumps`` of the
+whole document, one parameter at a time.
 """
 
 from __future__ import annotations
@@ -108,12 +112,23 @@ class DenseNetwork:
     """Fully connected network: y = act(x @ W + b) per layer.
 
     Inputs may be a single vector (d,) or a row batch (n, d). ``forward``
-    caches layer inputs and pre-activations; ``backward`` consumes the most
-    recent cache and returns parameter gradients summed over the batch rows
-    together with the gradient at the input. ``forward`` checks the input
+    caches each layer's input and output; ``backward`` reads the most
+    recent cache, without changing it, and returns parameter gradients
+    summed over the batch rows together with the gradient at the input.
+    A rectifier's mask is built from its cached output: ``out > 0`` holds
+    exactly where ``z > 0`` does, NaN included. ``forward`` checks the input
     width but not its values: the models check their rows once, where they
     enter (``vqvae.condition_inputs``, ``encode_rows``, ``decode_rows``),
     and ``load_checkpoint`` refuses non-finite parameters.
+
+    The cache holds the caller's input, views into the network's workspace
+    for the hidden layers, and the output. The arrays ``forward`` and
+    ``backward`` return are new, so a caller may keep them across later
+    passes; ``backward`` reads a rectifier output layer's mask from the
+    array ``forward`` returned, so leave it unchanged until then. The
+    workspace holds one buffer set per network with as many rows as the
+    largest batch it has seen (``record_codes`` passes 644): passes of
+    fewer rows use views of it, and one-row passes allocate instead.
     """
 
     def __init__(self, weights, biases, activations):
@@ -125,6 +140,7 @@ class DenseNetwork:
             if act not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         self.activations = list(activations)
+        self._relu = [act == "relu" for act in self.activations]
         arrays = {}
         for i, (W, b) in enumerate(zip(weights, biases)):
             arrays[f"{i}.W"] = np.asarray(W, dtype=float)
@@ -136,6 +152,7 @@ class DenseNetwork:
                             for i in range(len(self.activations))]
         self.bind(self.layout.pack(arrays))
         self._cache = None
+        self._ws_rows, self._ws_capacity = -1, 0
 
     def bind(self, flat: np.ndarray) -> None:
         """Keep the parameters in ``flat`` from now on; its values become theirs.
@@ -178,6 +195,35 @@ class DenseNetwork:
     def set_params(self, params: dict[str, np.ndarray]) -> None:
         self.flat[...] = self.layout.pack(params)
 
+    def _workspace(self, n: int):
+        """Per-layer buffers of ``n`` rows: lists (outputs, masks, grad_ins).
+
+        ``outputs[i]`` takes a hidden layer's pre-activation and then, in
+        place, its activation; ``masks[i]`` a rectifier layer's 0/1 mask and
+        then the masked gradient; ``grad_ins[i]`` the gradient at the input
+        of layer i >= 1. The other entries are None, and so is every entry
+        for one row, where a buffer saves nothing: a ufunc given ``out=None``
+        allocates, as the plain expression would. The buffers only grow, to
+        the most rows seen, and each call hands out ``[:n]`` views of them.
+        """
+        if n != self._ws_rows:
+            layers = range(len(self._relu))
+            if n <= 1:
+                self._ws = ([None for _ in layers],) * 3
+            else:
+                if n > self._ws_capacity:
+                    sizes, relu, last = self.sizes, self._relu, len(self._relu) - 1
+                    self._ws_full = (
+                        [np.empty((n, sizes[i + 1])) if i < last else None for i in layers],
+                        [np.empty((n, sizes[i + 1])) if relu[i] else None for i in layers],
+                        [np.empty((n, sizes[i])) if i > 0 else None for i in layers],
+                    )
+                    self._ws_capacity = n
+                self._ws = tuple([None if buf is None else buf[:n] for buf in bufs]
+                                 for bufs in self._ws_full)
+            self._ws_rows = n
+        return self._ws
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -187,38 +233,54 @@ class DenseNetwork:
                 f"input width {h.shape[1]} does not match layer width "
                 f"{self.weights[0].shape[0]}"
             )
-        inputs, preacts = [], []
-        for W, b, act in zip(self.weights, self.biases, self.activations):
-            inputs.append(h)
-            z = h @ W + b
-            preacts.append(z)
-            h = np.maximum(z, 0.0) if act == "relu" else z
-        self._cache = (inputs, preacts, single)
+        n = len(h)
+        # The workspace lookup inlined: one-row calls (``infer``) pay for no call.
+        outputs = self._ws[0] if n == self._ws_rows else self._workspace(n)[0]
+        acts = [h]
+        for W, b, relu, z in zip(self.weights, self.biases, self._relu, outputs):
+            # h @ W + b, then the rectifier in place; a layer without a
+            # buffer (the last, or any for one row) gets a new array.
+            h = h @ W if z is None else np.matmul(h, W, z)
+            h += b
+            if relu:
+                np.maximum(h, 0.0, out=h)
+            acts.append(h)
+        self._cache = (acts, single)
         return h[0] if single else h
 
-    def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None):
+    def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None,
+                 input_grad: bool = True):
         """Backprop the cached forward pass.
 
         Returns (grad, grad_in): ``grad`` is a flat vector in ``layout``
         (written into ``out`` when given) holding the parameter gradients
         summed over the batch rows; scale the upstream gradient when a mean
-        is wanted.
+        is wanted. ``grad_in``, the gradient at the input, is a new array,
+        or None when ``input_grad`` is false and its product is skipped.
+        ``backward`` leaves the cache as it is, so it may run again on it.
         """
         if self._cache is None:
             raise RuntimeError("backward called before any forward pass")
-        inputs, preacts, single = self._cache
+        acts, single = self._cache
         g = np.asarray(grad_out, dtype=float)
         g = g[None, :] if single else g
-        if g.shape != (inputs[-1].shape[0], self.weights[-1].shape[1]):
+        if g.shape != acts[-1].shape:
             raise ValueError(f"upstream gradient has wrong shape {g.shape}")
+        _, masks, grad_ins = self._workspace(len(g))
         grad = np.empty(self.layout.size) if out is None else out
         for i in range(len(self.weights) - 1, -1, -1):
-            if self.activations[i] == "relu":
-                g = g * (preacts[i] > 0.0)
+            if self._relu[i]:
+                # g * (z > 0): a layer's rectified output is > 0 exactly where
+                # its pre-activation is, and a 0/1 float mask gives the bits
+                # of the boolean one.
+                mask = np.greater(acts[i + 1], 0.0, masks[i])
+                g = np.multiply(g, mask, masks[i])
             (w_span, w_shape), (b_span, b_shape) = self._grad_spans[i]
-            np.matmul(inputs[i].T, g, out=grad[w_span].reshape(w_shape))
+            np.matmul(acts[i].T, g, out=grad[w_span].reshape(w_shape))
             np.add.reduce(g, axis=0, out=grad[b_span].reshape(b_shape))
-            g = g @ self.weights[i].T
+            if i == 0 and not input_grad:
+                return grad, None
+            g = np.matmul(g, self.weights[i].T, grad_ins[i])
         return grad, (g[0] if single else g)
 
 
@@ -331,12 +393,13 @@ class LrSchedule:
         return self.base * self.factor ** bisect_right(list(self.milestones), epoch)
 
 
+def _encode_param(p) -> dict:
+    return {"shape": list(np.shape(p)), "data": np.asarray(p, dtype=float).ravel().tolist()}
+
+
 def encode_params(params: dict[str, np.ndarray]) -> dict:
     """JSON-safe encoding; float64 via repr round-trips bit-exactly."""
-    return {
-        name: {"shape": list(p.shape), "data": np.asarray(p, dtype=float).ravel().tolist()}
-        for name, p in params.items()
-    }
+    return {name: _encode_param(p) for name, p in params.items()}
 
 
 def decode_params(doc, path) -> dict[str, np.ndarray]:
@@ -379,16 +442,20 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params, metadata: dict | None = None):
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "params": encode_params(params),
-        "metadata": metadata or {},
-    }
-    # json.dumps runs the C encoder; json.dump to a file runs the pure-Python one.
+    """Write ``params`` and ``metadata`` to ``path`` as a checkpoint.
+
+    The file holds the text of ``json.dumps(doc) + "\n"`` for the document
+    ``{"format", "version", "params", "metadata"}``, but is written one
+    parameter at a time, so the text in memory at once is bounded by the
+    largest parameter rather than the whole file. ``json.dumps`` runs the C
+    encoder; ``json.dump`` to a file would run the pure-Python one.
+    """
     with open_atomic(path) as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+        fh.write(f'{{"format": {json.dumps(CHECKPOINT_FORMAT)}, '
+                 f'"version": {json.dumps(CHECKPOINT_VERSION)}, "params": {{')
+        for k, (name, p) in enumerate(params.items()):
+            fh.write(f'{", " if k else ""}{json.dumps(name)}: {json.dumps(_encode_param(p))}')
+        fh.write(f'}}, "metadata": {json.dumps(metadata or {})}}}\n')
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -122,14 +122,19 @@ def rotation_zyx(angles: np.ndarray) -> np.ndarray:
 
 
 def _rotation_from_trig(cy, sy, cp, sp, cr, sr) -> np.ndarray:
-    """Rz(yaw) @ Ry(pitch) @ Rx(roll) from the cosines and sines of the angles."""
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll) from the cosines and sines of the angles.
+
+    ``cy * sp * sr`` is ``(cy * sp) * sr``, so the products ``cy * sp`` and
+    ``sy * sp`` are computed once for the four entries that use them.
+    """
     R = np.empty(np.shape(cy) + (3, 3))
+    cysp, sysp = cy * sp, sy * sp
     R[..., 0, 0] = cy * cp
-    R[..., 0, 1] = cy * sp * sr - sy * cr
-    R[..., 0, 2] = cy * sp * cr + sy * sr
+    R[..., 0, 1] = cysp * sr - sy * cr
+    R[..., 0, 2] = cysp * cr + sy * sr
     R[..., 1, 0] = sy * cp
-    R[..., 1, 1] = sy * sp * sr + cy * cr
-    R[..., 1, 2] = sy * sp * cr - cy * sr
+    R[..., 1, 1] = sysp * sr + cy * cr
+    R[..., 1, 2] = sysp * cr - cy * sr
     R[..., 2, 0] = -sp
     R[..., 2, 1] = cp * sr
     R[..., 2, 2] = cp * cr
@@ -193,6 +198,18 @@ def geodesic_rows(Ra: np.ndarray, Rb: np.ndarray) -> np.ndarray:
     return _geodesic_from_trace(Ra, Rb, np.einsum("...ij,...ij->...", Ra, Rb))
 
 
+def _sum3(P: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``P.sum(axis=-1)`` of a length-3 last axis, written into ``out``.
+
+    numpy adds (0.0 + t0) + t1, then t2; the closing + 0.0 turns the -0.0
+    of an all -0.0 row into that +0.0 and changes nothing else, so the bits
+    are the reduction's, at a fraction of its fixed cost.
+    """
+    np.add(P[..., 0], P[..., 1], out)
+    np.add(out, P[..., 2], out)
+    return np.add(out, 0.0, out)
+
+
 def geodesic_to_reference_with_grad(angles: np.ndarray, R_ref: np.ndarray):
     """Geodesic distance d(R(angles), R_ref) and its gradient in the angles.
 
@@ -207,11 +224,13 @@ def geodesic_to_reference_with_grad(angles: np.ndarray, R_ref: np.ndarray):
     cp, sp = np.cos(p), np.sin(p)
     cr, sr = np.cos(r), np.sin(r)
     R = _rotation_from_trig(cy, sy, cp, sp, cr, sr)
-    F = np.broadcast_to(R_ref, R.shape)
+    F = np.asarray(R_ref)
+    if F.shape != R.shape:
+        F = np.broadcast_to(F, R.shape)
     tr = np.einsum("...ij,...ij->...", R, F)
     dist = _geodesic_from_trace(R, F, tr)
-    # |d acos/du| = 1/sqrt(1-u^2), capped at GRAD_CAP.
-    u = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
+    # |d acos/du| = 1/sqrt(1-u^2), capped at GRAD_CAP; u clipped to [-1, 1].
+    u = np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0)
     dd_du = -1.0 / np.sqrt(np.maximum(1.0 - u * u, 1.0 / (GRAD_CAP * GRAD_CAP)))
     # d tr(R F^T) / d angle = sum_ij dR_ij F_ij, with dR read off the entries
     # of rotation_zyx: d/d yaw turns rows (0, 1) of R into (-row 1, row 0)
@@ -220,8 +239,9 @@ def geodesic_to_reference_with_grad(angles: np.ndarray, R_ref: np.ndarray):
     # rows 0 and 1 into cos(yaw) and sin(yaw) times row 2 of R, and row 2
     # into -(cos p, sin p sin r, sin p cos r).
     dtr = np.empty(angles.shape)
-    dtr[..., 0] = (R[..., 0, :] * F[..., 1, :] - R[..., 1, :] * F[..., 0, :]).sum(axis=-1)
-    dtr[..., 1] = ((R[..., 2, :] * (cy[..., None] * F[..., 0, :] + sy[..., None] * F[..., 1, :]))
-                   .sum(axis=-1) - cp * F[..., 2, 0] - sp * (sr * F[..., 2, 1] + cr * F[..., 2, 2]))
-    dtr[..., 2] = (R[..., :, 2] * F[..., :, 1] - R[..., :, 1] * F[..., :, 2]).sum(axis=-1)
+    _sum3(R[..., 0, :] * F[..., 1, :] - R[..., 1, :] * F[..., 0, :], dtr[..., 0])
+    pitch = _sum3(R[..., 2, :] * (cy[..., None] * F[..., 0, :] + sy[..., None] * F[..., 1, :]),
+                  dtr[..., 1])
+    dtr[..., 1] = pitch - cp * F[..., 2, 0] - sp * (sr * F[..., 2, 1] + cr * F[..., 2, 2])
+    _sum3(R[..., :, 2] * F[..., :, 1] - R[..., :, 1] * F[..., :, 2], dtr[..., 2])
     return dist, (0.5 * dd_du)[..., None] * dtr

@@ -232,10 +232,11 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     # [eye; head] rotations of the true rows, indexed [part, row].
     R_true = target_rotations(Y, C).reshape(2, len(Y), 3, 3)
     Rv = target_rotations(Yv, Cv)
+    out = np.empty(model.layout.size)  # every step writes its gradient here
 
     def step(batch):
         terms, grad = model.loss_and_grads(Y[batch], C[batch],
-                                           R_true=R_true[:, batch].reshape(-1, 3, 3))
+                                           R_true=R_true[:, batch].reshape(-1, 3, 3), out=out)
         return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
 
     def end_epoch(epoch, lr, means):
@@ -304,6 +305,7 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
     val_labels = record_codes(model, dataset, "val")
     errors = CodeErrors.of(model.decode_codes(C), C, target_rotations(Y, C))
     val_errors = CodeErrors.of(model.decode_codes(Cv), Cv, target_rotations(Yv, Cv))
+    out = np.empty(prior.net.layout.size)  # every step writes its gradient here
 
     def step(batch):
         logits = prior.logits_rows(C[batch])
@@ -314,7 +316,7 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
         mc = float((d_eye + config.lambda_mc * d_head).mean())
         if not (math.isfinite(focal) and math.isfinite(mc)):
             raise ValueError("non-finite loss")
-        grad, _ = prior.net.backward(dlogits)
+        grad, _ = prior.net.backward(dlogits, out=out, input_grad=False)
         return np.array([focal, mc]), grad
 
     def end_epoch(epoch, lr, means):

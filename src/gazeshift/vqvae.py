@@ -203,8 +203,12 @@ def _target_angles(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
-    eye = np.concatenate([C[:, 0:2] + A[:, 0:2], np.zeros((len(A), 1))], axis=1)
-    return np.concatenate([eye, C[:, 2:5] + A[:, 2:5]])
+    n = len(A)
+    angles = np.empty((2 * n, 3))
+    np.add(C[:, 0:2], A[:, 0:2], angles[:n, 0:2])
+    angles[:n, 2] = 0.0
+    np.add(C[:, 2:5], A[:, 2:5], angles[n:])
+    return angles
 
 
 def target_rotations(A: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -240,7 +244,9 @@ def reconstruction_terms(pred: np.ndarray, true: np.ndarray, cond: np.ndarray,
     if R_true is None:
         R_true = target_rotations(true, cond)
     d, g = so3.geodesic_to_reference_with_grad(_target_angles(pred, cond), R_true)
-    grad = np.concatenate([g[:n, :2], lambda_rc * g[n:]], axis=1)
+    grad = np.empty((n, 5))
+    grad[:, :2] = g[:n, :2]
+    np.multiply(lambda_rc, g[n:], grad[:, 2:])
     return d[:n] + lambda_rc * d[n:], grad
 
 
@@ -362,14 +368,16 @@ class ConditionalVQVAE:
 
     def loss_and_grads(self, Y: np.ndarray, C: np.ndarray, *, rec_weight: float = 1.0,
                        embed_weight: float = 1.0, commit_weight: float | None = None,
-                       R_true: np.ndarray | None = None):
-        """Batch-mean loss terms and a new flat parameter gradient (in ``layout``).
+                       R_true: np.ndarray | None = None, out: np.ndarray | None = None):
+        """Batch-mean loss terms and the flat parameter gradient (in ``layout``).
 
-        ``R_true``, when given, is ``target_rotations(Y, C)``: training
-        computes it once for its whole split, since the true rows never
-        change. ``commit_weight`` defaults to config.beta; the tests zero
-        individual weights to check that gradient routing honours the
-        stop-gradients.
+        The gradient is a new vector, or is written into ``out`` (a float
+        vector of ``layout.size``), which is then returned: a training loop
+        passes one vector for every step. ``R_true``, when given, is
+        ``target_rotations(Y, C)``: training computes it once for its whole
+        split, since the true rows never change. ``commit_weight`` defaults
+        to config.beta; the tests zero individual weights to check that
+        gradient routing honours the stop-gradients.
         Gradients follow the straight-through convention: the quantisation
         step is skipped (identity) on the reconstruction path, the codebook
         is driven only by the embed term, the encoder additionally by the
@@ -386,6 +394,8 @@ class ConditionalVQVAE:
         if R_true is not None and np.shape(R_true) != (2 * len(Y), 3, 3):
             raise ValueError(f"R_true has shape {np.shape(R_true)}, "
                              f"expected {(2 * len(Y), 3, 3)}")
+        if out is not None and (out.shape != (self.layout.size,) or out.dtype != float):
+            raise ValueError(f"out must be a float vector of {self.layout.size}")
         n = len(Y)
         H = self.config.hidden_width
         D = self.config.latent_dim
@@ -395,8 +405,9 @@ class ConditionalVQVAE:
         diff = z_e - z_q
         vq_vals = (diff * diff).sum(axis=1)
 
-        rec = float(rec_vals.mean())
-        embed = float(vq_vals.mean())
+        # float(sum) / n: the bits of mean(), without its fixed cost
+        rec = float(rec_vals.sum()) / n
+        embed = float(vq_vals.sum()) / n
         commit = embed  # same value; the two terms differ only in gradient routing
         total = rec_weight * rec + embed_weight * embed + commit_weight * commit
         for name, value in (("rec", rec), ("embed", embed), ("total", total)):
@@ -404,24 +415,25 @@ class ConditionalVQVAE:
                 raise ValueError(f"non-finite loss term {name!r}")
         terms = VQLossTerms(total, rec, embed, commit)
 
-        grad = np.empty(self.layout.size)
-        part = {section: grad[sl] for section, sl in self._slices.items()}
+        grad = np.empty(self.layout.size) if out is None else out
+        sl = self._slices
         g_pred = rec_weight * rec_grad / n
-        _, g_h = self.decoder.backward(g_pred, out=part["decoder"])
-        _, g_d = self.fusion_out.backward(g_h, out=part["fusion_out"])
+        _, g_h = self.decoder.backward(g_pred, out=grad[sl["decoder"]])
+        _, g_d = self.fusion_out.backward(g_h, out=grad[sl["fusion_out"]])
         g_zq = g_d[:, :D]
         g_fc_dec = g_d[:, D:]
         # Straight-through: the reconstruction gradient at z_q lands on z_e
         # unchanged; the commitment term pulls z_e toward the (frozen) code.
         g_ze = g_zq + commit_weight * (2.0 / n) * diff
-        codebook_grad = part["codebook"].reshape(self.codebook.shape)
+        codebook_grad = grad[sl["codebook"]].reshape(self.codebook.shape)
         codebook_grad[...] = 0.0
         np.add.at(codebook_grad, idx, embed_weight * (2.0 / n) * (-diff))
-        _, g_u = self.fusion_in.backward(g_ze, out=part["fusion_in"])
+        _, g_u = self.fusion_in.backward(g_ze, out=grad[sl["fusion_in"]])
         g_fy = g_u[:, :H]
         g_fc = g_u[:, H:] + g_fc_dec
-        self.recon_encoder.backward(g_fy, out=part["recon_encoder"])
-        self.cond_encoder.backward(g_fc, out=part["cond_encoder"])
+        # The encoders' input gradients would reach only the data.
+        self.recon_encoder.backward(g_fy, out=grad[sl["recon_encoder"]], input_grad=False)
+        self.cond_encoder.backward(g_fc, out=grad[sl["cond_encoder"]], input_grad=False)
         return terms, grad
 
     # -- persistence -----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Oracles on dense networks shared by the finite-difference tests."""
+"""Oracles on dense networks: pre-activations for the finite-difference tests,
+and the allocating forward and backward passes the workspace tests compare against."""
 
 from __future__ import annotations
 
@@ -19,3 +20,50 @@ def preactivations(net, x) -> list[np.ndarray]:
         out.append(z)
         h = np.maximum(z, 0.0) if act == "relu" else z
     return out
+
+
+def forward_reference(net, x):
+    """The allocating forward pass ``DenseNetwork.forward`` replaced.
+
+    Returns (output, cache): a new array per layer, ``h @ W + b`` and then
+    ``np.maximum(z, 0.0)``; the cache holds the layer inputs and
+    pre-activations for :func:`backward_reference`.
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    h = x[None, :] if single else x
+    inputs, preacts = [], []
+    for W, b, act in zip(net.weights, net.biases, net.activations):
+        inputs.append(h)
+        z = h @ W + b
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if act == "relu" else z
+    return (h[0] if single else h), (inputs, preacts, single)
+
+
+def backward_reference(net, cache, grad_out):
+    """(flat parameter gradient, input gradient) of the allocating backward pass.
+
+    Each rectifier multiplies by the boolean ``preacts > 0``; every product
+    is a new array.
+    """
+    inputs, preacts, single = cache
+    g = np.asarray(grad_out, dtype=float)
+    g = g[None, :] if single else g
+    grad = np.empty(net.layout.size)
+    for i in range(len(net.weights) - 1, -1, -1):
+        if net.activations[i] == "relu":
+            g = g * (preacts[i] > 0.0)
+        w_span, w_shape = net.layout.spans[f"{i}.W"]
+        b_span, b_shape = net.layout.spans[f"{i}.b"]
+        np.matmul(inputs[i].T, g, out=grad[w_span].reshape(w_shape))
+        np.add.reduce(g, axis=0, out=grad[b_span].reshape(b_shape))
+        g = g @ net.weights[i].T
+    return grad, (g[0] if single else g)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bit patterns: tells -0.0 from 0.0 and compares NaNs."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                                                 np.ascontiguousarray(b).view(np.int64))

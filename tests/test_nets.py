@@ -10,7 +10,9 @@ import pytest
 
 from gazeshift import nets
 from gazeshift.nets import AdamState, DenseNetwork, LrSchedule, NonFiniteGradient
-from net_oracles import preactivations
+from gazeshift.prior import ConditionalPrior
+from gazeshift.vqvae import ConditionalVQVAE
+from net_oracles import backward_reference, forward_reference, preactivations, same_bits
 
 FD_H = 1e-5
 FD_REL = 1e-4
@@ -168,6 +170,119 @@ def test_backward_sums_over_batch_rows():
                 summed[k] += g[k]
     for k in summed:
         np.testing.assert_allclose(batch_grads[k], summed[k], atol=1e-12)
+
+
+# -- workspaces against the allocating oracle ------------------------------------
+
+# The stage-1 networks at their shipped widths, and the prior's.
+WORKSPACE_NETS = [
+    ([5, 64, 64], ["relu", "relu"]),
+    ([8, 64, 64], ["relu", "relu"]),
+    ([128, 8], ["identity"]),
+    ([72, 64], ["identity"]),
+    ([64, 64, 64, 5], ["relu", "relu", "identity"]),
+    ([8, 64, 64, 10], ["relu", "relu", "identity"]),
+]
+
+
+def workspace_net(sizes, acts, seed):
+    """A network whose biases are random, so that zero input rows give both signs."""
+    rng = np.random.default_rng(seed)
+    net = DenseNetwork.create(sizes, rng, acts)
+    net.flat[...] = rng.normal(scale=0.3, size=net.layout.size)
+    return net
+
+
+def rows_for(net, n, rng):
+    """n input rows; some are exact zeros, so a pre-activation equals its bias."""
+    x = rng.normal(size=(n, net.sizes[0]))
+    x[::3] = 0.0
+    return x
+
+
+def check_pass(net, x, g, input_grad=True):
+    """Forward and backward of ``net`` give the oracle's bits; returns the output."""
+    out = net.forward(x)
+    ref_out, cache = forward_reference(net, x)
+    assert same_bits(out, ref_out)
+    grad, grad_in = net.backward(g, input_grad=input_grad)
+    ref_grad, ref_in = backward_reference(net, cache, g)
+    assert same_bits(grad, ref_grad)
+    if input_grad:
+        assert same_bits(grad_in, ref_in)
+    else:
+        assert grad_in is None
+    return out
+
+
+@pytest.mark.parametrize("sizes,acts", WORKSPACE_NETS)
+@pytest.mark.parametrize("n", [1, 4, 32, 161])
+def test_workspace_passes_match_allocating_oracle_bit_for_bit(sizes, acts, n):
+    net = workspace_net(sizes, acts, seed=n + sum(sizes))
+    rng = np.random.default_rng(n)
+    for _ in range(2):  # the second pass reuses the first one's buffers
+        check_pass(net, rows_for(net, n, rng), rng.normal(size=(n, sizes[-1])))
+    check_pass(net, rows_for(net, n, rng)[0], rng.normal(size=sizes[-1]))  # one 1-D row
+
+
+def test_workspace_interleaved_row_counts_match_oracle():
+    net = workspace_net([64, 64, 64, 5], ["relu", "relu", "identity"], seed=3)
+    rng = np.random.default_rng(4)
+    kept = []
+    for n in (32, 161, 32, 4, 161, 1, 32):
+        x = rows_for(net, n, rng)
+        kept.append((net.forward(x), forward_reference(net, x)[0]))
+    # the cache is the last forward's, whatever row counts came before
+    x = rows_for(net, 32, rng)
+    net.forward(rows_for(net, 161, rng))
+    check_pass(net, x, rng.normal(size=(32, 5)))
+    for out, ref in kept:  # no later pass wrote into an array forward returned
+        assert same_bits(out, ref)
+
+
+def test_backward_twice_on_one_cache_gives_the_same_bits():
+    net = workspace_net([5, 64, 64], ["relu", "relu"], seed=5)
+    rng = np.random.default_rng(6)
+    x, g = rows_for(net, 32, rng), rng.normal(size=(32, 64))
+    net.forward(x)
+    ref_grad, ref_in = backward_reference(net, forward_reference(net, x)[1], g)
+    first, first_in = net.backward(g)
+    second, second_in = net.backward(g)
+    for grad, grad_in in ((first, first_in), (second, second_in)):
+        assert same_bits(grad, ref_grad) and same_bits(grad_in, ref_in)
+    assert not np.shares_memory(first_in, second_in)
+
+
+@pytest.mark.parametrize("sizes,acts", WORKSPACE_NETS)
+def test_backward_without_input_gradient_keeps_the_parameter_gradient(sizes, acts):
+    net = workspace_net(sizes, acts, seed=7)
+    rng = np.random.default_rng(8)
+    for n in (1, 32):
+        check_pass(net, rows_for(net, n, rng), rng.normal(size=(n, sizes[-1])), input_grad=False)
+
+
+def test_forward_output_survives_a_later_forward_of_the_same_rows():
+    net = workspace_net([8, 64, 64, 10], ["relu", "relu", "identity"], seed=9)
+    rng = np.random.default_rng(10)
+    for n in (1, 32):
+        first = net.forward(rng.normal(size=(n, 8)))
+        kept = first.copy()
+        second = net.forward(rng.normal(size=(n, 8)))
+        assert not np.shares_memory(first, second)
+        assert same_bits(first, kept)
+
+
+def test_rectifier_masks_match_oracle_on_non_finite_values():
+    # a NaN pre-activation is not > 0, in the cached output as in z; an
+    # infinite upstream gradient times a closed mask is NaN, not 0
+    net = workspace_net([5, 64, 64], ["relu", "relu"], seed=11)
+    rng = np.random.default_rng(12)
+    x = rows_for(net, 32, rng)
+    x[5, 2] = np.nan
+    g = rng.normal(size=(32, 64))
+    g[0, :] = np.inf  # row 0 is all zeros, so some of its outputs are masked
+    with np.errstate(invalid="ignore"):
+        check_pass(net, x, g)
 
 
 # -- adam ----------------------------------------------------------------------
@@ -365,6 +480,32 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for name in params:
         np.testing.assert_array_equal(ck.params[name], params[name])
     assert nets.params_fingerprint(ck.params) == nets.params_fingerprint(params)
+
+
+@pytest.mark.parametrize("make", [ConditionalVQVAE, ConditionalPrior], ids=["vqvae", "prior"])
+def test_checkpoint_bytes_are_those_of_one_whole_document_dump(tmp_path, make):
+    # written parameter by parameter, the file is still json.dumps(doc) + "\n"
+    model = make()
+    rng = np.random.default_rng(22)
+    model.set_params({name: rng.normal(size=p.shape) for name, p in model.params().items()})
+    metadata = {"stage": 1, "best": {"epoch": 3, "val_eye_mgd_deg": 1.25},
+                "note": "caf\u00e9 \"q\"", "none": None, "list": [1.5, -0.0, 1e-300]}
+    params = dict(model.params(), **{"\u00e9 \"odd\" name": np.array([[-0.0, 2.5e-308]])})
+    path = tmp_path / "model.json"
+    nets.save_checkpoint(path, params, metadata=metadata)
+    doc = {"format": nets.CHECKPOINT_FORMAT, "version": nets.CHECKPOINT_VERSION,
+           "params": nets.encode_params(params), "metadata": metadata}
+    assert path.read_bytes() == (json.dumps(doc) + "\n").encode("utf-8")
+    model.save(path, metadata=metadata)
+    doc = {"format": nets.CHECKPOINT_FORMAT, "version": nets.CHECKPOINT_VERSION,
+           "params": nets.encode_params(model.params()),
+           "metadata": nets.load_checkpoint(path).metadata}
+    assert doc["metadata"]["note"] == metadata["note"]
+    assert path.read_bytes() == (json.dumps(doc) + "\n").encode("utf-8")
+    nets.save_checkpoint(path, {})
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        {"format": nets.CHECKPOINT_FORMAT, "version": nets.CHECKPOINT_VERSION,
+         "params": {}, "metadata": {}}) + "\n"
 
 
 def test_checkpoint_holds_only_what_a_load_uses(tmp_path):

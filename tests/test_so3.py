@@ -6,6 +6,7 @@ separately from the Euler chain under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from gazeshift import so3
 from gazeshift.so3 import EyePose, HeadPose, wrap_angle
+from net_oracles import same_bits
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -67,6 +69,41 @@ def geodesic_grad_reference(angles: np.ndarray, R_ref: np.ndarray) -> np.ndarray
     dd_du = -1.0 / np.sqrt(np.maximum(1.0 - u * u, 1.0 / (so3.GRAD_CAP * so3.GRAD_CAP)))
     du_dangles = 0.5 * np.einsum("...aij,...ij->...a", rotation_zyx_derivs(angles), R_ref)
     return dd_du[..., None] * du_dangles
+
+
+def geodesic_with_grad_reference(angles: np.ndarray, R_ref: np.ndarray):
+    """The whole-array body ``so3.geodesic_to_reference_with_grad`` had: every
+    reference broadcast, ``np.clip``, and a ``.sum(axis=-1)`` per derivative."""
+    angles = np.asarray(angles, dtype=float)
+    y, p, r = angles[..., 0], angles[..., 1], angles[..., 2]
+    cy, sy = np.cos(y), np.sin(y)
+    cp, sp = np.cos(p), np.sin(p)
+    cr, sr = np.cos(r), np.sin(r)
+    R = np.empty(np.shape(cy) + (3, 3))
+    R[..., 0, 0] = cy * cp
+    R[..., 0, 1] = cy * sp * sr - sy * cr
+    R[..., 0, 2] = cy * sp * cr + sy * sr
+    R[..., 1, 0] = sy * cp
+    R[..., 1, 1] = sy * sp * sr + cy * cr
+    R[..., 1, 2] = sy * sp * cr - cy * sr
+    R[..., 2, 0] = -sp
+    R[..., 2, 1] = cp * sr
+    R[..., 2, 2] = cp * cr
+    F = np.broadcast_to(R_ref, R.shape)
+    tr = np.einsum("...ij,...ij->...", R, F)
+    M = np.matmul(np.swapaxes(R, -1, -2), F)
+    v0 = M[..., 2, 1] - M[..., 1, 2]
+    v1 = M[..., 0, 2] - M[..., 2, 0]
+    v2 = M[..., 1, 0] - M[..., 0, 1]
+    dist = np.arctan2(np.sqrt(v0 * v0 + v1 * v1 + v2 * v2), tr - 1.0)
+    u = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
+    dd_du = -1.0 / np.sqrt(np.maximum(1.0 - u * u, 1.0 / (so3.GRAD_CAP * so3.GRAD_CAP)))
+    dtr = np.empty(angles.shape)
+    dtr[..., 0] = (R[..., 0, :] * F[..., 1, :] - R[..., 1, :] * F[..., 0, :]).sum(axis=-1)
+    dtr[..., 1] = ((R[..., 2, :] * (cy[..., None] * F[..., 0, :] + sy[..., None] * F[..., 1, :]))
+                   .sum(axis=-1) - cp * F[..., 2, 0] - sp * (sr * F[..., 2, 1] + cr * F[..., 2, 2]))
+    dtr[..., 2] = (R[..., :, 2] * F[..., :, 1] - R[..., :, 1] * F[..., :, 2]).sum(axis=-1)
+    return dist, (0.5 * dd_du)[..., None] * dtr
 
 
 def check_rotation_reference(R, atol: float = so3.ROTATION_ATOL) -> bool:
@@ -439,6 +476,49 @@ def test_geodesic_with_grad_shares_trig_bit_for_bit(case):
     np.testing.assert_array_equal(
         so3._rotation_from_trig(np.cos(y), np.sin(y), np.cos(p), np.sin(p), np.cos(r), np.sin(r)),
         so3.rotation_zyx(angles))
+
+
+# Angles whose sines and cosines hold exact, signed zeros.
+EXACT_ANGLES = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]
+
+
+@st.composite
+def reference_calls(draw):
+    """Arguments of a geodesic call: angles over +-4 pi, with one (3, 3)
+    reference broadcast against every row or one reference per row, each
+    at a random, a near-zero or a near-pi distance, or rows and references
+    built from signed zeros and right angles."""
+    angles, F = draw(reference_cases())
+    if draw(st.booleans()):
+        exact = st.sampled_from(EXACT_ANGLES)
+        angles = np.array([[draw(exact) for _ in range(3)] for _ in range(len(angles))])
+        F = so3.rotation_zyx(np.array([[draw(exact) for _ in range(3)] for _ in range(len(F))]))
+    if draw(st.booleans()):
+        F = F[0]
+    return angles, F
+
+
+@settings(max_examples=500, deadline=None)
+@given(reference_calls())
+def test_geodesic_with_grad_matches_whole_array_reference_bit_for_bit(call):
+    angles, F = call
+    dist, grad = so3.geodesic_to_reference_with_grad(angles, F)
+    ref_dist, ref_grad = geodesic_with_grad_reference(angles, F)
+    assert same_bits(dist, ref_dist)
+    assert same_bits(grad, ref_grad)
+
+
+def test_geodesic_with_grad_keeps_the_sign_of_an_all_zero_derivative():
+    # With signed-zero angles a derivative's three terms can all be -0.0;
+    # numpy's sum starts from +0.0 and returns +0.0, and so must the
+    # three-term sum that replaced it. Every pair of exact poses, at once.
+    poses = np.array(list(itertools.product(EXACT_ANGLES[:4], repeat=3)))
+    angles = np.repeat(poses, len(poses), axis=0)
+    F = so3.rotation_zyx(np.tile(poses, (len(poses), 1)))
+    dist, grad = so3.geodesic_to_reference_with_grad(angles, F)
+    ref_dist, ref_grad = geodesic_with_grad_reference(angles, F)
+    assert same_bits(dist, ref_dist)
+    assert same_bits(grad, ref_grad)
 
 
 def test_geodesic_grad_finite_at_zero_distance():

@@ -25,7 +25,7 @@ from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, MotionAllocation
                              VQVAEConfig, condition_inputs, pose_errors_rows,
                              quantize_rows, reconstruction_terms, target_rotations)
 from gazeshift.so3 import EyePose, HeadPose
-from net_oracles import preactivations
+from net_oracles import preactivations, same_bits
 
 FD_H = 1e-6
 FD_REL = 1e-4
@@ -538,6 +538,21 @@ def test_loss_and_grads_returns_a_new_gradient_every_call():
     _, second = model.loss_and_grads(Y[:2], C[:2])
     assert not np.shares_memory(first, second)
     np.testing.assert_array_equal(first, kept)
+
+
+def test_loss_and_grads_into_out_returns_it_with_the_default_bits():
+    for model, Y, C in (stable_fixture(110),
+                        (ConditionalVQVAE(seed=0), *fixture_batch(np.random.default_rng(3), 32))):
+        terms, fresh = model.loss_and_grads(Y, C)
+        out = np.full(model.layout.size, np.nan)  # stale contents must not leak through
+        for _ in range(2):
+            given_terms, grad = model.loss_and_grads(Y, C, out=out)
+            assert grad is out
+            assert given_terms == terms
+            assert same_bits(out, fresh)
+        for bad in (np.empty(model.layout.size - 1), np.empty(model.layout.size, dtype=np.float32)):
+            with pytest.raises(ValueError, match="out"):
+                model.loss_and_grads(Y, C, out=bad)
 
 
 def test_backward_into_reused_out_matches_fresh_vector():
