@@ -1,11 +1,12 @@
 """Command-line entry point: gen-data, train, eval, sample, replay.
 
-Every subcommand accepts --config and --out, reads an optional JSON config
-file (sections: "generator", "training", "backend"; explicit flags win over
-file values), and writes a run manifest next to its outputs. gen-data, train
-and sample, the subcommands that draw random numbers, also accept --seed;
-eval and replay reject it as a usage error. Failure classes map to distinct
-exit codes so scripts can react: config 2, data 3, training 4, backend 5.
+Every subcommand accepts --out and writes a run manifest next to its
+outputs. gen-data, train and replay also read an optional JSON config file,
+--config (sections: "generator", "training", "backend"; explicit flags win
+over file values); gen-data, train and sample, which draw random numbers,
+take --seed. Either flag is a usage error where it is not read. Failure
+classes map to distinct exit codes: config 2, data 3, training 4 (also a
+model whose output is unusable), backend 5.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from . import __version__
 from .atomic import open_atomic
 from .datagen import GeneratorConfig, generate_dataset, read_dataset, write_dataset
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
-from .prior import ConditionalPrior, sample_code
+from .prior import ConditionalPrior
 from .reasoner import OracleBackend, RemoteBackend, ScriptedBackend, load_scenario_dir
 from .reasoner.backends import RemoteConfig
 from .reasoner.replay import replay_evaluate, write_success_table
 from .so3 import EyePose, HeadPose
 from .trainer import (PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, CodeErrors,
-                      TrainConfig, checkpoint_errors, dataset_arrays, record_codes,
-                      run_training, validate_stage1, validate_stage2)
+                      TrainConfig, checkpoint_errors, dataset_arrays, draw_allocations,
+                      record_codes, run_training, validate_stage1, validate_stage2)
 from .vqvae import ConditionalVQVAE, ConditionVector, target_rotations
 
 EXIT_OK = 0
@@ -262,21 +263,15 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seed = 0 if args.seed is None else args.seed
-    pi = prior.forward(condition)
-    # One draw call and one decode per distinct code; the draws match n
-    # single `infer` calls on the same generator.
-    if args.mode == "argmax":
-        codes = np.full(args.n, int(np.argmax(pi)))
-    else:
-        codes = sample_code(pi, np.random.default_rng(seed), size=args.n)
-    drawn = {}
-    for k in np.unique(codes).tolist():
-        allocation = model.decode(model.codebook[k], condition)
-        drawn[k] = {
-            "code": k,
-            "delta_eye_deg": [math.degrees(v) for v in allocation.delta_eye],
-            "delta_head_deg": [math.degrees(v) for v in allocation.delta_head],
-        }
+    try:
+        pi, codes, allocations = draw_allocations(model, prior, condition, args.mode,
+                                                  np.random.default_rng(seed), args.n)
+    except ValueError as exc:  # the model's output, not the flags, is at fault
+        raise TrainingError(f"cannot sample from {args.run}: {exc}") from exc
+    drawn = {k: {"code": k,
+                 "delta_eye_deg": [math.degrees(v) for v in allocation.delta_eye],
+                 "delta_head_deg": [math.degrees(v) for v in allocation.delta_head]}
+             for k, allocation in allocations.items()}
     samples = [drawn[k] for k in codes.tolist()]
     diverse = {str(k): float(pi[k]) for k in range(len(pi)) if pi[k] > DIVERSITY_THRESHOLD}
     out_dir = Path(args.out)
@@ -366,18 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seeded: bool = False):
+    def common(p, seeded: bool = False, configured: bool = False):
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
-        p.add_argument("--config", default=None, help="JSON config file")
+        if configured:
+            p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="runs/latest", help="output directory")
 
     p = sub.add_parser("gen-data", help="generate a synthetic gaze-shift dataset")
-    common(p, seeded=True)
+    common(p, seeded=True, configured=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run stage-1/stage-2 training")
-    common(p, seeded=True)
+    common(p, seeded=True, configured=True)
     p.add_argument("--dataset", required=True, help="dataset JSONL path")
     p.add_argument("--stage", choices=("1", "2", "both"), default="both")
     p.set_defaults(func=cmd_train)
@@ -399,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("replay", help="replay scenarios through a backend")
-    common(p)
+    common(p, configured=True)
     p.add_argument("--scenarios", default=None,
                    help="scenario directory (default: bundled corpus)")
     p.add_argument("--backend", choices=("scripted", "oracle", "adversarial", "remote"),

@@ -111,13 +111,13 @@ class Layout:
 class DenseNetwork:
     """Fully connected network: y = act(x @ W + b) per layer.
 
-    Inputs may be a single vector (d,) or a row batch (n, d). ``forward``
+    Inputs are row batches (n, d), one row being (1, d). ``forward``
     caches each layer's input and output; ``backward`` reads the most
     recent cache, without changing it, and returns parameter gradients
     summed over the batch rows together with the gradient at the input.
     A rectifier's mask is built from its cached output: ``out > 0`` holds
     exactly where ``z > 0`` does, NaN included. ``forward`` checks the input
-    width but not its values: the models check their rows once, where they
+    shape but not its values: the models check their rows once, where they
     enter (``vqvae.condition_inputs``, ``encode_rows``, ``decode_rows``),
     and ``load_checkpoint`` refuses non-finite parameters.
 
@@ -225,14 +225,10 @@ class DenseNetwork:
         return self._ws
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        h = x[None, :] if single else x
-        if h.shape[1] != self.weights[0].shape[0]:
-            raise ValueError(
-                f"input width {h.shape[1]} does not match layer width "
-                f"{self.weights[0].shape[0]}"
-            )
+        h = np.asarray(x, dtype=float)
+        if h.ndim != 2 or h.shape[1] != self.weights[0].shape[0]:
+            raise ValueError(f"input of shape {h.shape} is not rows of width "
+                             f"{self.weights[0].shape[0]}")
         n = len(h)
         # The workspace lookup inlined: one-row calls (``infer``) pay for no call.
         outputs = self._ws[0] if n == self._ws_rows else self._workspace(n)[0]
@@ -245,8 +241,8 @@ class DenseNetwork:
             if relu:
                 np.maximum(h, 0.0, out=h)
             acts.append(h)
-        self._cache = (acts, single)
-        return h[0] if single else h
+        self._cache = acts
+        return h
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None,
                  input_grad: bool = True):
@@ -261,9 +257,8 @@ class DenseNetwork:
         """
         if self._cache is None:
             raise RuntimeError("backward called before any forward pass")
-        acts, single = self._cache
+        acts = self._cache
         g = np.asarray(grad_out, dtype=float)
-        g = g[None, :] if single else g
         if g.shape != acts[-1].shape:
             raise ValueError(f"upstream gradient has wrong shape {g.shape}")
         _, masks, grad_ins = self._workspace(len(g))
@@ -281,7 +276,7 @@ class DenseNetwork:
             if i == 0 and not input_grad:
                 return grad, None
             g = np.matmul(g, self.weights[i].T, grad_ins[i])
-        return grad, (g[0] if single else g)
+        return grad, g
 
 
 @dataclass

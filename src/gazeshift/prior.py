@@ -19,7 +19,7 @@ constant; no relaxation is applied, and checkpoints record this as
 ``"mc_gradient": "none"``.
 
 At inference time a code is sampled from pi (or the argmax is taken) and
-decoded into a motion allocation.
+decoded into a motion allocation (``trainer.draw_allocations``).
 Checkpoints record every :class:`PriorConfig` field, ``mc_gradient`` and
 the stage-1 fingerprint (``nets.save_model``); ``load`` checks the last two.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .vqvae import ConditionVector, condition_inputs
+from .vqvae import condition_inputs
 
 PROB_FLOOR = 1e-12  # floor on pi[z*] before the log
 _DIST_ATOL = 1e-9   # tolerated deviation of sum(pi) from 1
@@ -142,10 +142,6 @@ class ConditionalPrior:
 
     def forward_rows(self, C: np.ndarray) -> np.ndarray:
         return softmax_rows(self.logits_rows(C))
-
-    def forward(self, c: ConditionVector) -> np.ndarray:
-        """Code distribution pi for one condition."""
-        return self.forward_rows(c.as_input()[None, :])[0]
 
     def save(self, path, metadata: dict | None = None,
              stage1_fingerprint: str | None = None) -> None:

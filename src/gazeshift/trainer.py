@@ -340,21 +340,40 @@ class InferenceResult:
     pi: np.ndarray
 
 
-def infer(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str = "sample",
-          rng: np.random.Generator | None = None) -> InferenceResult:
-    """Draw (or argmax) a code from the prior and decode it for condition c."""
+def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str,
+                     rng: np.random.Generator, n: int):
+    """Draw n codes from the prior for condition c (or its argmax n times) and decode them.
+
+    Returns (pi, the n codes, {distinct code: MotionAllocation}). The draws
+    leave ``rng`` where n single draws would. Each distinct code is decoded
+    once, as one row: in a batch its last bits could change. A decoded
+    allocation outside [-pi, pi] raises ValueError naming its code.
+    """
     if mode not in ("sample", "argmax"):
         raise ValueError(f"unknown inference mode {mode!r}")
-    # One flattened condition row feeds both models; decoding keeps the
-    # single-row product that `model.decode` runs, so the bits are its bits.
-    x = c.as_input()[None, :]
+    x = c.as_input()[None, :]  # one flattened condition row feeds both models
     pi = prior.forward_rows(x)[0]
     if mode == "argmax":
-        code = int(np.argmax(pi))
+        codes = np.full(n, int(np.argmax(pi)))
     else:
-        code = prior_mod.sample_code(pi, rng if rng is not None else np.random.default_rng())
-    pred = model.decode_rows(model.codebook[code][None, :], x)[0]
-    return InferenceResult(MotionAllocation(pred[:2], pred[2:5]), code, pi)
+        codes = prior_mod.sample_code(pi, rng, size=n)
+    allocations = {}
+    for k in dict.fromkeys(codes.tolist()):
+        pred = model.decode_rows(model.codebook[k][None, :], x)[0]
+        try:
+            allocations[k] = MotionAllocation(pred[:2], pred[2:5])
+        except ValueError as exc:
+            raise ValueError(f"code {k} decodes to an unusable allocation: {exc}") from exc
+    return pi, codes, allocations
+
+
+def infer(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str = "sample",
+          rng: np.random.Generator | None = None) -> InferenceResult:
+    """One code for condition c: ``draw_allocations`` with n = 1 (a new generator if none)."""
+    rng = rng if rng is not None else np.random.default_rng()
+    pi, _, allocations = draw_allocations(model, prior, c, mode, rng, 1)
+    [(code, allocation)] = allocations.items()
+    return InferenceResult(allocation, code, pi)
 
 
 def write_metrics_csv(path, rows) -> None:

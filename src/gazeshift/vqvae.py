@@ -343,14 +343,6 @@ class ConditionalVQVAE:
                             for rows in chunks])
             for z_q in self.codebook])
 
-    def decode(self, z_q: np.ndarray, c: ConditionVector) -> MotionAllocation:
-        """Motion allocation for one latent (typically a codebook entry)."""
-        z_q = np.asarray(z_q, dtype=float)
-        if z_q.shape != (self.config.latent_dim,):
-            raise ValueError(f"latent must have width {self.config.latent_dim}")
-        pred = self.decode_rows(z_q[None, :], c.as_input()[None, :])[0]
-        return MotionAllocation(pred[:2], pred[2:5])
-
     def forward_rows(self, Y: np.ndarray, C: np.ndarray):
         """Teacher-forced pass: encode (Y, C), quantise, decode.
 

@@ -13,7 +13,7 @@ def preactivations(net, x) -> list[np.ndarray]:
     Finite-difference tests use this to confirm a fixture keeps clear of
     rectifier kinks, where two-sided differences are meaningless.
     """
-    h = np.atleast_2d(np.asarray(x, dtype=float))
+    h = np.asarray(x, dtype=float)
     out = []
     for W, b, act in zip(net.weights, net.biases, net.activations):
         z = h @ W + b
@@ -29,16 +29,14 @@ def forward_reference(net, x):
     ``np.maximum(z, 0.0)``; the cache holds the layer inputs and
     pre-activations for :func:`backward_reference`.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
+    h = np.asarray(x, dtype=float)
     inputs, preacts = [], []
     for W, b, act in zip(net.weights, net.biases, net.activations):
         inputs.append(h)
         z = h @ W + b
         preacts.append(z)
         h = np.maximum(z, 0.0) if act == "relu" else z
-    return (h[0] if single else h), (inputs, preacts, single)
+    return h, (inputs, preacts)
 
 
 def backward_reference(net, cache, grad_out):
@@ -47,9 +45,8 @@ def backward_reference(net, cache, grad_out):
     Each rectifier multiplies by the boolean ``preacts > 0``; every product
     is a new array.
     """
-    inputs, preacts, single = cache
+    inputs, preacts = cache
     g = np.asarray(grad_out, dtype=float)
-    g = g[None, :] if single else g
     grad = np.empty(net.layout.size)
     for i in range(len(net.weights) - 1, -1, -1):
         if net.activations[i] == "relu":
@@ -59,7 +56,7 @@ def backward_reference(net, cache, grad_out):
         np.matmul(inputs[i].T, g, out=grad[w_span].reshape(w_shape))
         np.add.reduce(g, axis=0, out=grad[b_span].reshape(b_shape))
         g = g @ net.weights[i].T
-    return grad, (g[0] if single else g)
+    return grad, g
 
 
 def same_bits(a, b) -> bool:

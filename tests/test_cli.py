@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -559,7 +560,7 @@ def reference_samples_json(run_dir: Path, seed: int, mode: str, n: int, eye: str
             "delta_eye_deg": [math.degrees(v) for v in result.allocation.delta_eye],
             "delta_head_deg": [math.degrees(v) for v in result.allocation.delta_head],
         })
-    pi = prior.forward(condition)
+    pi = prior.forward_rows(condition.as_input()[None, :])[0]
     report = {
         "condition": {"eye_deg": eye, "head_deg": head, "target_m": target},
         "mode": mode,
@@ -590,6 +591,26 @@ def test_sample_writes_the_per_draw_loops_bytes(pipeline, tmp_path, mode, seed, 
         assert len(codes) >= 3
     else:
         assert len(codes) == 1
+
+
+def test_sample_with_an_allocation_outside_pi_exit_training(pipeline, tmp_path, capsys):
+    # the model produced the unusable output, not the flags: exit 4, nothing written
+    _, _, _, run_dir = pipeline
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    model, _ = ConditionalVQVAE.load(run_dir / "stage1.json")
+    prior, _ = ConditionalPrior.load(run_dir / "prior.json")
+    model.decoder.biases[-1][0] = 100.0  # every decoded eye yaw increment, far past pi
+    model.save(broken / "stage1.json")
+    prior.save(broken / "prior.json", stage1_fingerprint=model.fingerprint())
+    out = tmp_path / "s"
+    for mode in ("sample", "argmax"):
+        assert main(["sample", "--run", str(broken), "--n", "3", "--mode", mode,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: cannot sample from .*: code \d+ decodes to an unusable "
+                            r"allocation: motion increments must lie within \[-pi, pi\]\n", err)
+        assert not out.exists()
 
 
 json_values = st.recursive(
@@ -696,19 +717,28 @@ def test_training_config_rejects_negative_seed(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-# -- --seed only where a seed is read ------------------------------------------------------
+# -- --seed and --config only where they are read ---------------------------------------
 
-@pytest.mark.parametrize("subcommand", ["replay", "eval"])
-def test_seed_is_a_usage_error_where_nothing_is_random(pipeline, tmp_path, capsys, subcommand):
-    _, _, data_dir, run_dir = pipeline
+@pytest.mark.parametrize("subcommand, flag", [
+    pytest.param("replay", "--seed", id="replay"),
+    pytest.param("eval", "--seed", id="eval"),
+    pytest.param("eval", "--config", id="eval-config"),
+    pytest.param("sample", "--config", id="sample-config"),
+])
+def test_seed_is_a_usage_error_where_nothing_is_random(pipeline, tmp_path, capsys,
+                                                       subcommand, flag):
+    """So is --config where no config section is read: the flag must not pass unread."""
+    _, config, data_dir, run_dir = pipeline
     out = tmp_path / "o"
     argv = {"replay": ["replay", "--backend", "scripted"],
             "eval": ["eval", "--dataset", str(data_dir / "dataset.jsonl"),
-                     "--run", str(run_dir)]}[subcommand]
+                     "--run", str(run_dir)],
+            "sample": ["sample", "--run", str(run_dir)]}[subcommand]
+    value = {"--seed": "7", "--config": config}[flag]
     with pytest.raises(SystemExit) as exit_info:
-        main([*argv, "--seed", "7", "--out", str(out)])
+        main([*argv, flag, value, "--out", str(out)])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
     assert main([*argv, "--out", str(out)]) == 0
 

@@ -24,7 +24,7 @@ KINK_MARGIN = 1e-3
 
 def kink_safe_input(net: DenseNetwork, rng: np.random.Generator) -> np.ndarray:
     for _ in range(100):
-        x = rng.normal(size=net.sizes[0])
+        x = rng.normal(size=(1, net.sizes[0]))
         margin = min(
             (np.abs(z).min() for z, act in zip(preactivations(net, x), net.activations)
              if act == "relu"),
@@ -46,19 +46,19 @@ def loss_and_grads(net: DenseNetwork, x: np.ndarray, w: np.ndarray):
 
 def test_forward_zero_net_is_zero_map():
     net = DenseNetwork([np.zeros((3, 2))], [np.zeros(2)], ["identity"])
-    np.testing.assert_array_equal(net.forward(np.array([1.0, -2.0, 3.0])), np.zeros(2))
+    np.testing.assert_array_equal(net.forward(np.array([[1.0, -2.0, 3.0]])), np.zeros((1, 2)))
 
 
 def test_forward_identity_layer():
     net = DenseNetwork([np.eye(4)], [np.zeros(4)], ["identity"])
-    x = np.array([0.5, -1.0, 2.0, 0.0])
+    x = np.array([[0.5, -1.0, 2.0, 0.0]])
     np.testing.assert_array_equal(net.forward(x), x)
 
 
 def test_forward_matches_hand_computed_chain():
     rng = np.random.default_rng(11)
     net = DenseNetwork.create([3, 4, 2], rng, ["relu", "identity"])
-    x = rng.normal(size=3)
+    x = rng.normal(size=(1, 3))
     expected = np.maximum(x @ net.weights[0] + net.biases[0], 0.0)
     expected = expected @ net.weights[1] + net.biases[1]
     np.testing.assert_allclose(net.forward(x), expected, atol=1e-15)
@@ -70,13 +70,15 @@ def test_forward_batch_rows_match_single():
     X = rng.normal(size=(5, 4))
     batch = net.forward(X)
     for i in range(5):
-        np.testing.assert_allclose(net.forward(X[i]), batch[i], atol=1e-15)
+        np.testing.assert_allclose(net.forward(X[i:i + 1]), batch[i:i + 1], atol=1e-15)
 
 
 def test_forward_rejects_wrong_width():
     net = DenseNetwork.create([3, 2], np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        net.forward(np.zeros(4))
+    # a wrong width, and inputs that are not (n, d) rows: one vector, a 3-D stack
+    for x in (np.zeros((1, 4)), np.zeros(3), np.zeros((2, 1, 3))):
+        with pytest.raises(ValueError, match="is not rows of width 3"):
+            net.forward(x)
 
 
 def test_create_same_seed_identical():
@@ -97,8 +99,8 @@ def test_create_rejects_bad_shapes():
 
 def test_backward_identity_passes_gradient_through():
     net = DenseNetwork([np.eye(3)], [np.zeros(3)], ["identity"])
-    net.forward(np.array([1.0, 2.0, 3.0]))
-    upstream = np.array([0.3, -0.7, 0.1])
+    net.forward(np.array([[1.0, 2.0, 3.0]]))
+    upstream = np.array([[0.3, -0.7, 0.1]])
     _, grad_in = net.backward(upstream)
     np.testing.assert_array_equal(grad_in, upstream)
 
@@ -106,16 +108,16 @@ def test_backward_identity_passes_gradient_through():
 def test_backward_zero_upstream_zero_grads():
     rng = np.random.default_rng(13)
     net = DenseNetwork.create([3, 5, 2], rng)
-    net.forward(rng.normal(size=3))
-    grads, grad_in = net.backward(np.zeros(2))
+    net.forward(rng.normal(size=(1, 3)))
+    grads, grad_in = net.backward(np.zeros((1, 2)))
     assert all(np.all(g == 0) for g in net.layout.views(grads).values())
-    np.testing.assert_array_equal(grad_in, np.zeros(3))
+    np.testing.assert_array_equal(grad_in, np.zeros((1, 3)))
 
 
 def test_backward_requires_forward():
     net = DenseNetwork.create([2, 2], np.random.default_rng(0))
     with pytest.raises(RuntimeError):
-        net.backward(np.zeros(2))
+        net.backward(np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("sizes,acts", [
@@ -128,7 +130,7 @@ def test_backward_matches_finite_differences(sizes, acts):
     rng = np.random.default_rng(sum(sizes))
     net = DenseNetwork.create(sizes, rng, acts)
     x = kink_safe_input(net, rng)
-    w = rng.normal(size=sizes[-1])
+    w = rng.normal(size=(1, sizes[-1]))
     _, grads, grad_in = loss_and_grads(net, x, w)
     params = net.params()
     for name, p in params.items():
@@ -146,10 +148,10 @@ def test_backward_matches_finite_differences(sizes, acts):
     # input gradient too
     for j in range(x.size):
         step = np.zeros_like(x)
-        step[j] = FD_H
+        step[0, j] = FD_H
         fd = (float(np.sum(w * net.forward(x + step)))
               - float(np.sum(w * net.forward(x - step)))) / (2 * FD_H)
-        assert grad_in[j] == pytest.approx(fd, rel=FD_REL, abs=1e-8)
+        assert grad_in[0, j] == pytest.approx(fd, rel=FD_REL, abs=1e-8)
 
 
 def test_backward_sums_over_batch_rows():
@@ -161,8 +163,8 @@ def test_backward_sums_over_batch_rows():
     batch_grads = net.layout.views(net.backward(W_up)[0])
     summed = None
     for i in range(6):
-        net.forward(X[i])
-        g = net.layout.views(net.backward(W_up[i])[0])
+        net.forward(X[i:i + 1])
+        g = net.layout.views(net.backward(W_up[i:i + 1])[0])
         if summed is None:
             summed = {k: v.copy() for k, v in g.items()}
         else:
@@ -222,7 +224,7 @@ def test_workspace_passes_match_allocating_oracle_bit_for_bit(sizes, acts, n):
     rng = np.random.default_rng(n)
     for _ in range(2):  # the second pass reuses the first one's buffers
         check_pass(net, rows_for(net, n, rng), rng.normal(size=(n, sizes[-1])))
-    check_pass(net, rows_for(net, n, rng)[0], rng.normal(size=sizes[-1]))  # one 1-D row
+    check_pass(net, rows_for(net, n, rng)[:1], rng.normal(size=(1, sizes[-1])))  # then one row
 
 
 def test_workspace_interleaved_row_counts_match_oracle():

@@ -39,6 +39,11 @@ def a_condition() -> ConditionVector:
                            [1.4, 0.6, 0.3])
 
 
+def a_row() -> np.ndarray:
+    """``a_condition()`` as one (1, 8) input row."""
+    return a_condition().as_input()[None, :]
+
+
 def motion_consistency_rows(model, logits: np.ndarray, Y: np.ndarray, C: np.ndarray,
                             lambda_mc: float = 1.0) -> np.ndarray:
     """Per-row geodesic error of the most likely code's decoded allocation.
@@ -263,15 +268,15 @@ def test_consistency_term_has_exactly_zero_gradient_in_prior_params():
     prior = small_prior(seed=1)
     frozen = ConditionalVQVAE(VQVAEConfig(codebook_size=4, latent_dim=3,
                                           hidden_width=8), seed=2)
-    c = a_condition()
+    c, row = a_condition(), a_row()
     target_eye = EyePose(0.2, -0.1)
     target_head = HeadPose(0.3, 0.1, 0.0)
 
     def mc_of_phi() -> float:
-        logits = prior.logits_rows(c.as_input()[None, :])
+        logits = prior.logits_rows(row)
         return float(mc_rows(frozen, logits, c, target_eye, target_head).mean())
 
-    base_pi = prior.forward(c)
+    base_pi = prior.forward_rows(row)[0]
     base_code = int(np.argmax(base_pi))
     # the argmax must actually be locally constant for the property to apply
     gap = np.sort(base_pi)[-1] - np.sort(base_pi)[-2]
@@ -284,10 +289,10 @@ def test_consistency_term_has_exactly_zero_gradient_in_prior_params():
             orig = flat[j]
             flat[j] = orig + FD_H
             up = mc_of_phi()
-            assert int(np.argmax(prior.forward(c))) == base_code
+            assert int(np.argmax(prior.forward_rows(row))) == base_code
             flat[j] = orig - FD_H
             down = mc_of_phi()
-            assert int(np.argmax(prior.forward(c))) == base_code
+            assert int(np.argmax(prior.forward_rows(row))) == base_code
             flat[j] = orig
             # not merely small: the term is locally constant, so the
             # difference is exactly zero
@@ -399,14 +404,15 @@ def test_sample_code_equals_generator_choice_draw_for_draw():
 def test_prior_uniform_at_zero_parameters():
     prior = small_prior()
     prior.set_params({k: np.zeros_like(v) for k, v in prior.params().items()})
-    pi = prior.forward(a_condition())
+    pi = prior.forward_rows(a_row())
+    assert pi.shape == (1, 4)
     np.testing.assert_allclose(pi, 0.25, atol=1e-15)
 
 
 def test_prior_forward_is_a_distribution_and_deterministic():
-    pi_a = small_prior(seed=9).forward(a_condition())
-    pi_b = small_prior(seed=9).forward(a_condition())
-    check_distribution(pi_a, k=4)
+    pi_a = small_prior(seed=9).forward_rows(a_row())
+    pi_b = small_prior(seed=9).forward_rows(a_row())
+    check_distribution(pi_a[0], k=4)
     np.testing.assert_array_equal(pi_a, pi_b)
 
 
@@ -424,8 +430,7 @@ def test_prior_checkpoint_round_trip(tmp_path):
     loaded, ck = ConditionalPrior.load(path, expect_stage1_fingerprint="abc123")
     assert loaded.fingerprint() == prior.fingerprint()
     assert loaded.config == prior.config
-    np.testing.assert_array_equal(loaded.forward(a_condition()),
-                                  prior.forward(a_condition()))
+    np.testing.assert_array_equal(loaded.forward_rows(a_row()), prior.forward_rows(a_row()))
 
 
 def _edit_checkpoint(path, edit) -> None:

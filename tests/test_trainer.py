@@ -25,7 +25,7 @@ from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, TIMINGS_FILE,
                                CodeErrors, EpochMetrics, TrainConfig, dataset_arrays,
-                               infer, record_codes, run_training,
+                               draw_allocations, infer, record_codes, run_training,
                                train_stage1, train_stage2, validate_stage1,
                                validate_stage2, write_metrics_csv)
 from gazeshift.vqvae import ConditionalVQVAE, VQVAEConfig, quantize_rows, target_rotations
@@ -331,7 +331,7 @@ def test_infer_argmax_is_deterministic(trained, small_dataset):
 def test_infer_sampling_follows_pi(trained, small_dataset):
     model, prior = trained[0], trained[3]
     c = small_dataset.subset("val")[1].condition
-    pi = prior.forward(c)
+    pi = prior.forward_rows(c.as_input()[None, :])[0]
     rng = np.random.default_rng(17)
     draws = np.array([infer(model, prior, c, mode="sample", rng=rng).code
                       for _ in range(1000)])
@@ -341,20 +341,48 @@ def test_infer_sampling_follows_pi(trained, small_dataset):
 
 @pytest.mark.parametrize("mode", ["sample", "argmax"])
 def test_infer_equals_forward_sample_and_decode(trained, small_dataset, mode):
-    # infer flattens the condition once and decodes through decode_rows; it
-    # must give the bits of the public pieces it stands for
+    # infer must give the bits of the public pieces it stands for: the
+    # prior and the decoder on one condition row, and one scalar draw
     model, prior = trained[0], trained[3]
     rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
     for sample in small_dataset.subset("val"):
         c = sample.condition
         result = infer(model, prior, c, mode=mode, rng=rng)
-        pi = prior.forward(c)
+        x = c.as_input()[None, :]
+        pi = prior.forward_rows(x)[0]
         code = int(np.argmax(pi)) if mode == "argmax" else prior_module.sample_code(pi, ref_rng)
-        allocation = model.decode(model.codebook[code], c)
-        assert result.code == code
+        pred = model.decode_rows(model.codebook[code][None, :], x)[0]
+        assert type(result.code) is int and result.code == code
         assert result.pi.tobytes() == pi.tobytes()
-        assert result.allocation.as_vector().tobytes() == allocation.as_vector().tobytes()
+        assert result.allocation.as_vector().tobytes() == pred.tobytes()
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+def test_draw_allocations_equals_n_infer_calls(trained, small_dataset, mode):
+    model, prior = trained[0], trained[3]
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    for sample in small_dataset.subset("val"):
+        c = sample.condition
+        pi, codes, allocations = draw_allocations(model, prior, c, mode, rng, 25)
+        results = [infer(model, prior, c, mode=mode, rng=ref_rng) for _ in range(25)]
+        assert codes.tolist() == [r.code for r in results]
+        assert list(allocations) == list(dict.fromkeys(codes.tolist()))
+        for r in results:
+            assert r.pi.tobytes() == pi.tobytes()
+            assert (allocations[r.code].as_vector().tobytes()
+                    == r.allocation.as_vector().tobytes())
+    assert rng.random() == ref_rng.random()
+
+
+def test_infer_names_the_code_of_an_allocation_outside_pi(trained, small_dataset):
+    model = ConditionalVQVAE(trained[0].config)
+    model.set_params(trained[0].params())
+    model.decoder.biases[-1][0] = 100.0  # the eye yaw increment, far past pi
+    c = small_dataset.subset("val")[0].condition
+    with pytest.raises(ValueError, match=r"code \d+ decodes to an unusable allocation: "
+                                         r"motion increments must lie within"):
+        infer(model, trained[3], c, mode="argmax")
 
 
 def test_infer_rejects_unknown_mode(trained, small_dataset):

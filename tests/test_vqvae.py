@@ -130,7 +130,8 @@ _ENTRY_POINTS = {
     "encode_rows": ("Y", lambda m, p, Y, C, Z: m.encode_rows(Y, C)),
     "forward_rows": ("Y", lambda m, p, Y, C, Z: m.forward_rows(Y, C)),
     "loss_and_grads": ("Y", lambda m, p, Y, C, Z: m.loss_and_grads(Y, C)),
-    "decode": ("Z", lambda m, p, Y, C, Z: m.decode(Z[1], ConditionVector.from_input(C[1]))),
+    # one row, as trainer.draw_allocations decodes each code
+    "decode": ("Z", lambda m, p, Y, C, Z: m.decode_rows(Z[1:2], C[1:2])),
     "decode_rows": ("Z", lambda m, p, Y, C, Z: m.decode_rows(Z, C)),
 }
 
@@ -220,11 +221,10 @@ def test_forward_rows_matches_encode_quantize_decode():
 
 def test_decode_shape_and_split():
     model = small_model()
-    c = ConditionVector(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0])
-    out = model.decode(np.zeros(3), c)
-    assert out.delta_eye.shape == (2,) and out.delta_head.shape == (3,)
+    x = ConditionVector(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0]).as_input()[None, :]
+    assert model.decode_rows(np.zeros((1, 3)), x).shape == (1, 5)
     with pytest.raises(ValueError):
-        model.decode(np.zeros(5), c)
+        model.decode_rows(np.zeros((1, 5)), x)
 
 
 def test_encode_input_gradients_match_fd():
