@@ -10,6 +10,8 @@ Detection and depth aggregation happen upstream; files carry their results.
 from __future__ import annotations
 
 import json
+import marshal
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,16 +78,24 @@ class RigidTransform:
         return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
 
-def _check_box(box, camera: CameraIntrinsics, what: str):
-    box = tuple(float(v) for v in box)
+def _check_box(box, camera: CameraIntrinsics, cycle_index: int, instance_id: str, label: str):
+    """Raise ValueError unless ``box`` is a (left, top, right, bottom) box inside the image.
+
+    The message, naming the cycle, the instance and ``label``, is built only
+    when the check fails: this runs for every box of every cycle.
+    """
+    box = tuple(map(float, box))
     if len(box) != 4:
-        raise ValueError(f"{what} must be (left, top, right, bottom)")
-    left, top, right, bottom = box
-    if not (left < right and top < bottom):
-        raise ValueError(f"{what} is empty or inverted")
-    if left < 0 or top < 0 or right > camera.width or bottom > camera.height:
-        raise ValueError(f"{what} exceeds the {camera.width}x{camera.height} image")
-    return box
+        reason = "must be (left, top, right, bottom)"
+    else:
+        left, top, right, bottom = box
+        if not (left < right and top < bottom):
+            reason = "is empty or inverted"
+        elif left < 0 or top < 0 or right > camera.width or bottom > camera.height:
+            reason = f"exceeds the {camera.width}x{camera.height} image"
+        else:
+            return
+    raise ValueError(f"cycle {cycle_index} instance {instance_id} {label} {reason}")
 
 
 def box_center(box) -> tuple:
@@ -106,7 +116,7 @@ class Instance:
     def __post_init__(self):
         if not self.instance_id or not self.category:
             raise ValueError("instance id and category must be non-empty")
-        if self.depth <= 0 or not np.isfinite(self.depth):
+        if self.depth <= 0 or not math.isfinite(self.depth):
             raise ValueError(f"instance {self.instance_id}: depth must be positive")
 
     def is_person(self) -> bool:
@@ -138,10 +148,9 @@ class ScenarioCycle:
         if len(set(ids)) != len(ids):
             raise ValueError(f"cycle {self.index}: duplicate instance ids")
         for inst in self.instances:
-            _check_box(inst.box, self.camera, f"cycle {self.index} instance {inst.instance_id} box")
+            _check_box(inst.box, self.camera, self.index, inst.instance_id, "box")
             if inst.face_box is not None:
-                _check_box(inst.face_box, self.camera,
-                           f"cycle {self.index} instance {inst.instance_id} face box")
+                _check_box(inst.face_box, self.camera, self.index, inst.instance_id, "face box")
         if self.expected_instance is not None and not self.cue_onset:
             raise ValueError(f"cycle {self.index}: expected_instance requires cue_onset")
 
@@ -188,7 +197,36 @@ class Scenario:
         return cue is not None and cue.expected_instance is not None
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _instance_from_record(iid, category, box, depth, face_box) -> Instance:
+    """Check the JSON types of one instance record and build its Instance."""
+    if not isinstance(iid, str):
+        raise ValueError(f"instance id must be a string, not {type(iid).__name__}")
+    if not isinstance(category, str):
+        raise ValueError(f"instance {iid}: category must be a string, "
+                         f"not {type(category).__name__}")
+    if not _is_number(depth):
+        raise ValueError(f"instance {iid}: depth must be a number, not {type(depth).__name__}")
+    for label, entries in (("box", box), ("face box", face_box or ())):
+        for value in entries:
+            if not _is_number(value):
+                raise ValueError(f"instance {iid}: {label} entries must be numbers, "
+                                 f"not {type(value).__name__}")
+    return Instance(instance_id=iid, category=category, box=tuple(box), depth=float(depth),
+                    face_box=tuple(face_box) if face_box else None)
+
+
 def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:
+    """Check a parsed scenario document and build its Scenario.
+
+    Each distinct instance record is checked and built once per scenario;
+    later records equal to it in value and in JSON type share that Instance.
+    Every cycle still checks all of its boxes against the image.
+    """
     if not isinstance(doc, dict):
         raise DataError(f"{origin}: a scenario must be a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != SCENARIO_SCHEMA:
@@ -199,26 +237,41 @@ def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:
         camera = CameraIntrinsics(**doc["camera"])
         transform = RigidTransform(np.array(doc["base_from_camera"]["rotation"]),
                                    np.array(doc["base_from_camera"]["translation"]))
+        built = {}  # marshalled fields of an instance record -> its Instance
         cycles = []
         for cdoc in doc["cycles"]:
-            instances = tuple(
-                Instance(
-                    instance_id=idoc["id"],
-                    category=idoc["category"],
-                    box=tuple(idoc["box"]),
-                    depth=float(idoc["depth"]),
-                    face_box=tuple(idoc["face_box"]) if idoc.get("face_box") else None,
-                )
-                for idoc in cdoc["instances"]
-            )
+            index, semantics = cdoc["index"], cdoc["semantics"]
+            cue_onset = cdoc.get("cue_onset", False)
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise ValueError(f"cycle index must be an integer, not {type(index).__name__}")
+            if not isinstance(semantics, str):
+                raise ValueError(f"cycle {index}: semantics must be a string, "
+                                 f"not {type(semantics).__name__}")
+            if not isinstance(cue_onset, bool):
+                raise ValueError(f"cycle {index}: cue_onset must be true or false, "
+                                 f"not {type(cue_onset).__name__}")
+            instances = []
+            for idoc in cdoc["instances"]:
+                record = (idoc["id"], idoc["category"], idoc["box"], idoc["depth"],
+                          idoc.get("face_box"))
+                # Not the tuple itself: tuple equality merges 0 with -0.0 and 1 with true.
+                # Marshal format 2 writes each value's type and a float's exact bits, and
+                # (unlike format 3 and up) no back-references, so two records give the
+                # same bytes only when they are equal in value and in JSON type. It costs
+                # a quarter of repr's time.
+                key = marshal.dumps(record, 2)
+                inst = built.get(key)
+                if inst is None:
+                    inst = built[key] = _instance_from_record(*record)
+                instances.append(inst)
             cycles.append(ScenarioCycle(
-                index=int(cdoc["index"]),
-                semantics=cdoc["semantics"],
-                instances=instances,
+                index=index,
+                semantics=semantics,
+                instances=tuple(instances),
                 camera=camera,
                 base_from_camera=transform,
                 image_ref=cdoc.get("image_ref"),
-                cue_onset=bool(cdoc.get("cue_onset", False)),
+                cue_onset=cue_onset,
                 expected_instance=cdoc.get("expected_instance"),
             ))
         responses = {int(k): v for k, v in doc.get("responses", {}).items()}
@@ -231,7 +284,7 @@ def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:
         )
     except DataError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{origin}: {exc}") from exc
 
 

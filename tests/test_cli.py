@@ -772,20 +772,35 @@ def test_replay_empty_scenario_dir_exit_data(tmp_path):
                  "--out", str(tmp_path / "r")]) == 3
 
 
-@pytest.mark.parametrize("text, reason", [
+def _set_box_entry(doc):
+    doc["cycles"][0]["instances"][0]["box"][0] = "60"
+
+
+def _set_instance_id(doc):
+    doc["cycles"][0]["instances"][0]["id"] = 5
+
+
+@pytest.mark.parametrize("damage, reason", [
     (b"[]", "a scenario must be a JSON object, not list"),
-    (None, "'list' object has no attribute 'items'"),
+    (lambda doc: doc.update(responses=[1]), "'list' object has no attribute 'items'"),
     (b'{"schema": "gazeshift-scenario", "description": "\xff"}', "can't decode byte 0xff"),
-], ids=["not_an_object", "responses_list", "not_utf8"])
-def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, text, reason):
+    (_set_box_entry, "instance anna: box entries must be numbers, not str"),
+    (_set_instance_id, "instance id must be a string, not int"),
+    (lambda doc: doc["cycles"][1].update(semantics=7),
+     "cycle 1: semantics must be a string, not int"),
+    (lambda doc: doc["cycles"][1].update(cue_onset="false"),
+     "cycle 1: cue_onset must be true or false, not str"),
+], ids=["not_an_object", "responses_list", "not_utf8", "box_entry_text", "id_number",
+        "semantics_number", "cue_onset_text"])
+def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason):
     bundled = Path(gazeshift.__file__).parent / "scenarios"
     shutil.copytree(bundled, tmp_path / "s")
-    damaged = sorted((tmp_path / "s").glob("*.json"))[0]
-    if text is None:
+    damaged = tmp_path / "s" / "h1_point_cup.json"
+    if callable(damage):
         doc = json.loads(damaged.read_text(encoding="utf-8"))
-        doc["responses"] = [1]
-        text = json.dumps(doc).encode("utf-8")
-    damaged.write_bytes(text)
+        damage(doc)
+        damage = json.dumps(doc).encode("utf-8")
+    damaged.write_bytes(damage)
     assert main(["replay", "--scenarios", str(tmp_path / "s"),
                  "--out", str(tmp_path / "r")]) == 3
     err = capsys.readouterr().err

@@ -36,6 +36,7 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
                                          load_scenario, load_scenario_dir,
                                          scenario_from_doc)
 from scenario_corpus import scenario_to_doc, write_corpus, write_scenario
+from scenario_oracles import scenario_from_doc_per_record
 
 DATA_DIR = Path(__file__).parent / "data"
 BUNDLED = Path(__file__).parent.parent / "src" / "gazeshift" / "scenarios"
@@ -514,6 +515,169 @@ def test_scenario_rejects_bad_documents():
     for responses in ([1], "abc", 2):
         with pytest.raises(DataError, match="attribute 'items'"):
             scenario_from_doc({**good, "responses": responses})
+    # one mistyped field each, in the first instance of cycle 0 or in cycle 1
+    for where, key, value, reason in [
+        ("instance", "id", 5, "instance id must be a string, not int"),
+        ("instance", "id", None, "instance id must be a string, not NoneType"),
+        ("instance", "category", ["person"], "category must be a string, not list"),
+        ("instance", "box", [300.0, "80", 420.0, 460.0], "box entries must be numbers, not str"),
+        ("instance", "box", [300, 80, True, 460], "box entries must be numbers, not bool"),
+        ("instance", "face_box", [340.0, 100.0, None, 150.0],
+         "face box entries must be numbers, not NoneType"),
+        ("instance", "depth", "2.0", "depth must be a number, not str"),
+        ("instance", "depth", True, "depth must be a number, not bool"),
+        ("instance", "depth", 10 ** 400, "int too large to convert to float"),
+        ("instance", "box", [300, 80, 10 ** 400, 460], "int too large to convert to float"),
+        ("cycle", "index", 1.0, "cycle index must be an integer, not float"),
+        ("cycle", "index", 2.7, "cycle index must be an integer, not float"),
+        ("cycle", "index", True, "cycle index must be an integer, not bool"),
+        ("cycle", "index", "1", "cycle index must be an integer, not str"),
+        ("cycle", "semantics", 7, "cycle 1: semantics must be a string, not int"),
+        ("cycle", "semantics", None, "cycle 1: semantics must be a string, not NoneType"),
+        ("cycle", "cue_onset", "false", "cycle 1: cue_onset must be true or false, not str"),
+        ("cycle", "cue_onset", 1, "cycle 1: cue_onset must be true or false, not int"),
+    ]:
+        doc = json.loads(json.dumps(good))
+        target = doc["cycles"][0]["instances"][0] if where == "instance" else doc["cycles"][1]
+        target[key] = value
+        with pytest.raises(DataError) as exc:
+            scenario_from_doc(doc, origin="demo.json")
+        message = str(exc.value)
+        assert message.startswith("demo.json: ") and reason in message and "\n" not in message
+
+
+# Scenario documents for the oracle test. Box and depth values mix ints and
+# floats and include 0, 0.0 and -0.0, which tuple equality would merge; each
+# instance id comes in two records that differ only in those types, and the
+# cycles draw from both, so records repeat within and across types.
+
+def _numbers(lo, hi):
+    numbers = st.one_of(st.integers(lo, hi), st.floats(lo, hi))
+    return st.one_of(st.sampled_from([0, 0.0, -0.0]), numbers) if lo <= 0 else numbers
+
+
+@st.composite
+def _boxes(draw):
+    left, top = draw(_numbers(0, 600)), draw(_numbers(0, 440))
+    return [left, top, draw(_numbers(math.floor(left) + 1, 640)),
+            draw(_numbers(math.floor(top) + 1, 480))]
+
+
+def _retyped(value):
+    """The same number with its other JSON type, or the other signed zero."""
+    if isinstance(value, int):
+        return float(value)
+    return -value if value == 0 else value
+
+
+@st.composite
+def _instance_records(draw, iid):
+    record = {"id": iid, "category": draw(st.sampled_from(["person", "cup"])),
+              "box": draw(_boxes()), "depth": draw(st.one_of(st.integers(1, 3),
+                                                             st.floats(0.1, 3.0)))}
+    if draw(st.booleans()):
+        record["face_box"] = draw(_boxes())
+    retyped = {**record, "box": [_retyped(v) for v in record["box"]],
+               "depth": _retyped(record["depth"])}
+    if "face_box" in record:
+        retyped["face_box"] = [_retyped(v) for v in record["face_box"]]
+    return [record, retyped]
+
+
+@st.composite
+def _scenario_docs(draw):
+    ids = [f"i{j}" for j in range(draw(st.integers(1, 4)))]
+    records = {iid: draw(_instance_records(iid)) for iid in ids}
+    n_cycles = draw(st.integers(1, 6))
+    cycles = []
+    for t in range(n_cycles):
+        shown = draw(st.lists(st.sampled_from(ids), unique=True, min_size=int(t == 0)))
+        cycles.append({"index": t, "semantics": f"scene {t}",
+                       "instances": [records[iid][draw(st.integers(0, 1))] for iid in shown]})
+    cue = draw(st.none() | st.integers(0, n_cycles - 1))
+    if cue is not None:
+        cycles[cue]["cue_onset"] = True
+        if cycles[cue]["instances"]:
+            cycles[cue]["expected_instance"] = cycles[cue]["instances"][0]["id"]
+    answered = draw(st.lists(st.integers(0, n_cycles - 1), unique=True))
+    doc = scenario_to_doc(demo_scenario({}))
+    doc.update(regularity=draw(st.sampled_from(["H1", "H2", "H3", "H4"])), cycles=cycles,
+               responses={str(t): f"TARGET: {t + 1}" for t in answered})
+    return json.loads(json.dumps(doc))  # one object per record, as a parsed file has
+
+
+def _some_instance(doc, data):
+    shown = [inst for cycle in doc["cycles"] for inst in cycle["instances"]]
+    return data.draw(st.sampled_from(shown))
+
+
+def _swap(box, a, b):
+    box[a], box[b] = box[b], box[a]
+
+
+# One fault each that both loaders detect, with the same message.
+_SCENARIO_FAULTS = {
+    "box_outside": lambda doc, data: _some_instance(doc, data)["box"].__setitem__(2, 700),
+    "box_inverted": lambda doc, data: _swap(_some_instance(doc, data)["box"], 0, 2),
+    "face_box_inverted": lambda doc, data: _some_instance(doc, data).update(
+        face_box=[50, 60, 40.0, 90]),
+    "box_three_entries": lambda doc, data: _some_instance(doc, data)["box"].pop(),
+    "depth_not_positive": lambda doc, data: _some_instance(doc, data).update(
+        depth=data.draw(st.sampled_from([0, 0.0, -0.0, -1.5, math.nan, math.inf]))),
+    "empty_id": lambda doc, data: _some_instance(doc, data).update(id=""),
+    "empty_category": lambda doc, data: _some_instance(doc, data).update(category=""),
+    "missing_field": lambda doc, data: _some_instance(doc, data).pop(
+        data.draw(st.sampled_from(["id", "category", "box", "depth"]))),
+    "duplicate_id": lambda doc, data: doc["cycles"][0]["instances"].append(
+        dict(doc["cycles"][0]["instances"][0])),
+    "index_gap": lambda doc, data: doc["cycles"][-1].update(index=len(doc["cycles"])),
+    "index_negative": lambda doc, data: doc["cycles"][0].update(index=-1),
+    "expected_without_cue": lambda doc, data: doc["cycles"][0].update(
+        cue_onset=False, expected_instance="i0"),
+    "unknown_regularity": lambda doc, data: doc.update(regularity="H9"),
+    "response_out_of_range": lambda doc, data: doc["responses"].update(
+        {str(len(doc["cycles"])): "TARGET: 1"}),
+}
+
+
+def _fields(scenario):
+    """Every field of ``scenario``, with each number's repr, so types and signs count."""
+    return (scenario.scenario_id, scenario.regularity, scenario.description, scenario.responses,
+            [(repr(c.index), c.semantics, c.image_ref, repr(c.cue_onset), c.expected_instance,
+              c.camera, c.base_from_camera.rotation.tolist(),
+              c.base_from_camera.translation.tolist(),
+              [(i.instance_id, i.category, repr(i.box), repr(i.depth), repr(i.face_box))
+               for i in c.instances])
+             for c in scenario.cycles])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenario_docs(), st.sampled_from([None, *_SCENARIO_FAULTS]), st.data())
+def test_scenario_loader_matches_per_record_oracle(doc, fault, data):
+    if fault is not None:
+        _SCENARIO_FAULTS[fault](doc, data)
+        with pytest.raises(DataError) as shared:
+            scenario_from_doc(doc, origin="s.json")
+        with pytest.raises(DataError) as per_record:
+            scenario_from_doc_per_record(doc, origin="s.json")
+        assert str(shared.value) == str(per_record.value)
+        return
+    scenario = scenario_from_doc(doc)
+    assert _fields(scenario) == _fields(scenario_from_doc_per_record(doc))
+    # entries share one Instance exactly when their JSON texts are equal
+    built = {}
+    for cdoc, cycle in zip(doc["cycles"], scenario.cycles):
+        for idoc, inst in zip(cdoc["instances"], cycle.instances):
+            built.setdefault(json.dumps(idoc, sort_keys=True), set()).add(id(inst))
+    assert all(len(ids) == 1 for ids in built.values())
+    assert len({next(iter(ids)) for ids in built.values()}) == len(built)
+
+
+def test_bundled_corpus_builds_each_distinct_instance_once():
+    entries = [inst for scenario in load_scenario_dir(BUNDLED)
+               for cycle in scenario.cycles for inst in cycle.instances]
+    assert len(entries) == 247
+    assert len({id(inst) for inst in entries}) == 42
 
 
 def test_scenario_validates_structure():
@@ -526,6 +690,12 @@ def test_scenario_validates_structure():
             Instance("same", "cup", (10.0, 10.0, 60.0, 60.0), 1.0),
             Instance("same", "cup", (80.0, 10.0, 130.0, 60.0), 1.0),
         ))
+    # a cycle built directly still checks every box against its image
+    with pytest.raises(ValueError, match="cycle 0 instance far box exceeds the 640x480 image"):
+        make_cycle(0, "s", instances=(Instance("far", "cup", (600, 10, 700, 60), 1.0),))
+    with pytest.raises(ValueError, match="cycle 2 instance p face box is empty or inverted"):
+        make_cycle(2, "s", instances=(
+            Instance("p", "person", (300, 80, 420, 460), 2.0, face_box=(380, 100, 340, 150)),))
 
 
 def test_bundled_scenarios_load_and_carry_metadata():
