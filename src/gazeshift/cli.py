@@ -34,7 +34,8 @@ from .reasoner.replay import replay_evaluate, write_success_table
 from .so3 import EyePose, HeadPose
 from .trainer import (PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, CodeErrors,
                       TrainConfig, checkpoint_errors, dataset_arrays, draw_allocations,
-                      record_codes, run_training, validate_stage1, validate_stage2)
+                      record_codes, run_training, shared_target_scale, validate_stage1,
+                      validate_stage2)
 from .vqvae import ConditionalVQVAE, ConditionVector, target_rotations
 
 EXIT_OK = 0
@@ -51,6 +52,7 @@ _EXIT_BY_ERROR = (
 )
 
 DIVERSITY_THRESHOLD = 0.05  # report codes the prior rates above 5%
+_LIST_CHUNK = 1000  # list items per piece of iter_shared_items' text
 
 
 def sha256_file(path) -> str:
@@ -71,8 +73,9 @@ def iter_shared_items(doc: dict):
     """The text of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, in pieces.
 
     Each distinct object (by identity) in a top-level list value is encoded
-    once, however often the list repeats it, and a long list is yielded
-    item by item rather than held as one string.
+    once, however often the list repeats it. A long list is yielded in
+    chunks of ``_LIST_CHUNK`` items, each joined in one call, so the text
+    held at once is bounded by a chunk rather than the whole list.
     """
     opening = "{"
     for key in sorted(doc):
@@ -80,12 +83,12 @@ def iter_shared_items(doc: dict):
         yield f"{opening}\n  {json.dumps(key)}: "
         opening = ","
         if isinstance(value, list) and value:
-            texts = {}
+            distinct = dict(zip(map(id, value), value))
+            texts = {ident: _indented(item, 2) for ident, item in distinct.items()}
             separator = "[\n    "
-            for item in value:
-                if id(item) not in texts:
-                    texts[id(item)] = _indented(item, 2)
-                yield separator + texts[id(item)]
+            for start in range(0, len(value), _LIST_CHUNK):
+                chunk = value[start:start + _LIST_CHUNK]
+                yield separator + ",\n    ".join(map(texts.__getitem__, map(id, chunk)))
                 separator = ",\n    "
             yield "\n  ]"
         else:
@@ -198,9 +201,9 @@ def cmd_train(args) -> int:
 def _load_models(run_dir):
     run = Path(run_dir)
     with checkpoint_errors(run):
-        model, _ = ConditionalVQVAE.load(run / STAGE1_CHECKPOINT)
-        prior, _ = ConditionalPrior.load(run / PRIOR_CHECKPOINT,
-                                         expect_stage1_fingerprint=model.fingerprint())
+        model, stage1 = ConditionalVQVAE.load(run / STAGE1_CHECKPOINT)
+        prior, _ = ConditionalPrior.load(run / PRIOR_CHECKPOINT, stage1=stage1)
+        shared_target_scale(model, prior.config)
     return model, prior
 
 

@@ -28,6 +28,16 @@ update's per-element expressions, in their usual operand order, through
 two scratch vectors its :class:`AdamState` owns, so a step allocates
 nothing. ``save_checkpoint`` writes the text of one ``json.dumps`` of the
 whole document, one parameter at a time.
+
+A loaded :class:`Checkpoint` also carries a text fingerprint: the SHA-256
+of the canonical ``params_fingerprint`` encoding, built from the number
+tokens of the file itself rather than by encoding the arrays again.
+``save_checkpoint`` writes every value as its ``repr``, which is the token
+that encoding gives it, so for such a file the two fingerprints are equal,
+and checking a fingerprint costs one hash of the text. A file whose
+numbers are spelled otherwise (``1`` for 1.0, seventeen digits where
+fewer do) has another text fingerprint, or none, and
+``Checkpoint.has_fingerprint`` then encodes the arrays.
 """
 
 from __future__ import annotations
@@ -118,7 +128,7 @@ class DenseNetwork:
     A rectifier's mask is built from its cached output: ``out > 0`` holds
     exactly where ``z > 0`` does, NaN included. ``forward`` checks the input
     shape but not its values: the models check their rows once, where they
-    enter (``vqvae.condition_inputs``, ``encode_rows``, ``decode_rows``),
+    enter (``vqvae.condition_inputs``, ``encode_rows``, ``decode_inputs``),
     and ``load_checkpoint`` refuses non-finite parameters.
 
     The cache holds the caller's input, views into the network's workspace
@@ -430,10 +440,55 @@ def params_fingerprint(params: dict[str, np.ndarray]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _text_fingerprint(tokens) -> str | None:
+    """``params_fingerprint`` over an ``encode_params`` document as written, or None.
+
+    ``tokens`` is the document parsed with every float left as its source
+    text (``json.loads(..., parse_float=str)``), and already checked by
+    ``decode_params``. The canonical encoding is rebuilt from those texts:
+    equal to ``params_fingerprint`` of the decoded arrays when each token is
+    the ``repr`` of its value. A data entry that is not one flat list of
+    float tokens (an integer, ``true``, ``null`` or a nested list) gives None.
+    """
+    parts = []
+    for name in sorted(tokens):
+        data, shape = tokens[name]["data"], tokens[name]["shape"]
+        if type(data) is not list:
+            return None
+        try:
+            data = ",".join(data)
+        except TypeError:
+            return None
+        parts.append(f'{json.dumps(name)}:{{"data":[{data}],'
+                     f'"shape":{json.dumps(shape, separators=(",", ":"))}}}')
+    return hashlib.sha256(("{" + ",".join(parts) + "}").encode("utf-8")).hexdigest()
+
+
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint: its arrays, its metadata and its text fingerprint.
+
+    ``text_fingerprint`` is ``params_fingerprint(params)`` when the file
+    spells every value as its ``repr``, as ``save_checkpoint`` does; it
+    differs, or is None, for a file that spells values otherwise.
+    """
+
     params: dict
     metadata: dict
+    text_fingerprint: str | None = None
+
+    def has_fingerprint(self, fingerprint) -> bool:
+        """Whether ``params_fingerprint(self.params) == fingerprint``.
+
+        The text fingerprint settles a match; only when it does not match
+        are the arrays encoded and hashed, so a file as ``save_checkpoint``
+        wrote it costs no encoding. The answer is the same either way: a
+        text fingerprint equal to a ``params_fingerprint`` means every token
+        is the ``repr`` of a value whose fingerprint that is, and ``float``
+        reads a ``repr`` back to the same bits.
+        """
+        return ((fingerprint is not None and fingerprint == self.text_fingerprint)
+                or fingerprint == params_fingerprint(self.params))
 
 
 def save_checkpoint(path, params, metadata: dict | None = None):
@@ -457,13 +512,18 @@ def load_checkpoint(path) -> Checkpoint:
     """Read ``path``; any file that is not a whole, finite checkpoint raises ValueError.
 
     Only ``format``, ``version``, ``params`` and ``metadata`` are read, so
-    the ``optimizer`` entry that earlier builds wrote is ignored.
+    the ``optimizer`` entry that earlier builds wrote is ignored. The text
+    is read once and parsed twice: for the values, and then, once they have
+    passed every check, for the number tokens of ``params``, which give the
+    checkpoint's ``text_fingerprint``. Only the tokens of ``params`` are
+    kept as text: metadata floats stay floats.
     """
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -473,7 +533,9 @@ def load_checkpoint(path) -> Checkpoint:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError(f"{path}: metadata must be an object")
-    return Checkpoint(decode_params(doc["params"], path), metadata)
+    params = decode_params(doc["params"], path)
+    tokens = json.loads(text, parse_float=str)["params"]
+    return Checkpoint(params, metadata, _text_fingerprint(tokens))
 
 
 def save_model(path, params, kind: str, config, metadata: dict | None = None, **extra) -> None:

@@ -149,14 +149,21 @@ class ConditionalPrior:
                         mc_gradient="none", stage1_fingerprint=stage1_fingerprint)
 
     @classmethod
-    def load(cls, path, expect_stage1_fingerprint: str | None = None):
+    def load(cls, path, stage1: nets.Checkpoint | None = None):
+        """The prior saved at ``path`` and its checkpoint.
+
+        With ``stage1``, the checkpoint of the first-stage model to pair it
+        with, a prior whose recorded fingerprint is not that model's raises
+        ValueError (``Checkpoint.has_fingerprint``: a pair as ``train`` wrote
+        it is matched by the text fingerprint, without encoding the weights).
+        """
         prior, ck = nets.load_model(path, cls, "conditional-prior", PriorConfig,
                                     extra=("mc_gradient", "stage1_fingerprint"))
         spec = ck.metadata["model"]
         if spec.get("mc_gradient", "none") != "none":
             raise ValueError(f"{path}: unsupported mc_gradient mode {spec['mc_gradient']!r}")
         stored = spec.get("stage1_fingerprint")
-        if expect_stage1_fingerprint is not None and stored != expect_stage1_fingerprint:
+        if stage1 is not None and not stage1.has_fingerprint(stored):
             raise ValueError(
                 "prior checkpoint was trained against a different first-stage model "
                 f"(stored fingerprint {stored!r})"

@@ -129,7 +129,8 @@ class ScenarioCycle:
 
     Camera intrinsics and the base-from-camera transform are shared across
     a scenario but carried on every cycle so pipeline steps are local.
-    ``expected_instance`` is set only on the cue-onset cycle.
+    ``expected_instance`` is set only on the cue-onset cycle, and names an
+    instance the cycle shows.
     """
 
     index: int
@@ -151,8 +152,15 @@ class ScenarioCycle:
             _check_box(inst.box, self.camera, self.index, inst.instance_id, "box")
             if inst.face_box is not None:
                 _check_box(inst.face_box, self.camera, self.index, inst.instance_id, "face box")
-        if self.expected_instance is not None and not self.cue_onset:
-            raise ValueError(f"cycle {self.index}: expected_instance requires cue_onset")
+        if self.expected_instance is not None:
+            if not self.cue_onset:
+                raise ValueError(f"cycle {self.index}: expected_instance requires cue_onset")
+            if not isinstance(self.expected_instance, str):
+                raise ValueError(f"cycle {self.index}: expected_instance must be a string, "
+                                 f"not {type(self.expected_instance).__name__}")
+            if self.expected_instance not in ids:
+                raise ValueError(f"cycle {self.index}: expected_instance "
+                                 f"{self.expected_instance!r} is not an instance of the cycle")
 
     def find(self, instance_id: str) -> Instance:
         for inst in self.instances:

@@ -51,8 +51,8 @@ from .config import read_config
 from .datagen import Dataset
 from .errors import ConfigError, TrainingError
 from .prior import ConditionalPrior, PriorConfig
-from .vqvae import (ConditionalVQVAE, MotionAllocation, VQVAEConfig, pose_errors_rows,
-                    quantize_rows, target_rotations)
+from .vqvae import (ConditionalVQVAE, MotionAllocation, VQVAEConfig, condition_inputs,
+                    pose_errors_rows, quantize_rows, target_rotations)
 
 STAGE1_CHECKPOINT = "stage1.json"
 PRIOR_CHECKPOINT = "prior.json"
@@ -340,26 +340,41 @@ class InferenceResult:
     pi: np.ndarray
 
 
+def shared_target_scale(model: ConditionalVQVAE, prior_config: PriorConfig) -> float:
+    """The ``target_scale`` of the stage-1 model, which the prior must share.
+
+    Raises ValueError if the two differ: one normalised condition row feeds
+    both models at inference, and ``train`` always writes them equal.
+    """
+    scale = model.config.target_scale
+    if prior_config.target_scale != scale:
+        raise ValueError(f"stage-1 target_scale {scale!r} differs from the prior's "
+                         f"{prior_config.target_scale!r}")
+    return scale
+
+
 def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str,
                      rng: np.random.Generator, n: int):
     """Draw n codes from the prior for condition c (or its argmax n times) and decode them.
 
     Returns (pi, the n codes, {distinct code: MotionAllocation}). The draws
-    leave ``rng`` where n single draws would. Each distinct code is decoded
-    once, as one row: in a batch its last bits could change. A decoded
-    allocation outside [-pi, pi] raises ValueError naming its code.
+    leave ``rng`` where n single draws would. The condition is normalised
+    once, and that row feeds both models (``shared_target_scale``). Each
+    distinct code is decoded once, as one row: in a batch its last bits
+    could change. A decoded allocation outside [-pi, pi] raises ValueError
+    naming its code.
     """
     if mode not in ("sample", "argmax"):
         raise ValueError(f"unknown inference mode {mode!r}")
-    x = c.as_input()[None, :]  # one flattened condition row feeds both models
-    pi = prior.forward_rows(x)[0]
+    x = condition_inputs(c.as_input()[None, :], shared_target_scale(model, prior.config))
+    pi = prior_mod.softmax_rows(prior.net.forward(x))[0]
     if mode == "argmax":
         codes = np.full(n, int(np.argmax(pi)))
     else:
         codes = prior_mod.sample_code(pi, rng, size=n)
     allocations = {}
     for k in dict.fromkeys(codes.tolist()):
-        pred = model.decode_rows(model.codebook[k][None, :], x)[0]
+        pred = model.decode_inputs(model.codebook[k][None, :], x)[0]
         try:
             allocations[k] = MotionAllocation(pred[:2], pred[2:5])
         except ValueError as exc:
@@ -425,7 +440,7 @@ def checkpoint_errors(run_dir):
 
     The loaders raise OSError for a file they cannot open and ValueError
     for anything else: a damaged file, parameters that do not fit the
-    model, or a mismatched stage-1 fingerprint.
+    model, a mismatched stage-1 fingerprint or ``target_scale``.
     """
     try:
         yield
@@ -473,6 +488,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
                 raise TrainingError(f"stage 2 requested but {ckpt_path} does not exist")
             with checkpoint_errors(out):
                 model, ck = ConditionalVQVAE.load(ckpt_path)
+                shared_target_scale(model, config.prior_config())
             if ck.metadata.get("dataset_hash") != dataset_hash:
                 raise TrainingError("stage-1 checkpoint was trained on a different dataset "
                                     "or records no dataset hash")

@@ -323,9 +323,12 @@ class ConditionalVQVAE:
         return self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
 
     def decode_rows(self, Zq: np.ndarray, C: np.ndarray) -> np.ndarray:
+        return self.decode_inputs(Zq, self.condition_inputs(C))
+
+    def decode_inputs(self, Zq: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """``decode_rows`` for condition rows ``X`` that ``condition_inputs`` has normalised."""
         Zq = _finite_rows(Zq, "latent rows")
-        f_c = self.cond_encoder.forward(self.condition_inputs(C))
-        h = self.fusion_out.forward(np.concatenate([Zq, f_c], axis=1))
+        h = self.fusion_out.forward(np.concatenate([Zq, self.cond_encoder.forward(X)], axis=1))
         return self.decoder.forward(h)
 
     def decode_codes(self, C: np.ndarray) -> np.ndarray:

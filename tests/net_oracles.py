@@ -1,9 +1,14 @@
 """Oracles on dense networks: pre-activations for the finite-difference tests,
-and the allocating forward and backward passes the workspace tests compare against."""
+the allocating forward and backward passes the workspace tests compare against,
+and a checkpoint writer that spells each number as told."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+from gazeshift import nets
 
 
 def preactivations(net, x) -> list[np.ndarray]:
@@ -64,3 +69,24 @@ def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.int64),
                                                  np.ascontiguousarray(b).view(np.int64))
+
+
+# Number spellings other than the repr that ``save_checkpoint`` writes.
+SPELLINGS = {
+    "repr": repr,
+    "%.17g": lambda v: "%.17g" % v,  # 0.1 -> 0.10000000000000001, 1.0 -> 1, -0.0 -> -0
+    "%.17e": lambda v: "%.17e" % v,  # a float token, never repr
+    "integers": lambda v: str(int(v)) if v.is_integer() else repr(v),
+    "strings": lambda v: json.dumps(repr(v)),  # "0.5": a JSON string numpy reads as 0.5
+}
+
+
+def write_spelled(path, params: dict, spell, metadata: dict | None = None) -> None:
+    """A checkpoint of ``params`` whose every value is written as ``spell(value)``."""
+    entries = ", ".join(
+        f'{json.dumps(name)}: {{"shape": {json.dumps(list(np.shape(p)))}, '
+        f'"data": [{", ".join(spell(v) for v in np.ravel(p).tolist())}]}}'
+        for name, p in params.items())
+    path.write_text(f'{{"format": {json.dumps(nets.CHECKPOINT_FORMAT)}, '
+                    f'"version": {nets.CHECKPOINT_VERSION}, "params": {{{entries}}}, '
+                    f'"metadata": {json.dumps(metadata or {})}}}\n', encoding="utf-8")

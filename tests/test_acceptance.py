@@ -384,9 +384,8 @@ def test_criterion_4_default_training_quality(default_run):
 def test_criterion_5_prior_code_diversity(default_run):
     dataset, _, out, _ = default_run
     t0 = time.perf_counter()
-    model, _ = ConditionalVQVAE.load(out / trainer.STAGE1_CHECKPOINT)
-    prior, _ = ConditionalPrior.load(out / trainer.PRIOR_CHECKPOINT,
-                                     expect_stage1_fingerprint=model.fingerprint())
+    _, stage1 = ConditionalVQVAE.load(out / trainer.STAGE1_CHECKPOINT)
+    prior, _ = ConditionalPrior.load(out / trainer.PRIOR_CHECKPOINT, stage1=stage1)
     _, Cv = dataset_arrays(dataset, "val")
     rng = np.random.default_rng(42)
     picks = rng.choice(len(Cv), size=20, replace=False)

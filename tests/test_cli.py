@@ -28,12 +28,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gazeshift
-from gazeshift.cli import DIVERSITY_THRESHOLD, iter_shared_items, main
+from gazeshift import nets
+from gazeshift.cli import _LIST_CHUNK, DIVERSITY_THRESHOLD, iter_shared_items, main
 from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import infer
 from gazeshift.vqvae import ConditionalVQVAE, ConditionVector
+from net_oracles import SPELLINGS, write_spelled
 
 SMALL_CONFIG = {
     "generator": {"n_samples": 50},
@@ -464,6 +466,10 @@ def _target_scale_inf(doc):
     doc["metadata"]["model"]["target_scale"] = math.inf
 
 
+def _target_scale_three(doc):
+    doc["metadata"]["model"]["target_scale"] = 3.0
+
+
 def _codebook_size_float(doc):
     doc["metadata"]["model"]["codebook_size"] = 10.0
 
@@ -505,6 +511,8 @@ def _unknown_model_field(doc):
     ("prior.json", _target_scale_nan, "target_scale' must be a finite number, got nan"),
     ("stage1.json", _target_scale_nan, "target_scale' must be a finite number, got nan"),
     ("stage1.json", _target_scale_inf, "target_scale' must be a finite number, got inf"),
+    # valid alone, but the two models would normalise one condition row differently
+    ("stage1.json", _target_scale_three, "stage-1 target_scale 3.0 differs from the prior's 2.0"),
     # the VQ-VAE loader used to fill a missing field with its default
     ("stage1.json", _no_target_scale,
      "stage1.json: unusable checkpoint: model config lacks 'target_scale'"),
@@ -538,6 +546,75 @@ def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name,
         assert main(argv) == 4, argv[0]
         assert reason in capsys.readouterr().err, argv[0]
     assert {p.name: p.read_bytes() for p in damaged.iterdir()} == before
+
+
+def _eval_and_sample(run: Path, dataset: Path, out: Path) -> list:
+    return [main(["eval", "--dataset", str(dataset), "--run", str(run),
+                  "--out", str(out / "e")]),
+            main(["sample", "--run", str(run), "--n", "50", "--seed", "4",
+                  "--out", str(out / "s")])]
+
+
+def _counted_fingerprints(monkeypatch) -> list:
+    """Record every ``nets.params_fingerprint`` call from now on."""
+    calls, real = [], nets.params_fingerprint
+    monkeypatch.setattr(nets, "params_fingerprint", lambda params: calls.append(1) or real(params))
+    return calls
+
+
+def test_eval_and_sample_of_a_trained_run_encode_no_weights(pipeline, tmp_path, monkeypatch):
+    # train wrote stage1.json with repr tokens, so its text fingerprint
+    # settles the pairing and the 23,709 weights are not encoded again
+    _, _, data_dir, run_dir = pipeline
+    calls = _counted_fingerprints(monkeypatch)
+    assert _eval_and_sample(run_dir, data_dir / "dataset.jsonl", tmp_path) == [0, 0]
+    assert calls == []
+
+
+@pytest.mark.parametrize("spelling", ["%.17e", "%.17g", "integers"])
+def test_respelled_stage1_still_pairs_with_its_prior(pipeline, tmp_path, monkeypatch, spelling):
+    # the same weights written with other number tokens: the text fingerprint
+    # differs from the recorded one, or is None, and the weights decide
+    _, _, data_dir, run_dir = pipeline
+    model, _ = ConditionalVQVAE.load(run_dir / "stage1.json")
+    prior, _ = ConditionalPrior.load(run_dir / "prior.json")
+    model.codebook[0, 0] = 1.0  # a whole number: an integer token but in %.17e
+    canonical, respelled = tmp_path / "canonical", tmp_path / "respelled"
+    for run in (canonical, respelled):
+        run.mkdir()
+        model.save(run / "stage1.json")
+        prior.save(run / "prior.json", stage1_fingerprint=model.fingerprint())
+    ck = nets.load_checkpoint(respelled / "stage1.json")
+    write_spelled(respelled / "stage1.json", ck.params, SPELLINGS[spelling], ck.metadata)
+    text_fingerprint = nets.load_checkpoint(respelled / "stage1.json").text_fingerprint
+    assert text_fingerprint != model.fingerprint()
+    assert (text_fingerprint is None) == (spelling != "%.17e")
+
+    dataset = data_dir / "dataset.jsonl"
+    calls = _counted_fingerprints(monkeypatch)
+    assert _eval_and_sample(canonical, dataset, tmp_path / "a") == [0, 0]
+    assert calls == []
+    assert _eval_and_sample(respelled, dataset, tmp_path / "b") == [0, 0]
+    assert len(calls) == 2  # one weight fingerprint per command
+    for report in ("e/eval.json", "s/samples.json"):
+        assert (tmp_path / "a" / report).read_bytes() == (tmp_path / "b" / report).read_bytes()
+
+
+def test_one_ulp_edit_to_stage1_is_refused(pipeline, tmp_path, capsys):
+    _, _, data_dir, run_dir = pipeline
+    damaged = tmp_path / "damaged"
+    shutil.copytree(run_dir, damaged)
+    doc = json.loads((damaged / "stage1.json").read_text(encoding="utf-8"))
+    data = doc["params"]["codebook"]["data"]
+    data[3] = math.nextafter(data[3], math.inf)
+    (damaged / "stage1.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert _eval_and_sample(damaged, data_dir / "dataset.jsonl", tmp_path) == [4, 4]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all("prior checkpoint was trained against a different first-stage model" in line
+               for line in err)
+    assert not (tmp_path / "e").exists() and not (tmp_path / "s").exists()
 
 
 # -- sample --------------------------------------------------------------------------------
@@ -632,6 +709,9 @@ OTHER = {"code": 0, "nested": {"z": [], "a": {}}}
 @example({"samples": [SHARED, OTHER, SHARED, SHARED, OTHER], "seed": 3, "empty": [],
           "condition": {"eye_deg": [0.0, 0.0]}, "mode": "sample", "none": None})
 @example({"z": [[1, [2, 3]], [1, [2, 3]]], "\u00e9": [SHARED] * 3, "a": "x"})
+# lists longer than two chunks, exactly one chunk, and one item past it
+@example({"samples": [(SHARED, OTHER, [0.5])[i % 3] for i in range(2500)], "seed": 1})
+@example({"a": [OTHER] * _LIST_CHUNK, "b": [SHARED, OTHER] * (_LIST_CHUNK // 2) + [SHARED]})
 def test_iter_shared_items_matches_json_dumps(doc):
     assert "".join(iter_shared_items(doc)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -790,8 +870,13 @@ def _set_instance_id(doc):
      "cycle 1: semantics must be a string, not int"),
     (lambda doc: doc["cycles"][1].update(cue_onset="false"),
      "cycle 1: cue_onset must be true or false, not str"),
+    # the clip used to replay and silently score 0
+    (lambda doc: doc["cycles"][2].update(expected_instance="nobody"),
+     "cycle 2: expected_instance 'nobody' is not an instance of the cycle"),
+    (lambda doc: doc["cycles"][2].update(expected_instance=5),
+     "cycle 2: expected_instance must be a string, not int"),
 ], ids=["not_an_object", "responses_list", "not_utf8", "box_entry_text", "id_number",
-        "semantics_number", "cue_onset_text"])
+        "semantics_number", "cue_onset_text", "expected_absent", "expected_number"])
 def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason):
     bundled = Path(gazeshift.__file__).parent / "scenarios"
     shutil.copytree(bundled, tmp_path / "s")

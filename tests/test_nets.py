@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
 import stat
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gazeshift import nets
 from gazeshift.nets import AdamState, DenseNetwork, LrSchedule, NonFiniteGradient
 from gazeshift.prior import ConditionalPrior
 from gazeshift.vqvae import ConditionalVQVAE
-from net_oracles import backward_reference, forward_reference, preactivations, same_bits
+from net_oracles import (SPELLINGS, backward_reference, forward_reference, preactivations,
+                         same_bits, write_spelled)
 
 FD_H = 1e-5
 FD_REL = 1e-4
@@ -614,3 +620,72 @@ def test_fingerprint_sensitive_to_values():
     a = {"x": np.array([1.0])}
     b = {"x": np.array([1.0 + 1e-15])}
     assert nets.params_fingerprint(a) != nets.params_fingerprint(b)
+
+
+# -- text fingerprint ------------------------------------------------------------
+
+# Values whose repr is short, long, signed, subnormal or in exponent form.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                  1e-5, 1e-7, 0.1, 1.0, -3.0, 1e16, 1e22, 123456789012345678.0,
+                  1.7976931348623157e308, -1e300, 4.9406564584124654e-310]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+
+
+@st.composite
+def param_dicts(draw):
+    names = draw(st.lists(st.text(max_size=6), max_size=4, unique=True))
+    params = {}
+    for name in names:
+        shape = draw(st.lists(st.integers(0, 3), max_size=3))
+        data = draw(st.lists(finite_floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+        params[name] = np.array(data, dtype=float).reshape(shape)
+    return params
+
+
+@settings(max_examples=200, deadline=None)
+@given(param_dicts())
+@example({"w": np.array(SPECIAL_FLOATS)})
+@example({})
+@example({"\u00e9 \"q\"": np.zeros((2, 0)), "s": np.array(1.5), "m": np.array([[1e16, -0.0]])})
+def test_text_fingerprint_of_a_saved_checkpoint_is_its_params_fingerprint(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.json"
+        nets.save_checkpoint(path, params, metadata={"note": 0.1})
+        ck = nets.load_checkpoint(path)
+    assert ck.text_fingerprint == nets.params_fingerprint(params)
+    assert ck.metadata == {"note": 0.1}  # metadata floats stay floats
+
+
+@settings(max_examples=200, deadline=None)
+@given(param_dicts(), st.sampled_from(sorted(SPELLINGS)))
+@example({"w": np.array(SPECIAL_FLOATS)}, "%.17g")
+@example({"w": np.array([[1.0, 2.5], [-0.0, 3.0]])}, "integers")
+@example({"w": np.array(SPECIAL_FLOATS)}, "strings")
+def test_has_fingerprint_decides_as_the_value_fingerprint(params, spelling):
+    # Whatever the spelling, has_fingerprint answers as the arrays' own
+    # fingerprint would, for every fingerprint a prior can record: that of
+    # some parameters (``params_fingerprint``), or none. The text fingerprint
+    # of a file spelled otherwise than by repr hashes a text no
+    # ``params_fingerprint`` produces.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.json"
+        write_spelled(path, params, SPELLINGS[spelling])
+        ck = nets.load_checkpoint(path)
+    values = nets.params_fingerprint(ck.params)
+    if spelling == "repr":
+        assert ck.text_fingerprint == values == nets.params_fingerprint(params)
+    for fingerprint in (nets.params_fingerprint(params), values, None, "0" * 64):
+        assert ck.has_fingerprint(fingerprint) == (fingerprint == values)
+
+
+def test_text_fingerprint_is_none_unless_data_is_one_list_of_float_tokens(tmp_path):
+    path = tmp_path / "ck.json"
+    for data in ("[1.5, 2]", "[1.5, true]", "[[1.5], [2.5]]", '"1.5"'):
+        shape = "[2, 1]" if data.startswith("[[") else "[]" if data == '"1.5"' else "[2]"
+        path.write_text('{"format": "gazeshift-checkpoint", "version": 1, '
+                        f'"params": {{"w": {{"shape": {shape}, "data": {data}}}}}}}',
+                        encoding="utf-8")
+        ck = nets.load_checkpoint(path)
+        assert ck.text_fingerprint is None, data
+        assert ck.has_fingerprint(nets.params_fingerprint(ck.params))
+        assert not ck.has_fingerprint(None)

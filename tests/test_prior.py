@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from gazeshift import nets
 from gazeshift.prior import (PROB_FLOOR, ConditionalPrior, PriorConfig,
                              check_distribution, focal_loss_rows, sample_code,
                              softmax_rows)
@@ -423,11 +424,19 @@ def test_prior_config_validation():
         PriorConfig(codebook_size=0)
 
 
+def small_stage1(tmp_path):
+    """The checkpoint of a small saved VQ-VAE, for pairing a prior with."""
+    path = tmp_path / "stage1.json"
+    ConditionalVQVAE(VQVAEConfig(codebook_size=4, latent_dim=3, hidden_width=8), seed=0).save(path)
+    return ConditionalVQVAE.load(path)[1]
+
+
 def test_prior_checkpoint_round_trip(tmp_path):
     prior = small_prior(seed=5)
+    stage1 = small_stage1(tmp_path)
     path = tmp_path / "prior.json"
-    prior.save(path, stage1_fingerprint="abc123")
-    loaded, ck = ConditionalPrior.load(path, expect_stage1_fingerprint="abc123")
+    prior.save(path, stage1_fingerprint=nets.params_fingerprint(stage1.params))
+    loaded, ck = ConditionalPrior.load(path, stage1=stage1)
     assert loaded.fingerprint() == prior.fingerprint()
     assert loaded.config == prior.config
     np.testing.assert_array_equal(loaded.forward_rows(a_row()), prior.forward_rows(a_row()))
@@ -469,7 +478,7 @@ def test_prior_load_rejects_fingerprint_mismatch(tmp_path):
     path = tmp_path / "prior.json"
     prior.save(path, stage1_fingerprint="abc123")
     with pytest.raises(ValueError, match="different first-stage"):
-        ConditionalPrior.load(path, expect_stage1_fingerprint="zzz")
+        ConditionalPrior.load(path, stage1=small_stage1(tmp_path))
 
 
 def test_prior_load_rejects_other_checkpoints(tmp_path):

@@ -536,6 +536,10 @@ def test_scenario_rejects_bad_documents():
         ("cycle", "semantics", None, "cycle 1: semantics must be a string, not NoneType"),
         ("cycle", "cue_onset", "false", "cycle 1: cue_onset must be true or false, not str"),
         ("cycle", "cue_onset", 1, "cycle 1: cue_onset must be true or false, not int"),
+        # cycle 1 is the cue cycle: its expected instance must be one it shows
+        ("cycle", "expected_instance", "nobody",
+         "cycle 1: expected_instance 'nobody' is not an instance of the cycle"),
+        ("cycle", "expected_instance", 5, "cycle 1: expected_instance must be a string, not int"),
     ]:
         doc = json.loads(json.dumps(good))
         target = doc["cycles"][0]["instances"][0] if where == "instance" else doc["cycles"][1]

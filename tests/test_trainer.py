@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from gazeshift import prior as prior_module, so3
+from gazeshift import nets, prior as prior_module, so3
 from gazeshift.datagen import Dataset, GeneratorConfig, generate_dataset
 from gazeshift.errors import ConfigError, TrainingError
 from gazeshift.prior import ConditionalPrior, PriorConfig
@@ -358,6 +358,16 @@ def test_infer_equals_forward_sample_and_decode(trained, small_dataset, mode):
     assert rng.random() == ref_rng.random()
 
 
+def test_draw_allocations_refuses_models_that_scale_targets_differently(trained, small_dataset):
+    # one normalised condition row feeds both models, so their scales must agree
+    model, prior = trained[0], trained[3]
+    other = ConditionalPrior(dataclasses.replace(prior.config, target_scale=3.0))
+    other.set_params(prior.params())
+    c = small_dataset.subset("val")[0].condition
+    with pytest.raises(ValueError, match="stage-1 target_scale 2.0 differs from the prior's 3.0"):
+        draw_allocations(model, other, c, "sample", np.random.default_rng(0), 5)
+
+
 @pytest.mark.parametrize("mode", ["sample", "argmax"])
 def test_draw_allocations_equals_n_infer_calls(trained, small_dataset, mode):
     model, prior = trained[0], trained[3]
@@ -423,11 +433,11 @@ def test_run_training_writes_everything(tmp_path, small_dataset):
     assert set(summary["stage2"]) == {"best_epoch", "val_eye_mgd_deg", "val_head_mgd_deg"}
     assert all(str(out) in p for p in summary["outputs"])
     # the prior checkpoint refuses to load against a different first stage
+    other = ConditionalVQVAE(SMALL_TRAIN.vqvae_config(), seed=99)
     with pytest.raises(ValueError, match="different first-stage"):
-        ConditionalPrior.load(out / PRIOR_CHECKPOINT, expect_stage1_fingerprint="nope")
-    model, _ = ConditionalVQVAE.load(out / STAGE1_CHECKPOINT)
-    prior, _ = ConditionalPrior.load(out / PRIOR_CHECKPOINT,
-                                     expect_stage1_fingerprint=model.fingerprint())
+        ConditionalPrior.load(out / PRIOR_CHECKPOINT, stage1=nets.Checkpoint(other.params(), {}))
+    _, stage1 = ConditionalVQVAE.load(out / STAGE1_CHECKPOINT)
+    prior, _ = ConditionalPrior.load(out / PRIOR_CHECKPOINT, stage1=stage1)
     assert prior.config.codebook_size == SMALL_TRAIN.codebook_size
 
 

@@ -131,7 +131,7 @@ _ENTRY_POINTS = {
     "forward_rows": ("Y", lambda m, p, Y, C, Z: m.forward_rows(Y, C)),
     "loss_and_grads": ("Y", lambda m, p, Y, C, Z: m.loss_and_grads(Y, C)),
     # one row, as trainer.draw_allocations decodes each code
-    "decode": ("Z", lambda m, p, Y, C, Z: m.decode_rows(Z[1:2], C[1:2])),
+    "decode": ("Z", lambda m, p, Y, C, Z: m.decode_inputs(Z[1:2], condition_inputs(C[1:2], 2.0))),
     "decode_rows": ("Z", lambda m, p, Y, C, Z: m.decode_rows(Z, C)),
 }
 
