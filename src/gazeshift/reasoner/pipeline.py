@@ -128,15 +128,13 @@ def synthesize_prompt(marked: MarkedScene, buffer: MemoryBuffer) -> tuple:
     Section order is fixed: instructions, candidates, current scene,
     previous gaze, history. Empty sections are omitted, so the first
     cycle's prompt has no history block. Identical inputs give
-    byte-identical prompts.
+    byte-identical prompts. Each candidate line is "  [mark] " and the
+    instance's ``prompt_entry()``, which each distinct instance formats
+    once, on first use, and reuses on every later cycle that shows it.
     """
+    marks = marked.marks
     lines = [PROMPT_INSTRUCTIONS, "", "Candidates:"]
-    for mark in sorted(marked.marks):
-        inst = marked.marks[mark]
-        left, top, right, bottom = inst.box
-        lines.append(f"  [{mark}] {inst.category} (id {inst.instance_id}, "
-                     f"box {left:.0f},{top:.0f},{right:.0f},{bottom:.0f}, "
-                     f"depth {inst.depth:.2f} m)")
+    lines += [f"  [{mark}] {marks[mark].prompt_entry()}" for mark in sorted(marks)]
     lines += ["", "Current scene:", f"  {marked.semantics}"]
     if buffer.prev_record is not None:
         lines += ["", "Previous gaze:", f"  {buffer.prev_record.summary()}"]
@@ -192,7 +190,7 @@ def localize(mark: int, marked: MarkedScene, cycle: ScenarioCycle) -> GazeTarget
     return GazeTargetRecord(
         mark=mark, instance_id=inst.instance_id, category=inst.category,
         box=inst.box, face_box=inst.face_box, point_2d=(u, v),
-        point_3d=tuple(float(x) for x in base_point), face_fallback=face_fallback,
+        point_3d=tuple(base_point.tolist()), face_fallback=face_fallback,
     )
 
 

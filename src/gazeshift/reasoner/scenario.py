@@ -27,6 +27,11 @@ REGULARITIES = ("H1", "H2", "H3", "H4")
 PERSON_CATEGORIES = frozenset({"person"})
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters in pixels, plus the image size boxes live in."""
@@ -39,6 +44,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            value = getattr(self, name)
+            if not _is_number(value) or not math.isfinite(value):
+                raise ValueError(f"camera {name} must be a finite number, not {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
@@ -103,15 +112,21 @@ def box_center(box) -> tuple:
     return ((left + right) / 2.0, (top + bottom) / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
-    """One candidate gaze target visible in a cycle."""
+    """One candidate gaze target visible in a cycle.
+
+    A scenario shows the same Instance cycle after cycle, so its prompt
+    entry is formatted on first use and kept in ``_prompt_entry``, which
+    equality, hashing and repr ignore.
+    """
 
     instance_id: str
     category: str
     box: tuple  # (left, top, right, bottom) pixels
     depth: float  # representative depth, metres
     face_box: tuple | None = None  # persons only, may be absent
+    _prompt_entry: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.instance_id or not self.category:
@@ -121,6 +136,21 @@ class Instance:
 
     def is_person(self) -> bool:
         return self.category in PERSON_CATEGORIES
+
+    def prompt_entry(self) -> str:
+        """The prompt's candidate text after "[mark] ": category, id, box and depth.
+
+        Formatted on the first call, not at construction, so that a cycle
+        holding a malformed box reports it with the cycle's own message.
+        """
+        entry = self._prompt_entry
+        if entry is None:
+            left, top, right, bottom = self.box
+            entry = (f"{self.category} (id {self.instance_id}, "
+                     f"box {left:.0f},{top:.0f},{right:.0f},{bottom:.0f}, "
+                     f"depth {self.depth:.2f} m)")
+            object.__setattr__(self, "_prompt_entry", entry)
+        return entry
 
 
 @dataclass(frozen=True)
@@ -162,12 +192,6 @@ class ScenarioCycle:
                 raise ValueError(f"cycle {self.index}: expected_instance "
                                  f"{self.expected_instance!r} is not an instance of the cycle")
 
-    def find(self, instance_id: str) -> Instance:
-        for inst in self.instances:
-            if inst.instance_id == instance_id:
-                return inst
-        raise KeyError(instance_id)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -203,11 +227,6 @@ class Scenario:
     def has_evaluation_metadata(self) -> bool:
         cue = self.cue_cycle()
         return cue is not None and cue.expected_instance is not None
-
-
-def _is_number(value) -> bool:
-    """True for a JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _instance_from_record(iid, category, box, depth, face_box) -> Instance:

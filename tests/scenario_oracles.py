@@ -1,10 +1,15 @@
-"""Oracle for the scenario loader: build every instance record on its own.
+"""Oracles for the scenario loader and the prompt: work done afresh, with no sharing.
 
 ``scenario_from_doc_per_record`` is the loader ``scenario_from_doc`` replaced:
 one ``Instance`` per instance entry of every cycle, with no sharing and
 without the JSON type checks. On documents both accept, the package's
 loader must give the same scenario field by field; on a document with one
 fault both detect, the same message.
+
+``synthesize_prompt_per_cycle`` is the prompt builder ``synthesize_prompt``
+replaced: it formats every candidate line on every call, where the package
+formats each instance's entry once and reuses it. Both must give the same
+text for every cycle.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from gazeshift.errors import DataError
+from gazeshift.reasoner.pipeline import PROMPT_INSTRUCTIONS, MarkedScene, MemoryBuffer
 from gazeshift.reasoner.scenario import (SCENARIO_SCHEMA, SCENARIO_VERSION, CameraIntrinsics,
                                          Instance, RigidTransform, Scenario, ScenarioCycle)
 
@@ -61,3 +67,20 @@ def scenario_from_doc_per_record(doc: dict, origin: str = "<doc>") -> Scenario:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{origin}: {exc}") from exc
+
+
+def synthesize_prompt_per_cycle(marked: MarkedScene, buffer: MemoryBuffer) -> tuple:
+    lines = [PROMPT_INSTRUCTIONS, "", "Candidates:"]
+    for mark in sorted(marked.marks):
+        inst = marked.marks[mark]
+        left, top, right, bottom = inst.box
+        lines.append(f"  [{mark}] {inst.category} (id {inst.instance_id}, "
+                     f"box {left:.0f},{top:.0f},{right:.0f},{bottom:.0f}, "
+                     f"depth {inst.depth:.2f} m)")
+    lines += ["", "Current scene:", f"  {marked.semantics}"]
+    if buffer.prev_record is not None:
+        lines += ["", "Previous gaze:", f"  {buffer.prev_record.summary()}"]
+    if buffer.history:
+        lines += ["", f"History (last {len(buffer.history)} cycles):"]
+        lines += [f"  {entry}" for entry in buffer.history]
+    return "\n".join(lines), marked.image_ref

@@ -453,7 +453,7 @@ def test_criterion_7_reasoner_plumbing():
             if record.held or record.instance_id is None:
                 continue
             cycle = scenario.cycles[t]
-            inst = cycle.find(record.instance_id)
+            inst = next(i for i in cycle.instances if i.instance_id == record.instance_id)
             box = inst.face_box if (inst.is_person() and inst.face_box) else inst.box
             u = (box[0] + box[2]) / 2.0
             v = (box[1] + box[3]) / 2.0

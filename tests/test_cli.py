@@ -875,8 +875,11 @@ def _set_instance_id(doc):
      "cycle 2: expected_instance 'nobody' is not an instance of the cycle"),
     (lambda doc: doc["cycles"][2].update(expected_instance=5),
      "cycle 2: expected_instance must be a string, not int"),
+    # the replay used to score 100% and log "point_3d": [NaN, NaN, NaN]
+    (lambda doc: doc["camera"].update(cx=math.nan), "camera cx must be a finite number, not nan"),
 ], ids=["not_an_object", "responses_list", "not_utf8", "box_entry_text", "id_number",
-        "semantics_number", "cue_onset_text", "expected_absent", "expected_number"])
+        "semantics_number", "cue_onset_text", "expected_absent", "expected_number",
+        "camera_cx_nan"])
 def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason):
     bundled = Path(gazeshift.__file__).parent / "scenarios"
     shutil.copytree(bundled, tmp_path / "s")

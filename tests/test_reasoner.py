@@ -36,7 +36,7 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
                                          load_scenario, load_scenario_dir,
                                          scenario_from_doc)
 from scenario_corpus import scenario_to_doc, write_corpus, write_scenario
-from scenario_oracles import scenario_from_doc_per_record
+from scenario_oracles import scenario_from_doc_per_record, synthesize_prompt_per_cycle
 
 DATA_DIR = Path(__file__).parent / "data"
 BUNDLED = Path(__file__).parent.parent / "src" / "gazeshift" / "scenarios"
@@ -164,6 +164,71 @@ def test_prompt_is_deterministic():
     marked = mark_scene(make_cycle(0, "scene"))
     assert synthesize_prompt(marked, MemoryBuffer()) == \
            synthesize_prompt(marked, MemoryBuffer())
+
+
+# Values where a candidate line's formatting could go wrong: boxes half-way between
+# integers (`:.0f` rounds half to even), ints beside floats, depths on `:.2f` ties, and
+# ids with braces or non-ASCII text. The wide image admits boxes out to 1e15 + 2.
+_WIDE_CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
+                                width=2 * 10 ** 15, height=2 * 10 ** 15)
+_BOX_VALUES = st.one_of(st.sampled_from([0, 0.0, 0.5, 1, 1.5, 2.5, 3.5, 1e15 + 0.5, 1e15 + 2]),
+                        st.integers(0, 10 ** 15), st.floats(0, 1e15))
+_DEPTHS = st.one_of(st.sampled_from([0.005, 0.015, 0.125, 1.005, 2.675, 1, 3]),
+                    st.floats(0.001, 1e3), st.integers(1, 50))
+_NAMES = st.text(st.sampled_from("ab_{} éü中"), min_size=1, max_size=6)
+
+
+@st.composite
+def _prompt_instances(draw, iid):
+    left, right = sorted(draw(st.lists(_BOX_VALUES, min_size=2, max_size=2, unique=True)))
+    top, bottom = sorted(draw(st.lists(_BOX_VALUES, min_size=2, max_size=2, unique=True)))
+    category = draw(st.one_of(st.sampled_from(["person", "cup"]), _NAMES))
+    return Instance(iid, category, (left, top, right, bottom), draw(_DEPTHS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_prompt_matches_per_cycle_oracle(data):
+    ids = data.draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True))
+    pool = [data.draw(_prompt_instances(iid)) for iid in ids]
+    buffer = MemoryBuffer()
+    for t in range(data.draw(st.integers(1, 4))):
+        shown = data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        semantics = " near ".join("{" + inst.instance_id + "}" for inst in shown)
+        cycle = ScenarioCycle(t, semantics, tuple(shown), _WIDE_CAMERA, identity_transform())
+        marked = mark_scene(cycle)
+        expected = synthesize_prompt_per_cycle(marked, buffer)
+        assert synthesize_prompt(marked, buffer) == expected
+        assert synthesize_prompt(marked, buffer) == expected  # every entry cached by now
+        buffer.advance(marked, localize(1, marked, cycle))
+
+
+def test_cycles_that_share_an_instance_reuse_its_prompt_entry():
+    shared = demo_instances()
+    assert all(inst._prompt_entry is None for inst in shared)
+    synthesize_prompt(mark_scene(make_cycle(0, "scene", shared)), MemoryBuffer())
+    entries = [inst._prompt_entry for inst in shared]
+    assert entries[1] == "cup (id c_mug, box 100,200,160,260, depth 1.20 m)"
+    prompt, _ = synthesize_prompt(mark_scene(make_cycle(1, "scene", shared[1:])), MemoryBuffer())
+    assert "  [1] " + entries[1] in prompt.splitlines()
+    assert all(inst._prompt_entry is entry for inst, entry in zip(shared, entries))
+
+
+def test_instance_with_a_malformed_box_still_fails_in_its_cycle():
+    short = Instance("short", "cup", (10.0, 10.0, 60.0), 1.0)  # the entry is not formatted yet
+    with pytest.raises(ValueError, match=r"^cycle 3 instance short box must be "
+                                         r"\(left, top, right, bottom\)$"):
+        make_cycle(3, "scene", instances=(short,))
+
+
+def test_prompt_entry_is_outside_equality_hash_and_repr():
+    text = ("Instance(instance_id='c', category='cup', box=(1, 2, 30, 40), depth=1.5, "
+            "face_box=None)")
+    prompted, fresh = (Instance("c", "cup", (1, 2, 30, 40), 1.5) for _ in range(2))
+    assert prompted.prompt_entry() == "cup (id c, box 1,2,30,40, depth 1.50 m)"
+    assert fresh._prompt_entry is None
+    assert prompted == fresh and hash(prompted) == hash(fresh)
+    assert repr(prompted) == repr(fresh) == text
 
 
 # -- response parsing ------------------------------------------------------------------
@@ -540,9 +605,14 @@ def test_scenario_rejects_bad_documents():
         ("cycle", "expected_instance", "nobody",
          "cycle 1: expected_instance 'nobody' is not an instance of the cycle"),
         ("cycle", "expected_instance", 5, "cycle 1: expected_instance must be a string, not int"),
+        # `nan <= 0` is false, so only an explicit check catches these
+        ("camera", "cx", math.nan, "camera cx must be a finite number, not nan"),
+        ("camera", "fx", math.inf, "camera fx must be a finite number, not inf"),
+        ("camera", "fy", True, "camera fy must be a finite number, not True"),
     ]:
         doc = json.loads(json.dumps(good))
-        target = doc["cycles"][0]["instances"][0] if where == "instance" else doc["cycles"][1]
+        target = {"instance": doc["cycles"][0]["instances"][0], "cycle": doc["cycles"][1],
+                  "camera": doc["camera"]}[where]
         target[key] = value
         with pytest.raises(DataError) as exc:
             scenario_from_doc(doc, origin="demo.json")
@@ -641,6 +711,9 @@ _SCENARIO_FAULTS = {
     "unknown_regularity": lambda doc, data: doc.update(regularity="H9"),
     "response_out_of_range": lambda doc, data: doc["responses"].update(
         {str(len(doc["cycles"])): "TARGET: 1"}),
+    "camera_not_finite": lambda doc, data: doc["camera"].update(
+        {data.draw(st.sampled_from(["fx", "fy", "cx", "cy"])):
+         data.draw(st.sampled_from([math.nan, math.inf, -math.inf, True]))}),
 }
 
 
