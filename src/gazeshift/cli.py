@@ -166,14 +166,14 @@ def cmd_gen_data(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = generate_dataset(seed=seed, config=config)
     dataset_path = out_dir / "dataset.jsonl"
-    write_dataset(dataset, dataset_path)
+    dataset_hash = write_dataset(dataset, dataset_path)
     print(f"wrote {len(dataset.samples)} samples "
           f"({dataset.split.count('train')} train / {dataset.split.count('val')} val) "
           f"to {dataset_path}")
     write_manifest(out_dir, "gen-data", {"seed": seed, "generator": config.to_dict()},
                    inputs=[], outputs=[dataset_path],
                    elapsed_s=time.monotonic() - t0,
-                   extra={"dataset_hash": dataset.content_hash()})
+                   extra={"dataset_hash": dataset_hash})
     return EXIT_OK
 
 

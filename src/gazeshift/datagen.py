@@ -11,8 +11,11 @@ fixation jitter and head-roll noise keep the data realistic rather than
 exactly solvable.
 
 Draws that would exceed the mechanical limits or miss the target by more
-than the consistency tolerance are rejected and resampled. Datasets are
-stored as JSON lines: one header object, then one object per sample.
+than the consistency tolerance are rejected and resampled. Attempts are
+drawn, allocated and checked a chunk at a time, with the random stream read
+in the order of one attempt after another, so the data do not depend on the
+chunk size. Datasets are stored as JSON lines: one header object, then one
+object per sample.
 """
 
 from __future__ import annotations
@@ -40,6 +43,15 @@ HEAD_DOMINANT = "head-dominant"
 
 FORWARD = np.array([1.0, 0.0, 0.0])
 
+# The five post-shift angles of a pose row (eye yaw and pitch, then head yaw,
+# pitch and roll), each with its limit, in the order the checks report them.
+POSE_LIMITS = (("eye yaw", "eye_yaw_limit"), ("eye pitch", "eye_pitch_limit"),
+               ("head yaw", "head_yaw_limit"), ("head pitch", "head_pitch_limit"),
+               ("head roll", "head_roll_limit"))
+
+# At most this many attempts are drawn and checked together.
+MAX_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -48,7 +60,8 @@ class GeneratorConfig:
     ``strategy_mix`` is the probability of drawing the head-dominant
     mixture component. Initial poses are sampled within half the
     mechanical limits; the limits themselves constrain the post-shift
-    poses.
+    poses. The eye pitch limit is at most pi/2 and the other four at most
+    pi, so every pose within the limits is a valid pose.
     """
 
     n_samples: int = 805
@@ -96,6 +109,12 @@ class GeneratorConfig:
                      "consistency_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        # EyePose takes pitches up to pi/2 and HeadPose angles up to pi.
+        if self.eye_pitch_limit > math.pi / 2:
+            raise ValueError(f"eye_pitch_limit must be at most pi/2, got {self.eye_pitch_limit}")
+        for name in ("eye_yaw_limit", "head_yaw_limit", "head_pitch_limit", "head_roll_limit"):
+            if getattr(self, name) > math.pi:
+                raise ValueError(f"{name} must be at most pi, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -134,167 +153,216 @@ class Dataset:
         return [s for s, tag in zip(self.samples, self.split) if tag == which]
 
     def content_hash(self) -> str:
-        return hashlib.sha256(serialize_dataset(self).encode("utf-8")).hexdigest()
+        return _text_hash(serialize_dataset(self))
 
 
-def gaze_ray(eye: EyePose, head: HeadPose) -> np.ndarray:
-    """Unit gaze direction in the base frame: R_head @ R_eye @ x_forward."""
-    return so3.euler_to_matrix(head) @ so3.euler_to_matrix(eye) @ FORWARD
+# -- row geometry ----------------------------------------------------------------
+#
+# Every function here takes and returns rows. The products are numpy's
+# stacked matmul, which hands each row to the same BLAS kernel as a single
+# 3x3 or 3-vector product, and the inverse trigonometric functions are
+# Python's ``math``, element by element: numpy's ``arctan2`` and
+# ``linalg.norm(axis=1)`` round some rows differently.
 
 
-def required_shift(target: np.ndarray) -> tuple[float, float]:
-    """Absolute gaze angles that put the combined eye+head ray on ``target``.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each pair of rows, each as one BLAS ``ddot``, like ``np.dot``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    Returns (yaw, pitch) with yaw = atan2(t_y, t_x) and
-    pitch = atan2(t_z, hypot(t_x, t_y)); positive pitch means the target
-    sits above the horizontal plane. Independent of the current poses.
+
+def gaze_rays(eye: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Unit gaze direction in the base frame of each row: R_head @ R_eye @ x_forward.
+
+    ``eye`` holds (yaw, pitch) rows, promoted with roll 0, and ``head``
+    (yaw, pitch, roll) rows; the result has one 3-vector per row.
     """
-    t = np.asarray(target, dtype=float)
-    if t.shape != (3,) or not np.all(np.isfinite(t)):
-        raise ValueError("target must be a finite 3-vector")
-    if float(np.linalg.norm(t)) < 1e-9:
-        raise ValueError("target direction is undefined at the origin")
-    return math.atan2(t[1], t[0]), math.atan2(t[2], math.hypot(t[0], t[1]))
+    eye = np.asarray(eye, dtype=float)
+    eye_angles = np.zeros((len(eye), 3))
+    eye_angles[:, :2] = eye
+    rotations = np.matmul(so3.rotation_zyx(head), so3.rotation_zyx(eye_angles))
+    return np.matmul(rotations, FORWARD)
 
 
-def _ray_angles(ray: np.ndarray) -> tuple[float, float]:
-    return math.atan2(ray[1], ray[0]), math.atan2(ray[2], math.hypot(ray[0], ray[1]))
+def gaze_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaze (yaw, pitch) of each row's direction, which need not be unit length.
+
+    yaw = atan2(y, x) and pitch = atan2(z, hypot(x, y)); positive pitch
+    points above the horizontal plane.
+    """
+    rows = np.asarray(directions, dtype=float).tolist()
+    atan2, hypot = math.atan2, math.hypot
+    return (np.array([atan2(y, x) for x, y, _ in rows]),
+            np.array([atan2(z, hypot(x, y)) for x, y, z in rows]))
 
 
-def angular_error(ray: np.ndarray, target: np.ndarray) -> float:
-    """Angle between a gaze ray and the direction of ``target``."""
-    t = np.asarray(target, dtype=float)
-    denom = float(np.linalg.norm(ray) * np.linalg.norm(t))
-    if denom < 1e-12:
+def angular_errors(rays: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Angle between each gaze ray and the direction of its row's target."""
+    denom = np.sqrt(_row_dots(rays, rays)) * np.sqrt(_row_dots(targets, targets))
+    if (denom < 1e-12).any():
         raise ValueError("angular error undefined for zero-length vectors")
-    return math.acos(min(1.0, max(-1.0, float(np.dot(ray, t)) / denom)))
+    cosines = np.minimum(1.0, np.maximum(-1.0, _row_dots(rays, targets) / denom))
+    return np.array([math.acos(c) for c in cosines.tolist()])
 
 
-def allocate_shift(eye: EyePose, head: HeadPose, target: np.ndarray, alpha: float,
-                   config: GeneratorConfig = GeneratorConfig(),
-                   rng: np.random.Generator | None = None):
-    """Split the shift toward ``target``: head takes ``alpha``, eyes the rest.
+def allocate_rows(eye: np.ndarray, head: np.ndarray, targets: np.ndarray, alpha: np.ndarray,
+                  roll_noise, eye_jitter):
+    """Split each row's shift toward its target: the head takes ``alpha``, the eyes the rest.
 
     The head receives alpha times the required yaw/pitch change (in gaze
-    angles, so a climbing target tips the head up) plus roll noise; the eye
-    increments are then solved exactly so the combined ray hits the target,
-    plus fixation jitter. With ``rng`` None both noise terms are zero.
-    Returns (delta_eye (2,), delta_head (3,)) without limit checks.
+    angles, so a climbing target tips the head up) plus ``roll_noise``; the
+    eye increments are then solved exactly so the combined ray hits the
+    target, plus ``eye_jitter``. Rows are eye (m, 2), head (m, 3), targets
+    (m, 3) and alpha (m,); the noise terms broadcast against (m,) and
+    (m, 2). Returns (delta_eye (m, 2), delta_head (m, 3)) without limit
+    checks.
     """
-    if not 0 <= alpha <= 1:
+    eye, head = np.asarray(eye, dtype=float), np.asarray(head, dtype=float)
+    targets, alpha = np.asarray(targets, dtype=float), np.asarray(alpha, dtype=float)
+    if not ((alpha >= 0) & (alpha <= 1)).all():
         raise ValueError("alpha must lie in [0, 1]")
-    current_yaw, current_pitch = _ray_angles(gaze_ray(eye, head))
-    goal_yaw, goal_pitch = required_shift(target)
-    d_yaw = so3.wrap_angle(goal_yaw - current_yaw)
-    d_pitch = goal_pitch - current_pitch
-    roll_noise = float(rng.normal(0.0, config.roll_noise)) if rng is not None else 0.0
+    current_yaw, current_pitch = gaze_angles(gaze_rays(eye, head))
+    goal_yaw, goal_pitch = gaze_angles(targets)
+    delta_head = np.empty((len(eye), 3))
+    delta_head[:, 0] = alpha * so3.wrap_angles(goal_yaw - current_yaw)
     # Euler pitch is positive downward, gaze pitch positive upward.
-    delta_head = np.array([alpha * d_yaw, -alpha * d_pitch, roll_noise])
-    new_head = HeadPose(*so3.wrap_angles(head.as_array() + delta_head))
+    delta_head[:, 1] = -alpha * (goal_pitch - current_pitch)
+    delta_head[:, 2] = roll_noise
+    new_head = so3.wrap_angles(head + delta_head)
     # Exact eye solution: aim the eye ray at the target in the new head frame.
-    t = np.asarray(target, dtype=float)
-    v = so3.euler_to_matrix(new_head).T @ (t / np.linalg.norm(t))
-    eye_goal_yaw = math.atan2(v[1], v[0])
-    eye_goal_pitch = -math.asin(min(1.0, max(-1.0, float(v[2]))))
-    delta_eye = np.array([
-        so3.wrap_angle(eye_goal_yaw - eye.yaw),
-        so3.wrap_angle(eye_goal_pitch - eye.pitch),
-    ])
-    if rng is not None:
-        delta_eye += rng.normal(0.0, config.eye_jitter, size=2)
+    unit = targets / np.sqrt(_row_dots(targets, targets))[:, None]
+    aim = np.matmul(np.swapaxes(so3.rotation_zyx(new_head), 1, 2), unit[:, :, None])[:, :, 0]
+    atan2, asin = math.atan2, math.asin
+    rows = aim.tolist()
+    eye_goal = np.array([(atan2(y, x), -asin(min(1.0, max(-1.0, z)))) for x, y, z in rows])
+    delta_eye = so3.wrap_angles(eye_goal.reshape(-1, 2) - eye) + eye_jitter
     return delta_eye, delta_head
 
 
-def draw_alpha(rng: np.random.Generator, config: GeneratorConfig):
-    """Head-contribution ratio from the two-component mixture, clamped to [0, 1]."""
-    if rng.random() < config.strategy_mix:
-        strategy, mean = HEAD_DOMINANT, config.alpha_head_mean
-    else:
-        strategy, mean = EYE_DOMINANT, config.alpha_eye_mean
-    alpha = float(np.clip(rng.normal(mean, config.alpha_sd), 0.0, 1.0))
-    return alpha, strategy
+def check_rows(poses: np.ndarray, deltas: np.ndarray, targets: np.ndarray,
+               config: GeneratorConfig) -> list:
+    """The violation of each row, or None where the row is valid.
 
-
-def check_sample(sample: GazeSample, config: GeneratorConfig) -> str | None:
-    """Return a violation description, or None if the sample is valid."""
-    c, a = sample.condition, sample.allocation
-    new_eye_arr = c.eye.as_array() + a.delta_eye
-    new_head_arr = c.head.as_array() + a.delta_head
-    checks = (
-        (abs(new_eye_arr[0]), config.eye_yaw_limit, "eye yaw"),
-        (abs(new_eye_arr[1]), config.eye_pitch_limit, "eye pitch"),
-        (abs(new_head_arr[0]), config.head_yaw_limit, "head yaw"),
-        (abs(new_head_arr[1]), config.head_pitch_limit, "head pitch"),
-        (abs(new_head_arr[2]), config.head_roll_limit, "head roll"),
-    )
-    for value, limit, label in checks:
-        if value > limit + 1e-12:
-            return f"{label} limit exceeded ({value:.4f} > {limit:.4f})"
-    new_eye = EyePose(*new_eye_arr)
-    new_head = HeadPose(*new_head_arr)
-    err = angular_error(gaze_ray(new_eye, new_head), c.target)
-    if err > config.consistency_tol:
-        return f"gaze misses target by {math.degrees(err):.3f} deg"
-    return None
-
-
-def generate_sample(rng: np.random.Generator,
-                    config: GeneratorConfig = GeneratorConfig()) -> GazeSample:
-    """One valid sample by rejection sampling.
-
-    Raises DataError after ``config.max_attempts`` consecutive rejections,
-    which indicates an unsatisfiable configuration.
+    ``poses`` and ``deltas`` are (m, 5) rows of eye yaw and pitch and head
+    yaw, pitch and roll, ``targets`` (m, 3). A row is checked first against
+    the limits of its post-shift angles, in ``POSE_LIMITS`` order, then for
+    a combined gaze ray within ``consistency_tol`` of its target; the
+    description names the first check it fails.
     """
-    for _ in range(config.max_attempts):
-        eye = EyePose(
-            rng.uniform(-config.eye_yaw_limit / 2, config.eye_yaw_limit / 2),
-            rng.uniform(-config.eye_pitch_limit / 2, config.eye_pitch_limit / 2),
-        )
-        head = HeadPose(
-            rng.uniform(-config.head_yaw_limit / 2, config.head_yaw_limit / 2),
-            rng.uniform(-config.head_pitch_limit / 2, config.head_pitch_limit / 2),
-            rng.uniform(-config.head_roll_limit / 2, config.head_roll_limit / 2),
-        )
-        r = rng.uniform(config.range_min, config.range_max)
-        az = rng.uniform(-config.azimuth_limit, config.azimuth_limit)
-        el = rng.uniform(-config.elevation_limit, config.elevation_limit)
-        target = r * np.array([
-            math.cos(el) * math.cos(az),
-            math.cos(el) * math.sin(az),
-            math.sin(el),
-        ])
-        alpha, strategy = draw_alpha(rng, config)
-        delta_eye, delta_head = allocate_shift(eye, head, target, alpha, config, rng)
-        if max(abs(float(x)) for x in np.concatenate([delta_eye, delta_head])) > math.pi:
-            continue
-        sample = GazeSample(
-            ConditionVector(eye, head, target),
-            MotionAllocation(delta_eye, delta_head),
-            strategy,
-        )
-        if check_sample(sample, config) is None:
-            return sample
-    raise DataError(
-        f"no valid sample after {config.max_attempts} consecutive attempts; "
-        "generator limits are likely inconsistent"
-    )
+    new = np.asarray(poses, dtype=float) + deltas
+    limits = np.array([getattr(config, name) for _, name in POSE_LIMITS])
+    over = np.abs(new) > limits + 1e-12
+    errors = angular_errors(gaze_rays(new[:, :2], new[:, 2:]), targets)
+    failed = over.any(axis=1)
+    violations = [None] * len(new)
+    for i in np.flatnonzero(failed | (errors > config.consistency_tol)).tolist():
+        if failed[i]:
+            k = int(over[i].argmax())
+            violations[i] = (f"{POSE_LIMITS[k][0]} limit exceeded "
+                             f"({abs(new[i, k]):.4f} > {limits[k]:.4f})")
+        else:
+            violations[i] = f"gaze misses target by {math.degrees(errors[i]):.3f} deg"
+    return violations
+
+
+def draw_attempts(rng: np.random.Generator, config: GeneratorConfig, m: int):
+    """The random draws of ``m`` attempts, read from ``rng`` as ``m`` single attempts would.
+
+    Each attempt reads nine uniform doubles and then four standard normals.
+    The uniforms become the initial eye yaw and pitch and head yaw, pitch
+    and roll (within half the limits), the target's range, azimuth and
+    elevation, and the strategy: head-dominant below ``strategy_mix``. The
+    normals become alpha around that strategy's mean (clamped to [0, 1]),
+    the head-roll noise and the eye yaw and pitch jitter. Each value is
+    computed as numpy's ``uniform`` and ``normal`` compute it, low + (high -
+    low) * u and loc + scale * z, so the bits match those calls.
+
+    Returns (poses (m, 5), targets (m, 3), head_dominant (m,), alpha (m,),
+    roll_noise (m,), eye_jitter (m, 2)).
+    """
+    uniforms, normals = np.empty((m, 9)), np.empty((m, 4))
+    random, standard_normal = rng.random, rng.standard_normal
+    for u, z in zip(uniforms, normals):
+        random(out=u)
+        standard_normal(out=z)
+    half = [config.eye_yaw_limit / 2, config.eye_pitch_limit / 2, config.head_yaw_limit / 2,
+            config.head_pitch_limit / 2, config.head_roll_limit / 2]
+    low = np.array([-h for h in half]
+                   + [config.range_min, -config.azimuth_limit, -config.elevation_limit])
+    high = np.array(half + [config.range_max, config.azimuth_limit, config.elevation_limit])
+    drawn = low + (high - low) * uniforms[:, :8]
+    cos, sin = math.cos, math.sin
+    directions = [(cos(el) * cos(az), cos(el) * sin(az), sin(el))
+                  for az, el in drawn[:, 6:8].tolist()]
+    targets = drawn[:, 5:6] * np.array(directions).reshape(-1, 3)
+    head_dominant = uniforms[:, 8] < config.strategy_mix
+    mean = np.where(head_dominant, config.alpha_head_mean, config.alpha_eye_mean)
+    alpha = np.clip(mean + config.alpha_sd * normals[:, 0], 0.0, 1.0)
+    # A zero loc still counts: 0.0 + (-0.0) is +0.0.
+    roll_noise = 0.0 + config.roll_noise * normals[:, 1]
+    eye_jitter = 0.0 + config.eye_jitter * normals[:, 2:]
+    return drawn[:, :5], targets, head_dominant, alpha, roll_noise, eye_jitter
 
 
 def generate_dataset(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     """Full dataset with a deterministic train/val split.
+
+    Keeps the first ``n_samples`` valid attempts in attempt order; an
+    attempt is valid when every increment lies within [-pi, pi] and it
+    passes ``check_rows``. Raises DataError after ``config.max_attempts``
+    consecutive rejections, which indicates an unsatisfiable configuration.
+    The attempts past the last kept one in its chunk are drawn and dropped.
 
     The first round(n * train_fraction) samples are the training split;
     samples are i.i.d. so the assignment is as good as any shuffle and it
     keeps the file layout stable.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    samples = [generate_sample(rng, config) for _ in range(config.n_samples)]
-    n_train = round(config.n_samples * config.train_fraction)
-    split = ["train"] * n_train + ["val"] * (config.n_samples - n_train)
+    n = config.n_samples
+    samples, attempts, rejected = [], 0, 0
+    while len(samples) < n:
+        # Enough attempts for the samples still missing at the acceptance
+        # rate so far, and a few more.
+        rate = (len(samples) + 1) / (attempts + 1)
+        m = min(MAX_CHUNK, int((n - len(samples)) / rate * 1.0625) + 8)
+        attempts += m
+        poses, targets, head_dominant, alpha, roll_noise, eye_jitter = draw_attempts(
+            rng, config, m)
+        delta_eye, delta_head = allocate_rows(poses[:, :2], poses[:, 2:], targets, alpha,
+                                              roll_noise, eye_jitter)
+        deltas = np.concatenate([delta_eye, delta_head], axis=1)
+        in_range = (np.abs(deltas).max(axis=1) <= math.pi).tolist()
+        kept = []
+        for i, violation in enumerate(check_rows(poses, deltas, targets, config)):
+            if in_range[i] and violation is None:
+                kept.append(i)
+                rejected = 0
+                if len(samples) + len(kept) == n:
+                    break
+            else:
+                rejected += 1
+                if rejected == config.max_attempts:
+                    raise DataError(
+                        f"no valid sample after {config.max_attempts} consecutive attempts; "
+                        "generator limits are likely inconsistent"
+                    )
+        for pose, target, d_eye, d_head, head_first in zip(
+                poses[kept].tolist(), targets[kept], delta_eye[kept], delta_head[kept],
+                head_dominant[kept].tolist()):
+            samples.append(GazeSample(
+                ConditionVector(EyePose(*pose[:2]), HeadPose(*pose[2:]), target),
+                MotionAllocation(d_eye, d_head),
+                HEAD_DOMINANT if head_first else EYE_DOMINANT,
+            ))
+    n_train = round(n * config.train_fraction)
+    split = ["train"] * n_train + ["val"] * (n - n_train)
     return Dataset(samples, split, seed, config)
 
 
 # -- JSON lines persistence ----------------------------------------------------
+
+
+def _text_hash(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _sample_to_doc(sample: GazeSample, split: str) -> dict:
@@ -325,9 +393,12 @@ def serialize_dataset(dataset: Dataset) -> str:
     return buf.getvalue()
 
 
-def write_dataset(dataset: Dataset, path) -> None:
+def write_dataset(dataset: Dataset, path) -> str:
+    """Write ``dataset`` to ``path``; returns the text's SHA-256, ``dataset.content_hash()``."""
+    text = serialize_dataset(dataset)
     with open_atomic(path) as fh:
-        fh.write(serialize_dataset(dataset))
+        fh.write(text)
+    return _text_hash(text)
 
 
 def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> list[float]:
@@ -338,11 +409,42 @@ def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> list[float]:
     return [float(x) for x in value]
 
 
+def _parse_line(line: str, line_no: int):
+    """One sample line: (pose row (5,), delta row (5,), target, sample, split tag)."""
+    if not line.strip():
+        raise DataError(f"line {line_no}: blank line inside dataset")
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"line {line_no}: a sample must be a JSON object")
+    theta_e = _parse_floats(doc, "theta_e", 2, line_no)
+    theta_h = _parse_floats(doc, "theta_h", 3, line_no)
+    target = _parse_floats(doc, "target", 3, line_no)
+    delta_e = _parse_floats(doc, "delta_e", 2, line_no)
+    delta_h = _parse_floats(doc, "delta_h", 3, line_no)
+    if doc.get("strategy") not in (EYE_DOMINANT, HEAD_DOMINANT):
+        raise DataError(f"line {line_no}: bad strategy tag {doc.get('strategy')!r}")
+    if doc.get("split") not in ("train", "val"):
+        raise DataError(f"line {line_no}: bad split tag {doc.get('split')!r}")
+    try:
+        sample = GazeSample(
+            ConditionVector(EyePose(*theta_e), HeadPose(*theta_h), np.array(target)),
+            MotionAllocation(np.array(delta_e), np.array(delta_h)),
+            doc["strategy"],
+        )
+    except ValueError as exc:
+        raise DataError(f"line {line_no}: {exc}") from exc
+    return theta_e + theta_h, delta_e + delta_h, target, sample, doc["split"]
+
+
 def read_dataset(path) -> Dataset:
     """Read and validate a dataset file.
 
     Every sample is re-checked against the generator invariants recorded in
-    the header; any violation names the offending line.
+    the header, all lines at once with ``check_rows``; any problem names the
+    first offending line, as a line-by-line check would.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -363,38 +465,28 @@ def read_dataset(path) -> Dataset:
         config = GeneratorConfig.from_dict(header.get("generator", {}))
     except ConfigError as exc:
         raise DataError(f"{path}: bad generator header: {exc}") from exc
-    samples, split = [], []
+    poses, deltas, targets, samples, split = [], [], [], [], []
+    unparsed = None
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            raise DataError(f"line {line_no}: blank line inside dataset")
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DataError(f"line {line_no}: a sample must be a JSON object")
-        theta_e = _parse_floats(doc, "theta_e", 2, line_no)
-        theta_h = _parse_floats(doc, "theta_h", 3, line_no)
-        target = _parse_floats(doc, "target", 3, line_no)
-        delta_e = _parse_floats(doc, "delta_e", 2, line_no)
-        delta_h = _parse_floats(doc, "delta_h", 3, line_no)
-        if doc.get("strategy") not in (EYE_DOMINANT, HEAD_DOMINANT):
-            raise DataError(f"line {line_no}: bad strategy tag {doc.get('strategy')!r}")
-        if doc.get("split") not in ("train", "val"):
-            raise DataError(f"line {line_no}: bad split tag {doc.get('split')!r}")
-        try:
-            sample = GazeSample(
-                ConditionVector(EyePose(*theta_e), HeadPose(*theta_h), np.array(target)),
-                MotionAllocation(np.array(delta_e), np.array(delta_h)),
-                doc["strategy"],
-            )
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from exc
-        violation = check_sample(sample, config)
+            pose, delta, target, sample, tag = _parse_line(line, line_no)
+        except DataError as exc:
+            unparsed = exc
+            break
+        poses.append(pose)
+        deltas.append(delta)
+        targets.append(target)
+        samples.append(sample)
+        split.append(tag)
+    # The lines before one that does not parse are checked first: a
+    # violation among them is the first offending line.
+    violations = check_rows(np.array(poses).reshape(-1, 5), np.array(deltas).reshape(-1, 5),
+                            np.array(targets).reshape(-1, 3), config)
+    for line_no, violation in enumerate(violations, start=2):
         if violation is not None:
             raise DataError(f"line {line_no}: invariant violation: {violation}")
-        samples.append(sample)
-        split.append(doc["split"])
+    if unparsed is not None:
+        raise unparsed
     if header.get("n_samples") != len(samples):
         raise DataError(
             f"{path}: header announces {header.get('n_samples')} samples, found {len(samples)}"

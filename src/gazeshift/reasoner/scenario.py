@@ -50,8 +50,11 @@ class CameraIntrinsics:
                 raise ValueError(f"camera {name} must be a finite number, not {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image size must be positive")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(
+                    f"camera {name} must be an integer of at least 1, not {value!r}")
 
     def back_project(self, u: float, v: float, depth: float) -> np.ndarray:
         """Camera-frame 3D point for pixel (u, v) at the given depth."""

@@ -1,0 +1,230 @@
+"""Oracles for the gaze-shift generator and the dataset check: one sample at a time.
+
+``generate_dataset_per_sample`` is the generator ``generate_dataset``
+replaced: it draws, allocates and checks one attempt at a time with scalar
+rotation math (``generate_sample``, ``allocate_shift``, ``draw_alpha``,
+``check_sample``). The package draws the same random stream in chunks and
+allocates and checks a chunk at a time; both must write the same bytes and
+fail with the same message.
+
+``read_dataset_per_line`` is the reader ``read_dataset`` replaced: it
+checks each line as soon as it is parsed, where the package parses every
+line first and checks them together. On any file both must return the same
+dataset or name the same line with the same message.
+
+``gaze_ray`` and ``angular_error`` are the scalar geometry both use; the
+acceptance test measures every stored sample against them.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+
+from gazeshift import so3
+from gazeshift.datagen import (DATASET_SCHEMA, DATASET_VERSION, EYE_DOMINANT, HEAD_DOMINANT,
+                               Dataset, GazeSample, GeneratorConfig, _parse_floats)
+from gazeshift.errors import ConfigError, DataError
+from gazeshift.so3 import EyePose, HeadPose
+from gazeshift.vqvae import ConditionVector, MotionAllocation
+
+FORWARD = np.array([1.0, 0.0, 0.0])
+
+
+def gaze_ray(eye: EyePose, head: HeadPose) -> np.ndarray:
+    """Unit gaze direction in the base frame: R_head @ R_eye @ x_forward."""
+    return so3.euler_to_matrix(head) @ so3.euler_to_matrix(eye) @ FORWARD
+
+
+def required_shift(target: np.ndarray) -> tuple[float, float]:
+    """Absolute gaze angles (yaw, pitch) that put the combined ray on ``target``."""
+    t = np.asarray(target, dtype=float)
+    if t.shape != (3,) or not np.all(np.isfinite(t)):
+        raise ValueError("target must be a finite 3-vector")
+    if float(np.linalg.norm(t)) < 1e-9:
+        raise ValueError("target direction is undefined at the origin")
+    return math.atan2(t[1], t[0]), math.atan2(t[2], math.hypot(t[0], t[1]))
+
+
+def _ray_angles(ray: np.ndarray) -> tuple[float, float]:
+    return math.atan2(ray[1], ray[0]), math.atan2(ray[2], math.hypot(ray[0], ray[1]))
+
+
+def angular_error(ray: np.ndarray, target: np.ndarray) -> float:
+    """Angle between a gaze ray and the direction of ``target``."""
+    t = np.asarray(target, dtype=float)
+    denom = float(np.linalg.norm(ray) * np.linalg.norm(t))
+    if denom < 1e-12:
+        raise ValueError("angular error undefined for zero-length vectors")
+    return math.acos(min(1.0, max(-1.0, float(np.dot(ray, t)) / denom)))
+
+
+def allocate_shift(eye: EyePose, head: HeadPose, target: np.ndarray, alpha: float,
+                   config: GeneratorConfig = GeneratorConfig(),
+                   rng: np.random.Generator | None = None):
+    """Split the shift toward ``target``: head takes ``alpha``, eyes the rest.
+
+    With ``rng`` None both noise terms are zero. Returns
+    (delta_eye (2,), delta_head (3,)) without limit checks.
+    """
+    if not 0 <= alpha <= 1:
+        raise ValueError("alpha must lie in [0, 1]")
+    current_yaw, current_pitch = _ray_angles(gaze_ray(eye, head))
+    goal_yaw, goal_pitch = required_shift(target)
+    d_yaw = so3.wrap_angle(goal_yaw - current_yaw)
+    d_pitch = goal_pitch - current_pitch
+    roll_noise = float(rng.normal(0.0, config.roll_noise)) if rng is not None else 0.0
+    delta_head = np.array([alpha * d_yaw, -alpha * d_pitch, roll_noise])
+    new_head = HeadPose(*so3.wrap_angles(head.as_array() + delta_head))
+    t = np.asarray(target, dtype=float)
+    v = so3.euler_to_matrix(new_head).T @ (t / np.linalg.norm(t))
+    eye_goal_yaw = math.atan2(v[1], v[0])
+    eye_goal_pitch = -math.asin(min(1.0, max(-1.0, float(v[2]))))
+    delta_eye = np.array([
+        so3.wrap_angle(eye_goal_yaw - eye.yaw),
+        so3.wrap_angle(eye_goal_pitch - eye.pitch),
+    ])
+    if rng is not None:
+        delta_eye += rng.normal(0.0, config.eye_jitter, size=2)
+    return delta_eye, delta_head
+
+
+def draw_alpha(rng: np.random.Generator, config: GeneratorConfig):
+    """Head-contribution ratio from the two-component mixture, clamped to [0, 1]."""
+    if rng.random() < config.strategy_mix:
+        strategy, mean = HEAD_DOMINANT, config.alpha_head_mean
+    else:
+        strategy, mean = EYE_DOMINANT, config.alpha_eye_mean
+    alpha = float(np.clip(rng.normal(mean, config.alpha_sd), 0.0, 1.0))
+    return alpha, strategy
+
+
+def check_sample(sample: GazeSample, config: GeneratorConfig) -> str | None:
+    """Return a violation description, or None if the sample is valid."""
+    c, a = sample.condition, sample.allocation
+    new_eye_arr = c.eye.as_array() + a.delta_eye
+    new_head_arr = c.head.as_array() + a.delta_head
+    checks = (
+        (abs(new_eye_arr[0]), config.eye_yaw_limit, "eye yaw"),
+        (abs(new_eye_arr[1]), config.eye_pitch_limit, "eye pitch"),
+        (abs(new_head_arr[0]), config.head_yaw_limit, "head yaw"),
+        (abs(new_head_arr[1]), config.head_pitch_limit, "head pitch"),
+        (abs(new_head_arr[2]), config.head_roll_limit, "head roll"),
+    )
+    for value, limit, label in checks:
+        if value > limit + 1e-12:
+            return f"{label} limit exceeded ({value:.4f} > {limit:.4f})"
+    new_eye = EyePose(*new_eye_arr)
+    new_head = HeadPose(*new_head_arr)
+    err = angular_error(gaze_ray(new_eye, new_head), c.target)
+    if err > config.consistency_tol:
+        return f"gaze misses target by {math.degrees(err):.3f} deg"
+    return None
+
+
+def generate_sample(rng: np.random.Generator,
+                    config: GeneratorConfig = GeneratorConfig()) -> GazeSample:
+    """One valid sample by rejection sampling; DataError after max_attempts rejections."""
+    for _ in range(config.max_attempts):
+        eye = EyePose(
+            rng.uniform(-config.eye_yaw_limit / 2, config.eye_yaw_limit / 2),
+            rng.uniform(-config.eye_pitch_limit / 2, config.eye_pitch_limit / 2),
+        )
+        head = HeadPose(
+            rng.uniform(-config.head_yaw_limit / 2, config.head_yaw_limit / 2),
+            rng.uniform(-config.head_pitch_limit / 2, config.head_pitch_limit / 2),
+            rng.uniform(-config.head_roll_limit / 2, config.head_roll_limit / 2),
+        )
+        r = rng.uniform(config.range_min, config.range_max)
+        az = rng.uniform(-config.azimuth_limit, config.azimuth_limit)
+        el = rng.uniform(-config.elevation_limit, config.elevation_limit)
+        target = r * np.array([
+            math.cos(el) * math.cos(az),
+            math.cos(el) * math.sin(az),
+            math.sin(el),
+        ])
+        alpha, strategy = draw_alpha(rng, config)
+        delta_eye, delta_head = allocate_shift(eye, head, target, alpha, config, rng)
+        if max(abs(float(x)) for x in np.concatenate([delta_eye, delta_head])) > math.pi:
+            continue
+        sample = GazeSample(
+            ConditionVector(eye, head, target),
+            MotionAllocation(delta_eye, delta_head),
+            strategy,
+        )
+        if check_sample(sample, config) is None:
+            return sample
+    raise DataError(
+        f"no valid sample after {config.max_attempts} consecutive attempts; "
+        "generator limits are likely inconsistent"
+    )
+
+
+def generate_dataset_per_sample(seed: int,
+                                config: GeneratorConfig = GeneratorConfig()) -> Dataset:
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    samples = [generate_sample(rng, config) for _ in range(config.n_samples)]
+    n_train = round(config.n_samples * config.train_fraction)
+    split = ["train"] * n_train + ["val"] * (config.n_samples - n_train)
+    return Dataset(samples, split, seed, config)
+
+
+def read_dataset_per_line(path) -> Dataset:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    if not lines:
+        raise DataError(f"{path}: empty dataset file")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("schema") != DATASET_SCHEMA:
+        raise DataError(f"{path}: missing {DATASET_SCHEMA} header")
+    if header.get("version") != DATASET_VERSION:
+        raise DataError(f"{path}: unsupported dataset version {header.get('version')!r}")
+    try:
+        config = GeneratorConfig.from_dict(header.get("generator", {}))
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad generator header: {exc}") from exc
+    samples, split = [], []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            raise DataError(f"line {line_no}: blank line inside dataset")
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataError(f"line {line_no}: a sample must be a JSON object")
+        theta_e = _parse_floats(doc, "theta_e", 2, line_no)
+        theta_h = _parse_floats(doc, "theta_h", 3, line_no)
+        target = _parse_floats(doc, "target", 3, line_no)
+        delta_e = _parse_floats(doc, "delta_e", 2, line_no)
+        delta_h = _parse_floats(doc, "delta_h", 3, line_no)
+        if doc.get("strategy") not in (EYE_DOMINANT, HEAD_DOMINANT):
+            raise DataError(f"line {line_no}: bad strategy tag {doc.get('strategy')!r}")
+        if doc.get("split") not in ("train", "val"):
+            raise DataError(f"line {line_no}: bad split tag {doc.get('split')!r}")
+        try:
+            sample = GazeSample(
+                ConditionVector(EyePose(*theta_e), HeadPose(*theta_h), np.array(target)),
+                MotionAllocation(np.array(delta_e), np.array(delta_h)),
+                doc["strategy"],
+            )
+        except ValueError as exc:
+            raise DataError(f"line {line_no}: {exc}") from exc
+        violation = check_sample(sample, config)
+        if violation is not None:
+            raise DataError(f"line {line_no}: invariant violation: {violation}")
+        samples.append(sample)
+        split.append(doc["split"])
+    if header.get("n_samples") != len(samples):
+        raise DataError(
+            f"{path}: header announces {header.get('n_samples')} samples, found {len(samples)}"
+        )
+    return Dataset(samples, split, header.get("seed", 0), config)

@@ -22,8 +22,7 @@ import pytest
 import gazeshift
 from gazeshift import nets, so3, trainer
 from gazeshift import prior as prior_mod
-from gazeshift.datagen import (GeneratorConfig, angular_error, check_sample,
-                               gaze_ray, generate_dataset)
+from gazeshift.datagen import GeneratorConfig, generate_dataset
 from gazeshift.prior import ConditionalPrior, PriorConfig, focal_loss_rows
 from gazeshift.reasoner import (MemoryBuffer, OracleBackend, ScriptedBackend,
                                 load_scenario_dir, replay_evaluate, step_cycle)
@@ -32,6 +31,7 @@ from gazeshift.trainer import (TrainConfig, dataset_arrays, run_training,
                                validate_stage1)
 from gazeshift.vqvae import (ConditionalVQVAE, VQVAEConfig, quantize_rows,
                              reconstruction_terms, target_rotations)
+from datagen_oracles import angular_error, check_sample, gaze_ray
 from net_oracles import preactivations
 
 BUNDLED_SCENARIOS = Path(gazeshift.__file__).parent / "scenarios"

@@ -114,6 +114,16 @@ def test_gen_data_unsatisfiable_limits_exit_data(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_data_limits_beyond_valid_poses_exit_config(tmp_path, capsys):
+    # used to end in "ValueError: head pose yaw=... outside (-pi, pi]" and exit 1
+    config = write_config(tmp_path, {"generator": {"head_yaw_limit": 7.0,
+                                                   "azimuth_limit": 3.1}})
+    assert main(["gen-data", "--config", config, "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "head_yaw_limit must be at most pi" in err
+    assert err.count("\n") == 1
+
+
 # -- configuration failures ------------------------------------------------------------
 
 def test_unknown_config_section_exit_config(tmp_path):
@@ -229,6 +239,25 @@ def test_train_seed_flag_overrides_config_section(pipeline, tmp_path):
                  "--dataset", str(data_dir / "dataset.jsonl"),
                  "--out", str(out)]) == 0
     assert read_manifest(out)["config"]["training"]["seed"] == 2
+
+
+def test_dataset_header_limits_beyond_valid_poses_exit_data(pipeline, tmp_path, capsys):
+    # A 120 deg eye pitch limit let a 100 deg post-shift eye pitch through the
+    # limit check, and the EyePose built from it ended train with exit 1.
+    _, config, data_dir, _ = pipeline
+    lines = (data_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    header, sample = json.loads(lines[0]), json.loads(lines[1])
+    header["generator"]["eye_pitch_limit"] = math.radians(120)
+    sample["delta_e"][1] = math.radians(100) - sample["theta_e"][1]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join([json.dumps(header), json.dumps(sample), *lines[2:]]) + "\n",
+                       encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "bad generator header: eye_pitch_limit must be at most pi/2" in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_train_missing_dataset_exit_data(tmp_path):
@@ -877,9 +906,15 @@ def _set_instance_id(doc):
      "cycle 2: expected_instance must be a string, not int"),
     # the replay used to score 100% and log "point_3d": [NaN, NaN, NaN]
     (lambda doc: doc["camera"].update(cx=math.nan), "camera cx must be a finite number, not nan"),
+    # a NaN image size switched off the box checks: a box reaching x = 5000 scored 100%
+    (lambda doc: (doc["camera"].update(width=math.nan, height=math.nan),
+                  doc["cycles"][0]["instances"][0]["box"].__setitem__(2, 5000)),
+     "camera width must be an integer of at least 1, not nan"),
+    (lambda doc: doc["camera"].update(height=True),
+     "camera height must be an integer of at least 1, not True"),
 ], ids=["not_an_object", "responses_list", "not_utf8", "box_entry_text", "id_number",
         "semantics_number", "cue_onset_text", "expected_absent", "expected_number",
-        "camera_cx_nan"])
+        "camera_cx_nan", "camera_size_nan", "camera_height_true"])
 def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason):
     bundled = Path(gazeshift.__file__).parent / "scenarios"
     shutil.copytree(bundled, tmp_path / "s")

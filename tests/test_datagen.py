@@ -3,7 +3,9 @@
 The binding invariant is checked exhaustively on a full default dataset:
 every stored allocation composes with its condition to a combined gaze ray
 within the consistency tolerance of the target, inside all mechanical
-limits, and regeneration from the same seed is byte-identical.
+limits, and regeneration from the same seed is byte-identical. The batch
+generator and reader are checked against the one-sample-at-a-time oracles
+of ``datagen_oracles``: same bytes, same errors.
 """
 
 from __future__ import annotations
@@ -14,16 +16,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gazeshift.datagen import (EYE_DOMINANT, HEAD_DOMINANT, Dataset,
-                               GazeSample, GeneratorConfig, allocate_shift,
-                               angular_error, check_sample, draw_alpha,
-                               gaze_ray, generate_dataset, generate_sample,
-                               read_dataset, required_shift,
-                               serialize_dataset, write_dataset)
+from gazeshift import datagen
+from gazeshift.datagen import (EYE_DOMINANT, HEAD_DOMINANT, POSE_LIMITS, Dataset,
+                               GazeSample, GeneratorConfig, allocate_rows,
+                               angular_errors, check_rows, draw_attempts,
+                               gaze_angles, gaze_rays, generate_dataset,
+                               read_dataset, serialize_dataset, write_dataset)
 from gazeshift.errors import ConfigError, DataError
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.vqvae import ConditionVector, MotionAllocation
+from datagen_oracles import (check_sample, generate_dataset_per_sample,
+                             read_dataset_per_line)
 
 
 @pytest.fixture(scope="module")
@@ -31,112 +37,118 @@ def default_dataset() -> Dataset:
     return generate_dataset(0)
 
 
+def rows(samples):
+    """(poses (m, 5), deltas (m, 5), targets (m, 3)) of ``samples``, for ``check_rows``."""
+    poses = np.array([[*s.condition.eye.as_array(), *s.condition.head.as_array()]
+                      for s in samples]).reshape(-1, 5)
+    deltas = np.array([s.allocation.as_vector() for s in samples]).reshape(-1, 5)
+    targets = np.array([s.condition.target for s in samples]).reshape(-1, 3)
+    return poses, deltas, targets
+
+
 # -- gaze geometry -----------------------------------------------------------------
 
 def test_gaze_ray_neutral_looks_forward():
-    np.testing.assert_allclose(gaze_ray(EyePose(0, 0), HeadPose(0, 0, 0)),
-                               [1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(gaze_rays([[0.0, 0.0]], [[0.0, 0.0, 0.0]]),
+                               [[1.0, 0.0, 0.0]], atol=1e-15)
 
 
 def test_gaze_ray_quarter_turn():
-    ray = gaze_ray(EyePose(0, 0), HeadPose(math.pi / 2, 0, 0))
-    np.testing.assert_allclose(ray, [0.0, 1.0, 0.0], atol=1e-12)
+    ray = gaze_rays([[0.0, 0.0]], [[math.pi / 2, 0.0, 0.0]])
+    np.testing.assert_allclose(ray, [[0.0, 1.0, 0.0]], atol=1e-12)
 
 
 def test_gaze_ray_yaw_is_additive_without_pitch():
-    ray = gaze_ray(EyePose(math.radians(30), 0), HeadPose(math.radians(15), 0, 0))
-    expected = [math.cos(math.radians(45)), math.sin(math.radians(45)), 0.0]
+    ray = gaze_rays([[math.radians(30), 0.0]], [[math.radians(15), 0.0, 0.0]])
+    expected = [[math.cos(math.radians(45)), math.sin(math.radians(45)), 0.0]]
     np.testing.assert_allclose(ray, expected, atol=1e-12)
 
 
 def test_gaze_ray_is_unit_length():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        eye = EyePose(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4))
-        head = HeadPose(*rng.uniform(-1.0, 1.0, size=3))
-        assert np.linalg.norm(gaze_ray(eye, head)) == pytest.approx(1.0, abs=1e-12)
+    eye = np.column_stack([rng.uniform(-0.5, 0.5, 20), rng.uniform(-0.4, 0.4, 20)])
+    head = rng.uniform(-1.0, 1.0, size=(20, 3))
+    np.testing.assert_allclose(np.linalg.norm(gaze_rays(eye, head), axis=1), 1.0,
+                               rtol=0, atol=1e-12)
 
 
 def test_required_shift_axis_cases():
-    assert required_shift(np.array([1.0, 0.0, 0.0])) == (0.0, 0.0)
-    yaw, pitch = required_shift(np.array([0.0, 1.0, 0.0]))
-    assert yaw == pytest.approx(math.pi / 2) and pitch == 0.0
-    yaw, pitch = required_shift(np.array([1.0, 1.0, math.sqrt(2.0)]))
-    assert yaw == pytest.approx(math.pi / 4, abs=1e-12)
-    assert pitch == pytest.approx(math.pi / 4, abs=1e-12)
-
-
-def test_required_shift_rejects_degenerate_targets():
-    with pytest.raises(ValueError):
-        required_shift(np.zeros(3))
-    with pytest.raises(ValueError):
-        required_shift(np.array([1.0, np.nan, 0.0]))
+    yaw, pitch = gaze_angles(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                       [1.0, 1.0, math.sqrt(2.0)]]))
+    assert (yaw[0], pitch[0]) == (0.0, 0.0)
+    assert yaw[1] == pytest.approx(math.pi / 2) and pitch[1] == 0.0
+    assert yaw[2] == pytest.approx(math.pi / 4, abs=1e-12)
+    assert pitch[2] == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_angular_error_cases():
-    assert angular_error(np.array([1.0, 0, 0]), np.array([2.0, 0, 0])) == 0.0
-    assert angular_error(np.array([1.0, 0, 0]),
-                         np.array([0.0, 3.0, 0])) == pytest.approx(math.pi / 2)
+    errors = angular_errors(np.array([[1.0, 0, 0], [1.0, 0, 0]]),
+                            np.array([[2.0, 0, 0], [0.0, 3.0, 0]]))
+    assert errors[0] == 0.0
+    assert errors[1] == pytest.approx(math.pi / 2)
     with pytest.raises(ValueError):
-        angular_error(np.zeros(3), np.array([1.0, 0, 0]))
+        angular_errors(np.array([[1.0, 0, 0], [0.0, 0, 0]]), np.array([[1.0, 0, 0]] * 2))
 
 
 # -- shift allocation ---------------------------------------------------------------
 
 def test_allocate_alpha_zero_keeps_head_still():
-    eye, head = EyePose(0.1, -0.05), HeadPose(0.2, 0.1, 0.0)
-    target = np.array([1.5, 0.8, 0.3])
-    delta_eye, delta_head = allocate_shift(eye, head, target, alpha=0.0)
+    eye, head = np.array([[0.1, -0.05]]), np.array([[0.2, 0.1, 0.0]])
+    target = np.array([[1.5, 0.8, 0.3]])
+    delta_eye, delta_head = allocate_rows(eye, head, target, np.array([0.0]), 0.0, 0.0)
     np.testing.assert_allclose(delta_head, 0.0, atol=1e-15)
-    new_eye = EyePose(*(eye.as_array() + delta_eye))
-    assert angular_error(gaze_ray(new_eye, head), target) < 1e-7
+    assert angular_errors(gaze_rays(eye + delta_eye, head), target)[0] < 1e-7
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.75, 1.0])
 def test_allocate_combined_ray_hits_target(alpha):
     rng = np.random.default_rng(int(alpha * 100))
-    for _ in range(10):
-        eye = EyePose(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
-        head = HeadPose(*rng.uniform(-0.5, 0.5, size=3))
-        target = rng.uniform(0.5, 2.0) * np.array([1.0, rng.uniform(-1, 1),
-                                                   rng.uniform(-0.5, 0.5)])
-        delta_eye, delta_head = allocate_shift(eye, head, target, alpha)
-        new_eye = EyePose(*(eye.as_array() + delta_eye))
-        new_head = HeadPose(*(head.as_array() + delta_head))
-        assert angular_error(gaze_ray(new_eye, new_head), target) < 1e-7
+    eye = np.column_stack([rng.uniform(-0.3, 0.3, 10), rng.uniform(-0.2, 0.2, 10)])
+    head = rng.uniform(-0.5, 0.5, size=(10, 3))
+    targets = rng.uniform(0.5, 2.0, size=(10, 1)) * np.column_stack(
+        [np.ones(10), rng.uniform(-1, 1, 10), rng.uniform(-0.5, 0.5, 10)])
+    delta_eye, delta_head = allocate_rows(eye, head, targets, np.full(10, alpha), 0.0, 0.0)
+    errors = angular_errors(gaze_rays(eye + delta_eye, head + delta_head), targets)
+    assert errors.max() < 1e-7
 
 
 def test_allocate_target_on_ray_needs_no_motion():
-    eye, head = EyePose(0.0, 0.0), HeadPose(0.3, 0.0, 0.0)
-    target = 2.0 * gaze_ray(eye, head)
-    delta_eye, delta_head = allocate_shift(eye, head, target, alpha=0.7)
+    eye, head = np.array([[0.0, 0.0]]), np.array([[0.3, 0.0, 0.0]])
+    target = 2.0 * gaze_rays(eye, head)
+    delta_eye, delta_head = allocate_rows(eye, head, target, np.array([0.7]), 0.0, 0.0)
     assert np.linalg.norm(delta_eye) < math.radians(0.1)
     assert np.linalg.norm(delta_head) < math.radians(0.1)
 
 
 def test_allocate_head_pitch_sign_convention():
     # a target above the horizon tips the head up: negative Euler pitch
-    delta_eye, delta_head = allocate_shift(EyePose(0, 0), HeadPose(0, 0, 0),
-                                           np.array([1.0, 0.0, 1.0]), alpha=1.0)
-    assert delta_head[1] < 0
-    assert delta_head[0] == pytest.approx(0.0, abs=1e-12)
+    delta_eye, delta_head = allocate_rows([[0.0, 0.0]], [[0.0, 0.0, 0.0]],
+                                          [[1.0, 0.0, 1.0]], np.array([1.0]), 0.0, 0.0)
+    assert delta_head[0, 1] < 0
+    assert delta_head[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_allocate_rejects_alpha_outside_unit_interval():
     with pytest.raises(ValueError):
-        allocate_shift(EyePose(0, 0), HeadPose(0, 0, 0), np.array([1.0, 0, 0]), 1.5)
+        allocate_rows([[0.0, 0.0]], [[0.0, 0.0, 0.0]], [[1.0, 0, 0]], np.array([1.5]), 0.0,
+                      0.0)
 
 
 def test_allocate_noise_only_with_rng():
-    eye, head = EyePose(0.05, 0.0), HeadPose(0.0, 0.0, 0.0)
-    target = np.array([2.0, 0.5, -0.2])
-    a = allocate_shift(eye, head, target, 0.6)
-    b = allocate_shift(eye, head, target, 0.6)
+    eye, head = np.array([[0.05, 0.0]]), np.array([[0.0, 0.0, 0.0]])
+    target = np.array([[2.0, 0.5, -0.2]])
+    a = allocate_rows(eye, head, target, np.array([0.6]), 0.0, 0.0)
+    b = allocate_rows(eye, head, target, np.array([0.6]), 0.0, 0.0)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
-    c = allocate_shift(eye, head, target, 0.6, GeneratorConfig(),
-                       np.random.default_rng(0))
-    assert c[1][2] != 0.0  # roll noise entered
+    assert a[1][0, 2] == 0.0
+    cfg = GeneratorConfig(eye_jitter=0.01)
+    *_, roll_noise, eye_jitter = draw_attempts(np.random.default_rng(0), cfg, 1)
+    c = allocate_rows(eye, head, target, np.array([0.6]), roll_noise, 0.0)
+    assert c[1][0, 2] == roll_noise[0] != 0.0  # roll noise entered
+    d = allocate_rows(eye, head, target, np.array([0.6]), 0.0, eye_jitter)
+    np.testing.assert_array_equal(d[0], a[0] + eye_jitter)
+    assert eye_jitter.all()
 
 
 # -- the strategy mixture ---------------------------------------------------------------
@@ -146,24 +158,18 @@ def test_draw_alpha_respects_mix_extremes():
     rng = np.random.default_rng(0)
     head_only = dataclasses.replace(cfg, strategy_mix=1.0)
     eye_only = dataclasses.replace(cfg, strategy_mix=0.0)
-    assert all(draw_alpha(rng, head_only)[1] == HEAD_DOMINANT
-               for _ in range(50))
-    assert all(draw_alpha(rng, eye_only)[1] == EYE_DOMINANT
-               for _ in range(50))
+    assert draw_attempts(rng, head_only, 50)[2].all()
+    assert not draw_attempts(rng, eye_only, 50)[2].any()
 
 
 def test_draw_alpha_stays_in_unit_interval():
-    cfg = GeneratorConfig()
-    rng = np.random.default_rng(1)
-    alphas = [draw_alpha(rng, cfg)[0] for _ in range(2000)]
-    assert min(alphas) >= 0.0 and max(alphas) <= 1.0
+    alphas = draw_attempts(np.random.default_rng(1), GeneratorConfig(), 2000)[3]
+    assert alphas.min() >= 0.0 and alphas.max() <= 1.0
 
 
 def test_alpha_distribution_is_bimodal_at_even_mix():
     cfg = GeneratorConfig(strategy_mix=0.5)
-    rng = np.random.default_rng(2)
-    alphas = np.array([draw_alpha(rng, cfg)[0]
-                       for _ in range(10_000)])
+    alphas = draw_attempts(np.random.default_rng(2), cfg, 10_000)[3]
     valley = np.mean((alphas >= 0.5) & (alphas <= 0.6))
     assert valley < 0.10  # the gap between the two modes stays thin
     below = np.mean(alphas < 0.5)
@@ -173,40 +179,116 @@ def test_alpha_distribution_is_bimodal_at_even_mix():
     assert np.mean((alphas > 0.65) & (alphas < 0.85)) > 0.3
 
 
+def test_draw_attempts_reads_the_stream_of_single_draws():
+    cfg = GeneratorConfig(eye_jitter=0.01, strategy_mix=0.5)
+    poses, targets, head_dominant, alpha, roll_noise, eye_jitter = draw_attempts(
+        np.random.default_rng(9), cfg, 40)
+    rng = np.random.default_rng(9)
+    for i in range(40):
+        pose = [rng.uniform(-cfg.eye_yaw_limit / 2, cfg.eye_yaw_limit / 2),
+                rng.uniform(-cfg.eye_pitch_limit / 2, cfg.eye_pitch_limit / 2),
+                rng.uniform(-cfg.head_yaw_limit / 2, cfg.head_yaw_limit / 2),
+                rng.uniform(-cfg.head_pitch_limit / 2, cfg.head_pitch_limit / 2),
+                rng.uniform(-cfg.head_roll_limit / 2, cfg.head_roll_limit / 2)]
+        r = rng.uniform(cfg.range_min, cfg.range_max)
+        az = rng.uniform(-cfg.azimuth_limit, cfg.azimuth_limit)
+        el = rng.uniform(-cfg.elevation_limit, cfg.elevation_limit)
+        head = rng.random() < cfg.strategy_mix
+        mean = cfg.alpha_head_mean if head else cfg.alpha_eye_mean
+        assert poses[i].tolist() == pose
+        assert targets[i].tolist() == (r * np.array([math.cos(el) * math.cos(az),
+                                                     math.cos(el) * math.sin(az),
+                                                     math.sin(el)])).tolist()
+        assert head_dominant[i] == head
+        assert alpha[i] == float(np.clip(rng.normal(mean, cfg.alpha_sd), 0.0, 1.0))
+        assert roll_noise[i] == rng.normal(0.0, cfg.roll_noise)
+        assert eye_jitter[i].tolist() == rng.normal(0.0, cfg.eye_jitter, size=2).tolist()
+
+
 # -- sample validity ----------------------------------------------------------------------
 
 def test_check_sample_passes_consistent_sample():
-    cfg = GeneratorConfig()
-    sample = generate_sample(np.random.default_rng(3), cfg)
-    assert check_sample(sample, cfg) is None
+    cfg = GeneratorConfig(n_samples=3)
+    assert check_rows(*rows(generate_dataset(3, cfg).samples), cfg) == [None] * 3
 
 
 def test_check_sample_names_violated_limit():
     cfg = GeneratorConfig()
-    sample = GazeSample(
-        ConditionVector(EyePose(0.0, 0.0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0]),
-        MotionAllocation([cfg.eye_yaw_limit + 0.1, 0.0], [0.0, 0.0, 0.0]),
-        EYE_DOMINANT,
-    )
-    violation = check_sample(sample, cfg)
-    assert violation is not None and "eye yaw" in violation
+    violations = check_rows(np.zeros((1, 5)), [[cfg.eye_yaw_limit + 0.1, 0.0, 0.0, 0.0, 0.0]],
+                            np.array([[1.0, 0.0, 0.0]]), cfg)
+    assert violations[0] is not None and "eye yaw" in violations[0]
 
 
 def test_check_sample_names_consistency_miss():
     cfg = GeneratorConfig()
-    sample = GazeSample(
-        ConditionVector(EyePose(0.0, 0.0), HeadPose(0, 0, 0), [0.0, 1.0, 0.0]),
-        MotionAllocation([0.0, 0.0], [0.0, 0.0, 0.0]),  # stares straight ahead
-        EYE_DOMINANT,
-    )
-    violation = check_sample(sample, cfg)
-    assert violation is not None and "misses target" in violation
+    # stares straight ahead at a target on the left
+    violations = check_rows(np.zeros((1, 5)), np.zeros((1, 5)), np.array([[0.0, 1.0, 0.0]]), cfg)
+    assert violations[0] is not None and "misses target" in violations[0]
 
 
 def test_generate_sample_raises_on_unsatisfiable_limits():
     cfg = GeneratorConfig(eye_yaw_limit=0.0, max_attempts=20)
     with pytest.raises(DataError, match="consecutive attempts"):
-        generate_sample(np.random.default_rng(4), cfg)
+        generate_dataset(4, cfg)
+
+
+# -- the batch generator against the per-sample oracle ------------------------------------
+
+ORACLE_SEEDS = [*range(16), *range(101, 111)]
+
+ORACLE_CONFIGS = {
+    "default": GeneratorConfig(n_samples=60),
+    "jitter_even_mix": GeneratorConfig(n_samples=60, eye_jitter=0.01, strategy_mix=0.5),
+    # about half the attempts fail a limit or the consistency tolerance
+    "tight": GeneratorConfig(n_samples=60, eye_yaw_limit=math.radians(20),
+                             head_yaw_limit=math.radians(50),
+                             consistency_tol=math.radians(1.0), eye_jitter=0.01),
+    # increments beyond pi: rejected before the check
+    "noisy": GeneratorConfig(n_samples=60, roll_noise=1.5, eye_jitter=1.0,
+                             eye_yaw_limit=3.1, head_roll_limit=3.1, consistency_tol=3.0),
+    # a zero scale still turns the normal's -0.0 into +0.0
+    "no_roll_noise": GeneratorConfig(n_samples=60, roll_noise=0.0),
+}
+
+
+def _outcome(generate, seed, cfg):
+    try:
+        return serialize_dataset(generate(seed, cfg))
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_generator_writes_the_per_sample_oracles_bytes(name):
+    cfg = ORACLE_CONFIGS[name]
+    for seed in ORACLE_SEEDS:
+        assert _outcome(generate_dataset, seed, cfg) == _outcome(
+            generate_dataset_per_sample, seed, cfg), seed
+
+
+def test_generator_matches_the_oracle_at_the_shipped_config(default_dataset):
+    assert serialize_dataset(default_dataset) == serialize_dataset(
+        generate_dataset_per_sample(0))
+
+
+def test_generator_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+    cfg = ORACLE_CONFIGS["tight"]
+    expected = [_outcome(generate_dataset, seed, cfg) for seed in (0, 101)]
+    monkeypatch.setattr(datagen, "MAX_CHUNK", 7)
+    assert [_outcome(generate_dataset, seed, cfg) for seed in (0, 101)] == expected
+
+
+@pytest.mark.parametrize("cfg", [
+    GeneratorConfig(n_samples=5, eye_yaw_limit=0.0, max_attempts=20),
+    # some samples are kept before a run of max_attempts rejections
+    # (28, 141, 121 and 75 at the seeds below, across chunks)
+    GeneratorConfig(n_samples=200, eye_yaw_limit=math.radians(10), max_attempts=5),
+], ids=["nothing_valid", "after_some_samples"])
+def test_generator_raises_the_oracles_data_error(cfg):
+    for seed in (0, 1, 3, 101):
+        outcome = _outcome(generate_dataset, seed, cfg)
+        assert outcome.startswith("DataError: no valid sample after")
+        assert outcome == _outcome(generate_dataset_per_sample, seed, cfg)
 
 
 # -- full dataset invariants ----------------------------------------------------------------
@@ -220,8 +302,8 @@ def test_dataset_counts_and_split(default_dataset):
 
 def test_dataset_every_sample_valid(default_dataset):
     cfg = default_dataset.config
-    for sample in default_dataset.samples:
-        assert check_sample(sample, cfg) is None
+    assert check_rows(*rows(default_dataset.samples), cfg) == [None] * 805
+    assert all(check_sample(sample, cfg) is None for sample in default_dataset.samples)
 
 
 def test_dataset_strategy_mix_materialises(default_dataset):
@@ -338,6 +420,90 @@ def test_read_rejects_empty_file(tmp_path):
         read_dataset(path)
 
 
+# -- the batch reader against the per-line oracle -------------------------------------------
+
+READER_CONFIG = GeneratorConfig(n_samples=12)
+READER_LINES = serialize_dataset(generate_dataset(5, READER_CONFIG)).splitlines()
+
+
+def _past_limit(k):
+    """Damage moving post-shift angle ``k`` (POSE_LIMITS order) 0.01 rad past its limit."""
+    pose, delta, j = ("theta_e", "delta_e", k) if k < 2 else ("theta_h", "delta_h", k - 2)
+
+    def damage(doc):
+        doc[delta][j] = getattr(READER_CONFIG, POSE_LIMITS[k][1]) + 0.01 - doc[pose][j]
+    return damage
+
+
+def _miss(doc):
+    doc["target"] = [-1.0, 0.0, -1.0]  # behind and below: out of every ray's reach
+
+
+def _edited(line, damage):
+    doc = json.loads(line)
+    damage(doc)
+    return json.dumps(doc, sort_keys=True)
+
+
+LINE_DAMAGES = {
+    **{POSE_LIMITS[k][0]: (lambda k: lambda line: _edited(line, _past_limit(k)))(k)
+       for k in range(5)},
+    "consistency": lambda line: _edited(line, _miss),
+    "invalid_json": lambda line: line[:-10],
+    "wrong_width": lambda line: _edited(line, lambda doc: doc["theta_h"].append(0.0)),
+    "bad_strategy": lambda line: _edited(line, lambda doc: doc.update(strategy="wobbly")),
+    "pose_out_of_range": lambda line: _edited(
+        line, lambda doc: doc["theta_e"].__setitem__(1, 2.0)),
+    "blank": lambda line: "",
+}
+
+
+def _both_readers(tmp_path, lines):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outcomes = []
+    for read in (read_dataset, read_dataset_per_line):
+        try:
+            dataset = read(path)
+        except DataError as exc:
+            outcomes.append(f"DataError: {exc}")
+        else:
+            outcomes.append((serialize_dataset(dataset), dataset.split))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("name", ["eye yaw", "eye pitch", "head yaw", "head pitch", "head roll",
+                                  "consistency"])
+def test_reader_names_the_oracles_line_and_message(tmp_path, name):
+    lines = list(READER_LINES)
+    lines[6] = LINE_DAMAGES[name](lines[6])
+    outcome = _both_readers(tmp_path, lines)
+    reason = f"{name} limit exceeded" if name != "consistency" else "gaze misses target by"
+    assert outcome.startswith(f"DataError: line 7: invariant violation: {reason}")
+
+
+def test_reader_reports_a_check_failure_before_a_later_parse_failure(tmp_path):
+    lines = list(READER_LINES)
+    lines[4] = LINE_DAMAGES["head yaw"](lines[4])
+    lines[9] = LINE_DAMAGES["invalid_json"](lines[9])
+    assert _both_readers(tmp_path, lines).startswith(
+        "DataError: line 5: invariant violation: head yaw limit exceeded")
+    lines[2] = LINE_DAMAGES["invalid_json"](lines[2])
+    assert _both_readers(tmp_path, lines).startswith("DataError: line 3: invalid JSON")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, len(READER_LINES) - 1),
+                          st.sampled_from(list(LINE_DAMAGES))),
+                max_size=3, unique_by=lambda damage: damage[0]))
+def test_reader_matches_the_per_line_oracle(tmp_path_factory, damages):
+    lines = list(READER_LINES)
+    for index, name in damages:
+        lines[index] = LINE_DAMAGES[name](lines[index])
+    _both_readers(tmp_path_factory.mktemp("reader"), lines)
+
+
 # -- configuration ------------------------------------------------------------------------------
 
 def test_generator_config_round_trip():
@@ -366,3 +532,24 @@ def test_gaze_sample_rejects_unknown_strategy():
             MotionAllocation([0, 0], [0, 0, 0]),
             "sideways",
         )
+
+
+def test_generator_config_rejects_limits_beyond_valid_poses():
+    # EyePose takes pitches up to pi/2, HeadPose angles up to pi
+    with pytest.raises(ValueError, match="eye_pitch_limit must be at most pi/2"):
+        GeneratorConfig(eye_pitch_limit=math.radians(120))
+    for name in ("eye_yaw_limit", "head_yaw_limit", "head_pitch_limit", "head_roll_limit"):
+        with pytest.raises(ValueError, match=f"{name} must be at most pi"):
+            GeneratorConfig(**{name: 3.2})
+    with pytest.raises(ConfigError, match="head_yaw_limit must be at most pi"):
+        GeneratorConfig.from_dict({"head_yaw_limit": 7.0, "azimuth_limit": 3.1})
+
+
+def test_generator_at_the_widest_limits_keeps_valid_poses():
+    cfg = GeneratorConfig(n_samples=60, eye_yaw_limit=math.pi, eye_pitch_limit=math.pi / 2,
+                          head_yaw_limit=math.pi, head_pitch_limit=math.pi,
+                          head_roll_limit=math.pi, azimuth_limit=3.1, elevation_limit=1.5)
+    for seed in (0, 1, 2):
+        outcome = _outcome(generate_dataset, seed, cfg)
+        assert not outcome.startswith("DataError")
+        assert outcome == _outcome(generate_dataset_per_sample, seed, cfg)

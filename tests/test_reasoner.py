@@ -609,6 +609,11 @@ def test_scenario_rejects_bad_documents():
         ("camera", "cx", math.nan, "camera cx must be a finite number, not nan"),
         ("camera", "fx", math.inf, "camera fx must be a finite number, not inf"),
         ("camera", "fy", True, "camera fy must be a finite number, not True"),
+        # a NaN width or height switched off every box-in-image check
+        ("camera", "width", math.nan, "camera width must be an integer of at least 1, not nan"),
+        ("camera", "height", True, "camera height must be an integer of at least 1, not True"),
+        ("camera", "width", 640.0, "camera width must be an integer of at least 1, not 640.0"),
+        ("camera", "height", 0, "camera height must be an integer of at least 1, not 0"),
     ]:
         doc = json.loads(json.dumps(good))
         target = {"instance": doc["cycles"][0]["instances"][0], "cycle": doc["cycles"][1],
@@ -714,6 +719,9 @@ _SCENARIO_FAULTS = {
     "camera_not_finite": lambda doc, data: doc["camera"].update(
         {data.draw(st.sampled_from(["fx", "fy", "cx", "cy"])):
          data.draw(st.sampled_from([math.nan, math.inf, -math.inf, True]))}),
+    "camera_size_not_int": lambda doc, data: doc["camera"].update(
+        {data.draw(st.sampled_from(["width", "height"])):
+         data.draw(st.sampled_from([math.nan, True, 640.0, 0, -480]))}),
 }
 
 
