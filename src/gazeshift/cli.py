@@ -167,7 +167,7 @@ def cmd_gen_data(args) -> int:
     dataset = generate_dataset(seed=seed, config=config)
     dataset_path = out_dir / "dataset.jsonl"
     dataset_hash = write_dataset(dataset, dataset_path)
-    print(f"wrote {len(dataset.samples)} samples "
+    print(f"wrote {len(dataset.split)} samples "
           f"({dataset.split.count('train')} train / {dataset.split.count('val')} val) "
           f"to {dataset_path}")
     write_manifest(out_dir, "gen-data", {"seed": seed, "generator": config.to_dict()},

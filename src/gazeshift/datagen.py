@@ -14,8 +14,11 @@ Draws that would exceed the mechanical limits or miss the target by more
 than the consistency tolerance are rejected and resampled. Attempts are
 drawn, allocated and checked a chunk at a time, with the random stream read
 in the order of one attempt after another, so the data do not depend on the
-chunk size. Datasets are stored as JSON lines: one header object, then one
-object per sample.
+chunk size. A ``Dataset`` holds its samples as rows, in file order: (n, 8)
+``conditions`` (eye yaw, pitch; head yaw, pitch, roll; target x, y, z) and
+(n, 5) ``allocations`` (their increments, eye then head), with a strategy
+and a split tag per row. Datasets are stored as JSON lines: one header
+object, then one object per sample.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .atomic import open_atomic
 from .config import read_config
 from .errors import ConfigError, DataError
 from .so3 import EyePose, HeadPose
-from .vqvae import ConditionVector, MotionAllocation
+from .vqvae import _MIN_TARGET_NORM, ConditionVector, MotionAllocation
 
 DATASET_SCHEMA = "gazeshift-dataset"
 DATASET_VERSION = 1
@@ -61,7 +64,9 @@ class GeneratorConfig:
     mixture component. Initial poses are sampled within half the
     mechanical limits; the limits themselves constrain the post-shift
     poses. The eye pitch limit is at most pi/2 and the other four at most
-    pi, so every pose within the limits is a valid pose.
+    pi, so every pose within the limits is a valid pose, and ``range_min``
+    exceeds the floor on a condition's target norm, so every drawn target
+    is a valid target.
     """
 
     n_samples: int = 805
@@ -99,8 +104,11 @@ class GeneratorConfig:
             raise ValueError("train_fraction must lie in (0, 1)")
         if not 0 <= self.strategy_mix <= 1:
             raise ValueError("strategy_mix must lie in [0, 1]")
-        if self.range_min <= 0 or self.range_max <= self.range_min:
-            raise ValueError("target range must satisfy 0 < range_min < range_max")
+        if self.range_min <= _MIN_TARGET_NORM:
+            raise ValueError(f"range_min must exceed the minimum target norm of "
+                             f"{_MIN_TARGET_NORM} m, got {self.range_min}")
+        if self.range_max <= self.range_min:
+            raise ValueError("target range must satisfy range_min < range_max")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
         for name in ("eye_yaw_limit", "eye_pitch_limit", "head_yaw_limit",
@@ -124,33 +132,35 @@ class GeneratorConfig:
         return read_config(cls, doc, "generator")
 
 
-@dataclass(frozen=True)
-class GazeSample:
-    condition: ConditionVector
-    allocation: MotionAllocation
-    strategy: str
-
-    def __post_init__(self):
-        if self.strategy not in (EYE_DOMINANT, HEAD_DOMINANT):
-            raise ValueError(f"unknown strategy tag {self.strategy!r}")
-
-
 @dataclass
 class Dataset:
-    samples: list
-    split: list  # "train" / "val", aligned with samples
+    """Samples as rows, in file order.
+
+    ``conditions`` (n, 8) are unnormalised ``vqvae.CONDITION_FIELDS`` rows:
+    eye yaw and pitch, head yaw, pitch and roll, target x, y and z (metres).
+    ``allocations`` (n, 5) are ``vqvae.ALLOCATION_FIELDS`` rows: eye yaw and
+    pitch increments, then head yaw, pitch and roll increments.
+    """
+
+    conditions: np.ndarray
+    allocations: np.ndarray
+    strategy: list  # EYE_DOMINANT / HEAD_DOMINANT, as the file spells them
+    split: list  # "train" / "val", as the file spells them
     seed: int
     config: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     def __post_init__(self):
-        if len(self.samples) != len(self.split):
-            raise ValueError("split assignments must align with samples")
+        n = len(self.split)
+        if (np.shape(self.conditions) != (n, 8) or np.shape(self.allocations) != (n, 5)
+                or len(self.strategy) != n):
+            raise ValueError("condition rows (n, 8), allocation rows (n, 5), strategy and "
+                             "split tags must align")
+        for s in self.strategy:
+            if s not in (EYE_DOMINANT, HEAD_DOMINANT):
+                raise ValueError(f"unknown strategy tag {s!r}")
         for s in self.split:
             if s not in ("train", "val"):
                 raise ValueError(f"unknown split tag {s!r}")
-
-    def subset(self, which: str) -> list:
-        return [s for s, tag in zip(self.samples, self.split) if tag == which]
 
     def content_hash(self) -> str:
         return _text_hash(serialize_dataset(self))
@@ -318,12 +328,13 @@ def generate_dataset(seed: int, config: GeneratorConfig = GeneratorConfig()) -> 
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = config.n_samples
-    samples, attempts, rejected = [], 0, 0
-    while len(samples) < n:
+    conditions, allocations, strategy = [], [], []
+    attempts, rejected = 0, 0
+    while len(strategy) < n:
         # Enough attempts for the samples still missing at the acceptance
         # rate so far, and a few more.
-        rate = (len(samples) + 1) / (attempts + 1)
-        m = min(MAX_CHUNK, int((n - len(samples)) / rate * 1.0625) + 8)
+        rate = (len(strategy) + 1) / (attempts + 1)
+        m = min(MAX_CHUNK, int((n - len(strategy)) / rate * 1.0625) + 8)
         attempts += m
         poses, targets, head_dominant, alpha, roll_noise, eye_jitter = draw_attempts(
             rng, config, m)
@@ -336,7 +347,7 @@ def generate_dataset(seed: int, config: GeneratorConfig = GeneratorConfig()) -> 
             if in_range[i] and violation is None:
                 kept.append(i)
                 rejected = 0
-                if len(samples) + len(kept) == n:
+                if len(strategy) + len(kept) == n:
                     break
             else:
                 rejected += 1
@@ -345,17 +356,13 @@ def generate_dataset(seed: int, config: GeneratorConfig = GeneratorConfig()) -> 
                         f"no valid sample after {config.max_attempts} consecutive attempts; "
                         "generator limits are likely inconsistent"
                     )
-        for pose, target, d_eye, d_head, head_first in zip(
-                poses[kept].tolist(), targets[kept], delta_eye[kept], delta_head[kept],
-                head_dominant[kept].tolist()):
-            samples.append(GazeSample(
-                ConditionVector(EyePose(*pose[:2]), HeadPose(*pose[2:]), target),
-                MotionAllocation(d_eye, d_head),
-                HEAD_DOMINANT if head_first else EYE_DOMINANT,
-            ))
+        conditions.append(np.concatenate([poses[kept], targets[kept]], axis=1))
+        allocations.append(deltas[kept])
+        strategy += [HEAD_DOMINANT if h else EYE_DOMINANT for h in head_dominant[kept].tolist()]
     n_train = round(n * config.train_fraction)
     split = ["train"] * n_train + ["val"] * (n - n_train)
-    return Dataset(samples, split, seed, config)
+    return Dataset(np.concatenate(conditions), np.concatenate(allocations), strategy, split,
+                   seed, config)
 
 
 # -- JSON lines persistence ----------------------------------------------------
@@ -365,31 +372,21 @@ def _text_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _sample_to_doc(sample: GazeSample, split: str) -> dict:
-    c, a = sample.condition, sample.allocation
-    return {
-        "theta_e": [c.eye.yaw, c.eye.pitch],
-        "theta_h": [c.head.yaw, c.head.pitch, c.head.roll],
-        "target": c.target.tolist(),
-        "delta_e": a.delta_eye.tolist(),
-        "delta_h": a.delta_head.tolist(),
-        "strategy": sample.strategy,
-        "split": split,
-    }
-
-
 def serialize_dataset(dataset: Dataset) -> str:
     header = {
         "schema": DATASET_SCHEMA,
         "version": DATASET_VERSION,
         "seed": dataset.seed,
-        "n_samples": len(dataset.samples),
+        "n_samples": len(dataset.split),
         "generator": dataset.config.to_dict(),
     }
     buf = io.StringIO()
     buf.write(json.dumps(header, sort_keys=True) + "\n")
-    for sample, split in zip(dataset.samples, dataset.split):
-        buf.write(json.dumps(_sample_to_doc(sample, split), sort_keys=True) + "\n")
+    for c, a, strategy, split in zip(dataset.conditions.tolist(), dataset.allocations.tolist(),
+                                     dataset.strategy, dataset.split):
+        doc = {"theta_e": c[0:2], "theta_h": c[2:5], "target": c[5:8],
+               "delta_e": a[0:2], "delta_h": a[2:5], "strategy": strategy, "split": split}
+        buf.write(json.dumps(doc, sort_keys=True) + "\n")
     return buf.getvalue()
 
 
@@ -410,7 +407,10 @@ def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> list[float]:
 
 
 def _parse_line(line: str, line_no: int):
-    """One sample line: (pose row (5,), delta row (5,), target, sample, split tag)."""
+    """One sample line: (condition row (8,), allocation row (5,), strategy tag, split tag).
+
+    The values must pass the checks of the pose, condition and allocation types.
+    """
     if not line.strip():
         raise DataError(f"line {line_no}: blank line inside dataset")
     try:
@@ -429,14 +429,11 @@ def _parse_line(line: str, line_no: int):
     if doc.get("split") not in ("train", "val"):
         raise DataError(f"line {line_no}: bad split tag {doc.get('split')!r}")
     try:
-        sample = GazeSample(
-            ConditionVector(EyePose(*theta_e), HeadPose(*theta_h), np.array(target)),
-            MotionAllocation(np.array(delta_e), np.array(delta_h)),
-            doc["strategy"],
-        )
+        ConditionVector(EyePose(*theta_e), HeadPose(*theta_h), np.array(target))
+        MotionAllocation(np.array(delta_e), np.array(delta_h))
     except ValueError as exc:
         raise DataError(f"line {line_no}: {exc}") from exc
-    return theta_e + theta_h, delta_e + delta_h, target, sample, doc["split"]
+    return theta_e + theta_h + target, delta_e + delta_h, doc["strategy"], doc["split"]
 
 
 def read_dataset(path) -> Dataset:
@@ -465,30 +462,30 @@ def read_dataset(path) -> Dataset:
         config = GeneratorConfig.from_dict(header.get("generator", {}))
     except ConfigError as exc:
         raise DataError(f"{path}: bad generator header: {exc}") from exc
-    poses, deltas, targets, samples, split = [], [], [], [], []
+    conditions, allocations, strategy, split = [], [], [], []
     unparsed = None
     for line_no, line in enumerate(lines[1:], start=2):
         try:
-            pose, delta, target, sample, tag = _parse_line(line, line_no)
+            condition, allocation, strategy_tag, split_tag = _parse_line(line, line_no)
         except DataError as exc:
             unparsed = exc
             break
-        poses.append(pose)
-        deltas.append(delta)
-        targets.append(target)
-        samples.append(sample)
-        split.append(tag)
+        conditions.append(condition)
+        allocations.append(allocation)
+        strategy.append(strategy_tag)
+        split.append(split_tag)
+    conditions = np.array(conditions).reshape(-1, 8)
+    allocations = np.array(allocations).reshape(-1, 5)
     # The lines before one that does not parse are checked first: a
     # violation among them is the first offending line.
-    violations = check_rows(np.array(poses).reshape(-1, 5), np.array(deltas).reshape(-1, 5),
-                            np.array(targets).reshape(-1, 3), config)
+    violations = check_rows(conditions[:, :5], allocations, conditions[:, 5:], config)
     for line_no, violation in enumerate(violations, start=2):
         if violation is not None:
             raise DataError(f"line {line_no}: invariant violation: {violation}")
     if unparsed is not None:
         raise unparsed
-    if header.get("n_samples") != len(samples):
+    if header.get("n_samples") != len(split):
         raise DataError(
-            f"{path}: header announces {header.get('n_samples')} samples, found {len(samples)}"
+            f"{path}: header announces {header.get('n_samples')} samples, found {len(split)}"
         )
-    return Dataset(samples, split, header.get("seed", 0), config)
+    return Dataset(conditions, allocations, strategy, split, header.get("seed", 0), config)

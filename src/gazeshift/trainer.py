@@ -144,13 +144,11 @@ METRICS_COLUMNS = [f.name for f in fields(EpochMetrics)]
 
 
 def dataset_arrays(dataset: Dataset, which: str):
-    """(Y, C) allocation and condition rows for one split."""
-    samples = dataset.subset(which)
-    if not samples:
+    """(Y, C) allocation and condition rows for one split, in file order."""
+    rows = np.array(dataset.split) == which
+    if not rows.any():
         raise TrainingError(f"dataset has no {which!r} samples")
-    Y = np.stack([s.allocation.as_vector() for s in samples])
-    C = np.stack([s.condition.as_input() for s in samples])
-    return Y, C
+    return dataset.allocations[rows], dataset.conditions[rows]
 
 
 def _mgd(d_eye: np.ndarray, d_head: np.ndarray):

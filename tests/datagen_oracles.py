@@ -12,25 +12,54 @@ checks each line as soon as it is parsed, where the package parses every
 line first and checks them together. On any file both must return the same
 dataset or name the same line with the same message.
 
-``gaze_ray`` and ``angular_error`` are the scalar geometry both use; the
-acceptance test measures every stored sample against them.
+Both oracles build one ``GazeSample`` object per sample, as the package
+did before a ``Dataset`` became rows, and convert to a row ``Dataset`` at
+the end (``rows_dataset``); ``samples_of`` turns the rows back into sample
+objects. ``gaze_ray`` and ``angular_error`` are the scalar geometry both
+use; the acceptance test measures every stored sample against them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from gazeshift import so3
 from gazeshift.datagen import (DATASET_SCHEMA, DATASET_VERSION, EYE_DOMINANT, HEAD_DOMINANT,
-                               Dataset, GazeSample, GeneratorConfig, _parse_floats)
+                               Dataset, GeneratorConfig)
 from gazeshift.errors import ConfigError, DataError
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.vqvae import ConditionVector, MotionAllocation
 
 FORWARD = np.array([1.0, 0.0, 0.0])
+
+
+@dataclass(frozen=True)
+class GazeSample:
+    condition: ConditionVector
+    allocation: MotionAllocation
+    strategy: str
+
+    def __post_init__(self):
+        if self.strategy not in (EYE_DOMINANT, HEAD_DOMINANT):
+            raise ValueError(f"unknown strategy tag {self.strategy!r}")
+
+
+def rows_dataset(samples: list, split: list, seed: int, config: GeneratorConfig) -> Dataset:
+    """The row ``Dataset`` of ``samples``, in order."""
+    return Dataset(np.array([s.condition.as_input() for s in samples]).reshape(-1, 8),
+                   np.array([s.allocation.as_vector() for s in samples]).reshape(-1, 5),
+                   [s.strategy for s in samples], split, seed, config)
+
+
+def samples_of(dataset: Dataset) -> list:
+    """One ``GazeSample`` per row of ``dataset``, in order."""
+    return [GazeSample(ConditionVector.from_input(c), MotionAllocation(a[:2], a[2:]), strategy)
+            for c, a, strategy in zip(dataset.conditions, dataset.allocations,
+                                      dataset.strategy)]
 
 
 def gaze_ray(eye: EyePose, head: HeadPose) -> np.ndarray:
@@ -168,7 +197,15 @@ def generate_dataset_per_sample(seed: int,
     samples = [generate_sample(rng, config) for _ in range(config.n_samples)]
     n_train = round(config.n_samples * config.train_fraction)
     split = ["train"] * n_train + ["val"] * (config.n_samples - n_train)
-    return Dataset(samples, split, seed, config)
+    return rows_dataset(samples, split, seed, config)
+
+
+def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> list[float]:
+    value = doc.get(key)
+    if (not isinstance(value, list) or len(value) != width
+            or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in value)):
+        raise DataError(f"line {line_no}: field {key!r} must be {width} finite numbers")
+    return [float(x) for x in value]
 
 
 def read_dataset_per_line(path) -> Dataset:
@@ -227,4 +264,4 @@ def read_dataset_per_line(path) -> Dataset:
         raise DataError(
             f"{path}: header announces {header.get('n_samples')} samples, found {len(samples)}"
         )
-    return Dataset(samples, split, header.get("seed", 0), config)
+    return rows_dataset(samples, split, header.get("seed", 0), config)

@@ -31,7 +31,7 @@ from gazeshift.trainer import (TrainConfig, dataset_arrays, run_training,
                                validate_stage1)
 from gazeshift.vqvae import (ConditionalVQVAE, VQVAEConfig, quantize_rows,
                              reconstruction_terms, target_rotations)
-from datagen_oracles import angular_error, check_sample, gaze_ray
+from datagen_oracles import angular_error, check_sample, gaze_ray, samples_of
 from net_oracles import preactivations
 
 BUNDLED_SCENARIOS = Path(gazeshift.__file__).parent / "scenarios"
@@ -408,15 +408,14 @@ def test_criterion_5_prior_code_diversity(default_run):
 
 def test_criterion_6_dataset_integrity(default_run):
     dataset, _, _, _ = default_run
-    n = len(dataset.samples)
-    n_train = len(dataset.subset("train"))
-    n_val = len(dataset.subset("val"))
-    n_ok = sum(1 for s in dataset.samples if check_sample(s, dataset.config) is None)
+    n = len(dataset.split)
+    n_train, n_val = dataset.split.count("train"), dataset.split.count("val")
+    n_ok = sum(1 for s in samples_of(dataset) if check_sample(s, dataset.config) is None)
     worst = 0.0
-    for s in dataset.samples:
-        new_eye = EyePose(*(s.condition.eye.as_array() + s.allocation.delta_eye))
-        new_head = HeadPose(*(s.condition.head.as_array() + s.allocation.delta_head))
-        err = angular_error(gaze_ray(new_eye, new_head), s.condition.target)
+    for c, a in zip(dataset.conditions, dataset.allocations):
+        new_eye = EyePose(*(c[0:2] + a[0:2]))
+        new_head = HeadPose(*(c[2:5] + a[2:5]))
+        err = angular_error(gaze_ray(new_eye, new_head), c[5:8])
         worst = max(worst, math.degrees(err))
     ok = (n, n_train, n_val) == (805, 644, 161) and n_ok == n and worst <= 2.0
     report("6", ok,

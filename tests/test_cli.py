@@ -124,6 +124,15 @@ def test_gen_data_limits_beyond_valid_poses_exit_config(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_gen_data_range_min_at_or_below_the_target_norm_exit_config(tmp_path, capsys):
+    # used to end in "ValueError: target norm must exceed 0.05 m" and exit 1
+    config = write_config(tmp_path, {"generator": {"range_min": 0.01, "range_max": 0.04}})
+    assert main(["gen-data", "--config", config, "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "range_min must exceed the minimum target norm of 0.05 m, got 0.01" in err
+
+
 # -- configuration failures ------------------------------------------------------------
 
 def test_unknown_config_section_exit_config(tmp_path):
@@ -257,6 +266,21 @@ def test_dataset_header_limits_beyond_valid_poses_exit_data(pipeline, tmp_path, 
                  "--out", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err
     assert "bad generator header: eye_pitch_limit must be at most pi/2" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_dataset_header_range_min_at_the_target_norm_exit_data(pipeline, tmp_path, capsys):
+    _, config, data_dir, _ = pipeline
+    lines = (data_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["generator"]["range_min"] = 0.05
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "bad generator header: range_min must exceed the minimum target norm" in err
     assert err.startswith("error:") and err.count("\n") == 1
 
 

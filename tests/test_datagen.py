@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,16 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazeshift import datagen
+from gazeshift.atomic import open_atomic
 from gazeshift.datagen import (EYE_DOMINANT, HEAD_DOMINANT, POSE_LIMITS, Dataset,
-                               GazeSample, GeneratorConfig, allocate_rows,
-                               angular_errors, check_rows, draw_attempts,
-                               gaze_angles, gaze_rays, generate_dataset,
+                               GeneratorConfig, allocate_rows, angular_errors, check_rows,
+                               draw_attempts, gaze_angles, gaze_rays, generate_dataset,
                                read_dataset, serialize_dataset, write_dataset)
 from gazeshift.errors import ConfigError, DataError
-from gazeshift.so3 import EyePose, HeadPose
-from gazeshift.vqvae import ConditionVector, MotionAllocation
 from datagen_oracles import (check_sample, generate_dataset_per_sample,
-                             read_dataset_per_line)
+                             read_dataset_per_line, samples_of)
+
+# SHA-256 of the seed-0 dataset at the shipped generator config
+SEED0_DATASET_SHA256 = "a3bf48b258413f4906c048384a449dc215942c271a26dcc46b42343788e946a7"
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +39,9 @@ def default_dataset() -> Dataset:
     return generate_dataset(0)
 
 
-def rows(samples):
-    """(poses (m, 5), deltas (m, 5), targets (m, 3)) of ``samples``, for ``check_rows``."""
-    poses = np.array([[*s.condition.eye.as_array(), *s.condition.head.as_array()]
-                      for s in samples]).reshape(-1, 5)
-    deltas = np.array([s.allocation.as_vector() for s in samples]).reshape(-1, 5)
-    targets = np.array([s.condition.target for s in samples]).reshape(-1, 3)
-    return poses, deltas, targets
+def rows(dataset):
+    """(poses (m, 5), deltas (m, 5), targets (m, 3)) of ``dataset``, for ``check_rows``."""
+    return dataset.conditions[:, :5], dataset.allocations, dataset.conditions[:, 5:]
 
 
 # -- gaze geometry -----------------------------------------------------------------
@@ -209,7 +207,7 @@ def test_draw_attempts_reads_the_stream_of_single_draws():
 
 def test_check_sample_passes_consistent_sample():
     cfg = GeneratorConfig(n_samples=3)
-    assert check_rows(*rows(generate_dataset(3, cfg).samples), cfg) == [None] * 3
+    assert check_rows(*rows(generate_dataset(3, cfg)), cfg) == [None] * 3
 
 
 def test_check_sample_names_violated_limit():
@@ -294,20 +292,20 @@ def test_generator_raises_the_oracles_data_error(cfg):
 # -- full dataset invariants ----------------------------------------------------------------
 
 def test_dataset_counts_and_split(default_dataset):
-    assert len(default_dataset.samples) == 805
-    assert len(default_dataset.subset("train")) == 644
-    assert len(default_dataset.subset("val")) == 161
-    assert default_dataset.split[:644] == ["train"] * 644
+    assert default_dataset.conditions.shape == (805, 8)
+    assert default_dataset.allocations.shape == (805, 5)
+    assert len(default_dataset.strategy) == 805
+    assert default_dataset.split == ["train"] * 644 + ["val"] * 161
 
 
 def test_dataset_every_sample_valid(default_dataset):
     cfg = default_dataset.config
-    assert check_rows(*rows(default_dataset.samples), cfg) == [None] * 805
-    assert all(check_sample(sample, cfg) is None for sample in default_dataset.samples)
+    assert check_rows(*rows(default_dataset), cfg) == [None] * 805
+    assert all(check_sample(sample, cfg) is None for sample in samples_of(default_dataset))
 
 
 def test_dataset_strategy_mix_materialises(default_dataset):
-    tags = [s.strategy for s in default_dataset.samples]
+    tags = default_dataset.strategy
     head = tags.count(HEAD_DOMINANT)
     assert head / len(tags) > 0.85  # mix defaults to 0.95
     assert set(tags) <= {EYE_DOMINANT, HEAD_DOMINANT}
@@ -316,7 +314,7 @@ def test_dataset_strategy_mix_materialises(default_dataset):
 def test_dataset_regeneration_is_byte_identical(default_dataset):
     again = generate_dataset(0)
     assert serialize_dataset(again) == serialize_dataset(default_dataset)
-    assert again.content_hash() == default_dataset.content_hash()
+    assert again.content_hash() == default_dataset.content_hash() == SEED0_DATASET_SHA256
 
 
 def test_dataset_seed_changes_content(default_dataset):
@@ -334,16 +332,36 @@ def test_round_trip_is_byte_identical(tmp_path, default_dataset):
     assert back.seed == default_dataset.seed
     assert back.config == default_dataset.config
     assert back.split == default_dataset.split
+    assert back.strategy == default_dataset.strategy
+    assert back.conditions.tobytes() == default_dataset.conditions.tobytes()
+    assert back.allocations.tobytes() == default_dataset.allocations.tobytes()
 
 
-def test_write_dataset_failing_midway_keeps_previous_file(tmp_path, default_dataset):
+def test_write_dataset_failing_midway_keeps_previous_file(tmp_path, default_dataset,
+                                                          monkeypatch):
     path = tmp_path / "dataset.jsonl"
     write_dataset(default_dataset, path)
     before = path.read_bytes()
-    broken = Dataset(default_dataset.samples[:3] + [object()], ["train"] * 4,
-                     seed=default_dataset.seed, config=default_dataset.config)
-    with pytest.raises(AttributeError):
-        write_dataset(broken, path)
+
+    class FailingHandle:
+        """Writes the first half of the text to the temporary file, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError("no space left on device")
+
+    @contextmanager
+    def failing_open_atomic(target):
+        with open_atomic(target) as fh:
+            yield FailingHandle(fh)
+
+    monkeypatch.setattr(datagen, "open_atomic", failing_open_atomic)
+    with pytest.raises(OSError, match="no space left"):
+        write_dataset(generate_dataset(1, GeneratorConfig(n_samples=20)), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
 
@@ -454,6 +472,11 @@ LINE_DAMAGES = {
     "bad_strategy": lambda line: _edited(line, lambda doc: doc.update(strategy="wobbly")),
     "pose_out_of_range": lambda line: _edited(
         line, lambda doc: doc["theta_e"].__setitem__(1, 2.0)),
+    "head_pose_out_of_range": lambda line: _edited(
+        line, lambda doc: doc["theta_h"].__setitem__(0, 4.0)),
+    "target_too_close": lambda line: _edited(line, lambda doc: doc.update(target=[0.05, 0, 0])),
+    "increment_beyond_pi": lambda line: _edited(
+        line, lambda doc: doc["delta_h"].__setitem__(0, 3.5)),
     "blank": lambda line: "",
 }
 
@@ -481,6 +504,18 @@ def test_reader_names_the_oracles_line_and_message(tmp_path, name):
     outcome = _both_readers(tmp_path, lines)
     reason = f"{name} limit exceeded" if name != "consistency" else "gaze misses target by"
     assert outcome.startswith(f"DataError: line 7: invariant violation: {reason}")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("pose_out_of_range", "eye pose outside representational range"),
+    ("head_pose_out_of_range", "head pose yaw=4.0 outside (-pi, pi]"),
+    ("target_too_close", "target norm must exceed 0.05 m (got 0.0500)"),
+    ("increment_beyond_pi", "motion increments must lie within [-pi, pi]"),
+])
+def test_reader_names_the_oracles_value_rule(tmp_path, name, message):
+    lines = list(READER_LINES)
+    lines[6] = LINE_DAMAGES[name](lines[6])
+    assert _both_readers(tmp_path, lines).startswith(f"DataError: line 7: {message}")
 
 
 def test_reader_reports_a_check_failure_before_a_later_parse_failure(tmp_path):
@@ -523,15 +558,23 @@ def test_generator_config_rejects_bad_values():
         GeneratorConfig(range_min=2.0, range_max=1.0)
     with pytest.raises(ValueError):
         GeneratorConfig(n_samples=0)
+    # a condition's target norm must exceed 0.05 m, so every drawn range must too
+    for range_min in (0.05, 0.0):
+        with pytest.raises(ValueError, match="range_min must exceed the minimum target norm"):
+            GeneratorConfig(range_min=range_min, range_max=0.04)
 
 
-def test_gaze_sample_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        GazeSample(
-            ConditionVector(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0, 0]),
-            MotionAllocation([0, 0], [0, 0, 0]),
-            "sideways",
-        )
+def test_dataset_rejects_unknown_tags_and_misaligned_rows(default_dataset):
+    d = default_dataset
+    with pytest.raises(ValueError, match="unknown strategy tag 'sideways'"):
+        Dataset(d.conditions, d.allocations, d.strategy[:-1] + ["sideways"], d.split, 0)
+    with pytest.raises(ValueError, match="unknown split tag 'test'"):
+        Dataset(d.conditions, d.allocations, d.strategy, d.split[:-1] + ["test"], 0)
+    for conditions, allocations, strategy in [(d.conditions[1:], d.allocations, d.strategy),
+                                              (d.conditions, d.allocations[:, :4], d.strategy),
+                                              (d.conditions, d.allocations, d.strategy[1:])]:
+        with pytest.raises(ValueError, match="must align"):
+            Dataset(conditions, allocations, strategy, d.split, 0)
 
 
 def test_generator_config_rejects_limits_beyond_valid_poses():

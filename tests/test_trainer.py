@@ -28,7 +28,9 @@ from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                draw_allocations, infer, record_codes, run_training,
                                train_stage1, train_stage2, validate_stage1,
                                validate_stage2, write_metrics_csv)
-from gazeshift.vqvae import ConditionalVQVAE, VQVAEConfig, quantize_rows, target_rotations
+from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, quantize_rows,
+                             target_rotations)
+from datagen_oracles import samples_of
 
 SMALL_GEN = GeneratorConfig(n_samples=60)
 SMALL_TRAIN = TrainConfig(stage1_epochs=8, stage2_epochs=6, batch_size=16,
@@ -69,6 +71,11 @@ def trained(small_dataset):
     labels = record_codes(model, small_dataset)
     prior, s2 = train_stage2(model, labels, small_dataset, SMALL_TRAIN)
     return model, s1, labels, prior, s2
+
+
+@pytest.fixture(scope="module")
+def val_conditions(small_dataset):
+    return [ConditionVector.from_input(c) for c in dataset_arrays(small_dataset, "val")[1]]
 
 
 # -- mean geodesic distance ------------------------------------------------------------
@@ -155,13 +162,15 @@ def test_epoch_metrics_row_layout():
 def test_dataset_arrays_targets(small_dataset):
     Y, C = dataset_arrays(small_dataset, "train")
     assert Y.shape == (48, 5) and C.shape == (48, 8)
-    train = small_dataset.subset("train")
+    train = [s for s, tag in zip(samples_of(small_dataset), small_dataset.split)
+             if tag == "train"]
     np.testing.assert_array_equal(Y, [s.allocation.as_vector() for s in train])
     np.testing.assert_array_equal(C, [s.condition.as_input() for s in train])
 
 
 def test_dataset_arrays_rejects_missing_split(small_dataset):
-    all_train = Dataset(small_dataset.samples, ["train"] * 60,
+    all_train = Dataset(small_dataset.conditions, small_dataset.allocations,
+                        small_dataset.strategy, ["train"] * 60,
                         small_dataset.seed, small_dataset.config)
     with pytest.raises(TrainingError, match="no 'val'"):
         dataset_arrays(all_train, "val")
@@ -318,9 +327,9 @@ def test_stage2_non_finite_focal_loss_names_stage_and_epoch(trained, small_datas
 
 # -- inference ------------------------------------------------------------------------------------
 
-def test_infer_argmax_is_deterministic(trained, small_dataset):
+def test_infer_argmax_is_deterministic(trained, val_conditions):
     model, prior = trained[0], trained[3]
-    c = small_dataset.subset("val")[0].condition
+    c = val_conditions[0]
     a = infer(model, prior, c, mode="argmax")
     b = infer(model, prior, c, mode="argmax")
     assert a.code == b.code == int(np.argmax(a.pi))
@@ -328,9 +337,9 @@ def test_infer_argmax_is_deterministic(trained, small_dataset):
     np.testing.assert_array_equal(a.pi, b.pi)
 
 
-def test_infer_sampling_follows_pi(trained, small_dataset):
+def test_infer_sampling_follows_pi(trained, val_conditions):
     model, prior = trained[0], trained[3]
-    c = small_dataset.subset("val")[1].condition
+    c = val_conditions[1]
     pi = prior.forward_rows(c.as_input()[None, :])[0]
     rng = np.random.default_rng(17)
     draws = np.array([infer(model, prior, c, mode="sample", rng=rng).code
@@ -340,13 +349,12 @@ def test_infer_sampling_follows_pi(trained, small_dataset):
 
 
 @pytest.mark.parametrize("mode", ["sample", "argmax"])
-def test_infer_equals_forward_sample_and_decode(trained, small_dataset, mode):
+def test_infer_equals_forward_sample_and_decode(trained, val_conditions, mode):
     # infer must give the bits of the public pieces it stands for: the
     # prior and the decoder on one condition row, and one scalar draw
     model, prior = trained[0], trained[3]
     rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
-    for sample in small_dataset.subset("val"):
-        c = sample.condition
+    for c in val_conditions:
         result = infer(model, prior, c, mode=mode, rng=rng)
         x = c.as_input()[None, :]
         pi = prior.forward_rows(x)[0]
@@ -358,22 +366,21 @@ def test_infer_equals_forward_sample_and_decode(trained, small_dataset, mode):
     assert rng.random() == ref_rng.random()
 
 
-def test_draw_allocations_refuses_models_that_scale_targets_differently(trained, small_dataset):
+def test_draw_allocations_refuses_models_that_scale_targets_differently(trained, val_conditions):
     # one normalised condition row feeds both models, so their scales must agree
     model, prior = trained[0], trained[3]
     other = ConditionalPrior(dataclasses.replace(prior.config, target_scale=3.0))
     other.set_params(prior.params())
-    c = small_dataset.subset("val")[0].condition
+    c = val_conditions[0]
     with pytest.raises(ValueError, match="stage-1 target_scale 2.0 differs from the prior's 3.0"):
         draw_allocations(model, other, c, "sample", np.random.default_rng(0), 5)
 
 
 @pytest.mark.parametrize("mode", ["sample", "argmax"])
-def test_draw_allocations_equals_n_infer_calls(trained, small_dataset, mode):
+def test_draw_allocations_equals_n_infer_calls(trained, val_conditions, mode):
     model, prior = trained[0], trained[3]
     rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
-    for sample in small_dataset.subset("val"):
-        c = sample.condition
+    for c in val_conditions:
         pi, codes, allocations = draw_allocations(model, prior, c, mode, rng, 25)
         results = [infer(model, prior, c, mode=mode, rng=ref_rng) for _ in range(25)]
         assert codes.tolist() == [r.code for r in results]
@@ -385,20 +392,20 @@ def test_draw_allocations_equals_n_infer_calls(trained, small_dataset, mode):
     assert rng.random() == ref_rng.random()
 
 
-def test_infer_names_the_code_of_an_allocation_outside_pi(trained, small_dataset):
+def test_infer_names_the_code_of_an_allocation_outside_pi(trained, val_conditions):
     model = ConditionalVQVAE(trained[0].config)
     model.set_params(trained[0].params())
     model.decoder.biases[-1][0] = 100.0  # the eye yaw increment, far past pi
-    c = small_dataset.subset("val")[0].condition
+    c = val_conditions[0]
     with pytest.raises(ValueError, match=r"code \d+ decodes to an unusable allocation: "
                                          r"motion increments must lie within"):
         infer(model, trained[3], c, mode="argmax")
 
 
-def test_infer_rejects_unknown_mode(trained, small_dataset):
+def test_infer_rejects_unknown_mode(trained, val_conditions):
     model, prior = trained[0], trained[3]
     with pytest.raises(ValueError):
-        infer(model, prior, small_dataset.subset("val")[0].condition, mode="map")
+        infer(model, prior, val_conditions[0], mode="map")
 
 
 # -- persistence of runs -----------------------------------------------------------------------------
