@@ -496,26 +496,24 @@ def _both_readers(tmp_path, lines):
     return outcomes[0]
 
 
-@pytest.mark.parametrize("name", ["eye yaw", "eye pitch", "head yaw", "head pitch", "head roll",
-                                  "consistency"])
+# The message of each damage that fails one line, after "line 7: ".
+LINE_MESSAGES = {
+    **{POSE_LIMITS[k][0]: f"invariant violation: {POSE_LIMITS[k][0]} limit exceeded"
+       for k in range(5)},
+    "consistency": "invariant violation: gaze misses target by",
+    "pose_out_of_range": "eye pose outside representational range",
+    "head_pose_out_of_range": "head pose yaw=4.0 outside (-pi, pi]",
+    "target_too_close": "target norm must exceed 0.05 m (got 0.0500)",
+    "increment_beyond_pi": "motion increments must lie within [-pi, pi]",
+}
+
+
+@pytest.mark.parametrize("name", list(LINE_MESSAGES))
 def test_reader_names_the_oracles_line_and_message(tmp_path, name):
     lines = list(READER_LINES)
     lines[6] = LINE_DAMAGES[name](lines[6])
     outcome = _both_readers(tmp_path, lines)
-    reason = f"{name} limit exceeded" if name != "consistency" else "gaze misses target by"
-    assert outcome.startswith(f"DataError: line 7: invariant violation: {reason}")
-
-
-@pytest.mark.parametrize("name, message", [
-    ("pose_out_of_range", "eye pose outside representational range"),
-    ("head_pose_out_of_range", "head pose yaw=4.0 outside (-pi, pi]"),
-    ("target_too_close", "target norm must exceed 0.05 m (got 0.0500)"),
-    ("increment_beyond_pi", "motion increments must lie within [-pi, pi]"),
-])
-def test_reader_names_the_oracles_value_rule(tmp_path, name, message):
-    lines = list(READER_LINES)
-    lines[6] = LINE_DAMAGES[name](lines[6])
-    assert _both_readers(tmp_path, lines).startswith(f"DataError: line 7: {message}")
+    assert outcome.startswith(f"DataError: line 7: {LINE_MESSAGES[name]}")
 
 
 def test_reader_reports_a_check_failure_before_a_later_parse_failure(tmp_path):
