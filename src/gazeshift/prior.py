@@ -31,30 +31,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .vqvae import condition_inputs
+from .vqvae import SharedModelConfig, condition_inputs
 
 PROB_FLOOR = 1e-12  # floor on pi[z*] before the log
 _DIST_ATOL = 1e-9   # tolerated deviation of sum(pi) from 1
 
 
 @dataclass(frozen=True)
-class PriorConfig:
-    codebook_size: int = 10
-    hidden_width: int = 64
+class PriorConfig(SharedModelConfig):
     gamma: float = 2.0
     eta: float = 1.0
     lambda_mc: float = 1.0
-    target_scale: float = 2.0
 
     def __post_init__(self):
-        if self.codebook_size < 1 or self.hidden_width < 1:
-            raise ValueError("codebook_size and hidden_width must be positive")
+        super().__post_init__()
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.eta < 0 or self.lambda_mc < 0:
             raise ValueError("eta and lambda_mc must be non-negative")
-        if not 0 < self.target_scale < float("inf"):
-            raise ValueError(f"target_scale must be positive and finite, not {self.target_scale}")
 
 
 def check_distribution(pi: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -133,9 +127,6 @@ class ConditionalPrior:
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
         self.net.set_params(params)
-
-    def fingerprint(self) -> str:
-        return nets.params_fingerprint(self.params())
 
     def logits_rows(self, C: np.ndarray) -> np.ndarray:
         return self.net.forward(condition_inputs(C, self.config.target_scale))

@@ -107,9 +107,6 @@ class HeadPose:
         return self.as_array()
 
 
-Pose = EyePose | HeadPose
-
-
 def rotation_zyx(angles: np.ndarray) -> np.ndarray:
     """Rotation matrices for intrinsic Z-Y-X Euler angles.
 
@@ -139,13 +136,6 @@ def _rotation_from_trig(cy, sy, cp, sp, cr, sr) -> np.ndarray:
     R[..., 2, 1] = cp * sr
     R[..., 2, 2] = cp * cr
     return R
-
-
-def euler_to_matrix(pose: Pose) -> np.ndarray:
-    """Rotation matrix of a pose; eye poses are promoted with roll = 0."""
-    if not isinstance(pose, (EyePose, HeadPose)):
-        raise ValueError(f"expected EyePose or HeadPose, got {type(pose).__name__}")
-    return rotation_zyx(pose.as_angles())
 
 
 def check_rotation(R: np.ndarray, atol: float = ROTATION_ATOL) -> None:

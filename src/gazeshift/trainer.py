@@ -18,7 +18,8 @@ code), so stage 2 decodes every code once per row before it starts
 (``CodeErrors``) and its steps and validations look the errors up. The
 metric is the mean geodesic distance (MGD, degrees) between predicted and
 ground-truth target poses, per component; the best checkpoint of each
-stage minimises the summed eye+head validation MGD.
+stage minimises the summed eye+head validation MGD, and stage 2 breaks a
+tie by the higher top-1 agreement, then the lower focal loss.
 
 Each stage computes the rotations of its splits' ground-truth target poses
 once (``vqvae.target_rotations``) and hands steps and validations their rows.
@@ -60,8 +61,8 @@ METRICS_FILE = "metrics.csv"
 TIMINGS_FILE = "timings.jsonl"
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters for both stages; defaults are the reference recipe."""
+class TrainConfig(PriorConfig, VQVAEConfig):
+    """Hyperparameters for both stages: the model configs' fields and the loop's own."""
 
     stage1_epochs: int = 200
     stage2_epochs: int = 100
@@ -70,19 +71,10 @@ class TrainConfig:
     weight_decay: float = 1e-4
     milestones: tuple = (100, 150)
     lr_decay: float = 0.5
-    codebook_size: int = 10
-    latent_dim: int = 8
-    hidden_width: int = 64
-    beta: float = 0.25
-    lambda_rc: float = 1.0
-    gamma: float = 2.0
-    eta: float = 1.0
-    lambda_mc: float = 1.0
-    target_scale: float = 2.0
-    codebook_init_scale: float = 1.5
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.stage1_epochs < 1 or self.stage2_epochs < 1:
             raise ValueError("epoch counts must be positive")
         if self.batch_size < 1:
@@ -91,8 +83,7 @@ class TrainConfig:
             raise ValueError("weight_decay must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        # The model configs and the schedule (lr, milestones, lr_decay) check the rest.
-        self.vqvae_config(), self.prior_config(), self.lr_schedule()
+        self.lr_schedule()  # checks lr, milestones and lr_decay
 
     def lr_schedule(self) -> nets.LrSchedule:
         return nets.LrSchedule(self.lr, tuple(self.milestones), self.lr_decay)
@@ -134,6 +125,13 @@ class EpochMetrics:
     def summed_mgd(self) -> float:
         return self.val_eye_mgd_deg + self.val_head_mgd_deg
 
+    def rank(self) -> tuple:
+        """Best-epoch order, lowest first: summed MGD, then higher top-1, then lower focal loss.
+
+        Stage 1 has neither of the last two (they count as 0), so only its MGD ranks.
+        """
+        return self.summed_mgd(), -(self.prior_top1_acc or 0.0), self.loss_focal or 0.0
+
     def row(self) -> list:
         # float() first: the repr of a numpy scalar carries its type name
         return ["" if v is None else repr(float(v)) if isinstance(v, float) else v
@@ -165,13 +163,12 @@ class StageResult:
     # per epoch: {"stage", "epoch", "step_s", "optimizer_s", "validation_s"}
     timings: list
 
-    def best_summed(self) -> float:
-        return self.metrics[self.best_epoch].summed_mgd()
-
 
 def _fit(stage: int, flat: np.ndarray, params: dict, n: int, epochs: int,
          rng: np.random.Generator, config: TrainConfig, step, end_epoch) -> StageResult:
     """The epoch loop of both stages; leaves ``flat`` at its best epoch.
+
+    The best epoch is the first of lowest ``EpochMetrics.rank``.
 
     Each epoch walks a shuffle of the n training rows in batches (a short
     final batch is kept). ``step(batch)`` returns (loss-term array, flat
@@ -208,7 +205,7 @@ def _fit(stage: int, flat: np.ndarray, params: dict, n: int, epochs: int,
         metrics.append(end_epoch(epoch, adam.lr, sums / n))
         timings.append({"stage": stage, "epoch": epoch, "step_s": step_s,
                         "optimizer_s": optimizer_s, "validation_s": time.perf_counter() - t0})
-        if best is None or metrics[-1].summed_mgd() < best.best_summed():
+        if best is None or metrics[-1].rank() < best.metrics[best.best_epoch].rank():
             best = StageResult(stage, metrics, epoch, flat.copy(), timings)
     flat[...] = best.best_params
     return best
@@ -486,7 +483,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
                 raise TrainingError(f"stage 2 requested but {ckpt_path} does not exist")
             with checkpoint_errors(out):
                 model, ck = ConditionalVQVAE.load(ckpt_path)
-                shared_target_scale(model, config.prior_config())
+                shared_target_scale(model, config)
             if ck.metadata.get("dataset_hash") != dataset_hash:
                 raise TrainingError("stage-1 checkpoint was trained on a different dataset "
                                     "or records no dataset hash")

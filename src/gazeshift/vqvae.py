@@ -93,15 +93,29 @@ def condition_inputs(C: np.ndarray, target_scale: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VQVAEConfig:
+class SharedModelConfig:
+    """The fields both models read: one value each feeds the VQ-VAE and the prior."""
+
     codebook_size: int = 10
-    latent_dim: int = 8
     hidden_width: int = 64
+    # Target coordinates are divided by this scale before entering either
+    # model, bringing metres in a ~3 m workspace to order one.
+    target_scale: float = 2.0
+
+    def __post_init__(self):
+        if self.codebook_size < 1:
+            raise ValueError("codebook_size must be at least 1")
+        if self.hidden_width < 1:
+            raise ValueError("hidden_width must be at least 1")
+        if not 0 < self.target_scale < float("inf"):
+            raise ValueError(f"target_scale must be positive and finite, not {self.target_scale}")
+
+
+@dataclass(frozen=True)
+class VQVAEConfig(SharedModelConfig):
+    latent_dim: int = 8
     beta: float = 0.25
     lambda_rc: float = 1.0
-    # Target coordinates are divided by this scale before entering the
-    # condition encoder, bringing metres in a ~3 m workspace to order one.
-    target_scale: float = 2.0
     # Codebook entries start uniform in [-scale, scale]^D. The default spans
     # the untrained encoder's output range; entries the data never claims
     # stay where they started (plain VQ, no usage resets), so effective code
@@ -109,14 +123,11 @@ class VQVAEConfig:
     codebook_init_scale: float = 1.5
 
     def __post_init__(self):
-        if self.codebook_size < 1:
-            raise ValueError("codebook_size must be at least 1")
-        if self.latent_dim < 1 or self.hidden_width < 1:
-            raise ValueError("latent_dim and hidden_width must be positive")
+        super().__post_init__()
+        if self.latent_dim < 1:
+            raise ValueError("latent_dim must be at least 1")
         if self.beta < 0 or self.lambda_rc < 0:
             raise ValueError("beta and lambda_rc must be non-negative")
-        if not 0 < self.target_scale < float("inf"):
-            raise ValueError("target_scale must be positive and finite")
         if self.codebook_init_scale <= 0:
             raise ValueError("codebook_init_scale must be positive")
 
@@ -313,17 +324,13 @@ class ConditionalVQVAE:
 
     # -- forward pieces ------------------------------------------------------
 
-    def condition_inputs(self, C: np.ndarray) -> np.ndarray:
-        """Normalise raw condition rows for the condition encoder."""
-        return condition_inputs(C, self.config.target_scale)
-
     def encode_rows(self, Y: np.ndarray, C: np.ndarray) -> np.ndarray:
         f_y = self.recon_encoder.forward(_finite_rows(Y, "allocation rows"))
-        f_c = self.cond_encoder.forward(self.condition_inputs(C))
+        f_c = self.cond_encoder.forward(condition_inputs(C, self.config.target_scale))
         return self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
 
     def decode_rows(self, Zq: np.ndarray, C: np.ndarray) -> np.ndarray:
-        return self.decode_inputs(Zq, self.condition_inputs(C))
+        return self.decode_inputs(Zq, condition_inputs(C, self.config.target_scale))
 
     def decode_inputs(self, Zq: np.ndarray, X: np.ndarray) -> np.ndarray:
         """``decode_rows`` for condition rows ``X`` that ``condition_inputs`` has normalised."""
@@ -353,7 +360,7 @@ class ConditionalVQVAE:
         backward pass of :meth:`loss_and_grads`. Returns (idx, z_e, z_q, pred).
         """
         f_y = self.recon_encoder.forward(_finite_rows(Y, "allocation rows"))
-        f_c = self.cond_encoder.forward(self.condition_inputs(C))
+        f_c = self.cond_encoder.forward(condition_inputs(C, self.config.target_scale))
         z_e = self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
         idx, z_q = quantize_rows(z_e, self.codebook)
         h = self.fusion_out.forward(np.concatenate([z_q, f_c], axis=1))

@@ -17,6 +17,8 @@ did before a ``Dataset`` became rows, and convert to a row ``Dataset`` at
 the end (``rows_dataset``); ``samples_of`` turns the rows back into sample
 objects. ``gaze_ray`` and ``angular_error`` are the scalar geometry both
 use; the acceptance test measures every stored sample against them.
+``euler_to_matrix``, the rotation of one pose, is built on
+``so3.rotation_zyx``; the package itself only rotates rows.
 """
 
 from __future__ import annotations
@@ -62,9 +64,19 @@ def samples_of(dataset: Dataset) -> list:
                                       dataset.strategy)]
 
 
+Pose = EyePose | HeadPose
+
+
+def euler_to_matrix(pose: Pose) -> np.ndarray:
+    """Rotation matrix of a pose; eye poses are promoted with roll = 0."""
+    if not isinstance(pose, (EyePose, HeadPose)):
+        raise ValueError(f"expected EyePose or HeadPose, got {type(pose).__name__}")
+    return so3.rotation_zyx(pose.as_angles())
+
+
 def gaze_ray(eye: EyePose, head: HeadPose) -> np.ndarray:
     """Unit gaze direction in the base frame: R_head @ R_eye @ x_forward."""
-    return so3.euler_to_matrix(head) @ so3.euler_to_matrix(eye) @ FORWARD
+    return euler_to_matrix(head) @ euler_to_matrix(eye) @ FORWARD
 
 
 def required_shift(target: np.ndarray) -> tuple[float, float]:
@@ -108,7 +120,7 @@ def allocate_shift(eye: EyePose, head: HeadPose, target: np.ndarray, alpha: floa
     delta_head = np.array([alpha * d_yaw, -alpha * d_pitch, roll_noise])
     new_head = HeadPose(*so3.wrap_angles(head.as_array() + delta_head))
     t = np.asarray(target, dtype=float)
-    v = so3.euler_to_matrix(new_head).T @ (t / np.linalg.norm(t))
+    v = euler_to_matrix(new_head).T @ (t / np.linalg.norm(t))
     eye_goal_yaw = math.atan2(v[1], v[0])
     eye_goal_pitch = -math.asin(min(1.0, max(-1.0, float(v[2]))))
     delta_eye = np.array([

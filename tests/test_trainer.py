@@ -3,8 +3,9 @@
 Runs here use a deliberately small dataset and network so the whole file
 stays fast; the full-size training quality bars live in the acceptance
 suite. What is asserted here is definitional: validation metrics recompute
-from public pieces, the best checkpoint is the argmin of the per-epoch
-summed error, and the first stage is bit-frozen while the second trains.
+from public pieces, the best checkpoint is the first epoch of lowest rank
+(summed error, then in stage 2 top-1 agreement and focal loss), and the
+first stage is bit-frozen while the second trains.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from gazeshift.prior import ConditionalPrior, PriorConfig
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, TIMINGS_FILE,
-                               CodeErrors, EpochMetrics, TrainConfig, dataset_arrays,
+                               CodeErrors, EpochMetrics, TrainConfig, _fit, dataset_arrays,
                                draw_allocations, infer, record_codes, run_training,
                                train_stage1, train_stage2, validate_stage1,
                                validate_stage2, write_metrics_csv)
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, quantize_rows,
                              target_rotations)
-from datagen_oracles import samples_of
+from datagen_oracles import euler_to_matrix, samples_of
 
 SMALL_GEN = GeneratorConfig(n_samples=60)
 SMALL_TRAIN = TrainConfig(stage1_epochs=8, stage2_epochs=6, batch_size=16,
@@ -56,7 +57,7 @@ def mgd(predicted, ground_truth, component: str) -> float:
     for p, g in zip(predicted, ground_truth):
         if not (isinstance(p, kind) and isinstance(g, kind)):
             raise ValueError(f"{component} mgd expects {kind.__name__} entries")
-        total += so3.geodesic_distance(so3.euler_to_matrix(p), so3.euler_to_matrix(g))
+        total += so3.geodesic_distance(euler_to_matrix(p), euler_to_matrix(g))
     return math.degrees(total / len(predicted))
 
 
@@ -122,6 +123,39 @@ def test_train_config_rejects_unknown_and_bad_fields():
         TrainConfig.from_dict({"lr": 0.0})
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+def test_train_config_fields_keep_their_order_and_defaults():
+    # checkpoints record train_config in this order: the fields both models
+    # share, the VQ-VAE's own, the prior's own, then the training loop's
+    expected = [
+        ("codebook_size", "int", 10), ("hidden_width", "int", 64),
+        ("target_scale", "float", 2.0), ("latent_dim", "int", 8), ("beta", "float", 0.25),
+        ("lambda_rc", "float", 1.0), ("codebook_init_scale", "float", 1.5),
+        ("gamma", "float", 2.0), ("eta", "float", 1.0), ("lambda_mc", "float", 1.0),
+        ("stage1_epochs", "int", 200), ("stage2_epochs", "int", 100),
+        ("batch_size", "int", 32), ("lr", "float", 1e-3), ("weight_decay", "float", 1e-4),
+        ("milestones", "tuple", (100, 150)), ("lr_decay", "float", 0.5), ("seed", "int", 0),
+    ]
+    # repr tells an int default from an equal float
+    assert [(f.name, f.type, repr(f.default)) for f in dataclasses.fields(TrainConfig)] == [
+        (name, kind, repr(default)) for name, kind, default in expected]
+    assert list(TrainConfig().to_dict()) == [name for name, _, _ in expected]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("codebook_size", 0, "codebook_size must be at least 1"),
+    ("hidden_width", 0, "hidden_width must be at least 1"),
+    ("target_scale", 0, "target_scale must be positive and finite, not 0"),
+])
+def test_shared_model_checks_read_alike_in_every_config(field, value, message):
+    for config_cls in (VQVAEConfig, PriorConfig):
+        with pytest.raises(ValueError) as raised:
+            config_cls(**{field: value})
+        assert str(raised.value) == message
+    with pytest.raises(ConfigError) as raised:
+        TrainConfig.from_dict({field: value})
+    assert str(raised.value) == message
 
 
 def test_train_config_propagates_to_model_configs():
@@ -200,7 +234,7 @@ def test_stage1_restores_best_epoch(trained):
     summed = [m.summed_mgd() for m in s1.metrics]
     assert len(summed) == SMALL_TRAIN.stage1_epochs
     assert s1.best_epoch == int(np.argmin(summed))
-    assert s1.best_summed() == pytest.approx(min(summed), abs=1e-12)
+    assert summed[s1.best_epoch] == pytest.approx(min(summed), abs=1e-12)
     best = model.layout.views(s1.best_params)
     for name, p in model.params().items():
         np.testing.assert_array_equal(p, best[name])
@@ -286,10 +320,56 @@ def test_stage2_best_selection_and_gap(trained):
     s1, s2 = trained[1], trained[4]
     summed = [m.summed_mgd() for m in s2.metrics]
     assert len(summed) == SMALL_TRAIN.stage2_epochs
-    assert s2.best_epoch == int(np.argmin(summed))
+    ranks = [m.rank() for m in s2.metrics]
+    assert s2.best_epoch == ranks.index(min(ranks))
+    assert summed[s2.best_epoch] == min(summed)
     # decoding the prior's argmax code can trail teacher-forced quantisation,
     # but not beat it by more than the selection slack
-    assert s2.best_summed() >= s1.best_summed() - 0.5
+    assert summed[s2.best_epoch] >= s1.metrics[s1.best_epoch].summed_mgd() - 0.5
+
+
+def _fit_with_stub_metrics(stage: int, epochs: list):
+    """Run ``_fit`` on a 2-vector whose every step moves it; epoch e reports ``epochs[e]``.
+
+    Each entry is (summed MGD, top-1, focal loss); stage 1 reports only the
+    MGD. Returns the result, the final vector and its value after each epoch.
+    """
+    flat = np.zeros(2)
+    after_epoch = []
+
+    def step(batch):
+        return np.array([0.0]), np.ones(2)
+
+    def end_epoch(epoch, lr, means):
+        after_epoch.append(flat.copy())
+        summed, top1, focal = epochs[epoch]
+        extra = {} if stage == 1 else {"loss_focal": focal, "loss_mc": 0.0,
+                                       "prior_top1_acc": top1}
+        return EpochMetrics(stage=stage, epoch=epoch, lr=lr, loss_total=focal,
+                            val_eye_mgd_deg=summed / 2, val_head_mgd_deg=summed / 2, **extra)
+
+    result = _fit(stage, flat, {"w": flat}, 4, len(epochs), np.random.default_rng(0),
+                  TrainConfig(batch_size=2), step, end_epoch)
+    return result, flat, after_epoch
+
+
+def test_fit_breaks_validation_ties_in_stage2_only():
+    # every epoch validates to the same summed MGD: in stage 2 a later epoch
+    # with a lower loss wins, a lower top-1 loses whatever its loss, and of
+    # two equal epochs the first is kept
+    epochs = [(10.0, 1.0, 0.9), (10.0, 1.0, 0.2), (10.0, 1.0, 0.5),
+              (10.0, 0.5, 0.1), (10.0, 1.0, 0.2)]
+    result, flat, after_epoch = _fit_with_stub_metrics(2, epochs)
+    assert result.best_epoch == 1
+    np.testing.assert_array_equal(flat, after_epoch[1])
+    assert not np.array_equal(after_epoch[0], after_epoch[1])
+    # a lower summed MGD still comes first
+    epochs[3] = (9.0, 0.0, 5.0)
+    assert _fit_with_stub_metrics(2, epochs)[0].best_epoch == 3
+    # stage 1 reports no top-1 or focal loss, so its first tied epoch stays
+    result, flat, after_epoch = _fit_with_stub_metrics(1, [(10.0, None, 0.9), (10.0, None, 0.2)])
+    assert result.best_epoch == 0
+    np.testing.assert_array_equal(flat, after_epoch[0])
 
 
 def test_stage2_loss_total_composes_terms(trained, small_dataset):

@@ -25,6 +25,7 @@ from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, MotionAllocation
                              VQVAEConfig, condition_inputs, pose_errors_rows,
                              quantize_rows, reconstruction_terms, target_rotations)
 from gazeshift.so3 import EyePose, HeadPose
+from datagen_oracles import euler_to_matrix
 from net_oracles import preactivations, same_bits
 
 FD_H = 1e-6
@@ -56,7 +57,7 @@ def assignment_margin(model: ConditionalVQVAE, Y, C) -> float:
 
 def kink_margin(model: ConditionalVQVAE, Y, C) -> float:
     """Smallest |pre-activation| over every rectified layer in the model."""
-    Cn = model.condition_inputs(C)
+    Cn = condition_inputs(C, model.config.target_scale)
     f_y = model.recon_encoder.forward(Y)
     f_c = model.cond_encoder.forward(Cn)
     z_e = model.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
@@ -332,9 +333,9 @@ def test_pose_errors_rows_properties(pred, Y, cond, shifts):
         eye_p, head_p = _pose_reference(pred[i], C[i])
         eye_t, head_t = _pose_reference(Y[i], C[i])
         assert d_eye[i] == pytest.approx(so3.geodesic_distance(
-            so3.euler_to_matrix(eye_p), so3.euler_to_matrix(eye_t)), rel=0, abs=1e-12)
+            euler_to_matrix(eye_p), euler_to_matrix(eye_t)), rel=0, abs=1e-12)
         assert d_head[i] == pytest.approx(so3.geodesic_distance(
-            so3.euler_to_matrix(head_p), so3.euler_to_matrix(head_t)), rel=0, abs=1e-12)
+            euler_to_matrix(head_p), euler_to_matrix(head_t)), rel=0, abs=1e-12)
 
 
 def test_reconstruction_values_are_pose_errors():
@@ -461,7 +462,7 @@ def test_rec_gradients_match_straight_through_surrogate():
     offset = z_q0 - z_e0  # frozen
 
     def surrogate() -> float:
-        f_c = model.cond_encoder.forward(model.condition_inputs(C))
+        f_c = model.cond_encoder.forward(condition_inputs(C, model.config.target_scale))
         f_y = model.recon_encoder.forward(Y)
         z_e = model.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
         h = model.fusion_out.forward(np.concatenate([z_e + offset, f_c], axis=1))

@@ -1,0 +1,81 @@
+"""Rerun README's seed-0 walkthrough and check the SHA-256 of its six artifacts.
+
+    python tools/seed0_hashes.py [DIR]
+
+Runs ``gen-data``, ``train``, ``eval`` and ``sample --n 1000 --mode sample
+--eye 0,0 --head 0,0,0 --target 1.5,0.8,0.2`` at the shipped defaults and
+seed 0 through ``gazeshift.cli.main``, with one BLAS thread, in a temporary
+directory (or under ``DIR``, which is kept). It prints each artifact's
+SHA-256 and exits 1 if any differs from ``EXPECTED``.
+
+The trained weights' last bits depend on the BLAS build, so this is not a
+Tier-1 test. ``EXPECTED`` is the one record of these bytes: a change that
+moves an artifact on purpose updates it here.
+"""
+
+import os
+
+# Before numpy loads: a multithreaded BLAS may sum in another order.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from gazeshift.cli import main  # noqa: E402
+
+EXPECTED = {
+    "data/dataset.jsonl": "a3bf48b258413f4906c048384a449dc215942c271a26dcc46b42343788e946a7",
+    "model/metrics.csv": "10d729c6674fd98c4bd1f79438a22d972f7e8c397688711c257589fd2631eca2",
+    "model/stage1.json": "cce19123df0d8316f74487ad51d79f70a3b62c51a936826b75115b9bc5b8638f",
+    "model/prior.json": "90838b9bb4ed904d936cd26d890a6195e057b47a7a0772b32f511270efc8c4df",
+    "eval/eval.json": "43562962e693ce299df59e9f14ed7f92db5de757d9f852092e85ab07651dedbe",
+    "sample/samples.json": "4adb135587ed54db27544a5868193e4604e76eb8d9ea4c8be5a4152aa0a6527c",
+}
+
+
+def walkthrough(root: Path) -> None:
+    """README's four model commands, writing under ``root``; raises on a non-zero exit."""
+    dataset = str(root / "data" / "dataset.jsonl")
+    commands = [
+        ["gen-data", "--seed", "0", "--out", str(root / "data")],
+        ["train", "--dataset", dataset, "--seed", "0", "--out", str(root / "model")],
+        ["eval", "--dataset", dataset, "--run", str(root / "model"), "--out", str(root / "eval")],
+        ["sample", "--run", str(root / "model"), "--n", "1000", "--mode", "sample",
+         "--eye", "0,0", "--head", "0,0,0", "--target", "1.5,0.8,0.2",
+         "--out", str(root / "sample")],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(sys.stderr):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"gazeshift {argv[0]} exited {code}")
+
+
+def check(root: Path) -> int:
+    """Print each artifact's SHA-256; 1 if any differs from EXPECTED, else 0."""
+    moved = 0
+    for name, expected in EXPECTED.items():
+        actual = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        status = "ok" if actual == expected else f"MOVED (expected {expected})"
+        moved += actual != expected
+        print(f"{actual}  {name}  {status}")
+    return 1 if moved else 0
+
+
+def run(out: str | None) -> int:
+    if out is not None:
+        walkthrough(Path(out))
+        return check(Path(out))
+    with tempfile.TemporaryDirectory() as tmp:
+        walkthrough(Path(tmp))
+        return check(Path(tmp))
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1] if len(sys.argv) > 1 else None))
