@@ -7,30 +7,29 @@ Three layers:
     codes (`gazeshift.vqvae`, `gazeshift.prior`, `gazeshift.trainer`),
   * a scripted gaze-target reasoning pipeline that turns annotated scene
     cycles into 3D gaze targets (`gazeshift.reasoner`).
+
+The numpy layers are lazy modules: importing the package, the CLI or the
+reasoner registers them without running them, so a replay never loads
+numpy. Each runs on first attribute access, ``from gazeshift.so3 import
+EyePose`` included.
 """
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .so3 import EyePose, HeadPose
-from .vqvae import ConditionalVQVAE, ConditionVector, MotionAllocation, VQVAEConfig
-from .prior import ConditionalPrior
-from .datagen import GeneratorConfig, generate_dataset, read_dataset, write_dataset
-from .trainer import TrainConfig, infer, run_training
 
-__all__ = [
-    "ConditionVector",
-    "ConditionalPrior",
-    "ConditionalVQVAE",
-    "EyePose",
-    "GeneratorConfig",
-    "HeadPose",
-    "MotionAllocation",
-    "TrainConfig",
-    "VQVAEConfig",
-    "__version__",
-    "generate_dataset",
-    "infer",
-    "read_dataset",
-    "run_training",
-    "write_dataset",
-]
+def _register_lazy(name: str) -> None:
+    """Put ``gazeshift.<name>`` in ``sys.modules`` and on the package, unexecuted."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+for _name in ("so3", "nets", "vqvae", "prior", "datagen", "trainer"):
+    _register_lazy(_name)
+del _name

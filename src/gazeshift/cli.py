@@ -21,22 +21,17 @@ from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
+# Whole modules, not names: the model layers are lazy modules (see the
+# package docstring), and importing a name from one would run it. They, and
+# numpy with them (imported inside `eval` and `sample`), load on a model
+# command's first attribute access, so `replay`, `--help` and `--version`
+# never load them.
+from . import __version__, datagen, prior as prior_mod, so3, trainer, vqvae
 from .atomic import open_atomic
-from .datagen import GeneratorConfig, generate_dataset, read_dataset, write_dataset
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
-from .prior import ConditionalPrior
 from .reasoner import OracleBackend, RemoteBackend, ScriptedBackend, load_scenario_dir
 from .reasoner.backends import RemoteConfig
 from .reasoner.replay import replay_evaluate, write_success_table
-from .so3 import EyePose, HeadPose
-from .trainer import (PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, CodeErrors,
-                      TrainConfig, checkpoint_errors, dataset_arrays, draw_allocations,
-                      record_codes, run_training, shared_target_scale, validate_stage1,
-                      validate_stage2)
-from .vqvae import ConditionalVQVAE, ConditionVector, target_rotations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,8 +135,8 @@ def load_config_file(path) -> dict:
     return doc
 
 
-def _train_config(doc: dict, seed_flag) -> TrainConfig:
-    config = TrainConfig.from_dict(doc.get("training", {}))
+def _train_config(doc: dict, seed_flag) -> trainer.TrainConfig:
+    config = trainer.TrainConfig.from_dict(doc.get("training", {}))
     return config if seed_flag is None else replace(config, seed=seed_flag)
 
 
@@ -160,13 +155,13 @@ def _parse_floats(text: str, n: int, what: str) -> list:
 def cmd_gen_data(args) -> int:
     t0 = time.monotonic()
     doc = load_config_file(args.config)
-    config = GeneratorConfig.from_dict(doc.get("generator", {}))
+    config = datagen.GeneratorConfig.from_dict(doc.get("generator", {}))
     seed = 0 if args.seed is None else args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = generate_dataset(seed=seed, config=config)
+    dataset = datagen.generate_dataset(seed=seed, config=config)
     dataset_path = out_dir / "dataset.jsonl"
-    dataset_hash = write_dataset(dataset, dataset_path)
+    dataset_hash = datagen.write_dataset(dataset, dataset_path)
     print(f"wrote {len(dataset.split)} samples "
           f"({dataset.split.count('train')} train / {dataset.split.count('val')} val) "
           f"to {dataset_path}")
@@ -181,9 +176,9 @@ def cmd_train(args) -> int:
     t0 = time.monotonic()
     doc = load_config_file(args.config)
     config = _train_config(doc, args.seed)
-    dataset = read_dataset(args.dataset)
+    dataset = datagen.read_dataset(args.dataset)
     out_dir = Path(args.out)
-    summary = run_training(dataset, config, out_dir, stage=args.stage)
+    summary = trainer.run_training(dataset, config, out_dir, stage=args.stage)
     for stage_key in ("stage1", "stage2"):
         if stage_key in summary:
             best = summary[stage_key]
@@ -200,23 +195,31 @@ def cmd_train(args) -> int:
 
 def _load_models(run_dir):
     run = Path(run_dir)
-    with checkpoint_errors(run):
-        model, stage1 = ConditionalVQVAE.load(run / STAGE1_CHECKPOINT)
-        prior, _ = ConditionalPrior.load(run / PRIOR_CHECKPOINT, stage1=stage1)
-        shared_target_scale(model, prior.config)
+    with trainer.checkpoint_errors(run):
+        model, stage1 = vqvae.ConditionalVQVAE.load(run / trainer.STAGE1_CHECKPOINT)
+        prior, _ = prior_mod.ConditionalPrior.load(run / trainer.PRIOR_CHECKPOINT,
+                                                   stage1=stage1)
+        trainer.shared_target_scale(model, prior.config)
     return model, prior
 
 
+def _checkpoints(run_dir) -> list:
+    return [Path(run_dir) / trainer.STAGE1_CHECKPOINT, Path(run_dir) / trainer.PRIOR_CHECKPOINT]
+
+
 def cmd_eval(args) -> int:
+    import numpy as np
+
     t0 = time.monotonic()
-    dataset = read_dataset(args.dataset)
+    dataset = datagen.read_dataset(args.dataset)
     model, prior = _load_models(args.run)
-    Yv, Cv = dataset_arrays(dataset, "val")
-    Rv = target_rotations(Yv, Cv)
-    eye1, head1, utilization = validate_stage1(model, Yv, Cv, Rv)
-    val_labels = record_codes(model, dataset, "val")
+    Yv, Cv = trainer.dataset_arrays(dataset, "val")
+    Rv = vqvae.target_rotations(Yv, Cv)
+    eye1, head1, utilization = trainer.validate_stage1(model, Yv, Cv, Rv)
+    val_labels = trainer.record_codes(model, dataset, "val")
     preds = model.decode_codes(Cv)
-    eye2, head2, top1 = validate_stage2(prior, Cv, CodeErrors.of(preds, Cv, Rv), val_labels)
+    eye2, head2, top1 = trainer.validate_stage2(
+        prior, Cv, trainer.CodeErrors.of(preds, Cv, Rv), val_labels)
 
     # How each code splits work between head and eyes, over validation
     # conditions that argmax-decode to it.
@@ -243,13 +246,14 @@ def cmd_eval(args) -> int:
     print(f"stage1 val MGD eye {eye1:.3f} / head {head1:.3f} deg, utilization {utilization:.2f}")
     print(f"stage2 val MGD eye {eye2:.3f} / head {head2:.3f} deg, top-1 {top1:.3f}")
     print(f"report: {report_path}")
-    write_manifest(out_dir, "eval", {}, inputs=[args.dataset,
-                   Path(args.run) / STAGE1_CHECKPOINT, Path(args.run) / PRIOR_CHECKPOINT],
+    write_manifest(out_dir, "eval", {}, inputs=[args.dataset, *_checkpoints(args.run)],
                    outputs=[report_path], elapsed_s=time.monotonic() - t0)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
+    import numpy as np
+
     t0 = time.monotonic()
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
@@ -258,17 +262,17 @@ def cmd_sample(args) -> int:
     head = _parse_floats(args.head, 3, "--head")
     target = _parse_floats(args.target, 3, "--target")
     try:
-        condition = ConditionVector(
-            eye=EyePose(*[math.radians(v) for v in eye]),
-            head=HeadPose(*[math.radians(v) for v in head]),
+        condition = vqvae.ConditionVector(
+            eye=so3.EyePose(*[math.radians(v) for v in eye]),
+            head=so3.HeadPose(*[math.radians(v) for v in head]),
             target=np.array(target),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seed = 0 if args.seed is None else args.seed
     try:
-        pi, codes, allocations = draw_allocations(model, prior, condition, args.mode,
-                                                  np.random.default_rng(seed), args.n)
+        pi, codes, allocations = trainer.draw_allocations(
+            model, prior, condition, args.mode, np.random.default_rng(seed), args.n)
     except ValueError as exc:  # the model's output, not the flags, is at fault
         raise TrainingError(f"cannot sample from {args.run}: {exc}") from exc
     drawn = {k: {"code": k,
@@ -295,7 +299,7 @@ def cmd_sample(args) -> int:
     print(f"report: {report_path}")
     write_manifest(out_dir, "sample",
                    {"seed": seed, "mode": args.mode, "n": args.n},
-                   inputs=[Path(args.run) / STAGE1_CHECKPOINT, Path(args.run) / PRIOR_CHECKPOINT],
+                   inputs=_checkpoints(args.run),
                    outputs=[report_path], elapsed_s=time.monotonic() - t0)
     return EXIT_OK
 

@@ -12,8 +12,6 @@ import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from ..errors import BackendError
 from .scenario import Instance, ScenarioCycle, box_center
 
@@ -186,11 +184,10 @@ def localize(mark: int, marked: MarkedScene, cycle: ScenarioCycle) -> GazeTarget
             face_fallback = True
         u, v = box_center(inst.box)
     cam_point = cycle.camera.back_project(u, v, inst.depth)
-    base_point = cycle.base_from_camera.apply(cam_point)
     return GazeTargetRecord(
         mark=mark, instance_id=inst.instance_id, category=inst.category,
         box=inst.box, face_box=inst.face_box, point_2d=(u, v),
-        point_3d=tuple(base_point.tolist()), face_fallback=face_fallback,
+        point_3d=cycle.base_from_camera.apply(cam_point), face_fallback=face_fallback,
     )
 
 

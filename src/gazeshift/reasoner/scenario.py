@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .. import so3
 from ..errors import DataError
 
 SCENARIO_SCHEMA = "gazeshift-scenario"
@@ -26,10 +23,59 @@ SCENARIO_VERSION = 1
 REGULARITIES = ("H1", "H2", "H3", "H4")
 PERSON_CATEGORIES = frozenset({"person"})
 
+# Rotation-matrix invariants (orthogonality, unit determinant) are enforced
+# to this absolute tolerance, here and before a geodesic distance in so3.
+ROTATION_ATOL = 1e-6
+
 
 def _is_number(value) -> bool:
     """True for a JSON number: an int or a float, but not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_floats(value, shape: tuple) -> tuple | None:
+    """``value`` as nested tuples of floats of ``shape``, or None unless it has
+    exactly that shape and every entry is a finite int or float (not a bool)."""
+    try:
+        entries = tuple(value)
+    except TypeError:  # not a sequence
+        return None
+    if len(entries) != shape[0]:
+        return None
+    if len(shape) > 1:
+        rows = tuple(_finite_floats(entry, shape[1:]) for entry in entries)
+        return None if None in rows else rows
+    if not all(map(_is_number, entries)):
+        return None
+    try:
+        floats = tuple(map(float, entries))
+    except OverflowError:  # an int beyond the float range
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
+def check_rotation(R, atol: float = ROTATION_ATOL) -> tuple:
+    """R's rows as float tuples; raise ValueError unless R is a rotation to within ``atol``.
+
+    ``R`` is 3 rows of 3 finite numbers: nested sequences, or a float array.
+    Orthogonality uses ``np.allclose``'s rule entry by entry,
+    |(R R^T)_kl - I_kl| <= atol + 1e-5 * |I_kl|; the determinant is the
+    cofactor expansion along the first row.
+    """
+    rows = _finite_floats(R, (3, 3))
+    if rows is None:
+        raise ValueError(f"rotation matrix must be 3 rows of 3 finite numbers, not {R!r}")
+    for k, a in enumerate(rows):
+        for m, b in enumerate(rows):
+            dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+            eye = 1.0 if k == m else 0.0
+            if not abs(dot - eye) <= atol + 1e-5 * eye:
+                raise ValueError("rotation matrix is not orthogonal within tolerance")
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if abs(det - 1.0) > atol:
+        raise ValueError("rotation matrix determinant differs from +1 beyond tolerance")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -56,15 +102,16 @@ class CameraIntrinsics:
                 raise ValueError(
                     f"camera {name} must be an integer of at least 1, not {value!r}")
 
-    def back_project(self, u: float, v: float, depth: float) -> np.ndarray:
-        """Camera-frame 3D point for pixel (u, v) at the given depth."""
+    def back_project(self, u: float, v: float, depth: float) -> tuple:
+        """Camera-frame 3D point (x, y, z) for pixel (u, v) at the given depth."""
         if depth <= 0:
             raise ValueError("depth must be positive")
-        return depth * np.array([(u - self.cx) / self.fx, (v - self.cy) / self.fy, 1.0])
+        return (depth * ((u - self.cx) / self.fx), depth * ((v - self.cy) / self.fy),
+                float(depth))
 
-    def project(self, point: np.ndarray) -> tuple:
+    def project(self, point) -> tuple:
         """Pixel (u, v) for a camera-frame point; inverse of back_project."""
-        x, y, z = np.asarray(point, dtype=float)
+        x, y, z = map(float, point)
         if z <= 0:
             raise ValueError("point must lie in front of the camera")
         return (self.fx * x / z + self.cx, self.fy * y / z + self.cy)
@@ -72,22 +119,35 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """base_from_camera: p_base = rotation @ p_camera + translation."""
+    """base_from_camera: p_base = rotation @ p_camera + translation.
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    Built from nested sequences or arrays; held as a tuple of three row
+    tuples and a 3-tuple, all floats.
+    """
+
+    rotation: tuple
+    translation: tuple
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
-        so3.check_rotation(R)
-        if t.shape != (3,) or not np.all(np.isfinite(t)):
-            raise ValueError("translation must be a finite 3-vector")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
+        try:
+            rotation = check_rotation(self.rotation)
+        except ValueError as exc:
+            raise ValueError(f"base_from_camera {exc}") from exc
+        translation = _finite_floats(self.translation, (3,))
+        if translation is None:
+            raise ValueError("base_from_camera translation must be 3 finite numbers, "
+                             f"not {self.translation!r}")
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", translation)
 
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
+    def apply(self, point) -> tuple:
+        """``rotation @ point + translation``, each row summed left to right."""
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self.rotation
+        tx, ty, tz = self.translation
+        x, y, z = point
+        return (r00 * x + r01 * y + r02 * z + tx,
+                r10 * x + r11 * y + r12 * z + ty,
+                r20 * x + r21 * y + r22 * z + tz)
 
 
 def _check_box(box, camera: CameraIntrinsics, cycle_index: int, instance_id: str, label: str):
@@ -265,8 +325,8 @@ def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:
         raise DataError(f"{origin}: unsupported scenario version {doc.get('version')!r}")
     try:
         camera = CameraIntrinsics(**doc["camera"])
-        transform = RigidTransform(np.array(doc["base_from_camera"]["rotation"]),
-                                   np.array(doc["base_from_camera"]["translation"]))
+        transform = RigidTransform(doc["base_from_camera"]["rotation"],
+                                   doc["base_from_camera"]["translation"])
         built = {}  # marshalled fields of an instance record -> its Instance
         cycles = []
         for cdoc in doc["cycles"]:

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+# The rotation check runs on plain floats beside the scenario loader, so
+# that a replay checks its camera transform without loading numpy.
+from .reasoner.scenario import check_rotation
 
-# Rotation-matrix invariants (orthogonality, unit determinant) are enforced
-# to this absolute tolerance before a geodesic distance is computed.
-ROTATION_ATOL = 1e-6
+TWO_PI = 2.0 * math.pi
 
 # The geodesic gradient differentiates acos of the trace, unbounded as the
 # distance nears 0 or pi; its magnitude is capped here so it stays finite.
@@ -79,10 +79,6 @@ class EyePose:
     def as_array(self) -> np.ndarray:
         return np.array([self.yaw, self.pitch])
 
-    def as_angles(self) -> np.ndarray:
-        """(yaw, pitch, roll) with the missing roll axis fixed at zero."""
-        return np.array([self.yaw, self.pitch, 0.0])
-
 
 @dataclass(frozen=True)
 class HeadPose:
@@ -102,9 +98,6 @@ class HeadPose:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.yaw, self.pitch, self.roll])
-
-    def as_angles(self) -> np.ndarray:
-        return self.as_array()
 
 
 def rotation_zyx(angles: np.ndarray) -> np.ndarray:
@@ -136,31 +129,6 @@ def _rotation_from_trig(cy, sy, cp, sp, cr, sr) -> np.ndarray:
     R[..., 2, 1] = cp * sr
     R[..., 2, 2] = cp * cr
     return R
-
-
-def check_rotation(R: np.ndarray, atol: float = ROTATION_ATOL) -> None:
-    """Raise if R is not a rotation matrix to within ``atol``.
-
-    Orthogonality uses ``np.allclose``'s rule entry by entry,
-    |(R R^T)_kl - I_kl| <= atol + 1e-5 * |I_kl|, with NaN failing; the
-    determinant is the cofactor expansion along the first row.
-    """
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError(f"rotation matrix must be 3x3, got shape {R.shape}")
-    rows = R.tolist()
-    if not all(math.isfinite(x) for row in rows for x in row):
-        raise ValueError("rotation matrix contains non-finite entries")
-    for k, a in enumerate(rows):
-        for m, b in enumerate(rows):
-            dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-            eye = 1.0 if k == m else 0.0
-            if not abs(dot - eye) <= atol + 1e-5 * eye:
-                raise ValueError("matrix is not orthogonal within tolerance")
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if abs(det - 1.0) > atol:
-        raise ValueError("matrix determinant differs from +1 beyond tolerance")
 
 
 def geodesic_distance(R1: np.ndarray, R2: np.ndarray) -> float:

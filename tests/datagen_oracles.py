@@ -18,7 +18,8 @@ the end (``rows_dataset``); ``samples_of`` turns the rows back into sample
 objects. ``gaze_ray`` and ``angular_error`` are the scalar geometry both
 use; the acceptance test measures every stored sample against them.
 ``euler_to_matrix``, the rotation of one pose, is built on
-``so3.rotation_zyx``; the package itself only rotates rows.
+``so3.rotation_zyx`` and ``pose_angles``; the package itself only rotates
+rows.
 """
 
 from __future__ import annotations
@@ -67,11 +68,18 @@ def samples_of(dataset: Dataset) -> list:
 Pose = EyePose | HeadPose
 
 
+def pose_angles(pose: Pose) -> np.ndarray:
+    """(yaw, pitch, roll) of a pose; an eye pose's missing roll axis is 0."""
+    if isinstance(pose, EyePose):
+        return np.array([pose.yaw, pose.pitch, 0.0])
+    return pose.as_array()
+
+
 def euler_to_matrix(pose: Pose) -> np.ndarray:
     """Rotation matrix of a pose; eye poses are promoted with roll = 0."""
     if not isinstance(pose, (EyePose, HeadPose)):
         raise ValueError(f"expected EyePose or HeadPose, got {type(pose).__name__}")
-    return so3.rotation_zyx(pose.as_angles())
+    return so3.rotation_zyx(pose_angles(pose))
 
 
 def gaze_ray(eye: EyePose, head: HeadPose) -> np.ndarray:

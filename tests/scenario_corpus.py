@@ -286,8 +286,8 @@ def scenario_to_doc(scenario: Scenario) -> dict:
         "regularity": scenario.regularity,
         "description": scenario.description,
         "camera": asdict(first.camera),
-        "base_from_camera": {"rotation": transform.rotation.tolist(),
-                             "translation": transform.translation.tolist()},
+        "base_from_camera": {"rotation": [list(row) for row in transform.rotation],
+                             "translation": list(transform.translation)},
         "cycles": cycles,
         "responses": {str(k): v for k, v in sorted(scenario.responses.items())},
     }

@@ -14,8 +14,6 @@ text for every cycle.
 
 from __future__ import annotations
 
-import numpy as np
-
 from gazeshift.errors import DataError
 from gazeshift.reasoner.pipeline import PROMPT_INSTRUCTIONS, MarkedScene, MemoryBuffer
 from gazeshift.reasoner.scenario import (SCENARIO_SCHEMA, SCENARIO_VERSION, CameraIntrinsics,
@@ -31,8 +29,8 @@ def scenario_from_doc_per_record(doc: dict, origin: str = "<doc>") -> Scenario:
         raise DataError(f"{origin}: unsupported scenario version {doc.get('version')!r}")
     try:
         camera = CameraIntrinsics(**doc["camera"])
-        transform = RigidTransform(np.array(doc["base_from_camera"]["rotation"]),
-                                   np.array(doc["base_from_camera"]["translation"]))
+        transform = RigidTransform(doc["base_from_camera"]["rotation"],
+                                   doc["base_from_camera"]["translation"])
         cycles = []
         for cdoc in doc["cycles"]:
             instances = tuple(

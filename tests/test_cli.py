@@ -913,6 +913,18 @@ def _set_instance_id(doc):
     doc["cycles"][0]["instances"][0]["id"] = 5
 
 
+def _rotation(doc):
+    return doc["base_from_camera"]["rotation"]
+
+
+def _translation(doc):
+    return doc["base_from_camera"]["translation"]
+
+
+_ROTATION_REASON = "base_from_camera rotation matrix must be 3 rows of 3 finite numbers, not "
+_TRANSLATION_REASON = "base_from_camera translation must be 3 finite numbers, not "
+
+
 @pytest.mark.parametrize("damage, reason", [
     (b"[]", "a scenario must be a JSON object, not list"),
     (lambda doc: doc.update(responses=[1]), "'list' object has no attribute 'items'"),
@@ -936,9 +948,25 @@ def _set_instance_id(doc):
      "camera width must be an integer of at least 1, not nan"),
     (lambda doc: doc["camera"].update(height=True),
      "camera height must be an integer of at least 1, not True"),
+    # a text or true rotation entry used to load as 1.0
+    (lambda doc: _rotation(doc)[0].__setitem__(2, "1"), _ROTATION_REASON + "[[0.0, 0.0, '1']"),
+    (lambda doc: _rotation(doc)[0].__setitem__(2, True), _ROTATION_REASON + "[[0.0, 0.0, True]"),
+    (lambda doc: _rotation(doc)[1].__setitem__(0, None), _ROTATION_REASON),
+    (lambda doc: _rotation(doc)[2].__setitem__(1, math.nan), _ROTATION_REASON),
+    (lambda doc: _rotation(doc)[1].pop(), _ROTATION_REASON),
+    (lambda doc: _rotation(doc).pop(), _ROTATION_REASON),
+    (lambda doc: _rotation(doc)[0].__setitem__(2, 2.0),
+     "base_from_camera rotation matrix is not orthogonal within tolerance"),
+    (lambda doc: _translation(doc).__setitem__(0, "0"), _TRANSLATION_REASON + "['0', 0.0, 0.0]"),
+    (lambda doc: _translation(doc).__setitem__(1, False), _TRANSLATION_REASON),
+    (lambda doc: _translation(doc).__setitem__(2, math.inf), _TRANSLATION_REASON),
+    (lambda doc: _translation(doc).pop(), _TRANSLATION_REASON + "[0.0, 0.0]"),
 ], ids=["not_an_object", "responses_list", "not_utf8", "box_entry_text", "id_number",
         "semantics_number", "cue_onset_text", "expected_absent", "expected_number",
-        "camera_cx_nan", "camera_size_nan", "camera_height_true"])
+        "camera_cx_nan", "camera_size_nan", "camera_height_true", "rotation_text",
+        "rotation_true", "rotation_null", "rotation_nan", "rotation_ragged", "rotation_2x3",
+        "rotation_not_orthogonal", "translation_text", "translation_false", "translation_inf",
+        "translation_two_entries"])
 def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason):
     bundled = Path(gazeshift.__file__).parent / "scenarios"
     shutil.copytree(bundled, tmp_path / "s")
@@ -1013,6 +1041,15 @@ def read_pyproject() -> dict:
         return tomllib.load(fh)
 
 
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code args`` in a fresh interpreter that imports this gazeshift package."""
+    package_root = str(Path(gazeshift.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root,
+                                               os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+
+
 def assert_prints_version(proc: subprocess.CompletedProcess) -> None:
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == gazeshift.__version__
@@ -1025,14 +1062,7 @@ def test_installed_entry_point_runs():
     entry = EntryPoint(name="gazeshift", value=value, group="console_scripts")
     wrapper = (f"import sys; from {entry.module} import {entry.attr}; "
                f"sys.exit({entry.attr}())")
-    # The child imports the same gazeshift package as this test.
-    package_root = str(Path(gazeshift.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root,
-                                               os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
-    proc = subprocess.run([sys.executable, "-c", wrapper, "--version"],
-                          capture_output=True, text=True, env=env)
-    assert_prints_version(proc)
+    assert_prints_version(fresh_python(wrapper, "--version"))
 
 
 @pytest.mark.skipif(shutil.which("gazeshift") is None,
@@ -1048,14 +1078,60 @@ def test_console_script_on_path_runs():
 def test_cli_import_pulls_in_no_http_library():
     """The CLI, remote backend included, needs only numpy and the standard library,
     and loads the standard library's HTTP and TLS modules only for a remote backend."""
-    package_root = str(Path(gazeshift.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root,
-                                               os.environ.get("PYTHONPATH")]))
     probe = ("import sys, gazeshift.cli; "
              "print(sorted({'requests', 'urllib3', 'ssl', 'http.client', 'urllib.request'}"
              " & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": pythonpath})
+    proc = fresh_python(probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert read_pyproject()["project"]["dependencies"] == ["numpy>=1.24"]
+
+
+# Every model layer imports numpy, so a run that leaves numpy unloaded ran none of them.
+REPLAY_WITHOUT_NUMPY = """
+import contextlib, sys
+from gazeshift import cli
+out = sys.argv[1]
+with contextlib.redirect_stdout(sys.stderr):
+    for backend in ("scripted", "oracle"):
+        assert cli.main(["replay", "--backend", backend, "--out", out + "/" + backend]) == 0
+    for flag in ("--version", "--help"):
+        try:
+            cli.main([flag])
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+print("numpy" in sys.modules)
+"""
+
+
+def test_replay_version_and_help_load_no_numpy(tmp_path):
+    proc = fresh_python(REPLAY_WITHOUT_NUMPY, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    for backend in ("scripted", "oracle"):
+        assert (tmp_path / backend / "success_table.csv").read_text(encoding="utf-8") == (
+            "regularity,clips,correct,success_rate\n"
+            "H1,3,3,100.0\nH2,3,3,100.0\nH3,3,3,100.0\nH4,3,3,100.0\n")
+
+
+# The CLI import registers each layer, as one module object, without running it.
+LAZY_LAYERS = """
+import sys
+import gazeshift.cli
+for name in ("so3", "nets", "vqvae", "prior", "datagen", "trainer"):
+    assert sys.modules["gazeshift." + name] is getattr(gazeshift, name)
+from gazeshift import so3
+assert "numpy" not in sys.modules
+assert so3.EyePose(0.1, -0.2).pitch == -0.2
+assert "numpy" in sys.modules
+from gazeshift.trainer import infer
+import gazeshift.trainer
+assert gazeshift.trainer.infer is infer
+print(gazeshift.trainer.run_training.__module__)
+"""
+
+
+def test_model_layers_load_on_first_use():
+    proc = fresh_python(LAZY_LAYERS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "gazeshift.trainer"

@@ -306,15 +306,47 @@ def test_box_center():
     assert box_center((10.0, 20.0, 30.0, 40.0)) == (20.0, 30.0)
 
 
-def test_project_round_trip():
-    cam = demo_camera()
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        u = rng.uniform(0, cam.width)
-        v = rng.uniform(0, cam.height)
-        d = rng.uniform(0.3, 5.0)
-        uu, vv = cam.project(cam.back_project(u, v, d))
-        assert abs(uu - u) < 1e-9 and abs(vv - v) < 1e-9
+@settings(max_examples=300, deadline=None)
+@given(st.floats(100.0, 2000.0), st.floats(100.0, 2000.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.floats(0.3, 10.0))
+def test_project_round_trip(fx, fy, u_share, v_share, d):
+    cam = CameraIntrinsics(fx=fx, fy=fy, cx=331.5, cy=247.25, width=640, height=480)
+    u, v = u_share * cam.width, v_share * cam.height
+    point = cam.back_project(u, v, d)
+    assert all(type(x) is float for x in point) and point[2] == d
+    uu, vv = cam.project(point)
+    assert abs(uu - u) < 1e-9 and abs(vv - v) < 1e-9
+
+
+def _quaternion_rotation(w, x, y, z) -> np.ndarray:
+    """The rotation of the unit quaternion along (w, x, y, z)."""
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+_unit = st.floats(-1.0, 1.0)
+_coordinate = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_unit, _unit, _unit, _unit).filter(lambda q: sum(c * c for c in q) > 0.01),
+       st.tuples(_coordinate, _coordinate, _coordinate),
+       st.tuples(_coordinate, _coordinate, _coordinate), st.booleans())
+def test_rigid_transform_apply_agrees_with_matrix_product(q, p, t, as_lists):
+    R = _quaternion_rotation(*q)
+    transform = (RigidTransform(R.tolist(), list(t)) if as_lists
+                 else RigidTransform(R, np.array(t)))
+    assert transform.rotation == tuple(map(tuple, R.tolist()))
+    got = transform.apply(p)
+    assert all(type(x) is float for x in got)
+    want = R @ np.array(p) + np.array(t)
+    # Within a few ulps of the largest partial sum, since the terms may cancel.
+    scale = np.abs(R) @ np.abs(np.array(p)) + np.abs(np.array(t))
+    for g, w, s in zip(got, want.tolist(), scale.tolist()):
+        assert abs(g - w) <= 8 * math.ulp(s)
 
 
 def test_back_project_validation():
@@ -729,8 +761,8 @@ def _fields(scenario):
     """Every field of ``scenario``, with each number's repr, so types and signs count."""
     return (scenario.scenario_id, scenario.regularity, scenario.description, scenario.responses,
             [(repr(c.index), c.semantics, c.image_ref, repr(c.cue_onset), c.expected_instance,
-              c.camera, c.base_from_camera.rotation.tolist(),
-              c.base_from_camera.translation.tolist(),
+              c.camera, [list(row) for row in c.base_from_camera.rotation],
+              list(c.base_from_camera.translation),
               [(i.instance_id, i.category, repr(i.box), repr(i.depth), repr(i.face_box))
                for i in c.instances])
              for c in scenario.cycles])

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +306,24 @@ def test_replay_preflights_once_and_closes_its_one_connection(server, tmp_path, 
     assert len(closes) == 1
     assert len(server.seen) == 70  # every cycle of the 12 bundled scenarios has candidates
     assert server.connections == 1
+
+
+def test_remote_replay_loads_no_numpy(server, tmp_path):
+    """A remote replay in a fresh interpreter runs without numpy or any model layer."""
+    import gazeshift
+
+    probe = ("import sys; from gazeshift import cli; "
+             "code = cli.main(['replay', '--backend', 'remote', '--config', sys.argv[1], "
+             "'--out', sys.argv[2]]); print(code, 'numpy' in sys.modules)")
+    package_root = str(Path(gazeshift.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, _remote_config(tmp_path, server), str(tmp_path / "r")],
+        capture_output=True, text=True,
+        env={**os.environ, API_KEY_ENV: "secret", "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert len(server.seen) == 70
 
 
 def test_replay_closes_the_connection_when_the_run_fails(server, tmp_path, monkeypatch):

@@ -15,8 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gazeshift import so3
+from gazeshift.reasoner import scenario
 from gazeshift.so3 import EyePose, HeadPose, wrap_angle
-from datagen_oracles import euler_to_matrix
+from datagen_oracles import euler_to_matrix, pose_angles
 from net_oracles import same_bits
 
 
@@ -107,9 +108,12 @@ def geodesic_with_grad_reference(angles: np.ndarray, R_ref: np.ndarray):
     return dist, (0.5 * dd_du)[..., None] * dtr
 
 
-def check_rotation_reference(R, atol: float = so3.ROTATION_ATOL) -> bool:
+def check_rotation_reference(R, atol: float = scenario.ROTATION_ATOL) -> bool:
     """The original whole-array rotation check: allclose and an LU determinant."""
-    R = np.asarray(R, dtype=float)
+    try:
+        R = np.asarray(R, dtype=float)
+    except ValueError:  # nested lists of unequal lengths
+        return False
     return (R.shape == (3, 3) and bool(np.all(np.isfinite(R)))
             and bool(np.allclose(R @ R.T, np.eye(3), atol=atol))
             and not abs(np.linalg.det(R) - 1.0) > atol)
@@ -126,7 +130,7 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 def test_eye_pose_fields():
     p = EyePose(0.1, -0.2)
     assert p.yaw == 0.1 and p.pitch == -0.2
-    np.testing.assert_array_equal(p.as_angles(), [0.1, -0.2, 0.0])
+    np.testing.assert_array_equal(pose_angles(p), [0.1, -0.2, 0.0])
 
 
 def test_head_pose_fields():
@@ -543,7 +547,7 @@ def test_geodesic_grad_cap_bounds_arccos_derivative():
     assert grad[1] == grad[2] == 0.0
 
 
-# -- the scalar rotation check against the whole-array original -----------------
+# -- the plain-float rotation check against the whole-array original ------------
 
 def _near_rotation(draw):
     R = so3.rotation_zyx(np.array([draw(angle), draw(angle), draw(angle)]))
@@ -554,6 +558,13 @@ def _near_rotation(draw):
 
 @st.composite
 def rotation_check_inputs(draw):
+    """A 3x3-ish float array, or the same entries as nested lists."""
+    R = draw(_rotation_check_arrays())
+    return R.tolist() if draw(st.booleans()) else R
+
+
+@st.composite
+def _rotation_check_arrays(draw):
     kind = draw(st.sampled_from(["near", "scaled", "reflected", "non_finite", "shape", "any"]))
     if kind == "near":
         return _near_rotation(draw)
@@ -578,8 +589,41 @@ def rotation_check_inputs(draw):
 @given(rotation_check_inputs())
 def test_check_rotation_agrees_with_whole_array_check(R):
     try:
-        so3.check_rotation(R)
+        rows = scenario.check_rotation(R)
         accepted = True
     except ValueError:
         accepted = False
     assert accepted == check_rotation_reference(R)
+    if accepted:
+        assert rows == tuple(map(tuple, np.asarray(R, dtype=float).tolist()))
+
+
+@pytest.mark.parametrize("R", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # ints
+    [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+])
+def test_check_rotation_accepts_integer_entries(R):
+    assert check_rotation_reference(R)
+    assert scenario.check_rotation(R) == tuple(tuple(map(float, row)) for row in R)
+
+
+@pytest.mark.parametrize("R", [
+    [[1, 0, 0], [0, 1], [0, 0, 1]],  # ragged
+    [[1, 0, 0], [0, 1, 0]],  # 2x3
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],  # 3x4
+    [[1, 0, 0], [0, 1, 0], [0, 0, "1"]],  # a string
+    [[True, 0, 0], [0, 1, 0], [0, 0, 1]],  # a bool
+    [[1, 0, 0], [0, 1, 0], [0, 0, None]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 10 ** 400]],  # beyond the float range
+    "abc",
+    5.0,
+])
+def test_check_rotation_rejects_what_is_not_three_rows_of_numbers(R):
+    with pytest.raises(ValueError, match="rotation matrix must be 3 rows of 3 finite numbers"):
+        scenario.check_rotation(R)
+
+
+def test_so3_uses_the_one_rotation_check():
+    assert so3.check_rotation is scenario.check_rotation
+    with pytest.raises(ValueError, match="3 rows of 3 finite numbers"):
+        so3.geodesic_distance(np.eye(3), [[1, 0, 0], [0, 1, 0], [0, 0, "1"]])

@@ -1,12 +1,14 @@
-"""Rerun README's seed-0 walkthrough and check the SHA-256 of its six artifacts.
+"""Rerun README's seed-0 walkthrough and a bundled replay; check their artifacts' SHA-256.
 
     python tools/seed0_hashes.py [DIR]
 
 Runs ``gen-data``, ``train``, ``eval`` and ``sample --n 1000 --mode sample
 --eye 0,0 --head 0,0,0 --target 1.5,0.8,0.2`` at the shipped defaults and
-seed 0 through ``gazeshift.cli.main``, with one BLAS thread, in a temporary
-directory (or under ``DIR``, which is kept). It prints each artifact's
-SHA-256 and exits 1 if any differs from ``EXPECTED``.
+seed 0, then ``replay --backend scripted`` on the bundled scenarios, through
+``gazeshift.cli.main``, with one BLAS thread, in a temporary directory (or
+under ``DIR``, which is kept). It prints each artifact's SHA-256 and exits 1
+if any differs from ``EXPECTED``. The replay's ``cycles.jsonl`` is hashed
+with each record's wall-clock ``elapsed_s`` removed.
 
 The trained weights' last bits depend on the BLAS build, so this is not a
 Tier-1 test. ``EXPECTED`` is the one record of these bytes: a change that
@@ -21,6 +23,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -36,11 +39,14 @@ EXPECTED = {
     "model/prior.json": "90838b9bb4ed904d936cd26d890a6195e057b47a7a0772b32f511270efc8c4df",
     "eval/eval.json": "43562962e693ce299df59e9f14ed7f92db5de757d9f852092e85ab07651dedbe",
     "sample/samples.json": "4adb135587ed54db27544a5868193e4604e76eb8d9ea4c8be5a4152aa0a6527c",
+    "replay/success_table.csv": "c8141e38ce61bf269f4e7431afd05a6d42f314c109ec6479b0d9ce4db499dab3",
+    "replay/cycles.jsonl": "f86c54cb3fb1dde95f47a5340f14044928acad36825208fb704389ca12d7ae71",
 }
 
 
 def walkthrough(root: Path) -> None:
-    """README's four model commands, writing under ``root``; raises on a non-zero exit."""
+    """README's four model commands and a scripted replay, writing under ``root``;
+    raises on a non-zero exit."""
     dataset = str(root / "data" / "dataset.jsonl")
     commands = [
         ["gen-data", "--seed", "0", "--out", str(root / "data")],
@@ -49,6 +55,7 @@ def walkthrough(root: Path) -> None:
         ["sample", "--run", str(root / "model"), "--n", "1000", "--mode", "sample",
          "--eye", "0,0", "--head", "0,0,0", "--target", "1.5,0.8,0.2",
          "--out", str(root / "sample")],
+        ["replay", "--backend", "scripted", "--out", str(root / "replay")],
     ]
     for argv in commands:
         with contextlib.redirect_stdout(sys.stderr):
@@ -57,11 +64,20 @@ def walkthrough(root: Path) -> None:
             raise SystemExit(f"gazeshift {argv[0]} exited {code}")
 
 
+def _content(path: Path) -> bytes:
+    """The file's bytes; for ``cycles.jsonl``, its records re-encoded without ``elapsed_s``."""
+    if path.name != "cycles.jsonl":
+        return path.read_bytes()
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return "".join(json.dumps({k: v for k, v in rec.items() if k != "elapsed_s"}) + "\n"
+                   for rec in records).encode("utf-8")
+
+
 def check(root: Path) -> int:
     """Print each artifact's SHA-256; 1 if any differs from EXPECTED, else 0."""
     moved = 0
     for name, expected in EXPECTED.items():
-        actual = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        actual = hashlib.sha256(_content(root / name)).hexdigest()
         status = "ok" if actual == expected else f"MOVED (expected {expected})"
         moved += actual != expected
         print(f"{actual}  {name}  {status}")
