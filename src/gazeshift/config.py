@@ -12,11 +12,41 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# JSON values each field annotation accepts; a bool is never a number here,
-# and the NaN and Infinity that Python's json reads are not numbers either.
+def finite_float(value) -> float | None:
+    """``value`` as a float if it is a JSON number that stays finite as one, else None.
+
+    A JSON number is an int or a float but not a bool; the NaN and Infinity
+    that Python's json reads, and an int beyond the float range, are not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
+def finite_floats(value, shape: tuple) -> tuple | None:
+    """``value`` as nested tuples of floats of ``shape``, or None unless it has
+    exactly that shape and every entry is a number ``finite_float`` accepts."""
+    try:
+        entries = tuple(value)
+    except TypeError:  # not a sequence
+        return None
+    if len(entries) != shape[0]:
+        return None
+    if len(shape) > 1:
+        rows = tuple(finite_floats(entry, shape[1:]) for entry in entries)
+    else:
+        rows = tuple(map(finite_float, entries))
+    return None if None in rows else rows
+
+
+# JSON values each field annotation accepts; a bool is never a number here.
 _ACCEPTS = {
     "int": ("an integer", _is_int),
-    "float": ("a finite number", lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v)),
+    "float": ("a finite number", lambda v: finite_float(v) is not None),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "tuple": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),

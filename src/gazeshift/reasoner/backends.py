@@ -5,7 +5,9 @@ offline). OracleBackend answers from evaluation metadata with a
 configurable delay — delay 1 is the always-correct reference, delay 3
 lands outside the two-cycle correctness window and must score zero.
 RemoteBackend talks to a chat-completions HTTP endpoint over one
-kept-alive connection (standard library only).
+kept-alive connection (standard library only): http.client opens the
+connection, and the backend writes each request and reads each reply on it
+itself, in one write and through one buffered reader.
 
 Every backend implements query(prompt, image_ref, cycle_index) -> text.
 """
@@ -150,22 +152,148 @@ def _connection_for(endpoint: str, timeout: float):
     return conn, url._replace(fragment="").geturl(), auth
 
 
+class ReplyError(Exception):
+    """A reply the backend cannot read to its end: cut short, over a bound or malformed."""
+
+
+# http.client's bounds on a reply: the bytes of one line, and the header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_BLANK = (b"\r\n", b"\n")
+
+
+def _line(reader) -> bytes:
+    """The next line of a reply, its line end included."""
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ReplyError(f"a line longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ReplyError("connection closed before the reply ended")
+    return line
+
+
+def _exactly(reader, n: int) -> bytes:
+    data = reader.read(n)
+    if len(data) != n:
+        raise ReplyError(f"connection closed after {len(data)} of {n} body bytes")
+    return data
+
+
+def _chunked_body(reader) -> bytes:
+    """A ``Transfer-Encoding: chunked`` body; its trailer fields are read and dropped."""
+    chunks = []
+    while True:
+        size_line = _line(reader)
+        try:
+            size = int(size_line.partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise ReplyError(f"malformed chunk size line {size_line[:40]!r}")
+        if size == 0:
+            break
+        chunks.append(_exactly(reader, size))
+        if _line(reader) not in _BLANK:
+            raise ReplyError("chunk data runs past its size")
+    while _line(reader) not in _BLANK:
+        pass
+    return b"".join(chunks)
+
+
+def _read_reply(reader) -> tuple:
+    """``(status, reason, body, closes)`` of the next reply on ``reader``.
+
+    Interim 1xx replies are skipped. The body is framed by chunked transfer
+    coding, by Content-Length, or by the connection's close. ``closes`` is
+    true when the connection carries no further request: the reply says
+    ``Connection: close``, is HTTP/1.0 without keep-alive, or ran to close.
+    """
+    while True:
+        line = _line(reader)
+        version, status, reason = (line.split(None, 2) + [b"", b""])[:3]
+        if not (version.startswith(b"HTTP/") and len(status) == 3 and status.isdigit()
+                and status >= b"100"):
+            raise ReplyError(f"malformed status line {line[:80]!r}")
+        headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            field = _line(reader)
+            if field in _BLANK:
+                break
+            name, _, value = field.partition(b":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise ReplyError(f"more than {_MAX_HEADERS} header lines")
+        if status >= b"200":
+            break
+    connection = headers.get(b"connection", b"").lower()
+    closes = b"close" in connection or version == b"HTTP/1.0" and b"keep-alive" not in connection
+    if status in (b"204", b"304"):
+        body = b""
+    elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        body = _chunked_body(reader)
+    elif b"content-length" in headers:
+        length = headers[b"content-length"]
+        if not length.isdigit():
+            raise ReplyError(f"malformed Content-Length {length[:40]!r}")
+        body = _exactly(reader, int(length))
+    else:
+        body = reader.read()
+        closes = True
+    return int(status), reason.strip().decode("latin-1"), body, closes
+
+
+def _host_header(endpoint: str, target: str) -> str:
+    """The Host value http.client writes: an absolute target's authority (through
+    an HTTP proxy), else the endpoint's host, with its port unless the default."""
+    if "://" in target:
+        return urlsplit(target).netloc
+    url = urlsplit(endpoint)
+    host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+    default_port = 443 if url.scheme == "https" else 80
+    return host if url.port in (None, default_port) else f"{host}:{url.port}"
+
+
+def _request_head(target: str, fields: dict) -> bytes:
+    """A POST of ``target`` with header ``fields``, through ``Content-Length: ``.
+
+    BackendError unless the target and every value are printable ASCII and
+    the target holds no space, as http.client required. A header's value is
+    not shown: the Authorization value is a key.
+    """
+    if not (target.isascii() and target.isprintable()) or " " in target:
+        raise BackendError(f"request target {target!r} holds a space, a control character "
+                           "or non-ASCII text")
+    for name, value in fields.items():
+        if not (value.isascii() and value.isprintable()):
+            raise BackendError(f"{name} header holds a control character or non-ASCII text")
+    lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in fields.items())]
+    return "\r\n".join([*lines, "Content-Length: "]).encode("ascii")
+
+
 class RemoteBackend:
     """One chat-completion HTTP request per cycle, within a hard deadline.
 
     Every request goes over one kept-alive connection, opened on the first
-    query. A transport failure closes it and the next query reconnects, so a
-    connection the server dropped costs one failed query. ``close`` ends it.
+    query. http.client only opens it: directly, through an HTTP proxy or a
+    CONNECT tunnel, with TLS where the endpoint asks. The backend frames each
+    exchange itself. The request head is built once, at preflight; a query
+    writes head, Content-Length and body in one ``sendall`` and reads the
+    reply through the one buffered reader kept with the connection. A reply
+    that ends the connection (``Connection: close``, HTTP/1.0, a body that
+    ran to close) closes it after the body, and the next query reconnects.
+    A transport failure closes it too, so a connection the server dropped
+    costs one failed query. ``close`` ends it.
     """
 
     def __init__(self, config: RemoteConfig):
         import http.client
 
         self.config = config
-        self._conn, self._target, self._headers = _connection_for(
+        self._conn, self._target, self._proxy_headers = _connection_for(
             config.endpoint, config.timeout)
-        self._headers["Content-Type"] = "application/json"
-        self._transport_errors = (OSError, http.client.HTTPException)
+        self._head = None  # request head through "Content-Length: ", built by preflight
+        self._reader = None  # buffered reader of the open connection's socket
+        self._transport_errors = (OSError, http.client.HTTPException, ReplyError)
 
     def _auth_token(self) -> str:
         token = self.config.api_key or os.environ.get(API_KEY_ENV)
@@ -175,28 +303,44 @@ class RemoteBackend:
         return token
 
     def preflight(self) -> None:
-        """Check deadline and credentials without sending anything.
+        """Check deadline, credentials and headers without sending anything.
 
-        The bearer token is resolved here, once, for every later query.
+        The bearer token is resolved here, once, and the request head built
+        for every later query.
         """
-        if self.config.timeout <= 0:
+        timeout = self.config.timeout
+        if timeout <= 0:
             raise BackendError("backend deadline is not positive; "
                                "requests would never be sent")
-        self._headers["Authorization"] = f"Bearer {self._auth_token()}"
+        if not timeout * 1e9 < 2 ** 63:  # a socket holds its timeout in int64 nanoseconds
+            raise BackendError(f"backend timeout {timeout!r} s is longer than a socket "
+                               "can wait")
+        self._head = _request_head(self._target, {
+            "Host": _host_header(self.config.endpoint, self._target),
+            "Accept-Encoding": "identity",
+            "Content-Type": "application/json",
+            **self._proxy_headers,
+            "Authorization": f"Bearer {self._auth_token()}",
+        })
 
     def query(self, prompt: str, image_ref: str | None, cycle_index: int) -> str:
-        if "Authorization" not in self._headers:
+        if self._head is None:
             self.preflight()
         body = json.dumps(build_request(self.config, prompt, image_ref)).encode("utf-8")
+        conn = self._conn
         try:
-            self._conn.request("POST", self._target, body, self._headers)
-            resp = self._conn.getresponse()
-            data = resp.read()
+            if conn.sock is None:
+                conn.connect()
+                self._reader = conn.sock.makefile("rb")
+            conn.sock.sendall(b"%b%d\r\n\r\n%b" % (self._head, len(body), body))
+            status, reason, data, closes = _read_reply(self._reader)
         except self._transport_errors as exc:
-            self._conn.close()
+            self.close()
             raise BackendError(f"transport failure: {type(exc).__name__}: {exc}") from exc
-        if not 200 <= resp.status < 300:
-            raise BackendError(f"transport failure: HTTP {resp.status} {resp.reason} "
+        if closes:
+            self.close()
+        if not 200 <= status < 300:
+            raise BackendError(f"transport failure: HTTP {status} {reason} "
                                f"from {self.config.endpoint}")
         try:
             return json.loads(data.decode("utf-8"))["choices"][0]["message"]["content"]
@@ -204,4 +348,8 @@ class RemoteBackend:
             raise BackendError(f"malformed completion payload: {exc}") from exc
 
     def close(self) -> None:
+        """Close the connection and its reader, which holds the socket's descriptor open."""
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
         self._conn.close()

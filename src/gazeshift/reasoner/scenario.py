@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..config import finite_float, finite_floats
 from ..errors import DataError
 
 SCENARIO_SCHEMA = "gazeshift-scenario"
@@ -33,27 +34,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _finite_floats(value, shape: tuple) -> tuple | None:
-    """``value`` as nested tuples of floats of ``shape``, or None unless it has
-    exactly that shape and every entry is a finite int or float (not a bool)."""
-    try:
-        entries = tuple(value)
-    except TypeError:  # not a sequence
-        return None
-    if len(entries) != shape[0]:
-        return None
-    if len(shape) > 1:
-        rows = tuple(_finite_floats(entry, shape[1:]) for entry in entries)
-        return None if None in rows else rows
-    if not all(map(_is_number, entries)):
-        return None
-    try:
-        floats = tuple(map(float, entries))
-    except OverflowError:  # an int beyond the float range
-        return None
-    return floats if all(map(math.isfinite, floats)) else None
-
-
 def check_rotation(R, atol: float = ROTATION_ATOL) -> tuple:
     """R's rows as float tuples; raise ValueError unless R is a rotation to within ``atol``.
 
@@ -62,7 +42,7 @@ def check_rotation(R, atol: float = ROTATION_ATOL) -> tuple:
     |(R R^T)_kl - I_kl| <= atol + 1e-5 * |I_kl|; the determinant is the
     cofactor expansion along the first row.
     """
-    rows = _finite_floats(R, (3, 3))
+    rows = finite_floats(R, (3, 3))
     if rows is None:
         raise ValueError(f"rotation matrix must be 3 rows of 3 finite numbers, not {R!r}")
     for k, a in enumerate(rows):
@@ -92,7 +72,7 @@ class CameraIntrinsics:
     def __post_init__(self):
         for name in ("fx", "fy", "cx", "cy"):
             value = getattr(self, name)
-            if not _is_number(value) or not math.isfinite(value):
+            if finite_float(value) is None:
                 raise ValueError(f"camera {name} must be a finite number, not {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
@@ -133,7 +113,7 @@ class RigidTransform:
             rotation = check_rotation(self.rotation)
         except ValueError as exc:
             raise ValueError(f"base_from_camera {exc}") from exc
-        translation = _finite_floats(self.translation, (3,))
+        translation = finite_floats(self.translation, (3,))
         if translation is None:
             raise ValueError("base_from_camera translation must be 3 finite numbers, "
                              f"not {self.translation!r}")
@@ -194,7 +174,10 @@ class Instance:
     def __post_init__(self):
         if not self.instance_id or not self.category:
             raise ValueError("instance id and category must be non-empty")
-        if self.depth <= 0 or not math.isfinite(self.depth):
+        if not math.isfinite(self.depth):
+            raise ValueError(f"instance {self.instance_id}: depth must be a finite number, "
+                             f"not {self.depth!r}")
+        if self.depth <= 0:
             raise ValueError(f"instance {self.instance_id}: depth must be positive")
 
     def is_person(self) -> bool:
@@ -299,14 +282,15 @@ def _instance_from_record(iid, category, box, depth, face_box) -> Instance:
     if not isinstance(category, str):
         raise ValueError(f"instance {iid}: category must be a string, "
                          f"not {type(category).__name__}")
-    if not _is_number(depth):
-        raise ValueError(f"instance {iid}: depth must be a number, not {type(depth).__name__}")
+    number = finite_float(depth)
+    if number is None:
+        raise ValueError(f"instance {iid}: depth must be a finite number, not {depth!r}")
     for label, entries in (("box", box), ("face box", face_box or ())):
         for value in entries:
             if not _is_number(value):
                 raise ValueError(f"instance {iid}: {label} entries must be numbers, "
                                  f"not {type(value).__name__}")
-    return Instance(instance_id=iid, category=category, box=tuple(box), depth=float(depth),
+    return Instance(instance_id=iid, category=category, box=tuple(box), depth=number,
                     face_box=tuple(face_box) if face_box else None)
 
 

@@ -177,6 +177,39 @@ def test_malformed_dataset_header_exit_data(pipeline, tmp_path, capsys, generato
     assert "bad generator header" in capsys.readouterr().err
 
 
+# An int beyond the float range is not a finite number; each used to crash or,
+# as a backend timeout, hold every cycle of a replay that exited 0.
+
+def test_generator_float_field_beyond_the_float_range_exit_config(tmp_path, capsys):
+    config = write_config(tmp_path, {"generator": {"range_max": 10 ** 400}})
+    assert main(["gen-data", "--config", config, "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert "generator config field 'range_max' must be a finite number" in err
+    assert err.count("\n") == 1
+
+
+def test_training_float_field_beyond_the_float_range_exit_config(pipeline, tmp_path, capsys):
+    _, _, data_dir, _ = pipeline
+    config = write_config(tmp_path, {"training": {"lr": 10 ** 400}})
+    assert main(["train", "--config", config, "--dataset", str(data_dir / "dataset.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "training config field 'lr' must be a finite number" in err
+    assert err.count("\n") == 1
+
+
+def test_backend_float_field_beyond_the_float_range_exit_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    config = write_config(tmp_path, {"backend": {
+        "endpoint": "https://example.test/v1/chat/completions", "model": "m",
+        "timeout": 10 ** 400}})
+    assert main(["replay", "--backend", "remote", "--config", config,
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "backend config field 'timeout' must be a finite number" in err
+    assert err.count("\n") == 1
+
+
 def test_malformed_config_file_exit_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json", encoding="utf-8")
@@ -1003,6 +1036,17 @@ def test_replay_remote_fails_fast_on_dead_deadline(tmp_path, monkeypatch):
         "timeout": 0.0}})
     assert main(["replay", "--backend", "remote", "--config", config,
                  "--out", str(tmp_path / "r")]) == 5
+
+
+def test_replay_remote_fails_fast_on_a_timeout_no_socket_takes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    config = write_config(tmp_path, {"backend": {
+        "endpoint": "https://example.test/v1/chat/completions", "model": "m",
+        "timeout": 1e300}})
+    out = tmp_path / "r"
+    assert main(["replay", "--backend", "remote", "--config", config, "--out", str(out)]) == 5
+    assert "longer than a socket can wait" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_replay_remote_fails_fast_on_non_http_endpoint(tmp_path, monkeypatch, capsys):

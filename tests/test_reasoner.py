@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +570,37 @@ def test_remote_backend_preflight_failures(monkeypatch):
     RemoteBackend(RemoteConfig(endpoint="https://example.test", model="m")).preflight()
 
 
+@pytest.mark.parametrize("timeout, socket_takes_it", [
+    (9.2e9, True), (9223372036.854774, True), (9223372036.854776, False), (1e300, False)])
+def test_preflight_rejects_a_timeout_no_socket_takes(timeout, socket_takes_it):
+    with socket.socket() as sock:  # a socket holds its timeout in int64 nanoseconds
+        if socket_takes_it:
+            sock.settimeout(timeout)
+        else:
+            with pytest.raises(OverflowError):
+                sock.settimeout(timeout)
+    backend = RemoteBackend(RemoteConfig(endpoint="https://example.test", model="m",
+                                         timeout=timeout, api_key="k"))
+    if socket_takes_it:
+        backend.preflight()
+    else:
+        with pytest.raises(BackendError, match="longer than a socket can wait"):
+            backend.preflight()
+
+
+@pytest.mark.parametrize("endpoint, api_key, message", [
+    ("http://example.test/v1", "secret\r\nX-Injected: 1", "Authorization header"),
+    ("http://example.test/v1", "clé-secrète", "Authorization header"),
+    ("http://bücher.test/v1", "secret", "Host header"),
+    ("http://example.test/a b", "secret", "request target '/a b'"),
+])
+def test_preflight_refuses_a_request_head_it_cannot_send(endpoint, api_key, message):
+    backend = RemoteBackend(RemoteConfig(endpoint=endpoint, model="m", api_key=api_key))
+    with pytest.raises(BackendError, match=message) as exc:
+        backend.preflight()
+    assert api_key not in str(exc.value)  # a key is never shown
+
+
 def test_remote_config_validation():
     with pytest.raises(ConfigError, match="unknown"):
         RemoteConfig.from_dict({"endpoint": "e", "model": "m", "retries": 3})
@@ -621,9 +653,6 @@ def test_scenario_rejects_bad_documents():
         ("instance", "box", [300, 80, True, 460], "box entries must be numbers, not bool"),
         ("instance", "face_box", [340.0, 100.0, None, 150.0],
          "face box entries must be numbers, not NoneType"),
-        ("instance", "depth", "2.0", "depth must be a number, not str"),
-        ("instance", "depth", True, "depth must be a number, not bool"),
-        ("instance", "depth", 10 ** 400, "int too large to convert to float"),
         ("instance", "box", [300, 80, 10 ** 400, 460], "int too large to convert to float"),
         ("cycle", "index", 1.0, "cycle index must be an integer, not float"),
         ("cycle", "index", 2.7, "cycle index must be an integer, not float"),
@@ -655,6 +684,22 @@ def test_scenario_rejects_bad_documents():
             scenario_from_doc(doc, origin="demo.json")
         message = str(exc.value)
         assert message.startswith("demo.json: ") and reason in message and "\n" not in message
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, True, False, "525.0", None],
+                         ids=["huge", "minus-huge", "true", "false", "text", "null"])
+@pytest.mark.parametrize("where, key", [("camera", "fx"), ("camera", "fy"), ("camera", "cx"),
+                                        ("camera", "cy"), ("instance", "depth")])
+def test_scenario_camera_and_depth_must_be_finite_json_numbers(where, key, value):
+    # 10 ** 400 used to fail with "int too large to convert to float", naming no field
+    doc = scenario_to_doc(demo_scenario({}))
+    target = doc["camera"] if where == "camera" else doc["cycles"][0]["instances"][0]
+    target[key] = value
+    with pytest.raises(DataError) as exc:
+        scenario_from_doc(doc, origin="demo.json")
+    message = str(exc.value)
+    assert message.startswith("demo.json: ") and "\n" not in message
+    assert f"{key} must be a finite number, not {value!r}" in message
 
 
 # Scenario documents for the oracle test. Box and depth values mix ints and

@@ -1,7 +1,8 @@
 """RemoteBackend on the wire, against chat-completions servers on 127.0.0.1.
 
 The fixture server speaks HTTP/1.1 keep-alive, counts the connections it
-accepts and records every request line, header set and body. Proxy tests
+accepts and records every request line, header set and body; it can also
+write a raw reply verbatim, to frame one as a test needs. Proxy tests
 point ``http_proxy``/``https_proxy`` at it; nothing leaves the loopback
 interface.
 """
@@ -52,6 +53,9 @@ class _Handler(BaseHTTPRequestHandler):
         # Drop the connection without announcing it, as an idle timeout would;
         # decided before replying, since the test may reset the flag once it has the reply.
         self.close_connection = server.drop_after_reply
+        if server.raw is not None:
+            self.wfile.write(server.raw)
+            return
         self.send_response(status)
         if status == 307:
             self.send_header("Location", PATH)
@@ -73,6 +77,7 @@ class LoopbackServer(ThreadingHTTPServer):
         self.seen = []
         self.reply = (200, completion("TARGET: 1"))
         self.drop_after_reply = False
+        self.raw = None  # bytes written verbatim in place of the reply
 
     def verify_request(self, request, client_address):
         self.connections += 1
@@ -158,6 +163,135 @@ def test_dropped_keep_alive_costs_one_query_then_reconnects(server):
     finally:
         backend.close()
     assert server.connections == 2
+
+
+# -- reply framing -------------------------------------------------------------------------
+
+REPLY = completion("TARGET: 1")
+
+
+def raw_reply(*headers: str, body: bytes = REPLY, status_line: str = "HTTP/1.1 200 OK") -> bytes:
+    return "".join(f"{line}\r\n" for line in (status_line, *headers, "")).encode() + body
+
+
+def chunked(body: bytes) -> bytes:
+    """``body`` in two chunks, the first with an extension, then a trailer field."""
+    return (b"%x;note=1\r\n%b\r\n%x\r\n%b\r\n" % (7, body[:7], len(body) - 7, body[7:])
+            + b"0\r\nX-Trailer: t\r\n\r\n")
+
+
+@pytest.mark.parametrize("raw", [
+    raw_reply("Transfer-Encoding: chunked", body=chunked(REPLY)),
+    b"HTTP/1.1 100 Continue\r\n\r\n" + raw_reply(f"Content-Length: {len(REPLY)}"),
+], ids=["chunked", "100-continue"])
+def test_framed_reply_keeps_the_connection(server, raw):
+    server.raw = raw
+    backend = make_backend(server.url + PATH)
+    try:
+        assert [backend.query("p", None, i) for i in range(3)] == ["TARGET: 1"] * 3
+    finally:
+        backend.close()
+    assert server.connections == 1
+
+
+@pytest.mark.parametrize("raw, server_closes", [
+    (raw_reply("Content-Type: application/json"), True),
+    (raw_reply("Connection: close", f"Content-Length: {len(REPLY)}"), False),
+    (raw_reply(f"Content-Length: {len(REPLY)}", status_line="HTTP/1.0 200 OK"), False),
+], ids=["to-close", "connection-close", "http-1.0"])
+def test_reply_that_ends_the_connection_is_followed_by_a_reconnect(server, raw, server_closes):
+    # Where the server keeps the connection open, only the client's own close reconnects.
+    server.raw, server.drop_after_reply = raw, server_closes
+    backend = make_backend(server.url + PATH)
+    try:
+        assert backend.query("p", None, 0) == "TARGET: 1"
+        assert server.connections == 1
+        assert backend.query("p", None, 1) == "TARGET: 1"
+    finally:
+        backend.close()
+    assert server.connections == 2
+
+
+@pytest.mark.parametrize("raw", [
+    raw_reply("X-Long: " + "a" * 65536, f"Content-Length: {len(REPLY)}"),
+    raw_reply(*[f"X-{i}: {i}" for i in range(101)], f"Content-Length: {len(REPLY)}"),
+    raw_reply(f"Content-Length: {len(REPLY)}", status_line="HTTP/1.1 2OO OK"),
+    raw_reply(f"Content-Length: {len(REPLY)}", status_line="ICY 200 OK"),
+    raw_reply(f"Content-Length: {len(REPLY) + 10}"),
+    raw_reply("Content-Length: -1"),
+    raw_reply("Transfer-Encoding: chunked", body=b"zz\r\n" + REPLY),
+    raw_reply("Transfer-Encoding: chunked", body=b"%x\r\n%b" % (len(REPLY), REPLY)),
+    raw_reply("Content-Type: application/json", body=b"")[:-2],
+], ids=["long-header-line", "101-headers", "status-not-digits", "not-http", "cut-body",
+        "negative-length", "bad-chunk-size", "cut-chunked", "cut-headers"])
+def test_broken_reply_is_a_transport_failure_and_the_next_query_reconnects(server, raw):
+    server.raw, server.drop_after_reply = raw, True
+    backend = make_backend(server.url + PATH)
+    try:
+        with pytest.raises(BackendError, match="transport failure"):
+            backend.query("p", None, 0)
+        server.raw, server.drop_after_reply = None, False
+        assert backend.query("p", None, 1) == "TARGET: 1"
+    finally:
+        backend.close()
+    assert server.connections == 2
+
+
+def test_no_content_reply_has_no_body(server):
+    # Without a length, a body would otherwise run until the server closes.
+    server.raw = raw_reply(status_line="HTTP/1.1 204 No Content", body=b"")
+    backend = make_backend(server.url + PATH)
+    try:
+        with pytest.raises(BackendError, match="malformed completion payload"):
+            backend.query("p", None, 0)
+        server.raw = None
+        assert backend.query("p", None, 1) == "TARGET: 1"
+    finally:
+        backend.close()
+    assert server.connections == 1
+
+
+def test_server_stalling_mid_body_times_out(server):
+    timeout = 0.3
+    server.raw = raw_reply(f"Content-Length: {len(REPLY)}", body=REPLY[:10])
+    backend = make_backend(server.url + PATH, timeout=timeout)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(BackendError, match="transport failure: TimeoutError"):
+            backend.query("p", None, 0)
+    finally:
+        backend.close()
+    assert time.monotonic() - t0 < timeout + 1.0
+
+
+def test_each_query_is_one_write(server, monkeypatch):
+    writes = []
+    real_create_connection = socket.create_connection
+
+    class RecordingSocket(socket.socket):
+        def sendall(self, data, *args):
+            writes.append(bytes(data))
+            return super().sendall(data, *args)
+
+    def create_connection(*args, **kwargs):
+        real = real_create_connection(*args, **kwargs)
+        timeout = real.gettimeout()
+        sock = RecordingSocket(fileno=real.detach())
+        sock.settimeout(timeout)
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    backend = make_backend(server.url + PATH)
+    try:
+        for i in range(3):
+            assert backend.query(f"prompt {i}", "frames/001.png", i) == "TARGET: 1"
+    finally:
+        backend.close()
+    assert len(writes) == 3
+    for write, (_, _, _, body) in zip(writes, server.seen):
+        assert write.startswith(f"POST {PATH} HTTP/1.1\r\n".encode())
+        assert write.endswith(f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+    assert server.connections == 1
 
 
 # -- error mapping -------------------------------------------------------------------------
