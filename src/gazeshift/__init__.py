@@ -11,7 +11,9 @@ Three layers:
 The numpy layers are lazy modules: importing the package, the CLI or the
 reasoner registers them without running them, so a replay never loads
 numpy. Each runs on first attribute access, ``from gazeshift.so3 import
-EyePose`` included.
+EyePose`` included. The reasoner registers its remote transport,
+``gazeshift.reasoner.backends``, the same way, so only a remote replay
+runs it.
 """
 
 import importlib.util
@@ -21,13 +23,17 @@ __version__ = "0.1.0"
 
 
 def _register_lazy(name: str) -> None:
-    """Put ``gazeshift.<name>`` in ``sys.modules`` and on the package, unexecuted."""
+    """Put ``gazeshift.<name>`` in ``sys.modules`` and on its parent package, unexecuted.
+
+    ``name`` may be dotted (``reasoner.backends``); the parent must be imported.
+    """
     spec = importlib.util.find_spec(f"{__name__}.{name}")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    globals()[name] = module
+    parent, _, child = spec.name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
 
 
 for _name in ("so3", "nets", "vqvae", "prior", "datagen", "trainer"):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import uuid
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -18,7 +17,9 @@ def open_atomic(path, newline: str | None = None):
     plain ``open(path, "w")`` would give it (0o666 less the umask).
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    # 128 random bits, as uuid4 gives, without importing uuid (and platform with it)
+    # on every command; O_EXCL refuses a clash.
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:

@@ -29,9 +29,10 @@ from pathlib import Path
 from . import __version__, datagen, prior as prior_mod, so3, trainer, vqvae
 from .atomic import open_atomic
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
-from .reasoner import OracleBackend, RemoteBackend, ScriptedBackend, load_scenario_dir
-from .reasoner.backends import RemoteConfig
-from .reasoner.replay import replay_evaluate, write_success_table
+# The remote transport is a lazy module too: only the remote backend reads it.
+from .reasoner import backends, load_scenario_dir
+from .reasoner.replay import (OracleBackend, ScriptedBackend, replay_evaluate,
+                              write_success_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -322,8 +323,8 @@ def _backend_factory(args, doc: dict):
         section = doc.get("backend")
         if not section:
             raise ConfigError("remote backend requires a 'backend' config section")
-        config = RemoteConfig.from_dict(section)
-        with closing(RemoteBackend(config)) as backend:
+        config = backends.RemoteConfig.from_dict(section)
+        with closing(backends.RemoteBackend(config)) as backend:
             # Fail fast here: inside the replay loop every backend error is
             # absorbed by the per-cycle fallback, which would silently turn a
             # bad credential into a 0% run.

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import so3
 from .atomic import open_atomic
-from .config import read_config
+from .config import finite_floats, read_config
 from .errors import ConfigError, DataError
 from .so3 import EyePose, HeadPose
 from .vqvae import _MIN_TARGET_NORM, ConditionVector, MotionAllocation
@@ -398,12 +398,12 @@ def write_dataset(dataset: Dataset, path) -> str:
     return _text_hash(text)
 
 
-def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> list[float]:
-    value = doc.get(key)
-    if (not isinstance(value, list) or len(value) != width
-            or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in value)):
+def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> tuple:
+    """``doc[key]`` as ``width`` floats; each entry must pass ``config.finite_float``."""
+    numbers = finite_floats(doc.get(key), (width,))
+    if numbers is None:
         raise DataError(f"line {line_no}: field {key!r} must be {width} finite numbers")
-    return [float(x) for x in value]
+    return numbers
 
 
 def _parse_line(line: str, line_no: int):

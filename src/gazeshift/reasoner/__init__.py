@@ -4,8 +4,15 @@ The pipeline consumes scenario files (pre-annotated interaction streams),
 marks candidate instances, synthesizes a prompt per cycle, queries a
 pluggable language-model backend, parses the selected mark, and localizes
 it to a 3D point in the robot base frame. `replay` scores scenario runs
-with the two-cycle correctness window.
+with the two-cycle correctness window and holds the offline backends.
+
+The remote backend's module, `backends`, is registered here as a lazy
+module: it runs on first attribute access, so a scripted or oracle replay
+never compiles the HTTP transport. Import `RemoteBackend`, `RemoteConfig`
+and `build_request` from `gazeshift.reasoner.backends`.
 """
+
+from .. import _register_lazy
 
 from .scenario import (
     SCENARIO_SCHEMA,
@@ -31,8 +38,16 @@ from .pipeline import (
     step_cycle,
     synthesize_prompt,
 )
-from .backends import OracleBackend, RemoteBackend, ScriptedBackend
-from .replay import GroupRow, ReplayResult, replay_evaluate, replay_scenario
+from .replay import (
+    GroupRow,
+    OracleBackend,
+    ReplayResult,
+    ScriptedBackend,
+    replay_evaluate,
+    replay_scenario,
+)
+
+_register_lazy("reasoner.backends")
 
 __all__ = [
     "SCENARIO_SCHEMA", "SCENARIO_VERSION", "CameraIntrinsics", "Instance",
@@ -40,6 +55,6 @@ __all__ = [
     "load_scenario_dir", "EmptySceneError", "GazeTargetRecord", "MarkedScene",
     "MemoryBuffer", "ResponseParseError", "localize", "mark_scene",
     "parse_response", "query_backend", "step_cycle", "synthesize_prompt",
-    "OracleBackend", "RemoteBackend", "ScriptedBackend", "GroupRow",
+    "OracleBackend", "ScriptedBackend", "GroupRow",
     "ReplayResult", "replay_evaluate", "replay_scenario",
 ]

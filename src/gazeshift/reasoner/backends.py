@@ -1,13 +1,14 @@
-"""Backends answering gaze-reasoning prompts.
+"""The remote backend: gaze-reasoning prompts answered by a chat-completions endpoint.
 
-ScriptedBackend replays canned responses from a scenario file (pure,
-offline). OracleBackend answers from evaluation metadata with a
-configurable delay — delay 1 is the always-correct reference, delay 3
-lands outside the two-cycle correctness window and must score zero.
 RemoteBackend talks to a chat-completions HTTP endpoint over one
 kept-alive connection (standard library only): http.client opens the
 connection, and the backend writes each request and reads each reply on it
 itself, in one write and through one buffered reader.
+
+The offline backends, ScriptedBackend and OracleBackend, live in
+``reasoner.replay`` and are the same classes here. This module is a lazy
+module (see the package docstring): it runs only when a remote replay, or
+any other caller, first reads one of its attributes.
 
 Every backend implements query(prompt, image_ref, cycle_index) -> text.
 """
@@ -22,57 +23,10 @@ from urllib.parse import unquote, urlsplit
 
 from ..config import read_config
 from ..errors import BackendError
-from .pipeline import mark_scene
-from .scenario import Scenario
+from .replay import OracleBackend, ScriptedBackend  # noqa: F401  (re-exported)
 
 API_KEY_ENV = "GAZESHIFT_API_KEY"
 DEFAULT_TIMEOUT = 1.2  # seconds; must finish inside the 1.5 s cycle budget
-
-
-class ScriptedBackend:
-    """Replays the scenario's canned response for each cycle index."""
-
-    def __init__(self, scenario: Scenario):
-        self.responses = dict(scenario.responses)
-
-    def query(self, prompt: str, image_ref: str | None, cycle_index: int) -> str:
-        try:
-            return self.responses[cycle_index]
-        except KeyError:
-            raise BackendError(f"no canned response for cycle {cycle_index}") from None
-
-
-class OracleBackend:
-    """Answers the expected target exactly ``delay`` cycles after cue onset.
-
-    On every other cycle it names some non-expected candidate (or an
-    arbitrary one when the scenario has no evaluation metadata), so only
-    the delayed answer can score. delay=1 models a perfect reasoner;
-    delay=3 is the adversarial probe for the t0+1/t0+2 window.
-    """
-
-    def __init__(self, scenario: Scenario, delay: int = 1):
-        if delay < 1:
-            raise ValueError("delay must be at least 1")
-        self.scenario = scenario
-        self.delay = delay
-        cue = scenario.cue_cycle()
-        self._cue_index = cue.index if cue is not None else None
-        self._expected = cue.expected_instance if cue is not None else None
-
-    def query(self, prompt: str, image_ref: str | None, cycle_index: int) -> str:
-        cycle = self.scenario.cycles[cycle_index]
-        marked = mark_scene(cycle)
-        answer_cycle = (self._cue_index is not None and self._expected is not None
-                        and cycle_index == self._cue_index + self.delay)
-        if answer_cycle:
-            return f"TARGET: {marked.mark_of(self._expected)}"
-        for mark in sorted(marked.marks):
-            if marked.marks[mark].instance_id != self._expected:
-                return f"TARGET: {mark}"
-        # Single-candidate scene where that candidate is the expected one:
-        # nothing wrong to say, so say nothing parseable and force a hold.
-        return "no alternative candidate"
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,13 @@
 A trial is correct iff the selected instance equals the expected target
 at cue-onset + 1 or cue-onset + 2 cycles. Results aggregate per
 interaction-regularity group (H1..H4) into a success table.
+
+The two offline backends live here, beside the loop that runs them.
+ScriptedBackend replays canned responses from a scenario file.
+OracleBackend answers from evaluation metadata with a configurable delay:
+delay 1 is the always-correct reference, and delay 3 lands outside the
+two-cycle correctness window and must score zero. The remote backend is in
+``reasoner.backends``, which a scripted or oracle replay never runs.
 """
 
 from __future__ import annotations
@@ -14,10 +21,57 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..atomic import open_atomic
-from .pipeline import MemoryBuffer, step_cycle
+from ..errors import BackendError
+from .pipeline import MemoryBuffer, mark_scene, step_cycle
 from .scenario import REGULARITIES, Scenario
 
 CORRECTNESS_WINDOW = (1, 2)  # offsets after cue onset that count
+
+
+class ScriptedBackend:
+    """Replays the scenario's canned response for each cycle index."""
+
+    def __init__(self, scenario: Scenario):
+        self.responses = dict(scenario.responses)
+
+    def query(self, prompt: str, image_ref: str | None, cycle_index: int) -> str:
+        try:
+            return self.responses[cycle_index]
+        except KeyError:
+            raise BackendError(f"no canned response for cycle {cycle_index}") from None
+
+
+class OracleBackend:
+    """Answers the expected target exactly ``delay`` cycles after cue onset.
+
+    On every other cycle it names some non-expected candidate (or an
+    arbitrary one when the scenario has no evaluation metadata), so only
+    the delayed answer can score. delay=1 models a perfect reasoner;
+    delay=3 is the adversarial probe for the t0+1/t0+2 window.
+    """
+
+    def __init__(self, scenario: Scenario, delay: int = 1):
+        if delay < 1:
+            raise ValueError("delay must be at least 1")
+        self.scenario = scenario
+        self.delay = delay
+        cue = scenario.cue_cycle()
+        self._cue_index = cue.index if cue is not None else None
+        self._expected = cue.expected_instance if cue is not None else None
+
+    def query(self, prompt: str, image_ref: str | None, cycle_index: int) -> str:
+        cycle = self.scenario.cycles[cycle_index]
+        marked = mark_scene(cycle)
+        answer_cycle = (self._cue_index is not None and self._expected is not None
+                        and cycle_index == self._cue_index + self.delay)
+        if answer_cycle:
+            return f"TARGET: {marked.mark_of(self._expected)}"
+        for mark in sorted(marked.marks):
+            if marked.marks[mark].instance_id != self._expected:
+                return f"TARGET: {mark}"
+        # Single-candidate scene where that candidate is the expected one:
+        # nothing wrong to say, so say nothing parseable and force a hold.
+        return "no alternative candidate"
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,6 @@ PERSON_CATEGORIES = frozenset({"person"})
 ROTATION_ATOL = 1e-6
 
 
-def _is_number(value) -> bool:
-    """True for a JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def check_rotation(R, atol: float = ROTATION_ATOL) -> tuple:
     """R's rows as float tuples; raise ValueError unless R is a rotation to within ``atol``.
 
@@ -159,6 +154,9 @@ def box_center(box) -> tuple:
 class Instance:
     """One candidate gaze target visible in a cycle.
 
+    Every box entry is a number by ``config.finite_float``'s rule (an int
+    or a float, not a bool, finite as a float) and keeps its JSON type.
+
     A scenario shows the same Instance cycle after cycle, so its prompt
     entry is formatted on first use and kept in ``_prompt_entry``, which
     equality, hashing and repr ignore.
@@ -179,6 +177,11 @@ class Instance:
                              f"not {self.depth!r}")
         if self.depth <= 0:
             raise ValueError(f"instance {self.instance_id}: depth must be positive")
+        for label, entries in (("box", self.box), ("face box", self.face_box or ())):
+            for value in entries:
+                if finite_float(value) is None:
+                    raise ValueError(f"instance {self.instance_id}: {label} entries must be "
+                                     f"finite numbers, not {value!r}")
 
     def is_person(self) -> bool:
         return self.category in PERSON_CATEGORIES
@@ -276,7 +279,11 @@ class Scenario:
 
 
 def _instance_from_record(iid, category, box, depth, face_box) -> Instance:
-    """Check the JSON types of one instance record and build its Instance."""
+    """Check the JSON types of one instance record and build its Instance.
+
+    The id, category and depth are checked here; the Instance checks its box
+    entries, so the per-record oracle in the tests gives the same messages.
+    """
     if not isinstance(iid, str):
         raise ValueError(f"instance id must be a string, not {type(iid).__name__}")
     if not isinstance(category, str):
@@ -285,11 +292,6 @@ def _instance_from_record(iid, category, box, depth, face_box) -> Instance:
     number = finite_float(depth)
     if number is None:
         raise ValueError(f"instance {iid}: depth must be a finite number, not {depth!r}")
-    for label, entries in (("box", box), ("face box", face_box or ())):
-        for value in entries:
-            if not _is_number(value):
-                raise ValueError(f"instance {iid}: {label} entries must be numbers, "
-                                 f"not {type(value).__name__}")
     return Instance(instance_id=iid, category=category, box=tuple(box), depth=number,
                     face_box=tuple(face_box) if face_box else None)
 

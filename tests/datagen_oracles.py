@@ -33,6 +33,7 @@ import numpy as np
 from gazeshift import so3
 from gazeshift.datagen import (DATASET_SCHEMA, DATASET_VERSION, EYE_DOMINANT, HEAD_DOMINANT,
                                Dataset, GeneratorConfig)
+from gazeshift.config import finite_float
 from gazeshift.errors import ConfigError, DataError
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.vqvae import ConditionVector, MotionAllocation
@@ -221,11 +222,12 @@ def generate_dataset_per_sample(seed: int,
 
 
 def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> list[float]:
+    """Each entry by the one number rule, ``config.finite_float``."""
     value = doc.get(key)
-    if (not isinstance(value, list) or len(value) != width
-            or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in value)):
+    numbers = [finite_float(x) for x in value] if isinstance(value, list) else []
+    if len(numbers) != width or None in numbers:
         raise DataError(f"line {line_no}: field {key!r} must be {width} finite numbers")
-    return [float(x) for x in value]
+    return numbers
 
 
 def read_dataset_per_line(path) -> Dataset:

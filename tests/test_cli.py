@@ -10,8 +10,10 @@ only where the package is installed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -30,11 +32,13 @@ from hypothesis import strategies as st
 import gazeshift
 from gazeshift import nets
 from gazeshift.cli import _LIST_CHUNK, DIVERSITY_THRESHOLD, iter_shared_items, main
+from gazeshift.datagen import GeneratorConfig, generate_dataset, serialize_dataset
 from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV
 from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import infer
 from gazeshift.vqvae import ConditionalVQVAE, ConditionVector
+from json_numbers import bad_json_numbers
 from net_oracles import SPELLINGS, write_spelled
 
 SMALL_CONFIG = {
@@ -962,7 +966,7 @@ _TRANSLATION_REASON = "base_from_camera translation must be 3 finite numbers, no
     (b"[]", "a scenario must be a JSON object, not list"),
     (lambda doc: doc.update(responses=[1]), "'list' object has no attribute 'items'"),
     (b'{"schema": "gazeshift-scenario", "description": "\xff"}', "can't decode byte 0xff"),
-    (_set_box_entry, "instance anna: box entries must be numbers, not str"),
+    (_set_box_entry, "instance anna: box entries must be finite numbers, not '60'"),
     (_set_instance_id, "instance id must be a string, not int"),
     (lambda doc: doc["cycles"][1].update(semantics=7),
      "cycle 1: semantics must be a string, not int"),
@@ -1014,6 +1018,61 @@ def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason
     err = capsys.readouterr().err
     assert err.startswith(f"error: {damaged}") and reason in err and err.count("\n") == 1
     assert not (tmp_path / "r").exists()
+
+
+# -- one rule for a JSON number --------------------------------------------------------
+
+def _main_err(argv) -> tuple:
+    """``(exit code, stderr)`` of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+NUMBER_FIELDS = {"theta_e": 2, "theta_h": 3, "target": 3, "delta_e": 2, "delta_h": 3}
+NUMBER_LINES = serialize_dataset(generate_dataset(5, GeneratorConfig(n_samples=8))).splitlines()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, len(NUMBER_LINES) - 1), st.sampled_from(sorted(NUMBER_FIELDS)),
+       st.data())
+def test_dataset_entry_that_is_no_number_exit_data(tmp_path_factory, index, key, data):
+    # `true` used to read as 1.0, and an int beyond the float range to exit 1
+    lines = list(NUMBER_LINES)
+    doc = json.loads(lines[index])
+    doc[key][data.draw(st.integers(0, NUMBER_FIELDS[key] - 1))] = data.draw(bad_json_numbers())
+    lines[index] = json.dumps(doc, sort_keys=True)
+    root = tmp_path_factory.mktemp("numbers")
+    (root / "dataset.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, err = _main_err(["train", "--dataset", str(root / "dataset.jsonl"),
+                           "--out", str(root / "run")])
+    assert code == 3
+    assert err == (f"error: line {index + 1}: field {key!r} must be "
+                   f"{NUMBER_FIELDS[key]} finite numbers\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scenario_box_entry_that_is_no_number_exit_data(tmp_path_factory, data):
+    # an int beyond the float range used to give "int too large to convert to float"
+    doc = json.loads((Path(gazeshift.__file__).parent / "scenarios" / "h1_point_cup.json")
+                     .read_text(encoding="utf-8"))
+    instance = data.draw(st.sampled_from(
+        [inst for cycle in doc["cycles"] for inst in cycle["instances"]]))
+    key = data.draw(st.sampled_from([k for k in ("box", "face_box") if instance.get(k)]))
+    value = data.draw(bad_json_numbers())
+    instance[key][data.draw(st.integers(0, 3))] = value
+    root = tmp_path_factory.mktemp("numbers")
+    (root / "s").mkdir()
+    damaged = root / "s" / "damaged.json"
+    damaged.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _main_err(["replay", "--scenarios", str(root / "s"), "--out", str(root / "r")])
+    assert code == 3
+    label = key.replace("_", " ")
+    assert err == (f"error: {damaged}: instance {instance['id']}: {label} entries must be "
+                   f"finite numbers, not {value!r}\n")
+    assert not (root / "r").exists()
 
 
 def test_replay_remote_requires_backend_section(tmp_path):
@@ -1132,38 +1191,62 @@ def test_cli_import_pulls_in_no_http_library():
 
 
 # Every model layer imports numpy, so a run that leaves numpy unloaded ran none of them.
+# The remote transport is a lazy module: until it runs, its class is not a plain module's.
+# Atomic writes name their temporary files without uuid, which imports platform.
 REPLAY_WITHOUT_NUMPY = """
-import contextlib, sys
+import contextlib, json, sys, types
 from gazeshift import cli
+backends = sys.modules["gazeshift.reasoner.backends"]
+def loaded():
+    names = [name for name in ("numpy", "uuid", "platform") if name in sys.modules]
+    return names + ["backends"] * (type(backends) is types.ModuleType)
 out = sys.argv[1]
+seen = [loaded()]
 with contextlib.redirect_stdout(sys.stderr):
     for backend in ("scripted", "oracle"):
         assert cli.main(["replay", "--backend", backend, "--out", out + "/" + backend]) == 0
+        seen.append(loaded())
     for flag in ("--version", "--help"):
         try:
             cli.main([flag])
         except SystemExit as exc:
             assert exc.code == 0, exc.code
-print("numpy" in sys.modules)
+    seen.append(loaded())
+    # bench/tracing.py patches the class it finds on the lazy module: replay must use it.
+    queries = []
+    query = backends.ScriptedBackend.query
+    def counted(self, *args):
+        queries.append(args)
+        return query(self, *args)
+    backends.ScriptedBackend.query = counted
+    assert cli.main(["replay", "--backend", "scripted", "--out", out + "/patched"]) == 0
+print(json.dumps({"loaded": seen, "queries": len(queries)}))
 """
 
 
 def test_replay_version_and_help_load_no_numpy(tmp_path):
     proc = fresh_python(REPLAY_WITHOUT_NUMPY, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-    for backend in ("scripted", "oracle"):
+    assert json.loads(proc.stdout) == {"loaded": [[]] * 4, "queries": 70}
+    for backend in ("scripted", "oracle", "patched"):
         assert (tmp_path / backend / "success_table.csv").read_text(encoding="utf-8") == (
             "regularity,clips,correct,success_rate\n"
             "H1,3,3,100.0\nH2,3,3,100.0\nH3,3,3,100.0\nH4,3,3,100.0\n")
 
 
-# The CLI import registers each layer, as one module object, without running it.
+# The CLI import registers each layer and the remote transport, as one module object
+# each, without running them.
 LAZY_LAYERS = """
-import sys
+import sys, types
 import gazeshift.cli
 for name in ("so3", "nets", "vqvae", "prior", "datagen", "trainer"):
     assert sys.modules["gazeshift." + name] is getattr(gazeshift, name)
+backends = sys.modules["gazeshift.reasoner.backends"]
+assert backends is gazeshift.reasoner.backends
+assert type(backends) is not types.ModuleType
+from gazeshift.reasoner.backends import RemoteBackend, ScriptedBackend
+assert type(backends) is types.ModuleType and backends.RemoteBackend is RemoteBackend
+assert ScriptedBackend is gazeshift.reasoner.replay.ScriptedBackend
 from gazeshift import so3
 assert "numpy" not in sys.modules
 assert so3.EyePose(0.1, -0.2).pitch == -0.2

@@ -478,6 +478,11 @@ LINE_DAMAGES = {
     "increment_beyond_pi": lambda line: _edited(
         line, lambda doc: doc["delta_h"].__setitem__(0, 3.5)),
     "blank": lambda line: "",
+    # `true` used to read as 1.0 and fail only the invariant check
+    "entry_true": lambda line: _edited(line, lambda doc: doc["theta_e"].__setitem__(0, True)),
+    # used to end in an OverflowError traceback and exit 1
+    "entry_huge_int": lambda line: _edited(
+        line, lambda doc: doc["delta_h"].__setitem__(1, 10 ** 400)),
 }
 
 
@@ -505,6 +510,8 @@ LINE_MESSAGES = {
     "head_pose_out_of_range": "head pose yaw=4.0 outside (-pi, pi]",
     "target_too_close": "target norm must exceed 0.05 m (got 0.0500)",
     "increment_beyond_pi": "motion increments must lie within [-pi, pi]",
+    "entry_true": "field 'theta_e' must be 2 finite numbers",
+    "entry_huge_int": "field 'delta_h' must be 3 finite numbers",
 }
 
 

@@ -36,6 +36,7 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
                                          ScenarioCycle, box_center,
                                          load_scenario, load_scenario_dir,
                                          scenario_from_doc)
+from json_numbers import bad_json_numbers
 from scenario_corpus import scenario_to_doc, write_corpus, write_scenario
 from scenario_oracles import scenario_from_doc_per_record, synthesize_prompt_per_cycle
 
@@ -649,11 +650,14 @@ def test_scenario_rejects_bad_documents():
         ("instance", "id", 5, "instance id must be a string, not int"),
         ("instance", "id", None, "instance id must be a string, not NoneType"),
         ("instance", "category", ["person"], "category must be a string, not list"),
-        ("instance", "box", [300.0, "80", 420.0, 460.0], "box entries must be numbers, not str"),
-        ("instance", "box", [300, 80, True, 460], "box entries must be numbers, not bool"),
+        ("instance", "box", [300.0, "80", 420.0, 460.0],
+         "box entries must be finite numbers, not '80'"),
+        ("instance", "box", [300, 80, True, 460], "box entries must be finite numbers, not True"),
         ("instance", "face_box", [340.0, 100.0, None, 150.0],
-         "face box entries must be numbers, not NoneType"),
-        ("instance", "box", [300, 80, 10 ** 400, 460], "int too large to convert to float"),
+         "face box entries must be finite numbers, not None"),
+        # used to fail with "int too large to convert to float", naming no field
+        ("instance", "box", [300, 80, 10 ** 400, 460],
+         f"p_anna: box entries must be finite numbers, not {10 ** 400!r}"),
         ("cycle", "index", 1.0, "cycle index must be an integer, not float"),
         ("cycle", "index", 2.7, "cycle index must be an integer, not float"),
         ("cycle", "index", True, "cycle index must be an integer, not bool"),
@@ -778,6 +782,8 @@ _SCENARIO_FAULTS = {
     "face_box_inverted": lambda doc, data: _some_instance(doc, data).update(
         face_box=[50, 60, 40.0, 90]),
     "box_three_entries": lambda doc, data: _some_instance(doc, data)["box"].pop(),
+    "box_entry_not_a_number": lambda doc, data: _some_instance(doc, data)["box"].__setitem__(
+        data.draw(st.integers(0, 3)), data.draw(bad_json_numbers())),
     "depth_not_positive": lambda doc, data: _some_instance(doc, data).update(
         depth=data.draw(st.sampled_from([0, 0.0, -0.0, -1.5, math.nan, math.inf]))),
     "empty_id": lambda doc, data: _some_instance(doc, data).update(id=""),

@@ -443,12 +443,16 @@ def test_replay_preflights_once_and_closes_its_one_connection(server, tmp_path, 
 
 
 def test_remote_replay_loads_no_numpy(server, tmp_path):
-    """A remote replay in a fresh interpreter runs without numpy or any model layer."""
+    """A remote replay in a fresh interpreter runs without numpy or any model layer;
+    it runs the lazy transport module, which the CLI import only registers."""
     import gazeshift
 
-    probe = ("import sys; from gazeshift import cli; "
+    probe = ("import sys, types; from gazeshift import cli; "
+             "backends = sys.modules['gazeshift.reasoner.backends']; "
+             "print(type(backends) is types.ModuleType); "
              "code = cli.main(['replay', '--backend', 'remote', '--config', sys.argv[1], "
-             "'--out', sys.argv[2]]); print(code, 'numpy' in sys.modules)")
+             "'--out', sys.argv[2]]); "
+             "print(code, 'numpy' in sys.modules, type(backends) is types.ModuleType)")
     package_root = str(Path(gazeshift.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -456,7 +460,8 @@ def test_remote_replay_loads_no_numpy(server, tmp_path):
         capture_output=True, text=True,
         env={**os.environ, API_KEY_ENV: "secret", "PYTHONPATH": pythonpath})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "0 False True")
     assert len(server.seen) == 70
 
 
