@@ -11,7 +11,7 @@ Three layers:
 The numpy layers are lazy modules: importing the package, the CLI or the
 reasoner registers them without running them, so a replay never loads
 numpy. Each runs on first attribute access, ``from gazeshift.so3 import
-EyePose`` included. The reasoner registers its remote transport,
+rotation_zyx`` included. The reasoner registers its remote transport,
 ``gazeshift.reasoner.backends``, the same way, so only a remote replay
 runs it.
 """

@@ -26,7 +26,7 @@ from pathlib import Path
 # numpy with them (imported inside `eval` and `sample`), load on a model
 # command's first attribute access, so `replay`, `--help` and `--version`
 # never load them.
-from . import __version__, datagen, prior as prior_mod, so3, trainer, vqvae
+from . import __version__, datagen, prior as prior_mod, trainer, vqvae
 from .atomic import open_atomic
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
 # The remote transport is a lazy module too: only the remote backend reads it.
@@ -262,14 +262,10 @@ def cmd_sample(args) -> int:
     eye = _parse_floats(args.eye, 2, "--eye")
     head = _parse_floats(args.head, 3, "--head")
     target = _parse_floats(args.target, 3, "--target")
-    try:
-        condition = vqvae.ConditionVector(
-            eye=so3.EyePose(*[math.radians(v) for v in eye]),
-            head=so3.HeadPose(*[math.radians(v) for v in head]),
-            target=np.array(target),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    condition = np.array([math.radians(v) for v in eye + head] + target)
+    [violation] = vqvae.condition_violations(condition[None, :])
+    if violation is not None:
+        raise ConfigError(violation)
     seed = 0 if args.seed is None else args.seed
     try:
         pi, codes, allocations = trainer.draw_allocations(
@@ -277,9 +273,9 @@ def cmd_sample(args) -> int:
     except ValueError as exc:  # the model's output, not the flags, is at fault
         raise TrainingError(f"cannot sample from {args.run}: {exc}") from exc
     drawn = {k: {"code": k,
-                 "delta_eye_deg": [math.degrees(v) for v in allocation.delta_eye],
-                 "delta_head_deg": [math.degrees(v) for v in allocation.delta_head]}
-             for k, allocation in allocations.items()}
+                 "delta_eye_deg": [math.degrees(v) for v in row[:2]],
+                 "delta_head_deg": [math.degrees(v) for v in row[2:]]}
+             for k, row in allocations.items()}
     samples = [drawn[k] for k in codes.tolist()]
     diverse = {str(k): float(pi[k]) for k in range(len(pi)) if pi[k] > DIVERSITY_THRESHOLD}
     out_dir = Path(args.out)

@@ -35,8 +35,7 @@ from . import so3
 from .atomic import open_atomic
 from .config import finite_floats, read_config
 from .errors import ConfigError, DataError
-from .so3 import EyePose, HeadPose
-from .vqvae import _MIN_TARGET_NORM, ConditionVector, MotionAllocation
+from .vqvae import _MIN_TARGET_NORM, allocation_violations, condition_violations
 
 DATASET_SCHEMA = "gazeshift-dataset"
 DATASET_VERSION = 1
@@ -117,7 +116,8 @@ class GeneratorConfig:
                      "consistency_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        # EyePose takes pitches up to pi/2 and HeadPose angles up to pi.
+        # A condition row's eye pitch may reach pi/2 and its other angles pi
+        # (vqvae.condition_violations).
         if self.eye_pitch_limit > math.pi / 2:
             raise ValueError(f"eye_pitch_limit must be at most pi/2, got {self.eye_pitch_limit}")
         for name in ("eye_yaw_limit", "head_yaw_limit", "head_pitch_limit", "head_roll_limit"):
@@ -409,7 +409,8 @@ def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> tuple:
 def _parse_line(line: str, line_no: int):
     """One sample line: (condition row (8,), allocation row (5,), strategy tag, split tag).
 
-    The values must pass the checks of the pose, condition and allocation types.
+    Only the JSON shape and the number rule are checked here; ``read_dataset``
+    checks the value rules of all rows at once.
     """
     if not line.strip():
         raise DataError(f"line {line_no}: blank line inside dataset")
@@ -428,20 +429,17 @@ def _parse_line(line: str, line_no: int):
         raise DataError(f"line {line_no}: bad strategy tag {doc.get('strategy')!r}")
     if doc.get("split") not in ("train", "val"):
         raise DataError(f"line {line_no}: bad split tag {doc.get('split')!r}")
-    try:
-        ConditionVector(EyePose(*theta_e), HeadPose(*theta_h), np.array(target))
-        MotionAllocation(np.array(delta_e), np.array(delta_h))
-    except ValueError as exc:
-        raise DataError(f"line {line_no}: {exc}") from exc
     return theta_e + theta_h + target, delta_e + delta_h, doc["strategy"], doc["split"]
 
 
 def read_dataset(path) -> Dataset:
     """Read and validate a dataset file.
 
-    Every sample is re-checked against the generator invariants recorded in
-    the header, all lines at once with ``check_rows``; any problem names the
-    first offending line, as a line-by-line check would.
+    Every sample is re-checked, all lines at once: against the value rules
+    of ``vqvae.condition_violations`` and ``allocation_violations``, then
+    against the generator invariants recorded in the header with
+    ``check_rows``. Any problem names the first offending line, as a
+    line-by-line check would.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -476,8 +474,15 @@ def read_dataset(path) -> Dataset:
         split.append(split_tag)
     conditions = np.array(conditions).reshape(-1, 8)
     allocations = np.array(allocations).reshape(-1, 5)
-    # The lines before one that does not parse are checked first: a
-    # violation among them is the first offending line.
+    # A row that breaks a value rule ends the rows, as a line that does not
+    # parse does. The rows before it are checked first: a violation among
+    # them is the first offending line.
+    for i, (condition, allocation) in enumerate(zip(condition_violations(conditions),
+                                                    allocation_violations(allocations))):
+        if condition or allocation:
+            unparsed = DataError(f"line {i + 2}: {condition or allocation}")
+            conditions, allocations = conditions[:i], allocations[:i]
+            break
     violations = check_rows(conditions[:, :5], allocations, conditions[:, 5:], config)
     for line_no, violation in enumerate(violations, start=2):
         if violation is not None:

@@ -426,7 +426,7 @@ def decode_params(doc, path) -> dict[str, np.ndarray]:
                              "not a list of non-negative integers")
         try:
             arr = np.array(entry["data"], dtype=float).reshape(shape)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int
             raise ValueError(f"{path}: parameter {name!r} has unusable data: {exc}") from exc
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")

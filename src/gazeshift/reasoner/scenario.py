@@ -25,7 +25,7 @@ REGULARITIES = ("H1", "H2", "H3", "H4")
 PERSON_CATEGORIES = frozenset({"person"})
 
 # Rotation-matrix invariants (orthogonality, unit determinant) are enforced
-# to this absolute tolerance, here and before a geodesic distance in so3.
+# to this absolute tolerance.
 ROTATION_ATOL = 1e-6
 
 

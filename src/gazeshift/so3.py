@@ -27,13 +27,8 @@ cosines and sines its gradient uses (``_rotation_from_trig``, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-# The rotation check runs on plain floats beside the scenario loader, so
-# that a replay checks its camera transform without loading numpy.
-from .reasoner.scenario import check_rotation
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,62 +37,12 @@ TWO_PI = 2.0 * math.pi
 GRAD_CAP = 1e4
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap a scalar angle into (-pi, pi]; in-range values pass through exactly."""
-    if not math.isfinite(angle):
-        raise ValueError(f"cannot wrap non-finite angle {angle!r}")
-    if -math.pi < angle <= math.pi:
-        return angle
-    wrapped = math.pi - (math.pi - angle) % TWO_PI
-    # The modulo can round up to 2*pi, which lands on -pi.
-    return math.pi if wrapped == -math.pi else wrapped
-
-
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`wrap_angle`."""
+    """Wrap angles into (-pi, pi]; in-range values pass through exactly."""
     angles = np.asarray(angles, dtype=float)
     wrapped = np.pi - (np.pi - angles) % TWO_PI
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     return np.where((angles > -np.pi) & (angles <= np.pi), angles, wrapped)
-
-
-@dataclass(frozen=True)
-class EyePose:
-    """Coupled two-axis eye orientation (yaw, pitch), radians."""
-
-    yaw: float
-    pitch: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.yaw) and math.isfinite(self.pitch)):
-            raise ValueError("eye pose angles must be finite")
-        if abs(self.yaw) > math.pi + 1e-9 or abs(self.pitch) > math.pi / 2 + 1e-9:
-            raise ValueError(
-                f"eye pose outside representational range: yaw={self.yaw}, pitch={self.pitch}"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.yaw, self.pitch])
-
-
-@dataclass(frozen=True)
-class HeadPose:
-    """Three-axis head orientation (yaw, pitch, roll), radians."""
-
-    yaw: float
-    pitch: float
-    roll: float
-
-    def __post_init__(self):
-        for name in ("yaw", "pitch", "roll"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"head pose {name} must be finite")
-            if abs(value) > math.pi + 1e-9:
-                raise ValueError(f"head pose {name}={value} outside (-pi, pi]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.yaw, self.pitch, self.roll])
 
 
 def rotation_zyx(angles: np.ndarray) -> np.ndarray:
@@ -129,13 +74,6 @@ def _rotation_from_trig(cy, sy, cp, sp, cr, sr) -> np.ndarray:
     R[..., 2, 1] = cp * sr
     R[..., 2, 2] = cp * cr
     return R
-
-
-def geodesic_distance(R1: np.ndarray, R2: np.ndarray) -> float:
-    """Geodesic angle between two validated rotation matrices, in [0, pi]."""
-    check_rotation(R1)
-    check_rotation(R2)
-    return float(geodesic_rows(R1, R2))
 
 
 def _geodesic_from_trace(Ra: np.ndarray, Rb: np.ndarray, tr: np.ndarray) -> np.ndarray:

@@ -52,8 +52,8 @@ from .config import read_config
 from .datagen import Dataset
 from .errors import ConfigError, TrainingError
 from .prior import ConditionalPrior, PriorConfig
-from .vqvae import (ConditionalVQVAE, MotionAllocation, VQVAEConfig, condition_inputs,
-                    pose_errors_rows, quantize_rows, target_rotations)
+from .vqvae import (ConditionalVQVAE, MotionAllocation, VQVAEConfig, allocation_violations,
+                    condition_inputs, pose_errors_rows, quantize_rows, target_rotations)
 
 STAGE1_CHECKPOINT = "stage1.json"
 PRIOR_CHECKPOINT = "prior.json"
@@ -348,42 +348,55 @@ def shared_target_scale(model: ConditionalVQVAE, prior_config: PriorConfig) -> f
     return scale
 
 
-def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str,
-                     rng: np.random.Generator, n: int):
-    """Draw n codes from the prior for condition c (or its argmax n times) and decode them.
-
-    Returns (pi, the n codes, {distinct code: MotionAllocation}). The draws
-    leave ``rng`` where n single draws would. The condition is normalised
-    once, and that row feeds both models (``shared_target_scale``). Each
-    distinct code is decoded once, as one row: in a batch its last bits
-    could change. A decoded allocation outside [-pi, pi] raises ValueError
-    naming its code.
-    """
+def _decode_draws(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.ndarray, mode: str,
+                  rng: np.random.Generator, n: int):
+    """``draw_allocations`` without the check of the decoded rows."""
     if mode not in ("sample", "argmax"):
         raise ValueError(f"unknown inference mode {mode!r}")
-    x = condition_inputs(c.as_input()[None, :], shared_target_scale(model, prior.config))
+    x = condition_inputs(c[None, :], shared_target_scale(model, prior.config))
     pi = prior_mod.softmax_rows(prior.net.forward(x))[0]
     if mode == "argmax":
         codes = np.full(n, int(np.argmax(pi)))
     else:
         codes = prior_mod.sample_code(pi, rng, size=n)
-    allocations = {}
-    for k in dict.fromkeys(codes.tolist()):
-        pred = model.decode_inputs(model.codebook[k][None, :], x)[0]
-        try:
-            allocations[k] = MotionAllocation(pred[:2], pred[2:5])
-        except ValueError as exc:
-            raise ValueError(f"code {k} decodes to an unusable allocation: {exc}") from exc
-    return pi, codes, allocations
+    rows = {k: model.decode_inputs(model.codebook[k][None, :], x)[0]
+            for k in dict.fromkeys(codes.tolist())}
+    return pi, codes, rows
+
+
+def _unusable(code: int, violation) -> ValueError:
+    return ValueError(f"code {code} decodes to an unusable allocation: {violation}")
+
+
+def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.ndarray, mode: str,
+                     rng: np.random.Generator, n: int):
+    """Draw n codes from the prior for condition row c (or its argmax n times) and decode them.
+
+    ``c`` is one unnormalised condition row (8,). Returns (pi, the n codes,
+    {distinct code: allocation row (5,)}). The draws leave ``rng`` where n
+    single draws would. The condition is normalised once, and that row
+    feeds both models (``shared_target_scale``). Each distinct code is
+    decoded once, as one row: in a batch its last bits could change. A
+    decoded row that breaks a rule of ``allocation_violations`` raises
+    ValueError naming its code.
+    """
+    pi, codes, rows = _decode_draws(model, prior, c, mode, rng, n)
+    for k, violation in zip(rows, allocation_violations(np.array(list(rows.values())))):
+        if violation is not None:
+            raise _unusable(k, violation)
+    return pi, codes, rows
 
 
 def infer(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str = "sample",
           rng: np.random.Generator | None = None) -> InferenceResult:
-    """One code for condition c: ``draw_allocations`` with n = 1 (a new generator if none)."""
+    """One code for ConditionVector c: ``draw_allocations`` with n = 1 (a new generator if none)."""
     rng = rng if rng is not None else np.random.default_rng()
-    pi, _, allocations = draw_allocations(model, prior, c, mode, rng, 1)
-    [(code, allocation)] = allocations.items()
-    return InferenceResult(allocation, code, pi)
+    pi, _, rows = _decode_draws(model, prior, c.as_input(), mode, rng, 1)
+    [(code, row)] = rows.items()
+    try:  # MotionAllocation checks the row, once
+        return InferenceResult(MotionAllocation(row[:2], row[2:]), code, pi)
+    except ValueError as exc:
+        raise _unusable(code, exc) from exc
 
 
 def write_metrics_csv(path, rows) -> None:

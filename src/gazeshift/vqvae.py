@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets, so3
-from .so3 import EyePose, HeadPose
 
 # Column layout of the flattened condition input.
 CONDITION_FIELDS = (
@@ -132,41 +131,79 @@ class VQVAEConfig(SharedModelConfig):
             raise ValueError("codebook_init_scale must be positive")
 
 
+def _first_violations(rules: list, n: int) -> list:
+    """Per row, the message of the first rule it breaks, or None. ``rules`` are (broken,
+    message) pairs in check order: ``broken`` masks the n rows, ``message(i)`` words row i."""
+    violations = [None] * n
+    for broken, message in reversed(rules):  # an earlier rule overwrites a later one
+        for i in broken.nonzero()[0].tolist():
+            violations[i] = message(i)
+    return violations
+
+
+def condition_violations(C: np.ndarray) -> list:
+    """The first value rule each (n, 8) condition row breaks, or None where it breaks none.
+
+    In check order: the eye angles must be finite and lie within pi (yaw)
+    and pi/2 (pitch); each head angle, yaw, pitch, then roll, must be finite
+    and lie within pi (each range with a 1e-9 tolerance); the target must be
+    finite, and its norm, ``np.linalg.norm``'s bit for bit, exceed ``_MIN_TARGET_NORM``.
+    """
+    C = np.asarray(C, dtype=float)
+    finite, size, T = np.isfinite(C), np.abs(C), C[:, 5:8]
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms = np.sqrt(np.matmul(T[:, None, :], T[:, :, None])[:, 0, 0])
+    rules = [(~finite[:, :2].all(axis=1), lambda i: "eye pose angles must be finite"),
+             ((size[:, 0] > math.pi + 1e-9) | (size[:, 1] > math.pi / 2 + 1e-9),
+              lambda i: (f"eye pose outside representational range: "
+                         f"yaw={float(C[i, 0])}, pitch={float(C[i, 1])}"))]
+    for j, name in enumerate(("yaw", "pitch", "roll"), start=2):
+        rules += [(~finite[:, j], lambda i, name=name: f"head pose {name} must be finite"),
+                  (size[:, j] > math.pi + 1e-9, lambda i, j=j, name=name:
+                   f"head pose {name}={float(C[i, j])} outside (-pi, pi]")]
+    rules += [(~finite[:, 5:8].all(axis=1), lambda i: "target coordinates must be finite"),
+              (norms <= _MIN_TARGET_NORM, lambda i: (f"target norm must exceed {_MIN_TARGET_NORM}"
+                                                     f" m (got {norms[i]:.4f})"))]
+    return _first_violations(rules, len(C))
+
+
+def allocation_violations(A: np.ndarray) -> list:
+    """The first value rule each (n, 5) allocation row breaks, or None where it breaks none:
+    every increment must be finite, then lie within [-pi, pi]."""
+    largest = np.abs(np.asarray(A, dtype=float)).max(axis=1)  # NaN where a row holds one
+    return _first_violations([(~np.isfinite(largest), lambda i: "motion increments must be finite"),
+                              (largest > math.pi,
+                               lambda i: "motion increments must lie within [-pi, pi]")],
+                             len(largest))
+
+
 @dataclass(frozen=True)
 class ConditionVector:
-    """Gaze context: current poses plus the 3D target point (base frame, metres)."""
+    """One unnormalised ``CONDITION_FIELDS`` row that passes ``condition_violations``."""
 
-    eye: EyePose
-    head: HeadPose
-    target: np.ndarray
+    row: np.ndarray
 
     def __post_init__(self):
-        target = np.asarray(self.target, dtype=float)
-        if target.shape != (3,):
-            raise ValueError(f"target must be a 3-vector, got shape {target.shape}")
-        if not np.all(np.isfinite(target)):
-            raise ValueError("target coordinates must be finite")
-        if float(np.linalg.norm(target)) <= _MIN_TARGET_NORM:
-            raise ValueError(
-                f"target norm must exceed {_MIN_TARGET_NORM} m (got {np.linalg.norm(target):.4f})"
-            )
-        object.__setattr__(self, "target", target)
+        row = np.array(self.row, dtype=float)
+        if row.shape != (len(CONDITION_FIELDS),):
+            raise ValueError(f"condition vector must have {len(CONDITION_FIELDS)} entries")
+        [violation] = condition_violations(row[None, :])
+        if violation is not None:
+            raise ValueError(violation)
+        object.__setattr__(self, "row", row)
 
     def as_input(self) -> np.ndarray:
-        """Flatten to the 8 inputs listed in CONDITION_FIELDS (unnormalised)."""
-        return np.concatenate([self.eye.as_array(), self.head.as_array(), self.target])
+        """The 8 inputs listed in CONDITION_FIELDS (unnormalised)."""
+        return self.row
 
     @classmethod
     def from_input(cls, vec: np.ndarray) -> "ConditionVector":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (len(CONDITION_FIELDS),):
-            raise ValueError(f"condition vector must have {len(CONDITION_FIELDS)} entries")
-        return cls(EyePose(vec[0], vec[1]), HeadPose(vec[2], vec[3], vec[4]), vec[5:8])
+        return cls(vec)
 
 
 @dataclass(frozen=True)
 class MotionAllocation:
-    """Eye and head rotation increments realising one gaze shift (radians)."""
+    """Eye and head increments of one gaze shift (radians); see ``allocation_violations``."""
 
     delta_eye: np.ndarray
     delta_head: np.ndarray
@@ -176,11 +213,9 @@ class MotionAllocation:
         dh = np.asarray(self.delta_head, dtype=float)
         if de.shape != (2,) or dh.shape != (3,):
             raise ValueError("delta_eye must be (2,) and delta_head (3,)")
-        both = np.concatenate([de, dh])
-        if not np.isfinite(both).all():
-            raise ValueError("motion increments must be finite")
-        if np.abs(both).max() > math.pi:
-            raise ValueError("motion increments must lie within [-pi, pi]")
+        [violation] = allocation_violations(np.concatenate([de, dh])[None, :])
+        if violation is not None:
+            raise ValueError(violation)
         object.__setattr__(self, "delta_eye", de)
         object.__setattr__(self, "delta_head", dh)
 

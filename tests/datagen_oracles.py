@@ -20,6 +20,14 @@ use; the acceptance test measures every stored sample against them.
 ``euler_to_matrix``, the rotation of one pose, is built on
 ``so3.rotation_zyx`` and ``pose_angles``; the package itself only rotates
 rows.
+
+The one-row types the package replaced by rows live here too, unchanged:
+``EyePose`` and ``HeadPose`` (from ``so3``), ``PoseCondition`` and
+``PoseAllocation`` (``vqvae.ConditionVector`` and ``MotionAllocation`` as
+they were, one field per pose), and the scalar ``wrap_angle`` and
+``geodesic_distance`` (from ``so3``). Their checks are the oracle of
+``vqvae.condition_violations`` and ``allocation_violations``: same rule,
+same order, same words.
 """
 
 from __future__ import annotations
@@ -35,16 +43,129 @@ from gazeshift.datagen import (DATASET_SCHEMA, DATASET_VERSION, EYE_DOMINANT, HE
                                Dataset, GeneratorConfig)
 from gazeshift.config import finite_float
 from gazeshift.errors import ConfigError, DataError
-from gazeshift.so3 import EyePose, HeadPose
-from gazeshift.vqvae import ConditionVector, MotionAllocation
+from gazeshift.reasoner.scenario import check_rotation
+from gazeshift.vqvae import _MIN_TARGET_NORM, CONDITION_FIELDS
 
 FORWARD = np.array([1.0, 0.0, 0.0])
 
 
+def wrap_angle(angle: float) -> float:
+    """Wrap a scalar angle into (-pi, pi]; in-range values pass through exactly."""
+    if not math.isfinite(angle):
+        raise ValueError(f"cannot wrap non-finite angle {angle!r}")
+    if -math.pi < angle <= math.pi:
+        return angle
+    wrapped = math.pi - (math.pi - angle) % so3.TWO_PI
+    # The modulo can round up to 2*pi, which lands on -pi.
+    return math.pi if wrapped == -math.pi else wrapped
+
+
+def geodesic_distance(R1: np.ndarray, R2: np.ndarray) -> float:
+    """Geodesic angle between two validated rotation matrices, in [0, pi]."""
+    check_rotation(R1)
+    check_rotation(R2)
+    return float(so3.geodesic_rows(R1, R2))
+
+
+@dataclass(frozen=True)
+class EyePose:
+    """Coupled two-axis eye orientation (yaw, pitch), radians."""
+
+    yaw: float
+    pitch: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.yaw) and math.isfinite(self.pitch)):
+            raise ValueError("eye pose angles must be finite")
+        if abs(self.yaw) > math.pi + 1e-9 or abs(self.pitch) > math.pi / 2 + 1e-9:
+            raise ValueError(
+                f"eye pose outside representational range: yaw={self.yaw}, pitch={self.pitch}"
+            )
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.yaw, self.pitch])
+
+
+@dataclass(frozen=True)
+class HeadPose:
+    """Three-axis head orientation (yaw, pitch, roll), radians."""
+
+    yaw: float
+    pitch: float
+    roll: float
+
+    def __post_init__(self):
+        for name in ("yaw", "pitch", "roll"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"head pose {name} must be finite")
+            if abs(value) > math.pi + 1e-9:
+                raise ValueError(f"head pose {name}={value} outside (-pi, pi]")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.yaw, self.pitch, self.roll])
+
+
+@dataclass(frozen=True)
+class PoseCondition:
+    """Gaze context: current poses plus the 3D target point (base frame, metres)."""
+
+    eye: EyePose
+    head: HeadPose
+    target: np.ndarray
+
+    def __post_init__(self):
+        target = np.asarray(self.target, dtype=float)
+        if target.shape != (3,):
+            raise ValueError(f"target must be a 3-vector, got shape {target.shape}")
+        if not np.all(np.isfinite(target)):
+            raise ValueError("target coordinates must be finite")
+        if float(np.linalg.norm(target)) <= _MIN_TARGET_NORM:
+            raise ValueError(
+                f"target norm must exceed {_MIN_TARGET_NORM} m (got {np.linalg.norm(target):.4f})"
+            )
+        object.__setattr__(self, "target", target)
+
+    def as_input(self) -> np.ndarray:
+        """Flatten to the 8 inputs listed in CONDITION_FIELDS (unnormalised)."""
+        return np.concatenate([self.eye.as_array(), self.head.as_array(), self.target])
+
+    @classmethod
+    def from_input(cls, vec: np.ndarray) -> "PoseCondition":
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (len(CONDITION_FIELDS),):
+            raise ValueError(f"condition vector must have {len(CONDITION_FIELDS)} entries")
+        return cls(EyePose(vec[0], vec[1]), HeadPose(vec[2], vec[3], vec[4]), vec[5:8])
+
+
+@dataclass(frozen=True)
+class PoseAllocation:
+    """Eye and head rotation increments realising one gaze shift (radians)."""
+
+    delta_eye: np.ndarray
+    delta_head: np.ndarray
+
+    def __post_init__(self):
+        de = np.asarray(self.delta_eye, dtype=float)
+        dh = np.asarray(self.delta_head, dtype=float)
+        if de.shape != (2,) or dh.shape != (3,):
+            raise ValueError("delta_eye must be (2,) and delta_head (3,)")
+        both = np.concatenate([de, dh])
+        if not np.isfinite(both).all():
+            raise ValueError("motion increments must be finite")
+        if np.abs(both).max() > math.pi:
+            raise ValueError("motion increments must lie within [-pi, pi]")
+        object.__setattr__(self, "delta_eye", de)
+        object.__setattr__(self, "delta_head", dh)
+
+    def as_vector(self) -> np.ndarray:
+        return np.concatenate([self.delta_eye, self.delta_head])
+
+
 @dataclass(frozen=True)
 class GazeSample:
-    condition: ConditionVector
-    allocation: MotionAllocation
+    condition: PoseCondition
+    allocation: PoseAllocation
     strategy: str
 
     def __post_init__(self):
@@ -61,7 +182,7 @@ def rows_dataset(samples: list, split: list, seed: int, config: GeneratorConfig)
 
 def samples_of(dataset: Dataset) -> list:
     """One ``GazeSample`` per row of ``dataset``, in order."""
-    return [GazeSample(ConditionVector.from_input(c), MotionAllocation(a[:2], a[2:]), strategy)
+    return [GazeSample(PoseCondition.from_input(c), PoseAllocation(a[:2], a[2:]), strategy)
             for c, a, strategy in zip(dataset.conditions, dataset.allocations,
                                       dataset.strategy)]
 
@@ -123,7 +244,7 @@ def allocate_shift(eye: EyePose, head: HeadPose, target: np.ndarray, alpha: floa
         raise ValueError("alpha must lie in [0, 1]")
     current_yaw, current_pitch = _ray_angles(gaze_ray(eye, head))
     goal_yaw, goal_pitch = required_shift(target)
-    d_yaw = so3.wrap_angle(goal_yaw - current_yaw)
+    d_yaw = wrap_angle(goal_yaw - current_yaw)
     d_pitch = goal_pitch - current_pitch
     roll_noise = float(rng.normal(0.0, config.roll_noise)) if rng is not None else 0.0
     delta_head = np.array([alpha * d_yaw, -alpha * d_pitch, roll_noise])
@@ -133,8 +254,8 @@ def allocate_shift(eye: EyePose, head: HeadPose, target: np.ndarray, alpha: floa
     eye_goal_yaw = math.atan2(v[1], v[0])
     eye_goal_pitch = -math.asin(min(1.0, max(-1.0, float(v[2]))))
     delta_eye = np.array([
-        so3.wrap_angle(eye_goal_yaw - eye.yaw),
-        so3.wrap_angle(eye_goal_pitch - eye.pitch),
+        wrap_angle(eye_goal_yaw - eye.yaw),
+        wrap_angle(eye_goal_pitch - eye.pitch),
     ])
     if rng is not None:
         delta_eye += rng.normal(0.0, config.eye_jitter, size=2)
@@ -200,8 +321,8 @@ def generate_sample(rng: np.random.Generator,
         if max(abs(float(x)) for x in np.concatenate([delta_eye, delta_head])) > math.pi:
             continue
         sample = GazeSample(
-            ConditionVector(eye, head, target),
-            MotionAllocation(delta_eye, delta_head),
+            PoseCondition(eye, head, target),
+            PoseAllocation(delta_eye, delta_head),
             strategy,
         )
         if check_sample(sample, config) is None:
@@ -271,8 +392,8 @@ def read_dataset_per_line(path) -> Dataset:
             raise DataError(f"line {line_no}: bad split tag {doc.get('split')!r}")
         try:
             sample = GazeSample(
-                ConditionVector(EyePose(*theta_e), HeadPose(*theta_h), np.array(target)),
-                MotionAllocation(np.array(delta_e), np.array(delta_h)),
+                PoseCondition(EyePose(*theta_e), HeadPose(*theta_h), np.array(target)),
+                PoseAllocation(np.array(delta_e), np.array(delta_h)),
                 doc["strategy"],
             )
         except ValueError as exc:

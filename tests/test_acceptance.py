@@ -26,12 +26,12 @@ from gazeshift.datagen import GeneratorConfig, generate_dataset
 from gazeshift.prior import ConditionalPrior, PriorConfig, focal_loss_rows
 from gazeshift.reasoner import (MemoryBuffer, OracleBackend, ScriptedBackend,
                                 load_scenario_dir, replay_evaluate, step_cycle)
-from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import (TrainConfig, dataset_arrays, run_training,
                                validate_stage1)
 from gazeshift.vqvae import (ConditionalVQVAE, VQVAEConfig, condition_inputs, quantize_rows,
                              reconstruction_terms, target_rotations)
-from datagen_oracles import angular_error, check_sample, gaze_ray, samples_of
+from datagen_oracles import (EyePose, HeadPose, angular_error, check_sample, gaze_ray,
+                             geodesic_distance, samples_of)
 from net_oracles import preactivations
 
 BUNDLED_SCENARIOS = Path(gazeshift.__file__).parent / "scenarios"
@@ -66,11 +66,11 @@ def test_criterion_1_rotation_oracles():
         R = rodrigues(axis, angle)
         B = rodrigues(rng.normal(size=3), rng.uniform(0.0, math.pi))
         Q = rodrigues(rng.normal(size=3), rng.uniform(0.0, math.pi))
-        worst_identity = max(worst_identity, so3.geodesic_distance(R, R))
-        worst_oracle = max(worst_oracle, abs(so3.geodesic_distance(B, B @ R) - angle))
-        dab = so3.geodesic_distance(R, B)
-        worst_sym = max(worst_sym, abs(dab - so3.geodesic_distance(B, R)))
-        worst_left = max(worst_left, abs(so3.geodesic_distance(Q @ R, Q @ B) - dab))
+        worst_identity = max(worst_identity, geodesic_distance(R, R))
+        worst_oracle = max(worst_oracle, abs(geodesic_distance(B, B @ R) - angle))
+        dab = geodesic_distance(R, B)
+        worst_sym = max(worst_sym, abs(dab - geodesic_distance(B, R)))
+        worst_left = max(worst_left, abs(geodesic_distance(Q @ R, Q @ B) - dab))
     elapsed = time.perf_counter() - t0
     ok = (max(worst_oracle, worst_identity, worst_left, worst_sym) <= 1e-9
           and elapsed < 1.0)

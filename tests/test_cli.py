@@ -35,9 +35,9 @@ from gazeshift.cli import _LIST_CHUNK, DIVERSITY_THRESHOLD, iter_shared_items, m
 from gazeshift.datagen import GeneratorConfig, generate_dataset, serialize_dataset
 from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV
-from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import infer
-from gazeshift.vqvae import ConditionalVQVAE, ConditionVector
+from gazeshift.vqvae import ConditionalVQVAE
+from datagen_oracles import EyePose, HeadPose, PoseCondition
 from json_numbers import bad_json_numbers
 from net_oracles import SPELLINGS, write_spelled
 
@@ -289,7 +289,7 @@ def test_train_seed_flag_overrides_config_section(pipeline, tmp_path):
 
 def test_dataset_header_limits_beyond_valid_poses_exit_data(pipeline, tmp_path, capsys):
     # A 120 deg eye pitch limit let a 100 deg post-shift eye pitch through the
-    # limit check, and the EyePose built from it ended train with exit 1.
+    # limit check, and the eye pose built from it ended train with exit 1.
     _, config, data_dir, _ = pipeline
     lines = (data_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
     header, sample = json.loads(lines[0]), json.loads(lines[1])
@@ -481,6 +481,12 @@ def _extra_param(doc):
     doc["params"]["3.W"] = {"shape": [1, 1], "data": [0.0]}
 
 
+def _huge_int_weight(doc):
+    # numpy raises OverflowError on it, which ended eval and sample in a
+    # traceback and exit 1
+    doc["params"]["recon_encoder.0.W"]["data"][0] = 10 ** 400
+
+
 def _nan_weight(doc):
     # json writes and reads NaN and Infinity, and no forward pass checks
     # parameter values, so loading must refuse them
@@ -577,6 +583,8 @@ def _unknown_model_field(doc):
     ("stage1.json", _short_bias, "shape"),
     ("prior.json", _extra_param, "unexpected"),
     ("stage1.json", _nan_weight, "parameter 'decoder.1.W' holds a non-finite value"),
+    ("stage1.json", _huge_int_weight, "stage1.json: parameter 'recon_encoder.0.W' has "
+     "unusable data: int too large to convert to float"),
     ("stage1.json", _minus_inf_codebook, "parameter 'codebook' holds a non-finite value"),
     ("prior.json", _inf_bias, "parameter '1.b' holds a non-finite value"),
     ("stage1.json", _truncated, "stage1.json: not valid JSON"),
@@ -634,7 +642,8 @@ def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name,
     for argv in commands:
         capsys.readouterr()
         assert main(argv) == 4, argv[0]
-        assert reason in capsys.readouterr().err, argv[0]
+        [line] = capsys.readouterr().err.splitlines()
+        assert reason in line, argv[0]
     assert {p.name: p.read_bytes() for p in damaged.iterdir()} == before
 
 
@@ -715,9 +724,9 @@ def reference_samples_json(run_dir: Path, seed: int, mode: str, n: int, eye: str
     model, _ = ConditionalVQVAE.load(run_dir / "stage1.json")
     prior, _ = ConditionalPrior.load(run_dir / "prior.json")
     eye, head, target = ([float(v) for v in text.split(",")] for text in (eye, head, target))
-    condition = ConditionVector(eye=EyePose(*[math.radians(v) for v in eye]),
-                                head=HeadPose(*[math.radians(v) for v in head]),
-                                target=np.array(target))
+    condition = PoseCondition(eye=EyePose(*[math.radians(v) for v in eye]),
+                              head=HeadPose(*[math.radians(v) for v in head]),
+                              target=np.array(target))
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(n):
@@ -843,12 +852,35 @@ def test_sample_same_seed_same_draws(pipeline, tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_sample_rejects_malformed_condition(pipeline, tmp_path):
+def _condition_message(eye: str = "0,0", head: str = "0,0,0", target: str = "1.5,0.8,0.2"):
+    """The oracle classes' message for a condition given as ``sample`` flags, or None."""
+    eye, head, target = ([float(v) for v in text.split(",")] for text in (eye, head, target))
+    try:
+        PoseCondition(EyePose(*map(math.radians, eye)), HeadPose(*map(math.radians, head)),
+                      np.array(target))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_sample_rejects_malformed_condition(pipeline, tmp_path, capsys):
     _, _, _, run_dir = pipeline
     assert main(["sample", "--run", str(run_dir), "--eye", "1,2,3",
                  "--out", str(tmp_path / "s")]) == 2
-    assert main(["sample", "--run", str(run_dir), "--target", "0,0,0",
-                 "--out", str(tmp_path / "s")]) == 2
+    # one condition per value rule, each with the oracle classes' message
+    for flag, value in [("eye", "nan,0"),
+                        ("eye", "0,91"),  # eye pitch past 90 deg
+                        ("head", "0,0,181"),  # head roll past 180 deg
+                        ("target", "1,nan,0"),
+                        ("target", "0,0,0"),
+                        ("target", "0.05,0,0")]:  # norm not above 0.05 m
+        message = _condition_message(**{flag: value})
+        assert message is not None
+        capsys.readouterr()
+        assert main(["sample", "--run", str(run_dir), f"--{flag}={value}",
+                     "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -1249,7 +1281,7 @@ assert type(backends) is types.ModuleType and backends.RemoteBackend is RemoteBa
 assert ScriptedBackend is gazeshift.reasoner.replay.ScriptedBackend
 from gazeshift import so3
 assert "numpy" not in sys.modules
-assert so3.EyePose(0.1, -0.2).pitch == -0.2
+assert so3.wrap_angles(-0.2) == -0.2
 assert "numpy" in sys.modules
 from gazeshift.trainer import infer
 import gazeshift.trainer
@@ -1262,3 +1294,18 @@ def test_model_layers_load_on_first_use():
     proc = fresh_python(LAZY_LAYERS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "gazeshift.trainer"
+
+
+# Running the rotation layer runs no part of the reasoner.
+SO3_ALONE = """
+import sys
+from gazeshift import so3
+assert so3.rotation_zyx([0.0, 0.0, 0.0]).shape == (3, 3)
+print(sorted(name for name in sys.modules if name.startswith("gazeshift.reasoner")))
+"""
+
+
+def test_so3_runs_without_the_reasoner():
+    proc = fresh_python(SO3_ALONE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -475,6 +475,8 @@ LINE_DAMAGES = {
     "head_pose_out_of_range": lambda line: _edited(
         line, lambda doc: doc["theta_h"].__setitem__(0, 4.0)),
     "target_too_close": lambda line: _edited(line, lambda doc: doc.update(target=[0.05, 0, 0])),
+    # the invariant check cannot measure a ray against a zero-length target
+    "target_zero": lambda line: _edited(line, lambda doc: doc.update(target=[0, 0, 0])),
     "increment_beyond_pi": lambda line: _edited(
         line, lambda doc: doc["delta_h"].__setitem__(0, 3.5)),
     "blank": lambda line: "",
@@ -509,6 +511,7 @@ LINE_MESSAGES = {
     "pose_out_of_range": "eye pose outside representational range",
     "head_pose_out_of_range": "head pose yaw=4.0 outside (-pi, pi]",
     "target_too_close": "target norm must exceed 0.05 m (got 0.0500)",
+    "target_zero": "target norm must exceed 0.05 m (got 0.0000)",
     "increment_beyond_pi": "motion increments must lie within [-pi, pi]",
     "entry_true": "field 'theta_e' must be 2 finite numbers",
     "entry_huge_int": "field 'delta_h' must be 3 finite numbers",
@@ -583,7 +586,7 @@ def test_dataset_rejects_unknown_tags_and_misaligned_rows(default_dataset):
 
 
 def test_generator_config_rejects_limits_beyond_valid_poses():
-    # EyePose takes pitches up to pi/2, HeadPose angles up to pi
+    # a condition row takes eye pitches up to pi/2 and other angles up to pi
     with pytest.raises(ValueError, match="eye_pitch_limit must be at most pi/2"):
         GeneratorConfig(eye_pitch_limit=math.radians(120))
     for name in ("eye_yaw_limit", "head_yaw_limit", "head_pitch_limit", "head_roll_limit"):

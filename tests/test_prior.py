@@ -22,10 +22,9 @@ from gazeshift import nets
 from gazeshift.prior import (PROB_FLOOR, ConditionalPrior, PriorConfig,
                              check_distribution, focal_loss_rows, sample_code,
                              softmax_rows)
-from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import CodeErrors, validate_stage2
-from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, pose_errors_rows,
-                             target_rotations)
+from gazeshift.vqvae import ConditionalVQVAE, VQVAEConfig, pose_errors_rows, target_rotations
+from datagen_oracles import EyePose, HeadPose, PoseCondition
 from net_oracles import same_bits
 
 FD_H = 1e-6
@@ -36,8 +35,8 @@ def small_prior(seed: int = 0) -> ConditionalPrior:
     return ConditionalPrior(PriorConfig(codebook_size=4, hidden_width=8), seed=seed)
 
 
-def a_condition() -> ConditionVector:
-    return ConditionVector(EyePose(0.1, -0.05), HeadPose(0.2, 0.1, 0.02),
+def a_condition() -> PoseCondition:
+    return PoseCondition(EyePose(0.1, -0.05), HeadPose(0.2, 0.1, 0.02),
                            [1.4, 0.6, 0.3])
 
 
@@ -87,7 +86,7 @@ def logits_for(code: int, k: int) -> np.ndarray:
     return logits
 
 
-def mc_rows(model, logits, c: ConditionVector, target_eye: EyePose,
+def mc_rows(model, logits, c: PoseCondition, target_eye: EyePose,
             target_head: HeadPose, lambda_mc: float = 1.0) -> np.ndarray:
     """motion_consistency_rows for one condition and its true target poses."""
     C = c.as_input()[None, :]
@@ -212,7 +211,7 @@ def test_motion_consistency_zero_on_exact_match():
 
 def test_motion_consistency_same_axis_oracle():
     # eye exact, head yaw off by 0.3 rad -> mc = lambda_mc * 0.3
-    c = ConditionVector(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0])
+    c = PoseCondition(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0])
     decoder = FixedDecoder([np.zeros(5)])
     val = mc_rows(decoder, logits_for(0, 1), c, EyePose(0, 0),
                   HeadPose(0.3, 0, 0), lambda_mc=2.0)[0]

@@ -18,11 +18,10 @@ import math
 import numpy as np
 import pytest
 
-from gazeshift import nets, prior as prior_module, so3
+from gazeshift import nets, prior as prior_module
 from gazeshift.datagen import Dataset, GeneratorConfig, generate_dataset
 from gazeshift.errors import ConfigError, TrainingError
 from gazeshift.prior import ConditionalPrior, PriorConfig
-from gazeshift.so3 import EyePose, HeadPose
 from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, TIMINGS_FILE,
                                CodeErrors, EpochMetrics, TrainConfig, _fit, dataset_arrays,
@@ -31,7 +30,7 @@ from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                validate_stage2, write_metrics_csv)
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, quantize_rows,
                              target_rotations)
-from datagen_oracles import euler_to_matrix, samples_of
+from datagen_oracles import EyePose, HeadPose, euler_to_matrix, geodesic_distance, samples_of
 
 SMALL_GEN = GeneratorConfig(n_samples=60)
 SMALL_TRAIN = TrainConfig(stage1_epochs=8, stage2_epochs=6, batch_size=16,
@@ -42,7 +41,7 @@ SMALL_TRAIN = TrainConfig(stage1_epochs=8, stage2_epochs=6, batch_size=16,
 def mgd(predicted, ground_truth, component: str) -> float:
     """Mean geodesic distance between pose lists, in degrees.
 
-    A per-pose reference built on the validated so3 scalars; the trainer's
+    A per-pose reference built on the validated scalar oracles; the trainer's
     batch path must agree with it. ``component`` is "eye" or "head" and
     must match the pose kinds.
     """
@@ -57,7 +56,7 @@ def mgd(predicted, ground_truth, component: str) -> float:
     for p, g in zip(predicted, ground_truth):
         if not (isinstance(p, kind) and isinstance(g, kind)):
             raise ValueError(f"{component} mgd expects {kind.__name__} entries")
-        total += so3.geodesic_distance(euler_to_matrix(p), euler_to_matrix(g))
+        total += geodesic_distance(euler_to_matrix(p), euler_to_matrix(g))
     return math.degrees(total / len(predicted))
 
 
@@ -453,7 +452,7 @@ def test_draw_allocations_refuses_models_that_scale_targets_differently(trained,
     other.set_params(prior.params())
     c = val_conditions[0]
     with pytest.raises(ValueError, match="stage-1 target_scale 2.0 differs from the prior's 3.0"):
-        draw_allocations(model, other, c, "sample", np.random.default_rng(0), 5)
+        draw_allocations(model, other, c.as_input(), "sample", np.random.default_rng(0), 5)
 
 
 @pytest.mark.parametrize("mode", ["sample", "argmax"])
@@ -461,14 +460,13 @@ def test_draw_allocations_equals_n_infer_calls(trained, val_conditions, mode):
     model, prior = trained[0], trained[3]
     rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
     for c in val_conditions:
-        pi, codes, allocations = draw_allocations(model, prior, c, mode, rng, 25)
+        pi, codes, allocations = draw_allocations(model, prior, c.as_input(), mode, rng, 25)
         results = [infer(model, prior, c, mode=mode, rng=ref_rng) for _ in range(25)]
         assert codes.tolist() == [r.code for r in results]
         assert list(allocations) == list(dict.fromkeys(codes.tolist()))
         for r in results:
             assert r.pi.tobytes() == pi.tobytes()
-            assert (allocations[r.code].as_vector().tobytes()
-                    == r.allocation.as_vector().tobytes())
+            assert allocations[r.code].tobytes() == r.allocation.as_vector().tobytes()
     assert rng.random() == ref_rng.random()
 
 
@@ -477,9 +475,11 @@ def test_infer_names_the_code_of_an_allocation_outside_pi(trained, val_condition
     model.set_params(trained[0].params())
     model.decoder.biases[-1][0] = 100.0  # the eye yaw increment, far past pi
     c = val_conditions[0]
-    with pytest.raises(ValueError, match=r"code \d+ decodes to an unusable allocation: "
-                                         r"motion increments must lie within"):
+    message = r"code \d+ decodes to an unusable allocation: motion increments must lie within"
+    with pytest.raises(ValueError, match=message):
         infer(model, trained[3], c, mode="argmax")
+    with pytest.raises(ValueError, match=message):
+        draw_allocations(model, trained[3], c.as_input(), "sample", np.random.default_rng(0), 9)
 
 
 def test_infer_rejects_unknown_mode(trained, val_conditions):

@@ -19,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gazeshift import so3
 from gazeshift.prior import ConditionalPrior, PriorConfig
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, MotionAllocation,
-                             VQVAEConfig, condition_inputs, pose_errors_rows,
-                             quantize_rows, reconstruction_terms, target_rotations)
-from gazeshift.so3 import EyePose, HeadPose
-from datagen_oracles import euler_to_matrix
+                             VQVAEConfig, allocation_violations, condition_inputs,
+                             condition_violations, pose_errors_rows, quantize_rows,
+                             reconstruction_terms, target_rotations)
+from datagen_oracles import (EyePose, HeadPose, PoseAllocation, PoseCondition, euler_to_matrix,
+                             geodesic_distance)
 from net_oracles import preactivations, same_bits
 
 FD_H = 1e-6
@@ -94,18 +94,19 @@ def stable_fixture(seed_start: int = 0):
 # -- domain types ----------------------------------------------------------------
 
 def test_condition_vector_flattens_in_documented_order():
-    c = ConditionVector(EyePose(0.1, 0.2), HeadPose(0.3, 0.4, 0.5), [1.0, 2.0, 2.5])
+    c = PoseCondition(EyePose(0.1, 0.2), HeadPose(0.3, 0.4, 0.5), [1.0, 2.0, 2.5])
     np.testing.assert_array_equal(c.as_input(), [0.1, 0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 2.5])
     back = ConditionVector.from_input(c.as_input())
-    assert back.eye == c.eye and back.head == c.head
-    np.testing.assert_array_equal(back.target, c.target)
+    np.testing.assert_array_equal(back.as_input(), c.as_input())
 
 
 def test_condition_vector_rejects_degenerate_target():
-    with pytest.raises(ValueError):
-        ConditionVector(EyePose(0, 0), HeadPose(0, 0, 0), [0.0, 0.0, 0.01])
-    with pytest.raises(ValueError):
-        ConditionVector(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match=r"target norm must exceed 0.05 m \(got 0.0100\)"):
+        ConditionVector([0, 0, 0, 0, 0, 0.0, 0.0, 0.01])
+    with pytest.raises(ValueError, match="target coordinates must be finite"):
+        ConditionVector([0, 0, 0, 0, 0, 1.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match="condition vector must have 8 entries"):
+        ConditionVector([0, 0, 0, 0, 0, 1.0, 0.0])
 
 
 def test_motion_allocation_validation():
@@ -118,6 +119,67 @@ def test_motion_allocation_validation():
     vec = a.as_vector()
     back = MotionAllocation(vec[:2], vec[2:5])
     np.testing.assert_array_equal(back.delta_head, a.delta_head)
+
+
+# The value rules of condition and allocation rows against the one-row oracle
+# classes: angles across and at each range bound (pi and pi/2, each 1e-9 and
+# one ulp either side of the tolerance), NaN and +-inf; targets across, at
+# and one ulp either side of norm 0.05, and at the origin.
+def _around(bound: float) -> list:
+    edge = bound + 1e-9
+    return [bound - 1e-9, bound, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 4.0)]
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+BOUND_ANGLES = [sign * x for sign in (1.0, -1.0) for x in _around(math.pi) + _around(math.pi / 2)]
+ROW_ANGLES = st.one_of(st.floats(-1.5, 1.5), st.floats(-4.0, 4.0),
+                       st.sampled_from(BOUND_ANGLES + NON_FINITE))
+NORMS = [0.05, math.nextafter(0.05, 0.0), math.nextafter(0.05, 1.0), 0.0]
+ROW_TARGETS = st.one_of(
+    st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0] + NON_FINITE)),
+             min_size=3, max_size=3),
+    st.builds(lambda direction, norm: (np.array(direction) / np.linalg.norm(direction)
+                                       * norm).tolist(),
+              st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+                  lambda d: np.linalg.norm(d) > 1e-3),
+              st.sampled_from(NORMS)),
+    st.builds(lambda k, norm: [norm if j == k else 0.0 for j in range(3)],
+              st.integers(0, 2), st.sampled_from(NORMS)),
+)
+INCREMENTS = st.one_of(st.floats(-3.0, 3.0), st.floats(-4.0, 4.0),
+                       st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 4.0),
+                                        -math.nextafter(math.pi, 4.0)] + NON_FINITE))
+
+
+def _oracle_message(build) -> str | None:
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.lists(ROW_ANGLES, min_size=5, max_size=5), ROW_TARGETS,
+                          st.lists(INCREMENTS, min_size=5, max_size=5)),
+                min_size=1, max_size=6))
+def test_row_violations_match_the_oracle_classes(rows):
+    C = np.array([angles + target for angles, target, _ in rows])
+    A = np.array([increments for _, _, increments in rows])
+    for (angles, target, increments), condition, allocation in zip(
+            rows, condition_violations(C), allocation_violations(A)):
+        expected = _oracle_message(lambda: PoseCondition(EyePose(*angles[:2]),
+                                                         HeadPose(*angles[2:]), target))
+        assert condition == expected
+        assert _oracle_message(lambda: ConditionVector(angles + target)) == expected
+        expected = _oracle_message(lambda: PoseAllocation(increments[:2], increments[2:]))
+        assert allocation == expected
+        assert _oracle_message(lambda: MotionAllocation(increments[:2], increments[2:])) == expected
+
+
+def test_row_violations_of_no_rows():
+    assert condition_violations(np.empty((0, 8))) == []
+    assert allocation_violations(np.empty((0, 5))) == []
 
 
 # -- quantize --------------------------------------------------------------------
@@ -199,7 +261,7 @@ def test_quantize_validates_inputs():
 # -- encode / decode ---------------------------------------------------------------
 
 def test_encode_shape_and_determinism():
-    c = ConditionVector(EyePose(0.1, 0.0), HeadPose(0.2, -0.1, 0.0), [1.5, 0.3, 0.2])
+    c = PoseCondition(EyePose(0.1, 0.0), HeadPose(0.2, -0.1, 0.0), [1.5, 0.3, 0.2])
     y = MotionAllocation([0.05, 0.02], [0.2, -0.1, 0.0])
     Y, C = y.as_vector()[None, :], c.as_input()[None, :]
     a = ConditionalVQVAE(VQVAEConfig(), seed=5).encode_rows(Y, C)
@@ -222,7 +284,7 @@ def test_forward_rows_matches_encode_quantize_decode():
 
 def test_decode_shape_and_split():
     model = small_model()
-    x = ConditionVector(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0]).as_input()[None, :]
+    x = PoseCondition(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0]).as_input()[None, :]
     assert model.decode_rows(np.zeros((1, 3)), x).shape == (1, 5)
     with pytest.raises(ValueError):
         model.decode_rows(np.zeros((1, 5)), x)
@@ -332,9 +394,9 @@ def test_pose_errors_rows_properties(pred, Y, cond, shifts):
     for i in range(4):
         eye_p, head_p = _pose_reference(pred[i], C[i])
         eye_t, head_t = _pose_reference(Y[i], C[i])
-        assert d_eye[i] == pytest.approx(so3.geodesic_distance(
+        assert d_eye[i] == pytest.approx(geodesic_distance(
             euler_to_matrix(eye_p), euler_to_matrix(eye_t)), rel=0, abs=1e-12)
-        assert d_head[i] == pytest.approx(so3.geodesic_distance(
+        assert d_head[i] == pytest.approx(geodesic_distance(
             euler_to_matrix(head_p), euler_to_matrix(head_t)), rel=0, abs=1e-12)
 
 
@@ -353,7 +415,7 @@ def test_vq_loss_zero_at_perfect_reconstruction():
     model = small_model()
     zeros = {name: np.zeros_like(p) for name, p in model.params().items()}
     model.set_params(zeros)  # zero nets and zero codebook: z_e = z_q = pred = 0
-    c = ConditionVector(EyePose(0.1, 0.0), HeadPose(0.2, 0.0, 0.0), [1.0, 0.2, 0.1])
+    c = PoseCondition(EyePose(0.1, 0.0), HeadPose(0.2, 0.0, 0.0), [1.0, 0.2, 0.1])
     y = MotionAllocation([0.0, 0.0], [0.0, 0.0, 0.0])
     terms, _ = model.loss_and_grads(y.as_vector()[None, :], c.as_input()[None, :])
     assert terms.total == pytest.approx(0.0, abs=1e-12)
