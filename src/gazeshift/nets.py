@@ -240,7 +240,7 @@ class DenseNetwork:
             raise ValueError(f"input of shape {h.shape} is not rows of width "
                              f"{self.weights[0].shape[0]}")
         n = len(h)
-        # The workspace lookup inlined: one-row calls (``infer``) pay for no call.
+        # The workspace lookup inlined: one-row calls (``draw_allocations``) pay for no call.
         outputs = self._ws[0] if n == self._ws_rows else self._workspace(n)[0]
         acts = [h]
         for W, b, relu, z in zip(self.weights, self.biases, self._relu, outputs):

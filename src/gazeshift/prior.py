@@ -51,9 +51,9 @@ class PriorConfig(SharedModelConfig):
             raise ValueError("eta and lambda_mc must be non-negative")
 
 
-def check_distribution(pi: np.ndarray, k: int | None = None) -> np.ndarray:
+def check_distribution(pi: np.ndarray) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 1 or (k is not None and pi.shape[0] != k):
+    if pi.ndim != 1:
         raise ValueError(f"distribution has wrong shape {pi.shape}")
     if not np.isfinite(pi).all() or (pi < 0).any():
         raise ValueError("distribution entries must be finite and non-negative")
@@ -96,21 +96,18 @@ def focal_loss_rows(logits: np.ndarray, labels: np.ndarray, gamma: float = 2.0):
     return float(vals.mean()), vals, dlogits
 
 
-def sample_code(pi: np.ndarray, rng: np.random.Generator, size: int | None = None):
-    """Draw a code index from the distribution pi.
+def sample_code(pi: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` code indices from the distribution pi, as an array.
 
-    ``size=None`` returns one ``int``; ``size=n`` returns an array of n
-    indices and leaves ``rng`` where n single draws would leave it.
-
-    The draws are those of ``rng.choice(len(pi), size=size, p=pi / pi.sum())``
-    (numpy's own inverse-CDF search, written out), without ``choice``'s
-    second validation of a ``pi`` that ``check_distribution`` has passed.
+    Leaves ``rng`` where ``size`` single draws would. The draws are those of
+    ``rng.choice(len(pi), size=size, p=pi / pi.sum())`` (numpy's own
+    inverse-CDF search, written out), without ``choice``'s second validation
+    of a ``pi`` that ``check_distribution`` has passed.
     """
     pi = check_distribution(pi)
     cdf = np.cumsum(pi / pi.sum())
     cdf /= cdf[-1]
-    codes = cdf.searchsorted(rng.random(size), side="right")
-    return int(codes) if size is None else codes
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 class ConditionalPrior:

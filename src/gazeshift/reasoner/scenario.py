@@ -84,13 +84,6 @@ class CameraIntrinsics:
         return (depth * ((u - self.cx) / self.fx), depth * ((v - self.cy) / self.fy),
                 float(depth))
 
-    def project(self, point) -> tuple:
-        """Pixel (u, v) for a camera-frame point; inverse of back_project."""
-        x, y, z = map(float, point)
-        if z <= 0:
-            raise ValueError("point must lie in front of the camera")
-        return (self.fx * x / z + self.cx, self.fy * y / z + self.cy)
-
 
 @dataclass(frozen=True)
 class RigidTransform:

@@ -348,26 +348,6 @@ def shared_target_scale(model: ConditionalVQVAE, prior_config: PriorConfig) -> f
     return scale
 
 
-def _decode_draws(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.ndarray, mode: str,
-                  rng: np.random.Generator, n: int):
-    """``draw_allocations`` without the check of the decoded rows."""
-    if mode not in ("sample", "argmax"):
-        raise ValueError(f"unknown inference mode {mode!r}")
-    x = condition_inputs(c[None, :], shared_target_scale(model, prior.config))
-    pi = prior_mod.softmax_rows(prior.net.forward(x))[0]
-    if mode == "argmax":
-        codes = np.full(n, int(np.argmax(pi)))
-    else:
-        codes = prior_mod.sample_code(pi, rng, size=n)
-    rows = {k: model.decode_inputs(model.codebook[k][None, :], x)[0]
-            for k in dict.fromkeys(codes.tolist())}
-    return pi, codes, rows
-
-
-def _unusable(code: int, violation) -> ValueError:
-    return ValueError(f"code {code} decodes to an unusable allocation: {violation}")
-
-
 def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.ndarray, mode: str,
                      rng: np.random.Generator, n: int):
     """Draw n codes from the prior for condition row c (or its argmax n times) and decode them.
@@ -378,12 +358,23 @@ def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.nda
     feeds both models (``shared_target_scale``). Each distinct code is
     decoded once, as one row: in a batch its last bits could change. A
     decoded row that breaks a rule of ``allocation_violations`` raises
-    ValueError naming its code.
+    ValueError naming its code, as does an unknown mode or n below 1.
     """
-    pi, codes, rows = _decode_draws(model, prior, c, mode, rng, n)
+    if mode not in ("sample", "argmax"):
+        raise ValueError(f"unknown inference mode {mode!r}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    x = condition_inputs(c[None, :], shared_target_scale(model, prior.config))
+    pi = prior_mod.softmax_rows(prior.net.forward(x))[0]
+    if mode == "argmax":
+        codes = np.full(n, int(np.argmax(pi)))
+    else:
+        codes = prior_mod.sample_code(pi, rng, size=n)
+    rows = {k: model.decode_inputs(model.codebook[k][None, :], x)[0]
+            for k in dict.fromkeys(codes.tolist())}
     for k, violation in zip(rows, allocation_violations(np.array(list(rows.values())))):
         if violation is not None:
-            raise _unusable(k, violation)
+            raise ValueError(f"code {k} decodes to an unusable allocation: {violation}")
     return pi, codes, rows
 
 
@@ -391,12 +382,9 @@ def infer(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str = "samp
           rng: np.random.Generator | None = None) -> InferenceResult:
     """One code for ConditionVector c: ``draw_allocations`` with n = 1 (a new generator if none)."""
     rng = rng if rng is not None else np.random.default_rng()
-    pi, _, rows = _decode_draws(model, prior, c.as_input(), mode, rng, 1)
+    pi, _, rows = draw_allocations(model, prior, c.as_input(), mode, rng, 1)
     [(code, row)] = rows.items()
-    try:  # MotionAllocation checks the row, once
-        return InferenceResult(MotionAllocation(row[:2], row[2:]), code, pi)
-    except ValueError as exc:
-        raise _unusable(code, exc) from exc
+    return InferenceResult(MotionAllocation(row), code, pi)
 
 
 def write_metrics_csv(path, rows) -> None:

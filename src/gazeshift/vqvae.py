@@ -203,24 +203,17 @@ class ConditionVector:
 
 @dataclass(frozen=True)
 class MotionAllocation:
-    """Eye and head increments of one gaze shift (radians); see ``allocation_violations``."""
+    """One ``ALLOCATION_FIELDS`` row (radians), held as given, without a check.
 
-    delta_eye: np.ndarray
-    delta_head: np.ndarray
+    Its one builder, ``trainer.infer``, hands it a row that
+    ``allocation_violations`` has passed in ``trainer.draw_allocations``.
+    It stays only until the benchmark's infer loop calls ``draw_allocations``.
+    """
 
-    def __post_init__(self):
-        de = np.asarray(self.delta_eye, dtype=float)
-        dh = np.asarray(self.delta_head, dtype=float)
-        if de.shape != (2,) or dh.shape != (3,):
-            raise ValueError("delta_eye must be (2,) and delta_head (3,)")
-        [violation] = allocation_violations(np.concatenate([de, dh])[None, :])
-        if violation is not None:
-            raise ValueError(violation)
-        object.__setattr__(self, "delta_eye", de)
-        object.__setattr__(self, "delta_head", dh)
+    row: np.ndarray
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.delta_eye, self.delta_head])
+        return self.row
 
 
 def quantize_rows(Z: np.ndarray, codebook: np.ndarray):

@@ -10,6 +10,9 @@ fault both detect, the same message.
 replaced: it formats every candidate line on every call, where the package
 formats each instance's entry once and reuses it. Both must give the same
 text for every cycle.
+
+``project`` is the inverse of ``CameraIntrinsics.back_project``: the pixel
+a camera-frame point lands on. The package needs only the one direction.
 """
 
 from __future__ import annotations
@@ -65,6 +68,14 @@ def scenario_from_doc_per_record(doc: dict, origin: str = "<doc>") -> Scenario:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{origin}: {exc}") from exc
+
+
+def project(camera: CameraIntrinsics, point) -> tuple:
+    """Pixel (u, v) of a camera-frame point; the inverse of ``camera.back_project``."""
+    x, y, z = map(float, point)
+    if z <= 0:
+        raise ValueError("point must lie in front of the camera")
+    return (camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy)
 
 
 def synthesize_prompt_per_cycle(marked: MarkedScene, buffer: MemoryBuffer) -> tuple:

@@ -405,7 +405,7 @@ def test_criterion_5_prior_code_diversity(default_run):
         pi = prior.forward_rows(Cv[i:i + 1])[0]
         if int((pi > 0.05).sum()) >= 2:
             diverse += 1
-        draws = np.array([prior_mod.sample_code(pi, rng) for _ in range(1000)])
+        draws = prior_mod.sample_code(pi, rng, 1000)
         freq = np.bincount(draws, minlength=len(pi)) / 1000.0
         worst_tv = max(worst_tv, 0.5 * float(np.abs(freq - pi).sum()))
     elapsed = time.perf_counter() - t0

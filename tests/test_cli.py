@@ -731,10 +731,11 @@ def reference_samples_json(run_dir: Path, seed: int, mode: str, n: int, eye: str
     samples = []
     for _ in range(n):
         result = infer(model, prior, condition, mode=mode, rng=rng)
+        row = result.allocation.as_vector()
         samples.append({
             "code": result.code,
-            "delta_eye_deg": [math.degrees(v) for v in result.allocation.delta_eye],
-            "delta_head_deg": [math.degrees(v) for v in result.allocation.delta_head],
+            "delta_eye_deg": [math.degrees(v) for v in row[:2]],
+            "delta_head_deg": [math.degrees(v) for v in row[2:]],
         })
     pi = prior.forward_rows(condition.as_input()[None, :])[0]
     report = {

@@ -122,8 +122,8 @@ def test_check_distribution_rejects_bad_inputs():
     with pytest.raises(ValueError):
         check_distribution(np.array([1.2, -0.2]))       # negative entry
     with pytest.raises(ValueError):
-        check_distribution(np.full(4, 0.25), k=5)       # wrong width
-    ok = check_distribution(np.full(4, 0.25), k=4)
+        check_distribution(np.full((2, 2), 0.25))       # not one row
+    ok = check_distribution(np.full(4, 0.25))
     assert ok.shape == (4,)
 
 
@@ -330,27 +330,27 @@ def test_sample_code_one_hot_is_deterministic():
     pi = np.zeros(6)
     pi[4] = 1.0
     rng = np.random.default_rng(0)
-    assert all(sample_code(pi, rng) == 4 for _ in range(50))
+    assert sample_code(pi, rng, 50).tolist() == [4] * 50
 
 
 def test_sample_code_uniform_frequencies():
     pi = np.full(10, 0.1)
     rng = np.random.default_rng(7)
-    draws = np.array([sample_code(pi, rng) for _ in range(100_000)])
+    draws = sample_code(pi, rng, 100_000)
     freq = np.bincount(draws, minlength=10) / draws.size
     np.testing.assert_allclose(freq, 0.1, atol=0.01)
 
 
 def test_sample_code_seed_determinism():
     pi = np.array([0.2, 0.3, 0.5])
-    a = [sample_code(pi, np.random.default_rng(42)) for _ in range(5)]
-    b = [sample_code(pi, np.random.default_rng(42)) for _ in range(5)]
-    assert a == b
+    a = sample_code(pi, np.random.default_rng(42), 5)
+    b = sample_code(pi, np.random.default_rng(42), 5)
+    assert a.tolist() == b.tolist()
 
 
 def test_sample_code_rejects_invalid_distribution():
     with pytest.raises(ValueError):
-        sample_code(np.array([0.5, 0.4]), np.random.default_rng(0))
+        sample_code(np.array([0.5, 0.4]), np.random.default_rng(0), 1)
     with pytest.raises(ValueError):
         sample_code(np.array([0.5, 0.4]), np.random.default_rng(0), size=5)
 
@@ -360,11 +360,11 @@ def test_sample_code_rejects_invalid_distribution():
 @pytest.mark.parametrize("seed", [0, 11])
 def test_sample_code_size_n_equals_n_single_draws(pi, seed):
     one, many = np.random.default_rng(seed), np.random.default_rng(seed)
-    singles = [sample_code(pi, one) for _ in range(500)]
-    assert all(type(code) is int for code in singles)
-    drawn = sample_code(pi, many, size=500)
+    singles = [sample_code(pi, one, 1) for _ in range(500)]
+    assert all(code.shape == (1,) for code in singles)
+    drawn = sample_code(pi, many, 500)
     assert drawn.shape == (500,)
-    assert drawn.tolist() == singles
+    assert drawn.tolist() == np.concatenate(singles).tolist()
     # both calls leave the generator in the same state
     assert one.random() == many.random()
 
@@ -389,14 +389,11 @@ def test_sample_code_equals_generator_choice_draw_for_draw():
     for seed in range(240):
         k, pi = _pinned_distribution(seed)
         ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-        for size in (None, 1, 7, 1000):
-            drawn = sample_code(pi, ours, size=size)
+        for size in (1, 7, 1000):
+            drawn = sample_code(pi, ours, size)
             expected = numpys.choice(k, size=size, p=pi / pi.sum())
-            if size is None:
-                assert type(drawn) is int and drawn == int(expected), (seed, size)
-            else:
-                assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
-                assert np.array_equal(drawn, expected), (seed, size)
+            assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
+            assert np.array_equal(drawn, expected), (seed, size)
         assert ours.random() == numpys.random(), seed
 
 
@@ -413,7 +410,7 @@ def test_prior_uniform_at_zero_parameters():
 def test_prior_forward_is_a_distribution_and_deterministic():
     pi_a = small_prior(seed=9).forward_rows(a_row())
     pi_b = small_prior(seed=9).forward_rows(a_row())
-    check_distribution(pi_a[0], k=4)
+    assert check_distribution(pi_a[0]).shape == (4,)
     np.testing.assert_array_equal(pi_a, pi_b)
 
 

@@ -38,7 +38,7 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
                                          scenario_from_doc)
 from json_numbers import bad_json_numbers
 from scenario_corpus import scenario_to_doc, write_corpus, write_scenario
-from scenario_oracles import scenario_from_doc_per_record, synthesize_prompt_per_cycle
+from scenario_oracles import project, scenario_from_doc_per_record, synthesize_prompt_per_cycle
 
 DATA_DIR = Path(__file__).parent / "data"
 BUNDLED = Path(__file__).parent.parent / "src" / "gazeshift" / "scenarios"
@@ -316,7 +316,7 @@ def test_project_round_trip(fx, fy, u_share, v_share, d):
     u, v = u_share * cam.width, v_share * cam.height
     point = cam.back_project(u, v, d)
     assert all(type(x) is float for x in point) and point[2] == d
-    uu, vv = cam.project(point)
+    uu, vv = project(cam, point)
     assert abs(uu - u) < 1e-9 and abs(vv - v) < 1e-9
 
 
@@ -356,7 +356,7 @@ def test_back_project_validation():
     with pytest.raises(ValueError):
         cam.back_project(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        cam.project(np.array([0.1, 0.1, -1.0]))
+        project(cam, np.array([0.1, 0.1, -1.0]))
 
 
 def test_localize_person_uses_face_center():

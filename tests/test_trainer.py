@@ -430,14 +430,15 @@ def test_infer_sampling_follows_pi(trained, val_conditions):
 @pytest.mark.parametrize("mode", ["sample", "argmax"])
 def test_infer_equals_forward_sample_and_decode(trained, val_conditions, mode):
     # infer must give the bits of the public pieces it stands for: the
-    # prior and the decoder on one condition row, and one scalar draw
+    # prior and the decoder on one condition row, and one draw of size 1
     model, prior = trained[0], trained[3]
     rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
     for c in val_conditions:
         result = infer(model, prior, c, mode=mode, rng=rng)
         x = c.as_input()[None, :]
         pi = prior.forward_rows(x)[0]
-        code = int(np.argmax(pi)) if mode == "argmax" else prior_module.sample_code(pi, ref_rng)
+        draw = np.argmax(pi) if mode == "argmax" else prior_module.sample_code(pi, ref_rng, 1)[0]
+        code = int(draw)
         pred = model.decode_rows(model.codebook[code][None, :], x)[0]
         assert type(result.code) is int and result.code == code
         assert result.pi.tobytes() == pi.tobytes()
@@ -453,6 +454,34 @@ def test_draw_allocations_refuses_models_that_scale_targets_differently(trained,
     c = val_conditions[0]
     with pytest.raises(ValueError, match="stage-1 target_scale 2.0 differs from the prior's 3.0"):
         draw_allocations(model, other, c.as_input(), "sample", np.random.default_rng(0), 5)
+
+
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+def test_infer_is_draw_allocations_of_one(trained, mode):
+    # infer wraps draw_allocations with n = 1: the same code, pi and row bits,
+    # and the generator left in the same state. The fixture's own validation
+    # split is short, so the conditions come from a second dataset's.
+    model, prior = trained[0], trained[3]
+    _, Cv = dataset_arrays(generate_dataset(12, GeneratorConfig(n_samples=120)), "val")
+    assert len(Cv) >= 20
+    rng, ref_rng = np.random.default_rng(37), np.random.default_rng(37)
+    for c in Cv:
+        result = infer(model, prior, ConditionVector.from_input(c), mode=mode, rng=rng)
+        pi, codes, rows = draw_allocations(model, prior, c, mode, ref_rng, 1)
+        assert codes.tolist() == [result.code] and list(rows) == [result.code]
+        assert result.pi.tobytes() == pi.tobytes()
+        assert result.allocation.as_vector().tobytes() == rows[result.code].tobytes()
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_draw_allocations_refuses_fewer_than_one_draw(trained, val_conditions, mode, n):
+    model, prior = trained[0], trained[3]
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+        draw_allocations(model, prior, val_conditions[0].as_input(), mode, rng, n)
+    assert rng.random() == np.random.default_rng(5).random()
 
 
 @pytest.mark.parametrize("mode", ["sample", "argmax"])

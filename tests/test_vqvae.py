@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gazeshift.prior import ConditionalPrior, PriorConfig
-from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, MotionAllocation,
-                             VQVAEConfig, allocation_violations, condition_inputs,
-                             condition_violations, pose_errors_rows, quantize_rows,
-                             reconstruction_terms, target_rotations)
+from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig,
+                             allocation_violations, condition_inputs, condition_violations,
+                             pose_errors_rows, quantize_rows, reconstruction_terms,
+                             target_rotations)
 from datagen_oracles import (EyePose, HeadPose, PoseAllocation, PoseCondition, euler_to_matrix,
                              geodesic_distance)
 from net_oracles import preactivations, same_bits
@@ -109,18 +109,6 @@ def test_condition_vector_rejects_degenerate_target():
         ConditionVector([0, 0, 0, 0, 0, 1.0, 0.0])
 
 
-def test_motion_allocation_validation():
-    a = MotionAllocation([0.1, -0.2], [0.3, 0.0, -0.1])
-    np.testing.assert_array_equal(a.as_vector(), [0.1, -0.2, 0.3, 0.0, -0.1])
-    with pytest.raises(ValueError):
-        MotionAllocation([0.1], [0.3, 0.0, -0.1])
-    with pytest.raises(ValueError):
-        MotionAllocation([0.1, 4.0], [0.0, 0.0, 0.0])  # beyond pi
-    vec = a.as_vector()
-    back = MotionAllocation(vec[:2], vec[2:5])
-    np.testing.assert_array_equal(back.delta_head, a.delta_head)
-
-
 # The value rules of condition and allocation rows against the one-row oracle
 # classes: angles across and at each range bound (pi and pi/2, each 1e-9 and
 # one ulp either side of the tolerance), NaN and +-inf; targets across, at
@@ -174,7 +162,6 @@ def test_row_violations_match_the_oracle_classes(rows):
         assert _oracle_message(lambda: ConditionVector(angles + target)) == expected
         expected = _oracle_message(lambda: PoseAllocation(increments[:2], increments[2:]))
         assert allocation == expected
-        assert _oracle_message(lambda: MotionAllocation(increments[:2], increments[2:])) == expected
 
 
 def test_row_violations_of_no_rows():
@@ -262,7 +249,7 @@ def test_quantize_validates_inputs():
 
 def test_encode_shape_and_determinism():
     c = PoseCondition(EyePose(0.1, 0.0), HeadPose(0.2, -0.1, 0.0), [1.5, 0.3, 0.2])
-    y = MotionAllocation([0.05, 0.02], [0.2, -0.1, 0.0])
+    y = PoseAllocation([0.05, 0.02], [0.2, -0.1, 0.0])
     Y, C = y.as_vector()[None, :], c.as_input()[None, :]
     a = ConditionalVQVAE(VQVAEConfig(), seed=5).encode_rows(Y, C)
     b = ConditionalVQVAE(VQVAEConfig(), seed=5).encode_rows(Y, C)
@@ -416,7 +403,7 @@ def test_vq_loss_zero_at_perfect_reconstruction():
     zeros = {name: np.zeros_like(p) for name, p in model.params().items()}
     model.set_params(zeros)  # zero nets and zero codebook: z_e = z_q = pred = 0
     c = PoseCondition(EyePose(0.1, 0.0), HeadPose(0.2, 0.0, 0.0), [1.0, 0.2, 0.1])
-    y = MotionAllocation([0.0, 0.0], [0.0, 0.0, 0.0])
+    y = PoseAllocation([0.0, 0.0], [0.0, 0.0, 0.0])
     terms, _ = model.loss_and_grads(y.as_vector()[None, :], c.as_input()[None, :])
     assert terms.total == pytest.approx(0.0, abs=1e-12)
     assert terms.rec == pytest.approx(0.0, abs=1e-12)
