@@ -31,12 +31,12 @@ whole document, one parameter at a time.
 
 A loaded :class:`Checkpoint` also carries a text fingerprint: the SHA-256
 of the canonical ``params_fingerprint`` encoding, built from the number
-tokens of the file itself rather than by encoding the arrays again.
-``save_checkpoint`` writes every value as its ``repr``, which is the token
-that encoding gives it, so for such a file the two fingerprints are equal,
-and checking a fingerprint costs one hash of the text. A file whose
-numbers are spelled otherwise (``1`` for 1.0, seventeen digits where
-fewer do) has another text fingerprint, or none, and
+tokens of the file itself rather than by encoding the arrays again, on
+first use. ``save_checkpoint`` writes every value as its ``repr``, which is
+the token that encoding gives it, so for such a file the two fingerprints
+are equal, and checking a fingerprint costs one parse and one hash of the
+text. A file whose numbers are spelled otherwise (``1`` for 1.0, seventeen
+digits where fewer do) has another text fingerprint, or none, and
 ``Checkpoint.has_fingerprint`` then encodes the arrays.
 """
 
@@ -47,6 +47,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,9 @@ from .errors import ConfigError
 
 CHECKPOINT_FORMAT = "gazeshift-checkpoint"
 CHECKPOINT_VERSION = 1
+
+# The types json.loads gives a JSON number; ``type(True)`` is bool, not int.
+_NUMBER_TYPES = frozenset({int, float})
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -410,9 +414,11 @@ def encode_params(params: dict[str, np.ndarray]) -> dict:
 def decode_params(doc, path) -> dict[str, np.ndarray]:
     """The arrays of an ``encode_params`` document read from ``path``.
 
-    Raises ValueError naming ``path`` unless ``doc`` is an object of
-    ``{"shape": [int, ...], "data": [...]}`` entries whose data fills the
-    shape with finite numbers.
+    Raises ValueError naming ``path`` and the parameter unless ``doc`` is an
+    object of ``{"shape": [int, ...], "data": [...]}`` entries whose data is
+    one flat list that fills the shape with numbers by
+    ``config.finite_float``'s rule: each entry an int or a float (not a
+    bool, a string or null) that is finite as a float.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: params must be an object, not {type(doc).__name__}")
@@ -424,8 +430,14 @@ def decode_params(doc, path) -> dict[str, np.ndarray]:
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise ValueError(f"{path}: parameter {name!r} has shape {shape!r}, "
                              "not a list of non-negative integers")
+        data = entry["data"]
+        if type(data) is not list or not set(map(type, data)) <= _NUMBER_TYPES:
+            bad = data if type(data) is not list else next(
+                v for v in data if type(v) not in _NUMBER_TYPES)
+            raise ValueError(f"{path}: parameter {name!r} data must be one flat list of "
+                             f"numbers, found {bad!r}")
         try:
-            arr = np.array(entry["data"], dtype=float).reshape(shape)
+            arr = np.array(data, dtype=float).reshape(shape)
         except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int
             raise ValueError(f"{path}: parameter {name!r} has unusable data: {exc}") from exc
         if not np.isfinite(arr).all():
@@ -445,16 +457,15 @@ def _text_fingerprint(tokens) -> str | None:
 
     ``tokens`` is the document parsed with every float left as its source
     text (``json.loads(..., parse_float=str)``), and already checked by
-    ``decode_params``. The canonical encoding is rebuilt from those texts:
-    equal to ``params_fingerprint`` of the decoded arrays when each token is
-    the ``repr`` of its value. A data entry that is not one flat list of
-    float tokens (an integer, ``true``, ``null`` or a nested list) gives None.
+    ``decode_params``: each data entry is one flat list of float tokens and
+    ints, so a string in it is a float token. The canonical encoding is
+    rebuilt from those texts: equal to ``params_fingerprint`` of the
+    decoded arrays when each token is the ``repr`` of its value. A data
+    entry holding an integer gives None.
     """
     parts = []
     for name in sorted(tokens):
         data, shape = tokens[name]["data"], tokens[name]["shape"]
-        if type(data) is not list:
-            return None
         try:
             data = ",".join(data)
         except TypeError:
@@ -466,16 +477,25 @@ def _text_fingerprint(tokens) -> str | None:
 
 @dataclass
 class Checkpoint:
-    """A loaded checkpoint: its arrays, its metadata and its text fingerprint.
+    """A loaded checkpoint: its arrays, its metadata and the text it was read from.
 
     ``text_fingerprint`` is ``params_fingerprint(params)`` when the file
     spells every value as its ``repr``, as ``save_checkpoint`` does; it
-    differs, or is None, for a file that spells values otherwise.
+    differs, or is None, for a file that spells values otherwise, and it is
+    None for a checkpoint built without ``text``. It parses the number
+    tokens of ``text`` on first use, so a load whose fingerprint nobody
+    asks for parses the file only once.
     """
 
     params: dict
     metadata: dict
-    text_fingerprint: str | None = None
+    text: str | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def text_fingerprint(self) -> str | None:
+        if self.text is None:
+            return None
+        return _text_fingerprint(json.loads(self.text, parse_float=str)["params"])
 
     def has_fingerprint(self, fingerprint) -> bool:
         """Whether ``params_fingerprint(self.params) == fingerprint``.
@@ -513,10 +533,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     Only ``format``, ``version``, ``params`` and ``metadata`` are read, so
     the ``optimizer`` entry that earlier builds wrote is ignored. The text
-    is read once and parsed twice: for the values, and then, once they have
-    passed every check, for the number tokens of ``params``, which give the
-    checkpoint's ``text_fingerprint``. Only the tokens of ``params`` are
-    kept as text: metadata floats stay floats.
+    is read once and parsed for the values; the checkpoint keeps it, and
+    parses it for the number tokens of ``params`` only if its
+    ``text_fingerprint`` is asked for. Metadata floats stay floats.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -533,9 +552,7 @@ def load_checkpoint(path) -> Checkpoint:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError(f"{path}: metadata must be an object")
-    params = decode_params(doc["params"], path)
-    tokens = json.loads(text, parse_float=str)["params"]
-    return Checkpoint(params, metadata, _text_fingerprint(tokens))
+    return Checkpoint(decode_params(doc["params"], path), metadata, text)
 
 
 def save_model(path, params, kind: str, config, metadata: dict | None = None, **extra) -> None:

@@ -15,6 +15,7 @@ two-cycle correctness window and must score zero. The remote backend is in
 from __future__ import annotations
 
 import json
+import marshal
 import time
 import warnings
 from contextlib import nullcontext
@@ -26,6 +27,10 @@ from .pipeline import MemoryBuffer, mark_scene, step_cycle
 from .scenario import REGULARITIES, Scenario
 
 CORRECTNESS_WINDOW = (1, 2)  # offsets after cue onset that count
+
+# The cycle log's per-target keys, in line order, and its spelling of a bool.
+_TARGET_KEYS = ("instance", "category", "point_2d", "point_3d")
+_JSON_BOOL = {True: "true", False: "false"}
 
 
 class ScriptedBackend:
@@ -94,26 +99,35 @@ class GroupRow:
 
 
 def replay_scenario(scenario: Scenario, backend, log_fh=None) -> ReplayResult:
-    """Run every cycle in order and apply the two-cycle correctness rule."""
+    """Run every cycle in order and apply the two-cycle correctness rule.
+
+    Each ``log_fh`` line is the text ``json.dumps`` gives the cycle's record
+    (scenario, cycle, mark, instance, category, point_2d, point_3d, held,
+    face_fallback, elapsed_s). The scenario id is encoded once, and the
+    instance-to-point_3d stretch once per distinct localized target: its
+    key is the marshalled values, so ``0.0`` and ``-0.0``, or ``1`` and
+    ``1.0``, are distinct targets, as they are distinct JSON texts.
+    """
     buffer = MemoryBuffer()
     records = []
+    if log_fh is not None:
+        scenario_text = json.dumps(scenario.scenario_id)
+        targets = {}  # marshalled (instance, category, point_2d, point_3d) -> its JSON text
     for cycle in scenario.cycles:
         t0 = time.monotonic()
         record = step_cycle(cycle, buffer, backend)
         records.append(record)
         if log_fh is not None:
-            log_fh.write(json.dumps({
-                "scenario": scenario.scenario_id,
-                "cycle": cycle.index,
-                "mark": record.mark,
-                "instance": record.instance_id,
-                "category": record.category,
-                "point_2d": record.point_2d,
-                "point_3d": record.point_3d,
-                "held": record.held,
-                "face_fallback": record.face_fallback,
-                "elapsed_s": time.monotonic() - t0,
-            }) + "\n")
+            target = (record.instance_id, record.category, record.point_2d, record.point_3d)
+            key = marshal.dumps(target, 2)
+            target_text = targets.get(key)
+            if target_text is None:
+                target_text = targets[key] = json.dumps(dict(zip(_TARGET_KEYS, target)))[1:-1]
+            mark = "null" if record.mark is None else record.mark
+            log_fh.write(f'{{"scenario": {scenario_text}, "cycle": {cycle.index}, '
+                         f'"mark": {mark}, {target_text}, "held": {_JSON_BOOL[record.held]}, '
+                         f'"face_fallback": {_JSON_BOOL[record.face_fallback]}, '
+                         f'"elapsed_s": {time.monotonic() - t0!r}}}\n')
     cue = scenario.cue_cycle()
     correct = False
     if cue is not None and cue.expected_instance is not None:

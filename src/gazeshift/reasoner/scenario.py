@@ -122,7 +122,9 @@ def _check_box(box, camera: CameraIntrinsics, cycle_index: int, instance_id: str
     """Raise ValueError unless ``box`` is a (left, top, right, bottom) box inside the image.
 
     The message, naming the cycle, the instance and ``label``, is built only
-    when the check fails: this runs for every box of every cycle.
+    when the check fails. ``ScenarioCycle`` runs this for each box of each
+    instance it shows, unless that instance already passed against the
+    cycle's camera object.
     """
     box = tuple(map(float, box))
     if len(box) != 4:
@@ -150,9 +152,12 @@ class Instance:
     Every box entry is a number by ``config.finite_float``'s rule (an int
     or a float, not a bool, finite as a float) and keeps its JSON type.
 
-    A scenario shows the same Instance cycle after cycle, so its prompt
-    entry is formatted on first use and kept in ``_prompt_entry``, which
-    equality, hashing and repr ignore.
+    A scenario shows the same Instance cycle after cycle, so per-instance
+    work is done once and kept in fields that equality, hashing and repr
+    ignore. The prompt entry is formatted on first use and kept in
+    ``_prompt_entry``. ``_boxed_for`` is the camera object the boxes last
+    passed ``_check_box`` against: a later cycle with that same camera
+    skips the check, and any other camera checks the boxes again.
     """
 
     instance_id: str
@@ -161,6 +166,8 @@ class Instance:
     depth: float  # representative depth, metres
     face_box: tuple | None = None  # persons only, may be absent
     _prompt_entry: str | None = field(default=None, init=False, repr=False, compare=False)
+    _boxed_for: CameraIntrinsics | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         if not self.instance_id or not self.category:
@@ -221,9 +228,12 @@ class ScenarioCycle:
         if len(set(ids)) != len(ids):
             raise ValueError(f"cycle {self.index}: duplicate instance ids")
         for inst in self.instances:
-            _check_box(inst.box, self.camera, self.index, inst.instance_id, "box")
-            if inst.face_box is not None:
-                _check_box(inst.face_box, self.camera, self.index, inst.instance_id, "face box")
+            if inst._boxed_for is not self.camera:
+                _check_box(inst.box, self.camera, self.index, inst.instance_id, "box")
+                if inst.face_box is not None:
+                    _check_box(inst.face_box, self.camera, self.index, inst.instance_id,
+                               "face box")
+                object.__setattr__(inst, "_boxed_for", self.camera)
         if self.expected_instance is not None:
             if not self.cue_onset:
                 raise ValueError(f"cycle {self.index}: expected_instance requires cue_onset")
@@ -294,7 +304,8 @@ def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:
 
     Each distinct instance record is checked and built once per scenario;
     later records equal to it in value and in JSON type share that Instance.
-    Every cycle still checks all of its boxes against the image.
+    Its boxes are checked against the image at the first cycle that shows
+    it, since every cycle carries the scenario's one camera.
     """
     if not isinstance(doc, dict):
         raise DataError(f"{origin}: a scenario must be a JSON object, not {type(doc).__name__}")

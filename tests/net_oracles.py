@@ -77,7 +77,6 @@ SPELLINGS = {
     "%.17g": lambda v: "%.17g" % v,  # 0.1 -> 0.10000000000000001, 1.0 -> 1, -0.0 -> -0
     "%.17e": lambda v: "%.17e" % v,  # a float token, never repr
     "integers": lambda v: str(int(v)) if v.is_integer() else repr(v),
-    "strings": lambda v: json.dumps(repr(v)),  # "0.5": a JSON string numpy reads as 0.5
 }
 
 

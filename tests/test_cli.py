@@ -497,6 +497,17 @@ def _inf_bias(doc):
     doc["params"]["1.b"]["data"][0] = math.inf
 
 
+def _string_weight(doc):
+    # numpy reads the string "0.5" as 0.5, and the text fingerprint took a
+    # string token for a float token, so this file used to sample with exit 0
+    data = doc["params"]["decoder.0.W"]["data"]
+    data[0] = repr(data[0])
+
+
+def _true_bias(doc):
+    doc["params"]["0.b"]["data"][1] = True
+
+
 def _minus_inf_codebook(doc):
     doc["params"]["codebook"]["data"][2] = -math.inf
 
@@ -587,6 +598,11 @@ def _unknown_model_field(doc):
      "unusable data: int too large to convert to float"),
     ("stage1.json", _minus_inf_codebook, "parameter 'codebook' holds a non-finite value"),
     ("prior.json", _inf_bias, "parameter '1.b' holds a non-finite value"),
+    ("stage1.json", _string_weight,
+     "stage1.json: parameter 'decoder.0.W' data must be one flat list of numbers, "
+     "found '"),
+    ("prior.json", _true_bias, "prior.json: parameter '0.b' data must be one flat list of "
+     "numbers, found True"),
     ("stage1.json", _truncated, "stage1.json: not valid JSON"),
     ("stage1.json", _no_params, "stage1.json: checkpoint holds no params"),
     ("prior.json", _params_list, "prior.json: params must be an object, not list"),

@@ -17,6 +17,7 @@ from gazeshift import nets
 from gazeshift.nets import AdamState, DenseNetwork, LrSchedule, NonFiniteGradient
 from gazeshift.prior import ConditionalPrior
 from gazeshift.vqvae import ConditionalVQVAE
+from json_numbers import bad_json_numbers
 from net_oracles import (SPELLINGS, backward_reference, forward_reference, preactivations,
                          same_bits, write_spelled)
 
@@ -660,7 +661,6 @@ def test_text_fingerprint_of_a_saved_checkpoint_is_its_params_fingerprint(params
 @given(param_dicts(), st.sampled_from(sorted(SPELLINGS)))
 @example({"w": np.array(SPECIAL_FLOATS)}, "%.17g")
 @example({"w": np.array([[1.0, 2.5], [-0.0, 3.0]])}, "integers")
-@example({"w": np.array(SPECIAL_FLOATS)}, "strings")
 def test_has_fingerprint_decides_as_the_value_fingerprint(params, spelling):
     # Whatever the spelling, has_fingerprint answers as the arrays' own
     # fingerprint would, for every fingerprint a prior can record: that of
@@ -678,14 +678,66 @@ def test_has_fingerprint_decides_as_the_value_fingerprint(params, spelling):
         assert ck.has_fingerprint(fingerprint) == (fingerprint == values)
 
 
+def _write_checkpoint(path, data, shape) -> None:
+    """A checkpoint whose parameter ``w`` holds the JSON texts ``data`` and ``shape``."""
+    path.write_text('{"format": "gazeshift-checkpoint", "version": 1, '
+                    f'"params": {{"ok": {{"shape": [1], "data": [0.5]}}, '
+                    f'"w": {{"shape": {shape}, "data": {data}}}}}}}', encoding="utf-8")
+
+
 def test_text_fingerprint_is_none_unless_data_is_one_list_of_float_tokens(tmp_path):
+    # an integer token is a number, but not the repr of a float
     path = tmp_path / "ck.json"
-    for data in ("[1.5, 2]", "[1.5, true]", "[[1.5], [2.5]]", '"1.5"'):
-        shape = "[2, 1]" if data.startswith("[[") else "[]" if data == '"1.5"' else "[2]"
-        path.write_text('{"format": "gazeshift-checkpoint", "version": 1, '
-                        f'"params": {{"w": {{"shape": {shape}, "data": {data}}}}}}}',
-                        encoding="utf-8")
+    for data, shape in (("[1.5, 2]", "[2]"), ("[-3]", "[]")):
+        _write_checkpoint(path, data, shape)
         ck = nets.load_checkpoint(path)
         assert ck.text_fingerprint is None, data
         assert ck.has_fingerprint(nets.params_fingerprint(ck.params))
         assert not ck.has_fingerprint(None)
+
+
+def test_text_fingerprint_is_parsed_on_first_use_and_none_without_text(tmp_path, monkeypatch):
+    path = tmp_path / "ck.json"
+    params = {"w": np.array([0.1, -2.0])}
+    nets.save_checkpoint(path, params)
+    parses, real = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: parses.append(k) or real(*a, **k))
+    ck = nets.load_checkpoint(path)
+    assert parses == [{}]  # the values only
+    assert ck.text_fingerprint == nets.params_fingerprint(params)
+    assert ck.text_fingerprint == nets.params_fingerprint(params)
+    assert parses == [{}, {"parse_float": str}]
+    assert nets.Checkpoint(params, {}).text_fingerprint is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_json_numbers(), st.integers(0, 2))
+@example(True, 0)
+@example("0.5", 1)
+@example(None, 2)
+def test_checkpoint_data_entries_must_be_json_numbers(value, at):
+    # config.finite_float's rule: a bool, a numeric string or null is not
+    # read as a number, and a huge int or a non-finite float is not finite
+    data = [0.5, -1.25, 2.0]
+    data[at] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.json"
+        _write_checkpoint(path, json.dumps(data), "[3]")
+        with pytest.raises(ValueError) as raised:
+            nets.load_checkpoint(path)
+    assert str(raised.value).startswith(f"{path}: parameter 'w' "), raised.value
+
+
+@pytest.mark.parametrize("data, shape, refused", [
+    ('"1.5"', "[]", "'1.5'"),
+    ("null", "[]", "None"),
+    ("[[1.5], [2.5]]", "[2, 1]", "[1.5]"),
+    ('{"0": 1.5}', "[1]", "{'0': 1.5}"),
+])
+def test_checkpoint_data_must_be_one_flat_list(tmp_path, data, shape, refused):
+    path = tmp_path / "ck.json"
+    _write_checkpoint(path, data, shape)
+    with pytest.raises(ValueError) as raised:
+        nets.load_checkpoint(path)
+    assert str(raised.value) == (f"{path}: parameter 'w' data must be one flat list of "
+                                 f"numbers, found {refused}")

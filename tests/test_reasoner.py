@@ -8,6 +8,7 @@ backend is checked for totality: garbage in, a gaze record out.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import socket
@@ -29,6 +30,8 @@ from gazeshift.reasoner.pipeline import (HISTORY_LENGTH, REST_RECORD,
                                          mark_scene, parse_response,
                                          query_backend, step_cycle,
                                          synthesize_prompt)
+from gazeshift.reasoner import replay as replay_mod
+from gazeshift.reasoner import scenario as scenario_mod
 from gazeshift.reasoner.replay import (GroupRow, replay_evaluate,
                                        replay_scenario, write_success_table)
 from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
@@ -37,7 +40,7 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
                                          load_scenario, load_scenario_dir,
                                          scenario_from_doc)
 from json_numbers import bad_json_numbers
-from scenario_corpus import scenario_to_doc, write_corpus, write_scenario
+from scenario_corpus import build_corpus, scenario_to_doc, write_corpus, write_scenario
 from scenario_oracles import project, scenario_from_doc_per_record, synthesize_prompt_per_cycle
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -866,6 +869,34 @@ def test_scenario_validates_structure():
             Instance("p", "person", (300, 80, 420, 460), 2.0, face_box=(380, 100, 340, 150)),))
 
 
+def test_shared_instance_out_of_the_image_fails_at_the_first_cycle_showing_it():
+    doc = scenario_to_doc(demo_scenario({}))
+    for cdoc in doc["cycles"][2:]:
+        cdoc["instances"].append({"id": "far", "category": "cup", "box": [600, 10, 700, 60],
+                                  "depth": 1.0})
+    doc = json.loads(json.dumps(doc))
+    for load in (scenario_from_doc, scenario_from_doc_per_record):
+        with pytest.raises(DataError) as raised:
+            load(doc, origin="s.json")
+        assert str(raised.value) == "s.json: cycle 2 instance far box exceeds the 640x480 image"
+
+
+def test_shared_instance_is_box_checked_once_per_camera(monkeypatch):
+    checked, real = [], scenario_mod._check_box
+    monkeypatch.setattr(scenario_mod, "_check_box",
+                        lambda box, camera, *rest: checked.append(camera) or real(box, camera,
+                                                                                  *rest))
+    wide = CameraIntrinsics(fx=500.0, fy=500.0, cx=400.0, cy=300.0, width=800, height=600)
+    far = Instance("far", "cup", (600, 10, 700, 60), 1.0)  # inside 800x600, not 640x480
+    for t in range(3):
+        ScenarioCycle(t, "s", (far,), wide, identity_transform())
+    assert checked == [wide] and far._boxed_for is wide
+    # another camera object checks the boxes again, and this smaller one refuses them
+    with pytest.raises(ValueError, match=r"^cycle 3 instance far box exceeds the 640x480 image$"):
+        ScenarioCycle(3, "s", (far,), demo_camera(), identity_transform())
+    assert len(checked) == 2 and far._boxed_for is wide
+
+
 def test_bundled_scenarios_load_and_carry_metadata():
     scenarios = load_scenario_dir(BUNDLED)
     assert len(scenarios) == 12
@@ -945,6 +976,74 @@ def test_replay_writes_cycle_log(tmp_path):
     assert [d["cycle"] for d in docs] == [0, 1, 2, 3]
     assert docs[0]["instance"] == "c_mug"
     assert all("elapsed_s" in d for d in docs)
+
+
+def _dumped_lines(text: str) -> list:
+    """The lines of a cycle log, each checked to be what ``json.dumps`` writes for it."""
+    lines = text.splitlines(keepends=True)
+    for line in lines:
+        assert line == json.dumps(json.loads(line)) + "\n", line
+    return lines
+
+
+def test_cycle_log_lines_are_what_json_dumps_writes(tmp_path):
+    # the bundled files through the loader, and the builder's scenarios as built
+    for name, scenarios in (("bundled", load_scenario_dir(BUNDLED)), ("built", build_corpus())):
+        log = tmp_path / f"{name}.jsonl"
+        replay_evaluate(scenarios, ScriptedBackend, log_path=log)
+        lines = _dumped_lines(log.read_text(encoding="utf-8"))
+        assert len(lines) == sum(len(s.cycles) for s in scenarios) == 70
+
+
+_LOG_TEXT = st.text(st.sampled_from('ab"\\/\n\u00e9\u4e2d\U0001f600'), max_size=5)
+_LOG_NUMBERS = st.one_of(st.sampled_from([0.0, -0.0, 0, 1, 1.0, 1e16, 5e-324]),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.integers(-10 ** 20, 10 ** 20))
+
+
+@st.composite
+def _log_records(draw):
+    """Records over a few targets, each also present with its numbers retyped (0.0 as -0.0,
+    1 as 1.0), as a mark, held or rest record; marks may be None."""
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        point_2d = draw(st.none() | st.tuples(_LOG_NUMBERS, _LOG_NUMBERS))
+        point_3d = draw(st.tuples(_LOG_NUMBERS, _LOG_NUMBERS, _LOG_NUMBERS))
+        target = (draw(st.none() | _LOG_TEXT), draw(st.none() | _LOG_TEXT), point_2d, point_3d)
+        targets += [target, (*target[:2], point_2d and tuple(map(_retyped, point_2d)),
+                             tuple(map(_retyped, point_3d)))]
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            records.append(REST_RECORD)
+            continue
+        instance_id, category, point_2d, point_3d = draw(st.sampled_from(targets))
+        records.append(GazeTargetRecord(
+            mark=draw(st.none() | st.integers(1, 10 ** 6)), instance_id=instance_id,
+            category=category, box=None, face_box=None, point_2d=point_2d, point_3d=point_3d,
+            face_fallback=draw(st.booleans()), held=draw(st.booleans())))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOG_TEXT, _log_records())
+def test_cycle_log_line_is_json_dumps_of_its_record(scenario_id, records):
+    # Each target's text is encoded once and reused: a reused text must still be
+    # exactly the record's, down to the type and sign of every number.
+    scenario = Scenario(scenario_id, "H1", tuple(make_cycle(t, "s") for t in range(len(records))),
+                        {})
+    log, steps = io.StringIO(), iter(records)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay_mod, "step_cycle", lambda cycle, buffer, backend: next(steps))
+        replay_scenario(scenario, None, log_fh=log)
+    lines = _dumped_lines(log.getvalue())
+    assert len(lines) == len(records)
+    for t, (line, r) in enumerate(zip(lines, records)):
+        assert line == json.dumps({
+            "scenario": scenario_id, "cycle": t, "mark": r.mark, "instance": r.instance_id,
+            "category": r.category, "point_2d": r.point_2d, "point_3d": r.point_3d,
+            "held": r.held, "face_fallback": r.face_fallback,
+            "elapsed_s": json.loads(line)["elapsed_s"]}) + "\n"
 
 
 def test_cycle_log_failing_midway_keeps_previous_file(tmp_path):

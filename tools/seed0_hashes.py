@@ -8,7 +8,9 @@ seed 0, then ``replay --backend scripted`` on the bundled scenarios, through
 ``gazeshift.cli.main``, with one BLAS thread, in a temporary directory (or
 under ``DIR``, which is kept). It prints each artifact's SHA-256 and exits 1
 if any differs from ``EXPECTED``. The replay's ``cycles.jsonl`` is hashed
-with each record's wall-clock ``elapsed_s`` removed.
+with each record's wall-clock ``elapsed_s`` removed, after re-encoding, so
+the hash cannot see how a line is spelled: the script also exits 1 if any
+line as written differs from ``json.dumps`` of its own record.
 
 The trained weights' last bits depend on the BLAS build, so this is not a
 Tier-1 test. ``EXPECTED`` is the one record of these bytes: a change that
@@ -73,15 +75,26 @@ def _content(path: Path) -> bytes:
                    for rec in records).encode("utf-8")
 
 
+def respelled_lines(path: Path) -> list:
+    """Numbers of the lines of a cycle log that differ from ``json.dumps`` of their record."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [n for n, line in enumerate(lines, 1) if line != json.dumps(json.loads(line))]
+
+
 def check(root: Path) -> int:
-    """Print each artifact's SHA-256; 1 if any differs from EXPECTED, else 0."""
+    """Print each artifact's SHA-256; 1 if any differs from EXPECTED or a cycle-log
+    line is not spelled as ``json.dumps`` writes it, else 0."""
     moved = 0
     for name, expected in EXPECTED.items():
         actual = hashlib.sha256(_content(root / name)).hexdigest()
         status = "ok" if actual == expected else f"MOVED (expected {expected})"
         moved += actual != expected
         print(f"{actual}  {name}  {status}")
-    return 1 if moved else 0
+    respelled = respelled_lines(root / "replay" / "cycles.jsonl")
+    if respelled:
+        print(f"replay/cycles.jsonl: {len(respelled)} lines differ from json.dumps of their "
+              f"record, the first is line {respelled[0]}")
+    return 1 if moved or respelled else 0
 
 
 def run(out: str | None) -> int:
