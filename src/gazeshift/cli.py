@@ -98,14 +98,15 @@ def write_json_atomic(doc: dict, path) -> None:
         fh.writelines(iter_shared_items(doc))
 
 
-def write_manifest(out_dir, subcommand: str, config: dict, inputs: list,
+def write_manifest(out_dir, subcommand: str, config: dict, inputs: dict,
                    outputs: list, elapsed_s: float, extra: dict | None = None) -> Path:
+    """Write ``manifest.json``; ``inputs`` maps each input path to the SHA-256 of its bytes."""
     manifest = {
         "subcommand": subcommand,
         "argv": sys.argv[1:],
         "version": __version__,
         "config": config,
-        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "inputs": {str(p): digest for p, digest in inputs.items()},
         "outputs": [str(p) for p in outputs],
         "elapsed_s": elapsed_s,
     }
@@ -167,7 +168,7 @@ def cmd_gen_data(args) -> int:
           f"({dataset.split.count('train')} train / {dataset.split.count('val')} val) "
           f"to {dataset_path}")
     write_manifest(out_dir, "gen-data", {"seed": seed, "generator": config.to_dict()},
-                   inputs=[], outputs=[dataset_path],
+                   inputs={}, outputs=[dataset_path],
                    elapsed_s=time.monotonic() - t0,
                    extra={"dataset_hash": dataset_hash})
     return EXIT_OK
@@ -187,7 +188,7 @@ def cmd_train(args) -> int:
                   f"val eye MGD {best['val_eye_mgd_deg']:.3f} deg, "
                   f"val head MGD {best['val_head_mgd_deg']:.3f} deg")
     write_manifest(out_dir, "train", {"training": config.to_dict(), "stage": args.stage},
-                   inputs=[args.dataset], outputs=summary["outputs"],
+                   inputs={args.dataset: dataset.sha256}, outputs=summary["outputs"],
                    elapsed_s=time.monotonic() - t0,
                    extra={"dataset_hash": summary["dataset_hash"],
                           "best": {k: summary[k] for k in ("stage1", "stage2") if k in summary}})
@@ -195,17 +196,14 @@ def cmd_train(args) -> int:
 
 
 def _load_models(run_dir):
+    """The run's two models, and the SHA-256 of each checkpoint's bytes by path."""
     run = Path(run_dir)
+    stage1_path, prior_path = run / trainer.STAGE1_CHECKPOINT, run / trainer.PRIOR_CHECKPOINT
     with trainer.checkpoint_errors(run):
-        model, stage1 = vqvae.ConditionalVQVAE.load(run / trainer.STAGE1_CHECKPOINT)
-        prior, _ = prior_mod.ConditionalPrior.load(run / trainer.PRIOR_CHECKPOINT,
-                                                   stage1=stage1)
+        model, stage1 = vqvae.ConditionalVQVAE.load(stage1_path)
+        prior, ck = prior_mod.ConditionalPrior.load(prior_path, stage1=stage1)
         trainer.shared_target_scale(model, prior.config)
-    return model, prior
-
-
-def _checkpoints(run_dir) -> list:
-    return [Path(run_dir) / trainer.STAGE1_CHECKPOINT, Path(run_dir) / trainer.PRIOR_CHECKPOINT]
+    return model, prior, {stage1_path: stage1.sha256, prior_path: ck.sha256}
 
 
 def cmd_eval(args) -> int:
@@ -213,7 +211,7 @@ def cmd_eval(args) -> int:
 
     t0 = time.monotonic()
     dataset = datagen.read_dataset(args.dataset)
-    model, prior = _load_models(args.run)
+    model, prior, checkpoints = _load_models(args.run)
     Yv, Cv = trainer.dataset_arrays(dataset, "val")
     Rv = vqvae.target_rotations(Yv, Cv)
     eye1, head1, utilization = trainer.validate_stage1(model, Yv, Cv, Rv)
@@ -247,7 +245,7 @@ def cmd_eval(args) -> int:
     print(f"stage1 val MGD eye {eye1:.3f} / head {head1:.3f} deg, utilization {utilization:.2f}")
     print(f"stage2 val MGD eye {eye2:.3f} / head {head2:.3f} deg, top-1 {top1:.3f}")
     print(f"report: {report_path}")
-    write_manifest(out_dir, "eval", {}, inputs=[args.dataset, *_checkpoints(args.run)],
+    write_manifest(out_dir, "eval", {}, inputs={args.dataset: dataset.sha256, **checkpoints},
                    outputs=[report_path], elapsed_s=time.monotonic() - t0)
     return EXIT_OK
 
@@ -258,7 +256,7 @@ def cmd_sample(args) -> int:
     t0 = time.monotonic()
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
-    model, prior = _load_models(args.run)
+    model, prior, checkpoints = _load_models(args.run)
     eye = _parse_floats(args.eye, 2, "--eye")
     head = _parse_floats(args.head, 3, "--head")
     target = _parse_floats(args.target, 3, "--target")
@@ -296,7 +294,7 @@ def cmd_sample(args) -> int:
     print(f"report: {report_path}")
     write_manifest(out_dir, "sample",
                    {"seed": seed, "mode": args.mode, "n": args.n},
-                   inputs=_checkpoints(args.run),
+                   inputs=checkpoints,
                    outputs=[report_path], elapsed_s=time.monotonic() - t0)
     return EXIT_OK
 
@@ -347,7 +345,7 @@ def cmd_replay(args) -> int:
               f"{row.success_rate:.1f}%")
     if excluded:
         print(f"excluded (no evaluation metadata): {', '.join(excluded)}")
-    inputs = sorted(Path(scenario_dir).glob("*.json"))
+    inputs = {p: sha256_file(p) for p in sorted(Path(scenario_dir).glob("*.json"))}
     write_manifest(out_dir, "replay", {"backend": args.backend},
                    inputs=inputs, outputs=[table_path, log_path],
                    elapsed_s=time.monotonic() - t0,

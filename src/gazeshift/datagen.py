@@ -148,6 +148,7 @@ class Dataset:
     split: list  # "train" / "val", as the file spells them
     seed: int
     config: GeneratorConfig = field(default_factory=GeneratorConfig)
+    sha256: str | None = None  # of the file ``read_dataset`` read; None for one made in memory
 
     def __post_init__(self):
         n = len(self.split)
@@ -161,9 +162,6 @@ class Dataset:
         for s in self.split:
             if s not in ("train", "val"):
                 raise ValueError(f"unknown split tag {s!r}")
-
-    def content_hash(self) -> str:
-        return _text_hash(serialize_dataset(self))
 
 
 # -- row geometry ----------------------------------------------------------------
@@ -368,10 +366,6 @@ def generate_dataset(seed: int, config: GeneratorConfig = GeneratorConfig()) -> 
 # -- JSON lines persistence ----------------------------------------------------
 
 
-def _text_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def serialize_dataset(dataset: Dataset) -> str:
     header = {
         "schema": DATASET_SCHEMA,
@@ -391,11 +385,11 @@ def serialize_dataset(dataset: Dataset) -> str:
 
 
 def write_dataset(dataset: Dataset, path) -> str:
-    """Write ``dataset`` to ``path``; returns the text's SHA-256, ``dataset.content_hash()``."""
+    """Write ``dataset`` to ``path``; returns the SHA-256 of the bytes written."""
     text = serialize_dataset(dataset)
     with open_atomic(path) as fh:
         fh.write(text)
-    return _text_hash(text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> tuple:
@@ -433,7 +427,7 @@ def _parse_line(line: str, line_no: int):
 
 
 def read_dataset(path) -> Dataset:
-    """Read and validate a dataset file.
+    """Read and validate a dataset file; the Dataset keeps the SHA-256 of its bytes.
 
     Every sample is re-checked, all lines at once: against the value rules
     of ``vqvae.condition_violations`` and ``allocation_violations``, then
@@ -442,8 +436,9 @@ def read_dataset(path) -> Dataset:
     line-by-line check would.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        lines = data.decode("utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     if not lines:
@@ -493,4 +488,5 @@ def read_dataset(path) -> Dataset:
         raise DataError(
             f"{path}: header announces {header.get('n_samples')} samples, found {len(split)}"
         )
-    return Dataset(conditions, allocations, strategy, split, header.get("seed", 0), config)
+    return Dataset(conditions, allocations, strategy, split, header.get("seed", 0), config,
+                   hashlib.sha256(data).hexdigest())

@@ -29,15 +29,10 @@ two scratch vectors its :class:`AdamState` owns, so a step allocates
 nothing. ``save_checkpoint`` writes the text of one ``json.dumps`` of the
 whole document, one parameter at a time.
 
-A loaded :class:`Checkpoint` also carries a text fingerprint: the SHA-256
-of the canonical ``params_fingerprint`` encoding, built from the number
-tokens of the file itself rather than by encoding the arrays again, on
-first use. ``save_checkpoint`` writes every value as its ``repr``, which is
-the token that encoding gives it, so for such a file the two fingerprints
-are equal, and checking a fingerprint costs one parse and one hash of the
-text. A file whose numbers are spelled otherwise (``1`` for 1.0, seventeen
-digits where fewer do) has another text fingerprint, or none, and
-``Checkpoint.has_fingerprint`` then encodes the arrays.
+A checkpoint's identity is the SHA-256 of its bytes: ``save_checkpoint``
+returns the digest of the bytes it wrote, and ``load_checkpoint`` hashes the
+bytes it read, so a file equal in value but spelled otherwise is another
+checkpoint.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -403,16 +397,12 @@ class LrSchedule:
 
 
 def _encode_param(p) -> dict:
+    """JSON-safe encoding; float64 via repr round-trips bit-exactly."""
     return {"shape": list(np.shape(p)), "data": np.asarray(p, dtype=float).ravel().tolist()}
 
 
-def encode_params(params: dict[str, np.ndarray]) -> dict:
-    """JSON-safe encoding; float64 via repr round-trips bit-exactly."""
-    return {name: _encode_param(p) for name, p in params.items()}
-
-
 def decode_params(doc, path) -> dict[str, np.ndarray]:
-    """The arrays of an ``encode_params`` document read from ``path``.
+    """The arrays of a checkpoint's ``params`` document read from ``path``.
 
     Raises ValueError naming ``path`` and the parameter unless ``doc`` is an
     object of ``{"shape": [int, ...], "data": [...]}`` entries whose data is
@@ -446,102 +436,55 @@ def decode_params(doc, path) -> dict[str, np.ndarray]:
     return out
 
 
-def params_fingerprint(params: dict[str, np.ndarray]) -> str:
-    """SHA-256 over the canonical parameter encoding."""
-    blob = json.dumps(encode_params(params), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _text_fingerprint(tokens) -> str | None:
-    """``params_fingerprint`` over an ``encode_params`` document as written, or None.
-
-    ``tokens`` is the document parsed with every float left as its source
-    text (``json.loads(..., parse_float=str)``), and already checked by
-    ``decode_params``: each data entry is one flat list of float tokens and
-    ints, so a string in it is a float token. The canonical encoding is
-    rebuilt from those texts: equal to ``params_fingerprint`` of the
-    decoded arrays when each token is the ``repr`` of its value. A data
-    entry holding an integer gives None.
-    """
-    parts = []
-    for name in sorted(tokens):
-        data, shape = tokens[name]["data"], tokens[name]["shape"]
-        try:
-            data = ",".join(data)
-        except TypeError:
-            return None
-        parts.append(f'{json.dumps(name)}:{{"data":[{data}],'
-                     f'"shape":{json.dumps(shape, separators=(",", ":"))}}}')
-    return hashlib.sha256(("{" + ",".join(parts) + "}").encode("utf-8")).hexdigest()
-
-
 @dataclass
 class Checkpoint:
-    """A loaded checkpoint: its arrays, its metadata and the text it was read from.
-
-    ``text_fingerprint`` is ``params_fingerprint(params)`` when the file
-    spells every value as its ``repr``, as ``save_checkpoint`` does; it
-    differs, or is None, for a file that spells values otherwise, and it is
-    None for a checkpoint built without ``text``. It parses the number
-    tokens of ``text`` on first use, so a load whose fingerprint nobody
-    asks for parses the file only once.
-    """
+    """A loaded checkpoint: its arrays, its metadata and the SHA-256 of its bytes."""
 
     params: dict
     metadata: dict
-    text: str | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def text_fingerprint(self) -> str | None:
-        if self.text is None:
-            return None
-        return _text_fingerprint(json.loads(self.text, parse_float=str)["params"])
-
-    def has_fingerprint(self, fingerprint) -> bool:
-        """Whether ``params_fingerprint(self.params) == fingerprint``.
-
-        The text fingerprint settles a match; only when it does not match
-        are the arrays encoded and hashed, so a file as ``save_checkpoint``
-        wrote it costs no encoding. The answer is the same either way: a
-        text fingerprint equal to a ``params_fingerprint`` means every token
-        is the ``repr`` of a value whose fingerprint that is, and ``float``
-        reads a ``repr`` back to the same bits.
-        """
-        return ((fingerprint is not None and fingerprint == self.text_fingerprint)
-                or fingerprint == params_fingerprint(self.params))
+    sha256: str
 
 
-def save_checkpoint(path, params, metadata: dict | None = None):
-    """Write ``params`` and ``metadata`` to ``path`` as a checkpoint.
+def _checkpoint_texts(params, metadata):
+    """The text of a checkpoint file in pieces: the head, each parameter, the metadata."""
+    yield (f'{{"format": {json.dumps(CHECKPOINT_FORMAT)}, '
+           f'"version": {json.dumps(CHECKPOINT_VERSION)}, "params": {{')
+    for k, (name, p) in enumerate(params.items()):
+        yield f'{", " if k else ""}{json.dumps(name)}: {json.dumps(_encode_param(p))}'
+    yield f'}}, "metadata": {json.dumps(metadata or {})}}}\n'
+
+
+def save_checkpoint(path, params, metadata: dict | None = None) -> str:
+    """Write ``params`` and ``metadata`` to ``path`` as a checkpoint; returns the bytes' SHA-256.
 
     The file holds the text of ``json.dumps(doc) + "\n"`` for the document
-    ``{"format", "version", "params", "metadata"}``, but is written one
-    parameter at a time, so the text in memory at once is bounded by the
-    largest parameter rather than the whole file. ``json.dumps`` runs the C
-    encoder; ``json.dump`` to a file would run the pure-Python one.
+    ``{"format", "version", "params", "metadata"}``, but is written (and
+    hashed) one parameter at a time, so the text in memory at once is
+    bounded by the largest parameter rather than the whole file.
+    ``json.dumps`` runs the C encoder; ``json.dump`` to a file would run the
+    pure-Python one.
     """
+    digest = hashlib.sha256()
     with open_atomic(path) as fh:
-        fh.write(f'{{"format": {json.dumps(CHECKPOINT_FORMAT)}, '
-                 f'"version": {json.dumps(CHECKPOINT_VERSION)}, "params": {{')
-        for k, (name, p) in enumerate(params.items()):
-            fh.write(f'{", " if k else ""}{json.dumps(name)}: {json.dumps(_encode_param(p))}')
-        fh.write(f'}}, "metadata": {json.dumps(metadata or {})}}}\n')
+        for text in _checkpoint_texts(params, metadata):
+            fh.write(text)
+            digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read ``path``; any file that is not a whole, finite checkpoint raises ValueError.
 
-    Only ``format``, ``version``, ``params`` and ``metadata`` are read, so
-    the ``optimizer`` entry that earlier builds wrote is ignored. The text
-    is read once and parsed for the values; the checkpoint keeps it, and
-    parses it for the number tokens of ``params`` only if its
-    ``text_fingerprint`` is asked for. Metadata floats stay floats.
+    The bytes are read once, then hashed, decoded and parsed. Only
+    ``format``, ``version``, ``params`` and ``metadata`` are read, so the
+    ``optimizer`` entry that earlier builds wrote is ignored. Metadata
+    floats stay floats.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
@@ -552,13 +495,17 @@ def load_checkpoint(path) -> Checkpoint:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError(f"{path}: metadata must be an object")
-    return Checkpoint(decode_params(doc["params"], path), metadata, text)
+    return Checkpoint(decode_params(doc["params"], path), metadata,
+                      hashlib.sha256(data).hexdigest())
 
 
-def save_model(path, params, kind: str, config, metadata: dict | None = None, **extra) -> None:
-    """Save a checkpoint whose ``metadata["model"]`` records ``kind``, ``config`` and ``extra``."""
+def save_model(path, params, kind: str, config, metadata: dict | None = None, **extra) -> str:
+    """Save a checkpoint whose ``metadata["model"]`` records ``kind``, ``config`` and ``extra``.
+
+    Returns the SHA-256 of the bytes written (``save_checkpoint``).
+    """
     model = {"kind": kind, **asdict(config), **extra}
-    save_checkpoint(path, params, metadata={**(metadata or {}), "model": model})
+    return save_checkpoint(path, params, metadata={**(metadata or {}), "model": model})
 
 
 def load_model(path, model_cls, kind: str, config_cls, extra=()):

@@ -21,7 +21,8 @@ constant; no relaxation is applied, and checkpoints record this as
 At inference time a code is sampled from pi (or the argmax is taken) and
 decoded into a motion allocation (``trainer.draw_allocations``).
 Checkpoints record every :class:`PriorConfig` field, ``mc_gradient`` and
-the stage-1 fingerprint (``nets.save_model``); ``load`` checks the last two.
+``stage1_sha256``, the SHA-256 of the bytes of the ``stage1.json`` the prior
+was trained against (``nets.save_model``); ``load`` checks the last two.
 """
 
 from __future__ import annotations
@@ -132,28 +133,30 @@ class ConditionalPrior:
         return softmax_rows(self.logits_rows(C))
 
     def save(self, path, metadata: dict | None = None,
-             stage1_fingerprint: str | None = None) -> None:
-        nets.save_model(path, self.params(), "conditional-prior", self.config, metadata,
-                        mc_gradient="none", stage1_fingerprint=stage1_fingerprint)
+             stage1_sha256: str | None = None) -> str:
+        """Write the checkpoint, linked to the stage-1 bytes of ``stage1_sha256``."""
+        return nets.save_model(path, self.params(), "conditional-prior", self.config, metadata,
+                               mc_gradient="none", stage1_sha256=stage1_sha256)
 
     @classmethod
     def load(cls, path, stage1: nets.Checkpoint | None = None):
         """The prior saved at ``path`` and its checkpoint.
 
         With ``stage1``, the checkpoint of the first-stage model to pair it
-        with, a prior whose recorded fingerprint is not that model's raises
-        ValueError (``Checkpoint.has_fingerprint``: a pair as ``train`` wrote
-        it is matched by the text fingerprint, without encoding the weights).
+        with, a prior whose recorded ``stage1_sha256`` is not the SHA-256 of
+        that file's bytes raises ValueError: a file equal in value but
+        spelled otherwise does not pair. A prior written before the link
+        was a byte hash records it under another key, an unknown field.
         """
         prior, ck = nets.load_model(path, cls, "conditional-prior", PriorConfig,
-                                    extra=("mc_gradient", "stage1_fingerprint"))
+                                    extra=("mc_gradient", "stage1_sha256"))
         spec = ck.metadata["model"]
         if spec.get("mc_gradient", "none") != "none":
             raise ValueError(f"{path}: unsupported mc_gradient mode {spec['mc_gradient']!r}")
-        stored = spec.get("stage1_fingerprint")
-        if stage1 is not None and not stage1.has_fingerprint(stored):
+        stored = spec.get("stage1_sha256")
+        if stage1 is not None and stored != stage1.sha256:
             raise ValueError(
                 "prior checkpoint was trained against a different first-stage model "
-                f"(stored fingerprint {stored!r})"
+                f"(stored stage1_sha256 {stored!r}, stage-1 file {stage1.sha256})"
             )
         return prior, ck

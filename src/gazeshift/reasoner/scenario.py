@@ -256,6 +256,8 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.scenario_id, str):
+            raise ValueError(f"scenario_id must be a string, not {type(self.scenario_id).__name__}")
         if self.regularity not in REGULARITIES:
             raise ValueError(f"unknown regularity {self.regularity!r}")
         if not self.cycles:
@@ -266,9 +268,12 @@ class Scenario:
         onsets = [c for c in self.cycles if c.cue_onset]
         if len(onsets) > 1:
             raise ValueError("at most one cue-onset cycle per scenario")
-        for idx in self.responses:
+        for idx, text in self.responses.items():
             if not 0 <= idx < len(self.cycles):
                 raise ValueError(f"canned response for out-of-range cycle {idx}")
+            if not isinstance(text, str):
+                raise ValueError(f"canned response {idx} must be a string, "
+                                 f"not {type(text).__name__}")
 
     def cue_cycle(self) -> ScenarioCycle | None:
         for cycle in self.cycles:
@@ -354,7 +359,12 @@ def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:
                 cue_onset=cue_onset,
                 expected_instance=cdoc.get("expected_instance"),
             ))
-        responses = {int(k): v for k, v in doc.get("responses", {}).items()}
+        responses = {}
+        for key, text in doc.get("responses", {}).items():
+            # str(i) of an index only: int() would also read "02" and " 2" as 2
+            if not (key.isdecimal() and key == str(int(key))):
+                raise ValueError(f"canned response key {key!r} is not a cycle index")
+            responses[int(key)] = text
         return Scenario(
             scenario_id=doc["scenario_id"],
             regularity=doc["regularity"],
@@ -378,8 +388,16 @@ def load_scenario(path) -> Scenario:
 
 
 def load_scenario_dir(directory) -> list:
-    """All scenarios under a directory, sorted by file name."""
+    """All scenarios under a directory, sorted by file name; their ids must differ."""
     paths = sorted(Path(directory).glob("*.json"))
     if not paths:
         raise DataError(f"no scenario files found under {directory}")
-    return [load_scenario(p) for p in paths]
+    scenarios, first_path = [], {}
+    for path in paths:
+        scenario = load_scenario(path)
+        first = first_path.setdefault(scenario.scenario_id, path)
+        if first != path:
+            raise DataError(f"{path}: scenario_id {scenario.scenario_id!r} is already "
+                            f"that of {first}")
+        scenarios.append(scenario)
+    return scenarios

@@ -436,7 +436,8 @@ def checkpoint_errors(run_dir):
 
     The loaders raise OSError for a file they cannot open and ValueError
     for anything else: a damaged file, parameters that do not fit the
-    model, a mismatched stage-1 fingerprint or ``target_scale``.
+    model, a prior linked to other stage-1 bytes or a mismatched
+    ``target_scale``.
     """
     try:
         yield
@@ -448,13 +449,16 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     """Train the requested stages and write checkpoints + metrics under out_dir.
 
     ``stage`` is "1", "2", or "both"; stage "2" alone expects stage1.json in
-    out_dir from an earlier run. Returns a summary dict for the manifest.
+    out_dir from an earlier run on the same dataset file. Both checkpoints
+    record ``dataset.sha256`` as ``dataset_hash``, and prior.json records the
+    SHA-256 of stage1.json's bytes as ``stage1_sha256``. Returns a summary
+    dict for the manifest.
     """
     if stage not in ("1", "2", "both"):
         raise ConfigError(f"unknown stage selector {stage!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset_hash = dataset.content_hash()
+    dataset_hash = dataset.sha256
     t0 = time.monotonic()
     # A stage-2-only run keeps the stage-1 rows, so the files match "both".
     rows = _stage1_rows(out / METRICS_FILE) if stage == "2" else []
@@ -476,7 +480,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     model = None
     if stage in ("1", "both"):
         model, s1 = train_stage1(dataset, config)
-        model.save(out / STAGE1_CHECKPOINT, metadata=record(s1, out / STAGE1_CHECKPOINT))
+        stage1_sha256 = model.save(out / STAGE1_CHECKPOINT, record(s1, out / STAGE1_CHECKPOINT))
     if stage in ("2", "both"):
         if model is None:
             ckpt_path = out / STAGE1_CHECKPOINT
@@ -485,11 +489,12 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
             with checkpoint_errors(out):
                 model, ck = ConditionalVQVAE.load(ckpt_path)
                 shared_target_scale(model, config)
-            if ck.metadata.get("dataset_hash") != dataset_hash:
+            if dataset_hash is None or ck.metadata.get("dataset_hash") != dataset_hash:
                 raise TrainingError("stage-1 checkpoint was trained on a different dataset "
                                     "or records no dataset hash")
+            stage1_sha256 = ck.sha256
         prior, s2 = train_stage2(model, record_codes(model, dataset), dataset, config)
-        prior.save(out / PRIOR_CHECKPOINT, stage1_fingerprint=model.fingerprint(),
+        prior.save(out / PRIOR_CHECKPOINT, stage1_sha256=stage1_sha256,
                    metadata=record(s2, out / PRIOR_CHECKPOINT))
     write_metrics_csv(out / METRICS_FILE, rows)
     write_timings_jsonl(out / TIMINGS_FILE, timings)

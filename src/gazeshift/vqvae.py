@@ -347,9 +347,6 @@ class ConditionalVQVAE:
     def set_params(self, params: dict[str, np.ndarray]) -> None:
         self.flat[...] = self.layout.pack(params)
 
-    def fingerprint(self) -> str:
-        return nets.params_fingerprint(self.params())
-
     # -- forward pieces ------------------------------------------------------
 
     def encode_rows(self, Y: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -468,8 +465,8 @@ class ConditionalVQVAE:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, path, metadata: dict | None = None) -> None:
-        nets.save_model(path, self.params(), "conditional-vqvae", self.config, metadata)
+    def save(self, path, metadata: dict | None = None) -> str:
+        return nets.save_model(path, self.params(), "conditional-vqvae", self.config, metadata)
 
     @classmethod
     def load(cls, path) -> tuple["ConditionalVQVAE", nets.Checkpoint]:

@@ -1,6 +1,7 @@
 """Oracles on dense networks: pre-activations for the finite-difference tests,
 the allocating forward and backward passes the workspace tests compare against,
-and a checkpoint writer that spells each number as told."""
+the checkpoint ``params`` document as one dict, and a checkpoint writer that
+spells each number as told."""
 
 from __future__ import annotations
 
@@ -69,6 +70,13 @@ def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.int64),
                                                  np.ascontiguousarray(b).view(np.int64))
+
+
+def encode_params(params: dict) -> dict:
+    """The ``params`` document of a checkpoint of ``params``, whole: one
+    ``{"shape", "data"}`` entry per parameter, in order."""
+    return {name: {"shape": list(np.shape(p)), "data": np.asarray(p, dtype=float).ravel().tolist()}
+            for name, p in params.items()}
 
 
 # Number spellings other than the repr that ``save_checkpoint`` writes.

@@ -498,8 +498,7 @@ def _inf_bias(doc):
 
 
 def _string_weight(doc):
-    # numpy reads the string "0.5" as 0.5, and the text fingerprint took a
-    # string token for a float token, so this file used to sample with exit 0
+    # numpy reads the string "0.5" as 0.5, so this file used to sample with exit 0
     data = doc["params"]["decoder.0.W"]["data"]
     data[0] = repr(data[0])
 
@@ -654,6 +653,12 @@ def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name,
     if name == "stage1.json":
         commands.append(["train", "--config", config, "--seed", "0", "--stage", "2",
                          "--dataset", dataset, "--out", str(damaged)])
+        # link the prior to the damaged bytes, so that each row meets its own
+        # check rather than the link's (test_one_ulp_edit_to_stage1_is_refused)
+        prior = json.loads((damaged / "prior.json").read_text(encoding="utf-8"))
+        prior["metadata"]["model"]["stage1_sha256"] = hashlib.sha256(
+            (damaged / name).read_bytes()).hexdigest()
+        (damaged / "prior.json").write_text(json.dumps(prior), encoding="utf-8")
     before = {p.name: p.read_bytes() for p in damaged.iterdir()}
     for argv in commands:
         capsys.readouterr()
@@ -670,26 +675,37 @@ def _eval_and_sample(run: Path, dataset: Path, out: Path) -> list:
                   "--out", str(out / "s")])]
 
 
-def _counted_fingerprints(monkeypatch) -> list:
-    """Record every ``nets.params_fingerprint`` call from now on."""
-    calls, real = [], nets.params_fingerprint
-    monkeypatch.setattr(nets, "params_fingerprint", lambda params: calls.append(1) or real(params))
-    return calls
-
-
-def test_eval_and_sample_of_a_trained_run_encode_no_weights(pipeline, tmp_path, monkeypatch):
-    # train wrote stage1.json with repr tokens, so its text fingerprint
-    # settles the pairing and the 23,709 weights are not encoded again
+def test_eval_and_sample_read_and_parse_each_input_once(pipeline, tmp_path, monkeypatch):
+    # the digests in the manifest are those of the bytes the loaders read:
+    # no input is opened again to hash it, and no checkpoint is parsed twice
     _, _, data_dir, run_dir = pipeline
-    calls = _counted_fingerprints(monkeypatch)
-    assert _eval_and_sample(run_dir, data_dir / "dataset.jsonl", tmp_path) == [0, 0]
-    assert calls == []
+    dataset = data_dir / "dataset.jsonl"
+    stage1, prior = run_dir / "stage1.json", run_dir / "prior.json"
+    opens, parses, real_open, real_loads = [], [], open, json.loads
+
+    def counted_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) in (dataset, stage1, prior):
+            opens.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    def counted_loads(text, *args, **kwargs):
+        if isinstance(text, str) and text.startswith('{"format": "gazeshift-checkpoint"'):
+            parses.append(1)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    monkeypatch.setattr(json, "loads", counted_loads)
+    assert _eval_and_sample(run_dir, dataset, tmp_path) == [0, 0]
+    assert opens == ["dataset.jsonl", "stage1.json", "prior.json",  # eval
+                     "stage1.json", "prior.json"]  # sample
+    assert len(parses) == 4
 
 
-@pytest.mark.parametrize("spelling", ["%.17e", "%.17g", "integers"])
-def test_respelled_stage1_still_pairs_with_its_prior(pipeline, tmp_path, monkeypatch, spelling):
-    # the same weights written with other number tokens: the text fingerprint
-    # differs from the recorded one, or is None, and the weights decide
+@pytest.mark.parametrize("spelling", ["%.17e", "%.17g", "integers", "indent"])
+def test_respelled_stage1_loads_but_does_not_pair(pipeline, tmp_path, capsys, spelling):
+    # the same weights written with other number tokens, or indented: the
+    # file loads by itself, but it is not the file the prior was trained
+    # against, so eval and sample refuse the pair
     _, _, data_dir, run_dir = pipeline
     model, _ = ConditionalVQVAE.load(run_dir / "stage1.json")
     prior, _ = ConditionalPrior.load(run_dir / "prior.json")
@@ -697,22 +713,52 @@ def test_respelled_stage1_still_pairs_with_its_prior(pipeline, tmp_path, monkeyp
     canonical, respelled = tmp_path / "canonical", tmp_path / "respelled"
     for run in (canonical, respelled):
         run.mkdir()
-        model.save(run / "stage1.json")
-        prior.save(run / "prior.json", stage1_fingerprint=model.fingerprint())
+        prior.save(run / "prior.json", stage1_sha256=model.save(run / "stage1.json"))
     ck = nets.load_checkpoint(respelled / "stage1.json")
-    write_spelled(respelled / "stage1.json", ck.params, SPELLINGS[spelling], ck.metadata)
-    text_fingerprint = nets.load_checkpoint(respelled / "stage1.json").text_fingerprint
-    assert text_fingerprint != model.fingerprint()
-    assert (text_fingerprint is None) == (spelling != "%.17e")
+    if spelling == "indent":
+        doc = json.loads((respelled / "stage1.json").read_text(encoding="utf-8"))
+        (respelled / "stage1.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    else:
+        write_spelled(respelled / "stage1.json", ck.params, SPELLINGS[spelling], ck.metadata)
+    loaded, again = ConditionalVQVAE.load(respelled / "stage1.json")
+    assert again.sha256 != ck.sha256
+    assert all(np.array_equal(p, ck.params[name]) for name, p in loaded.params().items())
 
     dataset = data_dir / "dataset.jsonl"
-    calls = _counted_fingerprints(monkeypatch)
     assert _eval_and_sample(canonical, dataset, tmp_path / "a") == [0, 0]
-    assert calls == []
-    assert _eval_and_sample(respelled, dataset, tmp_path / "b") == [0, 0]
-    assert len(calls) == 2  # one weight fingerprint per command
-    for report in ("e/eval.json", "s/samples.json"):
-        assert (tmp_path / "a" / report).read_bytes() == (tmp_path / "b" / report).read_bytes()
+    capsys.readouterr()
+    assert _eval_and_sample(respelled, dataset, tmp_path / "b") == [4, 4]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all("prior checkpoint was trained against a different first-stage model" in line
+               for line in err)
+    assert not (tmp_path / "b").exists()
+
+
+def test_prior_from_before_the_byte_link_exits_training_until_retrained(pipeline, tmp_path,
+                                                                         capsys):
+    # A prior written when the link was a hash of the stage-1 weights' values
+    # records it as stage1_fingerprint, now an unknown model field. Training
+    # stage 2 again writes the byte link and re-pairs the run.
+    _, config, data_dir, run_dir = pipeline
+    old = tmp_path / "old"
+    shutil.copytree(run_dir, old)
+    doc = json.loads((old / "prior.json").read_text(encoding="utf-8"))
+    spec = doc["metadata"]["model"]
+    del spec["stage1_sha256"]
+    spec["stage1_fingerprint"] = "5f" * 32
+    (old / "prior.json").write_text(json.dumps(doc), encoding="utf-8")
+    dataset = data_dir / "dataset.jsonl"
+    capsys.readouterr()
+    assert _eval_and_sample(old, dataset, tmp_path / "a") == [4, 4]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all("prior.json: unusable checkpoint: unknown model config fields: "
+               "['stage1_fingerprint']" in line for line in err)
+    assert main(["train", "--config", config, "--seed", "0", "--stage", "2",
+                 "--dataset", str(dataset), "--out", str(old)]) == 0
+    assert (old / "prior.json").read_bytes() == (run_dir / "prior.json").read_bytes()
+    assert _eval_and_sample(old, dataset, tmp_path / "b") == [0, 0]
 
 
 def test_one_ulp_edit_to_stage1_is_refused(pipeline, tmp_path, capsys):
@@ -794,8 +840,7 @@ def test_sample_with_an_allocation_outside_pi_exit_training(pipeline, tmp_path, 
     model, _ = ConditionalVQVAE.load(run_dir / "stage1.json")
     prior, _ = ConditionalPrior.load(run_dir / "prior.json")
     model.decoder.biases[-1][0] = 100.0  # every decoded eye yaw increment, far past pi
-    model.save(broken / "stage1.json")
-    prior.save(broken / "prior.json", stage1_fingerprint=model.fingerprint())
+    prior.save(broken / "prior.json", stage1_sha256=model.save(broken / "stage1.json"))
     out = tmp_path / "s"
     for mode in ("sample", "argmax"):
         assert main(["sample", "--run", str(broken), "--n", "3", "--mode", mode,
@@ -1047,12 +1092,20 @@ _TRANSLATION_REASON = "base_from_camera translation must be 3 finite numbers, no
     (lambda doc: _translation(doc).__setitem__(1, False), _TRANSLATION_REASON),
     (lambda doc: _translation(doc).__setitem__(2, math.inf), _TRANSLATION_REASON),
     (lambda doc: _translation(doc).pop(), _TRANSLATION_REASON + "[0.0, 0.0]"),
+    # int() read "02" as cycle 2, and the later of two such keys won
+    (lambda doc: doc["responses"].update({"02": "TARGET: 1"}),
+     "canned response key '02' is not a cycle index"),
+    (lambda doc: doc["responses"].update({"0": 3}), "canned response 0 must be a string, not int"),
+    # the id used to load and be written into cycles.jsonl as it was
+    (lambda doc: doc.update(scenario_id=5), "scenario_id must be a string, not int"),
+    (lambda doc: doc.update(scenario_id=["a", 1]), "scenario_id must be a string, not list"),
 ], ids=["not_an_object", "responses_list", "not_utf8", "box_entry_text", "id_number",
         "semantics_number", "cue_onset_text", "expected_absent", "expected_number",
         "camera_cx_nan", "camera_size_nan", "camera_height_true", "rotation_text",
         "rotation_true", "rotation_null", "rotation_nan", "rotation_ragged", "rotation_2x3",
         "rotation_not_orthogonal", "translation_text", "translation_false", "translation_inf",
-        "translation_two_entries"])
+        "translation_two_entries", "response_key_padded", "response_number",
+        "scenario_id_number", "scenario_id_list"])
 def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason):
     bundled = Path(gazeshift.__file__).parent / "scenarios"
     shutil.copytree(bundled, tmp_path / "s")
@@ -1066,6 +1119,18 @@ def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason
                  "--out", str(tmp_path / "r")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {damaged}") and reason in err and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_replay_refuses_a_scenario_id_two_files_share(tmp_path, capsys):
+    # two runs of one id's cycles used to land in cycles.jsonl under that id
+    bundled = Path(gazeshift.__file__).parent / "scenarios"
+    shutil.copytree(bundled, tmp_path / "s")
+    first, copy = tmp_path / "s" / "h2_greeting.json", tmp_path / "s" / "h2_greeting_copy.json"
+    shutil.copy(first, copy)
+    assert main(["replay", "--scenarios", str(tmp_path / "s"), "--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err == (f"error: {copy}: scenario_id 'h2_greeting' is already "
+                                       f"that of {first}\n")
     assert not (tmp_path / "r").exists()
 
 
@@ -1167,6 +1232,24 @@ def test_replay_remote_fails_fast_on_non_http_endpoint(tmp_path, monkeypatch, ca
 
 
 # -- manifest integrity ----------------------------------------------------------------------
+
+def test_manifest_inputs_are_the_sha256_of_each_file(pipeline, tmp_path):
+    _, _, data_dir, run_dir = pipeline
+    dataset = data_dir / "dataset.jsonl"
+    assert _eval_and_sample(run_dir, dataset, tmp_path) == [0, 0]
+    assert main(["replay", "--out", str(tmp_path / "r")]) == 0
+    expected = {
+        data_dir: [],
+        run_dir: [dataset],
+        tmp_path / "e": [dataset, run_dir / "stage1.json", run_dir / "prior.json"],
+        tmp_path / "s": [run_dir / "stage1.json", run_dir / "prior.json"],
+        tmp_path / "r": sorted((Path(gazeshift.__file__).parent / "scenarios").glob("*.json")),
+    }
+    for directory, inputs in expected.items():
+        assert read_manifest(directory)["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}, directory
+    assert read_manifest(run_dir)["dataset_hash"] == read_manifest(data_dir)["dataset_hash"]
+
 
 def test_manifests_name_only_existing_outputs(pipeline):
     root, _, data_dir, run_dir = pipeline

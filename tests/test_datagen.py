@@ -11,6 +11,7 @@ of ``datagen_oracles``: same bytes, same errors.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -311,24 +312,26 @@ def test_dataset_strategy_mix_materialises(default_dataset):
     assert set(tags) <= {EYE_DOMINANT, HEAD_DOMINANT}
 
 
-def test_dataset_regeneration_is_byte_identical(default_dataset):
+def test_dataset_regeneration_is_byte_identical(tmp_path, default_dataset):
     again = generate_dataset(0)
     assert serialize_dataset(again) == serialize_dataset(default_dataset)
-    assert again.content_hash() == default_dataset.content_hash() == SEED0_DATASET_SHA256
+    assert write_dataset(again, tmp_path / "dataset.jsonl") == SEED0_DATASET_SHA256
 
 
 def test_dataset_seed_changes_content(default_dataset):
     other = generate_dataset(1, GeneratorConfig(n_samples=20))
-    assert other.content_hash() != default_dataset.content_hash()
+    assert serialize_dataset(other) != serialize_dataset(default_dataset)
 
 
 # -- persistence ------------------------------------------------------------------------------
 
 def test_round_trip_is_byte_identical(tmp_path, default_dataset):
     path = tmp_path / "dataset.jsonl"
-    write_dataset(default_dataset, path)
+    digest = write_dataset(default_dataset, path)
     back = read_dataset(path)
     assert serialize_dataset(back) == serialize_dataset(default_dataset)
+    assert back.sha256 == digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert default_dataset.sha256 is None  # made in memory
     assert back.seed == default_dataset.seed
     assert back.config == default_dataset.config
     assert back.split == default_dataset.split

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import stat
@@ -18,8 +19,8 @@ from gazeshift.nets import AdamState, DenseNetwork, LrSchedule, NonFiniteGradien
 from gazeshift.prior import ConditionalPrior
 from gazeshift.vqvae import ConditionalVQVAE
 from json_numbers import bad_json_numbers
-from net_oracles import (SPELLINGS, backward_reference, forward_reference, preactivations,
-                         same_bits, write_spelled)
+from net_oracles import (SPELLINGS, backward_reference, encode_params, forward_reference,
+                         preactivations, same_bits, write_spelled)
 
 FD_H = 1e-5
 FD_REL = 1e-4
@@ -483,12 +484,13 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         grad, _ = net.backward(rng.normal(size=(4, 2)))
         nets.adam_step(state, net.flat, grad)
     path = tmp_path / "net.json"
-    nets.save_checkpoint(path, params, metadata={"epoch": 3})
+    digest = nets.save_checkpoint(path, params, metadata={"epoch": 3})
     ck = nets.load_checkpoint(path)
     assert ck.metadata == {"epoch": 3}
     for name in params:
         np.testing.assert_array_equal(ck.params[name], params[name])
-    assert nets.params_fingerprint(ck.params) == nets.params_fingerprint(params)
+    # the loaded arrays write the same bytes again
+    assert nets.save_checkpoint(tmp_path / "again.json", ck.params, ck.metadata) == digest
 
 
 @pytest.mark.parametrize("make", [ConditionalVQVAE, ConditionalPrior], ids=["vqvae", "prior"])
@@ -503,11 +505,11 @@ def test_checkpoint_bytes_are_those_of_one_whole_document_dump(tmp_path, make):
     path = tmp_path / "model.json"
     nets.save_checkpoint(path, params, metadata=metadata)
     doc = {"format": nets.CHECKPOINT_FORMAT, "version": nets.CHECKPOINT_VERSION,
-           "params": nets.encode_params(params), "metadata": metadata}
+           "params": encode_params(params), "metadata": metadata}
     assert path.read_bytes() == (json.dumps(doc) + "\n").encode("utf-8")
     model.save(path, metadata=metadata)
     doc = {"format": nets.CHECKPOINT_FORMAT, "version": nets.CHECKPOINT_VERSION,
-           "params": nets.encode_params(model.params()),
+           "params": encode_params(model.params()),
            "metadata": nets.load_checkpoint(path).metadata}
     assert doc["metadata"]["note"] == metadata["note"]
     assert path.read_bytes() == (json.dumps(doc) + "\n").encode("utf-8")
@@ -533,7 +535,7 @@ def test_checkpoint_with_optimizer_entry_loads_same_params(tmp_path):
     path = tmp_path / "net.json"
     nets.save_checkpoint(path, net.params(), metadata={"epoch": 2})
     doc = json.loads(path.read_text(encoding="utf-8"))
-    moments = nets.encode_params({k: np.zeros_like(v) for k, v in net.params().items()})
+    moments = encode_params({k: np.zeros_like(v) for k, v in net.params().items()})
     doc["optimizer"] = {"lr": 1e-3, "weight_decay": 1e-4, "beta1": 0.9, "beta2": 0.999,
                         "eps": 1e-8, "step_count": 2, "m": moments, "v": moments}
     legacy = tmp_path / "legacy.json"
@@ -611,19 +613,7 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         nets.load_checkpoint(path)
 
 
-def test_fingerprint_insensitive_to_key_order():
-    a = {"x": np.array([1.0, 2.0]), "y": np.array([[3.0]])}
-    b = {"y": np.array([[3.0]]), "x": np.array([1.0, 2.0])}
-    assert nets.params_fingerprint(a) == nets.params_fingerprint(b)
-
-
-def test_fingerprint_sensitive_to_values():
-    a = {"x": np.array([1.0])}
-    b = {"x": np.array([1.0 + 1e-15])}
-    assert nets.params_fingerprint(a) != nets.params_fingerprint(b)
-
-
-# -- text fingerprint ------------------------------------------------------------
+# -- a checkpoint's identity: the SHA-256 of its bytes ------------------------------
 
 # Values whose repr is short, long, signed, subnormal or in exponent form.
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -648,34 +638,38 @@ def param_dicts(draw):
 @example({"w": np.array(SPECIAL_FLOATS)})
 @example({})
 @example({"\u00e9 \"q\"": np.zeros((2, 0)), "s": np.array(1.5), "m": np.array([[1e16, -0.0]])})
-def test_text_fingerprint_of_a_saved_checkpoint_is_its_params_fingerprint(params):
+def test_saved_checkpoint_sha256_is_that_of_its_bytes(params):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ck.json"
-        nets.save_checkpoint(path, params, metadata={"note": 0.1})
+        digest = nets.save_checkpoint(path, params, metadata={"note": 0.1})
+        written = path.read_bytes()
         ck = nets.load_checkpoint(path)
-    assert ck.text_fingerprint == nets.params_fingerprint(params)
+    assert digest == ck.sha256 == hashlib.sha256(written).hexdigest()
     assert ck.metadata == {"note": 0.1}  # metadata floats stay floats
+    assert list(ck.params) == list(params)
+    assert all(same_bits(ck.params[name], p) for name, p in params.items())
 
 
 @settings(max_examples=200, deadline=None)
 @given(param_dicts(), st.sampled_from(sorted(SPELLINGS)))
 @example({"w": np.array(SPECIAL_FLOATS)}, "%.17g")
 @example({"w": np.array([[1.0, 2.5], [-0.0, 3.0]])}, "integers")
-def test_has_fingerprint_decides_as_the_value_fingerprint(params, spelling):
-    # Whatever the spelling, has_fingerprint answers as the arrays' own
-    # fingerprint would, for every fingerprint a prior can record: that of
-    # some parameters (``params_fingerprint``), or none. The text fingerprint
-    # of a file spelled otherwise than by repr hashes a text no
-    # ``params_fingerprint`` produces.
+def test_respelled_checkpoint_loads_equal_values_under_its_own_sha256(params, spelling):
+    # The digest is of the bytes, not the values: a file spelled as
+    # save_checkpoint spells it (repr) is the saved one, and a file spelled
+    # otherwise is another checkpoint that loads the same values.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "ck.json"
-        write_spelled(path, params, SPELLINGS[spelling])
-        ck = nets.load_checkpoint(path)
-    values = nets.params_fingerprint(ck.params)
-    if spelling == "repr":
-        assert ck.text_fingerprint == values == nets.params_fingerprint(params)
-    for fingerprint in (nets.params_fingerprint(params), values, None, "0" * 64):
-        assert ck.has_fingerprint(fingerprint) == (fingerprint == values)
+        saved, spelled = Path(tmp) / "saved.json", Path(tmp) / "spelled.json"
+        digest = nets.save_checkpoint(saved, params)
+        write_spelled(spelled, params, SPELLINGS[spelling])
+        written = spelled.read_bytes()
+        same_bytes = written == saved.read_bytes()
+        ck = nets.load_checkpoint(spelled)
+    assert ck.sha256 == hashlib.sha256(written).hexdigest()
+    assert (ck.sha256 == digest) == same_bytes
+    assert same_bytes or spelling != "repr"
+    for name, p in params.items():
+        np.testing.assert_array_equal(ck.params[name], p)  # "integers" spells -0.0 as 0
 
 
 def _write_checkpoint(path, data, shape) -> None:
@@ -685,29 +679,17 @@ def _write_checkpoint(path, data, shape) -> None:
                     f'"w": {{"shape": {shape}, "data": {data}}}}}}}', encoding="utf-8")
 
 
-def test_text_fingerprint_is_none_unless_data_is_one_list_of_float_tokens(tmp_path):
-    # an integer token is a number, but not the repr of a float
+def test_load_checkpoint_reads_and_parses_the_file_once(tmp_path, monkeypatch):
     path = tmp_path / "ck.json"
-    for data, shape in (("[1.5, 2]", "[2]"), ("[-3]", "[]")):
-        _write_checkpoint(path, data, shape)
-        ck = nets.load_checkpoint(path)
-        assert ck.text_fingerprint is None, data
-        assert ck.has_fingerprint(nets.params_fingerprint(ck.params))
-        assert not ck.has_fingerprint(None)
-
-
-def test_text_fingerprint_is_parsed_on_first_use_and_none_without_text(tmp_path, monkeypatch):
-    path = tmp_path / "ck.json"
-    params = {"w": np.array([0.1, -2.0])}
-    nets.save_checkpoint(path, params)
-    parses, real = [], json.loads
-    monkeypatch.setattr(json, "loads", lambda *a, **k: parses.append(k) or real(*a, **k))
+    digest = nets.save_checkpoint(path, {"w": np.array([0.1, -2.0])})
+    parses, real_loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: parses.append(k) or real_loads(*a, **k))
+    opens, real_open = [], open
+    monkeypatch.setattr("builtins.open", lambda *a, **k: opens.append(a) or real_open(*a, **k))
     ck = nets.load_checkpoint(path)
-    assert parses == [{}]  # the values only
-    assert ck.text_fingerprint == nets.params_fingerprint(params)
-    assert ck.text_fingerprint == nets.params_fingerprint(params)
-    assert parses == [{}, {"parse_float": str}]
-    assert nets.Checkpoint(params, {}).text_fingerprint is None
+    assert opens == [(path, "rb")]
+    assert parses == [{}]
+    assert ck.sha256 == digest
 
 
 @settings(max_examples=200, deadline=None)

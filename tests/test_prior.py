@@ -18,7 +18,6 @@ import math
 import numpy as np
 import pytest
 
-from gazeshift import nets
 from gazeshift.prior import (PROB_FLOOR, ConditionalPrior, PriorConfig,
                              check_distribution, focal_loss_rows, sample_code,
                              softmax_rows)
@@ -432,9 +431,11 @@ def test_prior_checkpoint_round_trip(tmp_path):
     prior = small_prior(seed=5)
     stage1 = small_stage1(tmp_path)
     path = tmp_path / "prior.json"
-    prior.save(path, stage1_fingerprint=nets.params_fingerprint(stage1.params))
+    digest = prior.save(path, stage1_sha256=stage1.sha256)
     loaded, ck = ConditionalPrior.load(path, stage1=stage1)
-    assert nets.params_fingerprint(loaded.params()) == nets.params_fingerprint(prior.params())
+    assert ck.sha256 == digest
+    assert ck.metadata["model"]["stage1_sha256"] == stage1.sha256
+    assert all(same_bits(loaded.params()[name], p) for name, p in prior.params().items())
     assert loaded.config == prior.config
     np.testing.assert_array_equal(loaded.forward_rows(a_row()), prior.forward_rows(a_row()))
 
@@ -451,14 +452,15 @@ MODEL_KEYS = {
     "conditional-vqvae": ["kind", "codebook_size", "hidden_width", "target_scale",
                           "latent_dim", "beta", "lambda_rc", "codebook_init_scale"],
     "conditional-prior": ["kind", "codebook_size", "hidden_width", "target_scale",
-                          "gamma", "eta", "lambda_mc", "mc_gradient", "stage1_fingerprint"],
+                          "gamma", "eta", "lambda_mc", "mc_gradient", "stage1_sha256"],
 }
-# The order checkpoints were written in before the shared fields moved first.
+# The order checkpoints were written in before the shared fields moved first
+# (priors of that time recorded their stage-1 link under another key).
 EARLIER_MODEL_KEYS = {
     "conditional-vqvae": ["kind", "codebook_size", "latent_dim", "hidden_width", "beta",
                           "lambda_rc", "target_scale", "codebook_init_scale"],
     "conditional-prior": ["kind", "codebook_size", "hidden_width", "gamma", "eta",
-                          "lambda_mc", "target_scale", "mc_gradient", "stage1_fingerprint"],
+                          "lambda_mc", "target_scale", "mc_gradient", "stage1_sha256"],
 }
 
 
@@ -467,7 +469,7 @@ def _saved_small_models(tmp_path) -> dict:
     vqvae = ConditionalVQVAE(VQVAEConfig(codebook_size=4, latent_dim=3, hidden_width=8), seed=0)
     prior = small_prior(seed=5)
     vqvae.save(tmp_path / "stage1.json")
-    prior.save(tmp_path / "prior.json", stage1_fingerprint=vqvae.fingerprint())
+    prior.save(tmp_path / "prior.json", stage1_sha256=vqvae.save(tmp_path / "stage1.json"))
     return {"conditional-vqvae": (vqvae, ConditionalVQVAE.load, tmp_path / "stage1.json"),
             "conditional-prior": (prior, ConditionalPrior.load, tmp_path / "prior.json")}
 
@@ -517,12 +519,25 @@ def test_prior_load_rejects_extra_or_misshapen_params(tmp_path):
         ConditionalPrior.load(path)
 
 
-def test_prior_load_rejects_fingerprint_mismatch(tmp_path):
-    prior = small_prior(seed=5)
+def test_prior_load_rejects_stage1_sha256_mismatch(tmp_path):
+    # the link is the stage-1 file's bytes: the same values re-indented, or
+    # no link at all, do not pair
+    stage1 = small_stage1(tmp_path)
     path = tmp_path / "prior.json"
-    prior.save(path, stage1_fingerprint="abc123")
-    with pytest.raises(ValueError, match="different first-stage"):
-        ConditionalPrior.load(path, stage1=small_stage1(tmp_path))
+    for stored in (None, "abc123", stage1.sha256):
+        small_prior(seed=5).save(path, stage1_sha256=stored)
+        ConditionalPrior.load(path)  # without a stage-1 model to pair, any link loads
+        if stored == stage1.sha256:
+            ConditionalPrior.load(path, stage1=stage1)
+            continue
+        with pytest.raises(ValueError, match=f"different first-stage model .*{stored!r}"):
+            ConditionalPrior.load(path, stage1=stage1)
+    stage1_path = tmp_path / "stage1.json"
+    stage1_path.write_text(json.dumps(json.loads(stage1_path.read_text()), indent=1))
+    respaced = ConditionalVQVAE.load(stage1_path)[1]
+    assert all(same_bits(respaced.params[name], p) for name, p in stage1.params.items())
+    with pytest.raises(ValueError, match="different first-stage model"):
+        ConditionalPrior.load(path, stage1=respaced)
 
 
 def test_prior_load_rejects_other_checkpoints(tmp_path):

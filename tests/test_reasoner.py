@@ -648,6 +648,31 @@ def test_scenario_rejects_bad_documents():
     for responses in ([1], "abc", 2):
         with pytest.raises(DataError, match="attribute 'items'"):
             scenario_from_doc({**good, "responses": responses})
+    # a response key is str(i) of a cycle index, and its value is text: int()
+    # read "02", " 2" and "2" alike, and the last of them won
+    for responses, reason in [
+        ({"2": "TARGET: 1", "02": "TARGET: 2"}, "canned response key '02' is not a cycle index"),
+        ({" 2": "TARGET: 1"}, "canned response key ' 2' is not a cycle index"),
+        ({"2.0": "TARGET: 1"}, "canned response key '2.0' is not a cycle index"),
+        ({"-1": "TARGET: 1"}, "canned response key '-1' is not a cycle index"),
+        ({"1_0": "TARGET: 1"}, "canned response key '1_0' is not a cycle index"),
+        ({"\u0662": "TARGET: 1"}, "canned response key '\u0662' is not a cycle index"),
+        ({"": "TARGET: 1"}, "canned response key '' is not a cycle index"),
+        ({"4": "TARGET: 1"}, "canned response for out-of-range cycle 4"),
+        ({"2": 2}, "canned response 2 must be a string, not int"),
+        ({"2": None}, "canned response 2 must be a string, not NoneType"),
+        ({"2": ["TARGET: 1"]}, "canned response 2 must be a string, not list"),
+    ]:
+        with pytest.raises(DataError) as exc:
+            scenario_from_doc({**good, "responses": responses}, origin="demo.json")
+        assert str(exc.value) == f"demo.json: {reason}"
+    assert scenario_from_doc({**good, "responses": {"3": "TARGET: 1"}}).responses == {
+        3: "TARGET: 1"}
+    for scenario_id in (5, ["a", 1], None, True):
+        with pytest.raises(DataError) as exc:
+            scenario_from_doc({**good, "scenario_id": scenario_id}, origin="demo.json")
+        assert str(exc.value) == ("demo.json: scenario_id must be a string, "
+                                  f"not {type(scenario_id).__name__}")
     # one mistyped field each, in the first instance of cycle 0 or in cycle 1
     for where, key, value, reason in [
         ("instance", "id", 5, "instance id must be a string, not int"),

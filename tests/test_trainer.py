@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from gazeshift import nets, prior as prior_module
-from gazeshift.datagen import Dataset, GeneratorConfig, generate_dataset
+from gazeshift.datagen import (Dataset, GeneratorConfig, generate_dataset, read_dataset,
+                               write_dataset)
 from gazeshift.errors import ConfigError, TrainingError
 from gazeshift.prior import ConditionalPrior, PriorConfig
 from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
@@ -31,6 +32,7 @@ from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, quantize_rows,
                              target_rotations)
 from datagen_oracles import EyePose, HeadPose, euler_to_matrix, geodesic_distance, samples_of
+from net_oracles import same_bits
 
 SMALL_GEN = GeneratorConfig(n_samples=60)
 SMALL_TRAIN = TrainConfig(stage1_epochs=8, stage2_epochs=6, batch_size=16,
@@ -61,8 +63,11 @@ def mgd(predicted, ground_truth, component: str) -> float:
 
 
 @pytest.fixture(scope="module")
-def small_dataset() -> Dataset:
-    return generate_dataset(11, SMALL_GEN)
+def small_dataset(tmp_path_factory) -> Dataset:
+    """The seed-11 dataset read back from its file, so it carries the file's SHA-256."""
+    path = tmp_path_factory.mktemp("data") / "dataset.jsonl"
+    write_dataset(generate_dataset(11, SMALL_GEN), path)
+    return read_dataset(path)
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +246,7 @@ def test_stage1_restores_best_epoch(trained):
 
 def test_stage1_is_deterministic(small_dataset, trained):
     model_again, s1_again = train_stage1(small_dataset, SMALL_TRAIN)
-    assert model_again.fingerprint() == trained[0].fingerprint()
+    assert same_bits(model_again.flat, trained[0].flat)
     assert s1_again.best_epoch == trained[1].best_epoch
 
 
@@ -270,10 +275,10 @@ def test_stage1_non_finite_gradient_names_stage_and_epoch(small_dataset, monkeyp
 
 def test_stage2_leaves_stage1_frozen(small_dataset):
     model, _ = train_stage1(small_dataset, SMALL_TRAIN)
-    before = model.fingerprint()
+    before = model.flat.copy()
     labels = record_codes(model, small_dataset)
     train_stage2(model, labels, small_dataset, SMALL_TRAIN)
-    assert model.fingerprint() == before
+    assert same_bits(model.flat, before)
 
 
 def test_stage2_decodes_as_often_at_any_epoch_count(trained, small_dataset, monkeypatch):
@@ -544,14 +549,20 @@ def test_run_training_writes_everything(tmp_path, small_dataset):
     assert (out / STAGE1_CHECKPOINT).exists()
     assert (out / PRIOR_CHECKPOINT).exists()
     assert (out / METRICS_FILE).exists()
-    assert summary["dataset_hash"] == small_dataset.content_hash()
+    assert summary["dataset_hash"] == small_dataset.sha256
+    stage1 = nets.load_checkpoint(out / STAGE1_CHECKPOINT)
+    prior = nets.load_checkpoint(out / PRIOR_CHECKPOINT)
+    assert stage1.metadata["dataset_hash"] == prior.metadata["dataset_hash"] == small_dataset.sha256
+    assert prior.metadata["model"]["stage1_sha256"] == stage1.sha256
     assert set(summary["stage1"]) == {"best_epoch", "val_eye_mgd_deg", "val_head_mgd_deg"}
     assert set(summary["stage2"]) == {"best_epoch", "val_eye_mgd_deg", "val_head_mgd_deg"}
     assert all(str(out) in p for p in summary["outputs"])
     # the prior checkpoint refuses to load against a different first stage
     other = ConditionalVQVAE(SMALL_TRAIN.vqvae_config(), seed=99)
     with pytest.raises(ValueError, match="different first-stage"):
-        ConditionalPrior.load(out / PRIOR_CHECKPOINT, stage1=nets.Checkpoint(other.params(), {}))
+        ConditionalPrior.load(out / PRIOR_CHECKPOINT,
+                              stage1=nets.Checkpoint(other.params(), {},
+                                                     other.save(tmp_path / "other.json")))
     _, stage1 = ConditionalVQVAE.load(out / STAGE1_CHECKPOINT)
     prior, _ = ConditionalPrior.load(out / PRIOR_CHECKPOINT, stage1=stage1)
     assert prior.config.codebook_size == SMALL_TRAIN.codebook_size
@@ -630,8 +641,14 @@ def test_run_training_stage2_checks_dataset_hash(tmp_path, small_dataset):
     out = tmp_path / "run"
     run_training(small_dataset, SMALL_TRAIN, out, stage="1")
     other = generate_dataset(99, SMALL_GEN)
+    # a dataset made in memory has no file digest, not even the same one
+    for unread in (other, generate_dataset(11, SMALL_GEN)):
+        with pytest.raises(TrainingError, match="different dataset"):
+            run_training(unread, SMALL_TRAIN, out, stage="2")
+    other_path = tmp_path / "other.jsonl"
+    write_dataset(other, other_path)
     with pytest.raises(TrainingError, match="different dataset"):
-        run_training(other, SMALL_TRAIN, out, stage="2")
+        run_training(read_dataset(other_path), SMALL_TRAIN, out, stage="2")
 
 
 def test_run_training_stage2_requires_recorded_dataset_hash(tmp_path, small_dataset):

@@ -10,7 +10,10 @@ under ``DIR``, which is kept). It prints each artifact's SHA-256 and exits 1
 if any differs from ``EXPECTED``. The replay's ``cycles.jsonl`` is hashed
 with each record's wall-clock ``elapsed_s`` removed, after re-encoding, so
 the hash cannot see how a line is spelled: the script also exits 1 if any
-line as written differs from ``json.dumps`` of its own record.
+line as written differs from ``json.dumps`` of its own record, or if a link
+between artifacts is broken: ``stage1.json``'s ``dataset_hash`` must be the
+SHA-256 of ``dataset.jsonl``, and ``prior.json``'s ``stage1_sha256`` that of
+``stage1.json``.
 
 The trained weights' last bits depend on the BLAS build, so this is not a
 Tier-1 test. ``EXPECTED`` is the one record of these bytes: a change that
@@ -38,7 +41,7 @@ EXPECTED = {
     "data/dataset.jsonl": "a3bf48b258413f4906c048384a449dc215942c271a26dcc46b42343788e946a7",
     "model/metrics.csv": "10d729c6674fd98c4bd1f79438a22d972f7e8c397688711c257589fd2631eca2",
     "model/stage1.json": "cce19123df0d8316f74487ad51d79f70a3b62c51a936826b75115b9bc5b8638f",
-    "model/prior.json": "90838b9bb4ed904d936cd26d890a6195e057b47a7a0772b32f511270efc8c4df",
+    "model/prior.json": "d8f08dc149c9b4ed7743341fa2ab9635b347da8e5690af88d3c19bc273ec68c8",
     "eval/eval.json": "43562962e693ce299df59e9f14ed7f92db5de757d9f852092e85ab07651dedbe",
     "sample/samples.json": "4adb135587ed54db27544a5868193e4604e76eb8d9ea4c8be5a4152aa0a6527c",
     "replay/success_table.csv": "c8141e38ce61bf269f4e7431afd05a6d42f314c109ec6479b0d9ce4db499dab3",
@@ -81,9 +84,22 @@ def respelled_lines(path: Path) -> list:
     return [n for n, line in enumerate(lines, 1) if line != json.dumps(json.loads(line))]
 
 
+def broken_links(root: Path) -> list:
+    """Each link whose recorded SHA-256 is not that of the file it names, as text."""
+    stage1 = json.loads((root / "model" / "stage1.json").read_text(encoding="utf-8"))
+    prior = json.loads((root / "model" / "prior.json").read_text(encoding="utf-8"))
+    links = [("model/stage1.json metadata.dataset_hash", stage1["metadata"].get("dataset_hash"),
+              "data/dataset.jsonl"),
+             ("model/prior.json metadata.model.stage1_sha256",
+              prior["metadata"]["model"].get("stage1_sha256"), "model/stage1.json")]
+    return [f"{where} is {recorded!r}, not the SHA-256 of {name}"
+            for where, recorded, name in links
+            if recorded != hashlib.sha256((root / name).read_bytes()).hexdigest()]
+
+
 def check(root: Path) -> int:
-    """Print each artifact's SHA-256; 1 if any differs from EXPECTED or a cycle-log
-    line is not spelled as ``json.dumps`` writes it, else 0."""
+    """Print each artifact's SHA-256; 1 if any differs from EXPECTED, a cycle-log
+    line is not spelled as ``json.dumps`` writes it or a link is broken, else 0."""
     moved = 0
     for name, expected in EXPECTED.items():
         actual = hashlib.sha256(_content(root / name)).hexdigest()
@@ -94,7 +110,12 @@ def check(root: Path) -> int:
     if respelled:
         print(f"replay/cycles.jsonl: {len(respelled)} lines differ from json.dumps of their "
               f"record, the first is line {respelled[0]}")
-    return 1 if moved or respelled else 0
+    broken = broken_links(root)
+    for line in broken:
+        print(f"broken link: {line}")
+    if not broken:
+        print("links ok: stage1.json -> dataset.jsonl, prior.json -> stage1.json")
+    return 1 if moved or respelled or broken else 0
 
 
 def run(out: str | None) -> int:
