@@ -12,7 +12,6 @@ model whose output is unusable), backend 5.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -49,14 +48,6 @@ _EXIT_BY_ERROR = (
 
 DIVERSITY_THRESHOLD = 0.05  # report codes the prior rates above 5%
 _LIST_CHUNK = 1000  # list items per piece of iter_shared_items' text
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _indented(value, level: int) -> str:
@@ -188,7 +179,8 @@ def cmd_train(args) -> int:
                   f"val eye MGD {best['val_eye_mgd_deg']:.3f} deg, "
                   f"val head MGD {best['val_head_mgd_deg']:.3f} deg")
     write_manifest(out_dir, "train", {"training": config.to_dict(), "stage": args.stage},
-                   inputs={args.dataset: dataset.sha256}, outputs=summary["outputs"],
+                   inputs={args.dataset: dataset.sha256, **summary["inputs"]},
+                   outputs=summary["outputs"],
                    elapsed_s=time.monotonic() - t0,
                    extra={"dataset_hash": summary["dataset_hash"],
                           "best": {k: summary[k] for k in ("stage1", "stage2") if k in summary}})
@@ -345,9 +337,9 @@ def cmd_replay(args) -> int:
               f"{row.success_rate:.1f}%")
     if excluded:
         print(f"excluded (no evaluation metadata): {', '.join(excluded)}")
-    inputs = {p: sha256_file(p) for p in sorted(Path(scenario_dir).glob("*.json"))}
     write_manifest(out_dir, "replay", {"backend": args.backend},
-                   inputs=inputs, outputs=[table_path, log_path],
+                   inputs={s.origin: s.sha256 for s in scenarios},
+                   outputs=[table_path, log_path],
                    elapsed_s=time.monotonic() - t0,
                    extra={"excluded": excluded})
     return EXIT_OK

@@ -33,12 +33,15 @@ import numpy as np
 
 from . import so3
 from .atomic import open_atomic
-from .config import finite_floats, read_config
+from .config import Schema, check_object, finite_floats, read_config
 from .errors import ConfigError, DataError
 from .vqvae import _MIN_TARGET_NORM, allocation_violations, condition_violations
 
 DATASET_SCHEMA = "gazeshift-dataset"
 DATASET_VERSION = 1
+# The header line under ``config.check_object``: the five keys ``serialize_dataset`` writes.
+HEADER_SCHEMA = Schema({"schema": "str", "version": "int", "seed": "int", "n_samples": "int",
+                        "generator": "dict"})
 
 EYE_DOMINANT = "eye-dominant"
 HEAD_DOMINANT = "head-dominant"
@@ -452,9 +455,14 @@ def read_dataset(path) -> Dataset:
     if header.get("version") != DATASET_VERSION:
         raise DataError(f"{path}: unsupported dataset version {header.get('version')!r}")
     try:
-        config = GeneratorConfig.from_dict(header.get("generator", {}))
+        config = GeneratorConfig.from_dict(header.get("generator"))
+        check_object(header, HEADER_SCHEMA, "header")
+        if header["seed"] < 0:
+            raise ValueError(f"header seed must be non-negative, got {header['seed']}")
     except ConfigError as exc:
         raise DataError(f"{path}: bad generator header: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     conditions, allocations, strategy, split = [], [], [], []
     unparsed = None
     for line_no, line in enumerate(lines[1:], start=2):
@@ -484,9 +492,9 @@ def read_dataset(path) -> Dataset:
             raise DataError(f"line {line_no}: invariant violation: {violation}")
     if unparsed is not None:
         raise unparsed
-    if header.get("n_samples") != len(split):
+    if header["n_samples"] != len(split):
         raise DataError(
-            f"{path}: header announces {header.get('n_samples')} samples, found {len(split)}"
+            f"{path}: header announces {header['n_samples']} samples, found {len(split)}"
         )
-    return Dataset(conditions, allocations, strategy, split, header.get("seed", 0), config,
+    return Dataset(conditions, allocations, strategy, split, header["seed"], config,
                    hashlib.sha256(data).hexdigest())

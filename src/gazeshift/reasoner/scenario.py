@@ -9,13 +9,13 @@ Detection and depth aggregation happen upstream; files carry their results.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import marshal
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..config import finite_float, finite_floats
+from ..config import Schema, check_object, finite_floats
 from ..errors import DataError
 
 SCENARIO_SCHEMA = "gazeshift-scenario"
@@ -65,17 +65,12 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy"):
-            value = getattr(self, name)
-            if finite_float(value) is None:
-                raise ValueError(f"camera {name} must be a finite number, not {value!r}")
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         for name in ("width", "height"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(
-                    f"camera {name} must be an integer of at least 1, not {value!r}")
+            if not value >= 1:
+                raise ValueError(f"camera {name} must be an integer of at least 1, not {value!r}")
 
     def back_project(self, u: float, v: float, depth: float) -> tuple:
         """Camera-frame 3D point (x, y, z) for pixel (u, v) at the given depth."""
@@ -172,16 +167,8 @@ class Instance:
     def __post_init__(self):
         if not self.instance_id or not self.category:
             raise ValueError("instance id and category must be non-empty")
-        if not math.isfinite(self.depth):
-            raise ValueError(f"instance {self.instance_id}: depth must be a finite number, "
-                             f"not {self.depth!r}")
-        if self.depth <= 0:
+        if not self.depth > 0:
             raise ValueError(f"instance {self.instance_id}: depth must be positive")
-        for label, entries in (("box", self.box), ("face box", self.face_box or ())):
-            for value in entries:
-                if finite_float(value) is None:
-                    raise ValueError(f"instance {self.instance_id}: {label} entries must be "
-                                     f"finite numbers, not {value!r}")
 
     def is_person(self) -> bool:
         return self.category in PERSON_CATEGORIES
@@ -237,9 +224,6 @@ class ScenarioCycle:
         if self.expected_instance is not None:
             if not self.cue_onset:
                 raise ValueError(f"cycle {self.index}: expected_instance requires cue_onset")
-            if not isinstance(self.expected_instance, str):
-                raise ValueError(f"cycle {self.index}: expected_instance must be a string, "
-                                 f"not {type(self.expected_instance).__name__}")
             if self.expected_instance not in ids:
                 raise ValueError(f"cycle {self.index}: expected_instance "
                                  f"{self.expected_instance!r} is not an instance of the cycle")
@@ -254,10 +238,10 @@ class Scenario:
     cycles: tuple
     responses: dict  # cycle index -> canned backend response text
     description: str = ""
+    origin: str | None = field(default=None, compare=False)  # the name its errors give it
+    sha256: str | None = field(default=None, compare=False)  # of the file load_scenario read
 
     def __post_init__(self):
-        if not isinstance(self.scenario_id, str):
-            raise ValueError(f"scenario_id must be a string, not {type(self.scenario_id).__name__}")
         if self.regularity not in REGULARITIES:
             raise ValueError(f"unknown regularity {self.regularity!r}")
         if not self.cycles:
@@ -268,12 +252,9 @@ class Scenario:
         onsets = [c for c in self.cycles if c.cue_onset]
         if len(onsets) > 1:
             raise ValueError("at most one cue-onset cycle per scenario")
-        for idx, text in self.responses.items():
+        for idx in self.responses:
             if not 0 <= idx < len(self.cycles):
                 raise ValueError(f"canned response for out-of-range cycle {idx}")
-            if not isinstance(text, str):
-                raise ValueError(f"canned response {idx} must be a string, "
-                                 f"not {type(text).__name__}")
 
     def cue_cycle(self) -> ScenarioCycle | None:
         for cycle in self.cycles:
@@ -286,105 +267,84 @@ class Scenario:
         return cue is not None and cue.expected_instance is not None
 
 
-def _instance_from_record(iid, category, box, depth, face_box) -> Instance:
-    """Check the JSON types of one instance record and build its Instance.
-
-    The id, category and depth are checked here; the Instance checks its box
-    entries, so the per-record oracle in the tests gives the same messages.
-    """
-    if not isinstance(iid, str):
-        raise ValueError(f"instance id must be a string, not {type(iid).__name__}")
-    if not isinstance(category, str):
-        raise ValueError(f"instance {iid}: category must be a string, "
-                         f"not {type(category).__name__}")
-    number = finite_float(depth)
-    if number is None:
-        raise ValueError(f"instance {iid}: depth must be a finite number, not {depth!r}")
-    return Instance(instance_id=iid, category=category, box=tuple(box), depth=number,
-                    face_box=tuple(face_box) if face_box else None)
+# The JSON objects of a scenario file under ``config.check_object``: required
+# keys, then optional ones, which may be left out but are never null.
+DOCUMENT_SCHEMA = Schema({"schema": "str", "version": "int", "scenario_id": "str",
+                          "regularity": "str", "camera": "dict", "base_from_camera": "dict",
+                          "cycles": "list"}, {"description": "str", "responses": "dict[str, str]"})
+CAMERA_SCHEMA = Schema({"fx": "float", "fy": "float", "cx": "float", "cy": "float",
+                        "width": "int", "height": "int"})
+TRANSFORM_SCHEMA = Schema({"rotation": "list", "translation": "list"})
+CYCLE_SCHEMA = Schema({"index": "int", "semantics": "str", "instances": "list"},
+                      {"image_ref": "str", "cue_onset": "bool", "expected_instance": "str"})
+INSTANCE_SCHEMA = Schema({"id": "str", "category": "str", "box": "list[float]", "depth": "float"},
+                         {"face_box": "list[float]"})
 
 
-def scenario_from_doc(doc: dict, origin: str = "<doc>") -> Scenario:
+def scenario_from_doc(doc: dict, origin: str = "<doc>", sha256: str | None = None) -> Scenario:
     """Check a parsed scenario document and build its Scenario.
 
-    Each distinct instance record is checked and built once per scenario;
-    later records equal to it in value and in JSON type share that Instance.
-    Its boxes are checked against the image at the first cycle that shows
-    it, since every cycle carries the scenario's one camera.
+    A fault names ``origin`` and the key path, as in ``origin: cycles[2]
+    field 'index' ...``. Each distinct instance record is checked and built
+    once per scenario; later records with the same keys in the same order,
+    equal in values and JSON types, share that Instance. Its boxes are checked
+    against the image at the first cycle that shows it, since every cycle
+    carries the scenario's one camera.
     """
-    if not isinstance(doc, dict):
-        raise DataError(f"{origin}: a scenario must be a JSON object, not {type(doc).__name__}")
-    if doc.get("schema") != SCENARIO_SCHEMA:
-        raise DataError(f"{origin}: not a scenario file (schema {doc.get('schema')!r})")
-    if doc.get("version") != SCENARIO_VERSION:
-        raise DataError(f"{origin}: unsupported scenario version {doc.get('version')!r}")
     try:
+        check_object(doc, DOCUMENT_SCHEMA, "scenario")
+        if doc["schema"] != SCENARIO_SCHEMA:
+            raise ValueError(f"not a scenario file (schema {doc['schema']!r})")
+        if doc["version"] != SCENARIO_VERSION:
+            raise ValueError(f"unsupported scenario version {doc['version']!r}")
+        check_object(doc["camera"], CAMERA_SCHEMA, "camera")
         camera = CameraIntrinsics(**doc["camera"])
-        transform = RigidTransform(doc["base_from_camera"]["rotation"],
-                                   doc["base_from_camera"]["translation"])
-        built = {}  # marshalled fields of an instance record -> its Instance
+        check_object(doc["base_from_camera"], TRANSFORM_SCHEMA, "base_from_camera")
+        transform = RigidTransform(**doc["base_from_camera"])
+        built = {}  # marshalled instance record -> its Instance
         cycles = []
-        for cdoc in doc["cycles"]:
-            index, semantics = cdoc["index"], cdoc["semantics"]
-            cue_onset = cdoc.get("cue_onset", False)
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise ValueError(f"cycle index must be an integer, not {type(index).__name__}")
-            if not isinstance(semantics, str):
-                raise ValueError(f"cycle {index}: semantics must be a string, "
-                                 f"not {type(semantics).__name__}")
-            if not isinstance(cue_onset, bool):
-                raise ValueError(f"cycle {index}: cue_onset must be true or false, "
-                                 f"not {type(cue_onset).__name__}")
+        for position, cdoc in enumerate(doc["cycles"]):
+            check_object(cdoc, CYCLE_SCHEMA, "cycles[{}]", position)
             instances = []
-            for idoc in cdoc["instances"]:
-                record = (idoc["id"], idoc["category"], idoc["box"], idoc["depth"],
-                          idoc.get("face_box"))
-                # Not the tuple itself: tuple equality merges 0 with -0.0 and 1 with true.
-                # Marshal format 2 writes each value's type and a float's exact bits, and
-                # (unlike format 3 and up) no back-references, so two records give the
-                # same bytes only when they are equal in value and in JSON type. It costs
-                # a quarter of repr's time.
-                key = marshal.dumps(record, 2)
+            for slot, idoc in enumerate(cdoc["instances"]):
+                # Not the record itself: dict equality merges 0 with -0.0 and 1 with
+                # true. Marshal format 2 writes each key and value with its type and a
+                # float's exact bits, and (unlike format 3 and up) no back-references,
+                # so only records alike in keys, key order, values and JSON types
+                # share bytes. It costs a quarter of repr's time.
+                key = marshal.dumps(idoc, 2)
                 inst = built.get(key)
                 if inst is None:
-                    inst = built[key] = _instance_from_record(*record)
+                    check_object(idoc, INSTANCE_SCHEMA, "cycles[{}].instances[{}]", position, slot)
+                    inst = built[key] = Instance(
+                        idoc["id"], idoc["category"], tuple(idoc["box"]), float(idoc["depth"]),
+                        tuple(idoc["face_box"]) if "face_box" in idoc else None)
                 instances.append(inst)
-            cycles.append(ScenarioCycle(
-                index=index,
-                semantics=semantics,
-                instances=tuple(instances),
-                camera=camera,
-                base_from_camera=transform,
-                image_ref=cdoc.get("image_ref"),
-                cue_onset=cue_onset,
-                expected_instance=cdoc.get("expected_instance"),
-            ))
+            # the cycle's keys are ScenarioCycle's fields, beside the scenario's camera
+            cycles.append(ScenarioCycle(**{**cdoc, "instances": tuple(instances)},
+                                        camera=camera, base_from_camera=transform))
         responses = {}
         for key, text in doc.get("responses", {}).items():
             # str(i) of an index only: int() would also read "02" and " 2" as 2
             if not (key.isdecimal() and key == str(int(key))):
                 raise ValueError(f"canned response key {key!r} is not a cycle index")
             responses[int(key)] = text
-        return Scenario(
-            scenario_id=doc["scenario_id"],
-            regularity=doc["regularity"],
-            cycles=tuple(cycles),
-            responses=responses,
-            description=doc.get("description", ""),
-        )
-    except DataError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        return Scenario(scenario_id=doc["scenario_id"], regularity=doc["regularity"],
+                        cycles=tuple(cycles), responses=responses,
+                        description=doc.get("description", ""), origin=origin, sha256=sha256)
+    except ValueError as exc:
         raise DataError(f"{origin}: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
+    """The scenario of one file; it keeps the path and the SHA-256 of the bytes read."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        doc = json.loads(data.decode("utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text, or not JSON
         raise DataError(f"{path}: {exc}") from exc
-    return scenario_from_doc(doc, origin=str(path))
+    return scenario_from_doc(doc, origin=str(path), sha256=hashlib.sha256(data).hexdigest())
 
 
 def load_scenario_dir(directory) -> list:

@@ -452,7 +452,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     out_dir from an earlier run on the same dataset file. Both checkpoints
     record ``dataset.sha256`` as ``dataset_hash``, and prior.json records the
     SHA-256 of stage1.json's bytes as ``stage1_sha256``. Returns a summary
-    dict for the manifest.
+    dict for the manifest, whose ``inputs`` holds the digest of a loaded stage1.json.
     """
     if stage not in ("1", "2", "both"):
         raise ConfigError(f"unknown stage selector {stage!r}")
@@ -464,7 +464,8 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     rows = _stage1_rows(out / METRICS_FILE) if stage == "2" else []
     timings = _stage1_timings(out / TIMINGS_FILE) if stage == "2" else []
     outputs = [out / METRICS_FILE, out / TIMINGS_FILE]
-    summary = {"dataset_hash": dataset_hash, "config": config.to_dict(), "stage": stage}
+    summary = {"dataset_hash": dataset_hash, "config": config.to_dict(), "stage": stage,
+               "inputs": {}}
 
     def record(result: StageResult, path: Path) -> dict:
         """Log a trained stage; returns the metadata for its checkpoint at ``path``."""
@@ -492,7 +493,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
             if dataset_hash is None or ck.metadata.get("dataset_hash") != dataset_hash:
                 raise TrainingError("stage-1 checkpoint was trained on a different dataset "
                                     "or records no dataset hash")
-            stage1_sha256 = ck.sha256
+            stage1_sha256 = summary["inputs"][str(ckpt_path)] = ck.sha256
         prior, s2 = train_stage2(model, record_codes(model, dataset), dataset, config)
         prior.save(out / PRIOR_CHECKPOINT, stage1_sha256=stage1_sha256,
                    metadata=record(s2, out / PRIOR_CHECKPOINT))

@@ -10,7 +10,8 @@ fail with the same message.
 ``read_dataset_per_line`` is the reader ``read_dataset`` replaced: it
 checks each line as soon as it is parsed, where the package parses every
 line first and checks them together. On any file both must return the same
-dataset or name the same line with the same message.
+dataset or name the same line with the same message. The header goes
+through the package's one object rule, ``config.check_object``.
 
 Both oracles build one ``GazeSample`` object per sample, as the package
 did before a ``Dataset`` became rows, and convert to a row ``Dataset`` at
@@ -40,8 +41,8 @@ import numpy as np
 
 from gazeshift import so3
 from gazeshift.datagen import (DATASET_SCHEMA, DATASET_VERSION, EYE_DOMINANT, HEAD_DOMINANT,
-                               Dataset, GeneratorConfig)
-from gazeshift.config import finite_float
+                               HEADER_SCHEMA, Dataset, GeneratorConfig)
+from gazeshift.config import check_object, finite_float
 from gazeshift.errors import ConfigError, DataError
 from gazeshift.reasoner.scenario import check_rotation
 from gazeshift.vqvae import _MIN_TARGET_NORM, CONDITION_FIELDS
@@ -368,9 +369,15 @@ def read_dataset_per_line(path) -> Dataset:
     if header.get("version") != DATASET_VERSION:
         raise DataError(f"{path}: unsupported dataset version {header.get('version')!r}")
     try:
-        config = GeneratorConfig.from_dict(header.get("generator", {}))
+        config = GeneratorConfig.from_dict(header.get("generator"))
     except ConfigError as exc:
         raise DataError(f"{path}: bad generator header: {exc}") from exc
+    try:
+        check_object(header, HEADER_SCHEMA, "header")
+        if header["seed"] < 0:
+            raise ValueError(f"header seed must be non-negative, got {header['seed']}")
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     samples, split = [], []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -407,4 +414,4 @@ def read_dataset_per_line(path) -> Dataset:
         raise DataError(
             f"{path}: header announces {header.get('n_samples')} samples, found {len(samples)}"
         )
-    return rows_dataset(samples, split, header.get("seed", 0), config)
+    return rows_dataset(samples, split, header["seed"], config)

@@ -1,10 +1,11 @@
 """Oracles for the scenario loader and the prompt: work done afresh, with no sharing.
 
 ``scenario_from_doc_per_record`` is the loader ``scenario_from_doc`` replaced:
-one ``Instance`` per instance entry of every cycle, with no sharing and
-without the JSON type checks. On documents both accept, the package's
-loader must give the same scenario field by field; on a document with one
-fault both detect, the same message.
+one ``Instance`` per instance entry of every cycle, with no sharing. Every
+object, each instance record included, goes through the package's one
+object rule, ``config.check_object``, with no memo. On documents both
+accept, the package's loader must give the same scenario field by field; on
+a document with one fault both detect, the same message.
 
 ``synthesize_prompt_per_cycle`` is the prompt builder ``synthesize_prompt``
 replaced: it formats every candidate line on every call, where the package
@@ -17,43 +18,48 @@ a camera-frame point lands on. The package needs only the one direction.
 
 from __future__ import annotations
 
+from gazeshift.config import check_object
 from gazeshift.errors import DataError
 from gazeshift.reasoner.pipeline import PROMPT_INSTRUCTIONS, MarkedScene, MemoryBuffer
-from gazeshift.reasoner.scenario import (SCENARIO_SCHEMA, SCENARIO_VERSION, CameraIntrinsics,
-                                         Instance, RigidTransform, Scenario, ScenarioCycle)
+from gazeshift.reasoner.scenario import (CAMERA_SCHEMA, CYCLE_SCHEMA, DOCUMENT_SCHEMA,
+                                         INSTANCE_SCHEMA, SCENARIO_SCHEMA, SCENARIO_VERSION,
+                                         TRANSFORM_SCHEMA, CameraIntrinsics, Instance,
+                                         RigidTransform, Scenario, ScenarioCycle)
 
 
 def scenario_from_doc_per_record(doc: dict, origin: str = "<doc>") -> Scenario:
-    if not isinstance(doc, dict):
-        raise DataError(f"{origin}: a scenario must be a JSON object, not {type(doc).__name__}")
-    if doc.get("schema") != SCENARIO_SCHEMA:
-        raise DataError(f"{origin}: not a scenario file (schema {doc.get('schema')!r})")
-    if doc.get("version") != SCENARIO_VERSION:
-        raise DataError(f"{origin}: unsupported scenario version {doc.get('version')!r}")
     try:
+        check_object(doc, DOCUMENT_SCHEMA, "scenario")
+        if doc["schema"] != SCENARIO_SCHEMA:
+            raise ValueError(f"not a scenario file (schema {doc['schema']!r})")
+        if doc["version"] != SCENARIO_VERSION:
+            raise ValueError(f"unsupported scenario version {doc['version']!r}")
+        check_object(doc["camera"], CAMERA_SCHEMA, "camera")
         camera = CameraIntrinsics(**doc["camera"])
+        check_object(doc["base_from_camera"], TRANSFORM_SCHEMA, "base_from_camera")
         transform = RigidTransform(doc["base_from_camera"]["rotation"],
                                    doc["base_from_camera"]["translation"])
         cycles = []
-        for cdoc in doc["cycles"]:
-            instances = tuple(
-                Instance(
+        for position, cdoc in enumerate(doc["cycles"]):
+            check_object(cdoc, CYCLE_SCHEMA, f"cycles[{position}]")
+            instances = []
+            for slot, idoc in enumerate(cdoc["instances"]):
+                check_object(idoc, INSTANCE_SCHEMA, f"cycles[{position}].instances[{slot}]")
+                instances.append(Instance(
                     instance_id=idoc["id"],
                     category=idoc["category"],
                     box=tuple(idoc["box"]),
                     depth=float(idoc["depth"]),
-                    face_box=tuple(idoc["face_box"]) if idoc.get("face_box") else None,
-                )
-                for idoc in cdoc["instances"]
-            )
+                    face_box=tuple(idoc["face_box"]) if "face_box" in idoc else None,
+                ))
             cycles.append(ScenarioCycle(
-                index=int(cdoc["index"]),
+                index=cdoc["index"],
                 semantics=cdoc["semantics"],
-                instances=instances,
+                instances=tuple(instances),
                 camera=camera,
                 base_from_camera=transform,
                 image_ref=cdoc.get("image_ref"),
-                cue_onset=bool(cdoc.get("cue_onset", False)),
+                cue_onset=cdoc.get("cue_onset", False),
                 expected_instance=cdoc.get("expected_instance"),
             ))
         responses = {int(k): v for k, v in doc.get("responses", {}).items()}
@@ -64,9 +70,7 @@ def scenario_from_doc_per_record(doc: dict, origin: str = "<doc>") -> Scenario:
             responses=responses,
             description=doc.get("description", ""),
         )
-    except DataError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{origin}: {exc}") from exc
 
 

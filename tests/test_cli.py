@@ -32,13 +32,15 @@ from hypothesis import strategies as st
 import gazeshift
 from gazeshift import nets
 from gazeshift.cli import _LIST_CHUNK, DIVERSITY_THRESHOLD, iter_shared_items, main
-from gazeshift.datagen import GeneratorConfig, generate_dataset, serialize_dataset
+from gazeshift.datagen import (HEADER_SCHEMA, GeneratorConfig, generate_dataset,
+                               serialize_dataset)
 from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV
 from gazeshift.trainer import infer
 from gazeshift.vqvae import ConditionalVQVAE
 from datagen_oracles import EyePose, HeadPose, PoseCondition
 from json_numbers import bad_json_numbers
+from json_objects import WRONG_VALUES, scenario_objects
 from net_oracles import SPELLINGS, write_spelled
 
 SMALL_CONFIG = {
@@ -1057,28 +1059,31 @@ _TRANSLATION_REASON = "base_from_camera translation must be 3 finite numbers, no
 
 
 @pytest.mark.parametrize("damage, reason", [
-    (b"[]", "a scenario must be a JSON object, not list"),
-    (lambda doc: doc.update(responses=[1]), "'list' object has no attribute 'items'"),
+    (b"[]", ": scenario must be a JSON object, got list"),
+    (lambda doc: doc.update(responses=[1]),
+     "scenario field 'responses' must be an object of strings, got [1]"),
     (b'{"schema": "gazeshift-scenario", "description": "\xff"}', "can't decode byte 0xff"),
-    (_set_box_entry, "instance anna: box entries must be finite numbers, not '60'"),
-    (_set_instance_id, "instance id must be a string, not int"),
+    (_set_box_entry, "cycles[0].instances[0] field 'box' must be a list of finite numbers, "
+     "got ['60', 70, 210, 460]"),
+    (_set_instance_id, "cycles[0].instances[0] field 'id' must be a string, got 5"),
     (lambda doc: doc["cycles"][1].update(semantics=7),
-     "cycle 1: semantics must be a string, not int"),
+     "cycles[1] field 'semantics' must be a string, got 7"),
     (lambda doc: doc["cycles"][1].update(cue_onset="false"),
-     "cycle 1: cue_onset must be true or false, not str"),
+     "cycles[1] field 'cue_onset' must be true or false, got 'false'"),
     # the clip used to replay and silently score 0
     (lambda doc: doc["cycles"][2].update(expected_instance="nobody"),
      "cycle 2: expected_instance 'nobody' is not an instance of the cycle"),
     (lambda doc: doc["cycles"][2].update(expected_instance=5),
-     "cycle 2: expected_instance must be a string, not int"),
+     "cycles[2] field 'expected_instance' must be a string, got 5"),
     # the replay used to score 100% and log "point_3d": [NaN, NaN, NaN]
-    (lambda doc: doc["camera"].update(cx=math.nan), "camera cx must be a finite number, not nan"),
+    (lambda doc: doc["camera"].update(cx=math.nan),
+     "camera field 'cx' must be a finite number, got nan"),
     # a NaN image size switched off the box checks: a box reaching x = 5000 scored 100%
     (lambda doc: (doc["camera"].update(width=math.nan, height=math.nan),
                   doc["cycles"][0]["instances"][0]["box"].__setitem__(2, 5000)),
-     "camera width must be an integer of at least 1, not nan"),
+     "camera field 'height' must be an integer, got nan"),
     (lambda doc: doc["camera"].update(height=True),
-     "camera height must be an integer of at least 1, not True"),
+     "camera field 'height' must be an integer, got True"),
     # a text or true rotation entry used to load as 1.0
     (lambda doc: _rotation(doc)[0].__setitem__(2, "1"), _ROTATION_REASON + "[[0.0, 0.0, '1']"),
     (lambda doc: _rotation(doc)[0].__setitem__(2, True), _ROTATION_REASON + "[[0.0, 0.0, True]"),
@@ -1095,17 +1100,31 @@ _TRANSLATION_REASON = "base_from_camera translation must be 3 finite numbers, no
     # int() read "02" as cycle 2, and the later of two such keys won
     (lambda doc: doc["responses"].update({"02": "TARGET: 1"}),
      "canned response key '02' is not a cycle index"),
-    (lambda doc: doc["responses"].update({"0": 3}), "canned response 0 must be a string, not int"),
+    (lambda doc: doc["responses"].update({"0": 3}),
+     "scenario field 'responses' must be an object of strings, got {'0': 3, "),
     # the id used to load and be written into cycles.jsonl as it was
-    (lambda doc: doc.update(scenario_id=5), "scenario_id must be a string, not int"),
-    (lambda doc: doc.update(scenario_id=["a", 1]), "scenario_id must be a string, not list"),
+    (lambda doc: doc.update(scenario_id=5), "scenario field 'scenario_id' must be a string, got 5"),
+    (lambda doc: doc.update(scenario_id=["a", 1]),
+     "scenario field 'scenario_id' must be a string, got ['a', 1]"),
+    # each of these used to load: no canned answers, an ignored key, no face box
+    (lambda doc: doc.update(respones=doc.pop("responses")),
+     "unknown scenario fields: ['respones']"),
+    (lambda doc: doc["cycles"][1]["instances"][2].update(dpeth=1.2),
+     "unknown cycles[1].instances[2] fields: ['dpeth']"),
+    (lambda doc: doc["cycles"][0]["instances"][0].update(
+        face_bx=doc["cycles"][0]["instances"][0].pop("face_box")),
+     "unknown cycles[0].instances[0] fields: ['face_bx']"),
+    (lambda doc: doc.update(description=5), "scenario field 'description' must be a string, got 5"),
+    (lambda doc: doc["cycles"][3].update(image_ref=3),
+     "cycles[3] field 'image_ref' must be a string, got 3"),
 ], ids=["not_an_object", "responses_list", "not_utf8", "box_entry_text", "id_number",
         "semantics_number", "cue_onset_text", "expected_absent", "expected_number",
         "camera_cx_nan", "camera_size_nan", "camera_height_true", "rotation_text",
         "rotation_true", "rotation_null", "rotation_nan", "rotation_ragged", "rotation_2x3",
         "rotation_not_orthogonal", "translation_text", "translation_false", "translation_inf",
         "translation_two_entries", "response_key_padded", "response_number",
-        "scenario_id_number", "scenario_id_list"])
+        "scenario_id_number", "scenario_id_list", "responses_misspelled", "depth_misspelled",
+        "face_box_misspelled", "description_number", "image_ref_number"])
 def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason):
     bundled = Path(gazeshift.__file__).parent / "scenarios"
     shutil.copytree(bundled, tmp_path / "s")
@@ -1183,10 +1202,81 @@ def test_scenario_box_entry_that_is_no_number_exit_data(tmp_path_factory, data):
     damaged.write_text(json.dumps(doc), encoding="utf-8")
     code, err = _main_err(["replay", "--scenarios", str(root / "s"), "--out", str(root / "r")])
     assert code == 3
-    label = key.replace("_", " ")
-    assert err == (f"error: {damaged}: instance {instance['id']}: {label} entries must be "
-                   f"finite numbers, not {value!r}\n")
+    position, slot = next((p, q) for p, cycle in enumerate(doc["cycles"])
+                          for q, inst in enumerate(cycle["instances"]) if inst is instance)
+    assert err == (f"error: {damaged}: cycles[{position}].instances[{slot}] field {key!r} "
+                   f"must be a list of finite numbers, got {instance[key]!r}\n")
     assert not (root / "r").exists()
+
+
+# -- one rule for a JSON object -------------------------------------------------------
+
+def _object_fault(data, label: str, obj: dict, schema, keys) -> tuple:
+    """Put one fault into ``obj``: an unknown key, a missing required key or a
+    value of the wrong JSON type, on one of ``keys``; returns the start and the
+    end of the error's text."""
+    fault = data.draw(st.sampled_from(["unknown", "missing", "mistyped"]))
+    if fault == "unknown":
+        key = data.draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in schema.types))
+        obj[key] = data.draw(st.sampled_from([1, "x", None, [], {}]))
+        return f"unknown {label} fields: [{key!r}]", ""
+    if fault == "missing":
+        del obj[data.draw(st.sampled_from([k for k in schema.required if k in keys]))]
+        return f"{label} requires {' and '.join(map(repr, schema.required))}", ""
+    key = data.draw(st.sampled_from(sorted(k for k in obj if k in keys)))
+    obj[key] = data.draw(st.sampled_from(WRONG_VALUES[schema.types[key]]))
+    return f"{label} field {key!r} must be ", f", got {obj[key]!r}"
+
+
+_SCENARIO_DOC = (Path(gazeshift.__file__).parent / "scenarios" / "h1_point_cup.json").read_text(
+    encoding="utf-8")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["scenario", "camera", "base_from_camera", "cycles[1]",
+                        "cycles[1].instances[2]", "header"]), st.data())
+def test_each_json_object_refuses_unknown_missing_and_mistyped_keys(tmp_path_factory,
+                                                                      level, data):
+    root = tmp_path_factory.mktemp("objects")
+    if level == "header":
+        header = json.loads(NUMBER_LINES[0])
+        # schema, version and generator keep their own checks; the rule decides the rest
+        expected = _object_fault(data, "header", header, HEADER_SCHEMA, ("seed", "n_samples"))
+        path = root / "dataset.jsonl"
+        path.write_text("\n".join([json.dumps(header), *NUMBER_LINES[1:]]) + "\n",
+                        encoding="utf-8")
+        argv = ["train", "--dataset", str(path), "--out", str(root / "run")]
+    else:
+        doc = json.loads(_SCENARIO_DOC)
+        [(_, obj, schema)] = [o for o in scenario_objects(doc) if o[0] == level]
+        expected = _object_fault(data, level, obj, schema, schema.types)
+        (root / "s").mkdir()
+        path = root / "s" / "damaged.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["replay", "--scenarios", str(root / "s"), "--out", str(root / "run")]
+    code, err = _main_err(argv)
+    assert code == 3
+    head, tail = expected
+    assert err.startswith(f"error: {path}: {head}") and err.endswith(f"{tail}\n")
+    assert err.count("\n") == 1 and not (root / "run").exists()
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda h: h.update(seed="x"), "header field 'seed' must be an integer, got 'x'"),
+    (lambda h: h.update(seed=-1), "header seed must be non-negative, got -1"),
+    (lambda h: h.update(comment="hand-made"), "unknown header fields: ['comment']"),
+    (lambda h: h.pop("seed"), "header requires 'schema' and 'version' and 'seed' and "
+                              "'n_samples' and 'generator'"),
+    (lambda h: h.update(n_samples=7.0), "header field 'n_samples' must be an integer, got 7.0"),
+], ids=["seed_text", "seed_negative", "unknown_key", "seed_missing", "n_samples_float"])
+def test_dataset_header_under_the_object_rule_exit_data(tmp_path, edit, reason):
+    # a text seed and an unknown header key used to load
+    header = json.loads(NUMBER_LINES[0])
+    edit(header)
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("\n".join([json.dumps(header), *NUMBER_LINES[1:]]) + "\n", encoding="utf-8")
+    assert _main_err(["train", "--dataset", str(path), "--out", str(tmp_path / "run")]) == (
+        3, f"error: {path}: {reason}\n")
 
 
 def test_replay_remote_requires_backend_section(tmp_path):
@@ -1249,6 +1339,43 @@ def test_manifest_inputs_are_the_sha256_of_each_file(pipeline, tmp_path):
         assert read_manifest(directory)["inputs"] == {
             str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}, directory
     assert read_manifest(run_dir)["dataset_hash"] == read_manifest(data_dir)["dataset_hash"]
+
+
+def test_stage2_manifest_names_the_stage1_bytes_it_loaded(pipeline, tmp_path):
+    # the manifest used to name only the dataset, though stage 2 links the prior to stage1.json
+    _, config, data_dir, run_dir = pipeline
+    staged = tmp_path / "staged"
+    shutil.copytree(run_dir, staged)
+    dataset = data_dir / "dataset.jsonl"
+    assert main(["train", "--config", config, "--seed", "0", "--stage", "2",
+                 "--dataset", str(dataset), "--out", str(staged)]) == 0
+    assert read_manifest(staged)["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (dataset,
+                                                                      staged / "stage1.json")}
+    assert (staged / "prior.json").read_bytes() == (run_dir / "prior.json").read_bytes()
+
+
+def test_replay_reads_each_scenario_file_once(tmp_path, monkeypatch):
+    # the manifest's digests are those of the bytes the loader read
+    bundled = sorted((Path(gazeshift.__file__).parent / "scenarios").glob("*.json"))
+    reads, real_open, real_path_open = [], open, Path.open
+
+    def counted_path_open(self, *args, **kwargs):  # read_bytes and read_text open here too
+        reads.append(self)
+        return real_path_open(self, *args, **kwargs)
+
+    def counted_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            reads.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted_path_open)
+    monkeypatch.setattr("builtins.open", counted_open)
+    assert main(["replay", "--out", str(tmp_path / "r")]) == 0
+    assert sorted(p for p in reads if p.suffix == ".json" and p.parent == bundled[0].parent) == (
+        bundled)
+    assert read_manifest(tmp_path / "r")["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in bundled}
 
 
 def test_manifests_name_only_existing_outputs(pipeline):

@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gazeshift import config as config_mod
+from gazeshift.config import finite_float
 from gazeshift.errors import BackendError, ConfigError, DataError
 from gazeshift.reasoner.backends import (API_KEY_ENV, OracleBackend,
                                          RemoteBackend, RemoteConfig,
@@ -40,6 +42,7 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
                                          load_scenario, load_scenario_dir,
                                          scenario_from_doc)
 from json_numbers import bad_json_numbers
+from json_objects import WRONG_VALUES, scenario_objects
 from scenario_corpus import build_corpus, scenario_to_doc, write_corpus, write_scenario
 from scenario_oracles import project, scenario_from_doc_per_record, synthesize_prompt_per_cycle
 
@@ -646,8 +649,10 @@ def test_scenario_rejects_bad_documents():
         with pytest.raises(DataError, match="must be a JSON object"):
             scenario_from_doc(not_object)
     for responses in ([1], "abc", 2):
-        with pytest.raises(DataError, match="attribute 'items'"):
-            scenario_from_doc({**good, "responses": responses})
+        with pytest.raises(DataError) as exc:
+            scenario_from_doc({**good, "responses": responses}, origin="demo.json")
+        assert str(exc.value) == ("demo.json: scenario field 'responses' must be an object of "
+                                  f"strings, got {responses!r}")
     # a response key is str(i) of a cycle index, and its value is text: int()
     # read "02", " 2" and "2" alike, and the last of them won
     for responses, reason in [
@@ -659,9 +664,11 @@ def test_scenario_rejects_bad_documents():
         ({"\u0662": "TARGET: 1"}, "canned response key '\u0662' is not a cycle index"),
         ({"": "TARGET: 1"}, "canned response key '' is not a cycle index"),
         ({"4": "TARGET: 1"}, "canned response for out-of-range cycle 4"),
-        ({"2": 2}, "canned response 2 must be a string, not int"),
-        ({"2": None}, "canned response 2 must be a string, not NoneType"),
-        ({"2": ["TARGET: 1"]}, "canned response 2 must be a string, not list"),
+        ({"2": 2}, "scenario field 'responses' must be an object of strings, got {'2': 2}"),
+        ({"2": None},
+         "scenario field 'responses' must be an object of strings, got {'2': None}"),
+        ({"2": ["TARGET: 1"]},
+         "scenario field 'responses' must be an object of strings, got {'2': ['TARGET: 1']}"),
     ]:
         with pytest.raises(DataError) as exc:
             scenario_from_doc({**good, "responses": responses}, origin="demo.json")
@@ -671,41 +678,50 @@ def test_scenario_rejects_bad_documents():
     for scenario_id in (5, ["a", 1], None, True):
         with pytest.raises(DataError) as exc:
             scenario_from_doc({**good, "scenario_id": scenario_id}, origin="demo.json")
-        assert str(exc.value) == ("demo.json: scenario_id must be a string, "
-                                  f"not {type(scenario_id).__name__}")
+        assert str(exc.value) == ("demo.json: scenario field 'scenario_id' must be a string, "
+                                  f"got {scenario_id!r}")
     # one mistyped field each, in the first instance of cycle 0 or in cycle 1
     for where, key, value, reason in [
-        ("instance", "id", 5, "instance id must be a string, not int"),
-        ("instance", "id", None, "instance id must be a string, not NoneType"),
-        ("instance", "category", ["person"], "category must be a string, not list"),
-        ("instance", "box", [300.0, "80", 420.0, 460.0],
-         "box entries must be finite numbers, not '80'"),
-        ("instance", "box", [300, 80, True, 460], "box entries must be finite numbers, not True"),
+        ("instance", "id", 5, "cycles[0].instances[0] field 'id' must be a string, got 5"),
+        ("instance", "id", None, "cycles[0].instances[0] field 'id' must be a string, got None"),
+        ("instance", "category", ["person"],
+         "cycles[0].instances[0] field 'category' must be a string, got ['person']"),
+        ("instance", "box", [300.0, "80", 420.0, 460.0], "cycles[0].instances[0] field 'box' "
+         "must be a list of finite numbers, got [300.0, '80', 420.0, 460.0]"),
+        ("instance", "box", [300, 80, True, 460], "cycles[0].instances[0] field 'box' "
+         "must be a list of finite numbers, got [300, 80, True, 460]"),
         ("instance", "face_box", [340.0, 100.0, None, 150.0],
-         "face box entries must be finite numbers, not None"),
+         "cycles[0].instances[0] field 'face_box' must be a list of finite numbers, "
+         "got [340.0, 100.0, None, 150.0]"),
+        # null is no value of an optional key: a record that leaves it out means no face box
+        ("instance", "face_box", None,
+         "cycles[0].instances[0] field 'face_box' must be a list of finite numbers, got None"),
         # used to fail with "int too large to convert to float", naming no field
-        ("instance", "box", [300, 80, 10 ** 400, 460],
-         f"p_anna: box entries must be finite numbers, not {10 ** 400!r}"),
-        ("cycle", "index", 1.0, "cycle index must be an integer, not float"),
-        ("cycle", "index", 2.7, "cycle index must be an integer, not float"),
-        ("cycle", "index", True, "cycle index must be an integer, not bool"),
-        ("cycle", "index", "1", "cycle index must be an integer, not str"),
-        ("cycle", "semantics", 7, "cycle 1: semantics must be a string, not int"),
-        ("cycle", "semantics", None, "cycle 1: semantics must be a string, not NoneType"),
-        ("cycle", "cue_onset", "false", "cycle 1: cue_onset must be true or false, not str"),
-        ("cycle", "cue_onset", 1, "cycle 1: cue_onset must be true or false, not int"),
+        ("instance", "box", [300, 80, 10 ** 400, 460], "cycles[0].instances[0] field 'box' "
+         f"must be a list of finite numbers, got [300, 80, {10 ** 400!r}, 460]"),
+        ("cycle", "index", 1.0, "cycles[1] field 'index' must be an integer, got 1.0"),
+        ("cycle", "index", 2.7, "cycles[1] field 'index' must be an integer, got 2.7"),
+        ("cycle", "index", True, "cycles[1] field 'index' must be an integer, got True"),
+        ("cycle", "index", "1", "cycles[1] field 'index' must be an integer, got '1'"),
+        ("cycle", "semantics", 7, "cycles[1] field 'semantics' must be a string, got 7"),
+        ("cycle", "semantics", None, "cycles[1] field 'semantics' must be a string, got None"),
+        ("cycle", "cue_onset", "false",
+         "cycles[1] field 'cue_onset' must be true or false, got 'false'"),
+        ("cycle", "cue_onset", 1, "cycles[1] field 'cue_onset' must be true or false, got 1"),
         # cycle 1 is the cue cycle: its expected instance must be one it shows
         ("cycle", "expected_instance", "nobody",
          "cycle 1: expected_instance 'nobody' is not an instance of the cycle"),
-        ("cycle", "expected_instance", 5, "cycle 1: expected_instance must be a string, not int"),
+        ("cycle", "expected_instance", 5,
+         "cycles[1] field 'expected_instance' must be a string, got 5"),
+        ("cycle", "image_ref", 5, "cycles[1] field 'image_ref' must be a string, got 5"),
         # `nan <= 0` is false, so only an explicit check catches these
-        ("camera", "cx", math.nan, "camera cx must be a finite number, not nan"),
-        ("camera", "fx", math.inf, "camera fx must be a finite number, not inf"),
-        ("camera", "fy", True, "camera fy must be a finite number, not True"),
+        ("camera", "cx", math.nan, "camera field 'cx' must be a finite number, got nan"),
+        ("camera", "fx", math.inf, "camera field 'fx' must be a finite number, got inf"),
+        ("camera", "fy", True, "camera field 'fy' must be a finite number, got True"),
         # a NaN width or height switched off every box-in-image check
-        ("camera", "width", math.nan, "camera width must be an integer of at least 1, not nan"),
-        ("camera", "height", True, "camera height must be an integer of at least 1, not True"),
-        ("camera", "width", 640.0, "camera width must be an integer of at least 1, not 640.0"),
+        ("camera", "width", math.nan, "camera field 'width' must be an integer, got nan"),
+        ("camera", "height", True, "camera field 'height' must be an integer, got True"),
+        ("camera", "width", 640.0, "camera field 'width' must be an integer, got 640.0"),
         ("camera", "height", 0, "camera height must be an integer of at least 1, not 0"),
     ]:
         doc = json.loads(json.dumps(good))
@@ -729,9 +745,9 @@ def test_scenario_camera_and_depth_must_be_finite_json_numbers(where, key, value
     target[key] = value
     with pytest.raises(DataError) as exc:
         scenario_from_doc(doc, origin="demo.json")
-    message = str(exc.value)
-    assert message.startswith("demo.json: ") and "\n" not in message
-    assert f"{key} must be a finite number, not {value!r}" in message
+    label = "camera" if where == "camera" else "cycles[0].instances[0]"
+    assert str(exc.value) == (f"demo.json: {label} field {key!r} must be a finite number, "
+                              f"got {value!r}")
 
 
 # Scenario documents for the oracle test. Box and depth values mix ints and
@@ -803,6 +819,13 @@ def _swap(box, a, b):
     box[a], box[b] = box[b], box[a]
 
 
+def _mistype(doc, data):
+    """Give one key of one object of ``doc`` a value of the wrong JSON type."""
+    _, obj, schema = data.draw(st.sampled_from(scenario_objects(doc)))
+    key = data.draw(st.sampled_from(sorted(obj)))
+    obj[key] = data.draw(st.sampled_from(WRONG_VALUES[schema.types[key]]))
+
+
 # One fault each that both loaders detect, with the same message.
 _SCENARIO_FAULTS = {
     "box_outside": lambda doc, data: _some_instance(doc, data)["box"].__setitem__(2, 700),
@@ -833,6 +856,9 @@ _SCENARIO_FAULTS = {
     "camera_size_not_int": lambda doc, data: doc["camera"].update(
         {data.draw(st.sampled_from(["width", "height"])):
          data.draw(st.sampled_from([math.nan, True, 640.0, 0, -480]))}),
+    "unknown_key": lambda doc, data: data.draw(st.sampled_from(scenario_objects(doc)))[1].update(
+        {data.draw(st.sampled_from(["dpeth", "face_bx", "respones"])): 1}),
+    "mistyped_field": _mistype,
 }
 
 
@@ -864,9 +890,45 @@ def test_scenario_loader_matches_per_record_oracle(doc, fault, data):
     built = {}
     for cdoc, cycle in zip(doc["cycles"], scenario.cycles):
         for idoc, inst in zip(cdoc["instances"], cycle.instances):
-            built.setdefault(json.dumps(idoc, sort_keys=True), set()).add(id(inst))
+            built.setdefault(json.dumps(idoc), set()).add(id(inst))
     assert all(len(ids) == 1 for ids in built.values())
     assert len({next(iter(ids)) for ids in built.values()}) == len(built)
+
+
+def test_a_record_equal_to_an_earlier_one_but_for_its_keys_is_refused():
+    # each cycle of the demo scenario repeats the records of cycle 0, which
+    # the loader checks once; a later copy must not pass on that memo
+    for extra, reason in [
+        ({"dpeth": 2.0}, "unknown cycles[2].instances[1] fields: ['dpeth']"),
+        ({"face_bx": [110, 210, 150, 230]},
+         "unknown cycles[2].instances[1] fields: ['face_bx']"),
+        # null is no value of an optional key
+        ({"face_box": None},
+         "cycles[2].instances[1] field 'face_box' must be a list of finite numbers, got None"),
+    ]:
+        doc = scenario_to_doc(demo_scenario({}))
+        assert "face_box" not in doc["cycles"][2]["instances"][1]  # c_mug
+        doc["cycles"][2]["instances"][1].update(extra)
+        with pytest.raises(DataError) as exc:
+            scenario_from_doc(doc, origin="demo.json")
+        assert str(exc.value) == f"demo.json: {reason}"
+    doc = scenario_to_doc(demo_scenario({}))
+    doc["cycles"][3]["instances"][0]["dpeth"] = 2.0  # p_anna, which has a face box
+    with pytest.raises(DataError, match=r"^demo\.json: unknown cycles\[3\]\.instances\[0\] "
+                                        r"fields: \['dpeth'\]$"):
+        scenario_from_doc(doc, origin="demo.json")
+
+
+_JSON_ENTRIES = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(allow_nan=False),
+                         bad_json_numbers(), st.sampled_from([[], [1.5], {}, {"a": 1}, "", "x"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_JSON_ENTRIES, max_size=6), _JSON_ENTRIES))
+def test_box_lists_follow_finite_floats_rule(value):
+    # the schema's "list of finite numbers" runs in C; finite_float, entry by entry, is its rule
+    expected = isinstance(value, list) and None not in map(finite_float, value)
+    assert config_mod._ACCEPTS["list[float]"][2](value) == expected
 
 
 def test_bundled_corpus_builds_each_distinct_instance_once():

@@ -6,14 +6,18 @@ Runs ``gen-data``, ``train``, ``eval`` and ``sample --n 1000 --mode sample
 --eye 0,0 --head 0,0,0 --target 1.5,0.8,0.2`` at the shipped defaults and
 seed 0, then ``replay --backend scripted`` on the bundled scenarios, through
 ``gazeshift.cli.main``, with one BLAS thread, in a temporary directory (or
-under ``DIR``, which is kept). It prints each artifact's SHA-256 and exits 1
-if any differs from ``EXPECTED``. The replay's ``cycles.jsonl`` is hashed
-with each record's wall-clock ``elapsed_s`` removed, after re-encoding, so
-the hash cannot see how a line is spelled: the script also exits 1 if any
-line as written differs from ``json.dumps`` of its own record, or if a link
-between artifacts is broken: ``stage1.json``'s ``dataset_hash`` must be the
-SHA-256 of ``dataset.jsonl``, and ``prior.json``'s ``stage1_sha256`` that of
-``stage1.json``.
+under ``DIR``, which is kept). It also reruns ``train --stage 2`` on a copy
+of the trained run. It prints each artifact's SHA-256 and exits 1 if any
+differs from ``EXPECTED``. The replay's ``cycles.jsonl`` is hashed with each
+record's wall-clock ``elapsed_s`` removed, after re-encoding, so the hash
+cannot see how a line is spelled: the script also exits 1 if any line as
+written differs from ``json.dumps`` of its own record, if a link between
+artifacts is broken (``stage1.json``'s ``dataset_hash`` must be the SHA-256
+of ``dataset.jsonl``, and ``prior.json``'s ``stage1_sha256`` that of
+``stage1.json``), or if a manifest names an input by another digest: the
+replay's ``inputs`` must map each bundled scenario file to the SHA-256 of
+its bytes, and the ``--stage 2`` run's must name its ``stage1.json`` with
+that file's SHA-256.
 
 The trained weights' last bits depend on the BLAS build, so this is not a
 Tier-1 test. ``EXPECTED`` is the one record of these bytes: a change that
@@ -29,12 +33,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import contextlib
 import hashlib
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import gazeshift  # noqa: E402
 from gazeshift.cli import main  # noqa: E402
 
 EXPECTED = {
@@ -50,12 +56,15 @@ EXPECTED = {
 
 
 def walkthrough(root: Path) -> None:
-    """README's four model commands and a scripted replay, writing under ``root``;
-    raises on a non-zero exit."""
+    """README's four model commands, a ``train --stage 2`` and a scripted replay,
+    writing under ``root``; raises on a non-zero exit."""
     dataset = str(root / "data" / "dataset.jsonl")
     commands = [
         ["gen-data", "--seed", "0", "--out", str(root / "data")],
         ["train", "--dataset", dataset, "--seed", "0", "--out", str(root / "model")],
+        # stage 2 alone, on a copy of the run that stage 1 wrote into
+        ["train", "--dataset", dataset, "--seed", "0", "--stage", "2",
+         "--out", str(root / "stage2")],
         ["eval", "--dataset", dataset, "--run", str(root / "model"), "--out", str(root / "eval")],
         ["sample", "--run", str(root / "model"), "--n", "1000", "--mode", "sample",
          "--eye", "0,0", "--head", "0,0,0", "--target", "1.5,0.8,0.2",
@@ -63,6 +72,8 @@ def walkthrough(root: Path) -> None:
         ["replay", "--backend", "scripted", "--out", str(root / "replay")],
     ]
     for argv in commands:
+        if "--stage" in argv:
+            shutil.copytree(root / "model", root / "stage2")
         with contextlib.redirect_stdout(sys.stderr):
             code = main(argv)
         if code != 0:
@@ -84,6 +95,10 @@ def respelled_lines(path: Path) -> list:
     return [n for n, line in enumerate(lines, 1) if line != json.dumps(json.loads(line))]
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def broken_links(root: Path) -> list:
     """Each link whose recorded SHA-256 is not that of the file it names, as text."""
     stage1 = json.loads((root / "model" / "stage1.json").read_text(encoding="utf-8"))
@@ -94,12 +109,32 @@ def broken_links(root: Path) -> list:
               prior["metadata"]["model"].get("stage1_sha256"), "model/stage1.json")]
     return [f"{where} is {recorded!r}, not the SHA-256 of {name}"
             for where, recorded, name in links
-            if recorded != hashlib.sha256((root / name).read_bytes()).hexdigest()]
+            if recorded != _sha256(root / name)]
+
+
+def manifest_faults(root: Path) -> list:
+    """Each manifest input, of the replay and of the ``--stage 2`` run, that
+    is missing or recorded with another digest than its file's, as text."""
+    bundled = sorted((Path(gazeshift.__file__).parent / "scenarios").glob("*.json"))
+    stage1 = root / "stage2" / "stage1.json"
+    faults = []
+    for directory, expected in (("replay", {str(p): _sha256(p) for p in bundled}),
+                                ("stage2", {str(stage1): _sha256(stage1)})):
+        inputs = json.loads((root / directory / "manifest.json").read_text(encoding="utf-8"))[
+            "inputs"]
+        if directory == "replay" and inputs.keys() != expected.keys():
+            faults.append(f"{directory}/manifest.json inputs name {sorted(inputs)}, "
+                          f"not the {len(bundled)} bundled scenario files")
+        faults += [f"{directory}/manifest.json records {path} as {inputs.get(path)!r}, "
+                   f"not its SHA-256 {digest}"
+                   for path, digest in expected.items() if inputs.get(path) != digest]
+    return faults
 
 
 def check(root: Path) -> int:
     """Print each artifact's SHA-256; 1 if any differs from EXPECTED, a cycle-log
-    line is not spelled as ``json.dumps`` writes it or a link is broken, else 0."""
+    line is not spelled as ``json.dumps`` writes it, a link is broken or a
+    manifest records an input by another digest, else 0."""
     moved = 0
     for name, expected in EXPECTED.items():
         actual = hashlib.sha256(_content(root / name)).hexdigest()
@@ -115,7 +150,12 @@ def check(root: Path) -> int:
         print(f"broken link: {line}")
     if not broken:
         print("links ok: stage1.json -> dataset.jsonl, prior.json -> stage1.json")
-    return 1 if moved or respelled or broken else 0
+    faults = manifest_faults(root)
+    for line in faults:
+        print(f"manifest: {line}")
+    if not faults:
+        print("manifests ok: replay inputs, train --stage 2 inputs")
+    return 1 if moved or respelled or broken or faults else 0
 
 
 def run(out: str | None) -> int:
