@@ -27,6 +27,7 @@ from pathlib import Path
 # never load them.
 from . import __version__, datagen, prior as prior_mod, trainer, vqvae
 from .atomic import open_atomic
+from .config import Schema, check_object
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
 # The remote transport is a lazy module too: only the remote backend reads it.
 from .reasoner import backends, load_scenario_dir
@@ -46,6 +47,7 @@ _EXIT_BY_ERROR = (
     (BackendError, EXIT_BACKEND),
 )
 
+CONFIG_SCHEMA = Schema({}, {"generator": "dict", "training": "dict", "backend": "dict"})
 DIVERSITY_THRESHOLD = 0.05  # report codes the prior rates above 5%
 _LIST_CHUNK = 1000  # list items per piece of iter_shared_items' text
 
@@ -112,19 +114,18 @@ def write_manifest(out_dir, subcommand: str, config: dict, inputs: dict,
 
 
 def load_config_file(path) -> dict:
+    """The --config file at ``path`` as a ``CONFIG_SCHEMA`` object, or {} without one."""
     if path is None:
         return {}
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        check_object(doc, CONFIG_SCHEMA, "config")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = set(doc) - {"generator", "training", "backend"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return doc
 
 
@@ -133,7 +134,7 @@ def _train_config(doc: dict, seed_flag) -> trainer.TrainConfig:
     return config if seed_flag is None else replace(config, seed=seed_flag)
 
 
-def _parse_floats(text: str, n: int, what: str) -> list:
+def _flag_floats(text: str, n: int, what: str) -> list:
     parts = text.split(",")
     if len(parts) != n:
         raise ConfigError(f"{what} needs {n} comma-separated values, got {len(parts)}")
@@ -249,9 +250,9 @@ def cmd_sample(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     model, prior, checkpoints = _load_models(args.run)
-    eye = _parse_floats(args.eye, 2, "--eye")
-    head = _parse_floats(args.head, 3, "--head")
-    target = _parse_floats(args.target, 3, "--target")
+    eye = _flag_floats(args.eye, 2, "--eye")
+    head = _flag_floats(args.head, 3, "--head")
+    target = _flag_floats(args.target, 3, "--target")
     condition = np.array([math.radians(v) for v in eye + head] + target)
     [violation] = vqvae.condition_violations(condition[None, :])
     if violation is not None:

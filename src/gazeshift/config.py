@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import MISSING, fields
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
+
+# The types json.loads gives a JSON number: ``type(True)`` is bool, not int.
+_NUMBER_TYPES = frozenset({int, float})
 
 
 def _is_int(value) -> bool:
@@ -43,47 +48,77 @@ def finite_floats(value, shape: tuple) -> tuple | None:
     return None if None in rows else rows
 
 
-def _finite_numbers(value) -> bool:
-    """Whether ``finite_float`` accepts every entry of ``value``, a JSON list, checked in C."""
-    try:
-        return isinstance(value, list) and all(map(math.isfinite, value)) and (
-            bool not in map(type, value))
-    except (TypeError, OverflowError):  # an entry that is no number, or an int beyond a float
+def _finite_numbers(value, length: int | None = None) -> bool:
+    """Whether ``value`` is a list (of ``length`` entries) of numbers ``finite_float`` accepts.
+    A finite sum of ints and floats proves each finite; any other list is checked entry by entry."""
+    if type(value) is not list or length is not None and len(value) != length:
         return False
+    try:
+        summed = _NUMBER_TYPES.issuperset(map(type, value)) and math.isfinite(sum(value, 0.0))
+    except OverflowError:  # an int beyond the float range
+        summed = False
+    return summed or None not in map(finite_float, value)
 
 
-# Per JSON type a field annotation or ``Schema`` names: a Python type all of whose values
-# pass with no call (or None), the description and the test. A bool is never a number.
+class _Type(NamedTuple):
+    """How ``check_object`` tests a value of one type name."""
+
+    exact: type | None  # a Python type all of whose values pass with no call, or None
+    description: str
+    test: Callable
+    entries: tuple = (None, "")  # a typed list's or object's Python type, its entries' type
+
+
 _ACCEPTS = {
-    "int": (int, "an integer", _is_int),
-    "float": (None, "a finite number", lambda v: finite_float(v) is not None),
-    "bool": (bool, "true or false", lambda v: isinstance(v, bool)),
-    "str": (str, "a string", lambda v: isinstance(v, str)),
-    "str | None": (str, "a string or null", lambda v: v is None or isinstance(v, str)),
-    "tuple": (None, "a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "list": (list, "a list", lambda v: isinstance(v, list)),
-    "list[float]": (None, "a list of finite numbers", _finite_numbers),
-    "dict": (dict, "a JSON object", lambda v: isinstance(v, dict)),
-    "dict[str, str]": (None, "an object of strings", lambda v: isinstance(v, dict)
-                       and all(isinstance(t, str) for t in v.values())),
+    "int": _Type(int, "an integer", _is_int),
+    "float": _Type(None, "a finite number", lambda v: finite_float(v) is not None),
+    "bool": _Type(bool, "true or false", lambda v: isinstance(v, bool)),
+    "str": _Type(str, "a string", lambda v: isinstance(v, str)),
+    "str | None": _Type(str, "a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple": _Type(None, "a list of integers",
+                   lambda v: isinstance(v, list) and all(map(_is_int, v)), (list, "int")),
+    "list": _Type(list, "a list", lambda v: isinstance(v, list)),
+    "list[float]": _Type(None, "a list of finite numbers", _finite_numbers, (list, "float")),
+    "dict": _Type(dict, "a JSON object", lambda v: isinstance(v, dict)),
+    "dict[str, str]": _Type(None, "an object of strings", lambda v: isinstance(v, dict)
+                            and all(isinstance(t, str) for t in v.values()), (dict, "str")),
 }
 
 
+def _rule(name: str) -> _Type:
+    """An ``_ACCEPTS`` type, or for "float[n]" a list of exactly n finite numbers."""
+    if name in _ACCEPTS:
+        return _ACCEPTS[name]
+    n = int(name[len("float["):-1])
+    return _Type(None, f"{n} finite numbers", lambda v: _finite_numbers(v, n), (list, "float"))
+
+
 class Schema:
-    """The keys a JSON object must hold and those it may hold, each mapped to
-    its ``_ACCEPTS`` type name."""
+    """The keys a JSON object must hold and those it may hold, each mapped to its type name."""
 
     def __init__(self, required: dict, optional: dict | None = None):
         self.types, self.required = {**required, **(optional or {})}, tuple(required)
-        self._accepts = {key: _ACCEPTS[name] for key, name in self.types.items()}
+        self._accepts = {key: _rule(name) for key, name in self.types.items()}
         self._needs = frozenset(required)
+
+
+def _fault(key: str, value, rule: _Type) -> str:
+    """Why ``value`` at ``key`` breaks ``rule``: a typed list's or object's first bad entry."""
+    container, entry_type = rule.entries
+    if type(value) is container:
+        _, description, test, _ = _ACCEPTS[entry_type]
+        for at, entry in enumerate(value) if container is list else value.items():
+            if not test(entry):
+                return f"{key}[{at!r}] must be {description}, got {reprlib.repr(entry)}"
+    return f"{key!r} must be {rule.description}, got {reprlib.repr(value)}"
 
 
 def check_object(doc, schema: Schema, label: str, *where) -> None:
     """Raise ValueError unless ``doc`` is a JSON object that holds only keys of
     ``schema``, every required one, and each value of its key's type. The
     message names ``label.format(*where)``, the path to ``doc``, and the first
-    rule broken: not an object, an unknown key, a missing key, then each value."""
+    rule broken: not an object, an unknown key, a missing key, then each value
+    (down to a typed list's or object's first bad entry), as ``reprlib`` shows it."""
     known, bad = schema._accepts, None
     if isinstance(doc, dict):
         for name, value in doc.items():
@@ -98,9 +133,9 @@ def check_object(doc, schema: Schema, label: str, *where) -> None:
         raise ValueError(f"{label} must be a JSON object, got {type(doc).__name__}")
     if not doc.keys() <= known.keys():
         raise ValueError(f"unknown {label} fields: {sorted(doc.keys() - known.keys())}")
-    if not doc.keys() >= schema._needs:
-        raise ValueError(f"{label} requires {' and '.join(map(repr, schema.required))}")
-    raise ValueError(f"{label} field {bad!r} must be {known[bad][1]}, got {doc[bad]!r}")
+    if missing := [repr(key) for key in schema.required if key not in doc]:
+        raise ValueError(f"{label} requires {' and '.join(missing)}")
+    raise ValueError(f"{label} field {_fault(bad, doc[bad], known[bad])}")
 
 
 def read_config(cls, doc, section: str):

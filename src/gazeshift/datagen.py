@@ -33,7 +33,7 @@ import numpy as np
 
 from . import so3
 from .atomic import open_atomic
-from .config import Schema, check_object, finite_floats, read_config
+from .config import Schema, check_object, read_config
 from .errors import ConfigError, DataError
 from .vqvae import _MIN_TARGET_NORM, allocation_violations, condition_violations
 
@@ -42,6 +42,10 @@ DATASET_VERSION = 1
 # The header line under ``config.check_object``: the five keys ``serialize_dataset`` writes.
 HEADER_SCHEMA = Schema({"schema": "str", "version": "int", "seed": "int", "n_samples": "int",
                         "generator": "dict"})
+# A sample line under the same rule: the seven keys ``serialize_dataset`` writes.
+SAMPLE_SCHEMA = Schema({"theta_e": "float[2]", "theta_h": "float[3]", "target": "float[3]",
+                        "delta_e": "float[2]", "delta_h": "float[3]", "strategy": "str",
+                        "split": "str"})
 
 EYE_DOMINANT = "eye-dominant"
 HEAD_DOMINANT = "head-dominant"
@@ -395,38 +399,23 @@ def write_dataset(dataset: Dataset, path) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> tuple:
-    """``doc[key]`` as ``width`` floats; each entry must pass ``config.finite_float``."""
-    numbers = finite_floats(doc.get(key), (width,))
-    if numbers is None:
-        raise DataError(f"line {line_no}: field {key!r} must be {width} finite numbers")
-    return numbers
-
-
-def _parse_line(line: str, line_no: int):
-    """One sample line: (condition row (8,), allocation row (5,), strategy tag, split tag).
-
-    Only the JSON shape and the number rule are checked here; ``read_dataset``
-    checks the value rules of all rows at once.
-    """
+def _parse_line(line: str, line_no: int) -> dict:
+    """One sample line: a ``SAMPLE_SCHEMA`` object with known tags. ``read_dataset``
+    checks the value rules of all rows at once."""
     if not line.strip():
         raise DataError(f"line {line_no}: blank line inside dataset")
     try:
         doc = json.loads(line)
+        check_object(doc, SAMPLE_SCHEMA, "sample")
     except json.JSONDecodeError as exc:
         raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"line {line_no}: a sample must be a JSON object")
-    theta_e = _parse_floats(doc, "theta_e", 2, line_no)
-    theta_h = _parse_floats(doc, "theta_h", 3, line_no)
-    target = _parse_floats(doc, "target", 3, line_no)
-    delta_e = _parse_floats(doc, "delta_e", 2, line_no)
-    delta_h = _parse_floats(doc, "delta_h", 3, line_no)
-    if doc.get("strategy") not in (EYE_DOMINANT, HEAD_DOMINANT):
-        raise DataError(f"line {line_no}: bad strategy tag {doc.get('strategy')!r}")
-    if doc.get("split") not in ("train", "val"):
-        raise DataError(f"line {line_no}: bad split tag {doc.get('split')!r}")
-    return theta_e + theta_h + target, delta_e + delta_h, doc["strategy"], doc["split"]
+    except ValueError as exc:
+        raise DataError(f"line {line_no}: {exc}") from exc
+    if doc["strategy"] not in (EYE_DOMINANT, HEAD_DOMINANT):
+        raise DataError(f"line {line_no}: bad strategy tag {doc['strategy']!r}")
+    if doc["split"] not in ("train", "val"):
+        raise DataError(f"line {line_no}: bad split tag {doc['split']!r}")
+    return doc
 
 
 def read_dataset(path) -> Dataset:
@@ -463,20 +452,16 @@ def read_dataset(path) -> Dataset:
         raise DataError(f"{path}: bad generator header: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    conditions, allocations, strategy, split = [], [], [], []
-    unparsed = None
+    docs, unparsed = [], None
     for line_no, line in enumerate(lines[1:], start=2):
         try:
-            condition, allocation, strategy_tag, split_tag = _parse_line(line, line_no)
+            docs.append(_parse_line(line, line_no))
         except DataError as exc:
             unparsed = exc
             break
-        conditions.append(condition)
-        allocations.append(allocation)
-        strategy.append(strategy_tag)
-        split.append(split_tag)
-    conditions = np.array(conditions).reshape(-1, 8)
-    allocations = np.array(allocations).reshape(-1, 5)
+    conditions = np.array([d["theta_e"] + d["theta_h"] + d["target"] for d in docs]).reshape(-1, 8)
+    allocations = np.array([d["delta_e"] + d["delta_h"] for d in docs]).reshape(-1, 5)
+    strategy, split = [d["strategy"] for d in docs], [d["split"] for d in docs]
     # A row that breaks a value rule ends the rows, as a line that does not
     # parse does. The rows before it are checked first: a violation among
     # them is the first offending line.

@@ -14,7 +14,7 @@ updates the whole vector in place with a few whole-array operations.
 The moments live only in memory while a stage trains: a checkpoint holds
 the weights and their metadata, which is all a load uses. A model's
 config goes into ``metadata["model"]`` through ``save_model`` and comes
-back through ``load_model``, which checks every field with ``read_config``.
+back through ``load_model``; ``config.check_object`` checks every object of a checkpoint.
 
 The training step avoids fixed per-call costs and keeps every bit of the
 plain whole-array expressions. Each ``DenseNetwork`` owns a workspace: its
@@ -46,14 +46,14 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .atomic import open_atomic
-from .config import read_config
-from .errors import ConfigError
+from .config import Schema, check_object
 
 CHECKPOINT_FORMAT = "gazeshift-checkpoint"
 CHECKPOINT_VERSION = 1
-
-# The types json.loads gives a JSON number; ``type(True)`` is bool, not int.
-_NUMBER_TYPES = frozenset({int, float})
+# A checkpoint and each params entry under ``config.check_object`` ("optimizer": old Adam moments).
+CHECKPOINT_SCHEMA = Schema({"format": "str", "version": "int", "params": "dict"},
+                           {"metadata": "dict", "optimizer": "dict"})
+PARAM_SCHEMA = Schema({"shape": "tuple", "data": "list[float]"})
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -401,38 +401,16 @@ def _encode_param(p) -> dict:
     return {"shape": list(np.shape(p)), "data": np.asarray(p, dtype=float).ravel().tolist()}
 
 
-def decode_params(doc, path) -> dict[str, np.ndarray]:
-    """The arrays of a checkpoint's ``params`` document read from ``path``.
-
-    Raises ValueError naming ``path`` and the parameter unless ``doc`` is an
-    object of ``{"shape": [int, ...], "data": [...]}`` entries whose data is
-    one flat list that fills the shape with numbers by
-    ``config.finite_float``'s rule: each entry an int or a float (not a
-    bool, a string or null) that is finite as a float.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: params must be an object, not {type(doc).__name__}")
+def decode_params(doc) -> dict[str, np.ndarray]:
+    """The arrays of a checkpoint's ``params``: ``PARAM_SCHEMA`` objects whose ``data``
+    fills their ``shape``; anything else raises ValueError naming the parameter."""
     out = {}
     for name, entry in doc.items():
-        if not (isinstance(entry, dict) and "shape" in entry and "data" in entry):
-            raise ValueError(f"{path}: parameter {name!r} needs a shape and data")
-        shape = entry["shape"]
-        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-            raise ValueError(f"{path}: parameter {name!r} has shape {shape!r}, "
-                             "not a list of non-negative integers")
-        data = entry["data"]
-        if type(data) is not list or not set(map(type, data)) <= _NUMBER_TYPES:
-            bad = data if type(data) is not list else next(
-                v for v in data if type(v) not in _NUMBER_TYPES)
-            raise ValueError(f"{path}: parameter {name!r} data must be one flat list of "
-                             f"numbers, found {bad!r}")
-        try:
-            arr = np.array(data, dtype=float).reshape(shape)
-        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int
-            raise ValueError(f"{path}: parameter {name!r} has unusable data: {exc}") from exc
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
-        out[name] = arr
+        check_object(entry, PARAM_SCHEMA, "parameter {!r}", name)
+        shape, data = entry["shape"], entry["data"]
+        if min(shape, default=0) < 0 or math.prod(shape) != len(data):
+            raise ValueError(f"parameter {name!r}: {len(data)} entries do not fill shape {shape}")
+        out[name] = np.fromiter(data, float, len(data)).reshape(shape)
     return out
 
 
@@ -475,28 +453,25 @@ def save_checkpoint(path, params, metadata: dict | None = None) -> str:
 def load_checkpoint(path) -> Checkpoint:
     """Read ``path``; any file that is not a whole, finite checkpoint raises ValueError.
 
-    The bytes are read once, then hashed, decoded and parsed. Only
-    ``format``, ``version``, ``params`` and ``metadata`` are read, so the
-    ``optimizer`` entry that earlier builds wrote is ignored. Metadata
-    floats stay floats.
+    The bytes are read once, then hashed, decoded and parsed. The document
+    is a ``CHECKPOINT_SCHEMA`` object; the ``optimizer`` entry that earlier
+    builds wrote is known but not read. Metadata floats stay floats.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         doc = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+        check_object(doc, CHECKPOINT_SCHEMA, "checkpoint")
+        if doc["format"] != CHECKPOINT_FORMAT:
+            raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
+        if doc["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {doc['version']!r}")
+        params = decode_params(doc["params"])
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-    if "params" not in doc:
-        raise ValueError(f"{path}: checkpoint holds no params")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ValueError(f"{path}: metadata must be an object")
-    return Checkpoint(decode_params(doc["params"], path), metadata,
-                      hashlib.sha256(data).hexdigest())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return Checkpoint(params, doc.get("metadata", {}), hashlib.sha256(data).hexdigest())
 
 
 def save_model(path, params, kind: str, config, metadata: dict | None = None, **extra) -> str:
@@ -508,24 +483,21 @@ def save_model(path, params, kind: str, config, metadata: dict | None = None, **
     return save_checkpoint(path, params, metadata={**(metadata or {}), "model": model})
 
 
-def load_model(path, model_cls, kind: str, config_cls, extra=()):
+def load_model(path, model_cls, kind: str, config_cls, extra=None, optional=None):
     """``model_cls(config)`` holding the weights of a ``save_model`` file, and its checkpoint.
 
-    A record of another ``kind``, or whose ``config_cls`` config has a
-    missing, invalid or unknown field (other than the names in ``extra``),
-    raises ValueError naming ``path``.
+    ``metadata["model"]`` holds ``kind``, every ``config_cls`` field and the ``extra`` keys, and
+    may hold the ``optional`` ones (key: type name); any fault raises ValueError naming ``path``.
     """
     ck = load_checkpoint(path)
-    spec = ck.metadata.get("model")
-    if not isinstance(spec, dict) or spec.get("kind") != kind:
-        raise ValueError(f"{path}: checkpoint does not hold a {kind} model")
-    doc = {name: value for name, value in spec.items() if name != "kind" and name not in extra}
+    spec, types = ck.metadata.get("model"), {f.name: f.type for f in fields(config_cls)}
     try:
-        missing = [f.name for f in fields(config_cls) if f.name not in doc]
-        if missing:
-            raise ConfigError(f"model config lacks {', '.join(map(repr, missing))}")
-        model = model_cls(read_config(config_cls, doc, "model"))
-    except ConfigError as exc:
+        check_object(spec, Schema({"kind": "str", **types, **(extra or {})}, optional),
+                     "model config")
+        if spec["kind"] != kind:
+            raise ValueError(f"model config kind is {spec['kind']!r}, not {kind!r}")
+        model = model_cls(config_cls(**{name: spec[name] for name in types}))
+    except ValueError as exc:
         raise ValueError(f"{path}: unusable checkpoint: {exc}") from exc
     model.set_params(ck.params)
     return model, ck

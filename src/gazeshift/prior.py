@@ -149,11 +149,12 @@ class ConditionalPrior:
         was a byte hash records it under another key, an unknown field.
         """
         prior, ck = nets.load_model(path, cls, "conditional-prior", PriorConfig,
-                                    extra=("mc_gradient", "stage1_sha256"))
+                                    extra={"stage1_sha256": "str | None"},
+                                    optional={"mc_gradient": "str"})
         spec = ck.metadata["model"]
-        if spec.get("mc_gradient", "none") != "none":
+        if "mc_gradient" in spec and spec["mc_gradient"] != "none":
             raise ValueError(f"{path}: unsupported mc_gradient mode {spec['mc_gradient']!r}")
-        stored = spec.get("stage1_sha256")
+        stored = spec["stage1_sha256"]
         if stage1 is not None and stored != stage1.sha256:
             raise ValueError(
                 "prior checkpoint was trained against a different first-stage model "

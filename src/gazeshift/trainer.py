@@ -48,7 +48,7 @@ import numpy as np
 
 from . import nets, prior as prior_mod
 from .atomic import open_atomic
-from .config import read_config
+from .config import Schema, check_object, read_config
 from .datagen import Dataset
 from .errors import ConfigError, TrainingError
 from .prior import ConditionalPrior, PriorConfig
@@ -59,6 +59,9 @@ STAGE1_CHECKPOINT = "stage1.json"
 PRIOR_CHECKPOINT = "prior.json"
 METRICS_FILE = "metrics.csv"
 TIMINGS_FILE = "timings.jsonl"
+# A line of the timings file under ``config.check_object``: the keys ``_fit`` writes.
+TIMINGS_SCHEMA = Schema({"stage": "int", "epoch": "int", "step_s": "float", "optimizer_s": "float",
+                         "validation_s": "float"})
 
 @dataclass(frozen=True)
 class TrainConfig(PriorConfig, VQVAEConfig):
@@ -419,15 +422,17 @@ def write_timings_jsonl(path, records) -> None:
 
 
 def _stage1_timings(path: Path) -> list:
-    """The stage-1 records of an earlier run's timings file, kept by a stage-2 run."""
+    """The stage-1 records of an earlier run's timings file (``TIMINGS_SCHEMA`` lines)."""
     if not path.exists():
         return []
     try:
         with open(path, encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh]
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        for line_no, record in enumerate(records, start=1):
+            check_object(record, TIMINGS_SCHEMA, "line {}", line_no)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or a bad record
         raise TrainingError(f"cannot read {path} as one JSON object per line: {exc}") from exc
-    return [r for r in records if isinstance(r, dict) and r.get("stage") == 1]
+    return [r for r in records if r["stage"] == 1]
 
 
 @contextmanager

@@ -10,8 +10,8 @@ fail with the same message.
 ``read_dataset_per_line`` is the reader ``read_dataset`` replaced: it
 checks each line as soon as it is parsed, where the package parses every
 line first and checks them together. On any file both must return the same
-dataset or name the same line with the same message. The header goes
-through the package's one object rule, ``config.check_object``.
+dataset or name the same line with the same message. The header and each
+sample line go through the package's one object rule, ``config.check_object``.
 
 Both oracles build one ``GazeSample`` object per sample, as the package
 did before a ``Dataset`` became rows, and convert to a row ``Dataset`` at
@@ -41,8 +41,8 @@ import numpy as np
 
 from gazeshift import so3
 from gazeshift.datagen import (DATASET_SCHEMA, DATASET_VERSION, EYE_DOMINANT, HEAD_DOMINANT,
-                               HEADER_SCHEMA, Dataset, GeneratorConfig)
-from gazeshift.config import check_object, finite_float
+                               HEADER_SCHEMA, SAMPLE_SCHEMA, Dataset, GeneratorConfig)
+from gazeshift.config import check_object
 from gazeshift.errors import ConfigError, DataError
 from gazeshift.reasoner.scenario import check_rotation
 from gazeshift.vqvae import _MIN_TARGET_NORM, CONDITION_FIELDS
@@ -343,15 +343,6 @@ def generate_dataset_per_sample(seed: int,
     return rows_dataset(samples, split, seed, config)
 
 
-def _parse_floats(doc: dict, key: str, width: int, line_no: int) -> list[float]:
-    """Each entry by the one number rule, ``config.finite_float``."""
-    value = doc.get(key)
-    numbers = [finite_float(x) for x in value] if isinstance(value, list) else []
-    if len(numbers) != width or None in numbers:
-        raise DataError(f"line {line_no}: field {key!r} must be {width} finite numbers")
-    return numbers
-
-
 def read_dataset_per_line(path) -> Dataset:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -386,17 +377,17 @@ def read_dataset_per_line(path) -> Dataset:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DataError(f"line {line_no}: a sample must be a JSON object")
-        theta_e = _parse_floats(doc, "theta_e", 2, line_no)
-        theta_h = _parse_floats(doc, "theta_h", 3, line_no)
-        target = _parse_floats(doc, "target", 3, line_no)
-        delta_e = _parse_floats(doc, "delta_e", 2, line_no)
-        delta_h = _parse_floats(doc, "delta_h", 3, line_no)
-        if doc.get("strategy") not in (EYE_DOMINANT, HEAD_DOMINANT):
-            raise DataError(f"line {line_no}: bad strategy tag {doc.get('strategy')!r}")
-        if doc.get("split") not in ("train", "val"):
-            raise DataError(f"line {line_no}: bad split tag {doc.get('split')!r}")
+        try:
+            check_object(doc, SAMPLE_SCHEMA, "sample")
+        except ValueError as exc:
+            raise DataError(f"line {line_no}: {exc}") from exc
+        if doc["strategy"] not in (EYE_DOMINANT, HEAD_DOMINANT):
+            raise DataError(f"line {line_no}: bad strategy tag {doc['strategy']!r}")
+        if doc["split"] not in ("train", "val"):
+            raise DataError(f"line {line_no}: bad split tag {doc['split']!r}")
+        theta_e, theta_h, target, delta_e, delta_h = (
+            [float(v) for v in doc[key]]
+            for key in ("theta_e", "theta_h", "target", "delta_e", "delta_h"))
         try:
             sample = GazeSample(
                 PoseCondition(EyePose(*theta_e), HeadPose(*theta_h), np.array(target)),

@@ -13,11 +13,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
+import reprlib
 import shutil
 import subprocess
 import sys
@@ -32,15 +35,16 @@ from hypothesis import strategies as st
 import gazeshift
 from gazeshift import nets
 from gazeshift.cli import _LIST_CHUNK, DIVERSITY_THRESHOLD, iter_shared_items, main
-from gazeshift.datagen import (HEADER_SCHEMA, GeneratorConfig, generate_dataset,
-                               serialize_dataset)
+from gazeshift.config import Schema
+from gazeshift.datagen import GeneratorConfig, generate_dataset, serialize_dataset
 from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV
 from gazeshift.trainer import infer
 from gazeshift.vqvae import ConditionalVQVAE
 from datagen_oracles import EyePose, HeadPose, PoseCondition
 from json_numbers import bad_json_numbers
-from json_objects import WRONG_VALUES, scenario_objects
+from json_objects import (checkpoint_objects, config_objects, dataset_objects, refused,
+                          scenario_objects, timings_objects, wrong_values)
 from net_oracles import SPELLINGS, write_spelled
 
 SMALL_CONFIG = {
@@ -155,7 +159,9 @@ def test_unknown_generator_field_exit_config(tmp_path):
 def test_malformed_generator_section_exit_config(tmp_path, capsys, section):
     config = write_config(tmp_path, {"generator": section})
     assert main(["gen-data", "--config", config, "--out", str(tmp_path / "d")]) == 2
-    assert "generator config" in capsys.readouterr().err
+    # a section that is no object is refused by the config file's own schema
+    assert ("config field 'generator' must be a JSON object, got 'abc'" if section == "abc"
+            else "generator config field 'n_samples'") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section", [{"lr": "fast"}, [1], {"milestones": 5},
@@ -331,7 +337,8 @@ def test_train_missing_dataset_exit_data(tmp_path):
 
 
 @pytest.mark.parametrize("damage, reason", [
-    (lambda lines: lines[:1] + [b"[1,2,3]\n"] + lines[2:], "line 2: a sample must be a JSON object"),
+    (lambda lines: lines[:1] + [b"[1,2,3]\n"] + lines[2:],
+     "line 2: sample must be a JSON object, got list"),
     (lambda lines: lines[:3] + [lines[3].rstrip(b"\n") + b" \xff\n"] + lines[4:],
      "cannot read dataset"),
 ], ids=["sample_not_an_object", "not_utf8"])
@@ -401,7 +408,14 @@ def _directory_instead(name):
     (_append("timings.jsonl", b"\xff"), "'utf-8' codec can't decode byte 0xff"),
     (_directory_instead("metrics.csv"), "Is a directory"),
     (_append("metrics.csv", b'1,"x'), "has a stage-1 row without 13 cells"),
-], ids=["metrics_not_utf8", "timings_not_utf8", "metrics_is_a_directory", "short_stage1_row"])
+    # the run wrote 10 timing lines (6 + 4 epochs); these two used to be dropped in silence
+    (_append("timings.jsonl", b"[1, 2]\n"),
+     "timings.jsonl as one JSON object per line: line 11 must be a JSON object, got list"),
+    (_append("timings.jsonl", b'{"epoch": 0, "step_s": 0.1, "optimizer_s": 0.1, '
+                              b'"validation_s": 0.1}\n'),
+     "timings.jsonl as one JSON object per line: line 11 requires 'stage'"),
+], ids=["metrics_not_utf8", "timings_not_utf8", "metrics_is_a_directory", "short_stage1_row",
+        "timings_line_not_an_object", "timings_line_without_stage"])
 def test_train_stage2_damaged_earlier_file_exit_training(pipeline, tmp_path, capsys,
                                                           damage, reason):
     # a stage-2 run keeps the stage-1 rows and timings of the earlier run
@@ -594,27 +608,37 @@ def _unknown_model_field(doc):
     ("stage1.json", _drop_bias, "missing"),
     ("stage1.json", _short_bias, "shape"),
     ("prior.json", _extra_param, "unexpected"),
-    ("stage1.json", _nan_weight, "parameter 'decoder.1.W' holds a non-finite value"),
-    ("stage1.json", _huge_int_weight, "stage1.json: parameter 'recon_encoder.0.W' has "
-     "unusable data: int too large to convert to float"),
-    ("stage1.json", _minus_inf_codebook, "parameter 'codebook' holds a non-finite value"),
-    ("prior.json", _inf_bias, "parameter '1.b' holds a non-finite value"),
+    ("stage1.json", _nan_weight,
+     "parameter 'decoder.1.W' field data[3] must be a finite number, got nan"),
+    ("stage1.json", _huge_int_weight, "stage1.json: parameter 'recon_encoder.0.W' field "
+     f"data[0] must be a finite number, got {reprlib.repr(10 ** 400)}"),
+    ("stage1.json", _minus_inf_codebook,
+     "parameter 'codebook' field data[2] must be a finite number, got -inf"),
+    # explicit ids: these reasons changed, and ids built from them would run long
+    pytest.param("prior.json", _inf_bias,
+                 "parameter '1.b' field data[0] must be a finite number, got inf",
+                 id="prior.json-_inf_bias"),
     ("stage1.json", _string_weight,
-     "stage1.json: parameter 'decoder.0.W' data must be one flat list of numbers, "
-     "found '"),
-    ("prior.json", _true_bias, "prior.json: parameter '0.b' data must be one flat list of "
-     "numbers, found True"),
+     "stage1.json: parameter 'decoder.0.W' field data[0] must be a finite number, got '"),
+    ("prior.json", _true_bias,
+     "prior.json: parameter '0.b' field data[1] must be a finite number, got True"),
     ("stage1.json", _truncated, "stage1.json: not valid JSON"),
-    ("stage1.json", _no_params, "stage1.json: checkpoint holds no params"),
-    ("prior.json", _params_list, "prior.json: params must be an object, not list"),
-    ("stage1.json", _text_shape, "stage1.json: parameter 'decoder.0.W' has shape 'x'"),
-    ("prior.json", _entry_without_data, "prior.json: parameter '0.b' needs a shape and data"),
-    ("stage1.json", _metadata_list, "stage1.json: metadata must be an object"),
-    ("prior.json", _no_gamma, "prior.json: unusable checkpoint: model config lacks 'gamma'"),
+    ("stage1.json", _no_params, "stage1.json: checkpoint requires 'params'"),
+    pytest.param("prior.json", _params_list,
+                 "prior.json: checkpoint field 'params' must be a JSON object, got [{",
+                 id="prior.json-_params_list"),
+    ("stage1.json", _text_shape,
+     "stage1.json: parameter 'decoder.0.W' field 'shape' must be a list of integers, got 'x'"),
+    ("prior.json", _entry_without_data, "prior.json: parameter '0.b' requires 'data'"),
+    pytest.param("stage1.json", _metadata_list,
+                 "stage1.json: checkpoint field 'metadata' must be a JSON object, got []",
+                 id="stage1.json-_metadata_list"),
+    ("prior.json", _no_gamma, "prior.json: unusable checkpoint: model config requires 'gamma'"),
     ("stage1.json", _model_spec_list,
-     "stage1.json: checkpoint does not hold a conditional-vqvae model"),
-    ("prior.json", _model_spec_list,
-     "prior.json: checkpoint does not hold a conditional-prior model"),
+     "stage1.json: unusable checkpoint: model config must be a JSON object, got list"),
+    pytest.param("prior.json", _model_spec_list,
+                 "prior.json: unusable checkpoint: model config must be a JSON object, got list",
+                 id="prior.json-_model_spec_list"),
     ("prior.json", _target_scale_text, "prior.json: unusable checkpoint: "
      "model config field 'target_scale' must be a finite number, got 'x'"),
     ("prior.json", _target_scale_null, "prior.json: unusable checkpoint: "
@@ -622,7 +646,7 @@ def _unknown_model_field(doc):
     ("prior.json", _target_scale_zero, "target_scale must be positive and finite, not 0"),
     ("prior.json", _target_scale_negative, "target_scale must be positive and finite, not -2"),
     ("prior.json", _no_target_scale,
-     "prior.json: unusable checkpoint: model config lacks 'target_scale'"),
+     "prior.json: unusable checkpoint: model config requires 'target_scale'"),
     ("prior.json", _target_scale_nan, "target_scale' must be a finite number, got nan"),
     ("stage1.json", _target_scale_nan, "target_scale' must be a finite number, got nan"),
     ("stage1.json", _target_scale_inf, "target_scale' must be a finite number, got inf"),
@@ -630,7 +654,7 @@ def _unknown_model_field(doc):
     ("stage1.json", _target_scale_three, "stage-1 target_scale 3.0 differs from the prior's 2.0"),
     # the VQ-VAE loader used to fill a missing field with its default
     ("stage1.json", _no_target_scale,
-     "stage1.json: unusable checkpoint: model config lacks 'target_scale'"),
+     "stage1.json: unusable checkpoint: model config requires 'target_scale'"),
     ("prior.json", _codebook_size_float,
      "model config field 'codebook_size' must be an integer, got 10.0"),
     ("stage1.json", _codebook_size_float,
@@ -668,6 +692,40 @@ def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name,
         [line] = capsys.readouterr().err.splitlines()
         assert reason in line, argv[0]
     assert {p.name: p.read_bytes() for p in damaged.iterdir()} == before
+
+
+@pytest.mark.parametrize("name, edit, reason", [
+    ("prior.json", lambda doc: doc.update(version=True),
+     "checkpoint field 'version' must be an integer, got True"),
+    ("prior.json", lambda doc: doc.update(version=1.0),
+     "checkpoint field 'version' must be an integer, got 1.0"),
+    ("stage1.json", lambda doc: doc.update(note="hand-made"),
+     "unknown checkpoint fields: ['note']"),
+    ("prior.json", lambda doc: doc["params"]["0.b"].update(dtype="float64"),
+     "unknown parameter '0.b' fields: ['dtype']"),
+], ids=["version_true", "version_float", "unknown_key", "unknown_param_entry_key"])
+def test_checkpoint_fault_that_used_to_load_exit_training(pipeline, tmp_path, capsys, name,
+                                                           edit, reason):
+    _, _, data_dir, run_dir = pipeline
+    damaged = tmp_path / "damaged"
+    shutil.copytree(run_dir, damaged)
+    doc = json.loads((damaged / name).read_text(encoding="utf-8"))
+    edit(doc)
+    (damaged / name).write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["sample", "--run", str(damaged), "--out", str(tmp_path / "s")]) == 4
+    assert capsys.readouterr().err == (f"error: cannot load checkpoints from {damaged}: "
+                                       f"{damaged / name}: {reason}\n")
+
+
+def test_dataset_line_with_an_unknown_key_exit_data(tmp_path):
+    # a misspelled key beside the right ones used to load without a word
+    lines = list(NUMBER_LINES)
+    lines[3] = json.dumps({**json.loads(lines[3]), "thta_e": [0.0, 0.0]})
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _main_err(["train", "--dataset", str(path), "--out", str(tmp_path / "run")]) == (
+        3, "error: line 4: unknown sample fields: ['thta_e']\n")
 
 
 def _eval_and_sample(run: Path, dataset: Path, out: Path) -> list:
@@ -1063,8 +1121,7 @@ _TRANSLATION_REASON = "base_from_camera translation must be 3 finite numbers, no
     (lambda doc: doc.update(responses=[1]),
      "scenario field 'responses' must be an object of strings, got [1]"),
     (b'{"schema": "gazeshift-scenario", "description": "\xff"}', "can't decode byte 0xff"),
-    (_set_box_entry, "cycles[0].instances[0] field 'box' must be a list of finite numbers, "
-     "got ['60', 70, 210, 460]"),
+    (_set_box_entry, "cycles[0].instances[0] field box[0] must be a finite number, got '60'"),
     (_set_instance_id, "cycles[0].instances[0] field 'id' must be a string, got 5"),
     (lambda doc: doc["cycles"][1].update(semantics=7),
      "cycles[1] field 'semantics' must be a string, got 7"),
@@ -1100,8 +1157,9 @@ _TRANSLATION_REASON = "base_from_camera translation must be 3 finite numbers, no
     # int() read "02" as cycle 2, and the later of two such keys won
     (lambda doc: doc["responses"].update({"02": "TARGET: 1"}),
      "canned response key '02' is not a cycle index"),
+    # names the one bad response, not the whole object
     (lambda doc: doc["responses"].update({"0": 3}),
-     "scenario field 'responses' must be an object of strings, got {'0': 3, "),
+     "scenario field responses['0'] must be a string, got 3\n"),
     # the id used to load and be written into cycles.jsonl as it was
     (lambda doc: doc.update(scenario_id=5), "scenario field 'scenario_id' must be a string, got 5"),
     (lambda doc: doc.update(scenario_id=["a", 1]),
@@ -1174,15 +1232,16 @@ def test_dataset_entry_that_is_no_number_exit_data(tmp_path_factory, index, key,
     # `true` used to read as 1.0, and an int beyond the float range to exit 1
     lines = list(NUMBER_LINES)
     doc = json.loads(lines[index])
-    doc[key][data.draw(st.integers(0, NUMBER_FIELDS[key] - 1))] = data.draw(bad_json_numbers())
+    at, value = data.draw(st.integers(0, NUMBER_FIELDS[key] - 1)), data.draw(bad_json_numbers())
+    doc[key][at] = value
     lines[index] = json.dumps(doc, sort_keys=True)
     root = tmp_path_factory.mktemp("numbers")
     (root / "dataset.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, err = _main_err(["train", "--dataset", str(root / "dataset.jsonl"),
                            "--out", str(root / "run")])
     assert code == 3
-    assert err == (f"error: line {index + 1}: field {key!r} must be "
-                   f"{NUMBER_FIELDS[key]} finite numbers\n")
+    assert err == (f"error: line {index + 1}: sample field {key}[{at}] must be a finite number, "
+                   f"got {reprlib.repr(value)}\n")
 
 
 @settings(max_examples=40, deadline=None)
@@ -1194,8 +1253,8 @@ def test_scenario_box_entry_that_is_no_number_exit_data(tmp_path_factory, data):
     instance = data.draw(st.sampled_from(
         [inst for cycle in doc["cycles"] for inst in cycle["instances"]]))
     key = data.draw(st.sampled_from([k for k in ("box", "face_box") if instance.get(k)]))
-    value = data.draw(bad_json_numbers())
-    instance[key][data.draw(st.integers(0, 3))] = value
+    at, value = data.draw(st.integers(0, 3)), data.draw(bad_json_numbers())
+    instance[key][at] = value
     root = tmp_path_factory.mktemp("numbers")
     (root / "s").mkdir()
     damaged = root / "s" / "damaged.json"
@@ -1204,69 +1263,138 @@ def test_scenario_box_entry_that_is_no_number_exit_data(tmp_path_factory, data):
     assert code == 3
     position, slot = next((p, q) for p, cycle in enumerate(doc["cycles"])
                           for q, inst in enumerate(cycle["instances"]) if inst is instance)
-    assert err == (f"error: {damaged}: cycles[{position}].instances[{slot}] field {key!r} "
-                   f"must be a list of finite numbers, got {instance[key]!r}\n")
+    assert err == (f"error: {damaged}: cycles[{position}].instances[{slot}] field {key}[{at}] "
+                   f"must be a finite number, got {reprlib.repr(value)}\n")
     assert not (root / "r").exists()
 
 
 # -- one rule for a JSON object -------------------------------------------------------
 
-def _object_fault(data, label: str, obj: dict, schema, keys) -> tuple:
-    """Put one fault into ``obj``: an unknown key, a missing required key or a
-    value of the wrong JSON type, on one of ``keys``; returns the start and the
-    end of the error's text."""
-    fault = data.draw(st.sampled_from(["unknown", "missing", "mistyped"]))
+def _object_fault(data, objects, fixed) -> tuple:
+    """Put one fault into one of ``objects`` (see ``json_objects``): an unknown key, a missing
+    required key or a value of the wrong JSON type, on a key ``fixed`` does not keep from the
+    rule for the object's label; returns the start and the end of the error's text."""
+    schema = data.draw(st.sampled_from(list({id(o[3]): o[3] for o in objects}.values())))
+    prefix, label, obj, _ = data.draw(st.sampled_from([o for o in objects if o[3] is schema]))
+    keys = [k for k in schema.types if k not in fixed.get(label, ())]
+    required = [k for k in schema.required if k in obj and k in keys]
+    fault = data.draw(st.sampled_from(["unknown", "mistyped"] + ["missing"] * bool(required)))
     if fault == "unknown":
         key = data.draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in schema.types))
         obj[key] = data.draw(st.sampled_from([1, "x", None, [], {}]))
-        return f"unknown {label} fields: [{key!r}]", ""
+        return f"{prefix}unknown {label} fields: [{key!r}]", ""
     if fault == "missing":
-        del obj[data.draw(st.sampled_from([k for k in schema.required if k in keys]))]
-        return f"{label} requires {' and '.join(map(repr, schema.required))}", ""
-    key = data.draw(st.sampled_from(sorted(k for k in obj if k in keys)))
-    obj[key] = data.draw(st.sampled_from(WRONG_VALUES[schema.types[key]]))
-    return f"{label} field {key!r} must be ", f", got {obj[key]!r}"
+        key = data.draw(st.sampled_from(required))
+        del obj[key]
+        return f"{prefix}{label} requires {key!r}", ""
+    key = data.draw(st.sampled_from([k for k in obj if k in keys]))
+    obj[key] = data.draw(st.sampled_from(wrong_values(schema.types[key])))
+    where, shown = refused(key, obj[key], schema.types[key])
+    return f"{prefix}{label} field {where} must be ", f", got {reprlib.repr(shown)}"
 
 
 _SCENARIO_DOC = (Path(gazeshift.__file__).parent / "scenarios" / "h1_point_cup.json").read_text(
     encoding="utf-8")
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(["scenario", "camera", "base_from_camera", "cycles[1]",
-                        "cycles[1].instances[2]", "header"]), st.data())
-def test_each_json_object_refuses_unknown_missing_and_mistyped_keys(tmp_path_factory,
-                                                                      level, data):
-    root = tmp_path_factory.mktemp("objects")
-    if level == "header":
-        header = json.loads(NUMBER_LINES[0])
-        # schema, version and generator keep their own checks; the rule decides the rest
-        expected = _object_fault(data, "header", header, HEADER_SCHEMA, ("seed", "n_samples"))
-        path = root / "dataset.jsonl"
-        path.write_text("\n".join([json.dumps(header), *NUMBER_LINES[1:]]) + "\n",
-                        encoding="utf-8")
-        argv = ["train", "--dataset", str(path), "--out", str(root / "run")]
-    else:
-        doc = json.loads(_SCENARIO_DOC)
-        [(_, obj, schema)] = [o for o in scenario_objects(doc) if o[0] == level]
-        expected = _object_fault(data, level, obj, schema, schema.types)
-        (root / "s").mkdir()
-        path = root / "s" / "damaged.json"
+def _scenario_file(pipeline, root):
+    doc, path = json.loads(_SCENARIO_DOC), root / "s" / "damaged.json"
+
+    def run():
+        path.parent.mkdir()
         path.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["replay", "--scenarios", str(root / "s"), "--out", str(root / "run")]
+        return ["replay", "--scenarios", str(path.parent), "--out", str(root / "out")], 3, ""
+    return scenario_objects(doc, path), {}, run
+
+
+def _dataset_file(pipeline, root):
+    docs, path = [json.loads(line) for line in NUMBER_LINES], root / "dataset.jsonl"
+
+    def run():
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        return ["train", "--dataset", str(path), "--out", str(root / "out")], 3, ""
+    # the header's schema, version and generator keep their own checks, which come first
+    return dataset_objects(docs, path), {"header": ("schema", "version", "generator")}, run
+
+
+def _checkpoint_file(name):
+    def objects(pipeline, root):
+        run_dir, out = pipeline[3], root / "run"
+        doc, path = json.loads((run_dir / name).read_text(encoding="utf-8")), out / name
+
+        def run():
+            shutil.copytree(run_dir, out)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            return (["sample", "--run", str(out), "--n", "1", "--out", str(root / "out")], 4,
+                    f"cannot load checkpoints from {out}: ")
+        return checkpoint_objects(doc, path), {}, run
+    return objects
+
+
+def _config_file(pipeline, root):
+    doc = {**SMALL_CONFIG, "backend": {"endpoint": "http://127.0.0.1:9/v1", "model": "m"}}
+    path = root / "config.json"
+
+    def run():
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return ["gen-data", "--config", str(path), "--out", str(root / "out")], 2, ""
+    return config_objects(doc, path), {}, run
+
+
+def _timings_file(pipeline, root):
+    _, config, data_dir, run_dir = pipeline
+    path = root / "run" / "timings.jsonl"
+    records = [json.loads(line) for line in (run_dir / "timings.jsonl").read_text(
+        encoding="utf-8").splitlines()]
+
+    def run():
+        shutil.copytree(run_dir, path.parent)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return ["train", "--config", config, "--stage", "2", "--dataset",
+                str(data_dir / "dataset.jsonl"), "--out", str(path.parent)], 4, ""
+    return timings_objects(records, path), {}, run
+
+
+# Each file the package reads JSON objects from: its objects, the keys whose own checks
+# come before the rule, and how to write the file and run the CLI on it.
+_JSON_FILES = {"scenario": _scenario_file, "dataset": _dataset_file,
+               "stage1.json": _checkpoint_file("stage1.json"),
+               "prior.json": _checkpoint_file("prior.json"), "config": _config_file,
+               "timings": _timings_file}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_JSON_FILES)), st.data())
+def test_each_json_object_refuses_unknown_missing_and_mistyped_keys(pipeline, tmp_path_factory,
+                                                                      kind, data):
+    root = tmp_path_factory.mktemp("objects")
+    objects, fixed, run = _JSON_FILES[kind](pipeline, root)
+    head, tail = _object_fault(data, objects, fixed)
+    argv, exit_code, context = run()
     code, err = _main_err(argv)
-    assert code == 3
-    head, tail = expected
-    assert err.startswith(f"error: {path}: {head}") and err.endswith(f"{tail}\n")
-    assert err.count("\n") == 1 and not (root / "run").exists()
+    assert code == exit_code
+    assert err.startswith(f"error: {context}{head}") and err.endswith(f"{tail}\n")
+    assert err.count("\n") == 1 and not (root / "out").exists()
+
+
+def test_every_module_schema_is_under_the_injection_test(pipeline, tmp_path):
+    # a reader whose schema no file above lists would miss the injection test unnoticed
+    schemas = {}
+    for info in pkgutil.walk_packages(gazeshift.__path__, "gazeshift."):
+        for name, value in vars(importlib.import_module(info.name)).items():
+            if isinstance(value, Schema):
+                schemas.setdefault(id(value), f"{info.name}.{name}")
+    assert len(schemas) >= 11
+    covered = {id(obj[3]) for kind, objects in _JSON_FILES.items()
+               for obj in objects(pipeline, tmp_path / kind)[0]}
+    assert sorted(schemas[k] for k in schemas.keys() - covered) == []
 
 
 @pytest.mark.parametrize("edit, reason", [
     (lambda h: h.update(seed="x"), "header field 'seed' must be an integer, got 'x'"),
     (lambda h: h.update(seed=-1), "header seed must be non-negative, got -1"),
     (lambda h: h.update(comment="hand-made"), "unknown header fields: ['comment']"),
-    (lambda h: h.pop("seed"), "header requires 'schema' and 'version' and 'seed' and "
-                              "'n_samples' and 'generator'"),
+    (lambda h: h.pop("seed"), "header requires 'seed'"),
     (lambda h: h.update(n_samples=7.0), "header field 'n_samples' must be an integer, got 7.0"),
 ], ids=["seed_text", "seed_negative", "unknown_key", "seed_missing", "n_samples_float"])
 def test_dataset_header_under_the_object_rule_exit_data(tmp_path, edit, reason):

@@ -488,6 +488,10 @@ LINE_DAMAGES = {
     # used to end in an OverflowError traceback and exit 1
     "entry_huge_int": lambda line: _edited(
         line, lambda doc: doc["delta_h"].__setitem__(1, 10 ** 400)),
+    # a misspelled, a missing and a mistyped key: the first used to load silently
+    "unknown_key": lambda line: _edited(line, lambda doc: doc.update(thta_e=[0, 0])),
+    "missing_key": lambda line: _edited(line, lambda doc: doc.pop("split")),
+    "strategy_number": lambda line: _edited(line, lambda doc: doc.update(strategy=1)),
 }
 
 
@@ -516,8 +520,13 @@ LINE_MESSAGES = {
     "target_too_close": "target norm must exceed 0.05 m (got 0.0500)",
     "target_zero": "target norm must exceed 0.05 m (got 0.0000)",
     "increment_beyond_pi": "motion increments must lie within [-pi, pi]",
-    "entry_true": "field 'theta_e' must be 2 finite numbers",
-    "entry_huge_int": "field 'delta_h' must be 3 finite numbers",
+    "entry_true": "sample field theta_e[0] must be a finite number, got True",
+    # a long number is shown as reprlib abbreviates it
+    "entry_huge_int": "sample field delta_h[1] must be a finite number, got 100000000000000000...",
+    "wrong_width": "sample field 'theta_h' must be 3 finite numbers, got [",
+    "unknown_key": "unknown sample fields: ['thta_e']",
+    "missing_key": "sample requires 'split'",
+    "strategy_number": "sample field 'strategy' must be a string, got 1",
 }
 
 

@@ -721,5 +721,7 @@ def test_checkpoint_data_must_be_one_flat_list(tmp_path, data, shape, refused):
     _write_checkpoint(path, data, shape)
     with pytest.raises(ValueError) as raised:
         nets.load_checkpoint(path)
-    assert str(raised.value) == (f"{path}: parameter 'w' data must be one flat list of "
-                                 f"numbers, found {refused}")
+    # a nested list is refused at its first entry, anything else as a whole
+    where, rule = ("data[0]", "a finite number") if data.startswith("[") else (
+        "'data'", "a list of finite numbers")
+    assert str(raised.value) == f"{path}: parameter 'w' field {where} must be {rule}, got {refused}"
