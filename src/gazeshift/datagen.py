@@ -322,9 +322,11 @@ def generate_dataset(seed: int, config: GeneratorConfig = GeneratorConfig()) -> 
     """Full dataset with a deterministic train/val split.
 
     Keeps the first ``n_samples`` valid attempts in attempt order; an
-    attempt is valid when every increment lies within [-pi, pi] and it
-    passes ``check_rows``. Raises DataError after ``config.max_attempts``
-    consecutive rejections, which indicates an unsatisfiable configuration.
+    attempt is valid when it breaks no rule of ``allocation_violations``
+    (every increment finite and within [-pi, pi]) and passes
+    ``check_rows``, the same rules ``read_dataset`` checks. Raises
+    DataError after ``config.max_attempts`` consecutive rejections, which
+    indicates an unsatisfiable configuration.
     The attempts past the last kept one in its chunk are drawn and dropped.
 
     The first round(n * train_fraction) samples are the training split;
@@ -346,10 +348,10 @@ def generate_dataset(seed: int, config: GeneratorConfig = GeneratorConfig()) -> 
         delta_eye, delta_head = allocate_rows(poses[:, :2], poses[:, 2:], targets, alpha,
                                               roll_noise, eye_jitter)
         deltas = np.concatenate([delta_eye, delta_head], axis=1)
-        in_range = (np.abs(deltas).max(axis=1) <= math.pi).tolist()
+        out_of_range = allocation_violations(deltas)
         kept = []
         for i, violation in enumerate(check_rows(poses, deltas, targets, config)):
-            if in_range[i] and violation is None:
+            if out_of_range[i] is None and violation is None:
                 kept.append(i)
                 rejected = 0
                 if len(strategy) + len(kept) == n:
@@ -399,22 +401,22 @@ def write_dataset(dataset: Dataset, path) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _parse_line(line: str, line_no: int) -> dict:
+def _parse_line(line: str, path, line_no: int) -> dict:
     """One sample line: a ``SAMPLE_SCHEMA`` object with known tags. ``read_dataset``
     checks the value rules of all rows at once."""
     if not line.strip():
-        raise DataError(f"line {line_no}: blank line inside dataset")
+        raise DataError(f"{path}: line {line_no}: blank line inside dataset")
     try:
         doc = json.loads(line)
         check_object(doc, SAMPLE_SCHEMA, "sample")
     except json.JSONDecodeError as exc:
-        raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+        raise DataError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
     except ValueError as exc:
-        raise DataError(f"line {line_no}: {exc}") from exc
+        raise DataError(f"{path}: line {line_no}: {exc}") from exc
     if doc["strategy"] not in (EYE_DOMINANT, HEAD_DOMINANT):
-        raise DataError(f"line {line_no}: bad strategy tag {doc['strategy']!r}")
+        raise DataError(f"{path}: line {line_no}: bad strategy tag {doc['strategy']!r}")
     if doc["split"] not in ("train", "val"):
-        raise DataError(f"line {line_no}: bad split tag {doc['split']!r}")
+        raise DataError(f"{path}: line {line_no}: bad split tag {doc['split']!r}")
     return doc
 
 
@@ -424,8 +426,8 @@ def read_dataset(path) -> Dataset:
     Every sample is re-checked, all lines at once: against the value rules
     of ``vqvae.condition_violations`` and ``allocation_violations``, then
     against the generator invariants recorded in the header with
-    ``check_rows``. Any problem names the first offending line, as a
-    line-by-line check would.
+    ``check_rows``. Any problem names the file and the first offending line,
+    as a line-by-line check would.
     """
     try:
         with open(path, "rb") as fh:
@@ -455,7 +457,7 @@ def read_dataset(path) -> Dataset:
     docs, unparsed = [], None
     for line_no, line in enumerate(lines[1:], start=2):
         try:
-            docs.append(_parse_line(line, line_no))
+            docs.append(_parse_line(line, path, line_no))
         except DataError as exc:
             unparsed = exc
             break
@@ -468,13 +470,13 @@ def read_dataset(path) -> Dataset:
     for i, (condition, allocation) in enumerate(zip(condition_violations(conditions),
                                                     allocation_violations(allocations))):
         if condition or allocation:
-            unparsed = DataError(f"line {i + 2}: {condition or allocation}")
+            unparsed = DataError(f"{path}: line {i + 2}: {condition or allocation}")
             conditions, allocations = conditions[:i], allocations[:i]
             break
     violations = check_rows(conditions[:, :5], allocations, conditions[:, 5:], config)
     for line_no, violation in enumerate(violations, start=2):
         if violation is not None:
-            raise DataError(f"line {line_no}: invariant violation: {violation}")
+            raise DataError(f"{path}: line {line_no}: invariant violation: {violation}")
     if unparsed is not None:
         raise unparsed
     if header["n_samples"] != len(split):

@@ -1,4 +1,8 @@
-"""Per-cycle gaze reasoning: mark, prompt, query, parse, localize.
+"""Per-cycle gaze reasoning: prompt, query, parse, localize.
+
+A cycle's marks are the positions of its instances: mark m, counted from
+1, is ``cycle.instances[m - 1]``, which ``ScenarioCycle`` keeps in mark
+order.
 
 The pipeline is total: whatever the backend does (valid answer, garbage,
 timeout), step_cycle emits a gaze record. Failures degrade to holding the
@@ -13,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from ..errors import BackendError
-from .scenario import Instance, ScenarioCycle, box_center
+from .scenario import ScenarioCycle, box_center
 
 HISTORY_LENGTH = 10
 
@@ -27,45 +31,16 @@ PROMPT_INSTRUCTIONS = (
 _TARGET_RE = re.compile(r"TARGET:\s*(\d+)")
 
 
-class EmptySceneError(Exception):
-    """A cycle offered no candidate instances."""
-
-
 class ResponseParseError(Exception):
     """The backend response contained no usable mark."""
 
 
-@dataclass(frozen=True)
-class MarkedScene:
-    """Mark-to-instance assignment for one cycle plus rewritten semantics."""
-
-    marks: dict  # mark (int, from 1) -> Instance
-    semantics: str
-    image_ref: str | None
-    cycle_index: int
-
-    def mark_of(self, instance_id: str) -> int:
-        for mark, inst in self.marks.items():
-            if inst.instance_id == instance_id:
-                return mark
-        raise KeyError(instance_id)
-
-
-def mark_scene(cycle: ScenarioCycle) -> MarkedScene:
-    """Assign consecutive integer marks (from 1) to the cycle's instances.
-
-    Ordering is deterministic: category, then left box edge, then id.
-    Semantics placeholders "{instance_id}" become "category [mark]".
-    """
-    if not cycle.instances:
-        raise EmptySceneError(f"cycle {cycle.index} has no candidate instances")
-    ordered = sorted(cycle.instances, key=lambda i: (i.category, i.box[0], i.instance_id))
-    marks = {m: inst for m, inst in enumerate(ordered, start=1)}
+def marked_semantics(cycle: ScenarioCycle) -> str:
+    """The cycle's semantics with each placeholder "{instance_id}" written "category [mark]"."""
     text = cycle.semantics
-    for mark, inst in marks.items():
+    for mark, inst in enumerate(cycle.instances, start=1):
         text = text.replace("{" + inst.instance_id + "}", f"{inst.category} [{mark}]")
-    return MarkedScene(marks=marks, semantics=text, image_ref=cycle.image_ref,
-                       cycle_index=cycle.index)
+    return text
 
 
 @dataclass(frozen=True)
@@ -99,47 +74,45 @@ REST_RECORD = GazeTargetRecord(
 class MemoryBuffer:
     """Rolling interaction memory carried between cycles.
 
-    Holds the previous cycle's marked semantics and image reference, the
-    previous gaze record, and a capped textual history (FIFO eviction).
+    Holds the previous gaze record and a capped textual history (FIFO
+    eviction).
     """
 
-    prev_semantics: str | None = None
-    prev_image_ref: str | None = None
     prev_record: GazeTargetRecord | None = None
     history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_LENGTH), init=False)
 
-    def advance(self, marked: MarkedScene | None, record: GazeTargetRecord) -> None:
-        """Record this cycle's outcome; the oldest history entry falls off at HISTORY_LENGTH."""
-        if marked is not None:
-            self.prev_semantics = marked.semantics
-            self.prev_image_ref = marked.image_ref
-            line = f"cycle {marked.cycle_index}: {marked.semantics} -> {record.summary()}"
-        else:
-            line = f"cycle: (empty scene) -> {record.summary()}"
+    def advance(self, cycle_index: int, semantics: str | None, record: GazeTargetRecord) -> None:
+        """Record this cycle's outcome; the oldest history entry falls off at HISTORY_LENGTH.
+
+        ``semantics`` is the cycle's ``marked_semantics``, or None for a cycle
+        with no candidates.
+        """
+        scene = "cycle: (empty scene)" if semantics is None else f"cycle {cycle_index}: {semantics}"
         self.prev_record = record
-        self.history.append(line)
+        self.history.append(f"{scene} -> {record.summary()}")
 
 
-def synthesize_prompt(marked: MarkedScene, buffer: MemoryBuffer) -> tuple:
+def synthesize_prompt(cycle: ScenarioCycle, semantics: str, buffer: MemoryBuffer) -> tuple:
     """Build (text prompt, visual prompt reference) for one cycle.
 
-    Section order is fixed: instructions, candidates, current scene,
-    previous gaze, history. Empty sections are omitted, so the first
-    cycle's prompt has no history block. Identical inputs give
+    ``semantics`` is the cycle's ``marked_semantics``. Section order is
+    fixed: instructions, candidates, current scene, previous gaze,
+    history. Empty sections are omitted, so the first cycle's prompt has
+    no history block. Identical inputs give
     byte-identical prompts. Each candidate line is "  [mark] " and the
     instance's ``prompt_entry()``, which each distinct instance formats
     once, on first use, and reuses on every later cycle that shows it.
     """
-    marks = marked.marks
     lines = [PROMPT_INSTRUCTIONS, "", "Candidates:"]
-    lines += [f"  [{mark}] {marks[mark].prompt_entry()}" for mark in sorted(marks)]
-    lines += ["", "Current scene:", f"  {marked.semantics}"]
+    lines += [f"  [{mark}] {inst.prompt_entry()}"
+              for mark, inst in enumerate(cycle.instances, start=1)]
+    lines += ["", "Current scene:", f"  {semantics}"]
     if buffer.prev_record is not None:
         lines += ["", "Previous gaze:", f"  {buffer.prev_record.summary()}"]
     if buffer.history:
         lines += ["", f"History (last {len(buffer.history)} cycles):"]
         lines += [f"  {entry}" for entry in buffer.history]
-    return "\n".join(lines), marked.image_ref
+    return "\n".join(lines), cycle.image_ref
 
 
 def query_backend(prompt: str, image_ref: str | None, cycle_index: int, backend) -> str:
@@ -155,7 +128,7 @@ def query_backend(prompt: str, image_ref: str | None, cycle_index: int, backend)
     return response
 
 
-def parse_response(raw: str, marked: MarkedScene) -> int:
+def parse_response(raw: str, cycle: ScenarioCycle) -> int:
     """Extract the first well-formed TARGET mark and range-check it."""
     match = _TARGET_RE.search(raw)
     if match is None:
@@ -164,18 +137,19 @@ def parse_response(raw: str, marked: MarkedScene) -> int:
         mark = int(match.group(1))
     except ValueError as exc:  # more digits than int() converts
         raise ResponseParseError(f"mark of {len(match.group(1))} digits in response") from exc
-    if mark not in marked.marks:
-        raise ResponseParseError(f"mark {mark} not among {sorted(marked.marks)}")
+    count = len(cycle.instances)
+    if not 1 <= mark <= count:
+        raise ResponseParseError(f"mark {mark} not among {list(range(1, count + 1))}")
     return mark
 
 
-def localize(mark: int, marked: MarkedScene, cycle: ScenarioCycle) -> GazeTargetRecord:
+def localize(mark: int, cycle: ScenarioCycle) -> GazeTargetRecord:
     """Back-project the selected instance to a base-frame 3D point.
 
     Persons are localized at the face-box center; a person without a face
     box falls back to the body box, flagged on the record.
     """
-    inst = marked.marks[mark]
+    inst = cycle.instances[mark - 1]
     face_fallback = False
     if inst.is_person() and inst.face_box is not None:
         u, v = box_center(inst.face_box)
@@ -200,19 +174,18 @@ def _fallback_record(buffer: MemoryBuffer) -> GazeTargetRecord:
 def step_cycle(cycle: ScenarioCycle, buffer: MemoryBuffer, backend) -> GazeTargetRecord:
     """Run one full cycle and advance the buffer; never raises on backend
     or parse trouble — those degrade to re-emitting the previous target
-    (or the rest record on a failed first cycle)."""
-    try:
-        marked = mark_scene(cycle)
-    except EmptySceneError:
+    (or the rest record on a failed first cycle). A cycle with no
+    candidates is not queried: it degrades the same way."""
+    if not cycle.instances:
         record = _fallback_record(buffer)
-        buffer.advance(None, record)
+        buffer.advance(cycle.index, None, record)
         return record
-    prompt, image_ref = synthesize_prompt(marked, buffer)
+    semantics = marked_semantics(cycle)
+    prompt, image_ref = synthesize_prompt(cycle, semantics, buffer)
     try:
         raw = query_backend(prompt, image_ref, cycle.index, backend)
-        mark = parse_response(raw, marked)
-        record = localize(mark, marked, cycle)
+        record = localize(parse_response(raw, cycle), cycle)
     except (BackendError, ResponseParseError):
         record = _fallback_record(buffer)
-    buffer.advance(marked, record)
+    buffer.advance(cycle.index, semantics, record)
     return record

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ..atomic import open_atomic
 from ..errors import BackendError
-from .pipeline import MemoryBuffer, mark_scene, step_cycle
+from .pipeline import MemoryBuffer, step_cycle
 from .scenario import REGULARITIES, Scenario
 
 CORRECTNESS_WINDOW = (1, 2)  # offsets after cue onset that count
@@ -65,17 +65,14 @@ class OracleBackend:
         self._expected = cue.expected_instance if cue is not None else None
 
     def query(self, prompt: str, image_ref: str | None, cycle_index: int) -> str:
-        cycle = self.scenario.cycles[cycle_index]
-        marked = mark_scene(cycle)
         answer_cycle = (self._cue_index is not None and self._expected is not None
                         and cycle_index == self._cue_index + self.delay)
-        if answer_cycle:
-            return f"TARGET: {marked.mark_of(self._expected)}"
-        for mark in sorted(marked.marks):
-            if marked.marks[mark].instance_id != self._expected:
+        # the expected instance's mark on the answer cycle, else the first other one
+        for mark, inst in enumerate(self.scenario.cycles[cycle_index].instances, start=1):
+            if (inst.instance_id == self._expected) == answer_cycle:
                 return f"TARGET: {mark}"
-        # Single-candidate scene where that candidate is the expected one:
-        # nothing wrong to say, so say nothing parseable and force a hold.
+        # No candidate fits, as in a single-candidate scene whose candidate is
+        # the expected one: say nothing parseable and force a hold.
         return "no alternative candidate"
 
 

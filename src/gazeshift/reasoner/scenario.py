@@ -193,6 +193,10 @@ class Instance:
 class ScenarioCycle:
     """One inference cycle: semantics text plus the candidate instances.
 
+    ``instances`` is kept in mark order: by category, then left box edge,
+    then id. Mark m, counted from 1, is ``instances[m - 1]``; the order the
+    instances were given in is not kept.
+
     Camera intrinsics and the base-from-camera transform are shared across
     a scenario but carried on every cycle so pipeline steps are local.
     ``expected_instance`` is set only on the cue-onset cycle, and names an
@@ -221,6 +225,8 @@ class ScenarioCycle:
                     _check_box(inst.face_box, self.camera, self.index, inst.instance_id,
                                "face box")
                 object.__setattr__(inst, "_boxed_for", self.camera)
+        object.__setattr__(self, "instances", tuple(sorted(
+            self.instances, key=lambda i: (i.category, i.box[0], i.instance_id))))
         if self.expected_instance is not None:
             if not self.cue_onset:
                 raise ValueError(f"cycle {self.index}: expected_instance requires cue_onset")

@@ -10,8 +10,9 @@ fail with the same message.
 ``read_dataset_per_line`` is the reader ``read_dataset`` replaced: it
 checks each line as soon as it is parsed, where the package parses every
 line first and checks them together. On any file both must return the same
-dataset or name the same line with the same message. The header and each
-sample line go through the package's one object rule, ``config.check_object``.
+dataset, or name the file and the same line with the same message. The
+header and each sample line go through the package's one object rule,
+``config.check_object``.
 
 Both oracles build one ``GazeSample`` object per sample, as the package
 did before a ``Dataset`` became rows, and convert to a row ``Dataset`` at
@@ -372,19 +373,19 @@ def read_dataset_per_line(path) -> Dataset:
     samples, split = [], []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
-            raise DataError(f"line {line_no}: blank line inside dataset")
+            raise DataError(f"{path}: line {line_no}: blank line inside dataset")
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+            raise DataError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
         try:
             check_object(doc, SAMPLE_SCHEMA, "sample")
         except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from exc
+            raise DataError(f"{path}: line {line_no}: {exc}") from exc
         if doc["strategy"] not in (EYE_DOMINANT, HEAD_DOMINANT):
-            raise DataError(f"line {line_no}: bad strategy tag {doc['strategy']!r}")
+            raise DataError(f"{path}: line {line_no}: bad strategy tag {doc['strategy']!r}")
         if doc["split"] not in ("train", "val"):
-            raise DataError(f"line {line_no}: bad split tag {doc['split']!r}")
+            raise DataError(f"{path}: line {line_no}: bad split tag {doc['split']!r}")
         theta_e, theta_h, target, delta_e, delta_h = (
             [float(v) for v in doc[key]]
             for key in ("theta_e", "theta_h", "target", "delta_e", "delta_h"))
@@ -395,10 +396,10 @@ def read_dataset_per_line(path) -> Dataset:
                 doc["strategy"],
             )
         except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from exc
+            raise DataError(f"{path}: line {line_no}: {exc}") from exc
         violation = check_sample(sample, config)
         if violation is not None:
-            raise DataError(f"line {line_no}: invariant violation: {violation}")
+            raise DataError(f"{path}: line {line_no}: invariant violation: {violation}")
         samples.append(sample)
         split.append(doc["split"])
     if header.get("n_samples") != len(samples):

@@ -87,7 +87,7 @@ def scenario_objects(doc: dict, origin: str = "<doc>") -> list:
 def dataset_objects(docs: list, path) -> list:
     """The header and each sample line of a dataset file, each line parsed."""
     return [(f"{path}: ", "header", docs[0], HEADER_SCHEMA)] + [
-        (f"line {line_no}: ", "sample", doc, SAMPLE_SCHEMA)
+        (f"{path}: line {line_no}: ", "sample", doc, SAMPLE_SCHEMA)
         for line_no, doc in enumerate(docs[1:], start=2)]
 
 

@@ -7,12 +7,15 @@ Twelve hand-authored scenarios, three per interaction regularity:
 * H3 — turn-taking: the floor is handed to another person.
 * H4 — joint attention: a person directs their own gaze at an object.
 
-Canned responses are authored through mark_scene, so the scripted backend
-answers the expected target's actual mark one cycle after cue onset (and
-dwells there for a second cycle), behaving as a perfect reasoner under
-the two-cycle correctness rule. The package ships only the files; this
-builder lives beside the test that checks it reproduces them byte for
-byte. Regenerate the bundled files from the repository root with:
+Canned responses are authored through the reference mark order,
+``scenario_oracles.mark_order``, so the scripted backend answers the
+expected target's actual mark one cycle after cue onset (and dwells there
+for a second cycle), behaving as a perfect reasoner under the two-cycle
+correctness rule. Each file lists a cycle's instances in the order they
+were authored, not in mark order, which the loader restores. The package
+ships only the files; this builder lives beside the test that checks it
+reproduces them byte for byte. Regenerate the bundled files from the
+repository root with:
 
     PYTHONPATH=src python tests/scenario_corpus.py src/gazeshift/scenarios
 
@@ -30,9 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from gazeshift.reasoner.pipeline import mark_scene
 from gazeshift.reasoner.scenario import (SCENARIO_SCHEMA, SCENARIO_VERSION, CameraIntrinsics,
-                                         Instance, RigidTransform, Scenario, ScenarioCycle)
+                                         Instance, RigidTransform, Scenario, ScenarioCycle,
+                                         scenario_from_doc)
+from scenario_oracles import mark_order
 
 CAMERA = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -58,8 +62,9 @@ def thing(iid, category, left, top, right, bottom, depth):
 
 def _build(scenario_id, regularity, description, instances, semantics_per_cycle,
            t0, expected, default_target, transform=HEAD_CAMERA, prose_at=None):
-    """Expand a declarative description into a Scenario with canned responses.
+    """Expand a declarative description into a scenario document with canned responses.
 
+    Every cycle shows ``instances``, listed in the order given.
     ``default_target`` is gazed at outside the cue window; the expected
     instance's mark is answered at t0+1 and t0+2 (dwell). ``prose_at``
     names a cycle whose response gains a prose preamble.
@@ -72,29 +77,30 @@ def _build(scenario_id, regularity, description, instances, semantics_per_cycle,
             image_ref=f"frames/{scenario_id}/cycle{t:02d}.png",
             cue_onset=(t == t0), expected_instance=expected if t == t0 else None,
         ))
+    marked = [inst.instance_id for inst in mark_order(instances)]
     responses = {}
     for cycle in cycles:
-        marked = mark_scene(cycle)
         target = expected if cycle.index in (t0 + 1, t0 + 2) else default_target
-        line = f"TARGET: {marked.mark_of(target)}"
+        line = f"TARGET: {marked.index(target) + 1}"
         if prose_at is not None and cycle.index == prose_at:
             line = ("The cue is clear from the scene context, so the robot "
                     "should attend there next. " + line)
         responses[cycle.index] = line
-    return Scenario(scenario_id=scenario_id, regularity=regularity,
-                    cycles=tuple(cycles), responses=responses,
-                    description=description)
+    scenario = Scenario(scenario_id=scenario_id, regularity=regularity,
+                        cycles=tuple(cycles), responses=responses, description=description)
+    return scenario_to_doc(scenario, [inst.instance_id for inst in instances])
 
 
-def build_corpus() -> list:
-    scenarios = []
+def corpus_docs() -> list:
+    """The document of each bundled scenario, as its file holds it."""
+    docs = []
 
     # ---- H1: deictic gestures ------------------------------------------------
     anna = person("anna", 60, 70, 210, 460, 1.6)
     ben = person("ben", 400, 80, 560, 460, 1.8)
     cup = thing("cup", "cup", 280, 300, 330, 360, 1.2)
     book = thing("book", "book", 250, 380, 340, 430, 1.1)
-    scenarios.append(_build(
+    docs.append(_build(
         "h1_point_cup", "H1", "Anna points at the cup on the table.",
         [anna, ben, cup, book],
         ["{anna} and {ben} sit at a table. A {cup} and a {book} lie between them.",
@@ -107,7 +113,7 @@ def build_corpus() -> list:
 
     door = thing("door", "door", 540, 60, 636, 420, 2.8)
     plant = thing("plant", "plant", 20, 250, 90, 420, 2.2)
-    scenarios.append(_build(
+    docs.append(_build(
         "h1_point_door", "H1", "Ben points toward the door.",
         [anna, ben, door, plant],
         ["{anna} and {ben} stand in the lab; the {door} is to the right of a {plant}.",
@@ -121,7 +127,7 @@ def build_corpus() -> list:
     parent = person("parent", 380, 60, 540, 460, 1.7)
     toy = thing("toy", "toy", 280, 350, 350, 420, 1.0)
     ball = thing("ball", "ball", 60, 390, 110, 440, 1.1)
-    scenarios.append(_build(
+    docs.append(_build(
         "h1_point_toy", "H1", "A child points at a toy; the response carries a prose preamble.",
         [child, parent, toy, ball],
         ["A {child} and a {parent} play on the floor near a {toy} and a {ball}.",
@@ -135,7 +141,7 @@ def build_corpus() -> list:
 
     # ---- H2: social orienting (speech onset) ---------------------------------
     laptop = thing("laptop", "laptop", 260, 280, 380, 370, 1.4)
-    scenarios.append(_build(
+    docs.append(_build(
         "h2_speaker_anna", "H2", "Anna breaks the silence; gaze should orient to her.",
         [anna, ben, laptop],
         ["{anna} and {ben} work quietly, a {laptop} between them.",
@@ -149,7 +155,7 @@ def build_corpus() -> list:
     nurse = person("nurse", 80, 60, 230, 460, 1.9, face=False)  # turned away
     patient = person("patient", 350, 120, 500, 460, 2.1)
     monitor = thing("monitor", "monitor", 520, 100, 630, 240, 2.4)
-    scenarios.append(_build(
+    docs.append(_build(
         "h2_speaker_nurse", "H2", "The nurse speaks while facing away (no face box).",
         [nurse, patient, monitor],
         ["A {nurse} checks a {monitor}; a {patient} rests in bed.",
@@ -163,7 +169,7 @@ def build_corpus() -> list:
     visitor = person("visitor", 430, 70, 580, 460, 2.5)
     phone = thing("phone", "phone", 300, 330, 345, 395, 1.3)
     door2 = thing("door", "door", 560, 50, 638, 400, 2.9)
-    scenarios.append(_build(
+    docs.append(_build(
         "h2_greeting", "H2", "A visitor enters and greets the room.",
         [host, visitor, phone, door2],
         ["The {host} scrolls a {phone}; the {door} opens.",
@@ -176,7 +182,7 @@ def build_corpus() -> list:
 
     # ---- H3: turn-taking -----------------------------------------------------
     whiteboard = thing("whiteboard", "whiteboard", 240, 60, 420, 260, 2.6)
-    scenarios.append(_build(
+    docs.append(_build(
         "h3_handoff_ben", "H3", "Anna finishes and hands the floor to Ben.",
         [anna, ben, whiteboard],
         ["{anna} presents at the {whiteboard}; {ben} listens.",
@@ -188,7 +194,7 @@ def build_corpus() -> list:
         t0=3, expected="ben", default_target="anna"))
 
     cara = person("cara", 250, 90, 390, 460, 2.0)
-    scenarios.append(_build(
+    docs.append(_build(
         "h3_handoff_cara", "H3", "Ben passes the turn to Cara.",
         [anna, ben, cara, laptop],
         ["{anna}, {ben} and {cara} sit around a {laptop}.",
@@ -202,7 +208,7 @@ def build_corpus() -> list:
     moderator = person("moderator", 60, 70, 200, 460, 1.8)
     dana = person("dana", 420, 100, 570, 460, 2.3)
     screen = thing("monitor", "monitor", 250, 80, 400, 220, 2.7)
-    scenarios.append(_build(
+    docs.append(_build(
         "h3_meeting", "H3", "The moderator invites Dana to speak.",
         [moderator, dana, screen],
         ["A {moderator} runs the meeting; slides on a {monitor}.",
@@ -214,7 +220,7 @@ def build_corpus() -> list:
 
     # ---- H4: joint attention (gaze following) --------------------------------
     cup2 = thing("cup", "cup", 480, 320, 530, 380, 1.9)
-    scenarios.append(_build(
+    docs.append(_build(
         "h4_look_monitor", "H4", "Anna turns her gaze to the monitor; follow it.",
         [anna, monitor, cup2],
         ["{anna} sips from a {cup} near a {monitor}.",
@@ -225,7 +231,7 @@ def build_corpus() -> list:
          "{anna} looks back and comments."],
         t0=2, expected="monitor", default_target="anna"))
 
-    scenarios.append(_build(
+    docs.append(_build(
         "h4_look_ball", "H4", "The child stares at the ball; camera is head-mounted and offset.",
         [child, parent, ball],
         ["A {child} sits with a {parent}; a {ball} rests nearby.",
@@ -237,7 +243,7 @@ def build_corpus() -> list:
 
     book2 = thing("book", "book", 150, 300, 260, 370, 1.5)
     plant2 = thing("plant", "plant", 560, 240, 635, 430, 2.5)
-    scenarios.append(_build(
+    docs.append(_build(
         "h4_look_book", "H4", "Ben fixates an open book.",
         [ben, book2, phone, plant2],
         ["{ben} sits near a {book}, a {phone} and a {plant}.",
@@ -249,14 +255,25 @@ def build_corpus() -> list:
          "{ben} underlines a sentence."],
         t0=3, expected="book", default_target="ben"))
 
-    return scenarios
+    return docs
 
 
-def scenario_to_doc(scenario: Scenario) -> dict:
-    """The scenario document that ``scenario_from_doc`` reads back as ``scenario``."""
+def build_corpus() -> list:
+    """The bundled scenarios, read from their documents."""
+    return [scenario_from_doc(doc) for doc in corpus_docs()]
+
+
+def scenario_to_doc(scenario: Scenario, order=None) -> dict:
+    """The scenario document that ``scenario_from_doc`` reads back as ``scenario``.
+
+    A cycle lists its instances in mark order, or in the order of their ids
+    in ``order``.
+    """
     first = scenario.cycles[0]
     cycles = []
     for c in scenario.cycles:
+        shown = c.instances if order is None else sorted(
+            c.instances, key=lambda inst: order.index(inst.instance_id))
         doc = {
             "index": c.index,
             "semantics": c.semantics,
@@ -268,7 +285,7 @@ def scenario_to_doc(scenario: Scenario) -> dict:
                     "depth": inst.depth,
                     "face_box": list(inst.face_box) if inst.face_box else None,
                 }.items() if v is not None}
-                for inst in c.instances
+                for inst in shown
             ],
         }
         if c.image_ref:
@@ -293,18 +310,21 @@ def scenario_to_doc(scenario: Scenario) -> dict:
     }
 
 
-def write_scenario(scenario: Scenario, path) -> None:
-    doc = scenario_to_doc(scenario)
+def _write_doc(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_scenario(scenario: Scenario, path) -> None:
+    _write_doc(scenario_to_doc(scenario), path)
 
 
 def write_corpus(out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for scenario in build_corpus():
-        path = out / f"{scenario.scenario_id}.json"
-        write_scenario(scenario, path)
+    for doc in corpus_docs():
+        path = out / f"{doc['scenario_id']}.json"
+        _write_doc(doc, path)
         paths.append(path)
     return paths
 

@@ -7,10 +7,15 @@ object rule, ``config.check_object``, with no memo. On documents both
 accept, the package's loader must give the same scenario field by field; on
 a document with one fault both detect, the same message.
 
+``mark_order`` is the reference set-of-mark order: by category, then left
+box edge, then id. The package sorts each cycle's instances into it once,
+when the ``ScenarioCycle`` is built, and mark m is ``cycle.instances[m - 1]``.
+
 ``synthesize_prompt_per_cycle`` is the prompt builder ``synthesize_prompt``
-replaced: it formats every candidate line on every call, where the package
-formats each instance's entry once and reuses it. Both must give the same
-text for every cycle.
+replaced: it marks the instances it is given with ``mark_order``, writes the
+placeholders of the semantics as marked references, and formats every
+candidate line on every call, where the package formats each instance's
+entry once and reuses it. Both must give the same text for every cycle.
 
 ``project`` is the inverse of ``CameraIntrinsics.back_project``: the pixel
 a camera-frame point lands on. The package needs only the one direction.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from gazeshift.config import check_object
 from gazeshift.errors import DataError
-from gazeshift.reasoner.pipeline import PROMPT_INSTRUCTIONS, MarkedScene, MemoryBuffer
+from gazeshift.reasoner.pipeline import PROMPT_INSTRUCTIONS, MemoryBuffer
 from gazeshift.reasoner.scenario import (CAMERA_SCHEMA, CYCLE_SCHEMA, DOCUMENT_SCHEMA,
                                          INSTANCE_SCHEMA, SCENARIO_SCHEMA, SCENARIO_VERSION,
                                          TRANSFORM_SCHEMA, CameraIntrinsics, Instance,
@@ -82,18 +87,26 @@ def project(camera: CameraIntrinsics, point) -> tuple:
     return (camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy)
 
 
-def synthesize_prompt_per_cycle(marked: MarkedScene, buffer: MemoryBuffer) -> tuple:
+def mark_order(instances) -> list:
+    """The instances in mark order: mark m is the m-th, counted from 1."""
+    return sorted(instances, key=lambda i: (i.category, i.box[0], i.instance_id))
+
+
+def synthesize_prompt_per_cycle(semantics: str, instances, image_ref: str | None,
+                                buffer: MemoryBuffer) -> tuple:
+    marks = dict(enumerate(mark_order(instances), start=1))
+    for mark, inst in marks.items():
+        semantics = semantics.replace("{" + inst.instance_id + "}", f"{inst.category} [{mark}]")
     lines = [PROMPT_INSTRUCTIONS, "", "Candidates:"]
-    for mark in sorted(marked.marks):
-        inst = marked.marks[mark]
+    for mark, inst in marks.items():
         left, top, right, bottom = inst.box
         lines.append(f"  [{mark}] {inst.category} (id {inst.instance_id}, "
                      f"box {left:.0f},{top:.0f},{right:.0f},{bottom:.0f}, "
                      f"depth {inst.depth:.2f} m)")
-    lines += ["", "Current scene:", f"  {marked.semantics}"]
+    lines += ["", "Current scene:", f"  {semantics}"]
     if buffer.prev_record is not None:
         lines += ["", "Previous gaze:", f"  {buffer.prev_record.summary()}"]
     if buffer.history:
         lines += ["", f"History (last {len(buffer.history)} cycles):"]
         lines += [f"  {entry}" for entry in buffer.history]
-    return "\n".join(lines), marked.image_ref
+    return "\n".join(lines), image_ref

@@ -725,7 +725,29 @@ def test_dataset_line_with_an_unknown_key_exit_data(tmp_path):
     path = tmp_path / "dataset.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert _main_err(["train", "--dataset", str(path), "--out", str(tmp_path / "run")]) == (
-        3, "error: line 4: unknown sample fields: ['thta_e']\n")
+        3, f"error: {path}: line 4: unknown sample fields: ['thta_e']\n")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda doc: doc.update(thta_e=[0.0, 0.0]), "unknown sample fields: ['thta_e']"),
+    (lambda doc: doc["delta_h"].__setitem__(0, 4.0),
+     "motion increments must lie within [-pi, pi]"),
+    (lambda doc: doc["delta_h"].__setitem__(0, doc["delta_h"][0] + 0.5),
+     "invariant violation: gaze misses target by"),
+], ids=["sample_line", "value_rule", "invariant"])
+def test_eval_names_the_dataset_of_a_damaged_line(pipeline, tmp_path, edit, reason):
+    # a line's error used to name the line but not the file it is in
+    _, _, data_dir, run_dir = pipeline
+    lines = (data_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[3])
+    edit(doc)
+    lines[3] = json.dumps(doc)
+    dataset = tmp_path / "damaged.jsonl"
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, err = _main_err(["eval", "--dataset", str(dataset), "--run", str(run_dir),
+                           "--out", str(tmp_path / "e")])
+    assert code == 3
+    assert err.startswith(f"error: {dataset}: line 4: {reason}") and err.count("\n") == 1
 
 
 def _eval_and_sample(run: Path, dataset: Path, out: Path) -> list:
@@ -1240,8 +1262,8 @@ def test_dataset_entry_that_is_no_number_exit_data(tmp_path_factory, index, key,
     code, err = _main_err(["train", "--dataset", str(root / "dataset.jsonl"),
                            "--out", str(root / "run")])
     assert code == 3
-    assert err == (f"error: line {index + 1}: sample field {key}[{at}] must be a finite number, "
-                   f"got {reprlib.repr(value)}\n")
+    assert err == (f"error: {root / 'dataset.jsonl'}: line {index + 1}: sample field "
+                   f"{key}[{at}] must be a finite number, got {reprlib.repr(value)}\n")
 
 
 @settings(max_examples=40, deadline=None)

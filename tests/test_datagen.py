@@ -510,7 +510,7 @@ def _both_readers(tmp_path, lines):
     return outcomes[0]
 
 
-# The message of each damage that fails one line, after "line 7: ".
+# The message of each damage that fails one line, after "<path>: line 7: ".
 LINE_MESSAGES = {
     **{POSE_LIMITS[k][0]: f"invariant violation: {POSE_LIMITS[k][0]} limit exceeded"
        for k in range(5)},
@@ -535,17 +535,19 @@ def test_reader_names_the_oracles_line_and_message(tmp_path, name):
     lines = list(READER_LINES)
     lines[6] = LINE_DAMAGES[name](lines[6])
     outcome = _both_readers(tmp_path, lines)
-    assert outcome.startswith(f"DataError: line 7: {LINE_MESSAGES[name]}")
+    assert outcome.startswith(f"DataError: {tmp_path / 'dataset.jsonl'}: line 7: "
+                              f"{LINE_MESSAGES[name]}")
 
 
 def test_reader_reports_a_check_failure_before_a_later_parse_failure(tmp_path):
     lines = list(READER_LINES)
     lines[4] = LINE_DAMAGES["head yaw"](lines[4])
     lines[9] = LINE_DAMAGES["invalid_json"](lines[9])
+    path = tmp_path / "dataset.jsonl"
     assert _both_readers(tmp_path, lines).startswith(
-        "DataError: line 5: invariant violation: head yaw limit exceeded")
+        f"DataError: {path}: line 5: invariant violation: head yaw limit exceeded")
     lines[2] = LINE_DAMAGES["invalid_json"](lines[2])
-    assert _both_readers(tmp_path, lines).startswith("DataError: line 3: invalid JSON")
+    assert _both_readers(tmp_path, lines).startswith(f"DataError: {path}: line 3: invalid JSON")
 
 
 @settings(max_examples=60, deadline=None)

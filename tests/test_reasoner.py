@@ -1,4 +1,4 @@
-"""Scripted gaze-reasoning pipeline: marking, prompts, parsing, localization.
+"""Scripted gaze-reasoning pipeline: mark order, prompts, parsing, localization.
 
 Two golden files pin the exact text surface: the synthesized prompt for a
 first cycle (tests/data/prompt_first_cycle.txt) and the chat-completion
@@ -27,10 +27,9 @@ from gazeshift.reasoner.backends import (API_KEY_ENV, OracleBackend,
                                          RemoteBackend, RemoteConfig,
                                          ScriptedBackend, build_request)
 from gazeshift.reasoner.pipeline import (HISTORY_LENGTH, REST_RECORD,
-                                         EmptySceneError, GazeTargetRecord,
-                                         MarkedScene, MemoryBuffer,
+                                         GazeTargetRecord, MemoryBuffer,
                                          ResponseParseError, localize,
-                                         mark_scene, parse_response,
+                                         marked_semantics, parse_response,
                                          query_backend, step_cycle,
                                          synthesize_prompt)
 from gazeshift.reasoner import replay as replay_mod
@@ -45,7 +44,8 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
 from json_numbers import bad_json_numbers
 from json_objects import WRONG_VALUES, scenario_objects
 from scenario_corpus import build_corpus, scenario_to_doc, write_corpus, write_scenario
-from scenario_oracles import project, scenario_from_doc_per_record, synthesize_prompt_per_cycle
+from scenario_oracles import (mark_order, project, scenario_from_doc_per_record,
+                              synthesize_prompt_per_cycle)
 
 DATA_DIR = Path(__file__).parent / "data"
 BUNDLED = Path(__file__).parent.parent / "src" / "gazeshift" / "scenarios"
@@ -88,14 +88,16 @@ def demo_scenario(responses: dict) -> Scenario:
     return Scenario("demo", "H1", cycles, responses)
 
 
-# -- set-of-mark assignment --------------------------------------------------------
+# -- set-of-mark order: mark m is cycle.instances[m - 1] -------------------------------
+
+def _ids(instances) -> list:
+    return [inst.instance_id for inst in instances]
+
 
 def test_marks_sorted_by_category_then_left_edge():
-    marked = mark_scene(make_cycle(0, "scene"))
+    cycle = make_cycle(0, "scene")
     # categories sort cup < person < toy; single instance each here
-    assert marked.marks[1].instance_id == "c_mug"
-    assert marked.marks[2].instance_id == "p_anna"
-    assert marked.marks[3].instance_id == "t_ball"
+    assert _ids(cycle.instances) == ["c_mug", "p_anna", "t_ball"]
 
 
 def test_marks_same_category_by_left_edge_then_id():
@@ -104,75 +106,89 @@ def test_marks_same_category_by_left_edge_then_id():
         Instance("cup_a", "cup", (10.0, 10.0, 60.0, 60.0), 1.0),
         Instance("cup_c", "cup", (206.0, 100.0, 260.0, 160.0), 1.0),
     )
-    marked = mark_scene(make_cycle(0, "cups", instances))
-    assert [marked.marks[m].instance_id for m in (1, 2, 3)] == [
-        "cup_a", "cup_b", "cup_c"]  # tie on left edge broken by id
+    cycle = make_cycle(0, "cups", instances)
+    assert _ids(cycle.instances) == ["cup_a", "cup_b", "cup_c"]  # tie on left edge broken by id
 
 
 def test_marks_are_bijective_and_deterministic():
-    a = mark_scene(make_cycle(0, "scene"))
-    b = mark_scene(make_cycle(0, "scene"))
-    assert sorted(a.marks) == [1, 2, 3]
-    ids = [inst.instance_id for inst in a.marks.values()]
-    assert len(set(ids)) == 3
-    assert {m: i.instance_id for m, i in a.marks.items()} == \
-           {m: i.instance_id for m, i in b.marks.items()}
-    for inst_id in ids:
-        assert a.marks[a.mark_of(inst_id)].instance_id == inst_id
-    with pytest.raises(KeyError):
-        a.mark_of("ghost")
+    given = demo_instances()
+    a = make_cycle(0, "scene", given)
+    b = make_cycle(0, "scene", given[::-1])
+    assert a.instances == b.instances == tuple(mark_order(given))
+    assert sorted(_ids(a.instances)) == sorted(_ids(given))
+
+
+_MARK_CATEGORIES = st.sampled_from(["cup", "person", "toy"])
+# ties on the left edge, and an int against a float of the same value
+_MARK_LEFT_EDGES = st.one_of(st.sampled_from([0, 0.0, 1, 1.0, 2.5, 300, 300.0]),
+                             st.integers(0, 600), st.floats(0, 600))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cycle_keeps_its_instances_in_mark_order(data):
+    ids = data.draw(st.lists(st.sampled_from("abcdefgh"), max_size=8, unique=True))
+    instances = []
+    for iid in ids:
+        left = data.draw(_MARK_LEFT_EDGES)
+        instances.append(Instance(iid, data.draw(_MARK_CATEGORIES), (left, 0, left + 10, 10), 1.0))
+    cycle = make_cycle(0, "scene", tuple(instances))
+    expected = mark_order(instances)
+    assert len(cycle.instances) == len(expected)
+    assert all(got is want for got, want in zip(cycle.instances, expected))
 
 
 def test_semantics_placeholders_become_marked_references():
-    marked = mark_scene(make_cycle(0, "{p_anna} waves at {c_mug}"))
-    assert marked.semantics == "person [2] waves at cup [1]"
+    assert marked_semantics(make_cycle(0, "{p_anna} waves at {c_mug}")) == \
+        "person [2] waves at cup [1]"
 
 
 def test_empty_scene_raises():
-    with pytest.raises(EmptySceneError):
-        mark_scene(make_cycle(0, "nothing here", instances=()))
+    # a cycle with no candidates has no marks to answer with
+    with pytest.raises(ResponseParseError, match=r"^mark 1 not among \[\]$"):
+        parse_response("TARGET: 1", make_cycle(0, "nothing here", instances=()))
 
 
 # -- prompt synthesis -----------------------------------------------------------------
 
+def _prompt(cycle: ScenarioCycle, buffer: MemoryBuffer) -> tuple:
+    return synthesize_prompt(cycle, marked_semantics(cycle), buffer)
+
+
 def test_first_cycle_prompt_matches_golden():
-    marked = mark_scene(make_cycle(0, "{p_anna} sits near {c_mug} and {t_ball}",
-                                   image_ref="frames/000.png"))
-    prompt, image_ref = synthesize_prompt(marked, MemoryBuffer())
+    cycle = make_cycle(0, "{p_anna} sits near {c_mug} and {t_ball}", image_ref="frames/000.png")
+    prompt, image_ref = _prompt(cycle, MemoryBuffer())
     golden = (DATA_DIR / "prompt_first_cycle.txt").read_text(encoding="utf-8")
     assert prompt == golden
     assert image_ref == "frames/000.png"
 
 
 def test_prompt_lists_every_mark_exactly_once():
-    marked = mark_scene(make_cycle(0, "scene"))
-    prompt, _ = synthesize_prompt(marked, MemoryBuffer())
+    cycle = make_cycle(0, "scene")
+    prompt, _ = _prompt(cycle, MemoryBuffer())
     candidates = prompt.split("Candidates:")[1].split("Current scene:")[0]
-    for mark in marked.marks:
+    for mark in range(1, len(cycle.instances) + 1):
         assert candidates.count(f"[{mark}]") == 1
 
 
 def test_first_prompt_has_no_history_sections():
-    marked = mark_scene(make_cycle(0, "scene"))
-    prompt, _ = synthesize_prompt(marked, MemoryBuffer())
+    prompt, _ = _prompt(make_cycle(0, "scene"), MemoryBuffer())
     assert "Previous gaze:" not in prompt
     assert "History" not in prompt
 
 
 def test_later_prompt_carries_memory():
     buffer = MemoryBuffer()
-    marked0 = mark_scene(make_cycle(0, "scene"))
-    record = localize(1, marked0, make_cycle(0, "scene"))
-    buffer.advance(marked0, record)
-    prompt, _ = synthesize_prompt(mark_scene(make_cycle(1, "scene")), buffer)
+    cycle0 = make_cycle(0, "scene")
+    buffer.advance(0, marked_semantics(cycle0), localize(1, cycle0))
+    prompt, _ = _prompt(make_cycle(1, "scene"), buffer)
     assert "Previous gaze:" in prompt and "cup [1]" in prompt
     assert "History (last 1 cycles):" in prompt
 
 
 def test_prompt_is_deterministic():
-    marked = mark_scene(make_cycle(0, "scene"))
-    assert synthesize_prompt(marked, MemoryBuffer()) == \
-           synthesize_prompt(marked, MemoryBuffer())
+    cycle = make_cycle(0, "scene")
+    assert _prompt(cycle, MemoryBuffer()) == _prompt(cycle, MemoryBuffer())
 
 
 # Values where a candidate line's formatting could go wrong: boxes half-way between
@@ -204,21 +220,22 @@ def test_prompt_matches_per_cycle_oracle(data):
     for t in range(data.draw(st.integers(1, 4))):
         shown = data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
         semantics = " near ".join("{" + inst.instance_id + "}" for inst in shown)
-        cycle = ScenarioCycle(t, semantics, tuple(shown), _WIDE_CAMERA, identity_transform())
-        marked = mark_scene(cycle)
-        expected = synthesize_prompt_per_cycle(marked, buffer)
-        assert synthesize_prompt(marked, buffer) == expected
-        assert synthesize_prompt(marked, buffer) == expected  # every entry cached by now
-        buffer.advance(marked, localize(1, marked, cycle))
+        image_ref = data.draw(st.one_of(st.none(), _NAMES))
+        cycle = ScenarioCycle(t, semantics, tuple(shown), _WIDE_CAMERA, identity_transform(),
+                              image_ref=image_ref)
+        expected = synthesize_prompt_per_cycle(semantics, shown, image_ref, buffer)
+        assert _prompt(cycle, buffer) == expected
+        assert _prompt(cycle, buffer) == expected  # every entry cached by now
+        buffer.advance(t, marked_semantics(cycle), localize(1, cycle))
 
 
 def test_cycles_that_share_an_instance_reuse_its_prompt_entry():
     shared = demo_instances()
     assert all(inst._prompt_entry is None for inst in shared)
-    synthesize_prompt(mark_scene(make_cycle(0, "scene", shared)), MemoryBuffer())
+    _prompt(make_cycle(0, "scene", shared), MemoryBuffer())
     entries = [inst._prompt_entry for inst in shared]
     assert entries[1] == "cup (id c_mug, box 100,200,160,260, depth 1.20 m)"
-    prompt, _ = synthesize_prompt(mark_scene(make_cycle(1, "scene", shared[1:])), MemoryBuffer())
+    prompt, _ = _prompt(make_cycle(1, "scene", shared[1:]), MemoryBuffer())
     assert "  [1] " + entries[1] in prompt.splitlines()
     assert all(inst._prompt_entry is entry for inst, entry in zip(shared, entries))
 
@@ -243,32 +260,27 @@ def test_prompt_entry_is_outside_equality_hash_and_repr():
 # -- response parsing ------------------------------------------------------------------
 
 def test_parse_plain_target_line():
-    marked = mark_scene(make_cycle(0, "scene"))
-    assert parse_response("TARGET: 2", marked) == 2
+    assert parse_response("TARGET: 2", make_cycle(0, "scene")) == 2
 
 
 def test_parse_takes_first_well_formed_line():
-    marked = mark_scene(make_cycle(0, "scene"))
     raw = "Thinking about it.\nTARGET: 1\nTARGET: 3\n"
-    assert parse_response(raw, marked) == 1
+    assert parse_response(raw, make_cycle(0, "scene")) == 1
 
 
 def test_parse_rejects_prose_without_target():
-    marked = mark_scene(make_cycle(0, "scene"))
     with pytest.raises(ResponseParseError, match="no TARGET"):
-        parse_response("I think mark 7 is best", marked)
+        parse_response("I think mark 7 is best", make_cycle(0, "scene"))
 
 
 def test_parse_rejects_out_of_range_mark():
-    marked = mark_scene(make_cycle(0, "scene"))
-    with pytest.raises(ResponseParseError, match="not among"):
-        parse_response("TARGET: 9", marked)
+    with pytest.raises(ResponseParseError, match=r"^mark 9 not among \[1, 2, 3\]$"):
+        parse_response("TARGET: 9", make_cycle(0, "scene"))
 
 
 def test_parse_rejects_mark_beyond_int_digit_limit():
-    marked = mark_scene(make_cycle(0, "scene"))
     with pytest.raises(ResponseParseError, match="5000 digits"):
-        parse_response("TARGET: " + "1" * 5000, marked)
+        parse_response("TARGET: " + "1" * 5000, make_cycle(0, "scene"))
 
 
 # Arbitrary text, and text around a TARGET line whose mark is small, has
@@ -289,12 +301,11 @@ answers = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(answers)
 def test_parse_response_returns_listed_mark_or_raises_parse_error(raw):
-    marked = mark_scene(make_cycle(0, "scene"))
     try:
-        mark = parse_response(raw, marked)
+        mark = parse_response(raw, make_cycle(0, "scene"))
     except ResponseParseError:
         return
-    assert mark in marked.marks
+    assert mark in (1, 2, 3)
 
 
 # -- localization ------------------------------------------------------------------------
@@ -367,9 +378,7 @@ def test_back_project_validation():
 
 
 def test_localize_person_uses_face_center():
-    cycle = make_cycle(0, "scene")
-    marked = mark_scene(cycle)
-    record = localize(2, marked, cycle)  # p_anna
+    record = localize(2, make_cycle(0, "scene"))  # p_anna
     assert record.point_2d == box_center((340.0, 100.0, 380.0, 150.0))
     assert not record.face_fallback
     expected = demo_camera().back_project(*record.point_2d, 2.0)
@@ -379,7 +388,7 @@ def test_localize_person_uses_face_center():
 def test_localize_person_without_face_box_falls_back_to_body():
     instances = (Instance("p_solo", "person", (300.0, 80.0, 420.0, 460.0), 2.0),)
     cycle = make_cycle(0, "scene", instances)
-    record = localize(1, mark_scene(cycle), cycle)
+    record = localize(1, cycle)
     assert record.face_fallback
     assert record.point_2d == box_center((300.0, 80.0, 420.0, 460.0))
 
@@ -391,7 +400,7 @@ def test_localize_applies_base_from_camera():
     instances = (Instance("c_one", "cup", (310.0, 230.0, 330.0, 250.0), 2.0),)
     cycle = ScenarioCycle(index=0, semantics="s", instances=instances,
                           camera=demo_camera(), base_from_camera=transform)
-    record = localize(1, mark_scene(cycle), cycle)
+    record = localize(1, cycle)
     cam_point = demo_camera().back_project(320.0, 240.0, 2.0)
     np.testing.assert_allclose(record.point_3d, R @ cam_point + [0, 0, 1.5],
                                atol=1e-12)
@@ -404,8 +413,7 @@ def test_history_is_capped_fifo():
     assert buffer.prev_record is None and not buffer.history
     for i in range(HISTORY_LENGTH + 3):
         cycle = make_cycle(i, f"scene {i}")
-        marked = mark_scene(cycle)
-        buffer.advance(marked, localize(1, marked, cycle))
+        buffer.advance(i, marked_semantics(cycle), localize(1, cycle))
     assert len(buffer.history) == HISTORY_LENGTH
     assert "cycle 3:" in buffer.history[0]  # cycles 0..2 were evicted
     assert f"cycle {HISTORY_LENGTH + 2}:" in buffer.history[-1]
@@ -484,7 +492,7 @@ outcomes = st.one_of(
     answers,
     st.sampled_from([Exception, RuntimeError, ValueError, KeyError, TypeError,
                      OSError, TimeoutError, ZeroDivisionError, RecursionError,
-                     BackendError, ResponseParseError, EmptySceneError]).map(Raises),
+                     BackendError, ResponseParseError, IndexError]).map(Raises),
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.binary(),
               st.lists(st.text(), max_size=2), st.dictionaries(st.text(), st.text(), max_size=2)),
 )
@@ -537,12 +545,12 @@ def test_scripted_backend_returns_canned_text_verbatim():
 def test_oracle_backend_answers_on_schedule():
     scenario = demo_scenario({})
     backend = OracleBackend(scenario, delay=1)
-    marked = {i: mark_scene(scenario.cycles[i]) for i in range(4)}
+    marked = _ids(mark_order(demo_instances()))  # every cycle shows these
     # cue is cycle 1, expected c_mug (mark 1): correct answer lands at cycle 2
-    assert backend.query("p", None, 2) == f"TARGET: {marked[2].mark_of('c_mug')}"
+    assert backend.query("p", None, 2) == f"TARGET: {marked.index('c_mug') + 1}"
     for i in (0, 1, 3):
-        answer = parse_response(backend.query("p", None, i), marked[i])
-        assert marked[i].marks[answer].instance_id != "c_mug"
+        answer = parse_response(backend.query("p", None, i), scenario.cycles[i])
+        assert marked[answer - 1] != "c_mug"
 
 
 def test_oracle_backend_validates_delay():
@@ -891,32 +899,34 @@ def test_scenario_loader_matches_per_record_oracle(doc, fault, data):
     # entries share one Instance exactly when their JSON texts are equal
     built = {}
     for cdoc, cycle in zip(doc["cycles"], scenario.cycles):
-        for idoc, inst in zip(cdoc["instances"], cycle.instances):
-            built.setdefault(json.dumps(idoc), set()).add(id(inst))
+        shown = {inst.instance_id: inst for inst in cycle.instances}  # in mark order, not the file's
+        for idoc in cdoc["instances"]:
+            built.setdefault(json.dumps(idoc), set()).add(id(shown[idoc["id"]]))
     assert all(len(ids) == 1 for ids in built.values())
     assert len({next(iter(ids)) for ids in built.values()}) == len(built)
 
 
 def test_a_record_equal_to_an_earlier_one_but_for_its_keys_is_refused():
     # each cycle of the demo scenario repeats the records of cycle 0, which
-    # the loader checks once; a later copy must not pass on that memo
+    # the loader checks once; a later copy must not pass on that memo.
+    # scenario_to_doc lists c_mug, p_anna, t_ball: the mark order.
     for extra, reason in [
-        ({"dpeth": 2.0}, "unknown cycles[2].instances[1] fields: ['dpeth']"),
+        ({"dpeth": 2.0}, "unknown cycles[2].instances[0] fields: ['dpeth']"),
         ({"face_bx": [110, 210, 150, 230]},
-         "unknown cycles[2].instances[1] fields: ['face_bx']"),
+         "unknown cycles[2].instances[0] fields: ['face_bx']"),
         # null is no value of an optional key
         ({"face_box": None},
-         "cycles[2].instances[1] field 'face_box' must be a list of finite numbers, got None"),
+         "cycles[2].instances[0] field 'face_box' must be a list of finite numbers, got None"),
     ]:
         doc = scenario_to_doc(demo_scenario({}))
-        assert "face_box" not in doc["cycles"][2]["instances"][1]  # c_mug
-        doc["cycles"][2]["instances"][1].update(extra)
+        assert "face_box" not in doc["cycles"][2]["instances"][0]  # c_mug
+        doc["cycles"][2]["instances"][0].update(extra)
         with pytest.raises(DataError) as exc:
             scenario_from_doc(doc, origin="demo.json")
         assert str(exc.value) == f"demo.json: {reason}"
     doc = scenario_to_doc(demo_scenario({}))
-    doc["cycles"][3]["instances"][0]["dpeth"] = 2.0  # p_anna, which has a face box
-    with pytest.raises(DataError, match=r"^demo\.json: unknown cycles\[3\]\.instances\[0\] "
+    doc["cycles"][3]["instances"][1]["dpeth"] = 2.0  # p_anna, which has a face box
+    with pytest.raises(DataError, match=r"^demo\.json: unknown cycles\[3\]\.instances\[1\] "
                                         r"fields: \['dpeth'\]$"):
         scenario_from_doc(doc, origin="demo.json")
 
@@ -1079,7 +1089,7 @@ def _dumped_lines(text: str) -> list:
 
 
 def test_cycle_log_lines_are_what_json_dumps_writes(tmp_path):
-    # the bundled files through the loader, and the builder's scenarios as built
+    # the bundled files through the loader, and the builder's documents read in memory
     for name, scenarios in (("bundled", load_scenario_dir(BUNDLED)), ("built", build_corpus())):
         log = tmp_path / f"{name}.jsonl"
         replay_evaluate(scenarios, ScriptedBackend, log_path=log)

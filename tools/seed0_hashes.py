@@ -4,14 +4,15 @@
 
 Runs ``gen-data``, ``train``, ``eval`` and ``sample --n 1000 --mode sample
 --eye 0,0 --head 0,0,0 --target 1.5,0.8,0.2`` at the shipped defaults and
-seed 0, then ``replay --backend scripted`` on the bundled scenarios, through
-``gazeshift.cli.main``, with one BLAS thread, in a temporary directory (or
-under ``DIR``, which is kept). It also reruns ``train --stage 2`` on a copy
-of the trained run. It prints each artifact's SHA-256 and exits 1 if any
-differs from ``EXPECTED``. The replay's ``cycles.jsonl`` is hashed with each
-record's wall-clock ``elapsed_s`` removed, after re-encoding, so the hash
-cannot see how a line is spelled: the script also exits 1 if any line as
-written differs from ``json.dumps`` of its own record, if a link between
+seed 0, then ``replay`` on the bundled scenarios with the ``scripted``,
+``oracle`` and ``adversarial`` backends, through ``gazeshift.cli.main``, with
+one BLAS thread, in a temporary directory (or under ``DIR``, which is kept).
+It also reruns ``train --stage 2`` on a copy of the trained run. It prints
+each artifact's SHA-256 and exits 1 if any differs from ``EXPECTED``. Each
+replay's ``cycles.jsonl`` is hashed with each record's wall-clock
+``elapsed_s`` removed, after re-encoding, so the hash cannot see how a line
+is spelled: the script also exits 1 if any line as written differs from
+``json.dumps`` of its own record, if a link between
 artifacts is broken (``stage1.json``'s ``dataset_hash`` must be the SHA-256
 of ``dataset.jsonl``, and ``prior.json``'s ``stage1_sha256`` that of
 ``stage1.json``), or if a manifest names an input by another digest: the
@@ -52,12 +53,22 @@ EXPECTED = {
     "sample/samples.json": "4adb135587ed54db27544a5868193e4604e76eb8d9ea4c8be5a4152aa0a6527c",
     "replay/success_table.csv": "c8141e38ce61bf269f4e7431afd05a6d42f314c109ec6479b0d9ce4db499dab3",
     "replay/cycles.jsonl": "f86c54cb3fb1dde95f47a5340f14044928acad36825208fb704389ca12d7ae71",
+    "replay-oracle/success_table.csv":
+        "c8141e38ce61bf269f4e7431afd05a6d42f314c109ec6479b0d9ce4db499dab3",
+    "replay-oracle/cycles.jsonl":
+        "9ea35996566367063c677f4ff6a741f13240218ddb1181789d1f00840494a1fc",
+    "replay-adversarial/success_table.csv":
+        "bf5b571f20be86410a3418789feddd1f9e2fe1dfac2df801316265b841f231f3",
+    "replay-adversarial/cycles.jsonl":
+        "e28441c36e5ff2b9ef9698e339a9768dc6d3c7ca821e88cf3e791f3ef826b6b0",
 }
+
+REPLAYS = ("replay", "replay-oracle", "replay-adversarial")
 
 
 def walkthrough(root: Path) -> None:
-    """README's four model commands, a ``train --stage 2`` and a scripted replay,
-    writing under ``root``; raises on a non-zero exit."""
+    """README's four model commands, a ``train --stage 2`` and a replay with each
+    offline backend, writing under ``root``; raises on a non-zero exit."""
     dataset = str(root / "data" / "dataset.jsonl")
     commands = [
         ["gen-data", "--seed", "0", "--out", str(root / "data")],
@@ -70,6 +81,8 @@ def walkthrough(root: Path) -> None:
          "--eye", "0,0", "--head", "0,0,0", "--target", "1.5,0.8,0.2",
          "--out", str(root / "sample")],
         ["replay", "--backend", "scripted", "--out", str(root / "replay")],
+        ["replay", "--backend", "oracle", "--out", str(root / "replay-oracle")],
+        ["replay", "--backend", "adversarial", "--out", str(root / "replay-adversarial")],
     ]
     for argv in commands:
         if "--stage" in argv:
@@ -141,10 +154,13 @@ def check(root: Path) -> int:
         status = "ok" if actual == expected else f"MOVED (expected {expected})"
         moved += actual != expected
         print(f"{actual}  {name}  {status}")
-    respelled = respelled_lines(root / "replay" / "cycles.jsonl")
-    if respelled:
-        print(f"replay/cycles.jsonl: {len(respelled)} lines differ from json.dumps of their "
-              f"record, the first is line {respelled[0]}")
+    respelled = False
+    for replay in REPLAYS:
+        lines = respelled_lines(root / replay / "cycles.jsonl")
+        if lines:
+            respelled = True
+            print(f"{replay}/cycles.jsonl: {len(lines)} lines differ from json.dumps of their "
+                  f"record, the first is line {lines[0]}")
     broken = broken_links(root)
     for line in broken:
         print(f"broken link: {line}")
