@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from contextlib import closing, contextmanager
@@ -399,9 +400,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags whose comma-separated numbers may start with a minus sign, and
+# such a value: argparse takes "-30,5,0" after "--head" for a flag of its own.
+_SIGNED_FLAGS = ("--eye", "--head", "--target")
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_signed_values(argv: list) -> list:
+    """``argv`` with each ``--eye``/``--head``/``--target`` that is followed by a
+    value starting with a minus sign and a digit or point joined to it by
+    ``=``, the spelling argparse reads as that flag's value."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _SIGNED_FLAGS and _SIGNED_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         seed = getattr(args, "seed", None)
         if seed is not None and seed < 0:

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from ..errors import BackendError
-from .scenario import ScenarioCycle, box_center
+from .scenario import ScenarioCycle
 
 HISTORY_LENGTH = 10
 
@@ -36,10 +36,17 @@ class ResponseParseError(Exception):
 
 
 def marked_semantics(cycle: ScenarioCycle) -> str:
-    """The cycle's semantics with each placeholder "{instance_id}" written "category [mark]"."""
+    """The cycle's semantics with each placeholder "{instance_id}" written "category [mark]".
+
+    The instances are taken in mark order, each rewriting the text as the
+    ones before it left it. An instance whose ``placeholder`` that text does
+    not hold is skipped, which changes nothing: replacing an absent
+    substring returns the text as it is.
+    """
     text = cycle.semantics
     for mark, inst in enumerate(cycle.instances, start=1):
-        text = text.replace("{" + inst.instance_id + "}", f"{inst.category} [{mark}]")
+        if inst.placeholder in text:
+            text = text.replace(inst.placeholder, f"{inst.category} [{mark}]")
     return text
 
 
@@ -74,11 +81,13 @@ REST_RECORD = GazeTargetRecord(
 class MemoryBuffer:
     """Rolling interaction memory carried between cycles.
 
-    Holds the previous gaze record and a capped textual history (FIFO
-    eviction).
+    Holds the previous gaze record, its ``summary()`` text, and a capped
+    textual history (FIFO eviction). Only ``advance`` sets them, so the
+    summary is formatted once per cycle and the next prompt reuses it.
     """
 
-    prev_record: GazeTargetRecord | None = None
+    prev_record: GazeTargetRecord | None = field(default=None, init=False)
+    prev_summary: str | None = field(default=None, init=False)
     history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_LENGTH), init=False)
 
     def advance(self, cycle_index: int, semantics: str | None, record: GazeTargetRecord) -> None:
@@ -89,7 +98,8 @@ class MemoryBuffer:
         """
         scene = "cycle: (empty scene)" if semantics is None else f"cycle {cycle_index}: {semantics}"
         self.prev_record = record
-        self.history.append(f"{scene} -> {record.summary()}")
+        self.prev_summary = summary = record.summary()
+        self.history.append(f"{scene} -> {summary}")
 
 
 def synthesize_prompt(cycle: ScenarioCycle, semantics: str, buffer: MemoryBuffer) -> tuple:
@@ -102,16 +112,20 @@ def synthesize_prompt(cycle: ScenarioCycle, semantics: str, buffer: MemoryBuffer
     byte-identical prompts. Each candidate line is "  [mark] " and the
     instance's ``prompt_entry()``, which each distinct instance formats
     once, on first use, and reuses on every later cycle that shows it.
+    The previous gaze is the summary text ``MemoryBuffer.advance`` kept.
+    The history block is its entries indented by two spaces and joined
+    with newlines in one step: an entry that holds a newline itself is
+    indented only on its first line, as a line per entry would be.
     """
     lines = [PROMPT_INSTRUCTIONS, "", "Candidates:"]
     lines += [f"  [{mark}] {inst.prompt_entry()}"
               for mark, inst in enumerate(cycle.instances, start=1)]
     lines += ["", "Current scene:", f"  {semantics}"]
-    if buffer.prev_record is not None:
-        lines += ["", "Previous gaze:", f"  {buffer.prev_record.summary()}"]
+    if buffer.prev_summary is not None:
+        lines += ["", "Previous gaze:", "  " + buffer.prev_summary]
     if buffer.history:
-        lines += ["", f"History (last {len(buffer.history)} cycles):"]
-        lines += [f"  {entry}" for entry in buffer.history]
+        lines += ["", f"History (last {len(buffer.history)} cycles):",
+                  "  " + "\n  ".join(buffer.history)]
     return "\n".join(lines), cycle.image_ref
 
 
@@ -144,24 +158,20 @@ def parse_response(raw: str, cycle: ScenarioCycle) -> int:
 
 
 def localize(mark: int, cycle: ScenarioCycle) -> GazeTargetRecord:
-    """Back-project the selected instance to a base-frame 3D point.
+    """The record of the selected instance, with its pixel and base-frame 3D point.
 
     Persons are localized at the face-box center; a person without a face
-    box falls back to the body box, flagged on the record.
+    box falls back to the body box, flagged on the record. The points come
+    from ``Instance.placement``, which works them out once for the
+    scenario's camera and transform objects, the first time a cycle
+    selects the instance, and reuses them on every later cycle that does.
     """
     inst = cycle.instances[mark - 1]
-    face_fallback = False
-    if inst.is_person() and inst.face_box is not None:
-        u, v = box_center(inst.face_box)
-    else:
-        if inst.is_person():
-            face_fallback = True
-        u, v = box_center(inst.box)
-    cam_point = cycle.camera.back_project(u, v, inst.depth)
+    point_2d, point_3d, face_fallback = inst.placement(cycle.camera, cycle.base_from_camera)
     return GazeTargetRecord(
         mark=mark, instance_id=inst.instance_id, category=inst.category,
-        box=inst.box, face_box=inst.face_box, point_2d=(u, v),
-        point_3d=cycle.base_from_camera.apply(cam_point), face_fallback=face_fallback,
+        box=inst.box, face_box=inst.face_box, point_2d=point_2d,
+        point_3d=point_3d, face_fallback=face_fallback,
     )
 
 

@@ -15,7 +15,7 @@ import marshal
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..config import Schema, check_object, finite_floats
+from ..config import Schema, check_object, finite_float, finite_floats
 from ..errors import DataError
 
 SCENARIO_SCHEMA = "gazeshift-scenario"
@@ -116,16 +116,24 @@ class RigidTransform:
 def _check_box(box, camera: CameraIntrinsics, cycle_index: int, instance_id: str, label: str):
     """Raise ValueError unless ``box`` is a (left, top, right, bottom) box inside the image.
 
-    The message, naming the cycle, the instance and ``label``, is built only
+    Each entry must be a number by ``config.finite_float``'s rule. The
+    message, naming the cycle, the instance and ``label``, is built only
     when the check fails. ``ScenarioCycle`` runs this for each box of each
     instance it shows, unless that instance already passed against the
     cycle's camera object.
     """
-    box = tuple(map(float, box))
-    if len(box) != 4:
+    try:
+        entries = tuple(box)
+    except TypeError:  # not a sequence
+        entries = ()
+    numbers = tuple(map(finite_float, entries))
+    if len(entries) != 4:
         reason = "must be (left, top, right, bottom)"
+    elif None in numbers:
+        k = numbers.index(None)
+        reason = f"entry {k} must be a finite number, got {entries[k]!r}"
     else:
-        left, top, right, bottom = box
+        left, top, right, bottom = numbers
         if not (left < right and top < bottom):
             reason = "is empty or inverted"
         elif left < 0 or top < 0 or right > camera.width or bottom > camera.height:
@@ -149,10 +157,17 @@ class Instance:
 
     A scenario shows the same Instance cycle after cycle, so per-instance
     work is done once and kept in fields that equality, hashing and repr
-    ignore. The prompt entry is formatted on first use and kept in
-    ``_prompt_entry``. ``_boxed_for`` is the camera object the boxes last
-    passed ``_check_box`` against: a later cycle with that same camera
-    skips the check, and any other camera checks the boxes again.
+    ignore:
+
+    - ``placeholder``, the text ``"{instance_id}"`` that semantics names the
+      instance by, is formatted when the instance is built;
+    - the prompt entry is formatted on first use and kept in ``_prompt_entry``;
+    - ``_boxed_for`` is the camera object the boxes last passed ``_check_box``
+      against: a later cycle with that same camera skips the check, and any
+      other camera checks the boxes again;
+    - ``_placement`` holds the camera and transform objects of the last
+      ``placement`` call and what it returned: a later call with those same
+      two objects returns it, and any other pair works it out again.
     """
 
     instance_id: str
@@ -160,15 +175,18 @@ class Instance:
     box: tuple  # (left, top, right, bottom) pixels
     depth: float  # representative depth, metres
     face_box: tuple | None = None  # persons only, may be absent
+    placeholder: str = field(init=False, repr=False, compare=False)
     _prompt_entry: str | None = field(default=None, init=False, repr=False, compare=False)
     _boxed_for: CameraIntrinsics | None = field(default=None, init=False, repr=False,
                                                 compare=False)
+    _placement: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.instance_id or not self.category:
             raise ValueError("instance id and category must be non-empty")
         if not self.depth > 0:
             raise ValueError(f"instance {self.instance_id}: depth must be positive")
+        object.__setattr__(self, "placeholder", "{" + self.instance_id + "}")
 
     def is_person(self) -> bool:
         return self.category in PERSON_CATEGORIES
@@ -187,6 +205,30 @@ class Instance:
                      f"depth {self.depth:.2f} m)")
             object.__setattr__(self, "_prompt_entry", entry)
         return entry
+
+    def placement(self, camera: CameraIntrinsics, base_from_camera: RigidTransform) -> tuple:
+        """``(point_2d, point_3d, face_fallback)``: where the robot looks to gaze at this instance.
+
+        A person is placed at the face-box center; a person without a face
+        box falls back to the body-box center, with ``face_fallback`` set.
+        ``point_2d`` is in pixels, ``point_3d`` is ``point_2d`` back-projected
+        at the instance's depth and carried into the base frame. The result
+        is worked out on the first call with a camera and transform pair and
+        returned again while later calls pass those same two objects.
+        """
+        placed = self._placement
+        if placed is None or placed[0] is not camera or placed[1] is not base_from_camera:
+            face_fallback = False
+            if self.is_person() and self.face_box is not None:
+                u, v = box_center(self.face_box)
+            else:
+                if self.is_person():
+                    face_fallback = True
+                u, v = box_center(self.box)
+            point_3d = base_from_camera.apply(camera.back_project(u, v, self.depth))
+            placed = (camera, base_from_camera, ((u, v), point_3d, face_fallback))
+            object.__setattr__(self, "_placement", placed)
+        return placed[2]
 
 
 @dataclass(frozen=True)

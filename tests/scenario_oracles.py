@@ -11,11 +11,22 @@ a document with one fault both detect, the same message.
 box edge, then id. The package sorts each cycle's instances into it once,
 when the ``ScenarioCycle`` is built, and mark m is ``cycle.instances[m - 1]``.
 
+``marked_semantics_sequential`` is the placeholder rewrite
+``marked_semantics`` replaced: it formats each instance's "{id}" and replaces
+it, present or not, in mark order, where the package formats each
+placeholder once per instance and replaces only those the text holds.
+
 ``synthesize_prompt_per_cycle`` is the prompt builder ``synthesize_prompt``
 replaced: it marks the instances it is given with ``mark_order``, writes the
 placeholders of the semantics as marked references, and formats every
-candidate line on every call, where the package formats each instance's
-entry once and reuses it. Both must give the same text for every cycle.
+candidate line, the previous gaze and each history line on every call,
+where the package formats each instance's entry once and reuses it, and
+joins the history in one step. Both must give the same text for every cycle.
+
+``localize_per_call`` is the ``localize`` replaced: it works out the selected
+instance's pixel and base-frame point on every call, where the package
+keeps each instance's placement for the camera and transform objects it
+was worked out for.
 
 ``project`` is the inverse of ``CameraIntrinsics.back_project``: the pixel
 a camera-frame point lands on. The package needs only the one direction.
@@ -25,11 +36,11 @@ from __future__ import annotations
 
 from gazeshift.config import check_object
 from gazeshift.errors import DataError
-from gazeshift.reasoner.pipeline import PROMPT_INSTRUCTIONS, MemoryBuffer
+from gazeshift.reasoner.pipeline import PROMPT_INSTRUCTIONS, GazeTargetRecord, MemoryBuffer
 from gazeshift.reasoner.scenario import (CAMERA_SCHEMA, CYCLE_SCHEMA, DOCUMENT_SCHEMA,
                                          INSTANCE_SCHEMA, SCENARIO_SCHEMA, SCENARIO_VERSION,
                                          TRANSFORM_SCHEMA, CameraIntrinsics, Instance,
-                                         RigidTransform, Scenario, ScenarioCycle)
+                                         RigidTransform, Scenario, ScenarioCycle, box_center)
 
 
 def scenario_from_doc_per_record(doc: dict, origin: str = "<doc>") -> Scenario:
@@ -92,11 +103,17 @@ def mark_order(instances) -> list:
     return sorted(instances, key=lambda i: (i.category, i.box[0], i.instance_id))
 
 
+def marked_semantics_sequential(semantics: str, marked) -> str:
+    """``semantics`` with each of ``marked``, instances in mark order, rewritten in turn."""
+    for mark, inst in enumerate(marked, start=1):
+        semantics = semantics.replace("{" + inst.instance_id + "}", f"{inst.category} [{mark}]")
+    return semantics
+
+
 def synthesize_prompt_per_cycle(semantics: str, instances, image_ref: str | None,
                                 buffer: MemoryBuffer) -> tuple:
     marks = dict(enumerate(mark_order(instances), start=1))
-    for mark, inst in marks.items():
-        semantics = semantics.replace("{" + inst.instance_id + "}", f"{inst.category} [{mark}]")
+    semantics = marked_semantics_sequential(semantics, marks.values())
     lines = [PROMPT_INSTRUCTIONS, "", "Candidates:"]
     for mark, inst in marks.items():
         left, top, right, bottom = inst.box
@@ -110,3 +127,20 @@ def synthesize_prompt_per_cycle(semantics: str, instances, image_ref: str | None
         lines += ["", f"History (last {len(buffer.history)} cycles):"]
         lines += [f"  {entry}" for entry in buffer.history]
     return "\n".join(lines), image_ref
+
+
+def localize_per_call(mark: int, cycle: ScenarioCycle) -> GazeTargetRecord:
+    inst = cycle.instances[mark - 1]
+    face_fallback = False
+    if inst.is_person() and inst.face_box is not None:
+        u, v = box_center(inst.face_box)
+    else:
+        if inst.is_person():
+            face_fallback = True
+        u, v = box_center(inst.box)
+    cam_point = cycle.camera.back_project(u, v, inst.depth)
+    return GazeTargetRecord(
+        mark=mark, instance_id=inst.instance_id, category=inst.category,
+        box=inst.box, face_box=inst.face_box, point_2d=(u, v),
+        point_3d=cycle.base_from_camera.apply(cam_point), face_fallback=face_fallback,
+    )

@@ -914,6 +914,22 @@ def test_sample_writes_the_per_draw_loops_bytes(pipeline, tmp_path, mode, seed, 
         assert len(codes) == 1
 
 
+def test_sample_reads_a_value_with_a_leading_minus_after_a_space(pipeline, tmp_path):
+    _, _, _, run_dir = pipeline
+    condition = {"eye": "-4,-2", "head": "-30,5,0", "target": "-.6,-1.2,0.9"}
+    joined = [f"--{k}={v}" for k, v in condition.items()]
+    spaced = [token for k, v in condition.items() for token in (f"--{k}", v)]
+    written = []
+    for name, flags in (("joined", joined), ("spaced", spaced)):
+        out = tmp_path / name
+        assert main(["sample", "--run", str(run_dir), "--n", "50", *flags,
+                     "--out", str(out)]) == 0
+        written.append((out / "samples.json").read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["condition"] == {
+        "eye_deg": [-4.0, -2.0], "head_deg": [-30.0, 5.0, 0.0], "target_m": [-0.6, -1.2, 0.9]}
+
+
 def test_sample_with_an_allocation_outside_pi_exit_training(pipeline, tmp_path, capsys):
     # the model produced the unusable output, not the flags: exit 4, nothing written
     _, _, _, run_dir = pipeline

@@ -13,6 +13,7 @@ import json
 import math
 import reprlib
 import socket
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,8 @@ from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
 from json_numbers import bad_json_numbers
 from json_objects import WRONG_VALUES, scenario_objects
 from scenario_corpus import build_corpus, scenario_to_doc, write_corpus, write_scenario
-from scenario_oracles import (mark_order, project, scenario_from_doc_per_record,
+from scenario_oracles import (localize_per_call, mark_order, marked_semantics_sequential,
+                              project, scenario_from_doc_per_record,
                               synthesize_prompt_per_cycle)
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -141,6 +143,42 @@ def test_cycle_keeps_its_instances_in_mark_order(data):
 def test_semantics_placeholders_become_marked_references():
     assert marked_semantics(make_cycle(0, "{p_anna} waves at {c_mug}")) == \
         "person [2] waves at cup [1]"
+
+
+# Ids and categories from a small alphabet with braces, so that placeholders sit side by
+# side, repeat, are missing, and a category can spell another instance's placeholder.
+_SEMANTIC_IDS = st.text(st.sampled_from("ab{}"), min_size=1, max_size=3)
+
+
+@st.composite
+def _semantic_cases(draw):
+    """Ids, one category per id, and the words of a semantics text."""
+    ids = draw(st.lists(_SEMANTIC_IDS, min_size=1, max_size=5, unique=True))
+    placeholders = st.sampled_from(ids).map(lambda iid: "{" + iid + "}")
+    categories = draw(st.lists(
+        st.one_of(st.sampled_from(["cup", "person", "{", "}"]), placeholders,
+                  st.text(st.sampled_from("ab{} ["), min_size=1, max_size=4)),
+        min_size=len(ids), max_size=len(ids)))
+    words = draw(st.lists(
+        st.one_of(placeholders,
+                  _SEMANTIC_IDS.map(lambda iid: "{" + iid + "}"),  # often no instance's
+                  st.sampled_from(["", " ", "{", "}", "near"])),
+        max_size=8))
+    return ids, categories, words
+
+
+@settings(max_examples=300, deadline=None)
+# mark 1's category spells mark 2's placeholder, which the text holds only after mark 1's
+# rewrite; placeholders repeat and touch
+@example((["a", "b"], ["A{b}", "cup"], ["{a}", " ", "{a}{a}", "{", "}", "{c}"]))
+@given(_semantic_cases())
+def test_marked_semantics_equals_sequential_replace(case):
+    ids, categories, words = case
+    semantics = "".join(words)  # no separator: placeholders may touch
+    instances = tuple(Instance(iid, category, (0, 0, 10, 10), 1.0)
+                      for iid, category in zip(ids, categories))
+    cycle = make_cycle(0, semantics, instances)
+    assert marked_semantics(cycle) == marked_semantics_sequential(semantics, cycle.instances)
 
 
 def test_empty_scene_raises():
@@ -240,6 +278,21 @@ def test_cycles_that_share_an_instance_reuse_its_prompt_entry():
     assert all(inst._prompt_entry is entry for inst, entry in zip(shared, entries))
 
 
+@pytest.mark.parametrize("label, bad", [("box", "0"), ("box", True), ("box", False),
+                                        ("face box", "340"), ("face box", True),
+                                        ("box", float("nan")), ("face box", 10 ** 400)],
+                         ids=["box-str", "box-true", "box-false", "face-str", "face-true",
+                              "box-nan", "face-huge-int"])
+def test_a_box_entry_that_is_not_a_finite_number_fails_in_its_cycle(label, bad):
+    box, face_box = [300, 80, 420, 460], [340, 100, 380, 150]
+    (box if label == "box" else face_box)[0] = bad
+    person = Instance("p", "person", tuple(box), 2.0, face_box=tuple(face_box))
+    with pytest.raises(ValueError) as raised:
+        make_cycle(4, "{p}", instances=(person,))
+    assert str(raised.value) == (f"cycle 4 instance p {label} entry 0 must be a finite number, "
+                                 f"got {bad!r}")
+
+
 def test_instance_with_a_malformed_box_still_fails_in_its_cycle():
     short = Instance("short", "cup", (10.0, 10.0, 60.0), 1.0)  # the entry is not formatted yet
     with pytest.raises(ValueError, match=r"^cycle 3 instance short box must be "
@@ -252,7 +305,9 @@ def test_prompt_entry_is_outside_equality_hash_and_repr():
             "face_box=None)")
     prompted, fresh = (Instance("c", "cup", (1, 2, 30, 40), 1.5) for _ in range(2))
     assert prompted.prompt_entry() == "cup (id c, box 1,2,30,40, depth 1.50 m)"
-    assert fresh._prompt_entry is None
+    assert localize(1, make_cycle(0, "{c}", instances=(prompted,))).point_2d == (15.5, 21.0)
+    assert fresh._prompt_entry is None and fresh._placement is None
+    assert prompted._placement is not None
     assert prompted == fresh and hash(prompted) == hash(fresh)
     assert repr(prompted) == repr(fresh) == text
 
@@ -404,6 +459,47 @@ def test_localize_applies_base_from_camera():
     cam_point = demo_camera().back_project(320.0, 240.0, 2.0)
     np.testing.assert_allclose(record.point_3d, R @ cam_point + [0, 0, 1.5],
                                atol=1e-12)
+
+
+@st.composite
+def _placed_instances(draw):
+    """A person with a face box, a person without one, or an object, in a 640x480 image."""
+    kind = draw(st.sampled_from(["face", "body", "object"]))
+    left, right = sorted(draw(st.lists(st.integers(0, 640), min_size=2, max_size=2,
+                                       unique=True)))
+    top, bottom = sorted(draw(st.lists(st.floats(0, 480), min_size=2, max_size=2,
+                                       unique=True)))
+    face_box = None
+    if kind == "face":
+        face_box = (left, top, draw(st.integers(left + 1, right)), bottom)
+    return Instance("x", "cup" if kind == "object" else "person", (left, top, right, bottom),
+                    draw(st.floats(0.1, 10.0)), face_box=face_box)
+
+
+_CAMERAS = st.builds(CameraIntrinsics, fx=st.floats(100.0, 2000.0), fy=st.floats(100.0, 2000.0),
+                     cx=st.floats(0.0, 640.0), cy=st.floats(0.0, 480.0),
+                     width=st.just(640), height=st.just(480))
+_TRANSFORMS = st.builds(
+    lambda q, t: RigidTransform(_quaternion_rotation(*q), t),
+    st.tuples(_unit, _unit, _unit, _unit).filter(lambda q: sum(c * c for c in q) > 0.01),
+    st.tuples(_coordinate, _coordinate, _coordinate))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_placed_instances(), st.data())
+def test_a_shared_instance_is_localized_as_every_call_would(inst, data):
+    # equal values in distinct objects count as other cameras and transforms too
+    cameras = data.draw(st.lists(_CAMERAS, min_size=1, max_size=3))
+    cameras.append(replace(cameras[0]))
+    transforms = data.draw(st.lists(_TRANSFORMS, min_size=1, max_size=3))
+    transforms.append(replace(transforms[0]))
+    order = data.draw(st.lists(st.tuples(st.sampled_from(cameras), st.sampled_from(transforms)),
+                               min_size=1, max_size=10))
+    for t, (camera, transform) in enumerate(order):
+        cycle = ScenarioCycle(t, "{x}", (inst,), camera, transform)
+        got, want = localize(1, cycle), localize_per_call(1, cycle)
+        assert got == want and repr(got) == repr(want)
+        assert inst._placement[0] is camera and inst._placement[1] is transform
 
 
 # -- memory buffer ------------------------------------------------------------------------

@@ -7,8 +7,12 @@ Runs ``gen-data``, ``train``, ``eval`` and ``sample --n 1000 --mode sample
 seed 0, then ``replay`` on the bundled scenarios with the ``scripted``,
 ``oracle`` and ``adversarial`` backends, through ``gazeshift.cli.main``, with
 one BLAS thread, in a temporary directory (or under ``DIR``, which is kept).
-It also reruns ``train --stage 2`` on a copy of the trained run. It prints
-each artifact's SHA-256 and exits 1 if any differs from ``EXPECTED``. Each
+It also reruns ``train --stage 2`` on a copy of the trained run, and each
+replay a second time in the same process, into ``<replay>-again``. It prints
+each artifact's SHA-256 and exits 1 if any differs from ``EXPECTED``, or if
+a second replay's ``cycles.jsonl`` or ``success_table.csv`` hashes other
+than the first's: what a scenario's instances keep from one replay must not
+reach the next. Each
 replay's ``cycles.jsonl`` is hashed with each record's wall-clock
 ``elapsed_s`` removed, after re-encoding, so the hash cannot see how a line
 is spelled: the script also exits 1 if any line as written differs from
@@ -64,11 +68,12 @@ EXPECTED = {
 }
 
 REPLAYS = ("replay", "replay-oracle", "replay-adversarial")
+REPLAY_OUTPUTS = ("cycles.jsonl", "success_table.csv")
 
 
 def walkthrough(root: Path) -> None:
-    """README's four model commands, a ``train --stage 2`` and a replay with each
-    offline backend, writing under ``root``; raises on a non-zero exit."""
+    """README's four model commands, a ``train --stage 2`` and two replays with
+    each offline backend, writing under ``root``; raises on a non-zero exit."""
     dataset = str(root / "data" / "dataset.jsonl")
     commands = [
         ["gen-data", "--seed", "0", "--out", str(root / "data")],
@@ -84,6 +89,7 @@ def walkthrough(root: Path) -> None:
         ["replay", "--backend", "oracle", "--out", str(root / "replay-oracle")],
         ["replay", "--backend", "adversarial", "--out", str(root / "replay-adversarial")],
     ]
+    commands += [[*argv[:-1], f"{argv[-1]}-again"] for argv in commands if argv[0] == "replay"]
     for argv in commands:
         if "--stage" in argv:
             shutil.copytree(root / "model", root / "stage2")
@@ -144,10 +150,24 @@ def manifest_faults(root: Path) -> list:
     return faults
 
 
+def rerun_differences(root: Path) -> list:
+    """Each output of a second replay whose content hashes other than the first's, as text."""
+    differences = []
+    for replay in REPLAYS:
+        for name in REPLAY_OUTPUTS:
+            first, again = (hashlib.sha256(_content(root / directory / name)).hexdigest()
+                            for directory in (replay, f"{replay}-again"))
+            if again != first:
+                differences.append(f"{replay}-again/{name} is {again}, not {first} as in "
+                                   f"{replay}/{name}")
+    return differences
+
+
 def check(root: Path) -> int:
     """Print each artifact's SHA-256; 1 if any differs from EXPECTED, a cycle-log
-    line is not spelled as ``json.dumps`` writes it, a link is broken or a
-    manifest records an input by another digest, else 0."""
+    line is not spelled as ``json.dumps`` writes it, a second replay's output
+    differs from the first's, a link is broken or a manifest records an input
+    by another digest, else 0."""
     moved = 0
     for name, expected in EXPECTED.items():
         actual = hashlib.sha256(_content(root / name)).hexdigest()
@@ -161,6 +181,11 @@ def check(root: Path) -> int:
             respelled = True
             print(f"{replay}/cycles.jsonl: {len(lines)} lines differ from json.dumps of their "
                   f"record, the first is line {lines[0]}")
+    reruns = rerun_differences(root)
+    for line in reruns:
+        print(f"rerun: {line}")
+    if not reruns:
+        print(f"reruns ok: each second replay wrote the first's {' and '.join(REPLAY_OUTPUTS)}")
     broken = broken_links(root)
     for line in broken:
         print(f"broken link: {line}")
@@ -171,7 +196,7 @@ def check(root: Path) -> int:
         print(f"manifest: {line}")
     if not faults:
         print("manifests ok: replay inputs, train --stage 2 inputs")
-    return 1 if moved or respelled or broken or faults else 0
+    return 1 if moved or respelled or reruns or broken or faults else 0
 
 
 def run(out: str | None) -> int:
