@@ -28,7 +28,7 @@ from pathlib import Path
 # never load them.
 from . import __version__, datagen, prior as prior_mod, trainer, vqvae
 from .atomic import open_atomic
-from .config import Schema, check_object
+from .config import Schema, check_object, parse_json
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
 # The remote transport is a lazy module too: only the remote backend reads it.
 from .reasoner import backends, load_scenario_dir
@@ -119,7 +119,7 @@ def load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = parse_json(Path(path).read_text(encoding="utf-8"))
         check_object(doc, CONFIG_SCHEMA, "config")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -207,12 +207,13 @@ def cmd_eval(args) -> int:
     dataset = datagen.read_dataset(args.dataset)
     model, prior, checkpoints = _load_models(args.run)
     Yv, Cv = trainer.dataset_arrays(dataset, "val")
+    Yv, Xv = vqvae.model_inputs(Yv, Cv, model.config.target_scale)
     Rv = vqvae.target_rotations(Yv, Cv)
-    eye1, head1, utilization = trainer.validate_stage1(model, Yv, Cv, Rv)
+    eye1, head1, utilization = trainer.validate_stage1(model, Yv, Xv, Rv)
     val_labels = trainer.record_codes(model, dataset, "val")
     preds = model.decode_codes(Cv)
     eye2, head2, top1 = trainer.validate_stage2(
-        prior, Cv, trainer.CodeErrors.of(preds, Cv, Rv), val_labels)
+        prior, Xv, trainer.CodeErrors.of(preds, Cv, Rv), val_labels)
 
     # How each code splits work between head and eyes, over validation
     # conditions that argmax-decode to it.

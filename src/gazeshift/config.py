@@ -1,7 +1,9 @@
-"""The one rule for a JSON object (``check_object``) and the config reader built on it."""
+"""The one reader of JSON text (``parse_json``), the one rule for a JSON object
+(``check_object``) and the config reader built on it."""
 
 from __future__ import annotations
 
+import json
 import math
 import reprlib
 from dataclasses import MISSING, fields
@@ -11,6 +13,20 @@ from .errors import ConfigError
 
 # The types json.loads gives a JSON number: ``type(True)`` is bool, not int.
 _NUMBER_TYPES = frozenset({int, float})
+
+
+def parse_json(text):
+    """``json.loads(text)``, through which every JSON text the package reads goes.
+
+    A document nested too deeply for the parser's recursion limit raises
+    ValueError, as any other text that does not parse does (a
+    ``json.JSONDecodeError`` is one), so each reader's own ``except`` names
+    the file and gives its exit code.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON text nested too deeply to parse") from None
 
 
 def _is_int(value) -> bool:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import so3
 from .atomic import open_atomic
-from .config import Schema, check_object, read_config
+from .config import Schema, check_object, parse_json, read_config
 from .errors import ConfigError, DataError
 from .vqvae import _MIN_TARGET_NORM, allocation_violations, condition_violations
 
@@ -407,7 +407,7 @@ def _parse_line(line: str, path, line_no: int) -> dict:
     if not line.strip():
         raise DataError(f"{path}: line {line_no}: blank line inside dataset")
     try:
-        doc = json.loads(line)
+        doc = parse_json(line)
         check_object(doc, SAMPLE_SCHEMA, "sample")
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
@@ -438,8 +438,8 @@ def read_dataset(path) -> Dataset:
     if not lines:
         raise DataError(f"{path}: empty dataset file")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = parse_json(lines[0])
+    except ValueError as exc:  # a json.JSONDecodeError, or nesting too deep to parse
         raise DataError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") != DATASET_SCHEMA:
         raise DataError(f"{path}: missing {DATASET_SCHEMA} header")

@@ -26,7 +26,10 @@ that the gradient's sum is finite and scans element by element only when
 it is not (NaN, an inf, or finite values whose sum overflows); it runs the
 update's per-element expressions, in their usual operand order, through
 two scratch vectors its :class:`AdamState` owns, so a step allocates
-nothing. ``save_checkpoint`` writes the text of one ``json.dumps`` of the
+nothing. Once the first moment's bias correction ``1 - beta1**t`` has
+rounded to exactly 1.0 (from step 356 at the default beta1), the step
+skips its division by it, which would leave every bit as it is.
+``save_checkpoint`` writes the text of one ``json.dumps`` of the
 whole document, one parameter at a time.
 
 A checkpoint's identity is the SHA-256 of its bytes: ``save_checkpoint``
@@ -46,7 +49,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .atomic import open_atomic
-from .config import Schema, check_object
+from .config import Schema, check_object, parse_json
 
 CHECKPOINT_FORMAT = "gazeshift-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -337,7 +340,10 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
 
     evaluated with the same ufuncs in the same operand order, writing its
     temporaries into ``state.scratch``, so the bits are those of the
-    whole-array expressions.
+    whole-array expressions. Where ``bc1`` is exactly 1.0 (every step
+    from the 356th at beta1 = 0.9) the step computes ``lr * m``, skipping
+    ``m / bc1``: dividing by 1.0 returns its operand unchanged. ``bc2``
+    stays near 1 far longer (until step 37,412) and is always divided by.
     """
     if np.shape(grad) != np.shape(params) or np.shape(params) != state.m.shape:
         raise ValueError(f"gradient shape {np.shape(grad)} and parameter shape "
@@ -364,8 +370,11 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     np.multiply(1.0 - state.beta2, grad, out=a)
     np.multiply(a, grad, out=a)
     v += a
-    np.divide(m, bc1, out=a)
-    np.multiply(state.lr, a, out=a)
+    if bc1 == 1.0:
+        np.multiply(state.lr, m, out=a)
+    else:
+        np.divide(m, bc1, out=a)
+        np.multiply(state.lr, a, out=a)
     np.divide(v, bc2, out=b)
     np.sqrt(b, out=b)
     np.add(b, state.eps, out=b)
@@ -460,7 +469,7 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = parse_json(data.decode("utf-8"))
         check_object(doc, CHECKPOINT_SCHEMA, "checkpoint")
         if doc["format"] != CHECKPOINT_FORMAT:
             raise ValueError(f"not a {CHECKPOINT_FORMAT} file")

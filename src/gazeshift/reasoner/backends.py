@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from urllib.parse import unquote, urlsplit
 
-from ..config import read_config
+from ..config import parse_json, read_config
 from ..errors import BackendError
 from .replay import OracleBackend, ScriptedBackend  # noqa: F401  (re-exported)
 
@@ -297,7 +297,7 @@ class RemoteBackend:
             raise BackendError(f"transport failure: HTTP {status} {reason} "
                                f"from {self.config.endpoint}")
         try:
-            return json.loads(data.decode("utf-8"))["choices"][0]["message"]["content"]
+            return parse_json(data.decode("utf-8"))["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion payload: {exc}") from exc
 

@@ -10,12 +10,11 @@ Detection and depth aggregation happen upstream; files carry their results.
 from __future__ import annotations
 
 import hashlib
-import json
 import marshal
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..config import Schema, check_object, finite_float, finite_floats
+from ..config import Schema, check_object, finite_float, finite_floats, parse_json
 from ..errors import DataError
 
 SCENARIO_SCHEMA = "gazeshift-scenario"
@@ -153,7 +152,9 @@ class Instance:
     """One candidate gaze target visible in a cycle.
 
     Every box entry is a number by ``config.finite_float``'s rule (an int
-    or a float, not a bool, finite as a float) and keeps its JSON type.
+    or a float, not a bool, finite as a float) and keeps its JSON type. So
+    is ``depth``, which must also be positive; the instance is refused
+    with a ValueError naming it otherwise, once, when it is built.
 
     A scenario shows the same Instance cycle after cycle, so per-instance
     work is done once and kept in fields that equality, hashing and repr
@@ -184,8 +185,10 @@ class Instance:
     def __post_init__(self):
         if not self.instance_id or not self.category:
             raise ValueError("instance id and category must be non-empty")
-        if not self.depth > 0:
-            raise ValueError(f"instance {self.instance_id}: depth must be positive")
+        depth = finite_float(self.depth)
+        if depth is None or not depth > 0:
+            raise ValueError(f"instance {self.instance_id}: depth must be a positive finite "
+                             f"number, got {self.depth!r}")
         object.__setattr__(self, "placeholder", "{" + self.instance_id + "}")
 
     def is_person(self) -> bool:
@@ -389,7 +392,7 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         data = path.read_bytes()
-        doc = json.loads(data.decode("utf-8"))
+        doc = parse_json(data.decode("utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text, or not JSON
         raise DataError(f"{path}: {exc}") from exc
     return scenario_from_doc(doc, origin=str(path), sha256=hashlib.sha256(data).hexdigest())

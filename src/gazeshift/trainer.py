@@ -21,8 +21,13 @@ ground-truth target poses, per component; the best checkpoint of each
 stage minimises the summed eye+head validation MGD, and stage 2 breaks a
 tie by the higher top-1 agreement, then the lower focal loss.
 
-Each stage computes the rotations of its splits' ground-truth target poses
-once (``vqvae.target_rotations``) and hands steps and validations their rows.
+Each stage does its per-split work once, before its first epoch: it
+checks each split's rows for NaN and inf and normalises their conditions
+(``vqvae.model_inputs``; a bad row is a TrainingError naming the stage and
+the split) and computes the rotations of the ground-truth target poses
+(``vqvae.target_rotations``). Steps and validations take those rows and
+check nothing again. Each epoch gathers the training rows in its shuffled
+order once, and every step takes contiguous slices of them.
 
 ``_fit`` also times each epoch's phases with ``time.perf_counter``: the
 batch steps (forward pass, loss and backward pass), the optimizer updates
@@ -48,12 +53,13 @@ import numpy as np
 
 from . import nets, prior as prior_mod
 from .atomic import open_atomic
-from .config import Schema, check_object, read_config
+from .config import Schema, check_object, parse_json, read_config
 from .datagen import Dataset
 from .errors import ConfigError, TrainingError
 from .prior import ConditionalPrior, PriorConfig
 from .vqvae import (ConditionalVQVAE, MotionAllocation, VQVAEConfig, allocation_violations,
-                    condition_inputs, pose_errors_rows, quantize_rows, target_rotations)
+                    condition_inputs, model_inputs, pose_errors_rows, quantize_rows,
+                    target_rotations)
 
 STAGE1_CHECKPOINT = "stage1.json"
 PRIOR_CHECKPOINT = "prior.json"
@@ -152,6 +158,14 @@ def dataset_arrays(dataset: Dataset, which: str):
     return dataset.allocations[rows], dataset.conditions[rows]
 
 
+def _split_inputs(stage: int, which: str, Y: np.ndarray, C: np.ndarray, target_scale: float):
+    """``model_inputs`` of one split's rows; a NaN or inf raises a TrainingError naming both."""
+    try:
+        return model_inputs(Y, C, target_scale)
+    except ValueError as exc:
+        raise TrainingError(f"stage {stage} {which} split: {exc}") from exc
+
+
 def _mgd(d_eye: np.ndarray, d_head: np.ndarray):
     """Per-component MGD (degrees) of per-row pose errors (radians)."""
     return math.degrees(float(d_eye.mean())), math.degrees(float(d_head.mean()))
@@ -167,35 +181,42 @@ class StageResult:
     timings: list
 
 
-def _fit(stage: int, flat: np.ndarray, params: dict, n: int, epochs: int,
+def _fit(stage: int, flat: np.ndarray, params: dict, rows: tuple, epochs: int,
          rng: np.random.Generator, config: TrainConfig, step, end_epoch) -> StageResult:
     """The epoch loop of both stages; leaves ``flat`` at its best epoch.
 
     The best epoch is the first of lowest ``EpochMetrics.rank``.
 
-    Each epoch walks a shuffle of the n training rows in batches (a short
-    final batch is kept). ``step(batch)`` returns (loss-term array, flat
-    gradient) for Adam to apply to ``flat``, laid out like ``params``;
-    ``end_epoch(epoch, lr, means)`` turns the row-weighted mean terms into
-    EpochMetrics. A ValueError from a step or the update (a
-    NonFiniteGradient among them) becomes a TrainingError. The wall time
-    of each epoch's steps, updates and ``end_epoch`` goes to the result's
-    ``timings``.
+    ``rows`` holds the stage's per-row arrays, each indexed by training
+    row first. Each epoch walks a shuffle of the n training rows in batches
+    (a short final batch is kept): it gathers every array of ``rows`` in
+    the shuffled order once, and ``step(batch, *slices)`` gets the batch's
+    row indices and the batch's contiguous ``[start:stop]`` slice of each
+    gathered array, the rows ``array[batch]`` would give. It returns
+    (loss-term array, flat gradient) for Adam to apply to ``flat``, laid
+    out like ``params``; ``end_epoch(epoch, lr, means)`` turns the
+    row-weighted mean terms into EpochMetrics. A ValueError from a step or
+    the update (a NonFiniteGradient among them) becomes a TrainingError.
+    The wall time of each epoch's steps, updates and ``end_epoch`` goes to
+    the result's ``timings``.
     """
     adam = nets.AdamState.for_params(params, lr=config.lr, weight_decay=config.weight_decay)
     schedule = config.lr_schedule()
     metrics, timings = [], []
     best = None
+    n = len(rows[0])
     for epoch in range(epochs):
         adam.lr = schedule.lr_at(epoch)
         perm = rng.permutation(n)
+        shuffled = [a[perm] for a in rows]
         sums = 0.0
         step_s = optimizer_s = 0.0
         for start in range(0, n, config.batch_size):
-            batch = perm[start:start + config.batch_size]
+            stop = start + config.batch_size
+            batch = perm[start:stop]
             try:
                 t0 = time.perf_counter()
-                terms, grad = step(batch)
+                terms, grad = step(batch, *[a[start:stop] for a in shuffled])
                 t1 = time.perf_counter()
                 nets.adam_step(adam, flat, grad)
                 t2 = time.perf_counter()
@@ -214,9 +235,11 @@ def _fit(stage: int, flat: np.ndarray, params: dict, n: int, epochs: int,
     return best
 
 
-def validate_stage1(model: ConditionalVQVAE, Yv, Cv, Rv):
-    idx, _, _, pred = model.forward_rows(Yv, Cv)
-    eye_mgd, head_mgd = _mgd(*pose_errors_rows(pred, Cv, Rv))
+def validate_stage1(model: ConditionalVQVAE, Yv, Xv, Rv):
+    """(eye MGD, head MGD, codebook utilization) of the teacher-forced pass over
+    ``(Yv, Xv) = model_inputs(...)`` of a split, against its true rotations ``Rv``."""
+    idx, _, _, pred = model.forward_inputs(Yv, Xv)
+    eye_mgd, head_mgd = _mgd(*pose_errors_rows(pred, Xv, Rv))
     utilization = len(np.unique(idx)) / model.config.codebook_size
     return eye_mgd, head_mgd, utilization
 
@@ -225,21 +248,22 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     """Train the VQ-VAE; returns (model restored to best epoch, StageResult)."""
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
-    Y, C = dataset_arrays(dataset, "train")
-    Yv, Cv = dataset_arrays(dataset, "val")
-    # [eye; head] rotations of the true rows, indexed [part, row].
-    R_true = target_rotations(Y, C).reshape(2, len(Y), 3, 3)
-    Rv = target_rotations(Yv, Cv)
+    Y, X = _split_inputs(1, "train", *dataset_arrays(dataset, "train"), config.target_scale)
+    Yv, Xv = _split_inputs(1, "val", *dataset_arrays(dataset, "val"), config.target_scale)
+    # The [eye, head] rotations of each true row, indexed [row, part].
+    R_true = target_rotations(Y, X).reshape(2, len(Y), 3, 3).swapaxes(0, 1)
+    Rv = target_rotations(Yv, Xv)
     out = np.empty(model.layout.size)  # every step writes its gradient here
 
-    def step(batch):
-        terms, grad = model.loss_and_grads(Y[batch], C[batch],
-                                           R_true=R_true[:, batch].reshape(-1, 3, 3), out=out)
+    def step(batch, Yb, Xb, Rb):
+        # Rb is (b, 2, 3, 3); the loss takes the (2b, 3, 3) block [eye; head]
+        terms, grad = model.loss_inputs(Yb, Xb, R_true=Rb.swapaxes(0, 1).reshape(-1, 3, 3),
+                                        out=out)
         return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
 
     def end_epoch(epoch, lr, means):
         total, rec, embed, commit = means.tolist()
-        eye_mgd, head_mgd, utilization = validate_stage1(model, Yv, Cv, Rv)
+        eye_mgd, head_mgd, utilization = validate_stage1(model, Yv, Xv, Rv)
         return EpochMetrics(
             stage=1, epoch=epoch, lr=lr, loss_total=total,
             loss_rec=rec, loss_embed=embed, loss_commit=commit,
@@ -247,7 +271,7 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
             codebook_utilization=utilization,
         )
 
-    result = _fit(1, model.flat, model.params(), len(Y), config.stage1_epochs,
+    result = _fit(1, model.flat, model.params(), (Y, X, R_true), config.stage1_epochs,
                   np.random.default_rng(seeds[1]), config, step, end_epoch)
     return model, result
 
@@ -277,8 +301,10 @@ class CodeErrors:
         return self.eye[rows, codes], self.head[rows, codes]
 
 
-def validate_stage2(prior, Cv, val_errors: CodeErrors, val_labels):
-    codes = np.argmax(prior.forward_rows(Cv), axis=1)
+def validate_stage2(prior, Xv, val_errors: CodeErrors, val_labels):
+    """(eye MGD, head MGD, top-1 agreement) of the prior's argmax codes for the
+    normalised condition rows ``Xv`` (``condition_inputs``) of a split."""
+    codes = np.argmax(prior_mod.softmax_rows(prior.logits_inputs(Xv)), axis=1)
     eye_mgd, head_mgd = _mgd(*val_errors.at(np.arange(len(codes)), codes))
     top1 = float((codes == val_labels).mean())
     return eye_mgd, head_mgd, top1
@@ -300,18 +326,21 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     prior = ConditionalPrior(config.prior_config(), seed=config.seed + 1)
     Yv, Cv = dataset_arrays(dataset, "val")
+    Y, X = _split_inputs(2, "train", Y, C, config.target_scale)
+    Yv, Xv = _split_inputs(2, "val", Yv, Cv, config.target_scale)
     val_labels = record_codes(model, dataset, "val")
     errors = CodeErrors.of(model.decode_codes(C), C, target_rotations(Y, C))
     val_errors = CodeErrors.of(model.decode_codes(Cv), Cv, target_rotations(Yv, Cv))
     out = np.empty(prior.net.layout.size)  # every step writes its gradient here
 
-    def step(batch):
-        logits = prior.logits_rows(C[batch])
-        focal, _, dlogits = prior_mod.focal_loss_rows(logits, labels[batch], config.gamma)
+    def step(batch, Xb, labels_b):
+        logits = prior.logits_inputs(Xb)
+        focal, _, dlogits = prior_mod.focal_loss_rows(logits, labels_b, config.gamma)
         # Motion consistency of the argmax code, value-only: the argmax blocks
         # any gradient.
         d_eye, d_head = errors.at(batch, np.argmax(logits, axis=1))
-        mc = float((d_eye + config.lambda_mc * d_head).mean())
+        # float(sum) / n: the bits of mean(), without its fixed cost
+        mc = float((d_eye + config.lambda_mc * d_head).sum()) / len(batch)
         if not (math.isfinite(focal) and math.isfinite(mc)):
             raise ValueError("non-finite loss")
         grad, _ = prior.net.backward(dlogits, out=out, input_grad=False)
@@ -319,14 +348,14 @@ def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
 
     def end_epoch(epoch, lr, means):
         focal, mc = means.tolist()
-        eye_mgd, head_mgd, top1 = validate_stage2(prior, Cv, val_errors, val_labels)
+        eye_mgd, head_mgd, top1 = validate_stage2(prior, Xv, val_errors, val_labels)
         return EpochMetrics(
             stage=2, epoch=epoch, lr=lr, loss_total=focal + config.eta * mc,
             loss_focal=focal, loss_mc=mc,
             val_eye_mgd_deg=eye_mgd, val_head_mgd_deg=head_mgd, prior_top1_acc=top1,
         )
 
-    result = _fit(2, prior.net.flat, prior.net.params(), len(C), config.stage2_epochs,
+    result = _fit(2, prior.net.flat, prior.net.params(), (X, labels), config.stage2_epochs,
                   np.random.default_rng(seeds[3]), config, step, end_epoch)
     return prior, result
 
@@ -427,7 +456,7 @@ def _stage1_timings(path: Path) -> list:
         return []
     try:
         with open(path, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh]
+            records = [parse_json(line) for line in fh]
         for line_no, record in enumerate(records, start=1):
             check_object(record, TIMINGS_SCHEMA, "line {}", line_no)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or a bad record

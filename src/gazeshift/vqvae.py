@@ -84,11 +84,23 @@ def condition_inputs(C: np.ndarray, target_scale: float) -> np.ndarray:
     """Condition rows as network inputs: the target columns divided by ``target_scale``.
 
     Every condition row of either model enters through here, and a NaN or
-    inf in ``C`` raises ValueError.
+    inf in ``C`` raises ValueError. The pose columns are copied as they
+    are, so ``X[:, :5]`` holds the bits of ``C[:, :5]``: whatever reads
+    only the current poses may read them from ``X``.
     """
     X = _finite_rows(np.array(C, dtype=float), "condition rows")
     X[:, 5:8] /= target_scale
     return X
+
+
+def model_inputs(Y: np.ndarray, C: np.ndarray, target_scale: float):
+    """(Y, X): allocation rows checked for NaN and inf, then condition rows as network inputs.
+
+    What the checked passes (``forward_rows``, ``loss_and_grads``) do to
+    their rows before the passes on inputs (``forward_inputs``,
+    ``loss_inputs``); training does it once per split.
+    """
+    return _finite_rows(Y, "allocation rows"), condition_inputs(C, target_scale)
 
 
 @dataclass(frozen=True)
@@ -238,7 +250,9 @@ def quantize_rows(Z: np.ndarray, codebook: np.ndarray):
 def _target_angles(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Compose allocation rows with the current poses in ``C``.
 
-    Returns the (2n, 3) Euler rows [eye; head]; eye rows carry roll 0.
+    Reads only the pose columns ``C[:, :5]``, so ``C`` may be condition
+    rows or their network inputs (``condition_inputs``). Returns the
+    (2n, 3) Euler rows [eye; head]; eye rows carry roll 0.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -262,7 +276,8 @@ def target_rotations(A: np.ndarray, C: np.ndarray) -> np.ndarray:
 def pose_errors_rows(pred: np.ndarray, C: np.ndarray, R_true: np.ndarray):
     """Geodesic error (radians) of predicted against true target poses.
 
-    ``pred`` is composed with the current poses from ``C`` and compared as
+    ``pred`` is composed with the current poses from ``C`` (condition rows
+    or their network inputs: ``_target_angles``) and compared as
     rotations with ``R_true = target_rotations(Y, C)``, so the values lie in
     [0, pi] and are invariant to 2*pi shifts of any angle. Returns (d_eye, d_head).
     """
@@ -275,7 +290,8 @@ def reconstruction_terms(pred: np.ndarray, true: np.ndarray, cond: np.ndarray,
     """Rotation-aware reconstruction loss per sample and its gradient.
 
     loss_i = d_eye_i + lambda_rc * d_head_i, the errors of
-    :func:`pose_errors_rows`. ``R_true`` is ``target_rotations(true, cond)``
+    :func:`pose_errors_rows`; ``cond`` may be condition rows or their
+    network inputs. ``R_true`` is ``target_rotations(true, cond)``
     when a caller has it already; it is computed here otherwise. Returns
     (values (n,), grad wrt pred (n, 5)).
     """
@@ -350,8 +366,9 @@ class ConditionalVQVAE:
     # -- forward pieces ------------------------------------------------------
 
     def encode_rows(self, Y: np.ndarray, C: np.ndarray) -> np.ndarray:
-        f_y = self.recon_encoder.forward(_finite_rows(Y, "allocation rows"))
-        f_c = self.cond_encoder.forward(condition_inputs(C, self.config.target_scale))
+        Y, X = model_inputs(Y, C, self.config.target_scale)
+        f_y = self.recon_encoder.forward(Y)
+        f_c = self.cond_encoder.forward(X)
         return self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
 
     def decode_rows(self, Zq: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -381,11 +398,19 @@ class ConditionalVQVAE:
     def forward_rows(self, Y: np.ndarray, C: np.ndarray):
         """Teacher-forced pass: encode (Y, C), quantise, decode.
 
-        Runs every section once, so the cached activations serve the
-        backward pass of :meth:`loss_and_grads`. Returns (idx, z_e, z_q, pred).
+        Checks and normalises the rows (``model_inputs``), then runs
+        :meth:`forward_inputs`. Returns (idx, z_e, z_q, pred).
         """
-        f_y = self.recon_encoder.forward(_finite_rows(Y, "allocation rows"))
-        f_c = self.cond_encoder.forward(condition_inputs(C, self.config.target_scale))
+        return self.forward_inputs(*model_inputs(Y, C, self.config.target_scale))
+
+    def forward_inputs(self, Y: np.ndarray, X: np.ndarray):
+        """``forward_rows`` for rows that ``model_inputs`` has checked and normalised.
+
+        Runs every section once, so the cached activations serve the
+        backward pass of :meth:`loss_inputs`. Returns (idx, z_e, z_q, pred).
+        """
+        f_y = self.recon_encoder.forward(Y)
+        f_c = self.cond_encoder.forward(X)
         z_e = self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
         idx, z_q = quantize_rows(z_e, self.codebook)
         h = self.fusion_out.forward(np.concatenate([z_q, f_c], axis=1))
@@ -409,9 +434,10 @@ class ConditionalVQVAE:
         step is skipped (identity) on the reconstruction path, the codebook
         is driven only by the embed term, the encoder additionally by the
         commitment term.
+
+        Checks the shapes, then the rows (``model_inputs``), and runs
+        :meth:`loss_inputs`.
         """
-        if commit_weight is None:
-            commit_weight = self.config.beta
         Y = np.asarray(Y, dtype=float)
         C = np.asarray(C, dtype=float)
         if Y.ndim != 2 or C.ndim != 2 or len(Y) != len(C):
@@ -423,12 +449,28 @@ class ConditionalVQVAE:
                              f"expected {(2 * len(Y), 3, 3)}")
         if out is not None and (out.shape != (self.layout.size,) or out.dtype != float):
             raise ValueError(f"out must be a float vector of {self.layout.size}")
+        return self.loss_inputs(*model_inputs(Y, C, self.config.target_scale),
+                                rec_weight=rec_weight, embed_weight=embed_weight,
+                                commit_weight=commit_weight, R_true=R_true, out=out)
+
+    def loss_inputs(self, Y: np.ndarray, X: np.ndarray, *, rec_weight: float = 1.0,
+                    embed_weight: float = 1.0, commit_weight: float | None = None,
+                    R_true: np.ndarray | None = None, out: np.ndarray | None = None):
+        """``loss_and_grads`` for a batch that ``model_inputs`` has checked and normalised.
+
+        Checks nothing: a training step hands it slices of rows checked
+        once per split, with an ``R_true`` of shape (2n, 3, 3) and an ``out``
+        of ``layout.size``. The poses are read from ``X``, which holds them
+        as ``C`` does.
+        """
+        if commit_weight is None:
+            commit_weight = self.config.beta
         n = len(Y)
         H = self.config.hidden_width
         D = self.config.latent_dim
 
-        idx, z_e, z_q, pred = self.forward_rows(Y, C)
-        rec_vals, rec_grad = reconstruction_terms(pred, Y, C, self.config.lambda_rc, R_true)
+        idx, z_e, z_q, pred = self.forward_inputs(Y, X)
+        rec_vals, rec_grad = reconstruction_terms(pred, Y, X, self.config.lambda_rc, R_true)
         diff = z_e - z_q
         vq_vals = (diff * diff).sum(axis=1)
 

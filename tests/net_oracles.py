@@ -1,7 +1,7 @@
 """Oracles on dense networks: pre-activations for the finite-difference tests,
 the allocating forward and backward passes the workspace tests compare against,
-the checkpoint ``params`` document as one dict, and a checkpoint writer that
-spells each number as told."""
+Adam as whole-array expressions, the checkpoint ``params`` document as one
+dict, and a checkpoint writer that spells each number as told."""
 
 from __future__ import annotations
 
@@ -63,6 +63,25 @@ def backward_reference(net, cache, grad_out):
         np.add.reduce(g, axis=0, out=grad[b_span].reshape(b_shape))
         g = g @ net.weights[i].T
     return grad, g
+
+
+def adam_whole_array(state: dict, params: np.ndarray, grad: np.ndarray) -> None:
+    """Adam with decoupled decay as whole-array expressions: the oracle ``adam_step``
+    must match bit for bit. ``state`` holds lr, weight_decay, m, v and t.
+
+    It divides ``m`` by ``bc1`` at every step, also once ``bc1`` is exactly 1.0."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    state["t"] += 1
+    bc1 = 1.0 - b1**state["t"]
+    bc2 = 1.0 - b2**state["t"]
+    if state["weight_decay"]:
+        params *= 1.0 - state["lr"] * state["weight_decay"]
+    m, v = state["m"], state["v"]
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    params -= state["lr"] * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def same_bits(a, b) -> bool:

@@ -318,6 +318,7 @@ def test_criterion_3_memorization_capacity():
     schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
     shuffle = np.random.default_rng(1)
     R_true = target_rotations(Y, C)
+    X = condition_inputs(C, model.config.target_scale)
     best = math.inf
     first_below = None
     for epoch in range(config.stage1_epochs):
@@ -325,7 +326,7 @@ def test_criterion_3_memorization_capacity():
         perm = shuffle.permutation(len(Y))
         _, grad = model.loss_and_grads(Y[perm], C[perm])
         nets.adam_step(adam, model.flat, grad)
-        eye_mgd, head_mgd, _ = validate_stage1(model, Y, C, R_true)
+        eye_mgd, head_mgd, _ = validate_stage1(model, Y, X, R_true)
         summed = eye_mgd + head_mgd
         if summed < best:
             best = summed

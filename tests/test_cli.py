@@ -368,10 +368,10 @@ def test_train_stage2_forward_value_error_exit_training(pipeline, tmp_path, caps
     staged.mkdir()
     shutil.copy(run_dir / "stage1.json", staged / "stage1.json")
 
-    def broken(self, C):
+    def broken(self, X):
         raise ValueError("bad condition rows")
 
-    monkeypatch.setattr(ConditionalPrior, "logits_rows", broken)
+    monkeypatch.setattr(ConditionalPrior, "logits_inputs", broken)
     assert main(["train", "--config", config, "--seed", "0", "--stage", "2",
                  "--dataset", str(data_dir / "dataset.jsonl"),
                  "--out", str(staged)]) == 4
@@ -692,6 +692,43 @@ def test_eval_damaged_checkpoint_exit_training(pipeline, tmp_path, capsys, name,
         [line] = capsys.readouterr().err.splitlines()
         assert reason in line, argv[0]
     assert {p.name: p.read_bytes() for p in damaged.iterdir()} == before
+
+
+DEEP_JSON = "[" * 200_000  # deeper than the parser's recursion limit
+
+
+@pytest.mark.parametrize("command", ["replay", "train", "eval", "gen-data"])
+def test_json_nested_too_deeply_is_one_error_line_naming_the_file(pipeline, tmp_path, capsys,
+                                                                   command):
+    # the parser's RecursionError used to escape the exit codes as a traceback
+    _, config, data_dir, run_dir = pipeline
+    dataset = data_dir / "dataset.jsonl"
+    out = str(tmp_path / "out")
+    if command == "replay":
+        (tmp_path / "scenarios").mkdir()
+        bad = tmp_path / "scenarios" / "deep.json"
+        bad.write_text(DEEP_JSON, encoding="utf-8")
+        argv, code = ["replay", "--scenarios", str(bad.parent), "--out", out], 3
+    elif command == "train":
+        bad = tmp_path / "dataset.jsonl"
+        header = dataset.read_text(encoding="utf-8").splitlines()[0]
+        bad.write_text(f"{header}\n{DEEP_JSON}\n", encoding="utf-8")
+        argv, code = ["train", "--config", config, "--dataset", str(bad), "--out", out], 3
+    elif command == "eval":
+        damaged = tmp_path / "run"
+        shutil.copytree(run_dir, damaged)
+        bad = damaged / "stage1.json"
+        bad.write_text(DEEP_JSON, encoding="utf-8")
+        argv, code = ["eval", "--dataset", str(dataset), "--run", str(damaged), "--out", out], 4
+    else:
+        bad = tmp_path / "config.json"
+        bad.write_text(DEEP_JSON, encoding="utf-8")
+        argv, code = ["gen-data", "--config", str(bad), "--out", out], 2
+    capsys.readouterr()
+    assert main(argv) == code
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(bad) in line
+    assert "JSON text nested too deeply to parse" in line
 
 
 @pytest.mark.parametrize("name, edit, reason", [

@@ -19,8 +19,8 @@ from gazeshift.nets import AdamState, DenseNetwork, LrSchedule, NonFiniteGradien
 from gazeshift.prior import ConditionalPrior
 from gazeshift.vqvae import ConditionalVQVAE
 from json_numbers import bad_json_numbers
-from net_oracles import (SPELLINGS, backward_reference, encode_params, forward_reference,
-                         preactivations, same_bits, write_spelled)
+from net_oracles import (SPELLINGS, adam_whole_array, backward_reference, encode_params,
+                         forward_reference, preactivations, same_bits, write_spelled)
 
 FD_H = 1e-5
 FD_REL = 1e-4
@@ -376,23 +376,6 @@ def test_adam_matches_reference_trajectory():
     assert state.step_count == 5
 
 
-def adam_whole_array(state: dict, params: np.ndarray, grad: np.ndarray) -> None:
-    """Adam with decoupled decay as whole-array expressions: the oracle ``adam_step``
-    must match bit for bit. ``state`` holds lr, weight_decay, m, v and t."""
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    state["t"] += 1
-    bc1 = 1.0 - b1**state["t"]
-    bc2 = 1.0 - b2**state["t"]
-    if state["weight_decay"]:
-        params *= 1.0 - state["lr"] * state["weight_decay"]
-    m, v = state["m"], state["v"]
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * grad * grad
-    params -= state["lr"] * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
 def test_adam_matches_whole_array_expressions_bit_for_bit():
     rng = np.random.default_rng(16)
     p0 = rng.normal(size=1000)
@@ -412,6 +395,32 @@ def test_adam_matches_whole_array_expressions_bit_for_bit():
         np.testing.assert_array_equal(state.m, ref["m"])
         np.testing.assert_array_equal(state.v, ref["v"])
     assert state.step_count == 12
+
+
+def test_adam_matches_whole_array_expressions_across_the_end_of_bias_correction():
+    # 1 - 0.9**t rounds to exactly 1.0 from step 356 on, where adam_step
+    # skips dividing m by it: steps 350-370 cross that step with moments,
+    # decay and a learning-rate change
+    assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
+    rng = np.random.default_rng(17)
+    p0 = rng.normal(size=1000)
+    m0, v0 = rng.normal(scale=1e-2, size=1000), rng.uniform(0.0, 1e-3, size=1000)
+    flat = p0.copy()
+    state = AdamState.for_params({"w": flat}, lr=1e-3, weight_decay=1e-4)
+    state.m[...], state.v[...], state.step_count = m0, v0, 349
+    ref_params = p0.copy()
+    ref = {"lr": 1e-3, "weight_decay": 1e-4, "m": m0.copy(), "v": v0.copy(), "t": 349}
+    for step in range(350, 371):
+        if step == 360:  # a schedule milestone
+            state.lr = ref["lr"] = 5e-4
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=1000)
+        g[rng.integers(0, 1000, size=50)] = 0.0
+        nets.adam_step(state, flat, g)
+        adam_whole_array(ref, ref_params, g)
+        np.testing.assert_array_equal(flat, ref_params)
+        np.testing.assert_array_equal(state.m, ref["m"])
+        np.testing.assert_array_equal(state.v, ref["v"])
+    assert state.step_count == 370
 
 
 def test_adam_steps_when_finite_elements_overflow_their_sum():

@@ -218,13 +218,13 @@ def test_motion_consistency_same_axis_oracle():
 
 
 class FixedPrior:
-    """A prior whose code distribution per row is given up front."""
+    """A prior whose logits per row are given up front."""
 
-    def __init__(self, pi):
-        self.pi = pi
+    def __init__(self, logits):
+        self.logits = logits
 
-    def forward_rows(self, C):
-        return self.pi
+    def logits_inputs(self, X):
+        return self.logits
 
 
 @pytest.mark.parametrize("n", [170, 162, 161, 40])
@@ -258,7 +258,7 @@ def test_code_error_tables_equal_per_batch_decoding(n, lambda_mc):
                                      target_rotations(Y, C))
     expected = (math.degrees(float(d_eye.mean())), math.degrees(float(d_head.mean())),
                 float((codes == labels).mean()))
-    assert validate_stage2(FixedPrior(softmax_rows(logits)), C, errors, labels) == expected
+    assert validate_stage2(FixedPrior(logits), C, errors, labels) == expected
 
 
 # -- the argmax blocks the consistency gradient ------------------------------------------

@@ -300,6 +300,20 @@ def test_instance_with_a_malformed_box_still_fails_in_its_cycle():
         make_cycle(3, "scene", instances=(short,))
 
 
+@pytest.mark.parametrize("depth", [True, False, math.inf, -math.inf, math.nan, "1.0", 0, 0.0,
+                                   -0.0, -1.5, 10 ** 400, None],
+                         ids=["true", "false", "inf", "minus-inf", "nan", "text", "zero",
+                              "zero-float", "minus-zero", "negative", "huge", "null"])
+def test_instance_depth_follows_the_finite_number_rule(depth):
+    # the rule box entries follow: a bool, a non-finite or non-numeric depth
+    # is refused as a ValueError naming the instance, not printed as a depth
+    with pytest.raises(ValueError, match=r"^instance cup_1: depth must be a positive finite "
+                                         r"number, got "):
+        Instance("cup_1", "cup", (0, 0, 1, 1), depth)
+    for fine in (1, 0.25, 2.5):
+        assert Instance("cup_1", "cup", (0, 0, 1, 1), fine).depth == fine
+
+
 def test_prompt_entry_is_outside_equality_hash_and_repr():
     text = ("Instance(instance_id='c', category='cup', box=(1, 2, 30, 40), depth=1.5, "
             "face_box=None)")

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from gazeshift import nets, prior as prior_module
+from gazeshift import nets, prior as prior_module, trainer as trainer_module, vqvae as vqvae_module
 from gazeshift.datagen import (Dataset, GeneratorConfig, generate_dataset, read_dataset,
                                write_dataset)
 from gazeshift.errors import ConfigError, TrainingError
@@ -29,10 +29,11 @@ from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                draw_allocations, infer, record_codes, run_training,
                                train_stage1, train_stage2, validate_stage1,
                                validate_stage2, write_metrics_csv)
-from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, quantize_rows,
-                             target_rotations)
+from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, condition_inputs,
+                             model_inputs, quantize_rows, target_rotations)
 from datagen_oracles import EyePose, HeadPose, euler_to_matrix, geodesic_distance, samples_of
 from net_oracles import same_bits
+from trainer_oracles import stage1_reference, stage2_reference
 
 SMALL_GEN = GeneratorConfig(n_samples=60)
 SMALL_TRAIN = TrainConfig(stage1_epochs=8, stage2_epochs=6, batch_size=16,
@@ -220,7 +221,8 @@ def test_validate_stage1_recomputes_from_public_pieces(trained, small_dataset):
     model = trained[0]
     Yv, Cv = dataset_arrays(small_dataset, "val")
     eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
-    eye_mgd, head_mgd, util = validate_stage1(model, Yv, Cv, target_rotations(Yv, Cv))
+    eye_mgd, head_mgd, util = validate_stage1(model, *model_inputs(Yv, Cv, 2.0),
+                                              target_rotations(Yv, Cv))
     idx, z_q = quantize_rows(model.encode_rows(Yv, Cv), model.codebook)
     pred = model.decode_rows(z_q, Cv)
     eye_poses = [EyePose(*(Cv[i, 0:2] + pred[i, 0:2])) for i in range(len(Cv))]
@@ -260,15 +262,100 @@ def test_record_codes_matches_quantizer(trained, small_dataset):
 
 
 def test_stage1_non_finite_gradient_names_stage_and_epoch(small_dataset, monkeypatch):
-    real = ConditionalVQVAE.loss_and_grads
+    real = ConditionalVQVAE.loss_inputs
 
-    def poisoned(self, Y, C, **kw):
-        terms, grad = real(self, Y, C, **kw)
+    def poisoned(self, Y, X, **kw):
+        terms, grad = real(self, Y, X, **kw)
         return terms, np.full_like(grad, np.nan)
 
-    monkeypatch.setattr(ConditionalVQVAE, "loss_and_grads", poisoned)
+    monkeypatch.setattr(ConditionalVQVAE, "loss_inputs", poisoned)
     with pytest.raises(TrainingError, match="stage 1 epoch 0: non-finite gradient"):
         train_stage1(small_dataset, SMALL_TRAIN)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("which", ["train", "val"])
+@pytest.mark.parametrize("rows, column", [("condition", 6), ("allocation", 2)])
+def test_a_non_finite_row_is_refused_before_the_first_epoch(trained, small_dataset, monkeypatch,
+                                                          stage, which, rows, column):
+    # each split is checked once, before any epoch: a NaN row used to leak a
+    # bare ValueError from stage 2 and from stage 1's validation split
+    model, labels = trained[0], trained[2]
+    conditions, allocations = small_dataset.conditions.copy(), small_dataset.allocations.copy()
+    (conditions if rows == "condition" else allocations)[small_dataset.split.index(which),
+                                                         column] = math.nan
+    bad = Dataset(conditions, allocations, small_dataset.strategy, small_dataset.split,
+                  small_dataset.seed, small_dataset.config)
+
+    def no_epoch(*args):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(trainer_module, "_fit", no_epoch)
+    message = f"^stage {stage} {which} split: {rows} rows contain non-finite values$"
+    with pytest.raises(TrainingError, match=message):
+        if stage == 1:
+            train_stage1(bad, SMALL_TRAIN)
+        else:
+            train_stage2(model, labels, bad, SMALL_TRAIN)
+
+
+def test_per_split_work_stays_out_of_the_step(trained, small_dataset, monkeypatch):
+    """The checks and the normalisation run as often at any epoch count."""
+    model, labels = trained[0], trained[2]
+    calls = []
+    for module, name in [(vqvae_module, "condition_inputs"), (vqvae_module, "_finite_rows"),
+                         (prior_module, "condition_inputs"), (trainer_module, "condition_inputs")]:
+        def counted(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for stage in (1, 2):
+        counts = []
+        for epochs in (1, 3):
+            calls.clear()
+            config = dataclasses.replace(SMALL_TRAIN, stage1_epochs=epochs, stage2_epochs=epochs)
+            if stage == 1:
+                train_stage1(small_dataset, config)
+            else:
+                train_stage2(model, labels, small_dataset, config)
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] and "condition_inputs" in counts[0], stage
+
+
+@pytest.mark.parametrize("epochs, batch_size", [(2, 20), (36, 5)],
+                         ids=["two-epochs", "past-step-356"])
+def test_training_matches_the_per_batch_oracle_bit_for_bit(small_dataset, monkeypatch,
+                                                           epochs, batch_size):
+    # 48 training rows: batches of 20 leave a short last batch of 8; 36
+    # epochs of 10 batches run Adam past the step where 1 - 0.9**t is 1.0
+    config = dataclasses.replace(SMALL_TRAIN, stage1_epochs=epochs, stage2_epochs=epochs,
+                                 batch_size=batch_size, milestones=(1,))
+    after_epoch = []  # the parameters each validation sees, after its epoch's steps
+    for name in ("validate_stage1", "validate_stage2"):
+        def recorded(net, *args, real=getattr(trainer_module, name)):
+            after_epoch.append((net.net if isinstance(net, ConditionalPrior) else net).flat.copy())
+            return real(net, *args)
+
+        monkeypatch.setattr(trainer_module, name, recorded)
+    model, s1 = train_stage1(small_dataset, config)
+    reference = stage1_reference(small_dataset, config)
+    assert len(after_epoch) == len(reference) == epochs
+    for flat, metrics, (ref_flat, ref_terms) in zip(after_epoch, s1.metrics, reference):
+        assert same_bits(flat, ref_flat)
+        assert [metrics.loss_total, metrics.loss_rec, metrics.loss_embed,
+                metrics.loss_commit] == ref_terms.tolist()
+    assert same_bits(model.flat, reference[s1.best_epoch][0])
+
+    after_epoch.clear()
+    labels = record_codes(model, small_dataset)
+    prior, s2 = train_stage2(model, labels, small_dataset, config)
+    reference = stage2_reference(model, labels, small_dataset, config)
+    assert len(after_epoch) == len(reference) == epochs
+    for flat, metrics, (ref_flat, ref_terms) in zip(after_epoch, s2.metrics, reference):
+        assert same_bits(flat, ref_flat)
+        assert [metrics.loss_focal, metrics.loss_mc] == ref_terms.tolist()
+    assert same_bits(prior.net.flat, reference[s2.best_epoch][0])
 
 
 # -- stage 2 ------------------------------------------------------------------------------------
@@ -307,7 +394,8 @@ def test_validate_stage2_recomputes_from_public_pieces(trained, small_dataset):
     eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
     val_labels = record_codes(model, small_dataset, "val")
     val_errors = CodeErrors.of(model.decode_codes(Cv), Cv, target_rotations(Yv, Cv))
-    eye_mgd, head_mgd, top1 = validate_stage2(prior, Cv, val_errors, val_labels)
+    eye_mgd, head_mgd, top1 = validate_stage2(prior, condition_inputs(Cv, 2.0), val_errors,
+                                              val_labels)
     codes = np.argmax(prior.forward_rows(Cv), axis=1)
     pred = model.decode_rows(model.codebook[codes], Cv)
     eye_poses = [EyePose(*(Cv[i, 0:2] + pred[i, 0:2])) for i in range(len(Cv))]
@@ -341,7 +429,7 @@ def _fit_with_stub_metrics(stage: int, epochs: list):
     flat = np.zeros(2)
     after_epoch = []
 
-    def step(batch):
+    def step(batch, rows):
         return np.array([0.0]), np.ones(2)
 
     def end_epoch(epoch, lr, means):
@@ -352,7 +440,7 @@ def _fit_with_stub_metrics(stage: int, epochs: list):
         return EpochMetrics(stage=stage, epoch=epoch, lr=lr, loss_total=focal,
                             val_eye_mgd_deg=summed / 2, val_head_mgd_deg=summed / 2, **extra)
 
-    result = _fit(stage, flat, {"w": flat}, 4, len(epochs), np.random.default_rng(0),
+    result = _fit(stage, flat, {"w": flat}, (np.zeros(4),), len(epochs), np.random.default_rng(0),
                   TrainConfig(batch_size=2), step, end_epoch)
     return result, flat, after_epoch
 

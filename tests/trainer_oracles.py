@@ -1,0 +1,75 @@
+"""The per-batch training steps ``trainer._fit`` replaced, kept as an oracle.
+
+Each step gathers its rows by the batch's indices, checks and normalises
+them again inside ``loss_and_grads`` or ``logits_rows``, and updates the
+parameters with the whole-array Adam (``net_oracles.adam_whole_array``),
+which divides by the bias correction at every step. The trained
+parameters must match ``train_stage1`` and ``train_stage2`` bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gazeshift.prior import ConditionalPrior, focal_loss_rows
+from gazeshift.trainer import CodeErrors, dataset_arrays
+from gazeshift.vqvae import ConditionalVQVAE, target_rotations
+from net_oracles import adam_whole_array
+
+
+def fit_reference(flat, n: int, epochs: int, rng, config, step) -> list:
+    """Per epoch, (a copy of ``flat`` after it, the row-weighted mean loss terms).
+
+    The shuffle, batch order and short last batch are those of ``_fit``;
+    ``step(batch)`` returns (loss-term array, flat gradient).
+    """
+    state = {"lr": config.lr, "weight_decay": config.weight_decay,
+             "m": np.zeros(len(flat)), "v": np.zeros(len(flat)), "t": 0}
+    schedule = config.lr_schedule()
+    epochs_done = []
+    for epoch in range(epochs):
+        state["lr"] = schedule.lr_at(epoch)
+        perm = rng.permutation(n)
+        sums = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = perm[start:start + config.batch_size]
+            terms, grad = step(batch)
+            adam_whole_array(state, flat, grad)
+            sums = sums + terms * len(batch)
+        epochs_done.append((flat.copy(), sums / n))
+    return epochs_done
+
+
+def stage1_reference(dataset, config) -> list:
+    """``fit_reference`` of stage 1: (total, rec, embed, commit) terms per epoch."""
+    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
+    Y, C = dataset_arrays(dataset, "train")
+    R_true = target_rotations(Y, C).reshape(2, len(Y), 3, 3)
+
+    def step(batch):
+        terms, grad = model.loss_and_grads(Y[batch], C[batch],
+                                           R_true=R_true[:, batch].reshape(-1, 3, 3))
+        return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
+
+    return fit_reference(model.flat, len(Y), config.stage1_epochs,
+                         np.random.default_rng(seeds[1]), config, step)
+
+
+def stage2_reference(model, labels, dataset, config) -> list:
+    """``fit_reference`` of stage 2 against the frozen ``model``: (focal, mc) terms per epoch."""
+    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    prior = ConditionalPrior(config.prior_config(), seed=config.seed + 1)
+    Y, C = dataset_arrays(dataset, "train")
+    errors = CodeErrors.of(model.decode_codes(C), C, target_rotations(Y, C))
+
+    def step(batch):
+        logits = prior.logits_rows(C[batch])
+        focal, _, dlogits = focal_loss_rows(logits, labels[batch], config.gamma)
+        d_eye, d_head = errors.at(batch, np.argmax(logits, axis=1))
+        mc = float((d_eye + config.lambda_mc * d_head).mean())
+        grad, _ = prior.net.backward(dlogits, input_grad=False)
+        return np.array([focal, mc]), grad
+
+    return fit_reference(prior.net.flat, len(C), config.stage2_epochs,
+                         np.random.default_rng(seeds[3]), config, step)

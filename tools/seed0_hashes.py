@@ -12,7 +12,8 @@ replay a second time in the same process, into ``<replay>-again``. It prints
 each artifact's SHA-256 and exits 1 if any differs from ``EXPECTED``, or if
 a second replay's ``cycles.jsonl`` or ``success_table.csv`` hashes other
 than the first's: what a scenario's instances keep from one replay must not
-reach the next. Each
+reach the next. Last it prints each training stage's summed step, optimizer
+and validation seconds from ``timings.jsonl``, which nothing checks. Each
 replay's ``cycles.jsonl`` is hashed with each record's wall-clock
 ``elapsed_s`` removed, after re-encoding, so the hash cannot see how a line
 is spelled: the script also exits 1 if any line as written differs from
@@ -69,6 +70,7 @@ EXPECTED = {
 
 REPLAYS = ("replay", "replay-oracle", "replay-adversarial")
 REPLAY_OUTPUTS = ("cycles.jsonl", "success_table.csv")
+PHASES = ("step_s", "optimizer_s", "validation_s")  # the timed phases of a training epoch
 
 
 def walkthrough(root: Path) -> None:
@@ -199,13 +201,27 @@ def check(root: Path) -> int:
     return 1 if moved or respelled or reruns or broken or faults else 0
 
 
+def phase_times(root: Path) -> list:
+    """Each stage's summed ``PHASES`` seconds in the ``train`` run's ``timings.jsonl``,
+    as text: wall-clock figures, printed to show where training time went, never checked."""
+    totals = {}
+    for line in (root / "model" / "timings.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        stage = totals.setdefault(record["stage"], dict.fromkeys(PHASES, 0.0))
+        for phase in PHASES:
+            stage[phase] += record[phase]
+    return [f"stage {stage} time: " + ", ".join(f"{phase} {seconds:.3f}" for phase, seconds
+                                                in phases.items())
+            for stage, phases in sorted(totals.items())]
+
+
 def run(out: str | None) -> int:
-    if out is not None:
-        walkthrough(Path(out))
-        return check(Path(out))
-    with tempfile.TemporaryDirectory() as tmp:
-        walkthrough(Path(tmp))
-        return check(Path(tmp))
+    with contextlib.ExitStack() as stack:
+        root = Path(out if out is not None else stack.enter_context(tempfile.TemporaryDirectory()))
+        walkthrough(root)
+        code = check(root)
+        print("\n".join(phase_times(root)))
+        return code
 
 
 if __name__ == "__main__":
