@@ -206,18 +206,18 @@ def cmd_eval(args) -> int:
     t0 = time.monotonic()
     dataset = datagen.read_dataset(args.dataset)
     model, prior, checkpoints = _load_models(args.run)
+    # The split's inputs, checked and normalised once, feed every pass below.
     Yv, Cv = trainer.dataset_arrays(dataset, "val")
     Yv, Xv = vqvae.model_inputs(Yv, Cv, model.config.target_scale)
-    Rv = vqvae.target_rotations(Yv, Cv)
+    Rv = vqvae.target_rotations(Yv, Xv)
     eye1, head1, utilization = trainer.validate_stage1(model, Yv, Xv, Rv)
-    val_labels = trainer.record_codes(model, dataset, "val")
-    preds = model.decode_codes(Cv)
+    preds = model.decode_codes(Xv)
     eye2, head2, top1 = trainer.validate_stage2(
-        prior, Xv, trainer.CodeErrors.of(preds, Cv, Rv), val_labels)
+        prior, Xv, trainer.CodeErrors.of(preds, Xv, Rv), trainer.record_codes(model, Yv, Xv))
 
     # How each code splits work between head and eyes, over validation
     # conditions that argmax-decode to it.
-    codes = np.argmax(prior.forward_rows(Cv), axis=1)
+    codes = np.argmax(prior.forward_rows(Xv), axis=1)
     per_code = {}
     for k in np.unique(codes).tolist():
         pred = preds[k, codes == k]

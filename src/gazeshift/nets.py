@@ -53,9 +53,9 @@ from .config import Schema, check_object, parse_json
 
 CHECKPOINT_FORMAT = "gazeshift-checkpoint"
 CHECKPOINT_VERSION = 1
-# A checkpoint and each params entry under ``config.check_object`` ("optimizer": old Adam moments).
+# A checkpoint and each params entry under ``config.check_object``.
 CHECKPOINT_SCHEMA = Schema({"format": "str", "version": "int", "params": "dict"},
-                           {"metadata": "dict", "optimizer": "dict"})
+                           {"metadata": "dict"})
 PARAM_SCHEMA = Schema({"shape": "tuple", "data": "list[float]"})
 
 _ACTIVATIONS = ("relu", "identity")
@@ -128,9 +128,10 @@ class DenseNetwork:
     summed over the batch rows together with the gradient at the input.
     A rectifier's mask is built from its cached output: ``out > 0`` holds
     exactly where ``z > 0`` does, NaN included. ``forward`` checks the input
-    shape but not its values: the models check their rows once, where they
-    enter (``vqvae.condition_inputs``, ``encode_rows``, ``decode_inputs``),
-    and ``load_checkpoint`` refuses non-finite parameters.
+    shape but not its values: the models' rows are checked once, where they
+    enter (``vqvae.model_inputs``, ``vqvae.condition_inputs``, and
+    ``decode_rows`` for latent rows), and ``load_checkpoint`` refuses
+    non-finite parameters.
 
     The cache holds the caller's input, views into the network's workspace
     for the hidden layers, and the output. The arrays ``forward`` and
@@ -463,8 +464,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read ``path``; any file that is not a whole, finite checkpoint raises ValueError.
 
     The bytes are read once, then hashed, decoded and parsed. The document
-    is a ``CHECKPOINT_SCHEMA`` object; the ``optimizer`` entry that earlier
-    builds wrote is known but not read. Metadata floats stay floats.
+    is a ``CHECKPOINT_SCHEMA`` object, so the ``optimizer`` entry that older
+    builds wrote is an unknown field. Metadata floats stay floats.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -492,16 +493,16 @@ def save_model(path, params, kind: str, config, metadata: dict | None = None, **
     return save_checkpoint(path, params, metadata={**(metadata or {}), "model": model})
 
 
-def load_model(path, model_cls, kind: str, config_cls, extra=None, optional=None):
+def load_model(path, model_cls, kind: str, config_cls, extra=None):
     """``model_cls(config)`` holding the weights of a ``save_model`` file, and its checkpoint.
 
-    ``metadata["model"]`` holds ``kind``, every ``config_cls`` field and the ``extra`` keys, and
-    may hold the ``optional`` ones (key: type name); any fault raises ValueError naming ``path``.
+    ``metadata["model"]`` holds ``kind``, every ``config_cls`` field and the ``extra`` keys
+    (key: type name), and nothing else; any fault raises ValueError naming ``path``.
     """
     ck = load_checkpoint(path)
     spec, types = ck.metadata.get("model"), {f.name: f.type for f in fields(config_cls)}
     try:
-        check_object(spec, Schema({"kind": "str", **types, **(extra or {})}, optional),
+        check_object(spec, Schema({"kind": "str", **types, **(extra or {})}),
                      "model config")
         if spec["kind"] != kind:
             raise ValueError(f"model config kind is {spec['kind']!r}, not {kind!r}")

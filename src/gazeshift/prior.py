@@ -15,14 +15,17 @@ errors up in tables of every code decoded for every row
 (``trainer.CodeErrors``), built once because the decoder is frozen. The argmax
 blocks any gradient, so mc shapes checkpoint selection and reporting but
 contributes exactly zero gradient wherever the argmax index is locally
-constant; no relaxation is applied, and checkpoints record this as
-``"mc_gradient": "none"``.
+constant; no relaxation is applied.
 
-At inference time a code is sampled from pi (or the argmax is taken) and
-decoded into a motion allocation (``trainer.draw_allocations``).
-Checkpoints record every :class:`PriorConfig` field, ``mc_gradient`` and
-``stage1_sha256``, the SHA-256 of the bytes of the ``stage1.json`` the prior
-was trained against (``nets.save_model``); ``load`` checks the last two.
+The passes take condition rows as network inputs: ``vqvae.condition_inputs``
+checks and normalises them, once per set of rows, and the same inputs feed
+the VQ-VAE's passes. At inference time a code is sampled from pi (or the
+argmax is taken) and decoded into a motion allocation
+(``trainer.draw_allocations``). Checkpoints record every
+:class:`PriorConfig` field and ``stage1_sha256``, the SHA-256 of the bytes
+of the ``stage1.json`` the prior was trained against (``nets.save_model``),
+which ``load`` checks. A checkpoint holding any other key of the model
+record, such as the ``mc_gradient`` older builds wrote, does not load.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .vqvae import SharedModelConfig, condition_inputs
+from .vqvae import SharedModelConfig
 
 PROB_FLOOR = 1e-12  # floor on pi[z*] before the log
 _DIST_ATOL = 1e-9   # tolerated deviation of sum(pi) from 1
@@ -126,21 +129,18 @@ class ConditionalPrior:
     def set_params(self, params: dict[str, np.ndarray]) -> None:
         self.net.set_params(params)
 
-    def logits_rows(self, C: np.ndarray) -> np.ndarray:
-        return self.logits_inputs(condition_inputs(C, self.config.target_scale))
-
-    def logits_inputs(self, X: np.ndarray) -> np.ndarray:
-        """``logits_rows`` for rows that ``condition_inputs`` has checked and normalised."""
+    def logits_rows(self, X: np.ndarray) -> np.ndarray:
+        """The K logits of each row of ``X``, condition rows that ``condition_inputs`` has made."""
         return self.net.forward(X)
 
-    def forward_rows(self, C: np.ndarray) -> np.ndarray:
-        return softmax_rows(self.logits_rows(C))
+    def forward_rows(self, X: np.ndarray) -> np.ndarray:
+        return softmax_rows(self.logits_rows(X))
 
     def save(self, path, metadata: dict | None = None,
              stage1_sha256: str | None = None) -> str:
         """Write the checkpoint, linked to the stage-1 bytes of ``stage1_sha256``."""
         return nets.save_model(path, self.params(), "conditional-prior", self.config, metadata,
-                               mc_gradient="none", stage1_sha256=stage1_sha256)
+                               stage1_sha256=stage1_sha256)
 
     @classmethod
     def load(cls, path, stage1: nets.Checkpoint | None = None):
@@ -153,12 +153,8 @@ class ConditionalPrior:
         was a byte hash records it under another key, an unknown field.
         """
         prior, ck = nets.load_model(path, cls, "conditional-prior", PriorConfig,
-                                    extra={"stage1_sha256": "str | None"},
-                                    optional={"mc_gradient": "str"})
-        spec = ck.metadata["model"]
-        if "mc_gradient" in spec and spec["mc_gradient"] != "none":
-            raise ValueError(f"{path}: unsupported mc_gradient mode {spec['mc_gradient']!r}")
-        stored = spec["stage1_sha256"]
+                                    extra={"stage1_sha256": "str | None"})
+        stored = ck.metadata["model"]["stage1_sha256"]
         if stage1 is not None and stored != stage1.sha256:
             raise ValueError(
                 "prior checkpoint was trained against a different first-stage model "

@@ -2,8 +2,8 @@
 
 Stage 1 trains the conditional VQ-VAE end to end (reconstruction + codebook
 terms). Stage 2 freezes it, records the code index the encoder assigns to
-every training sample, and fits the conditional prior to those labels with
-the focal + motion-consistency objective.
+every sample of each split (``record_codes``), and fits the conditional
+prior to the training labels with the focal + motion-consistency objective.
 
 Both stages run through one epoch loop (``_fit``: Adam, LR schedule,
 shuffle, batches, best-epoch copy of the weights and restore); a stage
@@ -25,9 +25,10 @@ Each stage does its per-split work once, before its first epoch: it
 checks each split's rows for NaN and inf and normalises their conditions
 (``vqvae.model_inputs``; a bad row is a TrainingError naming the stage and
 the split) and computes the rotations of the ground-truth target poses
-(``vqvae.target_rotations``). Steps and validations take those rows and
-check nothing again. Each epoch gathers the training rows in its shuffled
-order once, and every step takes contiguous slices of them.
+(``vqvae.target_rotations``). Every model pass of the stage, its steps,
+validations, labels and decoded tables, takes those inputs and checks
+nothing again. Each epoch gathers the training rows in its shuffled order
+once, and every step takes contiguous slices of them.
 
 ``_fit`` also times each epoch's phases with ``time.perf_counter``: the
 batch steps (forward pass, loss and backward pass), the optimizer updates
@@ -158,8 +159,9 @@ def dataset_arrays(dataset: Dataset, which: str):
     return dataset.allocations[rows], dataset.conditions[rows]
 
 
-def _split_inputs(stage: int, which: str, Y: np.ndarray, C: np.ndarray, target_scale: float):
+def _checked_split(stage: int, which: str, dataset: Dataset, target_scale: float):
     """``model_inputs`` of one split's rows; a NaN or inf raises a TrainingError naming both."""
+    Y, C = dataset_arrays(dataset, which)
     try:
         return model_inputs(Y, C, target_scale)
     except ValueError as exc:
@@ -238,7 +240,7 @@ def _fit(stage: int, flat: np.ndarray, params: dict, rows: tuple, epochs: int,
 def validate_stage1(model: ConditionalVQVAE, Yv, Xv, Rv):
     """(eye MGD, head MGD, codebook utilization) of the teacher-forced pass over
     ``(Yv, Xv) = model_inputs(...)`` of a split, against its true rotations ``Rv``."""
-    idx, _, _, pred = model.forward_inputs(Yv, Xv)
+    idx, _, _, pred = model.forward_rows(Yv, Xv)
     eye_mgd, head_mgd = _mgd(*pose_errors_rows(pred, Xv, Rv))
     utilization = len(np.unique(idx)) / model.config.codebook_size
     return eye_mgd, head_mgd, utilization
@@ -248,8 +250,8 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     """Train the VQ-VAE; returns (model restored to best epoch, StageResult)."""
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
-    Y, X = _split_inputs(1, "train", *dataset_arrays(dataset, "train"), config.target_scale)
-    Yv, Xv = _split_inputs(1, "val", *dataset_arrays(dataset, "val"), config.target_scale)
+    Y, X = _checked_split(1, "train", dataset, config.target_scale)
+    Yv, Xv = _checked_split(1, "val", dataset, config.target_scale)
     # The [eye, head] rotations of each true row, indexed [row, part].
     R_true = target_rotations(Y, X).reshape(2, len(Y), 3, 3).swapaxes(0, 1)
     Rv = target_rotations(Yv, Xv)
@@ -257,8 +259,8 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
 
     def step(batch, Yb, Xb, Rb):
         # Rb is (b, 2, 3, 3); the loss takes the (2b, 3, 3) block [eye; head]
-        terms, grad = model.loss_inputs(Yb, Xb, R_true=Rb.swapaxes(0, 1).reshape(-1, 3, 3),
-                                        out=out)
+        terms, grad = model.loss_and_grads(Yb, Xb, R_true=Rb.swapaxes(0, 1).reshape(-1, 3, 3),
+                                           out=out)
         return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
 
     def end_epoch(epoch, lr, means):
@@ -276,10 +278,9 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     return model, result
 
 
-def record_codes(model: ConditionalVQVAE, dataset: Dataset, which: str = "train") -> np.ndarray:
-    """Code index assigned by the frozen encoder to each sample of a split, in order."""
-    Y, C = dataset_arrays(dataset, which)
-    idx, _ = quantize_rows(model.encode_rows(Y, C), model.codebook)
+def record_codes(model: ConditionalVQVAE, Y, X) -> np.ndarray:
+    """Code index the frozen encoder assigns to each row of a split's ``model_inputs``, in order."""
+    idx, _ = quantize_rows(model.encode_rows(Y, X), model.codebook)
     return idx
 
 
@@ -291,9 +292,9 @@ class CodeErrors:
     head: np.ndarray
 
     @classmethod
-    def of(cls, preds: np.ndarray, C: np.ndarray, R_true: np.ndarray) -> "CodeErrors":
-        """Tables for ``preds = model.decode_codes(C)`` against ``R_true``, the true rotations."""
-        eye, head = zip(*(pose_errors_rows(pred, C, R_true) for pred in preds))
+    def of(cls, preds: np.ndarray, X: np.ndarray, R_true: np.ndarray) -> "CodeErrors":
+        """Tables for ``preds = model.decode_codes(X)`` against ``R_true``, the true rotations."""
+        eye, head = zip(*(pose_errors_rows(pred, X, R_true) for pred in preds))
         return cls(np.stack(eye, axis=1), np.stack(head, axis=1))
 
     def at(self, rows: np.ndarray, codes: np.ndarray):
@@ -304,37 +305,35 @@ class CodeErrors:
 def validate_stage2(prior, Xv, val_errors: CodeErrors, val_labels):
     """(eye MGD, head MGD, top-1 agreement) of the prior's argmax codes for the
     normalised condition rows ``Xv`` (``condition_inputs``) of a split."""
-    codes = np.argmax(prior_mod.softmax_rows(prior.logits_inputs(Xv)), axis=1)
+    codes = np.argmax(prior_mod.softmax_rows(prior.logits_rows(Xv)), axis=1)
     eye_mgd, head_mgd = _mgd(*val_errors.at(np.arange(len(codes)), codes))
     top1 = float((codes == val_labels).mean())
     return eye_mgd, head_mgd, top1
 
 
-def train_stage2(model: ConditionalVQVAE, labels, dataset: Dataset,
-                 config: TrainConfig = TrainConfig()):
-    """Fit the conditional prior against frozen-encoder labels.
+def train_stage2(model: ConditionalVQVAE, dataset: Dataset, config: TrainConfig = TrainConfig()):
+    """Fit the conditional prior against the codes the frozen ``model`` assigns.
 
-    ``labels`` must come from record_codes on the same model and dataset.
-    The VQ-VAE is treated as frozen throughout.
+    A ``model`` whose ``codebook_size`` or ``target_scale`` differs from
+    ``config``'s (``shared_target_scale``) raises a TrainingError naming
+    both values. The labels and decoded tables come from the same split
+    inputs as the prior's. The VQ-VAE is treated as frozen throughout.
     """
-    Y, C = dataset_arrays(dataset, "train")
-    labels = np.asarray(labels, dtype=int)
-    if len(labels) != len(Y):
-        raise TrainingError(f"{len(labels)} labels for {len(Y)} training samples")
-    if labels.min() < 0 or labels.max() >= config.codebook_size:
-        raise TrainingError("code labels outside the codebook range")
+    try:
+        scale = shared_target_scale(model, config)
+    except ValueError as exc:
+        raise TrainingError(f"stage 2: {exc}") from exc
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     prior = ConditionalPrior(config.prior_config(), seed=config.seed + 1)
-    Yv, Cv = dataset_arrays(dataset, "val")
-    Y, X = _split_inputs(2, "train", Y, C, config.target_scale)
-    Yv, Xv = _split_inputs(2, "val", Yv, Cv, config.target_scale)
-    val_labels = record_codes(model, dataset, "val")
-    errors = CodeErrors.of(model.decode_codes(C), C, target_rotations(Y, C))
-    val_errors = CodeErrors.of(model.decode_codes(Cv), Cv, target_rotations(Yv, Cv))
+    Y, X = _checked_split(2, "train", dataset, scale)
+    Yv, Xv = _checked_split(2, "val", dataset, scale)
+    labels, val_labels = record_codes(model, Y, X), record_codes(model, Yv, Xv)
+    errors = CodeErrors.of(model.decode_codes(X), X, target_rotations(Y, X))
+    val_errors = CodeErrors.of(model.decode_codes(Xv), Xv, target_rotations(Yv, Xv))
     out = np.empty(prior.net.layout.size)  # every step writes its gradient here
 
     def step(batch, Xb, labels_b):
-        logits = prior.logits_inputs(Xb)
+        logits = prior.logits_rows(Xb)
         focal, _, dlogits = prior_mod.focal_loss_rows(logits, labels_b, config.gamma)
         # Motion consistency of the argmax code, value-only: the argmax blocks
         # any gradient.
@@ -370,14 +369,16 @@ class InferenceResult:
 def shared_target_scale(model: ConditionalVQVAE, prior_config: PriorConfig) -> float:
     """The ``target_scale`` of the stage-1 model, which the prior must share.
 
-    Raises ValueError if the two differ: one normalised condition row feeds
-    both models at inference, and ``train`` always writes them equal.
+    Raises ValueError naming both values if the two differ in
+    ``codebook_size`` or ``target_scale``: the prior rates the model's codes,
+    one normalised condition row feeds both models, and ``train`` always
+    writes them equal.
     """
-    scale = model.config.target_scale
-    if prior_config.target_scale != scale:
-        raise ValueError(f"stage-1 target_scale {scale!r} differs from the prior's "
-                         f"{prior_config.target_scale!r}")
-    return scale
+    for name in ("codebook_size", "target_scale"):
+        ours, theirs = getattr(model.config, name), getattr(prior_config, name)
+        if theirs != ours:
+            raise ValueError(f"stage-1 {name} {ours!r} differs from the prior's {theirs!r}")
+    return model.config.target_scale
 
 
 def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.ndarray, mode: str,
@@ -397,12 +398,12 @@ def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.nda
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     x = condition_inputs(c[None, :], shared_target_scale(model, prior.config))
-    pi = prior_mod.softmax_rows(prior.net.forward(x))[0]
+    pi = prior.forward_rows(x)[0]
     if mode == "argmax":
         codes = np.full(n, int(np.argmax(pi)))
     else:
         codes = prior_mod.sample_code(pi, rng, size=n)
-    rows = {k: model.decode_inputs(model.codebook[k][None, :], x)[0]
+    rows = {k: model.decode_rows(model.codebook[k][None, :], x)[0]
             for k in dict.fromkeys(codes.tolist())}
     for k, violation in zip(rows, allocation_violations(np.array(list(rows.values())))):
         if violation is not None:
@@ -471,7 +472,7 @@ def checkpoint_errors(run_dir):
     The loaders raise OSError for a file they cannot open and ValueError
     for anything else: a damaged file, parameters that do not fit the
     model, a prior linked to other stage-1 bytes or a mismatched
-    ``target_scale``.
+    ``codebook_size`` or ``target_scale``.
     """
     try:
         yield
@@ -523,12 +524,11 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
                 raise TrainingError(f"stage 2 requested but {ckpt_path} does not exist")
             with checkpoint_errors(out):
                 model, ck = ConditionalVQVAE.load(ckpt_path)
-                shared_target_scale(model, config)
             if dataset_hash is None or ck.metadata.get("dataset_hash") != dataset_hash:
                 raise TrainingError("stage-1 checkpoint was trained on a different dataset "
                                     "or records no dataset hash")
             stage1_sha256 = summary["inputs"][str(ckpt_path)] = ck.sha256
-        prior, s2 = train_stage2(model, record_codes(model, dataset), dataset, config)
+        prior, s2 = train_stage2(model, dataset, config)
         prior.save(out / PRIOR_CHECKPOINT, stage1_sha256=stage1_sha256,
                    metadata=record(s2, out / PRIOR_CHECKPOINT))
     write_metrics_csv(out / METRICS_FILE, rows)

@@ -26,6 +26,14 @@ is stop-gradient, and the quantisation step backpropagates as identity
 updated only by the middle term, the encoder only by the first and last,
 and the reconstruction term is invariant to 2*pi shifts of any angle.
 
+Every pass (``encode_rows``, ``forward_rows``, ``decode_rows``,
+``decode_codes``, ``loss_and_grads``) and the prior's take network inputs:
+allocation rows and condition rows that :func:`model_inputs` or
+:func:`condition_inputs` has checked for NaN and inf and normalised. Those
+two functions are the only place rows are checked and normalised, so a
+caller does it once per set of rows; a pass checks nothing again, apart
+from ``decode_rows``' check of its latent rows.
+
 Codes are 0-based indices into the codebook array everywhere (files,
 reports, APIs).
 Checkpoints record every :class:`VQVAEConfig` field (``nets.save_model``);
@@ -96,9 +104,9 @@ def condition_inputs(C: np.ndarray, target_scale: float) -> np.ndarray:
 def model_inputs(Y: np.ndarray, C: np.ndarray, target_scale: float):
     """(Y, X): allocation rows checked for NaN and inf, then condition rows as network inputs.
 
-    What the checked passes (``forward_rows``, ``loss_and_grads``) do to
-    their rows before the passes on inputs (``forward_inputs``,
-    ``loss_inputs``); training does it once per split.
+    The inputs of the passes that read both (``encode_rows``,
+    ``forward_rows``, ``loss_and_grads``); training makes them once per
+    split, and ``eval`` once for its split.
     """
     return _finite_rows(Y, "allocation rows"), condition_inputs(C, target_scale)
 
@@ -250,9 +258,9 @@ def quantize_rows(Z: np.ndarray, codebook: np.ndarray):
 def _target_angles(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Compose allocation rows with the current poses in ``C``.
 
-    Reads only the pose columns ``C[:, :5]``, so ``C`` may be condition
-    rows or their network inputs (``condition_inputs``). Returns the
-    (2n, 3) Euler rows [eye; head]; eye rows carry roll 0.
+    Reads only the pose columns ``C[:, :5]``, which ``condition_inputs``
+    copies as they are, so the passes hand it their network inputs. Returns
+    the (2n, 3) Euler rows [eye; head]; eye rows carry roll 0.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -276,8 +284,8 @@ def target_rotations(A: np.ndarray, C: np.ndarray) -> np.ndarray:
 def pose_errors_rows(pred: np.ndarray, C: np.ndarray, R_true: np.ndarray):
     """Geodesic error (radians) of predicted against true target poses.
 
-    ``pred`` is composed with the current poses from ``C`` (condition rows
-    or their network inputs: ``_target_angles``) and compared as
+    ``pred`` is composed with the current poses from ``C``, read as
+    ``_target_angles`` reads them, and compared as
     rotations with ``R_true = target_rotations(Y, C)``, so the values lie in
     [0, pi] and are invariant to 2*pi shifts of any angle. Returns (d_eye, d_head).
     """
@@ -290,8 +298,8 @@ def reconstruction_terms(pred: np.ndarray, true: np.ndarray, cond: np.ndarray,
     """Rotation-aware reconstruction loss per sample and its gradient.
 
     loss_i = d_eye_i + lambda_rc * d_head_i, the errors of
-    :func:`pose_errors_rows`; ``cond`` may be condition rows or their
-    network inputs. ``R_true`` is ``target_rotations(true, cond)``
+    :func:`pose_errors_rows`, with poses read from ``cond`` as
+    ``_target_angles`` reads them. ``R_true`` is ``target_rotations(true, cond)``
     when a caller has it already; it is computed here otherwise. Returns
     (values (n,), grad wrt pred (n, 5)).
     """
@@ -365,49 +373,37 @@ class ConditionalVQVAE:
 
     # -- forward pieces ------------------------------------------------------
 
-    def encode_rows(self, Y: np.ndarray, C: np.ndarray) -> np.ndarray:
-        Y, X = model_inputs(Y, C, self.config.target_scale)
+    def encode_rows(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
         f_y = self.recon_encoder.forward(Y)
         f_c = self.cond_encoder.forward(X)
         return self.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
 
-    def decode_rows(self, Zq: np.ndarray, C: np.ndarray) -> np.ndarray:
-        return self.decode_inputs(Zq, condition_inputs(C, self.config.target_scale))
-
-    def decode_inputs(self, Zq: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """``decode_rows`` for condition rows ``X`` that ``condition_inputs`` has normalised."""
+    def decode_rows(self, Zq: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Allocation rows decoded from latent rows ``Zq``; a NaN or inf in them is a ValueError."""
         Zq = _finite_rows(Zq, "latent rows")
         h = self.fusion_out.forward(np.concatenate([Zq, self.cond_encoder.forward(X)], axis=1))
         return self.decoder.forward(h)
 
-    def decode_codes(self, C: np.ndarray) -> np.ndarray:
-        """(K, n, 5): the allocation every code decodes to for every condition row.
+    def decode_codes(self, X: np.ndarray) -> np.ndarray:
+        """(K, n, 5): the allocation every code decodes to for every input row of ``X``.
 
         Decodes code by code, in near-equal row chunks of at most
-        ``_DECODE_CHUNK``, so no chunk is a single row unless ``C`` is. A
+        ``_DECODE_CHUNK``, so no chunk is a single row unless ``X`` is. A
         row decodes to the same bits in any batch of two or more rows, but
         numpy multiplies a lone row by a matrix-vector path whose last bits
         can differ.
         """
-        chunks = np.array_split(np.asarray(C, dtype=float), -(-len(C) // _DECODE_CHUNK))
+        chunks = np.array_split(X, -(-len(X) // _DECODE_CHUNK))
         return np.stack([
             np.concatenate([self.decode_rows(np.broadcast_to(z_q, (len(rows), len(z_q))), rows)
                             for rows in chunks])
             for z_q in self.codebook])
 
-    def forward_rows(self, Y: np.ndarray, C: np.ndarray):
-        """Teacher-forced pass: encode (Y, C), quantise, decode.
-
-        Checks and normalises the rows (``model_inputs``), then runs
-        :meth:`forward_inputs`. Returns (idx, z_e, z_q, pred).
-        """
-        return self.forward_inputs(*model_inputs(Y, C, self.config.target_scale))
-
-    def forward_inputs(self, Y: np.ndarray, X: np.ndarray):
-        """``forward_rows`` for rows that ``model_inputs`` has checked and normalised.
+    def forward_rows(self, Y: np.ndarray, X: np.ndarray):
+        """Teacher-forced pass: encode (Y, X), quantise, decode.
 
         Runs every section once, so the cached activations serve the
-        backward pass of :meth:`loss_inputs`. Returns (idx, z_e, z_q, pred).
+        backward pass of :meth:`loss_and_grads`. Returns (idx, z_e, z_q, pred).
         """
         f_y = self.recon_encoder.forward(Y)
         f_c = self.cond_encoder.forward(X)
@@ -418,7 +414,7 @@ class ConditionalVQVAE:
 
     # -- loss ----------------------------------------------------------------
 
-    def loss_and_grads(self, Y: np.ndarray, C: np.ndarray, *, rec_weight: float = 1.0,
+    def loss_and_grads(self, Y: np.ndarray, X: np.ndarray, *, rec_weight: float = 1.0,
                        embed_weight: float = 1.0, commit_weight: float | None = None,
                        R_true: np.ndarray | None = None, out: np.ndarray | None = None):
         """Batch-mean loss terms and the flat parameter gradient (in ``layout``).
@@ -426,42 +422,14 @@ class ConditionalVQVAE:
         The gradient is a new vector, or is written into ``out`` (a float
         vector of ``layout.size``), which is then returned: a training loop
         passes one vector for every step. ``R_true``, when given, is
-        ``target_rotations(Y, C)``: training computes it once for its whole
-        split, since the true rows never change. ``commit_weight`` defaults
-        to config.beta; the tests zero individual weights to check that
-        gradient routing honours the stop-gradients.
+        ``target_rotations(Y, X)``, of shape (2n, 3, 3): training computes
+        it once for its whole split, since the true rows never change.
+        ``commit_weight`` defaults to config.beta; the tests zero individual
+        weights to check that gradient routing honours the stop-gradients.
         Gradients follow the straight-through convention: the quantisation
         step is skipped (identity) on the reconstruction path, the codebook
         is driven only by the embed term, the encoder additionally by the
         commitment term.
-
-        Checks the shapes, then the rows (``model_inputs``), and runs
-        :meth:`loss_inputs`.
-        """
-        Y = np.asarray(Y, dtype=float)
-        C = np.asarray(C, dtype=float)
-        if Y.ndim != 2 or C.ndim != 2 or len(Y) != len(C):
-            raise ValueError("Y and C must be matching row batches")
-        if len(Y) == 0:
-            raise ValueError("empty batch")
-        if R_true is not None and np.shape(R_true) != (2 * len(Y), 3, 3):
-            raise ValueError(f"R_true has shape {np.shape(R_true)}, "
-                             f"expected {(2 * len(Y), 3, 3)}")
-        if out is not None and (out.shape != (self.layout.size,) or out.dtype != float):
-            raise ValueError(f"out must be a float vector of {self.layout.size}")
-        return self.loss_inputs(*model_inputs(Y, C, self.config.target_scale),
-                                rec_weight=rec_weight, embed_weight=embed_weight,
-                                commit_weight=commit_weight, R_true=R_true, out=out)
-
-    def loss_inputs(self, Y: np.ndarray, X: np.ndarray, *, rec_weight: float = 1.0,
-                    embed_weight: float = 1.0, commit_weight: float | None = None,
-                    R_true: np.ndarray | None = None, out: np.ndarray | None = None):
-        """``loss_and_grads`` for a batch that ``model_inputs`` has checked and normalised.
-
-        Checks nothing: a training step hands it slices of rows checked
-        once per split, with an ``R_true`` of shape (2n, 3, 3) and an ``out``
-        of ``layout.size``. The poses are read from ``X``, which holds them
-        as ``C`` does.
         """
         if commit_weight is None:
             commit_weight = self.config.beta
@@ -469,7 +437,7 @@ class ConditionalVQVAE:
         H = self.config.hidden_width
         D = self.config.latent_dim
 
-        idx, z_e, z_q, pred = self.forward_inputs(Y, X)
+        idx, z_e, z_q, pred = self.forward_rows(Y, X)
         rec_vals, rec_grad = reconstruction_terms(pred, Y, X, self.config.lambda_rc, R_true)
         diff = z_e - z_q
         vq_vals = (diff * diff).sum(axis=1)

@@ -46,10 +46,9 @@ _NUMBER = (list, lambda v: finite_float(v) is not None)
 _ENTRIES = {"list[float]": _NUMBER, "tuple": (list, lambda v: type(v) is int),
             "dict[str, str]": (dict, lambda v: isinstance(v, str))}
 
-# The model record's keys beside its config fields: required, then optional.
-_MODEL_KEYS = {"conditional-vqvae": (VQVAEConfig, {}, {}),
-               "conditional-prior": (PriorConfig, {"stage1_sha256": "str | None"},
-                                     {"mc_gradient": "str"})}
+# The model record's keys beside its config fields.
+_MODEL_KEYS = {"conditional-vqvae": (VQVAEConfig, {}),
+               "conditional-prior": (PriorConfig, {"stage1_sha256": "str | None"})}
 
 
 def wrong_values(name: str) -> list:
@@ -95,9 +94,8 @@ def checkpoint_objects(doc: dict, path) -> list:
     """The document, each parameter entry, and the model record: ``kind``, every field of
     the model's config and its own extra keys."""
     spec = doc["metadata"]["model"]
-    config_cls, extra, optional = _MODEL_KEYS[spec["kind"]]
-    model = Schema({"kind": "str", **{f.name: f.type for f in fields(config_cls)}, **extra},
-                   optional)
+    config_cls, extra = _MODEL_KEYS[spec["kind"]]
+    model = Schema({"kind": "str", **{f.name: f.type for f in fields(config_cls)}, **extra})
     return ([(f"{path}: ", "checkpoint", doc, CHECKPOINT_SCHEMA)]
             + [(f"{path}: ", f"parameter {name!r}", entry, PARAM_SCHEMA)
                for name, entry in doc["params"].items()]

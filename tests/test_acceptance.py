@@ -28,8 +28,8 @@ from gazeshift.reasoner import (MemoryBuffer, OracleBackend, ScriptedBackend,
                                 load_scenario_dir, replay_evaluate, step_cycle)
 from gazeshift.trainer import (TrainConfig, dataset_arrays, run_training,
                                validate_stage1)
-from gazeshift.vqvae import (ConditionalVQVAE, VQVAEConfig, condition_inputs, quantize_rows,
-                             reconstruction_terms, target_rotations)
+from gazeshift.vqvae import (ConditionalVQVAE, VQVAEConfig, condition_inputs, model_inputs,
+                             quantize_rows, reconstruction_terms, target_rotations)
 from datagen_oracles import (EyePose, HeadPose, angular_error, check_sample, gaze_ray,
                              geodesic_distance, samples_of)
 from net_oracles import preactivations
@@ -92,22 +92,21 @@ def _fd_batch(rng: np.random.Generator, n: int = 3):
     return Y, C
 
 
-def _assignment_margin(model: ConditionalVQVAE, Y, C) -> float:
-    z_e = model.encode_rows(Y, C)
+def _assignment_margin(model: ConditionalVQVAE, Y, X) -> float:
+    z_e = model.encode_rows(Y, X)
     d2 = ((z_e[:, None, :] - model.codebook) ** 2).sum(axis=2)
     d2.sort(axis=1)
     return float((d2[:, 1] - d2[:, 0]).min())
 
 
-def _kink_margin(model: ConditionalVQVAE, Y, C) -> float:
-    Cn = condition_inputs(C, model.config.target_scale)
+def _kink_margin(model: ConditionalVQVAE, Y, X) -> float:
     f_y = model.recon_encoder.forward(Y)
-    f_c = model.cond_encoder.forward(Cn)
+    f_c = model.cond_encoder.forward(X)
     z_e = model.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
     _, z_q = quantize_rows(z_e, model.codebook)
     h = model.fusion_out.forward(np.concatenate([z_q, f_c], axis=1))
     margins = []
-    for net, x in ((model.recon_encoder, Y), (model.cond_encoder, Cn),
+    for net, x in ((model.recon_encoder, Y), (model.cond_encoder, X),
                    (model.decoder, h)):
         for z, act in zip(preactivations(net, x), net.activations):
             if act == "relu":
@@ -116,38 +115,39 @@ def _kink_margin(model: ConditionalVQVAE, Y, C) -> float:
 
 
 def _stable_case(config: VQVAEConfig, seed_start: int):
-    """A (model, batch) pair with safe margins for central differencing."""
+    """A (model, batch) pair with safe margins for central differencing; the
+    batch is the ``model_inputs`` of an ``_fd_batch``."""
     for seed in range(seed_start, seed_start + 80):
         rng = np.random.default_rng(seed)
         model = ConditionalVQVAE(config, seed=seed)
-        Y, C = _fd_batch(rng)
-        if _assignment_margin(model, Y, C) < 1e-3:
+        Y, X = model_inputs(*_fd_batch(rng), config.target_scale)
+        if _assignment_margin(model, Y, X) < 1e-3:
             continue
-        if _kink_margin(model, Y, C) < 1e-4:
+        if _kink_margin(model, Y, X) < 1e-4:
             continue
         pred = model.decode_rows(
-            quantize_rows(model.encode_rows(Y, C), model.codebook)[1], C)
-        v_eye, _ = reconstruction_terms(pred, Y, C, 0.0)
-        v_both, _ = reconstruction_terms(pred, Y, C, 1.0)
+            quantize_rows(model.encode_rows(Y, X), model.codebook)[1], X)
+        v_eye, _ = reconstruction_terms(pred, Y, X, 0.0)
+        v_both, _ = reconstruction_terms(pred, Y, X, 1.0)
         v_head = v_both - v_eye
         lows = min(v_eye.min(), v_head.min())
         highs = max(v_eye.max(), v_head.max())
         if lows < 0.05 or highs > math.pi - 0.1:
             continue
-        return model, Y, C
+        return model, Y, X
     raise AssertionError(f"no stable finite-difference fixture near seed {seed_start}")
 
 
-def _fd_probe(model, Y, C, name: str, j: int, weights, h: float = FD_H) -> float:
+def _fd_probe(model, Y, X, name: str, j: int, weights, h: float = FD_H) -> float:
     """Central difference of the weighted loss in one parameter coordinate."""
     p = model.params()[name].ravel()
     orig = p[j]
     rec_w, embed_w, commit_w = weights
     p[j] = orig + h
-    up, _ = model.loss_and_grads(Y, C, rec_weight=rec_w, embed_weight=embed_w,
+    up, _ = model.loss_and_grads(Y, X, rec_weight=rec_w, embed_weight=embed_w,
                                  commit_weight=commit_w)
     p[j] = orig - h
-    down, _ = model.loss_and_grads(Y, C, rec_weight=rec_w, embed_weight=embed_w,
+    down, _ = model.loss_and_grads(Y, X, rec_weight=rec_w, embed_weight=embed_w,
                                    commit_weight=commit_w)
     p[j] = orig
     return (up.total - down.total) / (2 * h)
@@ -178,19 +178,19 @@ def test_criterion_2_loss_term_gradients():
             beta=float(rng_cfg.uniform(0.15, 0.5)),
             lambda_rc=float(rng_cfg.uniform(0.5, 2.0)),
         )
-        model, Y, C = _stable_case(config, 3000 + 100 * case)
+        model, Y, X = _stable_case(config, 3000 + 100 * case)
         rng_case = np.random.default_rng(7000 + case)
         beta = config.beta
 
         # stop-gradient routing: these must be exact zeros, not small numbers
-        g = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0)[1])
+        g = model.layout.views(model.loss_and_grads(Y, X, rec_weight=1.0, embed_weight=0.0)[1])
         if np.any(g["codebook"] != 0.0):
             problems.append(f"case {case}: codebook gradient without the embed term")
-        g_embed = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
+        g_embed = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=1.0,
                                                           commit_weight=0.0)[1])
         if any(np.any(g_embed[n] != 0.0) for n in g_embed if n != "codebook"):
             problems.append(f"case {case}: embed term leaks past the stop-gradient")
-        g_commit = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=0.0,
+        g_commit = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=0.0,
                                                            commit_weight=beta)[1])
         if np.any(g_commit["codebook"] != 0.0) or any(
                 np.any(g_commit[n] != 0.0) for n in g_commit
@@ -200,7 +200,7 @@ def test_criterion_2_loss_term_gradients():
         # embed term: codebook coordinates against the real loss
         flat_embed = g_embed["codebook"].ravel()
         for j in rng_case.choice(model.codebook.size, size=3, replace=False):
-            fd = _fd_probe(model, Y, C, "codebook", int(j), (0.0, 1.0, 0.0))
+            fd = _fd_probe(model, Y, X, "codebook", int(j), (0.0, 1.0, 0.0))
             close(float(flat_embed[j]), fd, f"case {case} embed codebook[{j}]")
 
         # commit term: encoder-path coordinates against the real loss
@@ -208,24 +208,24 @@ def test_criterion_2_loss_term_gradients():
             arr = model.params()[name].ravel()
             grad = g_commit[name].ravel()
             for j in rng_case.choice(arr.size, size=2, replace=False):
-                fd = _fd_probe(model, Y, C, name, int(j), (0.0, 0.0, beta))
+                fd = _fd_probe(model, Y, X, name, int(j), (0.0, 0.0, beta))
                 close(float(grad[j]), fd, f"case {case} commit {name}[{j}]")
 
         # reconstruction term: straight-through surrogate with frozen offset
-        z_e0 = model.encode_rows(Y, C)
+        z_e0 = model.encode_rows(Y, X)
         _, z_q0 = quantize_rows(z_e0, model.codebook)
         offset = z_q0 - z_e0
 
         def rec_surrogate() -> float:
-            f_c = model.cond_encoder.forward(condition_inputs(C, model.config.target_scale))
+            f_c = model.cond_encoder.forward(X)
             f_y = model.recon_encoder.forward(Y)
             z_e = model.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
             h = model.fusion_out.forward(np.concatenate([z_e + offset, f_c], axis=1))
             pred = model.decoder.forward(h)
-            vals, _ = reconstruction_terms(pred, Y, C, config.lambda_rc)
+            vals, _ = reconstruction_terms(pred, Y, X, config.lambda_rc)
             return float(vals.mean())
 
-        g_rec = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
+        g_rec = model.layout.views(model.loss_and_grads(Y, X, rec_weight=1.0, embed_weight=0.0,
                                                         commit_weight=0.0)[1])
         rec_names = sorted(n for n in g_rec if n != "codebook")
         for _ in range(4):
@@ -248,8 +248,6 @@ def test_criterion_2_loss_term_gradients():
         prior = None
         for pseed in range(10 * case, 10 * case + 40):
             candidate = ConditionalPrior(pconf, seed=pseed)
-            X = np.array(C)
-            X[:, 5:8] /= pconf.target_scale
             margin = min(float(np.abs(z).min())
                          for z, act in zip(preactivations(candidate.net, X),
                                            candidate.net.activations)
@@ -258,8 +256,8 @@ def test_criterion_2_loss_term_gradients():
                 prior = candidate
                 break
         assert prior is not None, f"case {case}: no kink-safe prior"
-        labels = rng_case.integers(0, config.codebook_size, size=len(C))
-        _, _, dlogits = focal_loss_rows(prior.logits_rows(C), labels, pconf.gamma)
+        labels = rng_case.integers(0, config.codebook_size, size=len(X))
+        _, _, dlogits = focal_loss_rows(prior.logits_rows(X), labels, pconf.gamma)
         g_focal = prior.net.layout.views(prior.net.backward(dlogits)[0])
         pnames = sorted(prior.params())
         for _ in range(3):
@@ -268,9 +266,9 @@ def test_criterion_2_loss_term_gradients():
             j = int(rng_case.integers(arr.size))
             orig = arr[j]
             arr[j] = orig + FD_H
-            up, _, _ = focal_loss_rows(prior.logits_rows(C), labels, pconf.gamma)
+            up, _, _ = focal_loss_rows(prior.logits_rows(X), labels, pconf.gamma)
             arr[j] = orig - FD_H
-            down, _, _ = focal_loss_rows(prior.logits_rows(C), labels, pconf.gamma)
+            down, _, _ = focal_loss_rows(prior.logits_rows(X), labels, pconf.gamma)
             arr[j] = orig
             close(float(g_focal[name].ravel()[j]), (up - down) / (2 * FD_H),
                   f"case {case} focal {name}[{j}]")
@@ -324,7 +322,7 @@ def test_criterion_3_memorization_capacity():
     for epoch in range(config.stage1_epochs):
         adam.lr = schedule.lr_at(epoch)
         perm = shuffle.permutation(len(Y))
-        _, grad = model.loss_and_grads(Y[perm], C[perm])
+        _, grad = model.loss_and_grads(Y[perm], X[perm])
         nets.adam_step(adam, model.flat, grad)
         eye_mgd, head_mgd, _ = validate_stage1(model, Y, X, R_true)
         summed = eye_mgd + head_mgd
@@ -397,13 +395,13 @@ def test_criterion_5_prior_code_diversity(default_run):
     t0 = time.perf_counter()
     _, stage1 = ConditionalVQVAE.load(out / trainer.STAGE1_CHECKPOINT)
     prior, _ = ConditionalPrior.load(out / trainer.PRIOR_CHECKPOINT, stage1=stage1)
-    _, Cv = dataset_arrays(dataset, "val")
+    Xv = condition_inputs(dataset_arrays(dataset, "val")[1], prior.config.target_scale)
     rng = np.random.default_rng(42)
-    picks = rng.choice(len(Cv), size=20, replace=False)
+    picks = rng.choice(len(Xv), size=20, replace=False)
     diverse = 0
     worst_tv = 0.0
     for i in picks:
-        pi = prior.forward_rows(Cv[i:i + 1])[0]
+        pi = prior.forward_rows(Xv[i:i + 1])[0]
         if int((pi > 0.05).sum()) >= 2:
             diverse += 1
         draws = prior_mod.sample_code(pi, rng, 1000)

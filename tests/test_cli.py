@@ -40,7 +40,7 @@ from gazeshift.datagen import GeneratorConfig, generate_dataset, serialize_datas
 from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV
 from gazeshift.trainer import infer
-from gazeshift.vqvae import ConditionalVQVAE
+from gazeshift.vqvae import ConditionalVQVAE, condition_inputs
 from datagen_oracles import EyePose, HeadPose, PoseCondition
 from json_numbers import bad_json_numbers
 from json_objects import (checkpoint_objects, config_objects, dataset_objects, refused,
@@ -371,12 +371,33 @@ def test_train_stage2_forward_value_error_exit_training(pipeline, tmp_path, caps
     def broken(self, X):
         raise ValueError("bad condition rows")
 
-    monkeypatch.setattr(ConditionalPrior, "logits_inputs", broken)
+    monkeypatch.setattr(ConditionalPrior, "logits_rows", broken)
     assert main(["train", "--config", config, "--seed", "0", "--stage", "2",
                  "--dataset", str(data_dir / "dataset.jsonl"),
                  "--out", str(staged)]) == 4
     assert "stage 2 epoch 0: bad condition rows" in capsys.readouterr().err
     assert not (staged / "prior.json").exists()
+
+
+@pytest.mark.parametrize("codebook_size", [5, 3])
+def test_train_stage2_with_another_codebook_size_exit_training(pipeline, tmp_path, capsys,
+                                                               codebook_size):
+    # the run's stage1.json has 4 codes: a larger size used to end in an
+    # IndexError traceback, a smaller one to train a prior that does not fit
+    _, _, data_dir, run_dir = pipeline
+    staged = tmp_path / "staged"
+    shutil.copytree(run_dir, staged)
+    before = {p.name: p.read_bytes() for p in staged.iterdir()}
+    doc = dict(SMALL_CONFIG)
+    doc["training"] = dict(SMALL_CONFIG["training"], codebook_size=codebook_size)
+    config = write_config(tmp_path, doc)
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--seed", "0", "--stage", "2",
+                 "--dataset", str(data_dir / "dataset.jsonl"), "--out", str(staged)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("error: stage 2: stage-1 codebook_size 4 differs from the prior's "
+                   f"{codebook_size}\n")
+    assert {p.name: p.read_bytes() for p in staged.iterdir()} == before
 
 
 def test_train_stage2_without_dataset_hash_exit_training(pipeline, tmp_path):
@@ -918,7 +939,8 @@ def reference_samples_json(run_dir: Path, seed: int, mode: str, n: int, eye: str
             "delta_eye_deg": [math.degrees(v) for v in row[:2]],
             "delta_head_deg": [math.degrees(v) for v in row[2:]],
         })
-    pi = prior.forward_rows(condition.as_input()[None, :])[0]
+    pi = prior.forward_rows(condition_inputs(condition.as_input()[None, :],
+                                             prior.config.target_scale))[0]
     report = {
         "condition": {"eye_deg": eye, "head_deg": head, "target_m": target},
         "mode": mode,

@@ -537,23 +537,22 @@ def test_checkpoint_holds_only_what_a_load_uses(tmp_path):
     assert doc["version"] == nets.CHECKPOINT_VERSION == 1
 
 
-def test_checkpoint_with_optimizer_entry_loads_same_params(tmp_path):
-    # earlier builds stored the Adam moments beside the weights; a load
-    # ignores them, so their run directories still load
+def test_checkpoint_with_optimizer_entry_is_refused(tmp_path):
+    # earlier builds stored the Adam moments beside the weights; no code
+    # reads them, so the key is unknown and such a file does not load
     net = DenseNetwork.create([3, 5, 2], np.random.default_rng(21))
     path = tmp_path / "net.json"
     nets.save_checkpoint(path, net.params(), metadata={"epoch": 2})
     doc = json.loads(path.read_text(encoding="utf-8"))
+    assert "optimizer" not in doc
     moments = encode_params({k: np.zeros_like(v) for k, v in net.params().items()})
     doc["optimizer"] = {"lr": 1e-3, "weight_decay": 1e-4, "beta1": 0.9, "beta2": 0.999,
                         "eps": 1e-8, "step_count": 2, "m": moments, "v": moments}
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(doc), encoding="utf-8")
-    ck, old = nets.load_checkpoint(path), nets.load_checkpoint(legacy)
-    assert old.metadata == ck.metadata == {"epoch": 2}
-    assert list(old.params) == list(ck.params)
-    for name, p in ck.params.items():
-        np.testing.assert_array_equal(old.params[name], p)
+    assert nets.load_checkpoint(path).metadata == {"epoch": 2}
+    with pytest.raises(ValueError, match=r"legacy.json: unknown checkpoint fields: \['optimizer"):
+        nets.load_checkpoint(legacy)
 
 
 def test_params_and_gradients_share_one_flat_layout():

@@ -22,7 +22,8 @@ from gazeshift.prior import (PROB_FLOOR, ConditionalPrior, PriorConfig,
                              check_distribution, focal_loss_rows, sample_code,
                              softmax_rows)
 from gazeshift.trainer import CodeErrors, validate_stage2
-from gazeshift.vqvae import ConditionalVQVAE, VQVAEConfig, pose_errors_rows, target_rotations
+from gazeshift.vqvae import (ConditionalVQVAE, VQVAEConfig, condition_inputs, pose_errors_rows,
+                             target_rotations)
 from datagen_oracles import EyePose, HeadPose, PoseCondition
 from net_oracles import same_bits
 
@@ -40,20 +41,21 @@ def a_condition() -> PoseCondition:
 
 
 def a_row() -> np.ndarray:
-    """``a_condition()`` as one (1, 8) input row."""
-    return a_condition().as_input()[None, :]
+    """``a_condition()`` as one (1, 8) row of network inputs (``condition_inputs``)."""
+    return condition_inputs(a_condition().as_input()[None, :], PriorConfig().target_scale)
 
 
-def motion_consistency_rows(model, logits: np.ndarray, Y: np.ndarray, C: np.ndarray,
+def motion_consistency_rows(model, logits: np.ndarray, Y: np.ndarray, X: np.ndarray,
                             lambda_mc: float = 1.0) -> np.ndarray:
     """Per-row geodesic error of the most likely code's decoded allocation.
 
-    ``model`` needs a ``codebook`` array and ``decode_rows(Zq, C)``. Returns
-    d_eye + lambda_mc * d_head against the true allocations ``Y``; the
-    argmax makes the value piecewise constant in ``logits``.
+    ``model`` needs a ``codebook`` array and ``decode_rows(Zq, X)``; ``X``
+    holds the condition rows as network inputs. Returns d_eye + lambda_mc *
+    d_head against the true allocations ``Y``; the argmax makes the value
+    piecewise constant in ``logits``.
     """
-    pred = model.decode_rows(model.codebook[np.argmax(logits, axis=1)], C)
-    d_eye, d_head = pose_errors_rows(pred, C, target_rotations(Y, C))
+    pred = model.decode_rows(model.codebook[np.argmax(logits, axis=1)], X)
+    d_eye, d_head = pose_errors_rows(pred, X, target_rotations(Y, X))
     return d_eye + lambda_mc * d_head
 
 
@@ -74,7 +76,7 @@ class FixedDecoder:
         # one-hot codebook rows so codebook[k] identifies k
         self.codebook = np.eye(len(allocations))
 
-    def decode_rows(self, Zq, C):
+    def decode_rows(self, Zq, X):
         return self._allocations[np.argmax(Zq, axis=1)]
 
 
@@ -88,10 +90,10 @@ def logits_for(code: int, k: int) -> np.ndarray:
 def mc_rows(model, logits, c: PoseCondition, target_eye: EyePose,
             target_head: HeadPose, lambda_mc: float = 1.0) -> np.ndarray:
     """motion_consistency_rows for one condition and its true target poses."""
-    C = c.as_input()[None, :]
+    X = condition_inputs(c.as_input()[None, :], VQVAEConfig().target_scale)
     Y = np.concatenate([target_eye.as_array() - c.eye.as_array(),
                         target_head.as_array() - c.head.as_array()])[None, :]
-    return motion_consistency_rows(model, logits, Y, C, lambda_mc)
+    return motion_consistency_rows(model, logits, Y, X, lambda_mc)
 
 
 # -- softmax and distribution checks ----------------------------------------------
@@ -223,7 +225,7 @@ class FixedPrior:
     def __init__(self, logits):
         self.logits = logits
 
-    def logits_inputs(self, X):
+    def logits_rows(self, X):
         return self.logits
 
 
@@ -239,9 +241,10 @@ def test_code_error_tables_equal_per_batch_decoding(n, lambda_mc):
     model = ConditionalVQVAE(VQVAEConfig(), seed=3)
     K = model.config.codebook_size
     C = np.concatenate([rng.uniform(-0.3, 0.3, (n, 5)), rng.uniform(0.5, 2.0, (n, 3))], axis=1)
+    X = condition_inputs(C, model.config.target_scale)
     Y = rng.uniform(-0.6, 0.6, (n, 5))
     logits = rng.normal(size=(n, K)) * 3
-    errors = CodeErrors.of(model.decode_codes(C), C, target_rotations(Y, C))
+    errors = CodeErrors.of(model.decode_codes(X), X, target_rotations(Y, X))
     # Training batches: a shuffle cut into batches of 32 and a short
     # remainder, plus batches of 2 and 3. Not single rows: numpy decodes a
     # one-row batch by a matrix-vector path whose last bits can differ.
@@ -249,16 +252,16 @@ def test_code_error_tables_equal_per_batch_decoding(n, lambda_mc):
     batches = [perm[i:i + 32] for i in range(0, n, 32)] + [perm[:2], perm[-3:]]
     for batch in (b for b in batches if len(b) > 1):
         d_eye, d_head = errors.at(batch, np.argmax(logits[batch], axis=1))
-        oracle = motion_consistency_rows(model, logits[batch], Y[batch], C[batch], lambda_mc)
+        oracle = motion_consistency_rows(model, logits[batch], Y[batch], X[batch], lambda_mc)
         assert np.array_equal(d_eye + lambda_mc * d_head, oracle)
     # Validation over all rows at once.
     labels = rng.integers(0, K, size=n)
     codes = np.argmax(logits, axis=1)
-    d_eye, d_head = pose_errors_rows(model.decode_rows(model.codebook[codes], C), C,
-                                     target_rotations(Y, C))
+    d_eye, d_head = pose_errors_rows(model.decode_rows(model.codebook[codes], X), X,
+                                     target_rotations(Y, X))
     expected = (math.degrees(float(d_eye.mean())), math.degrees(float(d_head.mean())),
                 float((codes == labels).mean()))
-    assert validate_stage2(FixedPrior(logits), C, errors, labels) == expected
+    assert validate_stage2(FixedPrior(logits), X, errors, labels) == expected
 
 
 # -- the argmax blocks the consistency gradient ------------------------------------------
@@ -452,7 +455,7 @@ MODEL_KEYS = {
     "conditional-vqvae": ["kind", "codebook_size", "hidden_width", "target_scale",
                           "latent_dim", "beta", "lambda_rc", "codebook_init_scale"],
     "conditional-prior": ["kind", "codebook_size", "hidden_width", "target_scale",
-                          "gamma", "eta", "lambda_mc", "mc_gradient", "stage1_sha256"],
+                          "gamma", "eta", "lambda_mc", "stage1_sha256"],
 }
 # The order checkpoints were written in before the shared fields moved first
 # (priors of that time recorded their stage-1 link under another key).
@@ -460,7 +463,7 @@ EARLIER_MODEL_KEYS = {
     "conditional-vqvae": ["kind", "codebook_size", "latent_dim", "hidden_width", "beta",
                           "lambda_rc", "target_scale", "codebook_init_scale"],
     "conditional-prior": ["kind", "codebook_size", "hidden_width", "gamma", "eta",
-                          "lambda_mc", "target_scale", "mc_gradient", "stage1_sha256"],
+                          "lambda_mc", "target_scale", "stage1_sha256"],
 }
 
 
@@ -494,16 +497,18 @@ def test_checkpoint_with_model_keys_in_the_earlier_order_loads_alike(tmp_path):
             assert same_bits(loaded_params[name], value), name
 
 
-def test_prior_checkpoint_mc_gradient_is_none_or_absent(tmp_path):
+def test_prior_checkpoint_with_mc_gradient_is_refused(tmp_path):
+    # the key had one value, "none", and no reader; a file of an older build
+    # that still holds it is an unknown field, whatever its value
     path = tmp_path / "prior.json"
     small_prior(seed=5).save(path)
-    assert json.loads(path.read_text())["metadata"]["model"]["mc_gradient"] == "none"
+    assert "mc_gradient" not in json.loads(path.read_text())["metadata"]["model"]
     ConditionalPrior.load(path)
-    _edit_checkpoint(path, lambda doc: doc["metadata"]["model"].pop("mc_gradient"))
-    ConditionalPrior.load(path)  # older checkpoints without the key still load
-    _edit_checkpoint(path, lambda doc: doc["metadata"]["model"].update(mc_gradient="gumbel"))
-    with pytest.raises(ValueError, match="mc_gradient"):
-        ConditionalPrior.load(path)
+    for value in ("none", "gumbel"):
+        small_prior(seed=5).save(path)
+        _edit_checkpoint(path, lambda doc: doc["metadata"]["model"].update(mc_gradient=value))
+        with pytest.raises(ValueError, match=r"unknown model config fields: \['mc_gradient'\]"):
+            ConditionalPrior.load(path)
 
 
 def test_prior_load_rejects_extra_or_misshapen_params(tmp_path):

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -74,8 +75,9 @@ def small_dataset(tmp_path_factory) -> Dataset:
 @pytest.fixture(scope="module")
 def trained(small_dataset):
     model, s1 = train_stage1(small_dataset, SMALL_TRAIN)
-    labels = record_codes(model, small_dataset)
-    prior, s2 = train_stage2(model, labels, small_dataset, SMALL_TRAIN)
+    labels = record_codes(model, *model_inputs(*dataset_arrays(small_dataset, "train"),
+                                               SMALL_TRAIN.target_scale))
+    prior, s2 = train_stage2(model, small_dataset, SMALL_TRAIN)
     return model, s1, labels, prior, s2
 
 
@@ -221,10 +223,10 @@ def test_validate_stage1_recomputes_from_public_pieces(trained, small_dataset):
     model = trained[0]
     Yv, Cv = dataset_arrays(small_dataset, "val")
     eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
-    eye_mgd, head_mgd, util = validate_stage1(model, *model_inputs(Yv, Cv, 2.0),
-                                              target_rotations(Yv, Cv))
-    idx, z_q = quantize_rows(model.encode_rows(Yv, Cv), model.codebook)
-    pred = model.decode_rows(z_q, Cv)
+    inputs = model_inputs(Yv, Cv, 2.0)
+    eye_mgd, head_mgd, util = validate_stage1(model, *inputs, target_rotations(Yv, Cv))
+    idx, z_q = quantize_rows(model.encode_rows(*inputs), model.codebook)
+    pred = model.decode_rows(z_q, inputs[1])
     eye_poses = [EyePose(*(Cv[i, 0:2] + pred[i, 0:2])) for i in range(len(Cv))]
     eye_ref = [EyePose(*eye_v[i]) for i in range(len(Cv))]
     head_poses = [HeadPose(*(Cv[i, 2:5] + pred[i, 2:5])) for i in range(len(Cv))]
@@ -255,20 +257,20 @@ def test_stage1_is_deterministic(small_dataset, trained):
 def test_record_codes_matches_quantizer(trained, small_dataset):
     model, labels = trained[0], trained[2]
     Y, C = dataset_arrays(small_dataset, "train")
-    idx, _ = quantize_rows(model.encode_rows(Y, C), model.codebook)
+    idx, _ = quantize_rows(model.encode_rows(*model_inputs(Y, C, 2.0)), model.codebook)
     assert labels.shape == (48,) and labels.dtype.kind == "i"
     np.testing.assert_array_equal(labels, idx)
     assert labels.min() >= 0 and labels.max() < SMALL_TRAIN.codebook_size
 
 
 def test_stage1_non_finite_gradient_names_stage_and_epoch(small_dataset, monkeypatch):
-    real = ConditionalVQVAE.loss_inputs
+    real = ConditionalVQVAE.loss_and_grads
 
     def poisoned(self, Y, X, **kw):
         terms, grad = real(self, Y, X, **kw)
         return terms, np.full_like(grad, np.nan)
 
-    monkeypatch.setattr(ConditionalVQVAE, "loss_inputs", poisoned)
+    monkeypatch.setattr(ConditionalVQVAE, "loss_and_grads", poisoned)
     with pytest.raises(TrainingError, match="stage 1 epoch 0: non-finite gradient"):
         train_stage1(small_dataset, SMALL_TRAIN)
 
@@ -280,7 +282,7 @@ def test_a_non_finite_row_is_refused_before_the_first_epoch(trained, small_datas
                                                           stage, which, rows, column):
     # each split is checked once, before any epoch: a NaN row used to leak a
     # bare ValueError from stage 2 and from stage 1's validation split
-    model, labels = trained[0], trained[2]
+    model = trained[0]
     conditions, allocations = small_dataset.conditions.copy(), small_dataset.allocations.copy()
     (conditions if rows == "condition" else allocations)[small_dataset.split.index(which),
                                                          column] = math.nan
@@ -296,15 +298,15 @@ def test_a_non_finite_row_is_refused_before_the_first_epoch(trained, small_datas
         if stage == 1:
             train_stage1(bad, SMALL_TRAIN)
         else:
-            train_stage2(model, labels, bad, SMALL_TRAIN)
+            train_stage2(model, bad, SMALL_TRAIN)
 
 
 def test_per_split_work_stays_out_of_the_step(trained, small_dataset, monkeypatch):
     """The checks and the normalisation run as often at any epoch count."""
-    model, labels = trained[0], trained[2]
+    model = trained[0]
     calls = []
     for module, name in [(vqvae_module, "condition_inputs"), (vqvae_module, "_finite_rows"),
-                         (prior_module, "condition_inputs"), (trainer_module, "condition_inputs")]:
+                         (trainer_module, "condition_inputs")]:
         def counted(*args, real=getattr(module, name), name=name):
             calls.append(name)
             return real(*args)
@@ -318,9 +320,42 @@ def test_per_split_work_stays_out_of_the_step(trained, small_dataset, monkeypatc
             if stage == 1:
                 train_stage1(small_dataset, config)
             else:
-                train_stage2(model, labels, small_dataset, config)
+                train_stage2(model, small_dataset, config)
             counts.append(sorted(calls))
         assert counts[0] == counts[1] and "condition_inputs" in counts[0], stage
+
+
+def test_each_command_normalises_each_split_once(tmp_path, monkeypatch):
+    """``train`` normalises each split's condition rows once per stage, and ``eval`` once.
+
+    On the default dataset (644 training and 161 validation rows) and
+    model (10 codes), one epoch per stage: the counts do not depend on the
+    epoch count (``test_per_split_work_stays_out_of_the_step``). The
+    labels, the decoded tables and the validations reuse those rows.
+    """
+    from gazeshift import cli
+    data, run = tmp_path / "data", tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"training": {"stage1_epochs": 1, "stage2_epochs": 1}}),
+                      encoding="utf-8")
+    assert cli.main(["gen-data", "--out", str(data)]) == 0
+    rows, real = [], vqvae_module.condition_inputs
+
+    def counted(C, target_scale):
+        rows.append(len(C))
+        return real(C, target_scale)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("gazeshift.")]:
+        if getattr(module, "condition_inputs", None) is real:
+            monkeypatch.setattr(module, "condition_inputs", counted)
+    dataset = str(data / "dataset.jsonl")
+    assert cli.main(["train", "--config", str(config), "--dataset", dataset,
+                     "--out", str(run)]) == 0
+    assert rows == [644, 161, 644, 161]  # stage 1 train and val, then stage 2's
+    rows.clear()
+    assert cli.main(["eval", "--dataset", dataset, "--run", str(run),
+                     "--out", str(tmp_path / "eval")]) == 0
+    assert rows == [161]
 
 
 @pytest.mark.parametrize("epochs, batch_size", [(2, 20), (36, 5)],
@@ -348,9 +383,8 @@ def test_training_matches_the_per_batch_oracle_bit_for_bit(small_dataset, monkey
     assert same_bits(model.flat, reference[s1.best_epoch][0])
 
     after_epoch.clear()
-    labels = record_codes(model, small_dataset)
-    prior, s2 = train_stage2(model, labels, small_dataset, config)
-    reference = stage2_reference(model, labels, small_dataset, config)
+    prior, s2 = train_stage2(model, small_dataset, config)
+    reference = stage2_reference(model, small_dataset, config)
     assert len(after_epoch) == len(reference) == epochs
     for flat, metrics, (ref_flat, ref_terms) in zip(after_epoch, s2.metrics, reference):
         assert same_bits(flat, ref_flat)
@@ -363,27 +397,25 @@ def test_training_matches_the_per_batch_oracle_bit_for_bit(small_dataset, monkey
 def test_stage2_leaves_stage1_frozen(small_dataset):
     model, _ = train_stage1(small_dataset, SMALL_TRAIN)
     before = model.flat.copy()
-    labels = record_codes(model, small_dataset)
-    train_stage2(model, labels, small_dataset, SMALL_TRAIN)
+    train_stage2(model, small_dataset, SMALL_TRAIN)
     assert same_bits(model.flat, before)
 
 
 def test_stage2_decodes_as_often_at_any_epoch_count(trained, small_dataset, monkeypatch):
     """Stage 2 decodes its tables once; no step or validation decodes again."""
-    model, labels = trained[0], trained[2]
+    model = trained[0]
     real = ConditionalVQVAE.decode_rows
     calls = []
 
-    def counted(self, Zq, C):
-        calls.append(len(C))
-        return real(self, Zq, C)
+    def counted(self, Zq, X):
+        calls.append(len(X))
+        return real(self, Zq, X)
 
     monkeypatch.setattr(ConditionalVQVAE, "decode_rows", counted)
     counts = []
     for epochs in (1, 3):
         calls.clear()
-        train_stage2(model, labels, small_dataset,
-                     dataclasses.replace(SMALL_TRAIN, stage2_epochs=epochs))
+        train_stage2(model, small_dataset, dataclasses.replace(SMALL_TRAIN, stage2_epochs=epochs))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -392,12 +424,12 @@ def test_validate_stage2_recomputes_from_public_pieces(trained, small_dataset):
     model, prior = trained[0], trained[3]
     Yv, Cv = dataset_arrays(small_dataset, "val")
     eye_v, head_v = Cv[:, 0:2] + Yv[:, 0:2], Cv[:, 2:5] + Yv[:, 2:5]
-    val_labels = record_codes(model, small_dataset, "val")
-    val_errors = CodeErrors.of(model.decode_codes(Cv), Cv, target_rotations(Yv, Cv))
-    eye_mgd, head_mgd, top1 = validate_stage2(prior, condition_inputs(Cv, 2.0), val_errors,
-                                              val_labels)
-    codes = np.argmax(prior.forward_rows(Cv), axis=1)
-    pred = model.decode_rows(model.codebook[codes], Cv)
+    Xv = condition_inputs(Cv, 2.0)
+    val_labels = record_codes(model, *model_inputs(Yv, Cv, 2.0))
+    val_errors = CodeErrors.of(model.decode_codes(Xv), Xv, target_rotations(Yv, Cv))
+    eye_mgd, head_mgd, top1 = validate_stage2(prior, Xv, val_errors, val_labels)
+    codes = np.argmax(prior.forward_rows(Xv), axis=1)
+    pred = model.decode_rows(model.codebook[codes], Xv)
     eye_poses = [EyePose(*(Cv[i, 0:2] + pred[i, 0:2])) for i in range(len(Cv))]
     head_poses = [HeadPose(*(Cv[i, 2:5] + pred[i, 2:5])) for i in range(len(Cv))]
     assert eye_mgd == pytest.approx(
@@ -466,26 +498,19 @@ def test_fit_breaks_validation_ties_in_stage2_only():
 
 def test_stage2_loss_total_composes_terms(trained, small_dataset):
     # the logged stage-2 objective is focal + eta * mc, epoch by epoch
-    model, labels, s2 = trained[0], trained[2], trained[4]
+    model, s2 = trained[0], trained[4]
     for m in s2.metrics:
         assert m.loss_total == m.loss_focal + SMALL_TRAIN.eta * m.loss_mc
         assert m.loss_focal > 0 and m.loss_mc > 0
     # eta = 0 leaves the focal term alone
-    _, s2_focal = train_stage2(model, labels, small_dataset,
-                               dataclasses.replace(SMALL_TRAIN, eta=0.0))
+    _, s2_focal = train_stage2(model, small_dataset, dataclasses.replace(SMALL_TRAIN, eta=0.0))
     for m in s2_focal.metrics:
         assert m.loss_total == m.loss_focal
 
 
-def test_stage2_rejects_mismatched_labels(trained, small_dataset):
-    model, labels = trained[0], trained[2]
-    with pytest.raises(TrainingError, match="labels"):
-        train_stage2(model, labels[:-1], small_dataset, SMALL_TRAIN)
-
-
 def test_stage2_non_finite_focal_loss_names_stage_and_epoch(trained, small_dataset,
                                                            monkeypatch):
-    model, labels = trained[0], trained[2]
+    model = trained[0]
     real = prior_module.focal_loss_rows
 
     def poisoned(logits, labels, gamma):
@@ -494,7 +519,7 @@ def test_stage2_non_finite_focal_loss_names_stage_and_epoch(trained, small_datas
 
     monkeypatch.setattr(prior_module, "focal_loss_rows", poisoned)
     with pytest.raises(TrainingError, match="stage 2 epoch 0: non-finite loss"):
-        train_stage2(model, labels, small_dataset, SMALL_TRAIN)
+        train_stage2(model, small_dataset, SMALL_TRAIN)
 
 
 # -- inference ------------------------------------------------------------------------------------
@@ -512,7 +537,7 @@ def test_infer_argmax_is_deterministic(trained, val_conditions):
 def test_infer_sampling_follows_pi(trained, val_conditions):
     model, prior = trained[0], trained[3]
     c = val_conditions[1]
-    pi = prior.forward_rows(c.as_input()[None, :])[0]
+    pi = prior.forward_rows(condition_inputs(c.as_input()[None, :], 2.0))[0]
     rng = np.random.default_rng(17)
     draws = np.array([infer(model, prior, c, mode="sample", rng=rng).code
                       for _ in range(1000)])
@@ -528,7 +553,7 @@ def test_infer_equals_forward_sample_and_decode(trained, val_conditions, mode):
     rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
     for c in val_conditions:
         result = infer(model, prior, c, mode=mode, rng=rng)
-        x = c.as_input()[None, :]
+        x = condition_inputs(c.as_input()[None, :], 2.0)
         pi = prior.forward_rows(x)[0]
         draw = np.argmax(pi) if mode == "argmax" else prior_module.sample_code(pi, ref_rng, 1)[0]
         code = int(draw)

@@ -19,10 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gazeshift.prior import ConditionalPrior, PriorConfig
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig,
                              allocation_violations, condition_inputs, condition_violations,
-                             pose_errors_rows, quantize_rows, reconstruction_terms,
+                             model_inputs, pose_errors_rows, quantize_rows, reconstruction_terms,
                              target_rotations)
 from datagen_oracles import (EyePose, HeadPose, PoseAllocation, PoseCondition, euler_to_matrix,
                              geodesic_distance)
@@ -47,24 +46,23 @@ def fixture_batch(rng: np.random.Generator, n: int = 3):
     return Y, C
 
 
-def assignment_margin(model: ConditionalVQVAE, Y, C) -> float:
+def assignment_margin(model: ConditionalVQVAE, Y, X) -> float:
     """Distance gap between the chosen code and the runner-up, per batch min."""
-    z_e = model.encode_rows(Y, C)
+    z_e = model.encode_rows(Y, X)
     d2 = ((z_e[:, None, :] - model.codebook) ** 2).sum(axis=2)
     d2.sort(axis=1)
     return float((d2[:, 1] - d2[:, 0]).min())
 
 
-def kink_margin(model: ConditionalVQVAE, Y, C) -> float:
+def kink_margin(model: ConditionalVQVAE, Y, X) -> float:
     """Smallest |pre-activation| over every rectified layer in the model."""
-    Cn = condition_inputs(C, model.config.target_scale)
     f_y = model.recon_encoder.forward(Y)
-    f_c = model.cond_encoder.forward(Cn)
+    f_c = model.cond_encoder.forward(X)
     z_e = model.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
     _, z_q = quantize_rows(z_e, model.codebook)
     h = model.fusion_out.forward(np.concatenate([z_q, f_c], axis=1))
     margins = []
-    for net, x in ((model.recon_encoder, Y), (model.cond_encoder, Cn),
+    for net, x in ((model.recon_encoder, Y), (model.cond_encoder, X),
                    (model.decoder, h)):
         for z, act in zip(preactivations(net, x), net.activations):
             if act == "relu":
@@ -73,21 +71,22 @@ def kink_margin(model: ConditionalVQVAE, Y, C) -> float:
 
 
 def stable_fixture(seed_start: int = 0):
-    """A (model, Y, C) fixture with safe margins for finite differencing."""
+    """A (model, Y, X) fixture with safe margins for finite differencing;
+    (Y, X) are the ``model_inputs`` of a ``fixture_batch``."""
     for seed in range(seed_start, seed_start + 50):
         rng = np.random.default_rng(seed)
         model = small_model(seed)
-        Y, C = fixture_batch(rng)
-        if assignment_margin(model, Y, C) < 1e-3:
+        Y, X = model_inputs(*fixture_batch(rng), model.config.target_scale)
+        if assignment_margin(model, Y, X) < 1e-3:
             continue
-        if kink_margin(model, Y, C) < 1e-4:
+        if kink_margin(model, Y, X) < 1e-4:
             continue
         # geodesic distances must stay away from the metric's kinks at 0, pi
-        pred = model.decode_rows(quantize_rows(model.encode_rows(Y, C), model.codebook)[1], C)
-        vals, _ = reconstruction_terms(pred, Y, C, 1.0)
+        pred = model.decode_rows(quantize_rows(model.encode_rows(Y, X), model.codebook)[1], X)
+        vals, _ = reconstruction_terms(pred, Y, X, 1.0)
         if vals.min() < 0.05 or vals.max() > math.pi - 0.1:
             continue
-        return model, Y, C
+        return model, Y, X
     raise AssertionError("no stable fixture found")
 
 
@@ -171,18 +170,16 @@ def test_row_violations_of_no_rows():
 
 # -- quantize --------------------------------------------------------------------
 
-# Where rows enter a model, and which rows: DenseNetwork.forward does not
-# check values, so each entry point must refuse a NaN or inf row itself.
+# Where rows enter a model, and which rows: neither DenseNetwork.forward nor
+# a model pass checks values, so each entry point must refuse a NaN or inf
+# row itself.
 _ENTRY_POINTS = {
-    "condition_inputs": ("C", lambda m, p, Y, C, Z: condition_inputs(C, 2.0)),
-    "prior.logits_rows": ("C", lambda m, p, Y, C, Z: p.logits_rows(C)),
-    "prior.forward_rows": ("C", lambda m, p, Y, C, Z: p.forward_rows(C)),
-    "encode_rows": ("Y", lambda m, p, Y, C, Z: m.encode_rows(Y, C)),
-    "forward_rows": ("Y", lambda m, p, Y, C, Z: m.forward_rows(Y, C)),
-    "loss_and_grads": ("Y", lambda m, p, Y, C, Z: m.loss_and_grads(Y, C)),
+    "condition_inputs": ("C", lambda m, Y, C, Z: condition_inputs(C, 2.0)),
+    "model_inputs-Y": ("Y", lambda m, Y, C, Z: model_inputs(Y, C, 2.0)),
+    "model_inputs-C": ("C", lambda m, Y, C, Z: model_inputs(Y, C, 2.0)),
     # one row, as trainer.draw_allocations decodes each code
-    "decode": ("Z", lambda m, p, Y, C, Z: m.decode_inputs(Z[1:2], condition_inputs(C[1:2], 2.0))),
-    "decode_rows": ("Z", lambda m, p, Y, C, Z: m.decode_rows(Z, C)),
+    "decode": ("Z", lambda m, Y, C, Z: m.decode_rows(Z[1:2], condition_inputs(C[1:2], 2.0))),
+    "decode_rows": ("Z", lambda m, Y, C, Z: m.decode_rows(Z, condition_inputs(C, 2.0))),
 }
 
 
@@ -190,13 +187,12 @@ _ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 def test_entry_points_reject_non_finite_rows(entry, bad):
     model = small_model(5)
-    prior = ConditionalPrior(PriorConfig(codebook_size=4, hidden_width=8), seed=5)
     Y, C = fixture_batch(np.random.default_rng(23))
     rows = {"Y": Y, "C": C, "Z": model.codebook[:3].copy()}
     poisoned, call = _ENTRY_POINTS[entry]
     rows[poisoned][1, -1] = bad
     with pytest.raises(ValueError, match="contain non-finite values"):
-        call(model, prior, **rows)
+        call(model, **rows)
 
 
 def test_quantize_nearest_neighbor():
@@ -250,9 +246,9 @@ def test_quantize_validates_inputs():
 def test_encode_shape_and_determinism():
     c = PoseCondition(EyePose(0.1, 0.0), HeadPose(0.2, -0.1, 0.0), [1.5, 0.3, 0.2])
     y = PoseAllocation([0.05, 0.02], [0.2, -0.1, 0.0])
-    Y, C = y.as_vector()[None, :], c.as_input()[None, :]
-    a = ConditionalVQVAE(VQVAEConfig(), seed=5).encode_rows(Y, C)
-    b = ConditionalVQVAE(VQVAEConfig(), seed=5).encode_rows(Y, C)
+    Y, X = model_inputs(y.as_vector()[None, :], c.as_input()[None, :], 2.0)
+    a = ConditionalVQVAE(VQVAEConfig(), seed=5).encode_rows(Y, X)
+    b = ConditionalVQVAE(VQVAEConfig(), seed=5).encode_rows(Y, X)
     assert a.shape == (1, VQVAEConfig().latent_dim) == (1, 8)
     np.testing.assert_array_equal(a, b)
 
@@ -260,18 +256,19 @@ def test_encode_shape_and_determinism():
 def test_forward_rows_matches_encode_quantize_decode():
     rng = np.random.default_rng(26)
     model = small_model(3)
-    Y, C = fixture_batch(rng, n=7)
-    idx, z_e, z_q, pred = model.forward_rows(Y, C)
-    np.testing.assert_array_equal(z_e, model.encode_rows(Y, C))
+    Y, X = model_inputs(*fixture_batch(rng, n=7), model.config.target_scale)
+    idx, z_e, z_q, pred = model.forward_rows(Y, X)
+    np.testing.assert_array_equal(z_e, model.encode_rows(Y, X))
     idx_ref, z_q_ref = quantize_rows(z_e, model.codebook)
     np.testing.assert_array_equal(idx, idx_ref)
     np.testing.assert_array_equal(z_q, z_q_ref)
-    np.testing.assert_array_equal(pred, model.decode_rows(z_q, C))
+    np.testing.assert_array_equal(pred, model.decode_rows(z_q, X))
 
 
 def test_decode_shape_and_split():
     model = small_model()
-    x = PoseCondition(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0]).as_input()[None, :]
+    x = condition_inputs(
+        PoseCondition(EyePose(0, 0), HeadPose(0, 0, 0), [1.0, 0.0, 0.0]).as_input()[None, :], 2.0)
     assert model.decode_rows(np.zeros((1, 3)), x).shape == (1, 5)
     with pytest.raises(ValueError):
         model.decode_rows(np.zeros((1, 5)), x)
@@ -280,11 +277,11 @@ def test_decode_shape_and_split():
 def test_encode_input_gradients_match_fd():
     # chain the per-net input gradients through the fusion and compare with
     # finite differences of encode_rows coordinates
-    model, Y, C = stable_fixture(30)
+    model, Y, X = stable_fixture(30)
     H = model.config.hidden_width
     D = model.config.latent_dim
     for coord in range(D):
-        z0 = model.encode_rows(Y, C)
+        z0 = model.encode_rows(Y, X)
         upstream = np.zeros_like(z0)
         upstream[:, coord] = 1.0
         _, g_u = model.fusion_in.backward(upstream)
@@ -293,8 +290,8 @@ def test_encode_input_gradients_match_fd():
             for j in range(5):
                 step = np.zeros_like(Y)
                 step[i, j] = FD_H
-                fd = (model.encode_rows(Y + step, C)[i, coord]
-                      - model.encode_rows(Y - step, C)[i, coord]) / (2 * FD_H)
+                fd = (model.encode_rows(Y + step, X)[i, coord]
+                      - model.encode_rows(Y - step, X)[i, coord]) / (2 * FD_H)
                 assert g_y[i, j] == pytest.approx(fd, rel=FD_REL, abs=1e-9)
 
 
@@ -404,59 +401,52 @@ def test_vq_loss_zero_at_perfect_reconstruction():
     model.set_params(zeros)  # zero nets and zero codebook: z_e = z_q = pred = 0
     c = PoseCondition(EyePose(0.1, 0.0), HeadPose(0.2, 0.0, 0.0), [1.0, 0.2, 0.1])
     y = PoseAllocation([0.0, 0.0], [0.0, 0.0, 0.0])
-    terms, _ = model.loss_and_grads(y.as_vector()[None, :], c.as_input()[None, :])
+    terms, _ = model.loss_and_grads(*model_inputs(y.as_vector()[None, :],
+                                                  c.as_input()[None, :], 2.0))
     assert terms.total == pytest.approx(0.0, abs=1e-12)
     assert terms.rec == pytest.approx(0.0, abs=1e-12)
     assert terms.embed == terms.commit == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vq_loss_beta_weighs_only_commit():
-    model, Y, C = stable_fixture(40)
-    terms, _ = model.loss_and_grads(Y, C)
+    model, Y, X = stable_fixture(40)
+    terms, _ = model.loss_and_grads(Y, X)
     beta = model.config.beta
     assert terms.commit == terms.embed  # same value, different gradient routing
     assert terms.total == pytest.approx(terms.rec + (1 + beta) * terms.embed, rel=1e-12)
 
 
-def test_vq_loss_rejects_bad_batches():
-    model = small_model()
-    with pytest.raises(ValueError):
-        model.loss_and_grads(np.zeros((0, 5)), np.zeros((0, 8)))
-    with pytest.raises(ValueError):
-        model.loss_and_grads(np.zeros((2, 5)), np.zeros((3, 8)))
-
-
 # -- vq loss: gradient routing and finite differences ----------------------------------
 
-def fd_probe(model, Y, C, name, j, weights, h=FD_H):
+def fd_probe(model, Y, X, name, j, weights, h=FD_H):
     """Central difference of the weighted loss in one parameter coordinate."""
     p = model.params()[name].ravel()
     orig = p[j]
     rec_w, embed_w, commit_w = weights
     p[j] = orig + h
-    up, _ = model.loss_and_grads(Y, C, rec_weight=rec_w, embed_weight=embed_w,
+    up, _ = model.loss_and_grads(Y, X, rec_weight=rec_w, embed_weight=embed_w,
                                  commit_weight=commit_w)
     p[j] = orig - h
-    down, _ = model.loss_and_grads(Y, C, rec_weight=rec_w, embed_weight=embed_w,
+    down, _ = model.loss_and_grads(Y, X, rec_weight=rec_w, embed_weight=embed_w,
                                    commit_weight=commit_w)
     p[j] = orig
     return (up.total - down.total) / (2 * h)
 
 
 def test_codebook_gradient_comes_only_from_embed_term():
-    model, Y, C = stable_fixture(50)
+    model, Y, X = stable_fixture(50)
     # rec + commit active, embed off: codebook gradient must vanish exactly
-    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0)[1])
+    grads = model.layout.views(model.loss_and_grads(Y, X, rec_weight=1.0, embed_weight=0.0)[1])
     assert np.all(grads["codebook"] == 0.0)
     # embed alone: codebook gradient matches finite differences of the real
     # loss while the code assignment is stable
-    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
+    grads = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=1.0,
                                                     commit_weight=0.0)[1])
-    idx, _ = quantize_rows(model.encode_rows(Y, C), model.codebook)
+    idx, _ = quantize_rows(model.encode_rows(Y, X), model.codebook)
     flat = grads["codebook"].ravel()
     D = model.config.latent_dim
     for j in range(model.codebook.size):
-        fd = fd_probe(model, Y, C, "codebook", j, (0.0, 1.0, 0.0))
+        fd = fd_probe(model, Y, X, "codebook", j, (0.0, 1.0, 0.0))
         assert flat[j] == pytest.approx(fd, rel=FD_REL, abs=1e-9), j
     # entries never selected receive exactly zero
     unused = set(range(model.config.codebook_size)) - set(int(k) for k in idx)
@@ -465,8 +455,8 @@ def test_codebook_gradient_comes_only_from_embed_term():
 
 
 def test_encoder_gradient_blocked_on_embed_term():
-    model, Y, C = stable_fixture(60)
-    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
+    model, Y, X = stable_fixture(60)
+    grads = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=1.0,
                                                     commit_weight=0.0)[1])
     for name, g in grads.items():
         if name != "codebook":
@@ -474,9 +464,9 @@ def test_encoder_gradient_blocked_on_embed_term():
 
 
 def test_commit_gradient_reaches_encoder_not_codebook():
-    model, Y, C = stable_fixture(70)
+    model, Y, X = stable_fixture(70)
     beta = model.config.beta
-    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=0.0,
+    grads = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=0.0,
                                                     commit_weight=beta)[1])
     assert np.all(grads["codebook"] == 0.0)
     # decoder is behind the stop-gradient too
@@ -492,7 +482,7 @@ def test_commit_gradient_reaches_encoder_not_codebook():
         p = model.params()[name].ravel()
         rng = np.random.default_rng(hash(name) % (2**32))
         for j in rng.choice(p.size, size=6, replace=False):
-            fd = fd_probe(model, Y, C, name, int(j), (0.0, 0.0, beta))
+            fd = fd_probe(model, Y, X, name, int(j), (0.0, 0.0, beta))
             assert g[j] == pytest.approx(fd, rel=FD_REL, abs=1e-9), (name, j)
             some += 1
     assert some > 0
@@ -505,21 +495,21 @@ def test_rec_gradients_match_straight_through_surrogate():
     point and decodes z_e + offset, which is exactly the function whose true
     gradient the straight-through estimator reports.
     """
-    model, Y, C = stable_fixture(80)
-    z_e0 = model.encode_rows(Y, C)
+    model, Y, X = stable_fixture(80)
+    z_e0 = model.encode_rows(Y, X)
     _, z_q0 = quantize_rows(z_e0, model.codebook)
     offset = z_q0 - z_e0  # frozen
 
     def surrogate() -> float:
-        f_c = model.cond_encoder.forward(condition_inputs(C, model.config.target_scale))
+        f_c = model.cond_encoder.forward(X)
         f_y = model.recon_encoder.forward(Y)
         z_e = model.fusion_in.forward(np.concatenate([f_y, f_c], axis=1))
         h = model.fusion_out.forward(np.concatenate([z_e + offset, f_c], axis=1))
         pred = model.decoder.forward(h)
-        vals, _ = reconstruction_terms(pred, Y, C, model.config.lambda_rc)
+        vals, _ = reconstruction_terms(pred, Y, X, model.config.lambda_rc)
         return float(vals.mean())
 
-    grads = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
+    grads = model.layout.views(model.loss_and_grads(Y, X, rec_weight=1.0, embed_weight=0.0,
                                                     commit_weight=0.0)[1])
     assert np.all(grads["codebook"] == 0.0)
     checked = 0
@@ -544,14 +534,14 @@ def test_rec_gradients_match_straight_through_surrogate():
 
 
 def test_total_gradient_is_sum_of_term_gradients():
-    model, Y, C = stable_fixture(90)
+    model, Y, X = stable_fixture(90)
     beta = model.config.beta
-    g_total = model.layout.views(model.loss_and_grads(Y, C)[1])
-    g_rec = model.layout.views(model.loss_and_grads(Y, C, rec_weight=1.0, embed_weight=0.0,
+    g_total = model.layout.views(model.loss_and_grads(Y, X)[1])
+    g_rec = model.layout.views(model.loss_and_grads(Y, X, rec_weight=1.0, embed_weight=0.0,
                                                     commit_weight=0.0)[1])
-    g_embed = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=1.0,
+    g_embed = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=1.0,
                                                       commit_weight=0.0)[1])
-    g_commit = model.layout.views(model.loss_and_grads(Y, C, rec_weight=0.0, embed_weight=0.0,
+    g_commit = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=0.0,
                                                        commit_weight=beta)[1])
     for name in g_total:
         np.testing.assert_allclose(
@@ -564,45 +554,41 @@ def test_precomputed_true_rotations_give_the_same_bits():
     # hands each batch its rows of them
     model = ConditionalVQVAE(VQVAEConfig(hidden_width=16), seed=3)
     rng = np.random.default_rng(41)
-    Y, C = fixture_batch(rng, n=40)
-    R_split = target_rotations(Y, C).reshape(2, len(Y), 3, 3)
+    Y, X = model_inputs(*fixture_batch(rng, n=40), model.config.target_scale)
+    R_split = target_rotations(Y, X).reshape(2, len(Y), 3, 3)
     for batch in (np.arange(40), rng.permutation(40)[:32], np.array([7])):
-        terms, grad = model.loss_and_grads(Y[batch], C[batch])
+        terms, grad = model.loss_and_grads(Y[batch], X[batch])
         given_terms, given_grad = model.loss_and_grads(
-            Y[batch], C[batch], R_true=R_split[:, batch].reshape(-1, 3, 3))
+            Y[batch], X[batch], R_true=R_split[:, batch].reshape(-1, 3, 3))
         assert given_terms == terms
         np.testing.assert_array_equal(given_grad, grad)
-        vals, g = reconstruction_terms(Y[batch] + 0.1, Y[batch], C[batch], 0.5)
-        given_vals, given_g = reconstruction_terms(Y[batch] + 0.1, Y[batch], C[batch], 0.5,
+        vals, g = reconstruction_terms(Y[batch] + 0.1, Y[batch], X[batch], 0.5)
+        given_vals, given_g = reconstruction_terms(Y[batch] + 0.1, Y[batch], X[batch], 0.5,
                                                    R_split[:, batch].reshape(-1, 3, 3))
         np.testing.assert_array_equal(given_vals, vals)
         np.testing.assert_array_equal(given_g, g)
-    with pytest.raises(ValueError, match="R_true"):
-        model.loss_and_grads(Y, C, R_true=R_split[0])
 
 
 def test_loss_and_grads_returns_a_new_gradient_every_call():
-    model, Y, C = stable_fixture(110)
-    _, first = model.loss_and_grads(Y, C)
+    model, Y, X = stable_fixture(110)
+    _, first = model.loss_and_grads(Y, X)
     kept = first.copy()
-    _, second = model.loss_and_grads(Y[:2], C[:2])
+    _, second = model.loss_and_grads(Y[:2], X[:2])
     assert not np.shares_memory(first, second)
     np.testing.assert_array_equal(first, kept)
 
 
 def test_loss_and_grads_into_out_returns_it_with_the_default_bits():
-    for model, Y, C in (stable_fixture(110),
-                        (ConditionalVQVAE(seed=0), *fixture_batch(np.random.default_rng(3), 32))):
-        terms, fresh = model.loss_and_grads(Y, C)
+    for model, Y, X in (stable_fixture(110),
+                        (ConditionalVQVAE(seed=0),
+                         *model_inputs(*fixture_batch(np.random.default_rng(3), 32), 2.0))):
+        terms, fresh = model.loss_and_grads(Y, X)
         out = np.full(model.layout.size, np.nan)  # stale contents must not leak through
         for _ in range(2):
-            given_terms, grad = model.loss_and_grads(Y, C, out=out)
+            given_terms, grad = model.loss_and_grads(Y, X, out=out)
             assert grad is out
             assert given_terms == terms
             assert same_bits(out, fresh)
-        for bad in (np.empty(model.layout.size - 1), np.empty(model.layout.size, dtype=np.float32)):
-            with pytest.raises(ValueError, match="out"):
-                model.loss_and_grads(Y, C, out=bad)
 
 
 def test_backward_into_reused_out_matches_fresh_vector():
@@ -625,7 +611,7 @@ def test_backward_into_reused_out_matches_fresh_vector():
 # -- persistence ----------------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
-    model, Y, C = stable_fixture(100)
+    model, Y, X = stable_fixture(100)
     path = tmp_path / "model.json"
     digest = model.save(path, metadata={"note": "fixture"})
     loaded, ck = ConditionalVQVAE.load(path)
@@ -634,8 +620,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert all(same_bits(loaded.params()[name], p) for name, p in model.params().items())
     assert ck.metadata["note"] == "fixture"
     np.testing.assert_array_equal(loaded.codebook, model.codebook)
-    terms_a, _ = model.loss_and_grads(Y, C)
-    terms_b, _ = loaded.loss_and_grads(Y, C)
+    terms_a, _ = model.loss_and_grads(Y, X)
+    terms_b, _ = loaded.loss_and_grads(Y, X)
     assert terms_a.total == terms_b.total
 
 
@@ -674,10 +660,10 @@ def test_adam_names_the_non_finite_parameter_of_the_flat_vector():
 
 def test_checkpoint_round_trip_keeps_params_per_key(tmp_path):
     from gazeshift import nets
-    model, Y, C = stable_fixture(110)
+    model, Y, X = stable_fixture(110)
     adam = nets.AdamState.for_params(model.params(), lr=1e-3, weight_decay=1e-4)
     for _ in range(3):
-        _, grad = model.loss_and_grads(Y, C)
+        _, grad = model.loss_and_grads(Y, X)
         nets.adam_step(adam, model.flat, grad)
     path = tmp_path / "model.json"
     model.save(path)

@@ -1,7 +1,7 @@
 """The per-batch training steps ``trainer._fit`` replaced, kept as an oracle.
 
 Each step gathers its rows by the batch's indices, checks and normalises
-them again inside ``loss_and_grads`` or ``logits_rows``, and updates the
+them again (``model_inputs`` of the batch), and updates the
 parameters with the whole-array Adam (``net_oracles.adam_whole_array``),
 which divides by the bias correction at every step. The trained
 parameters must match ``train_stage1`` and ``train_stage2`` bit for bit.
@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from gazeshift.prior import ConditionalPrior, focal_loss_rows
-from gazeshift.trainer import CodeErrors, dataset_arrays
-from gazeshift.vqvae import ConditionalVQVAE, target_rotations
+from gazeshift.trainer import CodeErrors, dataset_arrays, record_codes
+from gazeshift.vqvae import ConditionalVQVAE, model_inputs, target_rotations
 from net_oracles import adam_whole_array
 
 
@@ -48,7 +48,7 @@ def stage1_reference(dataset, config) -> list:
     R_true = target_rotations(Y, C).reshape(2, len(Y), 3, 3)
 
     def step(batch):
-        terms, grad = model.loss_and_grads(Y[batch], C[batch],
+        terms, grad = model.loss_and_grads(*model_inputs(Y[batch], C[batch], config.target_scale),
                                            R_true=R_true[:, batch].reshape(-1, 3, 3))
         return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
 
@@ -56,15 +56,17 @@ def stage1_reference(dataset, config) -> list:
                          np.random.default_rng(seeds[1]), config, step)
 
 
-def stage2_reference(model, labels, dataset, config) -> list:
+def stage2_reference(model, dataset, config) -> list:
     """``fit_reference`` of stage 2 against the frozen ``model``: (focal, mc) terms per epoch."""
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     prior = ConditionalPrior(config.prior_config(), seed=config.seed + 1)
     Y, C = dataset_arrays(dataset, "train")
-    errors = CodeErrors.of(model.decode_codes(C), C, target_rotations(Y, C))
+    Y, X = model_inputs(Y, C, config.target_scale)
+    labels = record_codes(model, Y, X)
+    errors = CodeErrors.of(model.decode_codes(X), X, target_rotations(Y, X))
 
     def step(batch):
-        logits = prior.logits_rows(C[batch])
+        logits = prior.logits_rows(model_inputs(Y[batch], C[batch], config.target_scale)[1])
         focal, _, dlogits = focal_loss_rows(logits, labels[batch], config.gamma)
         d_eye, d_head = errors.at(batch, np.argmax(logits, axis=1))
         mc = float((d_eye + config.lambda_mc * d_head).mean())

@@ -53,7 +53,7 @@ EXPECTED = {
     "data/dataset.jsonl": "a3bf48b258413f4906c048384a449dc215942c271a26dcc46b42343788e946a7",
     "model/metrics.csv": "10d729c6674fd98c4bd1f79438a22d972f7e8c397688711c257589fd2631eca2",
     "model/stage1.json": "cce19123df0d8316f74487ad51d79f70a3b62c51a936826b75115b9bc5b8638f",
-    "model/prior.json": "d8f08dc149c9b4ed7743341fa2ab9635b347da8e5690af88d3c19bc273ec68c8",
+    "model/prior.json": "4ee0deee7b5817886d4f0e68fdc794f15854e6d79b9771c0d381edf595adf1d4",
     "eval/eval.json": "43562962e693ce299df59e9f14ed7f92db5de757d9f852092e85ab07651dedbe",
     "sample/samples.json": "4adb135587ed54db27544a5868193e4604e76eb8d9ea4c8be5a4152aa0a6527c",
     "replay/success_table.csv": "c8141e38ce61bf269f4e7431afd05a6d42f314c109ec6479b0d9ce4db499dab3",
