@@ -212,12 +212,11 @@ def cmd_eval(args) -> int:
     Rv = vqvae.target_rotations(Yv, Xv)
     eye1, head1, utilization = trainer.validate_stage1(model, Yv, Xv, Rv)
     preds = model.decode_codes(Xv)
-    eye2, head2, top1 = trainer.validate_stage2(
+    eye2, head2, top1, codes = trainer.validate_stage2(
         prior, Xv, trainer.CodeErrors.of(preds, Xv, Rv), trainer.record_codes(model, Yv, Xv))
 
     # How each code splits work between head and eyes, over validation
     # conditions that argmax-decode to it.
-    codes = np.argmax(prior.forward_rows(Xv), axis=1)
     per_code = {}
     for k in np.unique(codes).tolist():
         pred = preds[k, codes == k]

@@ -110,15 +110,14 @@ def synthesize_prompt(cycle: ScenarioCycle, semantics: str, buffer: MemoryBuffer
     history. Empty sections are omitted, so the first cycle's prompt has
     no history block. Identical inputs give
     byte-identical prompts. Each candidate line is "  [mark] " and the
-    instance's ``prompt_entry()``, which each distinct instance formats
-    once, on first use, and reuses on every later cycle that shows it.
-    The previous gaze is the summary text ``MemoryBuffer.advance`` kept.
+    instance's ``prompt_entry``, which each instance formats once, when it
+    is built. The previous gaze is the summary text ``MemoryBuffer.advance`` kept.
     The history block is its entries indented by two spaces and joined
     with newlines in one step: an entry that holds a newline itself is
     indented only on its first line, as a line per entry would be.
     """
     lines = [PROMPT_INSTRUCTIONS, "", "Candidates:"]
-    lines += [f"  [{mark}] {inst.prompt_entry()}"
+    lines += [f"  [{mark}] {inst.prompt_entry}"
               for mark, inst in enumerate(cycle.instances, start=1)]
     lines += ["", "Current scene:", f"  {semantics}"]
     if buffer.prev_summary is not None:
@@ -161,17 +160,15 @@ def localize(mark: int, cycle: ScenarioCycle) -> GazeTargetRecord:
     """The record of the selected instance, with its pixel and base-frame 3D point.
 
     Persons are localized at the face-box center; a person without a face
-    box falls back to the body box, flagged on the record. The points come
-    from ``Instance.placement``, which works them out once for the
-    scenario's camera and transform objects, the first time a cycle
-    selects the instance, and reuses them on every later cycle that does.
+    box falls back to the body box, flagged on the record. The points are
+    the instance's own, placed when it was built with the scenario's camera
+    and transform.
     """
     inst = cycle.instances[mark - 1]
-    point_2d, point_3d, face_fallback = inst.placement(cycle.camera, cycle.base_from_camera)
     return GazeTargetRecord(
         mark=mark, instance_id=inst.instance_id, category=inst.category,
-        box=inst.box, face_box=inst.face_box, point_2d=point_2d,
-        point_3d=point_3d, face_fallback=face_fallback,
+        box=inst.box, face_box=inst.face_box, point_2d=inst.point_2d,
+        point_3d=inst.point_3d, face_fallback=inst.face_fallback,
     )
 
 

@@ -5,13 +5,19 @@ camera transform, an ordered cycle array (semantics text plus candidate
 instances with boxes and depths), canned backend responses keyed by cycle
 index, and evaluation metadata (cue-onset cycle and expected target).
 Detection and depth aggregation happen upstream; files carry their results.
+
+A ``Scenario`` holds its file's one camera and transform. Each instance is
+built with them: its boxes are checked against the image and it is placed
+(its pixel and base-frame gaze points) when it is built, so a cycle holds
+instances that are ready to prompt and localize.
 """
 
 from __future__ import annotations
 
 import hashlib
 import marshal
-from dataclasses import dataclass, field
+import math
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from pathlib import Path
 
 from ..config import Schema, check_object, finite_float, finite_floats, parse_json
@@ -112,14 +118,12 @@ class RigidTransform:
                 r20 * x + r21 * y + r22 * z + tz)
 
 
-def _check_box(box, camera: CameraIntrinsics, cycle_index: int, instance_id: str, label: str):
+def _check_box(box, camera: CameraIntrinsics, instance_id: str, label: str):
     """Raise ValueError unless ``box`` is a (left, top, right, bottom) box inside the image.
 
     Each entry must be a number by ``config.finite_float``'s rule. The
-    message, naming the cycle, the instance and ``label``, is built only
-    when the check fails. ``ScenarioCycle`` runs this for each box of each
-    instance it shows, unless that instance already passed against the
-    cycle's camera object.
+    message, naming the instance and ``label``, is built only when the
+    check fails.
     """
     try:
         entries = tuple(box)
@@ -139,7 +143,7 @@ def _check_box(box, camera: CameraIntrinsics, cycle_index: int, instance_id: str
             reason = f"exceeds the {camera.width}x{camera.height} image"
         else:
             return
-    raise ValueError(f"cycle {cycle_index} instance {instance_id} {label} {reason}")
+    raise ValueError(f"instance {instance_id} {label} {reason}")
 
 
 def box_center(box) -> tuple:
@@ -149,26 +153,29 @@ def box_center(box) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class Instance:
-    """One candidate gaze target visible in a cycle.
+    """One candidate gaze target, placed in the scene of the camera it is built with.
 
     Every box entry is a number by ``config.finite_float``'s rule (an int
     or a float, not a bool, finite as a float) and keeps its JSON type. So
-    is ``depth``, which must also be positive; the instance is refused
-    with a ValueError naming it otherwise, once, when it is built.
+    is ``depth``, which must also be positive. ``camera`` and
+    ``base_from_camera``, keyword-only, are used to check the boxes against
+    the image and to place the instance; they are not kept. An instance
+    that fails a check is refused with a ValueError naming it.
 
-    A scenario shows the same Instance cycle after cycle, so per-instance
-    work is done once and kept in fields that equality, hashing and repr
-    ignore:
+    A scenario shows the same Instance cycle after cycle, so its derived
+    facts are set once, when it is built, in fields that equality, hashing
+    and repr ignore:
 
     - ``placeholder``, the text ``"{instance_id}"`` that semantics names the
-      instance by, is formatted when the instance is built;
-    - the prompt entry is formatted on first use and kept in ``_prompt_entry``;
-    - ``_boxed_for`` is the camera object the boxes last passed ``_check_box``
-      against: a later cycle with that same camera skips the check, and any
-      other camera checks the boxes again;
-    - ``_placement`` holds the camera and transform objects of the last
-      ``placement`` call and what it returned: a later call with those same
-      two objects returns it, and any other pair works it out again.
+      instance by;
+    - ``prompt_entry``, the prompt's candidate text after "[mark] ":
+      category, id, box and depth;
+    - ``point_2d``, ``point_3d`` and ``face_fallback``: where the robot
+      looks to gaze at it. A person is placed at the face-box center; a
+      person without a face box falls back to the body-box center, with
+      ``face_fallback`` set. ``point_2d`` is in pixels, ``point_3d`` is
+      ``point_2d`` back-projected at the instance's depth and carried into
+      the base frame; every coordinate of both must be finite.
     """
 
     instance_id: str
@@ -176,62 +183,43 @@ class Instance:
     box: tuple  # (left, top, right, bottom) pixels
     depth: float  # representative depth, metres
     face_box: tuple | None = None  # persons only, may be absent
+    _: KW_ONLY
+    camera: InitVar[CameraIntrinsics]
+    base_from_camera: InitVar[RigidTransform]
     placeholder: str = field(init=False, repr=False, compare=False)
-    _prompt_entry: str | None = field(default=None, init=False, repr=False, compare=False)
-    _boxed_for: CameraIntrinsics | None = field(default=None, init=False, repr=False,
-                                                compare=False)
-    _placement: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    prompt_entry: str = field(init=False, repr=False, compare=False)
+    point_2d: tuple = field(init=False, repr=False, compare=False)  # pixels
+    point_3d: tuple = field(init=False, repr=False, compare=False)  # metres, base frame
+    face_fallback: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, camera: CameraIntrinsics, base_from_camera: RigidTransform):
         if not self.instance_id or not self.category:
             raise ValueError("instance id and category must be non-empty")
         depth = finite_float(self.depth)
         if depth is None or not depth > 0:
             raise ValueError(f"instance {self.instance_id}: depth must be a positive finite "
                              f"number, got {self.depth!r}")
-        object.__setattr__(self, "placeholder", "{" + self.instance_id + "}")
+        _check_box(self.box, camera, self.instance_id, "box")
+        if self.face_box is not None:
+            _check_box(self.face_box, camera, self.instance_id, "face box")
+        person = self.is_person()
+        u, v = box_center(self.face_box if person and self.face_box is not None else self.box)
+        point_3d = base_from_camera.apply(camera.back_project(u, v, self.depth))
+        if not all(map(math.isfinite, (u, v, *point_3d))):
+            raise ValueError(f"instance {self.instance_id}: gaze point is not finite "
+                             f"(pixel {(u, v)}, base frame {point_3d})")
+        left, top, right, bottom = self.box
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "placeholder", "{" + self.instance_id + "}")
+        set_field(self, "prompt_entry", f"{self.category} (id {self.instance_id}, "
+                                        f"box {left:.0f},{top:.0f},{right:.0f},{bottom:.0f}, "
+                                        f"depth {self.depth:.2f} m)")
+        set_field(self, "point_2d", (u, v))
+        set_field(self, "point_3d", point_3d)
+        set_field(self, "face_fallback", person and self.face_box is None)
 
     def is_person(self) -> bool:
         return self.category in PERSON_CATEGORIES
-
-    def prompt_entry(self) -> str:
-        """The prompt's candidate text after "[mark] ": category, id, box and depth.
-
-        Formatted on the first call, not at construction, so that a cycle
-        holding a malformed box reports it with the cycle's own message.
-        """
-        entry = self._prompt_entry
-        if entry is None:
-            left, top, right, bottom = self.box
-            entry = (f"{self.category} (id {self.instance_id}, "
-                     f"box {left:.0f},{top:.0f},{right:.0f},{bottom:.0f}, "
-                     f"depth {self.depth:.2f} m)")
-            object.__setattr__(self, "_prompt_entry", entry)
-        return entry
-
-    def placement(self, camera: CameraIntrinsics, base_from_camera: RigidTransform) -> tuple:
-        """``(point_2d, point_3d, face_fallback)``: where the robot looks to gaze at this instance.
-
-        A person is placed at the face-box center; a person without a face
-        box falls back to the body-box center, with ``face_fallback`` set.
-        ``point_2d`` is in pixels, ``point_3d`` is ``point_2d`` back-projected
-        at the instance's depth and carried into the base frame. The result
-        is worked out on the first call with a camera and transform pair and
-        returned again while later calls pass those same two objects.
-        """
-        placed = self._placement
-        if placed is None or placed[0] is not camera or placed[1] is not base_from_camera:
-            face_fallback = False
-            if self.is_person() and self.face_box is not None:
-                u, v = box_center(self.face_box)
-            else:
-                if self.is_person():
-                    face_fallback = True
-                u, v = box_center(self.box)
-            point_3d = base_from_camera.apply(camera.back_project(u, v, self.depth))
-            placed = (camera, base_from_camera, ((u, v), point_3d, face_fallback))
-            object.__setattr__(self, "_placement", placed)
-        return placed[2]
 
 
 @dataclass(frozen=True)
@@ -240,10 +228,9 @@ class ScenarioCycle:
 
     ``instances`` is kept in mark order: by category, then left box edge,
     then id. Mark m, counted from 1, is ``instances[m - 1]``; the order the
-    instances were given in is not kept.
+    instances were given in is not kept. Each instance was checked against
+    the image and placed when it was built.
 
-    Camera intrinsics and the base-from-camera transform are shared across
-    a scenario but carried on every cycle so pipeline steps are local.
     ``expected_instance`` is set only on the cue-onset cycle, and names an
     instance the cycle shows.
     """
@@ -251,8 +238,6 @@ class ScenarioCycle:
     index: int
     semantics: str
     instances: tuple
-    camera: CameraIntrinsics
-    base_from_camera: RigidTransform
     image_ref: str | None = None
     cue_onset: bool = False
     expected_instance: str | None = None
@@ -263,13 +248,6 @@ class ScenarioCycle:
         ids = [inst.instance_id for inst in self.instances]
         if len(set(ids)) != len(ids):
             raise ValueError(f"cycle {self.index}: duplicate instance ids")
-        for inst in self.instances:
-            if inst._boxed_for is not self.camera:
-                _check_box(inst.box, self.camera, self.index, inst.instance_id, "box")
-                if inst.face_box is not None:
-                    _check_box(inst.face_box, self.camera, self.index, inst.instance_id,
-                               "face box")
-                object.__setattr__(inst, "_boxed_for", self.camera)
         object.__setattr__(self, "instances", tuple(sorted(
             self.instances, key=lambda i: (i.category, i.box[0], i.instance_id))))
         if self.expected_instance is not None:
@@ -282,12 +260,18 @@ class ScenarioCycle:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A replayable clip: ordered cycles plus canned backend responses."""
+    """A replayable clip: ordered cycles plus canned backend responses.
+
+    ``camera`` and ``base_from_camera`` are the scenario's one camera and
+    transform, the ones its instances were built with.
+    """
 
     scenario_id: str
     regularity: str  # H1..H4 interaction-regularity group
     cycles: tuple
     responses: dict  # cycle index -> canned backend response text
+    camera: CameraIntrinsics
+    base_from_camera: RigidTransform
     description: str = ""
     origin: str | None = field(default=None, compare=False)  # the name its errors give it
     sha256: str | None = field(default=None, compare=False)  # of the file load_scenario read
@@ -338,9 +322,9 @@ def scenario_from_doc(doc: dict, origin: str = "<doc>", sha256: str | None = Non
     A fault names ``origin`` and the key path, as in ``origin: cycles[2]
     field 'index' ...``. Each distinct instance record is checked and built
     once per scenario; later records with the same keys in the same order,
-    equal in values and JSON types, share that Instance. Its boxes are checked
-    against the image at the first cycle that shows it, since every cycle
-    carries the scenario's one camera.
+    equal in values and JSON types, share that Instance, which is checked
+    and placed with the scenario's one camera and transform when the first
+    cycle that shows it is read; its faults name that cycle's index.
     """
     try:
         check_object(doc, DOCUMENT_SCHEMA, "scenario")
@@ -367,13 +351,17 @@ def scenario_from_doc(doc: dict, origin: str = "<doc>", sha256: str | None = Non
                 inst = built.get(key)
                 if inst is None:
                     check_object(idoc, INSTANCE_SCHEMA, "cycles[{}].instances[{}]", position, slot)
-                    inst = built[key] = Instance(
-                        idoc["id"], idoc["category"], tuple(idoc["box"]), float(idoc["depth"]),
-                        tuple(idoc["face_box"]) if "face_box" in idoc else None)
+                    try:
+                        inst = built[key] = Instance(
+                            idoc["id"], idoc["category"], tuple(idoc["box"]),
+                            float(idoc["depth"]),
+                            tuple(idoc["face_box"]) if "face_box" in idoc else None,
+                            camera=camera, base_from_camera=transform)
+                    except ValueError as exc:
+                        raise ValueError(f"cycle {cdoc['index']} {exc}") from exc
                 instances.append(inst)
-            # the cycle's keys are ScenarioCycle's fields, beside the scenario's camera
-            cycles.append(ScenarioCycle(**{**cdoc, "instances": tuple(instances)},
-                                        camera=camera, base_from_camera=transform))
+            # the cycle's keys are ScenarioCycle's fields
+            cycles.append(ScenarioCycle(**{**cdoc, "instances": tuple(instances)}))
         responses = {}
         for key, text in doc.get("responses", {}).items():
             # str(i) of an index only: int() would also read "02" and " 2" as 2
@@ -381,8 +369,9 @@ def scenario_from_doc(doc: dict, origin: str = "<doc>", sha256: str | None = Non
                 raise ValueError(f"canned response key {key!r} is not a cycle index")
             responses[int(key)] = text
         return Scenario(scenario_id=doc["scenario_id"], regularity=doc["regularity"],
-                        cycles=tuple(cycles), responses=responses,
-                        description=doc.get("description", ""), origin=origin, sha256=sha256)
+                        cycles=tuple(cycles), responses=responses, camera=camera,
+                        base_from_camera=transform, description=doc.get("description", ""),
+                        origin=origin, sha256=sha256)
     except ValueError as exc:
         raise DataError(f"{origin}: {exc}") from exc
 

@@ -303,12 +303,16 @@ class CodeErrors:
 
 
 def validate_stage2(prior, Xv, val_errors: CodeErrors, val_labels):
-    """(eye MGD, head MGD, top-1 agreement) of the prior's argmax codes for the
-    normalised condition rows ``Xv`` (``condition_inputs``) of a split."""
+    """(eye MGD, head MGD, top-1 agreement, codes) of the prior's argmax codes
+    for the normalised condition rows ``Xv`` (``condition_inputs``) of a split.
+
+    ``codes`` holds each row's argmax code, for callers that break the
+    split down by code.
+    """
     codes = np.argmax(prior_mod.softmax_rows(prior.logits_rows(Xv)), axis=1)
     eye_mgd, head_mgd = _mgd(*val_errors.at(np.arange(len(codes)), codes))
     top1 = float((codes == val_labels).mean())
-    return eye_mgd, head_mgd, top1
+    return eye_mgd, head_mgd, top1, codes
 
 
 def train_stage2(model: ConditionalVQVAE, dataset: Dataset, config: TrainConfig = TrainConfig()):
@@ -347,7 +351,7 @@ def train_stage2(model: ConditionalVQVAE, dataset: Dataset, config: TrainConfig 
 
     def end_epoch(epoch, lr, means):
         focal, mc = means.tolist()
-        eye_mgd, head_mgd, top1 = validate_stage2(prior, Xv, val_errors, val_labels)
+        eye_mgd, head_mgd, top1, _ = validate_stage2(prior, Xv, val_errors, val_labels)
         return EpochMetrics(
             stage=2, epoch=epoch, lr=lr, loss_total=focal + config.eta * mc,
             loss_focal=focal, loss_mc=mc,
@@ -494,13 +498,11 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset_hash = dataset.sha256
-    t0 = time.monotonic()
     # A stage-2-only run keeps the stage-1 rows, so the files match "both".
     rows = _stage1_rows(out / METRICS_FILE) if stage == "2" else []
     timings = _stage1_timings(out / TIMINGS_FILE) if stage == "2" else []
     outputs = [out / METRICS_FILE, out / TIMINGS_FILE]
-    summary = {"dataset_hash": dataset_hash, "config": config.to_dict(), "stage": stage,
-               "inputs": {}}
+    summary = {"dataset_hash": dataset_hash, "inputs": {}}
 
     def record(result: StageResult, path: Path) -> dict:
         """Log a trained stage; returns the metadata for its checkpoint at ``path``."""
@@ -533,6 +535,5 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
                    metadata=record(s2, out / PRIOR_CHECKPOINT))
     write_metrics_csv(out / METRICS_FILE, rows)
     write_timings_jsonl(out / TIMINGS_FILE, timings)
-    summary["elapsed_s"] = time.monotonic() - t0
     summary["outputs"] = [str(p) for p in outputs]
     return summary

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +53,13 @@ def person(iid, left, top, right, bottom, depth, face=True):
     if face:
         w = right - left
         face_box = (left + 0.3 * w, top + 10, right - 0.3 * w, top + 10 + 0.22 * (bottom - top))
-    return Instance(iid, "person", box, depth, face_box)
+    return Instance(iid, "person", box, depth, face_box, camera=CAMERA,
+                    base_from_camera=HEAD_CAMERA)
 
 
 def thing(iid, category, left, top, right, bottom, depth):
-    return Instance(iid, category, (left, top, right, bottom), depth)
+    return Instance(iid, category, (left, top, right, bottom), depth, camera=CAMERA,
+                    base_from_camera=HEAD_CAMERA)
 
 
 def _build(scenario_id, regularity, description, instances, semantics_per_cycle,
@@ -69,11 +71,11 @@ def _build(scenario_id, regularity, description, instances, semantics_per_cycle,
     instance's mark is answered at t0+1 and t0+2 (dwell). ``prose_at``
     names a cycle whose response gains a prose preamble.
     """
+    instances = [replace(inst, camera=CAMERA, base_from_camera=transform) for inst in instances]
     cycles = []
     for t, semantics in enumerate(semantics_per_cycle):
         cycles.append(ScenarioCycle(
             index=t, semantics=semantics, instances=tuple(instances),
-            camera=CAMERA, base_from_camera=transform,
             image_ref=f"frames/{scenario_id}/cycle{t:02d}.png",
             cue_onset=(t == t0), expected_instance=expected if t == t0 else None,
         ))
@@ -87,7 +89,8 @@ def _build(scenario_id, regularity, description, instances, semantics_per_cycle,
                     "should attend there next. " + line)
         responses[cycle.index] = line
     scenario = Scenario(scenario_id=scenario_id, regularity=regularity,
-                        cycles=tuple(cycles), responses=responses, description=description)
+                        cycles=tuple(cycles), responses=responses, camera=CAMERA,
+                        base_from_camera=transform, description=description)
     return scenario_to_doc(scenario, [inst.instance_id for inst in instances])
 
 
@@ -269,7 +272,6 @@ def scenario_to_doc(scenario: Scenario, order=None) -> dict:
     A cycle lists its instances in mark order, or in the order of their ids
     in ``order``.
     """
-    first = scenario.cycles[0]
     cycles = []
     for c in scenario.cycles:
         shown = c.instances if order is None else sorted(
@@ -295,14 +297,14 @@ def scenario_to_doc(scenario: Scenario, order=None) -> dict:
         if c.expected_instance:
             doc["expected_instance"] = c.expected_instance
         cycles.append(doc)
-    transform = first.base_from_camera
+    transform = scenario.base_from_camera
     return {
         "schema": SCENARIO_SCHEMA,
         "version": SCENARIO_VERSION,
         "scenario_id": scenario.scenario_id,
         "regularity": scenario.regularity,
         "description": scenario.description,
-        "camera": asdict(first.camera),
+        "camera": asdict(scenario.camera),
         "base_from_camera": {"rotation": [list(row) for row in transform.rotation],
                              "translation": list(transform.translation)},
         "cycles": cycles,

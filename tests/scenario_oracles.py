@@ -1,11 +1,13 @@
 """Oracles for the scenario loader and the prompt: work done afresh, with no sharing.
 
 ``scenario_from_doc_per_record`` is the loader ``scenario_from_doc`` replaced:
-one ``Instance`` per instance entry of every cycle, with no sharing. Every
-object, each instance record included, goes through the package's one
-object rule, ``config.check_object``, with no memo. On documents both
-accept, the package's loader must give the same scenario field by field; on
-a document with one fault both detect, the same message.
+one ``Instance`` per instance entry of every cycle, with no sharing, each
+built with the scenario's camera and transform and its fault prefixed with
+its cycle's index. Every object, each instance record included, goes
+through the package's one object rule, ``config.check_object``, with no
+memo. On documents both accept, the package's loader must give the same
+scenario field by field; on a document with one fault both detect, the
+same message.
 
 ``mark_order`` is the reference set-of-mark order: by category, then left
 box edge, then id. The package sorts each cycle's instances into it once,
@@ -24,9 +26,9 @@ where the package formats each instance's entry once and reuses it, and
 joins the history in one step. Both must give the same text for every cycle.
 
 ``localize_per_call`` is the ``localize`` replaced: it works out the selected
-instance's pixel and base-frame point on every call, where the package
-keeps each instance's placement for the camera and transform objects it
-was worked out for.
+instance's pixel and base-frame point from the camera and transform it is
+given on every call, where the package places each instance once, when it
+is built.
 
 ``project`` is the inverse of ``CameraIntrinsics.back_project``: the pixel
 a camera-frame point lands on. The package needs only the one direction.
@@ -61,19 +63,22 @@ def scenario_from_doc_per_record(doc: dict, origin: str = "<doc>") -> Scenario:
             instances = []
             for slot, idoc in enumerate(cdoc["instances"]):
                 check_object(idoc, INSTANCE_SCHEMA, f"cycles[{position}].instances[{slot}]")
-                instances.append(Instance(
-                    instance_id=idoc["id"],
-                    category=idoc["category"],
-                    box=tuple(idoc["box"]),
-                    depth=float(idoc["depth"]),
-                    face_box=tuple(idoc["face_box"]) if "face_box" in idoc else None,
-                ))
+                try:
+                    instances.append(Instance(
+                        instance_id=idoc["id"],
+                        category=idoc["category"],
+                        box=tuple(idoc["box"]),
+                        depth=float(idoc["depth"]),
+                        face_box=tuple(idoc["face_box"]) if "face_box" in idoc else None,
+                        camera=camera,
+                        base_from_camera=transform,
+                    ))
+                except ValueError as exc:
+                    raise ValueError(f"cycle {cdoc['index']} {exc}") from exc
             cycles.append(ScenarioCycle(
                 index=cdoc["index"],
                 semantics=cdoc["semantics"],
                 instances=tuple(instances),
-                camera=camera,
-                base_from_camera=transform,
                 image_ref=cdoc.get("image_ref"),
                 cue_onset=cdoc.get("cue_onset", False),
                 expected_instance=cdoc.get("expected_instance"),
@@ -84,6 +89,8 @@ def scenario_from_doc_per_record(doc: dict, origin: str = "<doc>") -> Scenario:
             regularity=doc["regularity"],
             cycles=tuple(cycles),
             responses=responses,
+            camera=camera,
+            base_from_camera=transform,
             description=doc.get("description", ""),
         )
     except ValueError as exc:
@@ -129,7 +136,8 @@ def synthesize_prompt_per_cycle(semantics: str, instances, image_ref: str | None
     return "\n".join(lines), image_ref
 
 
-def localize_per_call(mark: int, cycle: ScenarioCycle) -> GazeTargetRecord:
+def localize_per_call(mark: int, cycle: ScenarioCycle, camera: CameraIntrinsics,
+                      base_from_camera: RigidTransform) -> GazeTargetRecord:
     inst = cycle.instances[mark - 1]
     face_fallback = False
     if inst.is_person() and inst.face_box is not None:
@@ -138,9 +146,9 @@ def localize_per_call(mark: int, cycle: ScenarioCycle) -> GazeTargetRecord:
         if inst.is_person():
             face_fallback = True
         u, v = box_center(inst.box)
-    cam_point = cycle.camera.back_project(u, v, inst.depth)
+    cam_point = camera.back_project(u, v, inst.depth)
     return GazeTargetRecord(
         mark=mark, instance_id=inst.instance_id, category=inst.category,
         box=inst.box, face_box=inst.face_box, point_2d=(u, v),
-        point_3d=cycle.base_from_camera.apply(cam_point), face_fallback=face_fallback,
+        point_3d=base_from_camera.apply(cam_point), face_fallback=face_fallback,
     )

@@ -465,11 +465,11 @@ def test_criterion_7_reasoner_plumbing():
             box = inst.face_box if (inst.is_person() and inst.face_box) else inst.box
             u = (box[0] + box[2]) / 2.0
             v = (box[1] + box[3]) / 2.0
-            cam = cycle.camera
+            cam = scenario.camera
             p_cam = inst.depth * np.array([(u - cam.cx) / cam.fx,
                                            (v - cam.cy) / cam.fy, 1.0])
-            expected = (cycle.base_from_camera.rotation @ p_cam
-                        + cycle.base_from_camera.translation)
+            expected = (scenario.base_from_camera.rotation @ p_cam
+                        + scenario.base_from_camera.translation)
             worst_loc = max(worst_loc,
                             float(np.linalg.norm(np.array(record.point_3d) - expected)))
             n_points += 1

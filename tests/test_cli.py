@@ -29,14 +29,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gazeshift
 from gazeshift import nets
 from gazeshift.cli import _LIST_CHUNK, DIVERSITY_THRESHOLD, iter_shared_items, main
-from gazeshift.config import Schema
+from gazeshift.config import Schema, parse_json
 from gazeshift.datagen import GeneratorConfig, generate_dataset, serialize_dataset
+from gazeshift.errors import DataError
 from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV
 from gazeshift.trainer import infer
@@ -46,6 +47,7 @@ from json_numbers import bad_json_numbers
 from json_objects import (checkpoint_objects, config_objects, dataset_objects, refused,
                           scenario_objects, timings_objects, wrong_values)
 from net_oracles import SPELLINGS, write_spelled
+from scenario_oracles import scenario_from_doc_per_record
 
 SMALL_CONFIG = {
     "generator": {"n_samples": 50},
@@ -1272,6 +1274,10 @@ _TRANSLATION_REASON = "base_from_camera translation must be 3 finite numbers, no
     (lambda doc: doc.update(description=5), "scenario field 'description' must be a string, got 5"),
     (lambda doc: doc["cycles"][3].update(image_ref=3),
      "cycles[3] field 'image_ref' must be a string, got 3"),
+    # the replay used to exit 0 and log "point_3d": [NaN, NaN, NaN] for anna
+    (lambda doc: (doc["camera"].update(fx=10.0, fy=10.0),
+                  [inst.update(depth=1.7e308) for c in doc["cycles"] for inst in c["instances"]]),
+     "cycle 0 instance anna: gaze point is not finite (pixel (135.0, "),
 ], ids=["not_an_object", "responses_list", "not_utf8", "box_entry_text", "id_number",
         "semantics_number", "cue_onset_text", "expected_absent", "expected_number",
         "camera_cx_nan", "camera_size_nan", "camera_height_true", "rotation_text",
@@ -1279,7 +1285,7 @@ _TRANSLATION_REASON = "base_from_camera translation must be 3 finite numbers, no
         "rotation_not_orthogonal", "translation_text", "translation_false", "translation_inf",
         "translation_two_entries", "response_key_padded", "response_number",
         "scenario_id_number", "scenario_id_list", "responses_misspelled", "depth_misspelled",
-        "face_box_misspelled", "description_number", "image_ref_number"])
+        "face_box_misspelled", "description_number", "image_ref_number", "depth_overflows"])
 def test_replay_damaged_scenario_file_exit_data(tmp_path, capsys, damage, reason):
     bundled = Path(gazeshift.__file__).parent / "scenarios"
     shutil.copytree(bundled, tmp_path / "s")
@@ -1306,6 +1312,76 @@ def test_replay_refuses_a_scenario_id_two_files_share(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: {copy}: scenario_id 'h2_greeting' is already "
                                        f"that of {first}\n")
     assert not (tmp_path / "r").exists()
+
+
+_SCENARIO_BYTES = (Path(gazeshift.__file__).parent / "scenarios" / "h1_point_cup.json").read_bytes()
+
+
+def _is_scenario(data: bytes) -> bool:
+    """Whether the per-record oracle reads ``data`` as a scenario."""
+    try:
+        scenario_from_doc_per_record(parse_json(data.decode("utf-8")))
+    except (ValueError, DataError):  # not UTF-8 or not JSON are ValueErrors too
+        return False
+    return True
+
+
+def _leaves(value, path=()):
+    """The key path of every number, string, bool and null in a parsed JSON document."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else None)
+    if items is None:
+        yield path
+        return
+    for key, item in items:
+        yield from _leaves(item, (*path, key))
+
+
+@st.composite
+def _scenario_byte_faults(draw):
+    """A bundled scenario file's bytes with one fault: truncated, a byte flipped or inserted,
+    or one value replaced by nested lists or by an integer of 5,000 digits."""
+    data = _SCENARIO_BYTES
+    fault = draw(st.sampled_from(["truncated", "flipped", "inserted", "nested", "long_int"]))
+    if fault == "truncated":  # anywhere short of the closing brace
+        return data[:draw(st.integers(0, data.rindex(b"}")))]
+    if fault in ("flipped", "inserted"):
+        at = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.integers(0, 255).filter(lambda b: fault == "inserted" or b != data[at]))
+        damaged = data[:at] + bytes([byte]) + data[at + (fault == "flipped"):]
+        assume(not _is_scenario(damaged))  # a byte in a text may leave a valid file
+        return damaged
+    doc = json.loads(data)
+    *parents, key = draw(st.sampled_from(list(_leaves(doc))))
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    parent[key] = "@fault@"  # a text no leaf of the file holds, replaced below
+    if fault == "nested":
+        depth = draw(st.sampled_from([1, 50, 100_000]))  # the last is past the parser's limit
+        value = "[" * depth + "]" * depth
+    else:
+        value = "9" * 5000
+    return json.dumps(doc).replace('"@fault@"', value).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenario_byte_faults())
+def test_scenario_file_byte_fault_is_one_error_line_and_keeps_the_last_run(tmp_path_factory,
+                                                                           damaged):
+    root = tmp_path_factory.mktemp("bytes")
+    (root / "s").mkdir()
+    path, out = root / "s" / "h1_point_cup.json", root / "out"
+    path.write_bytes(_SCENARIO_BYTES)
+    argv = ["replay", "--scenarios", str(path.parent), "--out", str(out)]
+    assert _main_err(argv) == (0, "")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"cycles.jsonl", "success_table.csv", "manifest.json"} <= before.keys()
+    path.write_bytes(damaged)
+    code, err = _main_err(argv)
+    assert code == 3
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # -- one rule for a JSON number --------------------------------------------------------

@@ -261,7 +261,9 @@ def test_code_error_tables_equal_per_batch_decoding(n, lambda_mc):
                                      target_rotations(Y, X))
     expected = (math.degrees(float(d_eye.mean())), math.degrees(float(d_head.mean())),
                 float((codes == labels).mean()))
-    assert validate_stage2(FixedPrior(logits), X, errors, labels) == expected
+    *metrics, got_codes = validate_stage2(FixedPrior(logits), X, errors, labels)
+    assert tuple(metrics) == expected
+    assert np.array_equal(got_codes, codes)
 
 
 # -- the argmax blocks the consistency gradient ------------------------------------------

@@ -13,7 +13,6 @@ import json
 import math
 import reprlib
 import socket
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from gazeshift.reasoner.pipeline import (HISTORY_LENGTH, REST_RECORD,
                                          query_backend, step_cycle,
                                          synthesize_prompt)
 from gazeshift.reasoner import replay as replay_mod
-from gazeshift.reasoner import scenario as scenario_mod
 from gazeshift.reasoner.replay import (GroupRow, replay_evaluate,
                                        replay_scenario, write_success_table)
 from gazeshift.reasoner.scenario import (CameraIntrinsics, Instance,
@@ -62,20 +60,26 @@ def identity_transform() -> RigidTransform:
     return RigidTransform(np.eye(3), np.zeros(3))
 
 
+def instance(*fields, **kw) -> Instance:
+    """An Instance placed with the demo camera and the identity transform unless ``kw``
+    names others."""
+    return Instance(*fields, **{"camera": demo_camera(), "base_from_camera": identity_transform(),
+                                **kw})
+
+
 def demo_instances() -> tuple:
     return (
-        Instance("p_anna", "person", (300.0, 80.0, 420.0, 460.0), 2.0,
+        instance("p_anna", "person", (300.0, 80.0, 420.0, 460.0), 2.0,
                  face_box=(340.0, 100.0, 380.0, 150.0)),
-        Instance("c_mug", "cup", (100.0, 200.0, 160.0, 260.0), 1.2),
-        Instance("t_ball", "toy", (500.0, 300.0, 560.0, 360.0), 0.8),
+        instance("c_mug", "cup", (100.0, 200.0, 160.0, 260.0), 1.2),
+        instance("t_ball", "toy", (500.0, 300.0, 560.0, 360.0), 0.8),
     )
 
 
 def make_cycle(index: int, semantics: str, instances=None, **kw) -> ScenarioCycle:
     return ScenarioCycle(
         index=index, semantics=semantics,
-        instances=demo_instances() if instances is None else instances,
-        camera=demo_camera(), base_from_camera=identity_transform(), **kw)
+        instances=demo_instances() if instances is None else instances, **kw)
 
 
 def demo_scenario(responses: dict) -> Scenario:
@@ -87,7 +91,7 @@ def demo_scenario(responses: dict) -> Scenario:
         make_cycle(2, "{p_anna} keeps pointing", image_ref="frames/002.png"),
         make_cycle(3, "{p_anna} lowers the arm", image_ref="frames/003.png"),
     )
-    return Scenario("demo", "H1", cycles, responses)
+    return Scenario("demo", "H1", cycles, responses, demo_camera(), identity_transform())
 
 
 # -- set-of-mark order: mark m is cycle.instances[m - 1] -------------------------------
@@ -104,9 +108,9 @@ def test_marks_sorted_by_category_then_left_edge():
 
 def test_marks_same_category_by_left_edge_then_id():
     instances = (
-        Instance("cup_b", "cup", (206.0, 10.0, 260.0, 60.0), 1.0),
-        Instance("cup_a", "cup", (10.0, 10.0, 60.0, 60.0), 1.0),
-        Instance("cup_c", "cup", (206.0, 100.0, 260.0, 160.0), 1.0),
+        instance("cup_b", "cup", (206.0, 10.0, 260.0, 60.0), 1.0),
+        instance("cup_a", "cup", (10.0, 10.0, 60.0, 60.0), 1.0),
+        instance("cup_c", "cup", (206.0, 100.0, 260.0, 160.0), 1.0),
     )
     cycle = make_cycle(0, "cups", instances)
     assert _ids(cycle.instances) == ["cup_a", "cup_b", "cup_c"]  # tie on left edge broken by id
@@ -133,7 +137,7 @@ def test_cycle_keeps_its_instances_in_mark_order(data):
     instances = []
     for iid in ids:
         left = data.draw(_MARK_LEFT_EDGES)
-        instances.append(Instance(iid, data.draw(_MARK_CATEGORIES), (left, 0, left + 10, 10), 1.0))
+        instances.append(instance(iid, data.draw(_MARK_CATEGORIES), (left, 0, left + 10, 10), 1.0))
     cycle = make_cycle(0, "scene", tuple(instances))
     expected = mark_order(instances)
     assert len(cycle.instances) == len(expected)
@@ -175,7 +179,7 @@ def _semantic_cases(draw):
 def test_marked_semantics_equals_sequential_replace(case):
     ids, categories, words = case
     semantics = "".join(words)  # no separator: placeholders may touch
-    instances = tuple(Instance(iid, category, (0, 0, 10, 10), 1.0)
+    instances = tuple(instance(iid, category, (0, 0, 10, 10), 1.0)
                       for iid, category in zip(ids, categories))
     cycle = make_cycle(0, semantics, instances)
     assert marked_semantics(cycle) == marked_semantics_sequential(semantics, cycle.instances)
@@ -246,7 +250,8 @@ def _prompt_instances(draw, iid):
     left, right = sorted(draw(st.lists(_BOX_VALUES, min_size=2, max_size=2, unique=True)))
     top, bottom = sorted(draw(st.lists(_BOX_VALUES, min_size=2, max_size=2, unique=True)))
     category = draw(st.one_of(st.sampled_from(["person", "cup"]), _NAMES))
-    return Instance(iid, category, (left, top, right, bottom), draw(_DEPTHS))
+    return instance(iid, category, (left, top, right, bottom), draw(_DEPTHS),
+                    camera=_WIDE_CAMERA)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,23 +264,10 @@ def test_prompt_matches_per_cycle_oracle(data):
         shown = data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
         semantics = " near ".join("{" + inst.instance_id + "}" for inst in shown)
         image_ref = data.draw(st.one_of(st.none(), _NAMES))
-        cycle = ScenarioCycle(t, semantics, tuple(shown), _WIDE_CAMERA, identity_transform(),
-                              image_ref=image_ref)
+        cycle = ScenarioCycle(t, semantics, tuple(shown), image_ref=image_ref)
         expected = synthesize_prompt_per_cycle(semantics, shown, image_ref, buffer)
         assert _prompt(cycle, buffer) == expected
-        assert _prompt(cycle, buffer) == expected  # every entry cached by now
         buffer.advance(t, marked_semantics(cycle), localize(1, cycle))
-
-
-def test_cycles_that_share_an_instance_reuse_its_prompt_entry():
-    shared = demo_instances()
-    assert all(inst._prompt_entry is None for inst in shared)
-    _prompt(make_cycle(0, "scene", shared), MemoryBuffer())
-    entries = [inst._prompt_entry for inst in shared]
-    assert entries[1] == "cup (id c_mug, box 100,200,160,260, depth 1.20 m)"
-    prompt, _ = _prompt(make_cycle(1, "scene", shared[1:]), MemoryBuffer())
-    assert "  [1] " + entries[1] in prompt.splitlines()
-    assert all(inst._prompt_entry is entry for inst, entry in zip(shared, entries))
 
 
 @pytest.mark.parametrize("label, bad", [("box", "0"), ("box", True), ("box", False),
@@ -284,20 +276,23 @@ def test_cycles_that_share_an_instance_reuse_its_prompt_entry():
                          ids=["box-str", "box-true", "box-false", "face-str", "face-true",
                               "box-nan", "face-huge-int"])
 def test_a_box_entry_that_is_not_a_finite_number_fails_in_its_cycle(label, bad):
+    # an Instance built in Python is refused when it is built; a file's loader
+    # names the cycle (test_instance_with_a_malformed_box_still_fails_in_its_cycle)
     box, face_box = [300, 80, 420, 460], [340, 100, 380, 150]
     (box if label == "box" else face_box)[0] = bad
-    person = Instance("p", "person", tuple(box), 2.0, face_box=tuple(face_box))
     with pytest.raises(ValueError) as raised:
-        make_cycle(4, "{p}", instances=(person,))
-    assert str(raised.value) == (f"cycle 4 instance p {label} entry 0 must be a finite number, "
-                                 f"got {bad!r}")
+        instance("p", "person", tuple(box), 2.0, face_box=tuple(face_box))
+    assert str(raised.value) == f"instance p {label} entry 0 must be a finite number, got {bad!r}"
 
 
 def test_instance_with_a_malformed_box_still_fails_in_its_cycle():
-    short = Instance("short", "cup", (10.0, 10.0, 60.0), 1.0)  # the entry is not formatted yet
-    with pytest.raises(ValueError, match=r"^cycle 3 instance short box must be "
-                                         r"\(left, top, right, bottom\)$"):
-        make_cycle(3, "scene", instances=(short,))
+    doc = scenario_to_doc(demo_scenario({}))
+    doc["cycles"][3]["instances"][0]["box"].pop()  # c_mug: a record no earlier cycle holds
+    for load in (scenario_from_doc, scenario_from_doc_per_record):
+        with pytest.raises(DataError) as raised:
+            load(doc, origin="s.json")
+        assert str(raised.value) == ("s.json: cycle 3 instance c_mug box must be "
+                                     "(left, top, right, bottom)")
 
 
 @pytest.mark.parametrize("depth", [True, False, math.inf, -math.inf, math.nan, "1.0", 0, 0.0,
@@ -309,21 +304,23 @@ def test_instance_depth_follows_the_finite_number_rule(depth):
     # is refused as a ValueError naming the instance, not printed as a depth
     with pytest.raises(ValueError, match=r"^instance cup_1: depth must be a positive finite "
                                          r"number, got "):
-        Instance("cup_1", "cup", (0, 0, 1, 1), depth)
+        instance("cup_1", "cup", (0, 0, 1, 1), depth)
     for fine in (1, 0.25, 2.5):
-        assert Instance("cup_1", "cup", (0, 0, 1, 1), fine).depth == fine
+        assert instance("cup_1", "cup", (0, 0, 1, 1), fine).depth == fine
 
 
 def test_prompt_entry_is_outside_equality_hash_and_repr():
+    # so are the placement fields: the same record placed by two cameras is one instance
     text = ("Instance(instance_id='c', category='cup', box=(1, 2, 30, 40), depth=1.5, "
             "face_box=None)")
-    prompted, fresh = (Instance("c", "cup", (1, 2, 30, 40), 1.5) for _ in range(2))
-    assert prompted.prompt_entry() == "cup (id c, box 1,2,30,40, depth 1.50 m)"
-    assert localize(1, make_cycle(0, "{c}", instances=(prompted,))).point_2d == (15.5, 21.0)
-    assert fresh._prompt_entry is None and fresh._placement is None
-    assert prompted._placement is not None
-    assert prompted == fresh and hash(prompted) == hash(fresh)
-    assert repr(prompted) == repr(fresh) == text
+    wide = CameraIntrinsics(fx=250.0, fy=250.0, cx=400.0, cy=300.0, width=800, height=600)
+    here = instance("c", "cup", (1, 2, 30, 40), 1.5)
+    there = instance("c", "cup", (1, 2, 30, 40), 1.5, camera=wide)
+    assert here.prompt_entry == there.prompt_entry == "cup (id c, box 1,2,30,40, depth 1.50 m)"
+    assert localize(1, make_cycle(0, "{c}", instances=(here,))).point_2d == (15.5, 21.0)
+    assert here.point_3d != there.point_3d
+    assert here == there and hash(here) == hash(there)
+    assert repr(here) == repr(there) == text
 
 
 # -- response parsing ------------------------------------------------------------------
@@ -455,7 +452,7 @@ def test_localize_person_uses_face_center():
 
 
 def test_localize_person_without_face_box_falls_back_to_body():
-    instances = (Instance("p_solo", "person", (300.0, 80.0, 420.0, 460.0), 2.0),)
+    instances = (instance("p_solo", "person", (300.0, 80.0, 420.0, 460.0), 2.0),)
     cycle = make_cycle(0, "scene", instances)
     record = localize(1, cycle)
     assert record.face_fallback
@@ -466,9 +463,9 @@ def test_localize_applies_base_from_camera():
     # camera looking along +y of the base frame, mounted 1.5 m up
     R = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).T
     transform = RigidTransform(R, np.array([0.0, 0.0, 1.5]))
-    instances = (Instance("c_one", "cup", (310.0, 230.0, 330.0, 250.0), 2.0),)
-    cycle = ScenarioCycle(index=0, semantics="s", instances=instances,
-                          camera=demo_camera(), base_from_camera=transform)
+    instances = (instance("c_one", "cup", (310.0, 230.0, 330.0, 250.0), 2.0,
+                          base_from_camera=transform),)
+    cycle = ScenarioCycle(index=0, semantics="s", instances=instances)
     record = localize(1, cycle)
     cam_point = demo_camera().back_project(320.0, 240.0, 2.0)
     np.testing.assert_allclose(record.point_3d, R @ cam_point + [0, 0, 1.5],
@@ -477,7 +474,10 @@ def test_localize_applies_base_from_camera():
 
 @st.composite
 def _placed_instances(draw):
-    """A person with a face box, a person without one, or an object, in a 640x480 image."""
+    """A person with a face box, a person without one, or an object, in a 640x480 image.
+
+    Returns the instance and the camera and transform it was placed with.
+    """
     kind = draw(st.sampled_from(["face", "body", "object"]))
     left, right = sorted(draw(st.lists(st.integers(0, 640), min_size=2, max_size=2,
                                        unique=True)))
@@ -486,8 +486,11 @@ def _placed_instances(draw):
     face_box = None
     if kind == "face":
         face_box = (left, top, draw(st.integers(left + 1, right)), bottom)
-    return Instance("x", "cup" if kind == "object" else "person", (left, top, right, bottom),
-                    draw(st.floats(0.1, 10.0)), face_box=face_box)
+    camera, transform = draw(_CAMERAS), draw(_TRANSFORMS)
+    inst = Instance("x", "cup" if kind == "object" else "person", (left, top, right, bottom),
+                    draw(st.floats(0.1, 10.0)), face_box=face_box, camera=camera,
+                    base_from_camera=transform)
+    return inst, camera, transform
 
 
 _CAMERAS = st.builds(CameraIntrinsics, fx=st.floats(100.0, 2000.0), fy=st.floats(100.0, 2000.0),
@@ -500,20 +503,13 @@ _TRANSFORMS = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_placed_instances(), st.data())
-def test_a_shared_instance_is_localized_as_every_call_would(inst, data):
-    # equal values in distinct objects count as other cameras and transforms too
-    cameras = data.draw(st.lists(_CAMERAS, min_size=1, max_size=3))
-    cameras.append(replace(cameras[0]))
-    transforms = data.draw(st.lists(_TRANSFORMS, min_size=1, max_size=3))
-    transforms.append(replace(transforms[0]))
-    order = data.draw(st.lists(st.tuples(st.sampled_from(cameras), st.sampled_from(transforms)),
-                               min_size=1, max_size=10))
-    for t, (camera, transform) in enumerate(order):
-        cycle = ScenarioCycle(t, "{x}", (inst,), camera, transform)
-        got, want = localize(1, cycle), localize_per_call(1, cycle)
+@given(_placed_instances(), st.integers(1, 10))
+def test_a_shared_instance_is_localized_as_every_call_would(placed, n_cycles):
+    inst, camera, transform = placed
+    for t in range(n_cycles):
+        cycle = ScenarioCycle(t, "{x}", (inst,))
+        got, want = localize(1, cycle), localize_per_call(1, cycle, camera, transform)
         assert got == want and repr(got) == repr(want)
-        assert inst._placement[0] is camera and inst._placement[1] is transform
 
 
 # -- memory buffer ------------------------------------------------------------------------
@@ -985,9 +981,9 @@ _SCENARIO_FAULTS = {
 def _fields(scenario):
     """Every field of ``scenario``, with each number's repr, so types and signs count."""
     return (scenario.scenario_id, scenario.regularity, scenario.description, scenario.responses,
+            scenario.camera, [list(row) for row in scenario.base_from_camera.rotation],
+            list(scenario.base_from_camera.translation),
             [(repr(c.index), c.semantics, c.image_ref, repr(c.cue_onset), c.expected_instance,
-              c.camera, [list(row) for row in c.base_from_camera.rotation],
-              list(c.base_from_camera.translation),
               [(i.instance_id, i.category, repr(i.box), repr(i.depth), repr(i.face_box))
                for i in c.instances])
              for c in scenario.cycles])
@@ -1067,18 +1063,17 @@ def test_scenario_validates_structure():
     with pytest.raises(ValueError, match="cue_onset"):
         make_cycle(0, "s", expected_instance="c_mug")
     with pytest.raises(ValueError, match="regularity"):
-        Scenario("x", "H9", (make_cycle(0, "s"),), {})
+        Scenario("x", "H9", (make_cycle(0, "s"),), {}, demo_camera(), identity_transform())
     with pytest.raises(ValueError, match="duplicate"):
         make_cycle(0, "s", instances=(
-            Instance("same", "cup", (10.0, 10.0, 60.0, 60.0), 1.0),
-            Instance("same", "cup", (80.0, 10.0, 130.0, 60.0), 1.0),
+            instance("same", "cup", (10.0, 10.0, 60.0, 60.0), 1.0),
+            instance("same", "cup", (80.0, 10.0, 130.0, 60.0), 1.0),
         ))
-    # a cycle built directly still checks every box against its image
-    with pytest.raises(ValueError, match="cycle 0 instance far box exceeds the 640x480 image"):
-        make_cycle(0, "s", instances=(Instance("far", "cup", (600, 10, 700, 60), 1.0),))
-    with pytest.raises(ValueError, match="cycle 2 instance p face box is empty or inverted"):
-        make_cycle(2, "s", instances=(
-            Instance("p", "person", (300, 80, 420, 460), 2.0, face_box=(380, 100, 340, 150)),))
+    # an instance built directly checks every box against its camera's image
+    with pytest.raises(ValueError, match=r"^instance far box exceeds the 640x480 image$"):
+        instance("far", "cup", (600, 10, 700, 60), 1.0)
+    with pytest.raises(ValueError, match=r"^instance p face box is empty or inverted$"):
+        instance("p", "person", (300, 80, 420, 460), 2.0, face_box=(380, 100, 340, 150))
 
 
 def test_shared_instance_out_of_the_image_fails_at_the_first_cycle_showing_it():
@@ -1091,22 +1086,6 @@ def test_shared_instance_out_of_the_image_fails_at_the_first_cycle_showing_it():
         with pytest.raises(DataError) as raised:
             load(doc, origin="s.json")
         assert str(raised.value) == "s.json: cycle 2 instance far box exceeds the 640x480 image"
-
-
-def test_shared_instance_is_box_checked_once_per_camera(monkeypatch):
-    checked, real = [], scenario_mod._check_box
-    monkeypatch.setattr(scenario_mod, "_check_box",
-                        lambda box, camera, *rest: checked.append(camera) or real(box, camera,
-                                                                                  *rest))
-    wide = CameraIntrinsics(fx=500.0, fy=500.0, cx=400.0, cy=300.0, width=800, height=600)
-    far = Instance("far", "cup", (600, 10, 700, 60), 1.0)  # inside 800x600, not 640x480
-    for t in range(3):
-        ScenarioCycle(t, "s", (far,), wide, identity_transform())
-    assert checked == [wide] and far._boxed_for is wide
-    # another camera object checks the boxes again, and this smaller one refuses them
-    with pytest.raises(ValueError, match=r"^cycle 3 instance far box exceeds the 640x480 image$"):
-        ScenarioCycle(3, "s", (far,), demo_camera(), identity_transform())
-    assert len(checked) == 2 and far._boxed_for is wide
 
 
 def test_bundled_scenarios_load_and_carry_metadata():
@@ -1171,7 +1150,8 @@ def test_replay_correct_at_second_window_cycle():
 
 
 def test_replay_excludes_unscoreable_scenarios():
-    plain = Scenario("no_cue", "H2", (make_cycle(0, "s"),), {0: "TARGET: 1"})
+    plain = Scenario("no_cue", "H2", (make_cycle(0, "s"),), {0: "TARGET: 1"}, demo_camera(),
+                     identity_transform())
     with pytest.warns(UserWarning, match="no_cue"):
         rows, results, excluded = replay_evaluate([plain], ScriptedBackend)
     assert excluded == ["no_cue"] and results == [] and rows == []
@@ -1243,7 +1223,7 @@ def test_cycle_log_line_is_json_dumps_of_its_record(scenario_id, records):
     # Each target's text is encoded once and reused: a reused text must still be
     # exactly the record's, down to the type and sign of every number.
     scenario = Scenario(scenario_id, "H1", tuple(make_cycle(t, "s") for t in range(len(records))),
-                        {})
+                        {}, demo_camera(), identity_transform())
     log, steps = io.StringIO(), iter(records)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(replay_mod, "step_cycle", lambda cycle, buffer, backend: next(steps))

@@ -427,8 +427,9 @@ def test_validate_stage2_recomputes_from_public_pieces(trained, small_dataset):
     Xv = condition_inputs(Cv, 2.0)
     val_labels = record_codes(model, *model_inputs(Yv, Cv, 2.0))
     val_errors = CodeErrors.of(model.decode_codes(Xv), Xv, target_rotations(Yv, Cv))
-    eye_mgd, head_mgd, top1 = validate_stage2(prior, Xv, val_errors, val_labels)
+    eye_mgd, head_mgd, top1, got_codes = validate_stage2(prior, Xv, val_errors, val_labels)
     codes = np.argmax(prior.forward_rows(Xv), axis=1)
+    assert np.array_equal(got_codes, codes)
     pred = model.decode_rows(model.codebook[codes], Xv)
     eye_poses = [EyePose(*(Cv[i, 0:2] + pred[i, 0:2])) for i in range(len(Cv))]
     head_poses = [HeadPose(*(Cv[i, 2:5] + pred[i, 2:5])) for i in range(len(Cv))]
