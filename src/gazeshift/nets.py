@@ -16,17 +16,18 @@ the weights and their metadata, which is all a load uses. A model's
 config goes into ``metadata["model"]`` through ``save_model`` and comes
 back through ``load_model``; ``config.check_object`` checks every object of a checkpoint.
 
-The training step avoids fixed per-call costs and keeps every bit of the
-plain whole-array expressions. Each ``DenseNetwork`` owns a workspace: its
-hidden layers' activations, rectifier masks and input gradients go into
-buffers through ``out=``, with the same ufuncs in the same operand order,
-and ``backward`` writes each layer's gradient through (slice, shape) spans
-worked out once when the network is built. ``adam_step`` first checks
-that the gradient's sum is finite and scans element by element only when
-it is not (NaN, an inf, or finite values whose sum overflows); it runs the
-update's per-element expressions, in their usual operand order, through
-two scratch vectors its :class:`AdamState` owns, so a step allocates
-nothing. Once the first moment's bias correction ``1 - beta1**t`` has
+The training step and the one-row draw avoid fixed per-call costs and
+keep every bit of the plain whole-array expressions. Each ``DenseNetwork``
+multiplies with ``np.dot``, which gives the bits of ``@`` (``np.matmul``)
+without its per-call dispatch, and owns a workspace: its hidden layers'
+activations, rectifier masks and input gradients go into buffers through
+``out=``, with the same ufuncs in the same operand order. ``bind`` builds
+each layer's operands once, and ``backward`` keeps the per-layer gradient
+views of the last vector it wrote into. ``adam_step`` checks the gradient
+with one element-wise ``np.isfinite``; it runs the update's per-element
+expressions, in their usual operand order, through two scratch vectors
+its :class:`AdamState` owns, so a step allocates nothing but that
+check's mask. Once the first moment's bias correction ``1 - beta1**t`` has
 rounded to exactly 1.0 (from step 356 at the default beta1), the step
 skips its division by it, which would leave every bit as it is.
 ``save_checkpoint`` writes the text of one ``json.dumps`` of the
@@ -141,6 +142,15 @@ class DenseNetwork:
     workspace holds one buffer set per network with as many rows as the
     largest batch it has seen (``record_codes`` passes 644): passes of
     fewer rows use views of it, and one-row passes allocate instead.
+
+    The passes do only the array work of their expressions. ``bind``
+    builds each layer's ``(W, b, W.T, relu)`` tuple and the input width
+    once. Every product is an ``np.dot``, into a workspace buffer where
+    there is one, and gives the bits of ``np.matmul`` at every row count
+    the models use, one included. ``backward`` keeps the per-layer (W, b)
+    gradient views of the last vector it wrote into, keyed by that
+    vector's identity: a training loop that passes one ``out`` for every
+    step slices it once.
     """
 
     def __init__(self, weights, biases, activations):
@@ -158,13 +168,11 @@ class DenseNetwork:
             arrays[f"{i}.W"] = np.asarray(W, dtype=float)
             arrays[f"{i}.b"] = np.asarray(b, dtype=float)
         self.layout = Layout.of(arrays)
-        # Per layer, the (slice, shape) spans of its weight and bias
-        # gradients in a flat gradient vector.
-        self._grad_spans = [(self.layout.spans[f"{i}.W"], self.layout.spans[f"{i}.b"])
-                            for i in range(len(self.activations))]
         self.bind(self.layout.pack(arrays))
         self._cache = None
         self._ws_rows, self._ws_capacity = -1, 0
+        # The gradient vector ``backward`` last wrote into, and its per-layer (W, b) views.
+        self._grad_out, self._grad_views = None, []
 
     def bind(self, flat: np.ndarray) -> None:
         """Keep the parameters in ``flat`` from now on; its values become theirs.
@@ -172,10 +180,18 @@ class DenseNetwork:
         A model made of several networks binds each to a stretch of its own
         flat vector, so one vector holds all of its parameters.
         """
-        views = self.layout.views(flat)
         self.flat = flat
-        self.weights = [views[f"{i}.W"] for i in range(len(self.activations))]
-        self.biases = [views[f"{i}.b"] for i in range(len(self.activations))]
+        self.weights, self.biases = self._layer_views(flat)
+        # Per layer (W, b, W.T, relu): the passes' operands, built once here.
+        self._layers = tuple(zip(self.weights, self.biases, [W.T for W in self.weights],
+                                 self._relu))
+        self._width = self.weights[0].shape[0]
+
+    def _layer_views(self, flat: np.ndarray):
+        """(W views, b views): per layer, its weight and bias in the flat vector ``flat``."""
+        views = self.layout.views(flat)
+        layers = range(len(self.activations))
+        return [views[f"{i}.W"] for i in layers], [views[f"{i}.b"] for i in layers]
 
     @classmethod
     def create(cls, sizes, rng, activations=None):
@@ -238,17 +254,16 @@ class DenseNetwork:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=float)
-        if h.ndim != 2 or h.shape[1] != self.weights[0].shape[0]:
-            raise ValueError(f"input of shape {h.shape} is not rows of width "
-                             f"{self.weights[0].shape[0]}")
+        if h.ndim != 2 or h.shape[1] != self._width:
+            raise ValueError(f"input of shape {h.shape} is not rows of width {self._width}")
         n = len(h)
         # The workspace lookup inlined: one-row calls (``draw_allocations``) pay for no call.
         outputs = self._ws[0] if n == self._ws_rows else self._workspace(n)[0]
         acts = [h]
-        for W, b, relu, z in zip(self.weights, self.biases, self._relu, outputs):
-            # h @ W + b, then the rectifier in place; a layer without a
-            # buffer (the last, or any for one row) gets a new array.
-            h = h @ W if z is None else np.matmul(h, W, z)
+        for (W, b, _, relu), z in zip(self._layers, outputs):
+            # h W + b, then the rectifier in place; a layer without a buffer
+            # (the last, or any for one row) gets a new array.
+            h = np.dot(h, W, z)
             h += b
             if relu:
                 np.maximum(h, 0.0, out=h)
@@ -275,19 +290,22 @@ class DenseNetwork:
             raise ValueError(f"upstream gradient has wrong shape {g.shape}")
         _, masks, grad_ins = self._workspace(len(g))
         grad = np.empty(self.layout.size) if out is None else out
-        for i in range(len(self.weights) - 1, -1, -1):
-            if self._relu[i]:
+        if grad is not self._grad_out:
+            self._grad_out, self._grad_views = grad, list(zip(*self._layer_views(grad)))
+        for i in range(len(self._layers) - 1, -1, -1):
+            _, _, WT, relu = self._layers[i]
+            if relu:
                 # g * (z > 0): a layer's rectified output is > 0 exactly where
                 # its pre-activation is, and a 0/1 float mask gives the bits
                 # of the boolean one.
                 mask = np.greater(acts[i + 1], 0.0, masks[i])
                 g = np.multiply(g, mask, masks[i])
-            (w_span, w_shape), (b_span, b_shape) = self._grad_spans[i]
-            np.matmul(acts[i].T, g, out=grad[w_span].reshape(w_shape))
-            np.add.reduce(g, axis=0, out=grad[b_span].reshape(b_shape))
+            grad_W, grad_b = self._grad_views[i]
+            np.dot(acts[i].T, g, grad_W)
+            np.add.reduce(g, axis=0, out=grad_b)
             if i == 0 and not input_grad:
                 return grad, None
-            g = np.matmul(g, self.weights[i].T, grad_ins[i])
+            g = np.dot(g, WT, grad_ins[i])
         return grad, g
 
 
@@ -327,10 +345,10 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
 
     ``params`` and ``grad`` are flat vectors in ``state.layout``. The whole
     step is rejected (no parameter touched) if any gradient is non-finite,
-    so a bad batch cannot corrupt the model. A finite sum proves every
-    element finite, so the element scan runs only when the sum is not:
-    then it names the first non-finite element, or finds none when finite
-    elements overflowed the sum, and the step goes ahead.
+    so a bad batch cannot corrupt the model. One element-wise finite check
+    decides it and names the parameter of the first non-finite element;
+    finite elements whose sum would overflow are finite, and the step goes
+    ahead.
 
     After the decoupled decay, ``params *= 1 - lr * weight_decay``, the
     update is the whole-array form
@@ -350,12 +368,9 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
         raise ValueError(f"gradient shape {np.shape(grad)} and parameter shape "
                          f"{np.shape(params)} must both be {state.m.shape}")
     grad = np.asarray(grad, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(grad.sum())
-    if not math.isfinite(total):
-        finite = np.isfinite(grad)
-        if not finite.all():
-            raise NonFiniteGradient(state.layout.name_at(int(np.argmin(finite))))
+    finite = np.isfinite(grad)
+    if not finite.all():
+        raise NonFiniteGradient(state.layout.name_at(int(np.argmin(finite))))
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
@@ -426,11 +441,12 @@ def decode_params(doc) -> dict[str, np.ndarray]:
 
 @dataclass
 class Checkpoint:
-    """A loaded checkpoint: its arrays, its metadata and the SHA-256 of its bytes."""
+    """A loaded checkpoint: its arrays, its metadata, the SHA-256 of its bytes and its path."""
 
     params: dict
     metadata: dict
     sha256: str
+    path: str
 
 
 def _checkpoint_texts(params, metadata):
@@ -481,7 +497,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return Checkpoint(params, doc.get("metadata", {}), hashlib.sha256(data).hexdigest())
+    return Checkpoint(params, doc.get("metadata", {}), hashlib.sha256(data).hexdigest(), str(path))
 
 
 def save_model(path, params, kind: str, config, metadata: dict | None = None, **extra) -> str:
@@ -497,7 +513,8 @@ def load_model(path, model_cls, kind: str, config_cls, extra=None):
     """``model_cls(config)`` holding the weights of a ``save_model`` file, and its checkpoint.
 
     ``metadata["model"]`` holds ``kind``, every ``config_cls`` field and the ``extra`` keys
-    (key: type name), and nothing else; any fault raises ValueError naming ``path``.
+    (key: type name), and nothing else, and the parameters are exactly the model's names
+    and shapes; any fault raises ValueError naming ``path``.
     """
     ck = load_checkpoint(path)
     spec, types = ck.metadata.get("model"), {f.name: f.type for f in fields(config_cls)}
@@ -507,7 +524,7 @@ def load_model(path, model_cls, kind: str, config_cls, extra=None):
         if spec["kind"] != kind:
             raise ValueError(f"model config kind is {spec['kind']!r}, not {kind!r}")
         model = model_cls(config_cls(**{name: spec[name] for name in types}))
+        model.set_params(ck.params)
     except ValueError as exc:
         raise ValueError(f"{path}: unusable checkpoint: {exc}") from exc
-    model.set_params(ck.params)
     return model, ck

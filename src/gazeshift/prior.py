@@ -148,16 +148,17 @@ class ConditionalPrior:
 
         With ``stage1``, the checkpoint of the first-stage model to pair it
         with, a prior whose recorded ``stage1_sha256`` is not the SHA-256 of
-        that file's bytes raises ValueError: a file equal in value but
-        spelled otherwise does not pair. A prior written before the link
-        was a byte hash records it under another key, an unknown field.
+        that file's bytes raises ValueError naming both files: a file equal
+        in value but spelled otherwise does not pair. A prior written before
+        the link was a byte hash records it under another key, an unknown
+        field.
         """
         prior, ck = nets.load_model(path, cls, "conditional-prior", PriorConfig,
                                     extra={"stage1_sha256": "str | None"})
         stored = ck.metadata["model"]["stage1_sha256"]
         if stage1 is not None and stored != stage1.sha256:
             raise ValueError(
-                "prior checkpoint was trained against a different first-stage model "
-                f"(stored stage1_sha256 {stored!r}, stage-1 file {stage1.sha256})"
+                f"{path}: prior checkpoint was trained against a different first-stage model "
+                f"(stored stage1_sha256 {stored!r}; {stage1.path} has SHA-256 {stage1.sha256})"
             )
         return prior, ck

@@ -393,9 +393,10 @@ def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.nda
     {distinct code: allocation row (5,)}). The draws leave ``rng`` where n
     single draws would. The condition is normalised once, and that row
     feeds both models (``shared_target_scale``). Each distinct code is
-    decoded once, as one row: in a batch its last bits could change. A
-    decoded row that breaks a rule of ``allocation_violations`` raises
-    ValueError naming its code, as does an unknown mode or n below 1.
+    decoded once, as one row: in a batch its last bits could change. The
+    decoded rows go through ``allocation_violations`` as one array, and a
+    row that breaks one of its rules raises ValueError naming its code, as
+    does an unknown mode or n below 1.
     """
     if mode not in ("sample", "argmax"):
         raise ValueError(f"unknown inference mode {mode!r}")
@@ -407,7 +408,7 @@ def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.nda
         codes = np.full(n, int(np.argmax(pi)))
     else:
         codes = prior_mod.sample_code(pi, rng, size=n)
-    rows = {k: model.decode_rows(model.codebook[k][None, :], x)[0]
+    rows = {k: model.decode_rows(model.codebook[k:k + 1], x)[0]
             for k in dict.fromkeys(codes.tolist())}
     for k, violation in zip(rows, allocation_violations(np.array(list(rows.values())))):
         if violation is not None:

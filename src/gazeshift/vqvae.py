@@ -189,8 +189,15 @@ def condition_violations(C: np.ndarray) -> list:
 
 def allocation_violations(A: np.ndarray) -> list:
     """The first value rule each (n, 5) allocation row breaks, or None where it breaks none:
-    every increment must be finite, then lie within [-pi, pi]."""
-    largest = np.abs(np.asarray(A, dtype=float)).max(axis=1)  # NaN where a row holds one
+    every increment must be finite, then lie within [-pi, pi].
+
+    One comparison clears the whole set when every |increment| is at most pi; a NaN
+    fails it, so only a set with a bad row goes on to the per-rule scan.
+    """
+    size = np.abs(np.asarray(A, dtype=float))
+    if (size <= math.pi).all():
+        return [None] * len(size)
+    largest = size.max(axis=1)  # NaN where a row holds one
     return _first_violations([(~np.isfinite(largest), lambda i: "motion increments must be finite"),
                               (largest > math.pi,
                                lambda i: "motion increments must lie within [-pi, pi]")],
@@ -361,6 +368,9 @@ class ConditionalVQVAE:
             start += net.layout.size
         self._slices["codebook"] = slice(start, self.layout.size)
         self.codebook = self.flat[self._slices["codebook"]].reshape(K, D)
+        # The gradient vector ``loss_and_grads`` last wrote into, and its
+        # per-section views (the codebook's shaped like the codebook).
+        self._grad_out, self._grad_parts = None, {}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -390,8 +400,8 @@ class ConditionalVQVAE:
         Decodes code by code, in near-equal row chunks of at most
         ``_DECODE_CHUNK``, so no chunk is a single row unless ``X`` is. A
         row decodes to the same bits in any batch of two or more rows, but
-        numpy multiplies a lone row by a matrix-vector path whose last bits
-        can differ.
+        a lone row still takes numpy's matrix-vector path, under ``np.dot``
+        as under ``@``, and its last bits can differ.
         """
         chunks = np.array_split(X, -(-len(X) // _DECODE_CHUNK))
         return np.stack([
@@ -453,24 +463,28 @@ class ConditionalVQVAE:
         terms = VQLossTerms(total, rec, embed, commit)
 
         grad = np.empty(self.layout.size) if out is None else out
-        sl = self._slices
+        if grad is not self._grad_out:
+            parts = {section: grad[sl] for section, sl in self._slices.items()}
+            parts["codebook"] = parts["codebook"].reshape(self.codebook.shape)
+            self._grad_out, self._grad_parts = grad, parts
+        parts = self._grad_parts
         g_pred = rec_weight * rec_grad / n
-        _, g_h = self.decoder.backward(g_pred, out=grad[sl["decoder"]])
-        _, g_d = self.fusion_out.backward(g_h, out=grad[sl["fusion_out"]])
+        _, g_h = self.decoder.backward(g_pred, out=parts["decoder"])
+        _, g_d = self.fusion_out.backward(g_h, out=parts["fusion_out"])
         g_zq = g_d[:, :D]
         g_fc_dec = g_d[:, D:]
         # Straight-through: the reconstruction gradient at z_q lands on z_e
         # unchanged; the commitment term pulls z_e toward the (frozen) code.
         g_ze = g_zq + commit_weight * (2.0 / n) * diff
-        codebook_grad = grad[sl["codebook"]].reshape(self.codebook.shape)
+        codebook_grad = parts["codebook"]
         codebook_grad[...] = 0.0
         np.add.at(codebook_grad, idx, embed_weight * (2.0 / n) * (-diff))
-        _, g_u = self.fusion_in.backward(g_ze, out=grad[sl["fusion_in"]])
+        _, g_u = self.fusion_in.backward(g_ze, out=parts["fusion_in"])
         g_fy = g_u[:, :H]
         g_fc = g_u[:, H:] + g_fc_dec
         # The encoders' input gradients would reach only the data.
-        self.recon_encoder.backward(g_fy, out=grad[sl["recon_encoder"]], input_grad=False)
-        self.cond_encoder.backward(g_fc, out=grad[sl["cond_encoder"]], input_grad=False)
+        self.recon_encoder.backward(g_fy, out=parts["recon_encoder"], input_grad=False)
+        self.cond_encoder.backward(g_fc, out=parts["cond_encoder"], input_grad=False)
         return terms, grad
 
     # -- persistence -----------------------------------------------------------

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 import gazeshift
 from gazeshift import nets
 from gazeshift.cli import _LIST_CHUNK, DIVERSITY_THRESHOLD, iter_shared_items, main
-from gazeshift.config import Schema, parse_json
+from gazeshift.config import Schema, check_object, parse_json
 from gazeshift.datagen import GeneratorConfig, generate_dataset, serialize_dataset
 from gazeshift.errors import DataError
 from gazeshift.prior import ConditionalPrior
@@ -1337,20 +1337,16 @@ def _leaves(value, path=()):
         yield from _leaves(item, (*path, key))
 
 
-@st.composite
-def _scenario_byte_faults(draw):
-    """A bundled scenario file's bytes with one fault: truncated, a byte flipped or inserted,
-    or one value replaced by nested lists or by an integer of 5,000 digits."""
-    data = _SCENARIO_BYTES
+def _byte_fault(draw, data: bytes) -> tuple:
+    """(fault, ``data`` with it): the bytes of a JSON file truncated, a byte flipped or
+    inserted, or one value replaced by nested lists or by an integer of 5,000 digits."""
     fault = draw(st.sampled_from(["truncated", "flipped", "inserted", "nested", "long_int"]))
     if fault == "truncated":  # anywhere short of the closing brace
-        return data[:draw(st.integers(0, data.rindex(b"}")))]
+        return fault, data[:draw(st.integers(0, data.rindex(b"}")))]
     if fault in ("flipped", "inserted"):
         at = draw(st.integers(0, len(data) - 1))
         byte = draw(st.integers(0, 255).filter(lambda b: fault == "inserted" or b != data[at]))
-        damaged = data[:at] + bytes([byte]) + data[at + (fault == "flipped"):]
-        assume(not _is_scenario(damaged))  # a byte in a text may leave a valid file
-        return damaged
+        return fault, data[:at] + bytes([byte]) + data[at + (fault == "flipped"):]
     doc = json.loads(data)
     *parents, key = draw(st.sampled_from(list(_leaves(doc))))
     parent = doc
@@ -1362,7 +1358,16 @@ def _scenario_byte_faults(draw):
         value = "[" * depth + "]" * depth
     else:
         value = "9" * 5000
-    return json.dumps(doc).replace('"@fault@"', value).encode("utf-8")
+    return fault, json.dumps(doc).replace('"@fault@"', value).encode("utf-8")
+
+
+@st.composite
+def _scenario_byte_faults(draw):
+    """A bundled scenario file's bytes with one ``_byte_fault`` that leaves no scenario."""
+    fault, damaged = _byte_fault(draw, _SCENARIO_BYTES)
+    if fault in ("flipped", "inserted"):
+        assume(not _is_scenario(damaged))  # a byte in a text may leave a valid file
+    return damaged
 
 
 @settings(max_examples=200, deadline=None)
@@ -1381,6 +1386,48 @@ def test_scenario_file_byte_fault_is_one_error_line_and_keeps_the_last_run(tmp_p
     code, err = _main_err(argv)
     assert code == 3
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _checkpoint_pair_refused(files: dict) -> bool:
+    """Whether a reference reading refuses the run's two checkpoints, ``{name: bytes}``:
+    a file is not UTF-8 JSON, one of its ``checkpoint_objects`` breaks its schema, or the
+    prior's ``stage1_sha256`` is not the SHA-256 of the stage-1 bytes."""
+    docs = {}
+    for name, data in files.items():
+        try:
+            docs[name] = doc = json.loads(data.decode("utf-8"))
+            for _, label, obj, schema in checkpoint_objects(doc, name):
+                check_object(obj, schema, label)
+        except (ValueError, RecursionError, KeyError, TypeError):  # no object where one is read
+            return True
+    link = docs["prior.json"]["metadata"]["model"]["stage1_sha256"]
+    return link != hashlib.sha256(files["stage1.json"]).hexdigest()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["stage1.json", "prior.json"]), st.data())
+def test_checkpoint_byte_fault_is_one_error_line_and_keeps_the_last_run(pipeline,
+                                                                         tmp_path_factory,
+                                                                         name, data):
+    _, _, data_dir, run_dir = pipeline
+    files = {n: (run_dir / n).read_bytes() for n in ("stage1.json", "prior.json")}
+    _, damaged = _byte_fault(data.draw, files[name])
+    # a byte in a text, or a value in metadata no load reads, may leave a pair that loads
+    assume(_checkpoint_pair_refused({**files, name: damaged}))
+    root = tmp_path_factory.mktemp("checkpoint-bytes")
+    run, out = root / "run", root / "eval"
+    shutil.copytree(run_dir, run)
+    argv = ["eval", "--dataset", str(data_dir / "dataset.jsonl"), "--run", str(run),
+            "--out", str(out)]
+    assert _main_err(argv) == (0, "")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"eval.json", "manifest.json"} <= before.keys()
+    (run / name).write_bytes(damaged)
+    code, err = _main_err(argv)
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert str(run / name) in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

@@ -226,12 +226,14 @@ def check_pass(net, x, g, input_grad=True):
 
 
 @pytest.mark.parametrize("sizes,acts", WORKSPACE_NETS)
-@pytest.mark.parametrize("n", [1, 4, 32, 161])
+@pytest.mark.parametrize("n", [1, 2, 4, 32, 161, 644])  # 644: record_codes' pass
 def test_workspace_passes_match_allocating_oracle_bit_for_bit(sizes, acts, n):
     net = workspace_net(sizes, acts, seed=n + sum(sizes))
     rng = np.random.default_rng(n)
     for _ in range(2):  # the second pass reuses the first one's buffers
         check_pass(net, rows_for(net, n, rng), rng.normal(size=(n, sizes[-1])))
+    wide = rng.normal(size=(n, sizes[0] + 3))
+    check_pass(net, wide[:, 1:-2], rng.normal(size=(n, sizes[-1])))  # a column-sliced input
     check_pass(net, rows_for(net, n, rng)[:1], rng.normal(size=(1, sizes[-1])))  # then one row
 
 
@@ -261,6 +263,24 @@ def test_backward_twice_on_one_cache_gives_the_same_bits():
     for grad, grad_in in ((first, first_in), (second, second_in)):
         assert same_bits(grad, ref_grad) and same_bits(grad_in, ref_in)
     assert not np.shares_memory(first_in, second_in)
+
+
+def test_backward_into_another_out_leaves_the_last_one_as_it_was():
+    # the gradient views are kept for the last ``out`` only: a pass into B
+    # writes B, and A keeps the bytes of its own pass
+    net = workspace_net([64, 64, 64, 5], ["relu", "relu", "identity"], seed=13)
+    rng = np.random.default_rng(14)
+    A, B = np.full(net.layout.size, np.nan), np.full(net.layout.size, np.nan)
+    for n in (32, 1):
+        passes = []
+        for out in (A, B, A):
+            x, g = rows_for(net, n, rng), rng.normal(size=(n, 5))
+            net.forward(x)
+            grad, _ = net.backward(g, out=out)
+            assert grad is out
+            passes.append(backward_reference(net, forward_reference(net, x)[1], g)[0])
+            assert same_bits(out, passes[-1])
+        assert same_bits(B, passes[1])
 
 
 @pytest.mark.parametrize("sizes,acts", WORKSPACE_NETS)

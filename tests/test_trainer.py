@@ -673,10 +673,10 @@ def test_run_training_writes_everything(tmp_path, small_dataset):
     assert all(str(out) in p for p in summary["outputs"])
     # the prior checkpoint refuses to load against a different first stage
     other = ConditionalVQVAE(SMALL_TRAIN.vqvae_config(), seed=99)
+    other.save(tmp_path / "other.json")
     with pytest.raises(ValueError, match="different first-stage"):
         ConditionalPrior.load(out / PRIOR_CHECKPOINT,
-                              stage1=nets.Checkpoint(other.params(), {},
-                                                     other.save(tmp_path / "other.json")))
+                              stage1=nets.load_checkpoint(tmp_path / "other.json"))
     _, stage1 = ConditionalVQVAE.load(out / STAGE1_CHECKPOINT)
     prior, _ = ConditionalPrior.load(out / PRIOR_CHECKPOINT, stage1=stage1)
     assert prior.config.codebook_size == SMALL_TRAIN.codebook_size

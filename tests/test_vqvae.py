@@ -578,6 +578,26 @@ def test_loss_and_grads_returns_a_new_gradient_every_call():
     np.testing.assert_array_equal(first, kept)
 
 
+def test_loss_and_grads_without_out_twice_gives_two_vectors_with_the_same_bits():
+    model, Y, X = stable_fixture(110)
+    first_terms, first = model.loss_and_grads(Y, X)
+    second_terms, second = model.loss_and_grads(Y, X)
+    assert second is not first and not np.shares_memory(first, second)
+    assert second_terms == first_terms
+    assert same_bits(first, second)
+
+
+def test_loss_and_grads_into_another_out_leaves_the_last_one_as_it_was():
+    model, Y, X = stable_fixture(110)
+    whole, half = model.loss_and_grads(Y, X)[1], model.loss_and_grads(Y[:2], X[:2])[1]
+    A, B = np.full(model.layout.size, np.nan), np.full(model.layout.size, np.nan)
+    model.loss_and_grads(Y, X, out=A)
+    model.loss_and_grads(Y[:2], X[:2], out=B)
+    assert same_bits(A, whole) and same_bits(B, half)
+    model.loss_and_grads(Y[:2], X[:2], out=A)
+    assert same_bits(A, half)
+
+
 def test_loss_and_grads_into_out_returns_it_with_the_default_bits():
     for model, Y, X in (stable_fixture(110),
                         (ConditionalVQVAE(seed=0),

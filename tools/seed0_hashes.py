@@ -23,7 +23,9 @@ of ``dataset.jsonl``, and ``prior.json``'s ``stage1_sha256`` that of
 ``stage1.json``), or if a manifest names an input by another digest: the
 replay's ``inputs`` must map each bundled scenario file to the SHA-256 of
 its bytes, and the ``--stage 2`` run's must name its ``stage1.json`` with
-that file's SHA-256.
+that file's SHA-256. Every ``RuntimeWarning`` is an error from the first
+command on, so an overflow or an invalid value anywhere in the walkthrough
+fails the run instead of printing a line nothing reads.
 
 The trained weights' last bits depend on the BLAS build, so this is not a
 Tier-1 test. ``EXPECTED`` is the one record of these bytes: a change that
@@ -42,6 +44,7 @@ import json
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -75,7 +78,8 @@ PHASES = ("step_s", "optimizer_s", "validation_s")  # the timed phases of a trai
 
 def walkthrough(root: Path) -> None:
     """README's four model commands, a ``train --stage 2`` and two replays with
-    each offline backend, writing under ``root``; raises on a non-zero exit."""
+    each offline backend, writing under ``root``; raises on a non-zero exit or a
+    ``RuntimeWarning``."""
     dataset = str(root / "data" / "dataset.jsonl")
     commands = [
         ["gen-data", "--seed", "0", "--out", str(root / "data")],
@@ -92,6 +96,7 @@ def walkthrough(root: Path) -> None:
         ["replay", "--backend", "adversarial", "--out", str(root / "replay-adversarial")],
     ]
     commands += [[*argv[:-1], f"{argv[-1]}-again"] for argv in commands if argv[0] == "replay"]
+    warnings.simplefilter("error", RuntimeWarning)
     for argv in commands:
         if "--stage" in argv:
             shutil.copytree(root / "model", root / "stage2")
