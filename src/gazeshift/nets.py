@@ -16,20 +16,19 @@ the weights and their metadata, which is all a load uses. A model's
 config goes into ``metadata["model"]`` through ``save_model`` and comes
 back through ``load_model``; ``config.check_object`` checks every object of a checkpoint.
 
-The training step and the one-row draw avoid fixed per-call costs and
-keep every bit of the plain whole-array expressions. Each ``DenseNetwork``
-multiplies with ``np.dot``, which gives the bits of ``@`` (``np.matmul``)
-without its per-call dispatch, and owns a workspace: its hidden layers'
-activations, rectifier masks and input gradients go into buffers through
-``out=``, with the same ufuncs in the same operand order. ``bind`` builds
-each layer's operands once, and ``backward`` keeps the per-layer gradient
-views of the last vector it wrote into. ``adam_step`` checks the gradient
-with one element-wise ``np.isfinite``; it runs the update's per-element
-expressions, in their usual operand order, through two scratch vectors
-its :class:`AdamState` owns, so a step allocates nothing but that
-check's mask. Once the first moment's bias correction ``1 - beta1**t`` has
-rounded to exactly 1.0 (from step 356 at the default beta1), the step
-skips its division by it, which would leave every bit as it is.
+Each ``DenseNetwork`` multiplies with ``np.dot``, which gives the bits
+of ``@`` (``np.matmul``) without its per-call dispatch. Its passes
+allocate their activations, masks and input gradients as the plain
+expressions would. It owns one gradient vector, laid out like its
+parameters and bound beside them by ``bind``, and every ``backward``
+overwrites it: a caller that keeps a gradient across passes copies it.
+``adam_step`` checks the gradient with one element-wise ``np.isfinite``;
+it runs the update's per-element expressions, in their usual operand
+order, through two scratch vectors its :class:`AdamState` owns, so a
+step allocates nothing but that check's mask. Once the first moment's
+bias correction ``1 - beta1**t`` has rounded to exactly 1.0 (from step
+356 at the default beta1), the step skips its division by it, which
+would leave every bit as it is.
 ``save_checkpoint`` writes the text of one ``json.dumps`` of the
 whole document, one parameter at a time.
 
@@ -134,23 +133,18 @@ class DenseNetwork:
     ``decode_rows`` for latent rows), and ``load_checkpoint`` refuses
     non-finite parameters.
 
-    The cache holds the caller's input, views into the network's workspace
-    for the hidden layers, and the output. The arrays ``forward`` and
-    ``backward`` return are new, so a caller may keep them across later
-    passes; ``backward`` reads a rectifier output layer's mask from the
-    array ``forward`` returned, so leave it unchanged until then. The
-    workspace holds one buffer set per network with as many rows as the
-    largest batch it has seen (``record_codes`` passes 644): passes of
-    fewer rows use views of it, and one-row passes allocate instead.
+    Every pass allocates: ``forward`` returns a new array and caches new
+    arrays for each layer, and ``backward`` a new input gradient, so a
+    caller may keep them across later passes; ``backward`` reads a
+    rectifier output layer's mask from the array ``forward`` returned, so
+    leave it unchanged until then. The parameter gradient is the one
+    exception: ``backward`` overwrites ``grad``, the vector ``bind`` bound,
+    and returns it, so copy it to keep it across another ``backward``.
 
-    The passes do only the array work of their expressions. ``bind``
-    builds each layer's ``(W, b, W.T, relu)`` tuple and the input width
-    once. Every product is an ``np.dot``, into a workspace buffer where
-    there is one, and gives the bits of ``np.matmul`` at every row count
-    the models use, one included. ``backward`` keeps the per-layer (W, b)
-    gradient views of the last vector it wrote into, keyed by that
-    vector's identity: a training loop that passes one ``out`` for every
-    step slices it once.
+    ``bind`` builds each layer's ``(W, b, W.T, relu, grad_W, grad_b)``
+    tuple and the input width once, and the passes do only the array work
+    of their expressions. Every product is an ``np.dot`` and gives the bits
+    of ``np.matmul`` at every row count the models use, one included.
     """
 
     def __init__(self, weights, biases, activations):
@@ -162,29 +156,29 @@ class DenseNetwork:
             if act not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         self.activations = list(activations)
-        self._relu = [act == "relu" for act in self.activations]
         arrays = {}
         for i, (W, b) in enumerate(zip(weights, biases)):
             arrays[f"{i}.W"] = np.asarray(W, dtype=float)
             arrays[f"{i}.b"] = np.asarray(b, dtype=float)
         self.layout = Layout.of(arrays)
-        self.bind(self.layout.pack(arrays))
+        self.bind(self.layout.pack(arrays), np.empty(self.layout.size))
         self._cache = None
-        self._ws_rows, self._ws_capacity = -1, 0
-        # The gradient vector ``backward`` last wrote into, and its per-layer (W, b) views.
-        self._grad_out, self._grad_views = None, []
 
-    def bind(self, flat: np.ndarray) -> None:
-        """Keep the parameters in ``flat`` from now on; its values become theirs.
+    def bind(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Keep the parameters in ``flat`` and their gradient in ``grad`` from now on.
 
-        A model made of several networks binds each to a stretch of its own
-        flat vector, so one vector holds all of its parameters.
+        ``flat``'s values become the parameters; ``grad``, laid out like
+        ``flat``, is what every ``backward`` overwrites and returns. A model
+        made of several networks binds each to a stretch of its own flat
+        vector and of its own gradient vector, so one vector of each holds
+        the whole model.
         """
-        self.flat = flat
+        self.flat, self.grad = flat, grad
         self.weights, self.biases = self._layer_views(flat)
-        # Per layer (W, b, W.T, relu): the passes' operands, built once here.
+        # Per layer (W, b, W.T, relu, grad_W, grad_b): the passes' operands, built once here.
         self._layers = tuple(zip(self.weights, self.biases, [W.T for W in self.weights],
-                                 self._relu))
+                                 [act == "relu" for act in self.activations],
+                                 *self._layer_views(grad)))
         self._width = self.weights[0].shape[0]
 
     def _layer_views(self, flat: np.ndarray):
@@ -223,47 +217,13 @@ class DenseNetwork:
     def set_params(self, params: dict[str, np.ndarray]) -> None:
         self.flat[...] = self.layout.pack(params)
 
-    def _workspace(self, n: int):
-        """Per-layer buffers of ``n`` rows: lists (outputs, masks, grad_ins).
-
-        ``outputs[i]`` takes a hidden layer's pre-activation and then, in
-        place, its activation; ``masks[i]`` a rectifier layer's 0/1 mask and
-        then the masked gradient; ``grad_ins[i]`` the gradient at the input
-        of layer i >= 1. The other entries are None, and so is every entry
-        for one row, where a buffer saves nothing: a ufunc given ``out=None``
-        allocates, as the plain expression would. The buffers only grow, to
-        the most rows seen, and each call hands out ``[:n]`` views of them.
-        """
-        if n != self._ws_rows:
-            layers = range(len(self._relu))
-            if n <= 1:
-                self._ws = ([None for _ in layers],) * 3
-            else:
-                if n > self._ws_capacity:
-                    sizes, relu, last = self.sizes, self._relu, len(self._relu) - 1
-                    self._ws_full = (
-                        [np.empty((n, sizes[i + 1])) if i < last else None for i in layers],
-                        [np.empty((n, sizes[i + 1])) if relu[i] else None for i in layers],
-                        [np.empty((n, sizes[i])) if i > 0 else None for i in layers],
-                    )
-                    self._ws_capacity = n
-                self._ws = tuple([None if buf is None else buf[:n] for buf in bufs]
-                                 for bufs in self._ws_full)
-            self._ws_rows = n
-        return self._ws
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=float)
         if h.ndim != 2 or h.shape[1] != self._width:
             raise ValueError(f"input of shape {h.shape} is not rows of width {self._width}")
-        n = len(h)
-        # The workspace lookup inlined: one-row calls (``draw_allocations``) pay for no call.
-        outputs = self._ws[0] if n == self._ws_rows else self._workspace(n)[0]
         acts = [h]
-        for (W, b, _, relu), z in zip(self._layers, outputs):
-            # h W + b, then the rectifier in place; a layer without a buffer
-            # (the last, or any for one row) gets a new array.
-            h = np.dot(h, W, z)
+        for W, b, _, relu, _, _ in self._layers:
+            h = np.dot(h, W)
             h += b
             if relu:
                 np.maximum(h, 0.0, out=h)
@@ -271,16 +231,15 @@ class DenseNetwork:
         self._cache = acts
         return h
 
-    def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None,
-                 input_grad: bool = True):
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True):
         """Backprop the cached forward pass.
 
-        Returns (grad, grad_in): ``grad`` is a flat vector in ``layout``
-        (written into ``out`` when given) holding the parameter gradients
-        summed over the batch rows; scale the upstream gradient when a mean
-        is wanted. ``grad_in``, the gradient at the input, is a new array,
-        or None when ``input_grad`` is false and its product is skipped.
-        ``backward`` leaves the cache as it is, so it may run again on it.
+        Returns (grad, grad_in). ``grad`` is the network's own ``self.grad``,
+        overwritten with the parameter gradients summed over the batch rows;
+        scale the upstream gradient when a mean is wanted. ``grad_in``, the
+        gradient at the input, is a new array, or None when ``input_grad``
+        is false and its product is skipped. ``backward`` leaves the cache
+        as it is, so it may run again on it.
         """
         if self._cache is None:
             raise RuntimeError("backward called before any forward pass")
@@ -288,25 +247,18 @@ class DenseNetwork:
         g = np.asarray(grad_out, dtype=float)
         if g.shape != acts[-1].shape:
             raise ValueError(f"upstream gradient has wrong shape {g.shape}")
-        _, masks, grad_ins = self._workspace(len(g))
-        grad = np.empty(self.layout.size) if out is None else out
-        if grad is not self._grad_out:
-            self._grad_out, self._grad_views = grad, list(zip(*self._layer_views(grad)))
         for i in range(len(self._layers) - 1, -1, -1):
-            _, _, WT, relu = self._layers[i]
+            _, _, WT, relu, grad_W, grad_b = self._layers[i]
             if relu:
                 # g * (z > 0): a layer's rectified output is > 0 exactly where
-                # its pre-activation is, and a 0/1 float mask gives the bits
-                # of the boolean one.
-                mask = np.greater(acts[i + 1], 0.0, masks[i])
-                g = np.multiply(g, mask, masks[i])
-            grad_W, grad_b = self._grad_views[i]
+                # its pre-activation is.
+                g = g * (acts[i + 1] > 0.0)
             np.dot(acts[i].T, g, grad_W)
             np.add.reduce(g, axis=0, out=grad_b)
             if i == 0 and not input_grad:
-                return grad, None
-            g = np.dot(g, WT, grad_ins[i])
-        return grad, g
+                return self.grad, None
+            g = np.dot(g, WT)
+        return self.grad, g
 
 
 @dataclass

@@ -255,12 +255,10 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     # The [eye, head] rotations of each true row, indexed [row, part].
     R_true = target_rotations(Y, X).reshape(2, len(Y), 3, 3).swapaxes(0, 1)
     Rv = target_rotations(Yv, Xv)
-    out = np.empty(model.layout.size)  # every step writes its gradient here
 
     def step(batch, Yb, Xb, Rb):
         # Rb is (b, 2, 3, 3); the loss takes the (2b, 3, 3) block [eye; head]
-        terms, grad = model.loss_and_grads(Yb, Xb, R_true=Rb.swapaxes(0, 1).reshape(-1, 3, 3),
-                                           out=out)
+        terms, grad = model.loss_and_grads(Yb, Xb, R_true=Rb.swapaxes(0, 1).reshape(-1, 3, 3))
         return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
 
     def end_epoch(epoch, lr, means):
@@ -334,7 +332,6 @@ def train_stage2(model: ConditionalVQVAE, dataset: Dataset, config: TrainConfig 
     labels, val_labels = record_codes(model, Y, X), record_codes(model, Yv, Xv)
     errors = CodeErrors.of(model.decode_codes(X), X, target_rotations(Y, X))
     val_errors = CodeErrors.of(model.decode_codes(Xv), Xv, target_rotations(Yv, Xv))
-    out = np.empty(prior.net.layout.size)  # every step writes its gradient here
 
     def step(batch, Xb, labels_b):
         logits = prior.logits_rows(Xb)
@@ -346,7 +343,7 @@ def train_stage2(model: ConditionalVQVAE, dataset: Dataset, config: TrainConfig 
         mc = float((d_eye + config.lambda_mc * d_head).sum()) / len(batch)
         if not (math.isfinite(focal) and math.isfinite(mc)):
             raise ValueError("non-finite loss")
-        grad, _ = prior.net.backward(dlogits, out=out, input_grad=False)
+        grad, _ = prior.net.backward(dlogits, input_grad=False)
         return np.array([focal, mc]), grad
 
     def end_epoch(epoch, lr, means):

@@ -71,9 +71,6 @@ ALLOCATION_FIELDS = (
 )
 
 _MIN_TARGET_NORM = 0.05
-# Most rows per decode_rows call in decode_codes: one validation pass, so
-# building the per-code tables caches no larger activations than validation.
-_DECODE_CHUNK = 161
 
 
 def _finite_rows(A: np.ndarray, what: str) -> np.ndarray:
@@ -354,23 +351,21 @@ class ConditionalVQVAE:
             "decoder": self.decoder,
         }
         # One flat vector holds every parameter, section by section, then
-        # the codebook; the networks and the codebook are views into it.
+        # the codebook, and one gradient vector is laid out the same way; the
+        # networks and the codebook are views into both.
         arrays = {f"{section}.{name}": p for section, net in self._sections.items()
                   for name, p in net.params().items()}
         arrays["codebook"] = self.codebook
         self.layout = nets.Layout.of(arrays)
         self.flat = self.layout.pack(arrays)
-        self._slices = {}
+        self.grad = np.empty(self.layout.size)
         start = 0
-        for section, net in self._sections.items():
-            self._slices[section] = slice(start, start + net.layout.size)
-            net.bind(self.flat[self._slices[section]])
-            start += net.layout.size
-        self._slices["codebook"] = slice(start, self.layout.size)
-        self.codebook = self.flat[self._slices["codebook"]].reshape(K, D)
-        # The gradient vector ``loss_and_grads`` last wrote into, and its
-        # per-section views (the codebook's shaped like the codebook).
-        self._grad_out, self._grad_parts = None, {}
+        for net in self._sections.values():
+            stop = start + net.layout.size
+            net.bind(self.flat[start:stop], self.grad[start:stop])
+            start = stop
+        self.codebook = self.flat[start:].reshape(K, D)
+        self._codebook_grad = self.grad[start:].reshape(K, D)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -397,17 +392,14 @@ class ConditionalVQVAE:
     def decode_codes(self, X: np.ndarray) -> np.ndarray:
         """(K, n, 5): the allocation every code decodes to for every input row of ``X``.
 
-        Decodes code by code, in near-equal row chunks of at most
-        ``_DECODE_CHUNK``, so no chunk is a single row unless ``X`` is. A
-        row decodes to the same bits in any batch of two or more rows, but
-        a lone row still takes numpy's matrix-vector path, under ``np.dot``
-        as under ``@``, and its last bits can differ.
+        One ``decode_rows`` call per code, over all rows of ``X`` at once. A
+        row decodes to the same bits in any batch of two or more rows, so
+        each entry holds the bits a decode of any such batch gives; a lone
+        row still takes numpy's matrix-vector path, under ``np.dot`` as
+        under ``@``, and its last bits can differ.
         """
-        chunks = np.array_split(X, -(-len(X) // _DECODE_CHUNK))
-        return np.stack([
-            np.concatenate([self.decode_rows(np.broadcast_to(z_q, (len(rows), len(z_q))), rows)
-                            for rows in chunks])
-            for z_q in self.codebook])
+        return np.stack([self.decode_rows(np.broadcast_to(z_q, (len(X), len(z_q))), X)
+                         for z_q in self.codebook])
 
     def forward_rows(self, Y: np.ndarray, X: np.ndarray):
         """Teacher-forced pass: encode (Y, X), quantise, decode.
@@ -426,12 +418,13 @@ class ConditionalVQVAE:
 
     def loss_and_grads(self, Y: np.ndarray, X: np.ndarray, *, rec_weight: float = 1.0,
                        embed_weight: float = 1.0, commit_weight: float | None = None,
-                       R_true: np.ndarray | None = None, out: np.ndarray | None = None):
+                       R_true: np.ndarray | None = None):
         """Batch-mean loss terms and the flat parameter gradient (in ``layout``).
 
-        The gradient is a new vector, or is written into ``out`` (a float
-        vector of ``layout.size``), which is then returned: a training loop
-        passes one vector for every step. ``R_true``, when given, is
+        The gradient is the model's own ``grad`` vector, which every call
+        overwrites and returns: copy it to keep it across another call.
+        Each network writes its stretch of it, and the codebook gradient is
+        a view of its last stretch. ``R_true``, when given, is
         ``target_rotations(Y, X)``, of shape (2n, 3, 3): training computes
         it once for its whole split, since the true rows never change.
         ``commit_weight`` defaults to config.beta; the tests zero individual
@@ -462,30 +455,23 @@ class ConditionalVQVAE:
                 raise ValueError(f"non-finite loss term {name!r}")
         terms = VQLossTerms(total, rec, embed, commit)
 
-        grad = np.empty(self.layout.size) if out is None else out
-        if grad is not self._grad_out:
-            parts = {section: grad[sl] for section, sl in self._slices.items()}
-            parts["codebook"] = parts["codebook"].reshape(self.codebook.shape)
-            self._grad_out, self._grad_parts = grad, parts
-        parts = self._grad_parts
         g_pred = rec_weight * rec_grad / n
-        _, g_h = self.decoder.backward(g_pred, out=parts["decoder"])
-        _, g_d = self.fusion_out.backward(g_h, out=parts["fusion_out"])
+        _, g_h = self.decoder.backward(g_pred)
+        _, g_d = self.fusion_out.backward(g_h)
         g_zq = g_d[:, :D]
         g_fc_dec = g_d[:, D:]
         # Straight-through: the reconstruction gradient at z_q lands on z_e
         # unchanged; the commitment term pulls z_e toward the (frozen) code.
         g_ze = g_zq + commit_weight * (2.0 / n) * diff
-        codebook_grad = parts["codebook"]
-        codebook_grad[...] = 0.0
-        np.add.at(codebook_grad, idx, embed_weight * (2.0 / n) * (-diff))
-        _, g_u = self.fusion_in.backward(g_ze, out=parts["fusion_in"])
+        self._codebook_grad[...] = 0.0
+        np.add.at(self._codebook_grad, idx, embed_weight * (2.0 / n) * (-diff))
+        _, g_u = self.fusion_in.backward(g_ze)
         g_fy = g_u[:, :H]
         g_fc = g_u[:, H:] + g_fc_dec
         # The encoders' input gradients would reach only the data.
-        self.recon_encoder.backward(g_fy, out=parts["recon_encoder"], input_grad=False)
-        self.cond_encoder.backward(g_fc, out=parts["cond_encoder"], input_grad=False)
-        return terms, grad
+        self.recon_encoder.backward(g_fy, input_grad=False)
+        self.cond_encoder.backward(g_fc, input_grad=False)
+        return terms, self.grad
 
     # -- persistence -----------------------------------------------------------
 

@@ -1,5 +1,5 @@
 """Oracles on dense networks: pre-activations for the finite-difference tests,
-the allocating forward and backward passes the workspace tests compare against,
+the allocating forward and backward passes the networks' passes must match,
 Adam as whole-array expressions, the checkpoint ``params`` document as one
 dict, and a checkpoint writer that spells each number as told."""
 

@@ -183,15 +183,16 @@ def test_criterion_2_loss_term_gradients():
         beta = config.beta
 
         # stop-gradient routing: these must be exact zeros, not small numbers
-        g = model.layout.views(model.loss_and_grads(Y, X, rec_weight=1.0, embed_weight=0.0)[1])
+        g = model.layout.views(model.loss_and_grads(Y, X, rec_weight=1.0,
+                                                    embed_weight=0.0)[1].copy())
         if np.any(g["codebook"] != 0.0):
             problems.append(f"case {case}: codebook gradient without the embed term")
         g_embed = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=1.0,
-                                                          commit_weight=0.0)[1])
+                                                          commit_weight=0.0)[1].copy())
         if any(np.any(g_embed[n] != 0.0) for n in g_embed if n != "codebook"):
             problems.append(f"case {case}: embed term leaks past the stop-gradient")
         g_commit = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=0.0,
-                                                           commit_weight=beta)[1])
+                                                           commit_weight=beta)[1].copy())
         if np.any(g_commit["codebook"] != 0.0) or any(
                 np.any(g_commit[n] != 0.0) for n in g_commit
                 if n.startswith(("decoder.", "fusion_out."))):
@@ -226,7 +227,7 @@ def test_criterion_2_loss_term_gradients():
             return float(vals.mean())
 
         g_rec = model.layout.views(model.loss_and_grads(Y, X, rec_weight=1.0, embed_weight=0.0,
-                                                        commit_weight=0.0)[1])
+                                                        commit_weight=0.0)[1].copy())
         rec_names = sorted(n for n in g_rec if n != "codebook")
         for _ in range(4):
             name = rec_names[int(rng_case.integers(len(rec_names)))]

@@ -42,7 +42,7 @@ from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV
 from gazeshift.trainer import infer
 from gazeshift.vqvae import ConditionalVQVAE, condition_inputs
-from datagen_oracles import EyePose, HeadPose, PoseCondition
+from datagen_oracles import EyePose, HeadPose, PoseCondition, read_dataset_per_line
 from json_numbers import bad_json_numbers
 from json_objects import (checkpoint_objects, config_objects, dataset_objects, refused,
                           scenario_objects, timings_objects, wrong_values)
@@ -1428,6 +1428,52 @@ def test_checkpoint_byte_fault_is_one_error_line_and_keeps_the_last_run(pipeline
     assert code == 4
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert str(run / name) in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _dataset_refused(path) -> bool:
+    """Whether the line-by-line reference reader refuses the dataset file at ``path``."""
+    try:
+        read_dataset_per_line(path)
+    except (DataError, ValueError, RecursionError):  # a 5,000-digit int is a ValueError
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def one_epoch_run(tmp_path_factory):
+    """(config, run): ``NUMBER_LINES`` trained one epoch per stage, so that a damaged
+    dataset that still loads would train quickly too."""
+    root = tmp_path_factory.mktemp("one-epoch")
+    config = write_config(root, {"training": {**SMALL_CONFIG["training"], "stage1_epochs": 1,
+                                              "stage2_epochs": 1, "milestones": []}})
+    dataset = root / "dataset.jsonl"
+    dataset.write_text("".join(line + "\n" for line in NUMBER_LINES), encoding="utf-8")
+    assert _main_err(["train", "--config", config, "--dataset", str(dataset),
+                      "--out", str(root / "run")]) == (0, "")
+    return config, root / "run"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dataset_byte_fault_is_one_error_line_and_keeps_the_last_run(one_epoch_run,
+                                                                      tmp_path_factory, data):
+    config, run_dir = one_epoch_run
+    lines = [line.encode("utf-8") for line in NUMBER_LINES]
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")  # 0 is the header
+    _, lines[at] = _byte_fault(data.draw, lines[at])
+    root = tmp_path_factory.mktemp("dataset-bytes")
+    path, out = root / "dataset.jsonl", root / "run"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    # a byte in a text, or a digit for a digit, may leave a file that loads
+    assume(_dataset_refused(path))
+    shutil.copytree(run_dir, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, err = _main_err(["train", "--config", config, "--dataset", str(path),
+                           "--out", str(out)])
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert str(path) in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

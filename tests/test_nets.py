@@ -168,7 +168,7 @@ def test_backward_sums_over_batch_rows():
     X = rng.normal(size=(6, 3))
     W_up = rng.normal(size=(6, 2))
     net.forward(X)
-    batch_grads = net.layout.views(net.backward(W_up)[0])
+    batch_grads = net.layout.views(net.backward(W_up)[0].copy())
     summed = None
     for i in range(6):
         net.forward(X[i:i + 1])
@@ -182,7 +182,7 @@ def test_backward_sums_over_batch_rows():
         np.testing.assert_allclose(batch_grads[k], summed[k], atol=1e-12)
 
 
-# -- workspaces against the allocating oracle ------------------------------------
+# -- passes against the allocating oracle ------------------------------------------
 
 # The stage-1 networks at their shipped widths, and the prior's.
 WORKSPACE_NETS = [
@@ -230,7 +230,7 @@ def check_pass(net, x, g, input_grad=True):
 def test_workspace_passes_match_allocating_oracle_bit_for_bit(sizes, acts, n):
     net = workspace_net(sizes, acts, seed=n + sum(sizes))
     rng = np.random.default_rng(n)
-    for _ in range(2):  # the second pass reuses the first one's buffers
+    for _ in range(2):  # the second pass overwrites the first one's gradient
         check_pass(net, rows_for(net, n, rng), rng.normal(size=(n, sizes[-1])))
     wide = rng.normal(size=(n, sizes[0] + 3))
     check_pass(net, wide[:, 1:-2], rng.normal(size=(n, sizes[-1])))  # a column-sliced input
@@ -265,22 +265,21 @@ def test_backward_twice_on_one_cache_gives_the_same_bits():
     assert not np.shares_memory(first_in, second_in)
 
 
-def test_backward_into_another_out_leaves_the_last_one_as_it_was():
-    # the gradient views are kept for the last ``out`` only: a pass into B
-    # writes B, and A keeps the bytes of its own pass
+@pytest.mark.parametrize("n", [1, 32, 161])
+def test_backward_overwrites_and_returns_the_networks_own_gradient(n):
+    # stale contents of ``grad`` must not leak into a pass: every element is
+    # written, whatever the last pass left there
     net = workspace_net([64, 64, 64, 5], ["relu", "relu", "identity"], seed=13)
     rng = np.random.default_rng(14)
-    A, B = np.full(net.layout.size, np.nan), np.full(net.layout.size, np.nan)
-    for n in (32, 1):
-        passes = []
-        for out in (A, B, A):
-            x, g = rows_for(net, n, rng), rng.normal(size=(n, 5))
-            net.forward(x)
-            grad, _ = net.backward(g, out=out)
-            assert grad is out
-            passes.append(backward_reference(net, forward_reference(net, x)[1], g)[0])
-            assert same_bits(out, passes[-1])
-        assert same_bits(B, passes[1])
+    for input_grad in (True, False):
+        net.grad[...] = np.nan
+        x, g = rows_for(net, n, rng), rng.normal(size=(n, 5))
+        net.forward(x)
+        ref_grad, _ = backward_reference(net, forward_reference(net, x)[1], g)
+        grad, _ = net.backward(g, input_grad=input_grad)
+        assert grad is net.grad and same_bits(grad, ref_grad)
+        again, _ = net.backward(g, input_grad=input_grad)
+        assert again is grad and same_bits(again, ref_grad)
 
 
 @pytest.mark.parametrize("sizes,acts", WORKSPACE_NETS)
@@ -587,9 +586,9 @@ def test_params_and_gradients_share_one_flat_layout():
     params["1.b"][:] = 7.0
     assert np.all(net.biases[1] == 7.0)
     net.forward(rng.normal(size=(4, 3)))
-    out = np.full(net.layout.size, np.nan)
-    grad, _ = net.backward(rng.normal(size=(4, 2)), out=out)
-    assert grad is out and np.all(np.isfinite(out))
+    net.grad[...] = np.nan
+    grad, _ = net.backward(rng.normal(size=(4, 2)))
+    assert grad is net.grad and np.all(np.isfinite(grad))
 
 
 def test_set_params_requires_exact_keys_and_shapes():

@@ -229,13 +229,13 @@ class FixedPrior:
         return self.logits
 
 
-@pytest.mark.parametrize("n", [170, 162, 161, 40])
+@pytest.mark.parametrize("n", [644, 170, 162, 161, 40])
 @pytest.mark.parametrize("lambda_mc", [1.0, 0.7])
 def test_code_error_tables_equal_per_batch_decoding(n, lambda_mc):
     """The gathered stage-2 values and validation MGDs equal the oracle bit for bit.
 
-    At the shipped widths. 170 and 162 rows do not fill whole 161-row
-    decode chunks; 162 would leave a single-row chunk if cut greedily.
+    At the shipped widths, up to the 644 rows of the shipped training
+    split, which ``decode_codes`` decodes in one pass per code.
     """
     rng = np.random.default_rng(n)
     model = ConditionalVQVAE(VQVAEConfig(), seed=3)

@@ -441,7 +441,7 @@ def test_codebook_gradient_comes_only_from_embed_term():
     # embed alone: codebook gradient matches finite differences of the real
     # loss while the code assignment is stable
     grads = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=1.0,
-                                                    commit_weight=0.0)[1])
+                                                    commit_weight=0.0)[1].copy())
     idx, _ = quantize_rows(model.encode_rows(Y, X), model.codebook)
     flat = grads["codebook"].ravel()
     D = model.config.latent_dim
@@ -467,7 +467,7 @@ def test_commit_gradient_reaches_encoder_not_codebook():
     model, Y, X = stable_fixture(70)
     beta = model.config.beta
     grads = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=0.0,
-                                                    commit_weight=beta)[1])
+                                                    commit_weight=beta)[1].copy())
     assert np.all(grads["codebook"] == 0.0)
     # decoder is behind the stop-gradient too
     for name, g in grads.items():
@@ -536,13 +536,13 @@ def test_rec_gradients_match_straight_through_surrogate():
 def test_total_gradient_is_sum_of_term_gradients():
     model, Y, X = stable_fixture(90)
     beta = model.config.beta
-    g_total = model.layout.views(model.loss_and_grads(Y, X)[1])
+    g_total = model.layout.views(model.loss_and_grads(Y, X)[1].copy())
     g_rec = model.layout.views(model.loss_and_grads(Y, X, rec_weight=1.0, embed_weight=0.0,
-                                                    commit_weight=0.0)[1])
+                                                    commit_weight=0.0)[1].copy())
     g_embed = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=1.0,
-                                                      commit_weight=0.0)[1])
+                                                      commit_weight=0.0)[1].copy())
     g_commit = model.layout.views(model.loss_and_grads(Y, X, rec_weight=0.0, embed_weight=0.0,
-                                                       commit_weight=beta)[1])
+                                                       commit_weight=beta)[1].copy())
     for name in g_total:
         np.testing.assert_allclose(
             g_total[name], g_rec[name] + g_embed[name] + g_commit[name],
@@ -558,6 +558,7 @@ def test_precomputed_true_rotations_give_the_same_bits():
     R_split = target_rotations(Y, X).reshape(2, len(Y), 3, 3)
     for batch in (np.arange(40), rng.permutation(40)[:32], np.array([7])):
         terms, grad = model.loss_and_grads(Y[batch], X[batch])
+        grad = grad.copy()
         given_terms, given_grad = model.loss_and_grads(
             Y[batch], X[batch], R_true=R_split[:, batch].reshape(-1, 3, 3))
         assert given_terms == terms
@@ -569,63 +570,42 @@ def test_precomputed_true_rotations_give_the_same_bits():
         np.testing.assert_array_equal(given_g, g)
 
 
-def test_loss_and_grads_returns_a_new_gradient_every_call():
-    model, Y, X = stable_fixture(110)
-    _, first = model.loss_and_grads(Y, X)
-    kept = first.copy()
-    _, second = model.loss_and_grads(Y[:2], X[:2])
-    assert not np.shares_memory(first, second)
-    np.testing.assert_array_equal(first, kept)
+def test_loss_and_grads_overwrites_and_returns_the_models_own_gradient():
+    # stale contents of ``grad`` must not leak into a call: every element is
+    # written, the codebook's unclaimed entries included
+    # (a fresh model, an equal one to reuse, rows): the fixture, then the shipped widths
+    cases = [(stable_fixture(110)[0], *stable_fixture(110)),
+             (ConditionalVQVAE(seed=0), ConditionalVQVAE(seed=0),
+              *model_inputs(*fixture_batch(np.random.default_rng(3), 32), 2.0))]
+    for fresh, model, Y, X in cases:
+        terms, expected = fresh.loss_and_grads(Y, X)
+        model.grad[...] = np.nan
+        given_terms, grad = model.loss_and_grads(Y, X)
+        assert grad is model.grad and given_terms == terms and same_bits(grad, expected)
+        model.loss_and_grads(Y[:2], X[:2])  # leaves another gradient in ``grad``
+        again_terms, again = model.loss_and_grads(Y, X)
+        assert again is grad and again_terms == terms and same_bits(again, expected)
 
 
-def test_loss_and_grads_without_out_twice_gives_two_vectors_with_the_same_bits():
-    model, Y, X = stable_fixture(110)
-    first_terms, first = model.loss_and_grads(Y, X)
-    second_terms, second = model.loss_and_grads(Y, X)
-    assert second is not first and not np.shares_memory(first, second)
-    assert second_terms == first_terms
-    assert same_bits(first, second)
-
-
-def test_loss_and_grads_into_another_out_leaves_the_last_one_as_it_was():
-    model, Y, X = stable_fixture(110)
-    whole, half = model.loss_and_grads(Y, X)[1], model.loss_and_grads(Y[:2], X[:2])[1]
-    A, B = np.full(model.layout.size, np.nan), np.full(model.layout.size, np.nan)
-    model.loss_and_grads(Y, X, out=A)
-    model.loss_and_grads(Y[:2], X[:2], out=B)
-    assert same_bits(A, whole) and same_bits(B, half)
-    model.loss_and_grads(Y[:2], X[:2], out=A)
-    assert same_bits(A, half)
-
-
-def test_loss_and_grads_into_out_returns_it_with_the_default_bits():
-    for model, Y, X in (stable_fixture(110),
-                        (ConditionalVQVAE(seed=0),
-                         *model_inputs(*fixture_batch(np.random.default_rng(3), 32), 2.0))):
-        terms, fresh = model.loss_and_grads(Y, X)
-        out = np.full(model.layout.size, np.nan)  # stale contents must not leak through
-        for _ in range(2):
-            given_terms, grad = model.loss_and_grads(Y, X, out=out)
-            assert grad is out
-            assert given_terms == terms
-            assert same_bits(out, fresh)
-
-
-def test_backward_into_reused_out_matches_fresh_vector():
+def test_each_network_writes_its_stretch_of_the_models_gradient():
     model = small_model(7)
+    model.grad[...] = np.arange(model.layout.size)  # each network sees its stretch, in order
+    start = 0
+    for net in (model.recon_encoder, model.cond_encoder, model.fusion_in, model.fusion_out,
+                model.decoder):
+        np.testing.assert_array_equal(net.grad, np.arange(start, start + net.layout.size))
+        start += net.layout.size
+    assert start + model.codebook.size == model.layout.size
     rng = np.random.default_rng(8)
+    model.grad[...] = np.nan
     for net in (model.recon_encoder, model.fusion_in, model.decoder):
-        out = np.full(net.layout.size, np.nan)  # stale contents must not leak through
         for n in (5, 1):
             net.forward(rng.normal(size=(n, net.sizes[0])))
-            g = rng.normal(size=(n, net.sizes[-1]))
-            fresh, fresh_in = net.backward(g)
-            again, _ = net.backward(g)
-            reused, reused_in = net.backward(g, out=out)
-            assert reused is out
-            assert not np.shares_memory(fresh, again)
-            np.testing.assert_array_equal(reused, fresh)
-            np.testing.assert_array_equal(reused_in, fresh_in)
+            grad, _ = net.backward(rng.normal(size=(n, net.sizes[-1])))
+            assert grad is net.grad and np.isfinite(grad).all()
+    # the other sections and the codebook keep what they held
+    assert np.isnan(model.cond_encoder.grad).all() and np.isnan(model.fusion_out.grad).all()
+    assert np.isnan(model.grad[start:]).all()
 
 
 # -- persistence ----------------------------------------------------------------------

@@ -7,10 +7,14 @@ Runs ``gen-data``, ``train``, ``eval`` and ``sample --n 1000 --mode sample
 seed 0, then ``replay`` on the bundled scenarios with the ``scripted``,
 ``oracle`` and ``adversarial`` backends, through ``gazeshift.cli.main``, with
 one BLAS thread, in a temporary directory (or under ``DIR``, which is kept).
-It also reruns ``train --stage 2`` on a copy of the trained run, and each
-replay a second time in the same process, into ``<replay>-again``. It prints
-each artifact's SHA-256 and exits 1 if any differs from ``EXPECTED``, or if
-a second replay's ``cycles.jsonl`` or ``success_table.csv`` hashes other
+It also reruns ``train --stage 2`` on a copy of the trained run without its
+``prior.json``, and each replay a second time in the same process, into
+``<replay>-again``. It prints each artifact's SHA-256 and exits 1 if any
+differs from ``EXPECTED``, if the ``--stage 2`` run's ``prior.json`` or
+``metrics.csv`` hashes other than the ``train`` run's (README: ``--stage 1``
+followed by ``--stage 2`` writes the same files as ``--stage both``; what a
+network keeps from one run must not reach the next in the same process), or
+if a second replay's ``cycles.jsonl`` or ``success_table.csv`` hashes other
 than the first's: what a scenario's instances keep from one replay must not
 reach the next. Last it prints each training stage's summed step, optimizer
 and validation seconds from ``timings.jsonl``, which nothing checks. Each
@@ -73,6 +77,7 @@ EXPECTED = {
 
 REPLAYS = ("replay", "replay-oracle", "replay-adversarial")
 REPLAY_OUTPUTS = ("cycles.jsonl", "success_table.csv")
+STAGE2_OUTPUTS = ("prior.json", "metrics.csv")  # what ``--stage 2`` writes as ``--stage both`` does
 PHASES = ("step_s", "optimizer_s", "validation_s")  # the timed phases of a training epoch
 
 
@@ -84,7 +89,7 @@ def walkthrough(root: Path) -> None:
     commands = [
         ["gen-data", "--seed", "0", "--out", str(root / "data")],
         ["train", "--dataset", dataset, "--seed", "0", "--out", str(root / "model")],
-        # stage 2 alone, on a copy of the run that stage 1 wrote into
+        # stage 2 alone, on a copy of the run that stage 1 wrote into, without its prior
         ["train", "--dataset", dataset, "--seed", "0", "--stage", "2",
          "--out", str(root / "stage2")],
         ["eval", "--dataset", dataset, "--run", str(root / "model"), "--out", str(root / "eval")],
@@ -100,6 +105,7 @@ def walkthrough(root: Path) -> None:
     for argv in commands:
         if "--stage" in argv:
             shutil.copytree(root / "model", root / "stage2")
+            (root / "stage2" / "prior.json").unlink()
         with contextlib.redirect_stdout(sys.stderr):
             code = main(argv)
         if code != 0:
@@ -170,11 +176,22 @@ def rerun_differences(root: Path) -> list:
     return differences
 
 
+def stage2_differences(root: Path) -> list:
+    """Each output of the ``--stage 2`` run whose SHA-256 is not that of the ``train`` run's,
+    as text."""
+    differences = []
+    for name in STAGE2_OUTPUTS:
+        first, again = (_sha256(root / directory / name) for directory in ("model", "stage2"))
+        if again != first:
+            differences.append(f"stage2/{name} is {again}, not {first} as in model/{name}")
+    return differences
+
+
 def check(root: Path) -> int:
     """Print each artifact's SHA-256; 1 if any differs from EXPECTED, a cycle-log
-    line is not spelled as ``json.dumps`` writes it, a second replay's output
-    differs from the first's, a link is broken or a manifest records an input
-    by another digest, else 0."""
+    line is not spelled as ``json.dumps`` writes it, the ``--stage 2`` run or a
+    second replay wrote other outputs than the first run, a link is broken or a
+    manifest records an input by another digest, else 0."""
     moved = 0
     for name, expected in EXPECTED.items():
         actual = hashlib.sha256(_content(root / name)).hexdigest()
@@ -193,6 +210,11 @@ def check(root: Path) -> int:
         print(f"rerun: {line}")
     if not reruns:
         print(f"reruns ok: each second replay wrote the first's {' and '.join(REPLAY_OUTPUTS)}")
+    stage2 = stage2_differences(root)
+    for line in stage2:
+        print(f"stage 2: {line}")
+    if not stage2:
+        print(f"stage 2 ok: train --stage 2 wrote the train run's {' and '.join(STAGE2_OUTPUTS)}")
     broken = broken_links(root)
     for line in broken:
         print(f"broken link: {line}")
@@ -203,7 +225,7 @@ def check(root: Path) -> int:
         print(f"manifest: {line}")
     if not faults:
         print("manifests ok: replay inputs, train --stage 2 inputs")
-    return 1 if moved or respelled or reruns or broken or faults else 0
+    return 1 if moved or respelled or reruns or stage2 or broken or faults else 0
 
 
 def phase_times(root: Path) -> list:
