@@ -55,23 +55,43 @@ class PriorConfig(SharedModelConfig):
             raise ValueError("eta and lambda_mc must be non-negative")
 
 
-def check_distribution(pi: np.ndarray) -> np.ndarray:
+def check_distribution(pi: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(pi, pi.sum())`` for a distribution over codes; raises ValueError if it is not one.
+
+    ``pi`` must be one row (1-D) of finite, non-negative entries whose sum
+    is within ``_DIST_ATOL`` of 1. Two reductions accept it: the minimum
+    (NaN and -inf fail ``>= 0``) and the sum (+inf fails the tolerance). The
+    four per-rule passes run only on a refused ``pi``, to pick its message:
+    "entries must be finite and non-negative" or "sums to <sum as a Python
+    float>, not 1" (an empty ``pi`` sums to 0.0). The sum is handed back so
+    that a caller dividing by it does not take it again.
+    """
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1:
         raise ValueError(f"distribution has wrong shape {pi.shape}")
+    if pi.size and pi.min() >= 0.0:
+        total = pi.sum()  # no -inf here, so no inf - inf
+        if abs(total - 1.0) <= _DIST_ATOL:
+            return pi, total
     if not np.isfinite(pi).all() or (pi < 0).any():
         raise ValueError("distribution entries must be finite and non-negative")
-    if abs(float(pi.sum()) - 1.0) > _DIST_ATOL:
-        raise ValueError(f"distribution sums to {pi.sum()!r}, not 1")
-    return pi
+    raise ValueError(f"distribution sums to {float(pi.sum())!r}, not 1")
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max for stability."""
+    """Row-wise softmax, shifted by the row max for stability.
+
+    Takes anything ``np.asarray`` reads as floats and never writes to it:
+    the shifted logits are a new array, which ``exp`` and the division by
+    the row sums then overwrite. The bits are those of ``e / e.sum(axis=-1,
+    keepdims=True)`` with ``e = np.exp(logits - logits.max(axis=-1,
+    keepdims=True))``.
+    """
     logits = np.asarray(logits, dtype=float)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def focal_loss_rows(logits: np.ndarray, labels: np.ndarray, gamma: float = 2.0):
@@ -106,10 +126,11 @@ def sample_code(pi: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarr
     Leaves ``rng`` where ``size`` single draws would. The draws are those of
     ``rng.choice(len(pi), size=size, p=pi / pi.sum())`` (numpy's own
     inverse-CDF search, written out), without ``choice``'s second validation
-    of a ``pi`` that ``check_distribution`` has passed.
+    of a ``pi`` that ``check_distribution`` has passed; ``pi`` is divided by
+    the sum that check took, which has the bits of ``pi.sum()``.
     """
-    pi = check_distribution(pi)
-    cdf = np.cumsum(pi / pi.sum())
+    pi, total = check_distribution(pi)
+    cdf = (pi / total).cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(size), side="right")
 

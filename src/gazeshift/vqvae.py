@@ -76,7 +76,8 @@ _MIN_TARGET_NORM = 0.05
 def _finite_rows(A: np.ndarray, what: str) -> np.ndarray:
     """``A`` as a float array; raises ValueError if any entry is NaN or inf.
 
-    Rows are checked here, once, where they enter a model: the networks'
+    Allocation and latent rows are checked here, once, where they enter a
+    model, and condition rows in ``condition_inputs``: the networks'
     ``forward`` does not check values again.
     """
     A = np.asarray(A, dtype=float)
@@ -93,7 +94,9 @@ def condition_inputs(C: np.ndarray, target_scale: float) -> np.ndarray:
     are, so ``X[:, :5]`` holds the bits of ``C[:, :5]``: whatever reads
     only the current poses may read them from ``X``.
     """
-    X = _finite_rows(np.array(C, dtype=float), "condition rows")
+    X = np.array(C, dtype=float)
+    if not np.isfinite(X).all():  # X is a float copy already: no _finite_rows
+        raise ValueError("condition rows contain non-finite values")
     X[:, 5:8] /= target_scale
     return X
 
@@ -188,11 +191,12 @@ def allocation_violations(A: np.ndarray) -> list:
     """The first value rule each (n, 5) allocation row breaks, or None where it breaks none:
     every increment must be finite, then lie within [-pi, pi].
 
-    One comparison clears the whole set when every |increment| is at most pi; a NaN
-    fails it, so only a set with a bad row goes on to the per-rule scan.
+    One reduction clears the whole set when its largest |increment| is at most pi; a
+    NaN carries through the max and fails it, so only a set with a bad row goes on
+    to the per-rule scan.
     """
     size = np.abs(np.asarray(A, dtype=float))
-    if (size <= math.pi).all():
+    if size.max(initial=0.0) <= math.pi:  # initial: an empty set has no bad row
         return [None] * len(size)
     largest = size.max(axis=1)  # NaN where a row holds one
     return _first_violations([(~np.isfinite(largest), lambda i: "motion increments must be finite"),

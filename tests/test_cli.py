@@ -1010,6 +1010,24 @@ def test_sample_with_an_allocation_outside_pi_exit_training(pipeline, tmp_path, 
         assert not out.exists()
 
 
+def test_sample_with_a_prior_that_is_not_a_distribution_exit_training(pipeline, tmp_path,
+                                                                      capsys, monkeypatch):
+    # the error line prints the sum as a Python float, not as np.float64(0.9)
+    _, _, _, run_dir = pipeline
+
+    def off_by_a_tenth(self, X):
+        pi = np.zeros((len(X), self.config.codebook_size))
+        pi[:, :2] = [0.5, 0.4]
+        return pi
+
+    monkeypatch.setattr(ConditionalPrior, "forward_rows", off_by_a_tenth)
+    out = tmp_path / "s"
+    assert main(["sample", "--run", str(run_dir), "--n", "3", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (f"error: cannot sample from {run_dir}: "
+                                       f"distribution sums to 0.9, not 1\n")
+    assert not out.exists()
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),

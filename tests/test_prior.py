@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gazeshift.prior import (PROB_FLOOR, ConditionalPrior, PriorConfig,
+from gazeshift.prior import (_DIST_ATOL, PROB_FLOOR, ConditionalPrior, PriorConfig,
                              check_distribution, focal_loss_rows, sample_code,
                              softmax_rows)
 from gazeshift.trainer import CodeErrors, validate_stage2
@@ -61,7 +65,7 @@ def motion_consistency_rows(model, logits: np.ndarray, Y: np.ndarray, X: np.ndar
 
 def focal_loss(pi: np.ndarray, index: int, gamma: float = 2.0) -> float:
     """Scalar reference: -(1 - pi[index])**gamma * log(pi[index]), floored."""
-    pi = check_distribution(pi)
+    pi, _ = check_distribution(pi)
     if not 0 <= index < len(pi):
         raise ValueError(f"code index {index} outside codebook of size {len(pi)}")
     p = float(pi[index])
@@ -124,8 +128,134 @@ def test_check_distribution_rejects_bad_inputs():
         check_distribution(np.array([1.2, -0.2]))       # negative entry
     with pytest.raises(ValueError):
         check_distribution(np.full((2, 2), 0.25))       # not one row
-    ok = check_distribution(np.full(4, 0.25))
-    assert ok.shape == (4,)
+    ok, total = check_distribution(np.full(4, 0.25))
+    assert ok.shape == (4,) and total == 1.0
+
+
+def check_distribution_four_pass(pi) -> np.ndarray:
+    """The four-pass check (``isfinite``, ``< 0``, ``sum``, ``abs``) that
+    ``check_distribution`` replaced, kept as its oracle; it prints the sum
+    as a Python float, as ``check_distribution`` now does."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.ndim != 1:
+        raise ValueError(f"distribution has wrong shape {pi.shape}")
+    if not np.isfinite(pi).all() or (pi < 0).any():
+        raise ValueError("distribution entries must be finite and non-negative")
+    if abs(float(pi.sum()) - 1.0) > _DIST_ATOL:
+        raise ValueError(f"distribution sums to {float(pi.sum())!r}, not 1")
+    return pi
+
+
+def softmax_rows_three_temporaries(logits) -> np.ndarray:
+    """The softmax ``softmax_rows`` replaced, kept as its oracle: a new array
+    for the shifted logits, one for ``exp`` and one for the quotient."""
+    logits = np.asarray(logits, dtype=float)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _checked(check, pi) -> tuple:
+    """What ``check`` makes of ``pi``, with every RuntimeWarning an error:
+    ("ok", the checked array's dtype, shape and bytes) or (exception type, message)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            checked = check(pi)
+        except (ValueError, RuntimeWarning) as exc:
+            return type(exc).__name__, str(exc)
+    return "ok", checked.dtype, checked.shape, checked.tobytes()
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-300, -0.25, 1e308]
+# added to one entry of a normalised pi: sums on both sides of the 1e-9 tolerance
+_NUDGES = [0.0, 1e-12, -1e-12, 0.5e-9, -0.5e-9, 0.999e-9, -0.999e-9,
+           1.001e-9, -1.001e-9, 2e-9, -2e-9, 0.1, -0.1]
+
+
+@st.composite
+def distributions(draw):
+    """Candidate distributions: normalised rows, nudged around the tolerance,
+    with special or arbitrary entries planted, as a 1-D array, a list, one 2-D
+    row or column, or a 0-D array."""
+    k = draw(st.integers(0, 12))
+    pi = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)), dtype=float)
+    if k:
+        pi /= pi.sum()
+        pi[draw(st.integers(0, k - 1))] += draw(st.sampled_from(_NUDGES))
+        for _ in range(draw(st.integers(0, 2))):
+            pi[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_SPECIAL) | st.floats())
+    form = draw(st.sampled_from(["1-D", "1-D", "1-D", "list", "row", "column", "0-D"]))
+    if form == "list":
+        return pi.tolist()
+    if form in ("row", "column"):
+        return pi.reshape((1, -1) if form == "row" else (-1, 1))
+    return np.array(pi[0] if k else 1.0) if form == "0-D" else pi
+
+
+@settings(max_examples=1000, deadline=None)
+@given(distributions())
+@example(np.array([0.5, math.nan, 0.5]))
+@example(np.array([0.5, math.inf, 0.5]))
+@example(np.array([0.5, -math.inf, 1.5]))
+@example(np.array([math.inf, -math.inf, 1.0]))
+@example(np.array([-0.0, 0.25, 0.75]))
+@example(np.array([1.25, -0.25]))
+@example(np.array([0.5, 0.5 + 0.999e-9]))
+@example(np.array([0.5, 0.5 + 1.001e-9]))
+@example(np.array([0.5, 0.5 - 0.999e-9]))
+@example(np.array([0.5, 0.5 - 1.001e-9]))
+@example(np.array([1e308, 1e308]))
+@example(np.array([]))
+@example(np.full((2, 2), 0.25))
+def test_check_distribution_accepts_and_refuses_as_the_four_pass_check(pi):
+    expected = _checked(check_distribution_four_pass, pi)
+    assert _checked(lambda p: check_distribution(p)[0], pi) == expected
+    if expected[0] == "ok":
+        checked, total = check_distribution(pi)
+        assert same_bits(total, checked.sum())
+
+
+@pytest.mark.parametrize("pi, message", [
+    ([0.5, 0.4], "distribution sums to 0.9, not 1"),
+    ([0.5, 0.5 + 1.001e-9], "distribution sums to 1.000000001001, not 1"),
+    ([], "distribution sums to 0.0, not 1"),
+    ([1e308, 1e308, -0.0], "distribution sums to inf, not 1"),
+    ([0.5, math.nan, 0.5], "distribution entries must be finite and non-negative"),
+    ([0.5, math.inf], "distribution entries must be finite and non-negative"),
+    ([1.5, -math.inf], "distribution entries must be finite and non-negative"),
+    ([1.25, -0.25], "distribution entries must be finite and non-negative"),
+    ([[0.5, 0.5]], "distribution has wrong shape (1, 2)"),
+])
+def test_check_distribution_refusal_messages(pi, message):
+    # the sum prints as a Python float, never as np.float64(...)
+    with np.errstate(over="ignore"):
+        for refuse in (check_distribution,
+                       lambda p: sample_code(p, np.random.default_rng(0), 1)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                refuse(np.array(pi, dtype=float))
+
+
+@pytest.mark.parametrize("pi", [[0.5, 0.5 + 0.999e-9], [0.5, 0.5 - 0.999e-9], [-0.0, 1.0]])
+def test_check_distribution_accepts_within_the_tolerance(pi):
+    checked, total = check_distribution(pi)
+    assert isinstance(checked, np.ndarray) and same_bits(checked, np.array(pi))
+    assert same_bits(total, checked.sum())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-3, 1.0, 30.0, 700.0, 1e4]), st.booleans())
+def test_softmax_rows_has_the_bits_of_the_three_temporary_formula(n, k, seed, scale, ties):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(n, k)) * scale
+    if ties:  # repeated maxima and repeated values
+        logits = np.round(logits / scale) * scale
+    before = logits.copy()
+    assert same_bits(softmax_rows(logits), softmax_rows_three_temporaries(logits))
+    assert same_bits(logits, before)  # the caller's logits are never written to
+    assert same_bits(softmax_rows(logits[0]), softmax_rows_three_temporaries(logits[0]))
+    assert same_bits(softmax_rows(logits.tolist()), softmax_rows_three_temporaries(logits))
 
 
 # -- focal loss ---------------------------------------------------------------------
@@ -414,7 +544,7 @@ def test_prior_uniform_at_zero_parameters():
 def test_prior_forward_is_a_distribution_and_deterministic():
     pi_a = small_prior(seed=9).forward_rows(a_row())
     pi_b = small_prior(seed=9).forward_rows(a_row())
-    assert check_distribution(pi_a[0]).shape == (4,)
+    assert check_distribution(pi_a[0])[0].shape == (4,)
     np.testing.assert_array_equal(pi_a, pi_b)
 
 

@@ -195,6 +195,19 @@ def test_entry_points_reject_non_finite_rows(entry, bad):
         call(model, **rows)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 4, 7])
+def test_condition_inputs_refuses_a_non_finite_entry_and_leaves_its_rows(bad, column):
+    _, C = fixture_batch(np.random.default_rng(23))
+    C[2, column] = bad
+    before = C.copy()
+    with pytest.raises(ValueError, match="^condition rows contain non-finite values$"):
+        condition_inputs(C, 2.0)
+    with pytest.raises(ValueError, match="^condition rows contain non-finite values$"):
+        condition_inputs(C.tolist(), 2.0)
+    assert np.array_equal(C, before, equal_nan=True)
+
+
 def test_quantize_nearest_neighbor():
     book = np.array([[0.0, 0.0], [1.0, 1.0]])
     idx, z_q = quantize_rows(np.array([[0.1, 0.2]]), book)

@@ -31,9 +31,16 @@ that file's SHA-256. Every ``RuntimeWarning`` is an error from the first
 command on, so an overflow or an invalid value anywhere in the walkthrough
 fails the run instead of printing a line nothing reads.
 
-The trained weights' last bits depend on the BLAS build, so this is not a
-Tier-1 test. ``EXPECTED`` is the one record of these bytes: a change that
-moves an artifact on purpose updates it here.
+It first prints the platform it runs on: numpy's version, the OpenBLAS core
+numpy's bundled library runs (``SkylakeX``, ``Haswell``, ...) and numpy's
+enabled SIMD targets. The model-path bytes depend on that platform, not
+only on the code: another BLAS kernel or other SIMD loops round some
+products and ``exp``/``log`` calls differently, and the dataset, the
+trained weights and every report after them move. So this is not a Tier-1
+test. ``EXPECTED`` is the one record of these bytes, measured on
+``EXPECTED_PLATFORM``; where a hash moves on another platform, the script
+says that the expected values belong to that platform. A change that moves
+an artifact on purpose updates both here.
 """
 
 import os
@@ -43,6 +50,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import shutil
@@ -53,8 +61,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 import gazeshift  # noqa: E402
 from gazeshift.cli import main  # noqa: E402
+
+# The platform EXPECTED was measured on, as ``platform_line`` prints it.
+EXPECTED_PLATFORM = ("numpy 2.4.6, OpenBLAS core SkylakeX, "
+                     "SIMD X86_V2 X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
 EXPECTED = {
     "data/dataset.jsonl": "a3bf48b258413f4906c048384a449dc215942c271a26dcc46b42343788e946a7",
@@ -79,6 +93,32 @@ REPLAYS = ("replay", "replay-oracle", "replay-adversarial")
 REPLAY_OUTPUTS = ("cycles.jsonl", "success_table.csv")
 STAGE2_OUTPUTS = ("prior.json", "metrics.csv")  # what ``--stage 2`` writes as ``--stage both`` does
 PHASES = ("step_s", "optimizer_s", "validation_s")  # the timed phases of a training epoch
+
+
+def platform_line() -> str:
+    """numpy's version, the OpenBLAS core it runs and its enabled SIMD targets, as one line.
+
+    The core is what ``scipy_openblas_get_corename64_`` in numpy's bundled
+    OpenBLAS returns, "unknown" where no bundled library has that symbol.
+    The targets are numpy's baseline and dispatch targets that run on this
+    CPU, as ``NPY_DISABLE_CPU_FEATURES`` leaves them.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    core = "unknown"
+    for library in sorted(Path(np.__file__).resolve().parents[1].glob("numpy.libs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode("ascii", "replace")
+        break
+    targets = [target for target in (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
+               if umath.__cpu_features__.get(target)]
+    return f"numpy {np.__version__}, OpenBLAS core {core}, SIMD {' '.join(targets)}"
 
 
 def walkthrough(root: Path) -> None:
@@ -188,16 +228,22 @@ def stage2_differences(root: Path) -> list:
 
 
 def check(root: Path) -> int:
-    """Print each artifact's SHA-256; 1 if any differs from EXPECTED, a cycle-log
-    line is not spelled as ``json.dumps`` writes it, the ``--stage 2`` run or a
+    """Print the platform line and each artifact's SHA-256 (naming
+    ``EXPECTED_PLATFORM`` where a hash moved on another platform); 1 if any
+    differs from EXPECTED, a cycle-log line is not spelled as ``json.dumps``
+    writes it, the ``--stage 2`` run or a
     second replay wrote other outputs than the first run, a link is broken or a
     manifest records an input by another digest, else 0."""
+    platform = platform_line()
+    print(f"platform: {platform}")
     moved = 0
     for name, expected in EXPECTED.items():
         actual = hashlib.sha256(_content(root / name)).hexdigest()
         status = "ok" if actual == expected else f"MOVED (expected {expected})"
         moved += actual != expected
         print(f"{actual}  {name}  {status}")
+    if moved and platform != EXPECTED_PLATFORM:
+        print(f"the expected values belong to another platform: {EXPECTED_PLATFORM}")
     respelled = False
     for replay in REPLAYS:
         lines = respelled_lines(root / replay / "cycles.jsonl")
