@@ -11,9 +11,12 @@ Three layers:
 The numpy layers are lazy modules: importing the package, the CLI or the
 reasoner registers them without running them, so a replay never loads
 numpy. Each runs on first attribute access, ``from gazeshift.so3 import
-rotation_zyx`` included. The reasoner registers its remote transport,
-``gazeshift.reasoner.backends``, the same way, so only a remote replay
-runs it.
+rotation_zyx`` included. The reasoner registers its four modules
+(``scenario``, ``pipeline``, ``replay`` and the remote transport
+``backends``) the same way, so a model command never runs the reasoner
+and only a remote replay runs the transport. ``gen-data`` runs only
+``datagen`` and ``so3``: the row value rules it checks live in
+``datagen``, not in ``vqvae``.
 """
 
 import importlib.util

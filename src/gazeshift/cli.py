@@ -21,19 +21,17 @@ from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-# Whole modules, not names: the model layers are lazy modules (see the
-# package docstring), and importing a name from one would run it. They, and
-# numpy with them (imported inside `eval` and `sample`), load on a model
-# command's first attribute access, so `replay`, `--help` and `--version`
-# never load them.
-from . import __version__, datagen, prior as prior_mod, trainer, vqvae
+# Whole modules, not names: the model layers and the reasoner's modules are
+# lazy modules (see the package docstring), and importing a name from one
+# would run it. Each runs on a command's first attribute access, so a command
+# runs only the layers it reads: `gen-data` runs `datagen` and `so3` (and
+# numpy), `train`, `eval` and `sample` the model layers, and `replay` the
+# reasoner (`backends` only for the remote backend); `--help` and
+# `--version` run none of them.
+from . import __version__, datagen, prior as prior_mod, reasoner, trainer, vqvae
 from .atomic import open_atomic
 from .config import Schema, check_object, parse_json
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
-# The remote transport is a lazy module too: only the remote backend reads it.
-from .reasoner import backends, load_scenario_dir
-from .reasoner.replay import (OracleBackend, ScriptedBackend, replay_evaluate,
-                              write_success_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,9 +128,13 @@ def load_config_file(path) -> dict:
     return doc
 
 
-def _train_config(doc: dict, seed_flag) -> trainer.TrainConfig:
-    config = trainer.TrainConfig.from_dict(doc.get("training", {}))
-    return config if seed_flag is None else replace(config, seed=seed_flag)
+def _read_section(doc: dict, section: str, cls, path):
+    """``cls.from_dict`` of the ``section`` of the config file at ``path`` ({} where it has
+    none); a fault in the section names the file, as every other config fault does."""
+    try:
+        return cls.from_dict(doc.get(section, {}))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _flag_floats(text: str, n: int, what: str) -> list:
@@ -150,7 +152,7 @@ def _flag_floats(text: str, n: int, what: str) -> list:
 def cmd_gen_data(args) -> int:
     t0 = time.monotonic()
     doc = load_config_file(args.config)
-    config = datagen.GeneratorConfig.from_dict(doc.get("generator", {}))
+    config = _read_section(doc, "generator", datagen.GeneratorConfig, args.config)
     seed = 0 if args.seed is None else args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,7 +172,9 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.monotonic()
     doc = load_config_file(args.config)
-    config = _train_config(doc, args.seed)
+    config = _read_section(doc, "training", trainer.TrainConfig, args.config)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     dataset = datagen.read_dataset(args.dataset)
     out_dir = Path(args.out)
     summary = trainer.run_training(dataset, config, out_dir, stage=args.stage)
@@ -255,7 +259,7 @@ def cmd_sample(args) -> int:
     head = _flag_floats(args.head, 3, "--head")
     target = _flag_floats(args.target, 3, "--target")
     condition = np.array([math.radians(v) for v in eye + head] + target)
-    [violation] = vqvae.condition_violations(condition[None, :])
+    [violation] = datagen.condition_violations(condition[None, :])
     if violation is not None:
         raise ConfigError(violation)
     seed = 0 if args.seed is None else args.seed
@@ -302,17 +306,16 @@ def _backend_factory(args, doc: dict):
     """
     kind = args.backend
     if kind == "scripted":
-        yield ScriptedBackend
+        yield reasoner.replay.ScriptedBackend
     elif kind == "oracle":
-        yield lambda scenario: OracleBackend(scenario, delay=1)
+        yield lambda scenario: reasoner.replay.OracleBackend(scenario, delay=1)
     elif kind == "adversarial":
-        yield lambda scenario: OracleBackend(scenario, delay=3)
+        yield lambda scenario: reasoner.replay.OracleBackend(scenario, delay=3)
     elif kind == "remote":
-        section = doc.get("backend")
-        if not section:
+        if "backend" not in doc:
             raise ConfigError("remote backend requires a 'backend' config section")
-        config = backends.RemoteConfig.from_dict(section)
-        with closing(backends.RemoteBackend(config)) as backend:
+        config = _read_section(doc, "backend", reasoner.backends.RemoteConfig, args.config)
+        with closing(reasoner.backends.RemoteBackend(config)) as backend:
             # Fail fast here: inside the replay loop every backend error is
             # absorbed by the per-cycle fallback, which would silently turn a
             # bad credential into a 0% run.
@@ -326,14 +329,15 @@ def cmd_replay(args) -> int:
     t0 = time.monotonic()
     doc = load_config_file(args.config)
     scenario_dir = args.scenarios or str(Path(__file__).parent / "scenarios")
-    scenarios = load_scenario_dir(scenario_dir)
+    scenarios = reasoner.scenario.load_scenario_dir(scenario_dir)
     out_dir = Path(args.out)
     log_path = out_dir / "cycles.jsonl"
     with _backend_factory(args, doc) as factory:
         out_dir.mkdir(parents=True, exist_ok=True)
-        rows, results, excluded = replay_evaluate(scenarios, factory, log_path=log_path)
+        rows, results, excluded = reasoner.replay.replay_evaluate(scenarios, factory,
+                                                                   log_path=log_path)
     table_path = out_dir / "success_table.csv"
-    write_success_table(rows, table_path)
+    reasoner.replay.write_success_table(rows, table_path)
     for row in rows:
         print(f"{row.regularity}: {row.clips} clips, {row.correct} correct, "
               f"{row.success_rate:.1f}%")

@@ -19,6 +19,11 @@ chunk size. A ``Dataset`` holds its samples as rows, in file order: (n, 8)
 (n, 5) ``allocations`` (their increments, eye then head), with a strategy
 and a split tag per row. Datasets are stored as JSON lines: one header
 object, then one object per sample.
+
+The value rules of those rows, ``condition_violations`` and
+``allocation_violations``, live here with their column layouts; the model
+layers (``vqvae``, ``trainer``) import them from here, so ``gen-data``
+runs no model layer.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from . import so3
 from .atomic import open_atomic
 from .config import Schema, check_object, parse_json, read_config
 from .errors import ConfigError, DataError
-from .vqvae import _MIN_TARGET_NORM, allocation_violations, condition_violations
 
 DATASET_SCHEMA = "gazeshift-dataset"
 DATASET_VERSION = 1
@@ -60,6 +64,85 @@ POSE_LIMITS = (("eye yaw", "eye_yaw_limit"), ("eye pitch", "eye_pitch_limit"),
 
 # At most this many attempts are drawn and checked together.
 MAX_CHUNK = 4096
+
+# Column layout of the flattened condition input.
+CONDITION_FIELDS = (
+    "eye_yaw",
+    "eye_pitch",
+    "head_yaw",
+    "head_pitch",
+    "head_roll",
+    "target_x",
+    "target_y",
+    "target_z",
+)
+
+# Column layout of a flattened motion allocation.
+ALLOCATION_FIELDS = (
+    "delta_eye_yaw",
+    "delta_eye_pitch",
+    "delta_head_yaw",
+    "delta_head_pitch",
+    "delta_head_roll",
+)
+
+_MIN_TARGET_NORM = 0.05
+
+
+# -- row value rules -------------------------------------------------------------
+
+def _first_violations(rules: list, n: int) -> list:
+    """Per row, the message of the first rule it breaks, or None. ``rules`` are (broken,
+    message) pairs in check order: ``broken`` masks the n rows, ``message(i)`` words row i."""
+    violations = [None] * n
+    for broken, message in reversed(rules):  # an earlier rule overwrites a later one
+        for i in broken.nonzero()[0].tolist():
+            violations[i] = message(i)
+    return violations
+
+
+def condition_violations(C: np.ndarray) -> list:
+    """The first value rule each (n, 8) condition row breaks, or None where it breaks none.
+
+    In check order: the eye angles must be finite and lie within pi (yaw)
+    and pi/2 (pitch); each head angle, yaw, pitch, then roll, must be finite
+    and lie within pi (each range with a 1e-9 tolerance); the target must be
+    finite, and its norm, ``np.linalg.norm``'s bit for bit, exceed ``_MIN_TARGET_NORM``.
+    """
+    C = np.asarray(C, dtype=float)
+    finite, size, T = np.isfinite(C), np.abs(C), C[:, 5:8]
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms = np.sqrt(np.matmul(T[:, None, :], T[:, :, None])[:, 0, 0])
+    rules = [(~finite[:, :2].all(axis=1), lambda i: "eye pose angles must be finite"),
+             ((size[:, 0] > math.pi + 1e-9) | (size[:, 1] > math.pi / 2 + 1e-9),
+              lambda i: (f"eye pose outside representational range: "
+                         f"yaw={float(C[i, 0])}, pitch={float(C[i, 1])}"))]
+    for j, name in enumerate(("yaw", "pitch", "roll"), start=2):
+        rules += [(~finite[:, j], lambda i, name=name: f"head pose {name} must be finite"),
+                  (size[:, j] > math.pi + 1e-9, lambda i, j=j, name=name:
+                   f"head pose {name}={float(C[i, j])} outside (-pi, pi]")]
+    rules += [(~finite[:, 5:8].all(axis=1), lambda i: "target coordinates must be finite"),
+              (norms <= _MIN_TARGET_NORM, lambda i: (f"target norm must exceed {_MIN_TARGET_NORM}"
+                                                     f" m (got {norms[i]:.4f})"))]
+    return _first_violations(rules, len(C))
+
+
+def allocation_violations(A: np.ndarray) -> list:
+    """The first value rule each (n, 5) allocation row breaks, or None where it breaks none:
+    every increment must be finite, then lie within [-pi, pi].
+
+    One reduction clears the whole set when its largest |increment| is at most pi; a
+    NaN carries through the max and fails it, so only a set with a bad row goes on
+    to the per-rule scan.
+    """
+    size = np.abs(np.asarray(A, dtype=float))
+    if size.max(initial=0.0) <= math.pi:  # initial: an empty set has no bad row
+        return [None] * len(size)
+    largest = size.max(axis=1)  # NaN where a row holds one
+    return _first_violations([(~np.isfinite(largest), lambda i: "motion increments must be finite"),
+                              (largest > math.pi,
+                               lambda i: "motion increments must lie within [-pi, pi]")],
+                             len(largest))
 
 
 @dataclass(frozen=True)
@@ -124,7 +207,7 @@ class GeneratorConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         # A condition row's eye pitch may reach pi/2 and its other angles pi
-        # (vqvae.condition_violations).
+        # (condition_violations).
         if self.eye_pitch_limit > math.pi / 2:
             raise ValueError(f"eye_pitch_limit must be at most pi/2, got {self.eye_pitch_limit}")
         for name in ("eye_yaw_limit", "head_yaw_limit", "head_pitch_limit", "head_roll_limit"):
@@ -143,9 +226,9 @@ class GeneratorConfig:
 class Dataset:
     """Samples as rows, in file order.
 
-    ``conditions`` (n, 8) are unnormalised ``vqvae.CONDITION_FIELDS`` rows:
+    ``conditions`` (n, 8) are unnormalised ``CONDITION_FIELDS`` rows:
     eye yaw and pitch, head yaw, pitch and roll, target x, y and z (metres).
-    ``allocations`` (n, 5) are ``vqvae.ALLOCATION_FIELDS`` rows: eye yaw and
+    ``allocations`` (n, 5) are ``ALLOCATION_FIELDS`` rows: eye yaw and
     pitch increments, then head yaw, pitch and roll increments.
     """
 
@@ -424,7 +507,7 @@ def read_dataset(path) -> Dataset:
     """Read and validate a dataset file; the Dataset keeps the SHA-256 of its bytes.
 
     Every sample is re-checked, all lines at once: against the value rules
-    of ``vqvae.condition_violations`` and ``allocation_violations``, then
+    of ``condition_violations`` and ``allocation_violations``, then
     against the generator invariants recorded in the header with
     ``check_rows``. Any problem names the file and the first offending line,
     as a line-by-line check would.

@@ -55,12 +55,11 @@ import numpy as np
 from . import nets, prior as prior_mod
 from .atomic import open_atomic
 from .config import Schema, check_object, parse_json, read_config
-from .datagen import Dataset
+from .datagen import Dataset, allocation_violations
 from .errors import ConfigError, TrainingError
 from .prior import ConditionalPrior, PriorConfig
-from .vqvae import (ConditionalVQVAE, MotionAllocation, VQVAEConfig, allocation_violations,
-                    condition_inputs, model_inputs, pose_errors_rows, quantize_rows,
-                    target_rotations)
+from .vqvae import (ConditionalVQVAE, MotionAllocation, VQVAEConfig, condition_inputs,
+                    model_inputs, pose_errors_rows, quantize_rows, target_rotations)
 
 STAGE1_CHECKPOINT = "stage1.json"
 PRIOR_CHECKPOINT = "prior.json"

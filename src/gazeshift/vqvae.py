@@ -48,29 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets, so3
-
-# Column layout of the flattened condition input.
-CONDITION_FIELDS = (
-    "eye_yaw",
-    "eye_pitch",
-    "head_yaw",
-    "head_pitch",
-    "head_roll",
-    "target_x",
-    "target_y",
-    "target_z",
-)
-
-# Column layout of a flattened motion allocation.
-ALLOCATION_FIELDS = (
-    "delta_eye_yaw",
-    "delta_eye_pitch",
-    "delta_head_yaw",
-    "delta_head_pitch",
-    "delta_head_roll",
-)
-
-_MIN_TARGET_NORM = 0.05
+from .datagen import CONDITION_FIELDS, condition_violations
 
 
 def _finite_rows(A: np.ndarray, what: str) -> np.ndarray:
@@ -149,60 +127,6 @@ class VQVAEConfig(SharedModelConfig):
             raise ValueError("beta and lambda_rc must be non-negative")
         if self.codebook_init_scale <= 0:
             raise ValueError("codebook_init_scale must be positive")
-
-
-def _first_violations(rules: list, n: int) -> list:
-    """Per row, the message of the first rule it breaks, or None. ``rules`` are (broken,
-    message) pairs in check order: ``broken`` masks the n rows, ``message(i)`` words row i."""
-    violations = [None] * n
-    for broken, message in reversed(rules):  # an earlier rule overwrites a later one
-        for i in broken.nonzero()[0].tolist():
-            violations[i] = message(i)
-    return violations
-
-
-def condition_violations(C: np.ndarray) -> list:
-    """The first value rule each (n, 8) condition row breaks, or None where it breaks none.
-
-    In check order: the eye angles must be finite and lie within pi (yaw)
-    and pi/2 (pitch); each head angle, yaw, pitch, then roll, must be finite
-    and lie within pi (each range with a 1e-9 tolerance); the target must be
-    finite, and its norm, ``np.linalg.norm``'s bit for bit, exceed ``_MIN_TARGET_NORM``.
-    """
-    C = np.asarray(C, dtype=float)
-    finite, size, T = np.isfinite(C), np.abs(C), C[:, 5:8]
-    with np.errstate(invalid="ignore", over="ignore"):
-        norms = np.sqrt(np.matmul(T[:, None, :], T[:, :, None])[:, 0, 0])
-    rules = [(~finite[:, :2].all(axis=1), lambda i: "eye pose angles must be finite"),
-             ((size[:, 0] > math.pi + 1e-9) | (size[:, 1] > math.pi / 2 + 1e-9),
-              lambda i: (f"eye pose outside representational range: "
-                         f"yaw={float(C[i, 0])}, pitch={float(C[i, 1])}"))]
-    for j, name in enumerate(("yaw", "pitch", "roll"), start=2):
-        rules += [(~finite[:, j], lambda i, name=name: f"head pose {name} must be finite"),
-                  (size[:, j] > math.pi + 1e-9, lambda i, j=j, name=name:
-                   f"head pose {name}={float(C[i, j])} outside (-pi, pi]")]
-    rules += [(~finite[:, 5:8].all(axis=1), lambda i: "target coordinates must be finite"),
-              (norms <= _MIN_TARGET_NORM, lambda i: (f"target norm must exceed {_MIN_TARGET_NORM}"
-                                                     f" m (got {norms[i]:.4f})"))]
-    return _first_violations(rules, len(C))
-
-
-def allocation_violations(A: np.ndarray) -> list:
-    """The first value rule each (n, 5) allocation row breaks, or None where it breaks none:
-    every increment must be finite, then lie within [-pi, pi].
-
-    One reduction clears the whole set when its largest |increment| is at most pi; a
-    NaN carries through the max and fails it, so only a set with a bad row goes on
-    to the per-rule scan.
-    """
-    size = np.abs(np.asarray(A, dtype=float))
-    if size.max(initial=0.0) <= math.pi:  # initial: an empty set has no bad row
-        return [None] * len(size)
-    largest = size.max(axis=1)  # NaN where a row holds one
-    return _first_violations([(~np.isfinite(largest), lambda i: "motion increments must be finite"),
-                              (largest > math.pi,
-                               lambda i: "motion increments must lie within [-pi, pi]")],
-                             len(largest))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ The one-row types the package replaced by rows live here too, unchanged:
 ``PoseAllocation`` (``vqvae.ConditionVector`` and ``MotionAllocation`` as
 they were, one field per pose), and the scalar ``wrap_angle`` and
 ``geodesic_distance`` (from ``so3``). Their checks are the oracle of
-``vqvae.condition_violations`` and ``allocation_violations``: same rule,
+``datagen.condition_violations`` and ``allocation_violations``: same rule,
 same order, same words.
 """
 
@@ -41,12 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from gazeshift import so3
-from gazeshift.datagen import (DATASET_SCHEMA, DATASET_VERSION, EYE_DOMINANT, HEAD_DOMINANT,
-                               HEADER_SCHEMA, SAMPLE_SCHEMA, Dataset, GeneratorConfig)
+from gazeshift.datagen import (_MIN_TARGET_NORM, CONDITION_FIELDS, DATASET_SCHEMA,
+                               DATASET_VERSION, EYE_DOMINANT, HEAD_DOMINANT, HEADER_SCHEMA,
+                               SAMPLE_SCHEMA, Dataset, GeneratorConfig)
 from gazeshift.config import check_object
 from gazeshift.errors import ConfigError, DataError
 from gazeshift.reasoner.scenario import check_rotation
-from gazeshift.vqvae import _MIN_TARGET_NORM, CONDITION_FIELDS
 
 FORWARD = np.array([1.0, 0.0, 0.0])
 

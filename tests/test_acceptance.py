@@ -24,8 +24,9 @@ from gazeshift import nets, so3, trainer
 from gazeshift import prior as prior_mod
 from gazeshift.datagen import GeneratorConfig, generate_dataset
 from gazeshift.prior import ConditionalPrior, PriorConfig, focal_loss_rows
-from gazeshift.reasoner import (MemoryBuffer, OracleBackend, ScriptedBackend,
-                                load_scenario_dir, replay_evaluate, step_cycle)
+from gazeshift.reasoner.pipeline import MemoryBuffer, step_cycle
+from gazeshift.reasoner.replay import OracleBackend, ScriptedBackend, replay_evaluate
+from gazeshift.reasoner.scenario import load_scenario_dir
 from gazeshift.trainer import (TrainConfig, dataset_arrays, run_training,
                                validate_stage1)
 from gazeshift.vqvae import (ConditionalVQVAE, VQVAEConfig, condition_inputs, model_inputs,

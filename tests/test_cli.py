@@ -37,10 +37,10 @@ from gazeshift import nets
 from gazeshift.cli import _LIST_CHUNK, DIVERSITY_THRESHOLD, iter_shared_items, main
 from gazeshift.config import Schema, check_object, parse_json
 from gazeshift.datagen import GeneratorConfig, generate_dataset, serialize_dataset
-from gazeshift.errors import DataError
+from gazeshift.errors import ConfigError, DataError
 from gazeshift.prior import ConditionalPrior
-from gazeshift.reasoner.backends import API_KEY_ENV
-from gazeshift.trainer import infer
+from gazeshift.reasoner.backends import API_KEY_ENV, RemoteConfig
+from gazeshift.trainer import TrainConfig, infer
 from gazeshift.vqvae import ConditionalVQVAE, condition_inputs
 from datagen_oracles import EyePose, HeadPose, PoseCondition, read_dataset_per_line
 from json_numbers import bad_json_numbers
@@ -222,6 +222,37 @@ def test_backend_float_field_beyond_the_float_range_exit_config(tmp_path, monkey
     err = capsys.readouterr().err
     assert "backend config field 'timeout' must be a finite number" in err
     assert err.count("\n") == 1
+
+
+# A fault inside a section names the config file, as a fault in the file's own
+# object does.
+
+def test_generator_section_fault_names_the_config_file(tmp_path, capsys):
+    config = write_config(tmp_path, {"generator": {"n_samples": "ten"}})
+    assert main(["gen-data", "--config", config, "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == (f"error: {config}: generator config field 'n_samples' "
+                                       f"must be an integer, got 'ten'\n")
+
+
+def test_training_section_fault_names_the_config_file(pipeline, tmp_path, capsys):
+    _, _, data_dir, _ = pipeline
+    config = write_config(tmp_path, {"training": {"lr": -1.0}})
+    assert main(["train", "--config", config, "--dataset", str(data_dir / "dataset.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {config}: base learning rate must be positive\n"
+
+
+@pytest.mark.parametrize("section, fault", [
+    ({"endpoint": "https://example.test/v1/chat/completions"}, "requires 'model'"),
+    ({}, "requires 'endpoint' and 'model'")])  # an empty section used to name no file
+def test_backend_section_fault_names_the_config_file(tmp_path, monkeypatch, capsys, section,
+                                                     fault):
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    config = write_config(tmp_path, {"backend": section})
+    assert main(["replay", "--backend", "remote", "--config", config,
+                 "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"error: {config}: backend config {fault}\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_malformed_config_file_exit_config(tmp_path):
@@ -1495,6 +1526,71 @@ def test_dataset_byte_fault_is_one_error_line_and_keeps_the_last_run(one_epoch_r
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+# The class each --config section is read as.
+CONFIG_SECTIONS = {"generator": GeneratorConfig, "training": TrainConfig, "backend": RemoteConfig}
+
+
+def _config_refused(data: bytes, section: str) -> bool:
+    """Whether a reference reading refuses a --config file of bytes ``data`` for the
+    command that reads ``section``: it is not UTF-8 JSON, not an object whose every value
+    is an object under a known section name, or ``from_dict`` refuses the section."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+        if not (isinstance(doc, dict) and doc.keys() <= CONFIG_SECTIONS.keys()
+                and all(isinstance(value, dict) for value in doc.values())):
+            return True
+        CONFIG_SECTIONS[section].from_dict(doc.get(section, {}))
+    except (ValueError, RecursionError, ConfigError):  # a 5,000-digit int is a ValueError
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def config_runs(one_epoch_run, tmp_path_factory):
+    """Per section: (the bytes of a --config file holding only it, the argv of the command
+    that reads it, short of --config and --out, and the --out of an earlier run). Training's
+    earlier run is ``one_epoch_run``'s; a scripted replay's stands in for the remote one's,
+    and its endpoint is a closed loopback port, which a refused file never reaches."""
+    config, run_dir = one_epoch_run
+    root = tmp_path_factory.mktemp("config-runs")
+    sections = {"generator": {"n_samples": 8, "strategy_mix": 0.5},
+                "training": json.loads(Path(config).read_text(encoding="utf-8"))["training"],
+                "backend": {"endpoint": "http://127.0.0.1:9/v1/chat/completions",
+                            "model": "m", "timeout": 0.5}}
+    argv = {"generator": ["gen-data"],
+            "training": ["train", "--dataset", str(Path(config).parent / "dataset.jsonl")],
+            "backend": ["replay", "--backend", "remote"]}
+    files = {section: json.dumps({section: doc}).encode("utf-8")
+             for section, doc in sections.items()}
+    (root / "generator.json").write_bytes(files["generator"])
+    assert _main_err(["gen-data", "--config", str(root / "generator.json"),
+                      "--out", str(root / "generator")]) == (0, "")
+    shutil.copytree(run_dir, root / "training")
+    assert _main_err(["replay", "--out", str(root / "backend")]) == (0, "")
+    return {section: (files[section], argv[section], root / section) for section in sections}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CONFIG_SECTIONS)), st.data())
+def test_config_byte_fault_is_one_error_line_and_keeps_the_last_run(config_runs,
+                                                                     tmp_path_factory, section,
+                                                                     data):
+    good, argv, earlier = config_runs[section]
+    _, damaged = _byte_fault(data.draw, good)
+    # a byte in a text, or a digit for a digit, may leave a file that reads
+    assume(_config_refused(damaged, section))
+    root = tmp_path_factory.mktemp("config-bytes")
+    path, out = root / "config.json", root / "out"
+    path.write_bytes(damaged)
+    shutil.copytree(earlier, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, err = _main_err([*argv, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert str(path) in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 # -- one rule for a JSON number --------------------------------------------------------
 
 def _main_err(argv) -> tuple:
@@ -1948,3 +2044,44 @@ def test_so3_runs_without_the_reasoner():
     proc = fresh_python(SO3_ALONE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# A command runs only the layers it reads. Before and after each command, the gazeshift
+# modules still of the lazy module class, that is, registered and never run.
+MODEL_COMMANDS_RUN_THEIR_OWN_LAYERS = """
+import contextlib, json, sys, types
+from gazeshift import cli
+def unexecuted():
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("gazeshift.") and type(module) is not types.ModuleType)
+config, out = sys.argv[1], sys.argv[2]
+dataset = out + "/data/dataset.jsonl"
+seen = [unexecuted()]
+with contextlib.redirect_stdout(sys.stderr):
+    for argv in (["gen-data", "--config", config, "--out", out + "/data"],
+                 ["train", "--config", config, "--stage", "1", "--dataset", dataset,
+                  "--out", out + "/run"],
+                 ["train", "--config", config, "--stage", "2", "--dataset", dataset,
+                  "--out", out + "/run"],
+                 ["eval", "--dataset", dataset, "--run", out + "/run", "--out", out + "/eval"],
+                 ["sample", "--run", out + "/run", "--n", "5", "--out", out + "/sample"]):
+        assert cli.main(argv) == 0, argv
+        seen.append(unexecuted())
+print(json.dumps(seen))
+"""
+
+def test_model_commands_run_no_part_of_the_reasoner(tmp_path):
+    """gen-data runs `datagen` and `so3` only; one-epoch training, eval and sample
+    run every model layer and leave each reasoner module unexecuted."""
+    config = write_config(tmp_path, {**SMALL_CONFIG, "training": {
+        **SMALL_CONFIG["training"], "stage1_epochs": 1, "stage2_epochs": 1, "milestones": []}})
+    proc = fresh_python(MODEL_COMMANDS_RUN_THEIR_OWN_LAYERS, config, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    imported, *after = json.loads(proc.stdout)
+    reasoner = [f"gazeshift.reasoner.{name}" for name in ("backends", "pipeline", "replay",
+                                                          "scenario")]
+    untouched_by_gen_data = [f"gazeshift.{name}" for name in ("nets", "prior", "trainer", "vqvae")]
+    assert imported == sorted(reasoner + untouched_by_gen_data
+                              + ["gazeshift.datagen", "gazeshift.so3"])
+    assert after[0] == sorted(reasoner + untouched_by_gen_data)
+    assert after[1:] == [reasoner] * 4

@@ -466,8 +466,8 @@ def test_remote_replay_loads_no_numpy(server, tmp_path):
 
 
 def test_replay_closes_the_connection_when_the_run_fails(server, tmp_path, monkeypatch):
-    from gazeshift import cli
     from gazeshift.errors import DataError
+    from gazeshift.reasoner import replay
 
     monkeypatch.setenv(API_KEY_ENV, "secret")
     closes = _count_calls(monkeypatch, "close")
@@ -476,7 +476,7 @@ def test_replay_closes_the_connection_when_the_run_fails(server, tmp_path, monke
         factory(scenarios[0]).query("p", None, 0)
         raise DataError("replay failed midway")
 
-    monkeypatch.setattr(cli, "replay_evaluate", failing_replay)
+    monkeypatch.setattr(replay, "replay_evaluate", failing_replay)
     assert main(["replay", "--backend", "remote", "--config", _remote_config(tmp_path, server),
                  "--out", str(tmp_path / "r")]) == 3
     assert len(closes) == 1

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig,
-                             allocation_violations, condition_inputs, condition_violations,
+from gazeshift.datagen import allocation_violations, condition_violations
+from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, condition_inputs,
                              model_inputs, pose_errors_rows, quantize_rows, reconstruction_terms,
                              target_rotations)
 from datagen_oracles import (EyePose, HeadPose, PoseAllocation, PoseCondition, euler_to_matrix,
