@@ -1,12 +1,13 @@
 """Command-line entry point: gen-data, train, eval, sample, replay.
 
-Every subcommand accepts --out and writes a run manifest next to its
-outputs. gen-data, train and replay also read an optional JSON config file,
---config (sections: "generator", "training", "backend"; explicit flags win
-over file values); gen-data, train and sample, which draw random numbers,
-take --seed. Either flag is a usage error where it is not read. Failure
-classes map to distinct exit codes: config 2, data 3, training 4 (also a
-model whose output is unusable), backend 5.
+Every subcommand accepts --out and returns what it read and wrote, which
+``main`` writes as the run manifest next to its outputs. gen-data, train and
+replay also read an optional JSON config file, --config (sections:
+"generator", "training", "backend"; explicit flags win over file values);
+gen-data, train and sample, which draw random numbers, take --seed. Either
+flag is a usage error where it is not read. Failure classes map to distinct
+exit codes: config 2, data 3, training 4 (also a model whose output is
+unusable), backend 5, and 1 for any other, such as an unwritable --out.
 """
 
 from __future__ import annotations
@@ -90,22 +91,20 @@ def write_json_atomic(doc: dict, path) -> None:
         fh.writelines(iter_shared_items(doc))
 
 
-def write_manifest(out_dir, subcommand: str, config: dict, inputs: dict,
-                   outputs: list, elapsed_s: float, extra: dict | None = None) -> Path:
-    """Write ``manifest.json``; ``inputs`` maps each input path to the SHA-256 of its bytes."""
-    manifest = {
-        "subcommand": subcommand,
-        "argv": sys.argv[1:],
-        "version": __version__,
-        "config": config,
-        "inputs": {str(p): digest for p, digest in inputs.items()},
-        "outputs": [str(p) for p in outputs],
-        "elapsed_s": elapsed_s,
-    }
-    if extra:
-        manifest.update(extra)
+def write_manifest(out_dir, subcommand: str, argv: list, record: dict, elapsed_s: float) -> Path:
+    """Write ``manifest.json`` under ``out_dir`` and return its path.
+
+    ``argv`` is the command's own arguments, as ``main`` was given them, and
+    ``record`` what the command returned: its ``config``, ``inputs`` (each
+    path mapped to the SHA-256 of the bytes it loaded), ``outputs`` (the
+    paths it wrote, each of which must exist) and any keys of its own.
+    """
+    manifest = {**record, "subcommand": subcommand, "argv": argv, "version": __version__,
+                "inputs": {str(p): digest for p, digest in record["inputs"].items()},
+                "outputs": [str(p) for p in record["outputs"]],
+                "elapsed_s": elapsed_s}
     path = Path(out_dir) / "manifest.json"
-    for out in outputs:
+    for out in manifest["outputs"]:
         if not Path(out).exists():
             raise GazeshiftError(f"manifest names missing output {out}")
     write_json_atomic(manifest, path)
@@ -147,10 +146,9 @@ def _flag_floats(text: str, n: int, what: str) -> list:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-# -- subcommands ---------------------------------------------------------------
+# -- subcommands: each returns its record for write_manifest ---------------------
 
-def cmd_gen_data(args) -> int:
-    t0 = time.monotonic()
+def cmd_gen_data(args) -> dict:
     doc = load_config_file(args.config)
     config = _read_section(doc, "generator", datagen.GeneratorConfig, args.config)
     seed = 0 if args.seed is None else args.seed
@@ -162,35 +160,27 @@ def cmd_gen_data(args) -> int:
     print(f"wrote {len(dataset.split)} samples "
           f"({dataset.split.count('train')} train / {dataset.split.count('val')} val) "
           f"to {dataset_path}")
-    write_manifest(out_dir, "gen-data", {"seed": seed, "generator": config.to_dict()},
-                   inputs={}, outputs=[dataset_path],
-                   elapsed_s=time.monotonic() - t0,
-                   extra={"dataset_hash": dataset_hash})
-    return EXIT_OK
+    return {"config": {"seed": seed, "generator": config.to_dict()}, "inputs": {},
+            "outputs": [dataset_path], "dataset_hash": dataset_hash}
 
 
-def cmd_train(args) -> int:
-    t0 = time.monotonic()
+def cmd_train(args) -> dict:
     doc = load_config_file(args.config)
     config = _read_section(doc, "training", trainer.TrainConfig, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     dataset = datagen.read_dataset(args.dataset)
-    out_dir = Path(args.out)
-    summary = trainer.run_training(dataset, config, out_dir, stage=args.stage)
+    summary = trainer.run_training(dataset, config, args.out, stage=args.stage)
     for stage_key in ("stage1", "stage2"):
         if stage_key in summary:
             best = summary[stage_key]
             print(f"{stage_key}: best epoch {best['best_epoch']}, "
                   f"val eye MGD {best['val_eye_mgd_deg']:.3f} deg, "
                   f"val head MGD {best['val_head_mgd_deg']:.3f} deg")
-    write_manifest(out_dir, "train", {"training": config.to_dict(), "stage": args.stage},
-                   inputs={args.dataset: dataset.sha256, **summary["inputs"]},
-                   outputs=summary["outputs"],
-                   elapsed_s=time.monotonic() - t0,
-                   extra={"dataset_hash": summary["dataset_hash"],
-                          "best": {k: summary[k] for k in ("stage1", "stage2") if k in summary}})
-    return EXIT_OK
+    return {"config": {"training": config.to_dict(), "stage": args.stage},
+            "inputs": {args.dataset: dataset.sha256, **summary["inputs"]},
+            "outputs": summary["outputs"], "dataset_hash": summary["dataset_hash"],
+            "best": {k: summary[k] for k in ("stage1", "stage2") if k in summary}}
 
 
 def _load_models(run_dir):
@@ -204,10 +194,9 @@ def _load_models(run_dir):
     return model, prior, {stage1_path: stage1.sha256, prior_path: ck.sha256}
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     import numpy as np
 
-    t0 = time.monotonic()
     dataset = datagen.read_dataset(args.dataset)
     model, prior, checkpoints = _load_models(args.run)
     # The split's inputs, checked and normalised once, feed every pass below.
@@ -243,15 +232,13 @@ def cmd_eval(args) -> int:
     print(f"stage1 val MGD eye {eye1:.3f} / head {head1:.3f} deg, utilization {utilization:.2f}")
     print(f"stage2 val MGD eye {eye2:.3f} / head {head2:.3f} deg, top-1 {top1:.3f}")
     print(f"report: {report_path}")
-    write_manifest(out_dir, "eval", {}, inputs={args.dataset: dataset.sha256, **checkpoints},
-                   outputs=[report_path], elapsed_s=time.monotonic() - t0)
-    return EXIT_OK
+    return {"config": {}, "inputs": {args.dataset: dataset.sha256, **checkpoints},
+            "outputs": [report_path]}
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> dict:
     import numpy as np
 
-    t0 = time.monotonic()
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     model, prior, checkpoints = _load_models(args.run)
@@ -290,11 +277,8 @@ def cmd_sample(args) -> int:
           f"{DIVERSITY_THRESHOLD:.0%}: "
           f"{', '.join(f'{k} ({v:.1%})' for k, v in sorted(diverse.items())) or 'none'}")
     print(f"report: {report_path}")
-    write_manifest(out_dir, "sample",
-                   {"seed": seed, "mode": args.mode, "n": args.n},
-                   inputs=checkpoints,
-                   outputs=[report_path], elapsed_s=time.monotonic() - t0)
-    return EXIT_OK
+    return {"config": {"seed": seed, "mode": args.mode, "n": args.n}, "inputs": checkpoints,
+            "outputs": [report_path]}
 
 
 @contextmanager
@@ -325,8 +309,7 @@ def _backend_factory(args, doc: dict):
         raise ConfigError(f"unknown backend {kind!r}")
 
 
-def cmd_replay(args) -> int:
-    t0 = time.monotonic()
+def cmd_replay(args) -> dict:
     doc = load_config_file(args.config)
     scenario_dir = args.scenarios or str(Path(__file__).parent / "scenarios")
     scenarios = reasoner.scenario.load_scenario_dir(scenario_dir)
@@ -343,12 +326,9 @@ def cmd_replay(args) -> int:
               f"{row.success_rate:.1f}%")
     if excluded:
         print(f"excluded (no evaluation metadata): {', '.join(excluded)}")
-    write_manifest(out_dir, "replay", {"backend": args.backend},
-                   inputs={s.origin: s.sha256 for s in scenarios},
-                   outputs=[table_path, log_path],
-                   elapsed_s=time.monotonic() - t0,
-                   extra={"excluded": excluded})
-    return EXIT_OK
+    return {"config": {"backend": args.backend},
+            "inputs": {s.origin: s.sha256 for s in scenarios},
+            "outputs": [table_path, log_path], "excluded": excluded}
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -424,14 +404,18 @@ def _join_signed_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
+    """Run the command ``argv`` names (``sys.argv[1:]`` when None) and write its manifest."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         seed = getattr(args, "seed", None)
         if seed is not None and seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {seed}")
-        return args.func(args)
-    except GazeshiftError as exc:
+        t0 = time.monotonic()
+        record = args.func(args)
+        write_manifest(args.out, args.subcommand, argv, record, time.monotonic() - t0)
+        return EXIT_OK
+    except (GazeshiftError, OSError) as exc:  # an OSError's text names its path
         print(f"error: {exc}", file=sys.stderr)
         for err_type, code in _EXIT_BY_ERROR:
             if isinstance(exc, err_type):

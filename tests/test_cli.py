@@ -40,7 +40,7 @@ from gazeshift.datagen import GeneratorConfig, generate_dataset, serialize_datas
 from gazeshift.errors import ConfigError, DataError
 from gazeshift.prior import ConditionalPrior
 from gazeshift.reasoner.backends import API_KEY_ENV, RemoteConfig
-from gazeshift.trainer import TrainConfig, infer
+from gazeshift.trainer import METRICS_COLUMNS, TIMINGS_SCHEMA, TrainConfig, infer
 from gazeshift.vqvae import ConditionalVQVAE, condition_inputs
 from datagen_oracles import EyePose, HeadPose, PoseCondition, read_dataset_per_line
 from json_numbers import bad_json_numbers
@@ -1386,12 +1386,16 @@ def _leaves(value, path=()):
         yield from _leaves(item, (*path, key))
 
 
-def _byte_fault(draw, data: bytes) -> tuple:
-    """(fault, ``data`` with it): the bytes of a JSON file truncated, a byte flipped or
-    inserted, or one value replaced by nested lists or by an integer of 5,000 digits."""
-    fault = draw(st.sampled_from(["truncated", "flipped", "inserted", "nested", "long_int"]))
-    if fault == "truncated":  # anywhere short of the closing brace
-        return fault, data[:draw(st.integers(0, data.rindex(b"}")))]
+BYTE_FAULTS = ("truncated", "flipped", "inserted", "nested", "long_int")
+TEXT_FAULTS = BYTE_FAULTS[:3]  # the faults of a file that is not JSON
+
+
+def _byte_fault(draw, data: bytes, faults=BYTE_FAULTS) -> tuple:
+    """(fault, ``data`` with it): the bytes of a file truncated, a byte flipped or inserted,
+    or, in a JSON file, one value replaced by nested lists or by an integer of 5,000 digits."""
+    fault = draw(st.sampled_from(faults))
+    if fault == "truncated":  # short of the last byte before the line ends: a JSON file's "}"
+        return fault, data[:draw(st.integers(0, len(data.rstrip(b"\r\n")) - 1))]
     if fault in ("flipped", "inserted"):
         at = draw(st.integers(0, len(data) - 1))
         byte = draw(st.integers(0, 255).filter(lambda b: fault == "inserted" or b != data[at]))
@@ -1523,6 +1527,52 @@ def test_dataset_byte_fault_is_one_error_line_and_keeps_the_last_run(one_epoch_r
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert str(path) in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _stage1_log_refused(name: str, data: bytes) -> bool:
+    """Whether a reference reading refuses the bytes ``data`` of an earlier run's ``name``
+    as ``train --stage 2`` reads it: ``metrics.csv`` must be UTF-8 CSV under the
+    ``METRICS_COLUMNS`` header with one cell per column in each stage-1 row, and
+    ``timings.jsonl`` one JSON object per line that ``TIMINGS_SCHEMA`` takes."""
+    try:
+        text = data.decode("utf-8")
+        if name == "metrics.csv":
+            header, *rows = csv.reader(io.StringIO(text, newline=""))  # none: a ValueError
+            return header != METRICS_COLUMNS or any(
+                len(row) != len(METRICS_COLUMNS) for row in rows if row[:1] == ["1"])
+        for line in text.splitlines():
+            check_object(json.loads(line), TIMINGS_SCHEMA, "line")
+    except (ValueError, RecursionError, csv.Error):  # a 5,000-digit int is a ValueError
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["metrics.csv", "timings.jsonl"]), st.data())
+def test_stage1_log_byte_fault_is_one_error_line_and_keeps_the_last_run(one_epoch_run,
+                                                                         tmp_path_factory,
+                                                                         name, data):
+    config, run_dir = one_epoch_run
+    good = (run_dir / name).read_bytes()
+    if name == "metrics.csv":
+        _, damaged = _byte_fault(data.draw, good, TEXT_FAULTS)
+    else:  # one line's JSON object, as the dataset test damages one line
+        lines = good.splitlines()
+        at = data.draw(st.integers(0, len(lines) - 1), label="line")
+        _, lines[at] = _byte_fault(data.draw, lines[at])
+        damaged = b"".join(line + b"\n" for line in lines)
+    # a digit for a digit, or a cut between rows, may leave a file that reads
+    assume(_stage1_log_refused(name, damaged))
+    out = tmp_path_factory.mktemp("stage1-log-bytes") / "run"
+    shutil.copytree(run_dir, out)
+    (out / name).write_bytes(damaged)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, err = _main_err(["train", "--config", config, "--stage", "2", "--dataset",
+                           str(Path(config).parent / "dataset.jsonl"), "--out", str(out)])
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert str(out / name) in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -1884,6 +1934,50 @@ def test_replay_reads_each_scenario_file_once(tmp_path, monkeypatch):
         bundled)
     assert read_manifest(tmp_path / "r")["inputs"] == {
         str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in bundled}
+
+
+SUBCOMMANDS = ("gen-data", "train", "eval", "sample", "replay")
+
+
+def _subcommand_argv(pipeline, subcommand: str, out: Path) -> list:
+    """The argv of a small run of ``subcommand`` into ``out``, on ``pipeline``'s files."""
+    _, config, data_dir, run_dir = pipeline
+    dataset = str(data_dir / "dataset.jsonl")
+    return {"gen-data": ["gen-data", "--config", config, "--seed", "3"],
+            "train": ["train", "--config", config, "--dataset", dataset, "--stage", "1"],
+            "eval": ["eval", "--dataset", dataset, "--run", str(run_dir)],
+            "sample": ["sample", "--run", str(run_dir), "--n", "5", "--head", "-30,5,0"],
+            "replay": ["replay", "--backend", "scripted"]}[subcommand] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_manifest_records_the_argv_main_was_given(pipeline, tmp_path, monkeypatch, subcommand):
+    # an in-process run used to record sys.argv[1:], the host process's arguments
+    monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])
+    argv = _subcommand_argv(pipeline, subcommand, tmp_path / "out")
+    assert main(argv) == 0
+    manifest = read_manifest(tmp_path / "out")
+    assert manifest["argv"] == argv  # "--head", "-30,5,0" as given, not joined by "="
+    assert manifest["subcommand"] == argv[0]
+
+
+def test_main_without_argv_runs_and_records_sys_argv(tmp_path, monkeypatch):
+    argv = ["replay", "--out", str(tmp_path / "r")]
+    monkeypatch.setattr(sys, "argv", ["gazeshift", *argv])
+    assert main() == 0
+    assert read_manifest(tmp_path / "r")["argv"] == argv
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_out_naming_a_file_is_one_error_line_naming_it(pipeline, tmp_path, subcommand):
+    # each command used to end in a FileExistsError traceback
+    out = tmp_path / "afile"
+    out.write_bytes(b"not a directory\n")
+    code, err = _main_err(_subcommand_argv(pipeline, subcommand, out))
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert out.read_bytes() == b"not a directory\n"
 
 
 def test_manifests_name_only_existing_outputs(pipeline):

@@ -24,12 +24,13 @@ is spelled: the script also exits 1 if any line as written differs from
 ``json.dumps`` of its own record, if a link between
 artifacts is broken (``stage1.json``'s ``dataset_hash`` must be the SHA-256
 of ``dataset.jsonl``, and ``prior.json``'s ``stage1_sha256`` that of
-``stage1.json``), or if a manifest names an input by another digest: the
-replay's ``inputs`` must map each bundled scenario file to the SHA-256 of
-its bytes, and the ``--stage 2`` run's must name its ``stage1.json`` with
-that file's SHA-256. Every ``RuntimeWarning`` is an error from the first
-command on, so an overflow or an invalid value anywhere in the walkthrough
-fails the run instead of printing a line nothing reads.
+``stage1.json``), if a manifest does not record the ``subcommand`` and
+``argv`` of the ``main`` call that wrote it, or if a manifest names an input
+by another digest: the replay's ``inputs`` must map each bundled scenario
+file to the SHA-256 of its bytes, and the ``--stage 2`` run's must name its
+``stage1.json`` with that file's SHA-256. Every ``RuntimeWarning`` is an
+error from the first command on, so an overflow or an invalid value anywhere
+in the walkthrough fails the run instead of printing a line nothing reads.
 
 It first prints the platform it runs on: numpy's version, the OpenBLAS core
 numpy's bundled library runs (``SkylakeX``, ``Haswell``, ...) and numpy's
@@ -121,12 +122,12 @@ def platform_line() -> str:
     return f"numpy {np.__version__}, OpenBLAS core {core}, SIMD {' '.join(targets)}"
 
 
-def walkthrough(root: Path) -> None:
-    """README's four model commands, a ``train --stage 2`` and two replays with
-    each offline backend, writing under ``root``; raises on a non-zero exit or a
-    ``RuntimeWarning``."""
+def commands(root: Path) -> list:
+    """The argv of each ``main`` call of the walkthrough under ``root``, in order:
+    README's four model commands, a ``train --stage 2`` and two replays with each
+    offline backend. Each ends in its ``--out``, a directory of its own."""
     dataset = str(root / "data" / "dataset.jsonl")
-    commands = [
+    calls = [
         ["gen-data", "--seed", "0", "--out", str(root / "data")],
         ["train", "--dataset", dataset, "--seed", "0", "--out", str(root / "model")],
         # stage 2 alone, on a copy of the run that stage 1 wrote into, without its prior
@@ -140,9 +141,13 @@ def walkthrough(root: Path) -> None:
         ["replay", "--backend", "oracle", "--out", str(root / "replay-oracle")],
         ["replay", "--backend", "adversarial", "--out", str(root / "replay-adversarial")],
     ]
-    commands += [[*argv[:-1], f"{argv[-1]}-again"] for argv in commands if argv[0] == "replay"]
+    return calls + [[*argv[:-1], f"{argv[-1]}-again"] for argv in calls if argv[0] == "replay"]
+
+
+def walkthrough(root: Path) -> None:
+    """Run ``commands(root)``; raises on a non-zero exit or a ``RuntimeWarning``."""
     warnings.simplefilter("error", RuntimeWarning)
-    for argv in commands:
+    for argv in commands(root):
         if "--stage" in argv:
             shutil.copytree(root / "model", root / "stage2")
             (root / "stage2" / "prior.json").unlink()
@@ -185,15 +190,23 @@ def broken_links(root: Path) -> list:
 
 
 def manifest_faults(root: Path) -> list:
-    """Each manifest input, of the replay and of the ``--stage 2`` run, that
-    is missing or recorded with another digest than its file's, as text."""
+    """Each manifest of the walkthrough that does not record the ``subcommand`` and
+    ``argv`` of the ``main`` call that wrote it, and each manifest input, of the
+    replay and of the ``--stage 2`` run, that is missing or recorded with another
+    digest than its file's, as text."""
+    faults, manifests = [], {}
+    for argv in commands(root):
+        directory = Path(argv[-1]).name
+        manifests[directory] = manifest = json.loads(
+            (root / directory / "manifest.json").read_text(encoding="utf-8"))
+        if (manifest["subcommand"], manifest["argv"]) != (argv[0], argv):
+            faults.append(f"{directory}/manifest.json records {manifest['subcommand']!r} "
+                          f"{manifest['argv']}, not the call {argv} that wrote it")
     bundled = sorted((Path(gazeshift.__file__).parent / "scenarios").glob("*.json"))
     stage1 = root / "stage2" / "stage1.json"
-    faults = []
     for directory, expected in (("replay", {str(p): _sha256(p) for p in bundled}),
                                 ("stage2", {str(stage1): _sha256(stage1)})):
-        inputs = json.loads((root / directory / "manifest.json").read_text(encoding="utf-8"))[
-            "inputs"]
+        inputs = manifests[directory]["inputs"]
         if directory == "replay" and inputs.keys() != expected.keys():
             faults.append(f"{directory}/manifest.json inputs name {sorted(inputs)}, "
                           f"not the {len(bundled)} bundled scenario files")
@@ -232,8 +245,8 @@ def check(root: Path) -> int:
     ``EXPECTED_PLATFORM`` where a hash moved on another platform); 1 if any
     differs from EXPECTED, a cycle-log line is not spelled as ``json.dumps``
     writes it, the ``--stage 2`` run or a
-    second replay wrote other outputs than the first run, a link is broken or a
-    manifest records an input by another digest, else 0."""
+    second replay wrote other outputs than the first run, a link is broken, or a
+    manifest records another call than its own or an input by another digest, else 0."""
     platform = platform_line()
     print(f"platform: {platform}")
     moved = 0
@@ -270,7 +283,8 @@ def check(root: Path) -> int:
     for line in faults:
         print(f"manifest: {line}")
     if not faults:
-        print("manifests ok: replay inputs, train --stage 2 inputs")
+        print(f"manifests ok: each run's subcommand and argv ({len(commands(root))} runs), "
+              "replay inputs, train --stage 2 inputs")
     return 1 if moved or respelled or reruns or stage2 or broken or faults else 0
 
 
