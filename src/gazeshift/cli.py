@@ -152,10 +152,8 @@ def cmd_gen_data(args) -> dict:
     doc = load_config_file(args.config)
     config = _read_section(doc, "generator", datagen.GeneratorConfig, args.config)
     seed = 0 if args.seed is None else args.seed
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = datagen.generate_dataset(seed=seed, config=config)
-    dataset_path = out_dir / "dataset.jsonl"
+    dataset_path = Path(args.out) / "dataset.jsonl"
     dataset_hash = datagen.write_dataset(dataset, dataset_path)
     print(f"wrote {len(dataset.split)} samples "
           f"({dataset.split.count('train')} train / {dataset.split.count('val')} val) "
@@ -225,9 +223,7 @@ def cmd_eval(args) -> dict:
                    "prior_top1_acc": top1},
         "per_code": per_code,
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "eval.json"
+    report_path = Path(args.out) / "eval.json"
     write_json_atomic(report, report_path)
     print(f"stage1 val MGD eye {eye1:.3f} / head {head1:.3f} deg, utilization {utilization:.2f}")
     print(f"stage2 val MGD eye {eye2:.3f} / head {head2:.3f} deg, top-1 {top1:.3f}")
@@ -261,8 +257,6 @@ def cmd_sample(args) -> dict:
              for k, row in allocations.items()}
     samples = [drawn[k] for k in codes.tolist()]
     diverse = {str(k): float(pi[k]) for k in range(len(pi)) if pi[k] > DIVERSITY_THRESHOLD}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "condition": {"eye_deg": eye, "head_deg": head, "target_m": target},
         "mode": args.mode,
@@ -271,7 +265,7 @@ def cmd_sample(args) -> dict:
         "pi": [float(p) for p in pi],
         "codes_above_threshold": diverse,
     }
-    report_path = out_dir / "samples.json"
+    report_path = Path(args.out) / "samples.json"
     write_json_atomic(report, report_path)
     print(f"{args.n} draws ({args.mode}); codes with prior probability > "
           f"{DIVERSITY_THRESHOLD:.0%}: "
@@ -316,7 +310,6 @@ def cmd_replay(args) -> dict:
     out_dir = Path(args.out)
     log_path = out_dir / "cycles.jsonl"
     with _backend_factory(args, doc) as factory:
-        out_dir.mkdir(parents=True, exist_ok=True)
         rows, results, excluded = reasoner.replay.replay_evaluate(scenarios, factory,
                                                                    log_path=log_path)
     table_path = out_dir / "success_table.csv"

@@ -28,7 +28,6 @@ runs no model layer.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import so3
-from .atomic import open_atomic
+from .atomic import read_text, write_text
 from .config import Schema, check_object, parse_json, read_config
 from .errors import ConfigError, DataError
 
@@ -478,10 +477,7 @@ def serialize_dataset(dataset: Dataset) -> str:
 
 def write_dataset(dataset: Dataset, path) -> str:
     """Write ``dataset`` to ``path``; returns the SHA-256 of the bytes written."""
-    text = serialize_dataset(dataset)
-    with open_atomic(path) as fh:
-        fh.write(text)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return write_text(path, serialize_dataset(dataset))
 
 
 def _parse_line(line: str, path, line_no: int) -> dict:
@@ -513,9 +509,8 @@ def read_dataset(path) -> Dataset:
     as a line-by-line check would.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        lines = data.decode("utf-8").splitlines()
+        text, sha256 = read_text(path)
+        lines = text.splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     if not lines:
@@ -566,5 +561,4 @@ def read_dataset(path) -> Dataset:
         raise DataError(
             f"{path}: header announces {header['n_samples']} samples, found {len(split)}"
         )
-    return Dataset(conditions, allocations, strategy, split, header["seed"], config,
-                   hashlib.sha256(data).hexdigest())
+    return Dataset(conditions, allocations, strategy, split, header["seed"], config, sha256)

@@ -29,18 +29,16 @@ step allocates nothing but that check's mask. Once the first moment's
 bias correction ``1 - beta1**t`` has rounded to exactly 1.0 (from step
 356 at the default beta1), the step skips its division by it, which
 would leave every bit as it is.
-``save_checkpoint`` writes the text of one ``json.dumps`` of the
-whole document, one parameter at a time.
 
-A checkpoint's identity is the SHA-256 of its bytes: ``save_checkpoint``
-returns the digest of the bytes it wrote, and ``load_checkpoint`` hashes the
-bytes it read, so a file equal in value but spelled otherwise is another
-checkpoint.
+A checkpoint's identity is the SHA-256 of its bytes (``atomic``):
+``save_checkpoint`` writes the text of one ``json.dumps`` of the whole
+document and returns the digest of those bytes, and ``load_checkpoint``
+returns the digest of the bytes it read, so a file equal in value but
+spelled otherwise is another checkpoint.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from bisect import bisect_right
@@ -48,7 +46,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .atomic import open_atomic
+from .atomic import read_text, write_text
 from .config import Schema, check_object, parse_json
 
 CHECKPOINT_FORMAT = "gazeshift-checkpoint"
@@ -401,44 +399,30 @@ class Checkpoint:
     path: str
 
 
-def _checkpoint_texts(params, metadata):
-    """The text of a checkpoint file in pieces: the head, each parameter, the metadata."""
-    yield (f'{{"format": {json.dumps(CHECKPOINT_FORMAT)}, '
-           f'"version": {json.dumps(CHECKPOINT_VERSION)}, "params": {{')
-    for k, (name, p) in enumerate(params.items()):
-        yield f'{", " if k else ""}{json.dumps(name)}: {json.dumps(_encode_param(p))}'
-    yield f'}}, "metadata": {json.dumps(metadata or {})}}}\n'
-
-
 def save_checkpoint(path, params, metadata: dict | None = None) -> str:
     """Write ``params`` and ``metadata`` to ``path`` as a checkpoint; returns the bytes' SHA-256.
 
     The file holds the text of ``json.dumps(doc) + "\n"`` for the document
-    ``{"format", "version", "params", "metadata"}``, but is written (and
-    hashed) one parameter at a time, so the text in memory at once is
-    bounded by the largest parameter rather than the whole file.
-    ``json.dumps`` runs the C encoder; ``json.dump`` to a file would run the
-    pure-Python one.
+    ``{"format", "version", "params", "metadata"}``. ``json.dumps`` runs the
+    C encoder; ``json.dump`` to a file would run the pure-Python one.
     """
-    digest = hashlib.sha256()
-    with open_atomic(path) as fh:
-        for text in _checkpoint_texts(params, metadata):
-            fh.write(text)
-            digest.update(text.encode("utf-8"))
-    return digest.hexdigest()
+    doc = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+           "params": {name: _encode_param(p) for name, p in params.items()},
+           "metadata": metadata or {}}
+    return write_text(path, json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read ``path``; any file that is not a whole, finite checkpoint raises ValueError.
 
-    The bytes are read once, then hashed, decoded and parsed. The document
-    is a ``CHECKPOINT_SCHEMA`` object, so the ``optimizer`` entry that older
-    builds wrote is an unknown field. Metadata floats stay floats.
+    The bytes are read once, then hashed, decoded and parsed; a file that
+    cannot be read raises OSError. The document is a ``CHECKPOINT_SCHEMA``
+    object, so the ``optimizer`` entry that older builds wrote is an unknown
+    field. Metadata floats stay floats.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        doc = parse_json(data.decode("utf-8"))
+        text, sha256 = read_text(path)
+        doc = parse_json(text)
         check_object(doc, CHECKPOINT_SCHEMA, "checkpoint")
         if doc["format"] != CHECKPOINT_FORMAT:
             raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
@@ -449,7 +433,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return Checkpoint(params, doc.get("metadata", {}), hashlib.sha256(data).hexdigest(), str(path))
+    return Checkpoint(params, doc.get("metadata", {}), sha256, str(path))
 
 
 def save_model(path, params, kind: str, config, metadata: dict | None = None, **extra) -> str:

@@ -14,12 +14,12 @@ instances that are ready to prompt and localize.
 
 from __future__ import annotations
 
-import hashlib
 import marshal
 import math
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from pathlib import Path
 
+from ..atomic import read_text
 from ..config import Schema, check_object, finite_float, finite_floats, parse_json
 from ..errors import DataError
 
@@ -380,11 +380,11 @@ def load_scenario(path) -> Scenario:
     """The scenario of one file; it keeps the path and the SHA-256 of the bytes read."""
     path = Path(path)
     try:
-        data = path.read_bytes()
-        doc = parse_json(data.decode("utf-8"))
+        text, sha256 = read_text(path)
+        doc = parse_json(text)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text, or not JSON
         raise DataError(f"{path}: {exc}") from exc
-    return scenario_from_doc(doc, origin=str(path), sha256=hashlib.sha256(data).hexdigest())
+    return scenario_from_doc(doc, origin=str(path), sha256=sha256)
 
 
 def load_scenario_dir(directory) -> list:

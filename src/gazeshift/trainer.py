@@ -423,7 +423,7 @@ def infer(model: ConditionalVQVAE, prior: ConditionalPrior, c, mode: str = "samp
 
 def write_metrics_csv(path, rows) -> None:
     """Header plus one formatted row (``EpochMetrics.row()``) per epoch."""
-    with open_atomic(path, newline="") as fh:
+    with open_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         writer.writerows(rows)
@@ -493,7 +493,6 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     if stage not in ("1", "2", "both"):
         raise ConfigError(f"unknown stage selector {stage!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dataset_hash = dataset.sha256
     # A stage-2-only run keeps the stage-1 rows, so the files match "both".
     rows = _stage1_rows(out / METRICS_FILE) if stage == "2" else []

@@ -1980,6 +1980,26 @@ def test_out_naming_a_file_is_one_error_line_naming_it(pipeline, tmp_path, subco
     assert out.read_bytes() == b"not a directory\n"
 
 
+@pytest.mark.parametrize("failing", ["gen-data", "train-stage2"])
+def test_failed_command_is_one_error_line_and_leaves_no_out(pipeline, tmp_path, failing):
+    # --out comes into being with a command's first file, so a command that fails first leaves none
+    _, config, data_dir, _ = pipeline
+    out = tmp_path / "new" / "run"
+    if failing == "gen-data":
+        limits = write_config(tmp_path, {"generator": {"eye_yaw_limit": 0.0001,
+                                                       "head_yaw_limit": 0.0001}})
+        argv = ["gen-data", "--config", limits, "--out", str(out)]
+        expected, reason = 3, "no valid sample after 100 consecutive attempts"
+    else:
+        argv = ["train", "--config", config, "--stage", "2",
+                "--dataset", str(data_dir / "dataset.jsonl"), "--out", str(out)]
+        expected, reason = 4, f"stage 2 requested but {out / 'stage1.json'} does not exist"
+    code, err = _main_err(argv)
+    assert code == expected
+    assert err.startswith("error: ") and reason in err and err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
+
+
 def test_manifests_name_only_existing_outputs(pipeline):
     root, _, data_dir, run_dir = pipeline
     for directory in (data_dir, run_dir):
@@ -2057,6 +2077,7 @@ def test_cli_import_pulls_in_no_http_library():
 REPLAY_WITHOUT_NUMPY = """
 import contextlib, json, sys, types
 from gazeshift import cli
+assert "hashlib" not in sys.modules  # atomic imports it when it reads or writes a digest
 backends = sys.modules["gazeshift.reasoner.backends"]
 def loaded():
     names = [name for name in ("numpy", "uuid", "platform") if name in sys.modules]

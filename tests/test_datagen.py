@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazeshift import datagen
+from gazeshift import atomic, datagen
 from gazeshift.atomic import open_atomic
 from gazeshift.datagen import (EYE_DOMINANT, HEAD_DOMINANT, POSE_LIMITS, Dataset,
                                GeneratorConfig, allocate_rows, angular_errors, check_rows,
@@ -362,7 +362,7 @@ def test_write_dataset_failing_midway_keeps_previous_file(tmp_path, default_data
         with open_atomic(target) as fh:
             yield FailingHandle(fh)
 
-    monkeypatch.setattr(datagen, "open_atomic", failing_open_atomic)
+    monkeypatch.setattr(atomic, "open_atomic", failing_open_atomic)
     with pytest.raises(OSError, match="no space left"):
         write_dataset(generate_dataset(1, GeneratorConfig(n_samples=20)), path)
     assert path.read_bytes() == before

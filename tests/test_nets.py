@@ -523,7 +523,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 @pytest.mark.parametrize("make", [ConditionalVQVAE, ConditionalPrior], ids=["vqvae", "prior"])
 def test_checkpoint_bytes_are_those_of_one_whole_document_dump(tmp_path, make):
-    # written parameter by parameter, the file is still json.dumps(doc) + "\n"
+    # the file is the bytes of json.dumps(doc) + "\n", key order and spelling included
     model = make()
     rng = np.random.default_rng(22)
     model.set_params({name: rng.normal(size=p.shape) for name, p in model.params().items()})
@@ -614,7 +614,7 @@ def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path):
     nets.save_checkpoint(path, net.params(), metadata={"epoch": 1})
     before = path.read_bytes()
     net.flat[:] = 0.0
-    # the parameters serialise first, then the metadata fails to
+    # the metadata does not serialise, so the write fails before the file is replaced
     with pytest.raises(TypeError):
         nets.save_checkpoint(path, net.params(), metadata={"epoch": object()})
     assert path.read_bytes() == before

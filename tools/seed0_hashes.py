@@ -257,35 +257,31 @@ def check(root: Path) -> int:
         print(f"{actual}  {name}  {status}")
     if moved and platform != EXPECTED_PLATFORM:
         print(f"the expected values belong to another platform: {EXPECTED_PLATFORM}")
-    respelled = False
-    for replay in REPLAYS:
-        lines = respelled_lines(root / replay / "cycles.jsonl")
-        if lines:
-            respelled = True
-            print(f"{replay}/cycles.jsonl: {len(lines)} lines differ from json.dumps of their "
-                  f"record, the first is line {lines[0]}")
-    reruns = rerun_differences(root)
-    for line in reruns:
-        print(f"rerun: {line}")
-    if not reruns:
-        print(f"reruns ok: each second replay wrote the first's {' and '.join(REPLAY_OUTPUTS)}")
-    stage2 = stage2_differences(root)
-    for line in stage2:
-        print(f"stage 2: {line}")
-    if not stage2:
-        print(f"stage 2 ok: train --stage 2 wrote the train run's {' and '.join(STAGE2_OUTPUTS)}")
-    broken = broken_links(root)
-    for line in broken:
-        print(f"broken link: {line}")
-    if not broken:
-        print("links ok: stage1.json -> dataset.jsonl, prior.json -> stage1.json")
-    faults = manifest_faults(root)
-    for line in faults:
-        print(f"manifest: {line}")
-    if not faults:
-        print(f"manifests ok: each run's subcommand and argv ({len(commands(root))} runs), "
-              "replay inputs, train --stage 2 inputs")
-    return 1 if moved or respelled or reruns or stage2 or broken or faults else 0
+    respelled = [f"{replay}/cycles.jsonl: {len(lines)} lines differ from json.dumps of their "
+                 f"record, the first is line {lines[0]}"
+                 for replay in REPLAYS
+                 if (lines := respelled_lines(root / replay / "cycles.jsonl"))]
+    # Each fault list, the prefix of its lines and the line printed when it is empty.
+    checks = (
+        (respelled, "", None),
+        (rerun_differences(root), "rerun: ",
+         f"reruns ok: each second replay wrote the first's {' and '.join(REPLAY_OUTPUTS)}"),
+        (stage2_differences(root), "stage 2: ",
+         f"stage 2 ok: train --stage 2 wrote the train run's {' and '.join(STAGE2_OUTPUTS)}"),
+        (broken_links(root), "broken link: ",
+         "links ok: stage1.json -> dataset.jsonl, prior.json -> stage1.json"),
+        (manifest_faults(root), "manifest: ",
+         f"manifests ok: each run's subcommand and argv ({len(commands(root))} runs), "
+         "replay inputs, train --stage 2 inputs"),
+    )
+    faults = 0
+    for lines, prefix, ok in checks:
+        for line in lines:
+            print(prefix + line)
+        if ok and not lines:
+            print(ok)
+        faults += len(lines)
+    return 1 if moved or faults else 0
 
 
 def phase_times(root: Path) -> list:
