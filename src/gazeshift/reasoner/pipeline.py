@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import BackendError
 from .scenario import ScenarioCycle
@@ -50,9 +51,14 @@ def marked_semantics(cycle: ScenarioCycle) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class GazeTargetRecord:
-    """The pipeline's per-cycle output: what to look at and where it is."""
+class GazeTargetRecord(NamedTuple):
+    """The pipeline's per-cycle output: what to look at and where it is.
+
+    An immutable named tuple, built once per cycle: assigning a field
+    raises AttributeError, so ``REST_RECORD`` can be shared, and a hold is
+    ``prev_record._replace(held=True)``. As a tuple it iterates and equals
+    a plain tuple of the same values.
+    """
 
     mark: int | None
     instance_id: str | None
@@ -174,7 +180,7 @@ def localize(mark: int, cycle: ScenarioCycle) -> GazeTargetRecord:
 
 def _fallback_record(buffer: MemoryBuffer) -> GazeTargetRecord:
     if buffer.prev_record is not None:
-        return replace(buffer.prev_record, held=True)
+        return buffer.prev_record._replace(held=True)
     return REST_RECORD
 
 

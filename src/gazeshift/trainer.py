@@ -359,8 +359,10 @@ def train_stage2(model: ConditionalVQVAE, dataset: Dataset, config: TrainConfig 
     return prior, result
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceResult:
+    """What ``infer`` returns: the allocation, its code and pi, each holding its own data."""
+
     allocation: MotionAllocation
     code: int
     pi: np.ndarray
@@ -386,25 +388,27 @@ def draw_allocations(model: ConditionalVQVAE, prior: ConditionalPrior, c: np.nda
     """Draw n codes from the prior for condition row c (or its argmax n times) and decode them.
 
     ``c`` is one unnormalised condition row (8,). Returns (pi, the n codes,
-    {distinct code: allocation row (5,)}). The draws leave ``rng`` where n
-    single draws would. The condition is normalised once, and that row
-    feeds both models (``shared_target_scale``). Each distinct code is
-    decoded once, as one row: in a batch its last bits could change. The
-    decoded rows go through ``allocation_violations`` as one array, and a
-    row that breaks one of its rules raises ValueError naming its code, as
-    does an unknown mode or n below 1.
+    {distinct code: allocation row (5,)}). ``pi`` and each row own their
+    data: a copy of row 0 of the (1, K) softmax and of each (1, 5) decode,
+    so a result that is kept does not keep those arrays alive. The draws
+    leave ``rng`` where n single draws would. The condition is normalised
+    once, and that row feeds both models (``shared_target_scale``). Each
+    distinct code is decoded once, as one row: in a batch its last bits
+    could change. The decoded rows go through ``allocation_violations`` as
+    one array, and a row that breaks one of its rules raises ValueError
+    naming its code, as does an unknown mode or n below 1.
     """
     if mode not in ("sample", "argmax"):
         raise ValueError(f"unknown inference mode {mode!r}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     x = condition_inputs(c[None, :], shared_target_scale(model, prior.config))
-    pi = prior.forward_rows(x)[0]
+    pi = prior.forward_rows(x)[0].copy()
     if mode == "argmax":
         codes = np.full(n, int(np.argmax(pi)))
     else:
         codes = prior_mod.sample_code(pi, rng, size=n)
-    rows = {k: model.decode_rows(model.codebook[k:k + 1], x)[0]
+    rows = {k: model.decode_rows(model.codebook[k:k + 1], x)[0].copy()
             for k in dict.fromkeys(codes.tolist())}
     for k, violation in zip(rows, allocation_violations(np.array(list(rows.values())))):
         if violation is not None:

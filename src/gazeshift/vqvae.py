@@ -153,11 +153,11 @@ class ConditionVector:
         return cls(vec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionAllocation:
     """One ``ALLOCATION_FIELDS`` row (radians), held as given, without a check.
 
-    Its one builder, ``trainer.infer``, hands it a row that
+    Its one builder, ``trainer.infer``, hands it a row of its own that
     ``allocation_violations`` has passed in ``trainer.draw_allocations``.
     It stays only until the benchmark's infer loop calls ``draw_allocations``.
     """

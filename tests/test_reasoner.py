@@ -568,6 +568,50 @@ def test_failure_after_success_holds_previous_target():
     assert held.point_3d == good.point_3d
 
 
+def test_gaze_record_is_an_immutable_tuple():
+    record = localize(2, make_cycle(0, "scene"))
+    assert isinstance(record, tuple) and isinstance(REST_RECORD, tuple)
+    for name in GazeTargetRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            setattr(REST_RECORD, name, None)
+
+
+FACELESS = (instance("p_solo", "person", (300.0, 80.0, 420.0, 460.0), 2.0),)
+
+
+@pytest.mark.parametrize("instances, mark", [(None, 1), (None, 2), (None, 3), (FACELESS, 1)],
+                         ids=["cup", "person", "toy", "faceless-person"])
+@pytest.mark.parametrize("failing", ["backend", "parse", "empty scene"])
+def test_failing_cycle_holds_every_field_of_the_previous_record(instances, mark, failing):
+    buffer = MemoryBuffer()
+    good = step_cycle(make_cycle(0, "scene", instances), buffer,
+                      OutcomeBackend({0: f"TARGET: {mark}"}))
+    assert good.mark == mark and not good.held
+    backend = ExplodingBackend() if failing == "backend" else GarbageBackend()
+    cycle = make_cycle(1, "void", instances=() if failing == "empty scene" else None)
+    held = step_cycle(cycle, buffer, backend)
+    assert held.held and buffer.prev_record is held
+    for name in GazeTargetRecord._fields:
+        if name != "held":
+            assert getattr(held, name) is getattr(good, name), name
+    assert held.summary() == good.summary() + " (held)"
+
+
+def test_bundled_replay_failing_its_first_cycles_leaves_the_rest_record_unchanged():
+    rest = GazeTargetRecord(mark=None, instance_id=None, category=None, box=None, face_box=None,
+                            point_2d=None, point_3d=(1.0, 0.0, 0.0), held=True)
+    scenario = load_scenario(BUNDLED / "h1_point_cup.json")
+    backend = ScriptedBackend(scenario)
+    first, second = (cycle.index for cycle in scenario.cycles[:2])
+    backend.responses[first] = backend.responses[second] = "no target"
+    result = replay_scenario(scenario, backend)
+    assert result.records[0] is REST_RECORD and result.records[1] == rest
+    assert not result.records[2].held and result.correct
+    assert REST_RECORD == rest and REST_RECORD.summary() == "gaze: rest position"
+
+
 def test_empty_scene_is_survivable():
     buffer = MemoryBuffer()
     record = step_cycle(make_cycle(0, "void", instances=()), buffer,

@@ -618,6 +618,31 @@ def test_draw_allocations_equals_n_infer_calls(trained, val_conditions, mode):
     assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+@pytest.mark.parametrize("n", [1, 20000])
+def test_draw_allocations_arrays_own_the_bits_of_their_passes(trained, val_conditions, mode, n):
+    # pi and every row are arrays of their own, not views of the (1, K)
+    # softmax or a (1, 5) decode, and hold the bits of those passes made
+    # beside them
+    model, prior = trained[0], trained[3]
+    rng = np.random.default_rng(43)
+    for c in val_conditions:
+        pi, codes, rows = draw_allocations(model, prior, c.as_input(), mode, rng, n)
+        x = condition_inputs(c.as_input()[None, :], model.config.target_scale)
+        assert pi.base is None and pi.tobytes() == prior.forward_rows(x)[0].tobytes()
+        assert len(codes) == n and list(rows) == list(dict.fromkeys(codes.tolist()))
+        for k, row in rows.items():
+            assert row.base is None
+            assert row.tobytes() == model.decode_rows(model.codebook[k:k + 1], x)[0].tobytes()
+
+
+def test_infer_result_is_slotted_and_owns_its_arrays(trained, val_conditions):
+    model, prior = trained[0], trained[3]
+    result = infer(model, prior, val_conditions[0], mode="sample", rng=np.random.default_rng(47))
+    assert not hasattr(result, "__dict__") and not hasattr(result.allocation, "__dict__")
+    assert result.pi.base is None and result.allocation.as_vector().base is None
+
+
 def test_infer_names_the_code_of_an_allocation_outside_pi(trained, val_conditions):
     model = ConditionalVQVAE(trained[0].config)
     model.set_params(trained[0].params())
