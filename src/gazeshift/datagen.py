@@ -31,6 +31,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -154,7 +155,7 @@ class GeneratorConfig:
     poses. The eye pitch limit is at most pi/2 and the other four at most
     pi, so every pose within the limits is a valid pose, and ``range_min``
     exceeds the floor on a condition's target norm, so every drawn target
-    is a valid target.
+    is a valid target. The split rule, ``n_train``, leaves neither split empty.
     """
 
     n_samples: int = 805
@@ -186,10 +187,13 @@ class GeneratorConfig:
     max_attempts: int = 100
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
+        if not 0 < self.n_samples <= sys.float_info.max:  # the split rule takes it as a float
+            raise ValueError("n_samples must be positive and lie within the float range")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
+        if not 0 < self.n_train() < self.n_samples:
+            raise ValueError(f"train_fraction {self.train_fraction} of {self.n_samples} samples "
+                             f"leaves the {'train' if self.n_train() < 1 else 'val'} split empty")
         if not 0 <= self.strategy_mix <= 1:
             raise ValueError("strategy_mix must lie in [0, 1]")
         if self.range_min <= _MIN_TARGET_NORM:
@@ -212,6 +216,10 @@ class GeneratorConfig:
         for name in ("eye_yaw_limit", "head_yaw_limit", "head_pitch_limit", "head_roll_limit"):
             if getattr(self, name) > math.pi:
                 raise ValueError(f"{name} must be at most pi, got {getattr(self, name)}")
+
+    def n_train(self) -> int:
+        """The split rule: the first round(n_samples * train_fraction) samples train."""
+        return round(self.n_samples * self.train_fraction)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -411,7 +419,7 @@ def generate_dataset(seed: int, config: GeneratorConfig = GeneratorConfig()) -> 
     indicates an unsatisfiable configuration.
     The attempts past the last kept one in its chunk are drawn and dropped.
 
-    The first round(n * train_fraction) samples are the training split;
+    The first ``config.n_train()`` samples are the training split;
     samples are i.i.d. so the assignment is as good as any shuffle and it
     keeps the file layout stable.
     """
@@ -448,8 +456,7 @@ def generate_dataset(seed: int, config: GeneratorConfig = GeneratorConfig()) -> 
         conditions.append(np.concatenate([poses[kept], targets[kept]], axis=1))
         allocations.append(deltas[kept])
         strategy += [HEAD_DOMINANT if h else EYE_DOMINANT for h in head_dominant[kept].tolist()]
-    n_train = round(n * config.train_fraction)
-    split = ["train"] * n_train + ["val"] * (n - n_train)
+    split = ["train"] * config.n_train() + ["val"] * (n - config.n_train())
     return Dataset(np.concatenate(conditions), np.concatenate(allocations), strategy, split,
                    seed, config)
 

@@ -9,12 +9,13 @@ reproduces training bit for bit and checkpoints round-trip exactly.
 A model keeps all of its parameters back to back in one flat float64
 vector; a :class:`Layout` names the stretches of it (``"0.W"``, ``"0.b"``,
 ...). ``params()`` returns named views into that vector, gradients and
-the Adam moments are flat vectors in the same layout, and the optimizer
-updates the whole vector in place with a few whole-array operations.
-The moments live only in memory while a stage trains: a checkpoint holds
-the weights and their metadata, which is all a load uses. A model's
-config goes into ``metadata["model"]`` through ``save_model`` and comes
-back through ``load_model``; ``config.check_object`` checks every object of a checkpoint.
+the Adam moments are flat vectors in the same layout (an :class:`AdamState`
+holds the model's own ``layout``), and the optimizer updates the whole
+vector in place with a few whole-array operations. The moments live only
+in memory while a stage trains: a checkpoint holds the weights and their
+metadata, which is all a load uses. A model's config goes into
+``metadata["model"]`` through ``save_model`` and comes back through
+``load_model``; ``config.check_object`` checks every object of a checkpoint.
 
 Each ``DenseNetwork`` multiplies with ``np.dot``, which gives the bits
 of ``@`` (``np.matmul``) without its per-call dispatch. Its passes
@@ -25,10 +26,10 @@ overwrites it: a caller that keeps a gradient across passes copies it.
 ``adam_step`` checks the gradient with one element-wise ``np.isfinite``;
 it runs the update's per-element expressions, in their usual operand
 order, through two scratch vectors its :class:`AdamState` owns, so a
-step allocates nothing but that check's mask. Once the first moment's
-bias correction ``1 - beta1**t`` has rounded to exactly 1.0 (from step
-356 at the default beta1), the step skips its division by it, which
-would leave every bit as it is.
+step allocates nothing but that check's mask. Its rates are the fixed
+``BETA1``, ``BETA2`` and ``EPS``. Once the first moment's bias
+correction ``1 - BETA1**t`` has rounded to exactly 1.0 (from step 356),
+the step skips its division by it, which would leave every bit as it is.
 
 A checkpoint's identity is the SHA-256 of its bytes (``atomic``):
 ``save_checkpoint`` writes the text of one ``json.dumps`` of the whole
@@ -42,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -57,6 +58,8 @@ CHECKPOINT_SCHEMA = Schema({"format": "str", "version": "int", "params": "dict"}
 PARAM_SCHEMA = Schema({"shape": "tuple", "data": "list[float]"})
 
 _ACTIVATIONS = ("relu", "identity")
+# Adam's moment decay rates and epsilon: Kingma & Ba's (2015) defaults.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class NonFiniteGradient(ValueError):
@@ -72,13 +75,11 @@ class Layout:
 
     def __init__(self, shapes):
         self.shapes = {name: tuple(shape) for name, shape in shapes}
-        self.offsets = {}
         # name -> (slice of the flat vector, shape): flat[sl].reshape(shape)
         # is the parameter's view.
         self.spans = {}
         size = 0
         for name, shape in self.shapes.items():
-            self.offsets[name] = size
             self.spans[name] = (slice(size, size + math.prod(shape)), shape)
             size += math.prod(shape)
         self.size = size
@@ -113,8 +114,8 @@ class Layout:
 
     def name_at(self, index: int) -> str:
         """Name of the parameter that holds flat position ``index``."""
-        names = list(self.offsets)
-        return names[bisect_right(list(self.offsets.values()), index) - 1]
+        starts = [sl.start for sl, _ in self.spans.values()]
+        return list(self.spans)[bisect_right(starts, index) - 1]
 
 
 class DenseNetwork:
@@ -259,35 +260,19 @@ class DenseNetwork:
         return self.grad, g
 
 
-@dataclass
 class AdamState:
-    """Flat Adam moments, their layout, and the hyperparameters of the update.
+    """Zeroed flat Adam moments in ``layout``, a model's own, with the learning
+    rate and weight decay of the update.
 
     ``scratch`` holds two vectors shaped like the moments; ``adam_step``
     writes its intermediate results there instead of allocating them.
     Their contents mean nothing between steps.
     """
 
-    lr: float
-    layout: Layout
-    m: np.ndarray
-    v: np.ndarray
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    scratch: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scratch = (np.empty(self.m.shape), np.empty(self.m.shape))
-
-    @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
-        """Zeroed moments laid out like ``params`` (names and shapes, in order)."""
-        layout = Layout.of(params)
-        return cls(lr=lr, weight_decay=weight_decay, layout=layout,
-                   m=np.zeros(layout.size), v=np.zeros(layout.size))
+    def __init__(self, lr: float, layout: Layout, weight_decay: float = 0.0):
+        self.lr, self.layout, self.weight_decay, self.step_count = lr, layout, weight_decay, 0
+        self.m, self.v = np.zeros(layout.size), np.zeros(layout.size)
+        self.scratch = (np.empty(layout.size), np.empty(layout.size))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
@@ -300,17 +285,17 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     finite elements whose sum would overflow are finite, and the step goes
     ahead.
 
-    After the decoupled decay, ``params *= 1 - lr * weight_decay``, the
-    update is the whole-array form
+    After the decoupled decay, ``params *= 1 - lr * weight_decay`` at every
+    step (by exactly 1.0 at a decay of 0), the update is the whole-array form
 
-        m = beta1 * m + (1 - beta1) * grad
-        v = beta2 * v + ((1 - beta2) * grad) * grad
-        params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        m = BETA1 * m + (1 - BETA1) * grad
+        v = BETA2 * v + ((1 - BETA2) * grad) * grad
+        params -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
 
     evaluated with the same ufuncs in the same operand order, writing its
     temporaries into ``state.scratch``, so the bits are those of the
     whole-array expressions. Where ``bc1`` is exactly 1.0 (every step
-    from the 356th at beta1 = 0.9) the step computes ``lr * m``, skipping
+    from the 356th at ``BETA1`` = 0.9) the step computes ``lr * m``, skipping
     ``m / bc1``: dividing by 1.0 returns its operand unchanged. ``bc2``
     stays near 1 far longer (until step 37,412) and is always divided by.
     """
@@ -323,17 +308,16 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
         raise NonFiniteGradient(state.layout.name_at(int(np.argmin(finite))))
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    if state.weight_decay:
-        params *= 1.0 - state.lr * state.weight_decay
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    params *= 1.0 - state.lr * state.weight_decay
     m, v = state.m, state.v
     a, b = state.scratch
-    m *= state.beta1
-    np.multiply(1.0 - state.beta1, grad, out=a)
+    m *= BETA1
+    np.multiply(1.0 - BETA1, grad, out=a)
     m += a
-    v *= state.beta2
-    np.multiply(1.0 - state.beta2, grad, out=a)
+    v *= BETA2
+    np.multiply(1.0 - BETA2, grad, out=a)
     np.multiply(a, grad, out=a)
     v += a
     if bc1 == 1.0:
@@ -343,7 +327,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
         np.multiply(state.lr, a, out=a)
     np.divide(v, bc2, out=b)
     np.sqrt(b, out=b)
-    np.add(b, state.eps, out=b)
+    np.add(b, EPS, out=b)
     np.divide(a, b, out=a)
     params -= a
     return params

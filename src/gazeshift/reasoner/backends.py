@@ -39,6 +39,13 @@ class RemoteConfig:
     api_key: str | None = None  # falls back to the GAZESHIFT_API_KEY env var
     max_tokens: int = 64
 
+    def __post_init__(self):
+        # Sent in every request: a refused one would hold every cycle of a replay that exits 0.
+        if not self.model:
+            raise ValueError("model must not be empty")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be at least 1, got {self.max_tokens}")
+
     @classmethod
     def from_dict(cls, doc) -> "RemoteConfig":
         return read_config(cls, doc, "backend")

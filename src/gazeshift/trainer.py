@@ -182,7 +182,7 @@ class StageResult:
     timings: list
 
 
-def _fit(stage: int, flat: np.ndarray, params: dict, rows: tuple, epochs: int,
+def _fit(stage: int, flat: np.ndarray, layout: nets.Layout, rows: tuple, epochs: int,
          rng: np.random.Generator, config: TrainConfig, step, end_epoch) -> StageResult:
     """The epoch loop of both stages; leaves ``flat`` at its best epoch.
 
@@ -194,14 +194,15 @@ def _fit(stage: int, flat: np.ndarray, params: dict, rows: tuple, epochs: int,
     the shuffled order once, and ``step(batch, *slices)`` gets the batch's
     row indices and the batch's contiguous ``[start:stop]`` slice of each
     gathered array, the rows ``array[batch]`` would give. It returns
-    (loss-term array, flat gradient) for Adam to apply to ``flat``, laid
-    out like ``params``; ``end_epoch(epoch, lr, means)`` turns the
+    (loss-term array, flat gradient) for Adam to apply to ``flat``, the
+    gradient in ``layout``, the model's own, by which Adam names a
+    non-finite one's parameter; ``end_epoch(epoch, lr, means)`` turns the
     row-weighted mean terms into EpochMetrics. A ValueError from a step or
     the update (a NonFiniteGradient among them) becomes a TrainingError.
     The wall time of each epoch's steps, updates and ``end_epoch`` goes to
     the result's ``timings``.
     """
-    adam = nets.AdamState.for_params(params, lr=config.lr, weight_decay=config.weight_decay)
+    adam = nets.AdamState(config.lr, layout, config.weight_decay)
     schedule = config.lr_schedule()
     metrics, timings = [], []
     best = None
@@ -251,13 +252,10 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
     Y, X = _checked_split(1, "train", dataset, config.target_scale)
     Yv, Xv = _checked_split(1, "val", dataset, config.target_scale)
-    # The [eye, head] rotations of each true row, indexed [row, part].
-    R_true = target_rotations(Y, X).reshape(2, len(Y), 3, 3).swapaxes(0, 1)
-    Rv = target_rotations(Yv, Xv)
+    R_true, Rv = target_rotations(Y, X), target_rotations(Yv, Xv)
 
     def step(batch, Yb, Xb, Rb):
-        # Rb is (b, 2, 3, 3); the loss takes the (2b, 3, 3) block [eye; head]
-        terms, grad = model.loss_and_grads(Yb, Xb, R_true=Rb.swapaxes(0, 1).reshape(-1, 3, 3))
+        terms, grad = model.loss_and_grads(Yb, Xb, R_true=Rb)
         return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
 
     def end_epoch(epoch, lr, means):
@@ -270,7 +268,7 @@ def train_stage1(dataset: Dataset, config: TrainConfig = TrainConfig()):
             codebook_utilization=utilization,
         )
 
-    result = _fit(1, model.flat, model.params(), (Y, X, R_true), config.stage1_epochs,
+    result = _fit(1, model.flat, model.layout, (Y, X, R_true), config.stage1_epochs,
                   np.random.default_rng(seeds[1]), config, step, end_epoch)
     return model, result
 
@@ -354,7 +352,7 @@ def train_stage2(model: ConditionalVQVAE, dataset: Dataset, config: TrainConfig 
             val_eye_mgd_deg=eye_mgd, val_head_mgd_deg=head_mgd, prior_top1_acc=top1,
         )
 
-    result = _fit(2, prior.net.flat, prior.net.params(), (X, labels), config.stage2_epochs,
+    result = _fit(2, prior.net.flat, prior.net.layout, (X, labels), config.stage2_epochs,
                   np.random.default_rng(seeds[3]), config, step, end_epoch)
     return prior, result
 

@@ -192,20 +192,19 @@ def _target_angles(A: np.ndarray, C: np.ndarray) -> np.ndarray:
 
     Reads only the pose columns ``C[:, :5]``, which ``condition_inputs``
     copies as they are, so the passes hand it their network inputs. Returns
-    the (2n, 3) Euler rows [eye; head]; eye rows carry roll 0.
+    the (n, 2, 3) Euler angles [row, eye/head]; eye angles carry roll 0.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
-    n = len(A)
-    angles = np.empty((2 * n, 3))
-    np.add(C[:, 0:2], A[:, 0:2], angles[:n, 0:2])
-    angles[:n, 2] = 0.0
-    np.add(C[:, 2:5], A[:, 2:5], angles[n:])
+    angles = np.empty((len(A), 2, 3))
+    np.add(C[:, 0:2], A[:, 0:2], angles[:, 0, 0:2])
+    angles[:, 0, 2] = 0.0
+    np.add(C[:, 2:5], A[:, 2:5], angles[:, 1])
     return angles
 
 
 def target_rotations(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(2n, 3, 3) rotations of the target poses [eye; head] of allocation rows ``A``.
+    """(n, 2, 3, 3) rotations of the target poses of allocation rows ``A``, [row, eye/head].
 
     Row by row: the rotations of a subset of rows are the same bits as
     the matching rows of the whole set's rotations.
@@ -217,12 +216,12 @@ def pose_errors_rows(pred: np.ndarray, C: np.ndarray, R_true: np.ndarray):
     """Geodesic error (radians) of predicted against true target poses.
 
     ``pred`` is composed with the current poses from ``C``, read as
-    ``_target_angles`` reads them, and compared as
-    rotations with ``R_true = target_rotations(Y, C)``, so the values lie in
-    [0, pi] and are invariant to 2*pi shifts of any angle. Returns (d_eye, d_head).
+    ``_target_angles`` reads them, and compared as rotations with
+    ``R_true = target_rotations(Y, C)``, so the values lie in [0, pi] and
+    are invariant to 2*pi shifts of any angle. Returns (d_eye, d_head).
     """
     d = so3.geodesic_rows(target_rotations(pred, C), R_true)
-    return d[:len(C)], d[len(C):]
+    return d[:, 0], d[:, 1]
 
 
 def reconstruction_terms(pred: np.ndarray, true: np.ndarray, cond: np.ndarray,
@@ -232,17 +231,19 @@ def reconstruction_terms(pred: np.ndarray, true: np.ndarray, cond: np.ndarray,
     loss_i = d_eye_i + lambda_rc * d_head_i, the errors of
     :func:`pose_errors_rows`, with poses read from ``cond`` as
     ``_target_angles`` reads them. ``R_true`` is ``target_rotations(true, cond)``
-    when a caller has it already; it is computed here otherwise. Returns
-    (values (n,), grad wrt pred (n, 5)).
+    when a caller has it already; it is computed here otherwise. ``so3``
+    gets the angles and ``R_true`` as (2n, ...) views, eye rows at even
+    indices and head rows at odd ones. Returns (values (n,), grad wrt pred (n, 5)).
     """
     n = len(cond)
     if R_true is None:
         R_true = target_rotations(true, cond)
-    d, g = so3.geodesic_to_reference_with_grad(_target_angles(pred, cond), R_true)
+    d, g = so3.geodesic_to_reference_with_grad(_target_angles(pred, cond).reshape(-1, 3),
+                                               R_true.reshape(-1, 3, 3))
     grad = np.empty((n, 5))
-    grad[:, :2] = g[:n, :2]
-    np.multiply(lambda_rc, g[n:], grad[:, 2:])
-    return d[:n] + lambda_rc * d[n:], grad
+    grad[:, :2] = g[0::2, :2]
+    np.multiply(lambda_rc, g[1::2], grad[:, 2:])
+    return d[0::2] + lambda_rc * d[1::2], grad
 
 
 @dataclass
@@ -353,7 +354,7 @@ class ConditionalVQVAE:
         overwrites and returns: copy it to keep it across another call.
         Each network writes its stretch of it, and the codebook gradient is
         a view of its last stretch. ``R_true``, when given, is
-        ``target_rotations(Y, X)``, of shape (2n, 3, 3): training computes
+        ``target_rotations(Y, X)``, of shape (n, 2, 3, 3): training computes
         it once for its whole split, since the true rows never change.
         ``commit_weight`` defaults to config.beta; the tests zero individual
         weights to check that gradient routing honours the stop-gradients.

@@ -313,8 +313,7 @@ def test_criterion_3_memorization_capacity():
                          batch_size=16, lr=3e-3, weight_decay=0.0,
                          milestones=(1200, 1600), codebook_init_scale=0.5, seed=0)
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
-    adam = nets.AdamState.for_params(model.params(), lr=config.lr,
-                                     weight_decay=config.weight_decay)
+    adam = nets.AdamState(config.lr, model.layout, config.weight_decay)
     schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
     shuffle = np.random.default_rng(1)
     R_true = target_rotations(Y, C)

@@ -22,6 +22,7 @@ import pkgutil
 import re
 import reprlib
 import shutil
+import socket
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -143,6 +144,31 @@ def test_gen_data_range_min_at_or_below_the_target_norm_exit_config(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "range_min must exceed the minimum target norm of 0.05 m, got 0.01" in err
+
+
+@pytest.mark.parametrize("generator, empty", [({"n_samples": 1, "train_fraction": 0.5}, "train"),
+                                              ({"n_samples": 3, "train_fraction": 0.9}, "val")],
+                         ids=["no_train", "no_val"])
+def test_a_split_rule_that_leaves_a_split_empty_is_refused(pipeline, tmp_path, capsys,
+                                                           generator, empty):
+    # gen-data used to write such a dataset and exit 0, and train then
+    # refused it with exit 4: "dataset has no 'train' samples"
+    config, out = write_config(tmp_path, {"generator": generator}), tmp_path / "d"
+    assert main(["gen-data", "--config", config, "--out", str(out)]) == 2
+    message = (f"train_fraction {generator['train_fraction']} of {generator['n_samples']} "
+               f"samples leaves the {empty} split empty")
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not out.exists()
+    # a dataset whose header holds that config has a bad generator header
+    _, train_config, data_dir, _ = pipeline
+    lines = (data_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines(True)
+    header = json.loads(lines[0])
+    header["generator"].update(generator)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    assert main(["train", "--config", train_config, "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == f"error: {dataset}: bad generator header: {message}\n"
 
 
 # -- configuration failures ------------------------------------------------------------
@@ -1876,6 +1902,28 @@ def test_replay_remote_fails_fast_on_non_http_endpoint(tmp_path, monkeypatch, ca
     out = tmp_path / "r"
     assert main(["replay", "--backend", "remote", "--config", config, "--out", str(out)]) == 5
     assert "is not an http or https URL" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, fault", [
+    ("max_tokens", 0, "max_tokens must be at least 1, got 0"),
+    ("max_tokens", -1, "max_tokens must be at least 1, got -1"),
+    ("model", "", "model must not be empty")], ids=["max_tokens_0", "max_tokens_-1", "model_empty"])
+def test_replay_remote_refuses_a_request_field_before_any_connection(tmp_path, monkeypatch, capsys,
+                                                                     field, value, fault):
+    # such a request went out every cycle: an endpoint that refused it held
+    # every cycle, and the replay scored 0% and exited 0
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    out = tmp_path / "r"
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.setblocking(False)
+        endpoint = f"http://127.0.0.1:{server.getsockname()[1]}/v1/chat/completions"
+        config = write_config(tmp_path, {"backend": {"endpoint": endpoint, "model": "m",
+                                                     "timeout": 0.01, field: value}})
+        assert main(["replay", "--backend", "remote", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: {fault}\n"
+        with pytest.raises(BlockingIOError):  # nothing connected
+            server.accept()
     assert not out.exists()
 
 

@@ -584,6 +584,13 @@ def test_generator_config_rejects_bad_values():
     for range_min in (0.05, 0.0):
         with pytest.raises(ValueError, match="range_min must exceed the minimum target norm"):
             GeneratorConfig(range_min=range_min, range_max=0.04)
+    # the split rule, round(n_samples * train_fraction), would overflow a
+    # float for these: the config names the field instead
+    with pytest.raises(ValueError, match=r"^train_fraction must lie in \(0, 1\)$"):
+        GeneratorConfig(n_samples=805, train_fraction=1e308)
+    with pytest.raises(ValueError, match="^n_samples must be positive and lie within the float "
+                                         "range$"):
+        GeneratorConfig(n_samples=10**400)
 
 
 def test_dataset_rejects_unknown_tags_and_misaligned_rows(default_dataset):

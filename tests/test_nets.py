@@ -318,14 +318,14 @@ def test_rectifier_masks_match_oracle_on_non_finite_values():
 
 def test_adam_zero_grad_zero_decay_is_identity():
     params = {"w": np.array([1.0, -2.0])}
-    state = AdamState.for_params(params, lr=1e-3)
+    state = AdamState(1e-3, nets.Layout.of(params))
     nets.adam_step(state, params["w"], np.zeros(2))
     np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
 
 def test_adam_single_step_scalar():
     params = {"w": np.array([1.0])}
-    state = AdamState.for_params(params, lr=1e-3)
+    state = AdamState(1e-3, nets.Layout.of(params))
     nets.adam_step(state, params["w"], np.array([1.0]))
     delta = params["w"][0] - 1.0
     assert delta < 0  # moves against the gradient
@@ -337,14 +337,14 @@ def test_adam_bias_correction_step_size_independent_of_scale():
     # i.e. lr in magnitude once |g| dwarfs eps
     for scale in (1e-3, 1.0, 1e6):
         params = {"w": np.array([0.0])}
-        state = AdamState.for_params(params, lr=1e-3)
+        state = AdamState(1e-3, nets.Layout.of(params))
         nets.adam_step(state, params["w"], np.array([scale]))
         assert abs(params["w"][0]) == pytest.approx(1e-3, rel=1e-4)
 
 
 def test_adam_decoupled_decay_closed_form():
     params = {"w": np.array([2.0])}
-    state = AdamState.for_params(params, lr=1e-3, weight_decay=0.1)
+    state = AdamState(1e-3, nets.Layout.of(params), 0.1)
     nets.adam_step(state, params["w"], np.array([0.0]))
     assert params["w"][0] == pytest.approx(2.0 * (1 - 1e-3 * 0.1), abs=1e-15)
 
@@ -352,7 +352,7 @@ def test_adam_decoupled_decay_closed_form():
 def test_adam_rejects_non_finite_gradient_without_touching_params():
     flat = np.array([1.0, 2.0])
     params = {"a": flat[:1], "b": flat[1:]}
-    state = AdamState.for_params(params, lr=1e-3)
+    state = AdamState(1e-3, nets.Layout.of(params))
     with pytest.raises(NonFiniteGradient) as err:
         nets.adam_step(state, flat, np.array([0.5, np.nan]))
     assert err.value.name == "b"
@@ -363,7 +363,7 @@ def test_adam_rejects_non_finite_gradient_without_touching_params():
 
 def test_adam_rejects_missing_or_misshapen_gradient():
     params = {"w": np.zeros((2, 2))}
-    state = AdamState.for_params(params, lr=1e-3)
+    state = AdamState(1e-3, nets.Layout.of(params))
     # a flat gradient has no keys to miss: a missing one is a short vector
     with pytest.raises(ValueError):
         nets.adam_step(state, params["w"].ravel(), np.zeros(0))
@@ -388,7 +388,7 @@ def test_adam_matches_reference_trajectory():
         ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
     params = {"w": p0.copy()}
-    state = AdamState.for_params(params, lr=lr, weight_decay=wd)
+    state = AdamState(lr, nets.Layout.of(params), wd)
     for g in grads:
         nets.adam_step(state, params["w"], g)
     np.testing.assert_allclose(params["w"], ref, atol=1e-15)
@@ -400,7 +400,7 @@ def test_adam_matches_whole_array_expressions_bit_for_bit():
     p0 = rng.normal(size=1000)
     params = {"a": p0[:600].copy(), "b": p0[600:].copy()}
     flat = np.concatenate(list(params.values()))
-    state = AdamState.for_params(params, lr=1e-3, weight_decay=1e-4)
+    state = AdamState(1e-3, nets.Layout.of(params), 1e-4)
     ref_params = p0.copy()
     ref = {"lr": 1e-3, "weight_decay": 1e-4, "m": np.zeros(1000), "v": np.zeros(1000), "t": 0}
     for step in range(12):
@@ -425,7 +425,7 @@ def test_adam_matches_whole_array_expressions_across_the_end_of_bias_correction(
     p0 = rng.normal(size=1000)
     m0, v0 = rng.normal(scale=1e-2, size=1000), rng.uniform(0.0, 1e-3, size=1000)
     flat = p0.copy()
-    state = AdamState.for_params({"w": flat}, lr=1e-3, weight_decay=1e-4)
+    state = AdamState(1e-3, nets.Layout.of({"w": flat}), 1e-4)
     state.m[...], state.v[...], state.step_count = m0, v0, 349
     ref_params = p0.copy()
     ref = {"lr": 1e-3, "weight_decay": 1e-4, "m": m0.copy(), "v": v0.copy(), "t": 349}
@@ -446,7 +446,7 @@ def test_adam_steps_when_finite_elements_overflow_their_sum():
     # the sum is inf although every element is finite: the element scan finds
     # nothing, and the step goes ahead
     params = {"w": np.array([1.0, -1.0])}
-    state = AdamState.for_params(params, lr=1e-3)
+    state = AdamState(1e-3, nets.Layout.of(params))
     grad = np.array([1e308, 1e308])
     with np.errstate(over="ignore"):  # here, and in v = ((1 - beta2) * g) * g
         assert np.sum(grad) == np.inf
@@ -461,7 +461,7 @@ def test_adam_steps_when_finite_elements_overflow_their_sum():
 def test_adam_non_finite_gradient_leaves_everything_untouched(bad):
     flat = np.array([1.0, 2.0, 3.0, 4.0])
     params = {"a": flat[:1], "b": flat[1:3], "c": flat[3:]}
-    state = AdamState.for_params(params, lr=1e-3, weight_decay=1e-2)
+    state = AdamState(1e-3, nets.Layout.of(params), 1e-2)
     nets.adam_step(state, flat, np.array([0.1, -0.2, 0.3, -0.4]))  # non-zero moments
     before = flat.copy(), state.m.copy(), state.v.copy()
     grad = np.array([0.5, 0.5, 0.5, 0.5])
@@ -505,7 +505,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(16)
     net = DenseNetwork.create([3, 5, 2], rng)
     params = net.params()
-    state = AdamState.for_params(params, lr=1e-3, weight_decay=1e-4)
+    state = AdamState(1e-3, nets.Layout.of(params), 1e-4)
     # a few steps so the weights leave their initialisation
     for _ in range(3):
         net.forward(rng.normal(size=(4, 3)))
@@ -581,7 +581,7 @@ def test_params_and_gradients_share_one_flat_layout():
     assert list(params) == ["0.W", "0.b", "1.W", "1.b"]
     for name, p in params.items():
         assert np.shares_memory(p, net.flat), name
-        start = net.layout.offsets[name]
+        start = net.layout.spans[name][0].start
         np.testing.assert_array_equal(p.ravel(), net.flat[start:start + p.size])
     params["1.b"][:] = 7.0
     assert np.all(net.biases[1] == 7.0)

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -263,16 +264,28 @@ def test_record_codes_matches_quantizer(trained, small_dataset):
     assert labels.min() >= 0 and labels.max() < SMALL_TRAIN.codebook_size
 
 
-def test_stage1_non_finite_gradient_names_stage_and_epoch(small_dataset, monkeypatch):
-    real = ConditionalVQVAE.loss_and_grads
+@pytest.mark.parametrize("stage, name", [(1, "decoder.2.b"), (2, "2.b")],
+                         ids=["stage1", "stage2"])
+def test_non_finite_gradient_names_stage_epoch_and_parameter(trained, small_dataset, monkeypatch,
+                                                             stage, name):
+    # a NaN in the "2.b" stretch of the one three-layer network a stage
+    # backpropagates: the message names that parameter by the layout of the
+    # model in training, which _fit hands to Adam
+    real = nets.DenseNetwork.backward
 
-    def poisoned(self, Y, X, **kw):
-        terms, grad = real(self, Y, X, **kw)
-        return terms, np.full_like(grad, np.nan)
+    def poisoned(self, *args, **kw):
+        grad, grad_in = real(self, *args, **kw)
+        if "2.b" in self.layout.spans:
+            grad[self.layout.spans["2.b"][0]] = np.nan
+        return grad, grad_in
 
-    monkeypatch.setattr(ConditionalVQVAE, "loss_and_grads", poisoned)
-    with pytest.raises(TrainingError, match="stage 1 epoch 0: non-finite gradient"):
-        train_stage1(small_dataset, SMALL_TRAIN)
+    monkeypatch.setattr(nets.DenseNetwork, "backward", poisoned)
+    message = f"stage {stage} epoch 0: non-finite gradient for parameter '{name}'"
+    with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
+        if stage == 1:
+            train_stage1(small_dataset, SMALL_TRAIN)
+        else:
+            train_stage2(trained[0], small_dataset, SMALL_TRAIN)
 
 
 @pytest.mark.parametrize("stage", [1, 2])
@@ -473,8 +486,8 @@ def _fit_with_stub_metrics(stage: int, epochs: list):
         return EpochMetrics(stage=stage, epoch=epoch, lr=lr, loss_total=focal,
                             val_eye_mgd_deg=summed / 2, val_head_mgd_deg=summed / 2, **extra)
 
-    result = _fit(stage, flat, {"w": flat}, (np.zeros(4),), len(epochs), np.random.default_rng(0),
-                  TrainConfig(batch_size=2), step, end_epoch)
+    result = _fit(stage, flat, nets.Layout.of({"w": flat}), (np.zeros(4),), len(epochs),
+                  np.random.default_rng(0), TrainConfig(batch_size=2), step, end_epoch)
     return result, flat, after_epoch
 
 

@@ -568,17 +568,17 @@ def test_precomputed_true_rotations_give_the_same_bits():
     model = ConditionalVQVAE(VQVAEConfig(hidden_width=16), seed=3)
     rng = np.random.default_rng(41)
     Y, X = model_inputs(*fixture_batch(rng, n=40), model.config.target_scale)
-    R_split = target_rotations(Y, X).reshape(2, len(Y), 3, 3)
+    R_split = target_rotations(Y, X)
     for batch in (np.arange(40), rng.permutation(40)[:32], np.array([7])):
         terms, grad = model.loss_and_grads(Y[batch], X[batch])
         grad = grad.copy()
         given_terms, given_grad = model.loss_and_grads(
-            Y[batch], X[batch], R_true=R_split[:, batch].reshape(-1, 3, 3))
+            Y[batch], X[batch], R_true=R_split[batch])
         assert given_terms == terms
         np.testing.assert_array_equal(given_grad, grad)
         vals, g = reconstruction_terms(Y[batch] + 0.1, Y[batch], X[batch], 0.5)
         given_vals, given_g = reconstruction_terms(Y[batch] + 0.1, Y[batch], X[batch], 0.5,
-                                                   R_split[:, batch].reshape(-1, 3, 3))
+                                                   R_split[batch])
         np.testing.assert_array_equal(given_vals, vals)
         np.testing.assert_array_equal(given_g, g)
 
@@ -660,10 +660,10 @@ def test_params_are_views_of_one_flat_vector():
 def test_adam_names_the_non_finite_parameter_of_the_flat_vector():
     from gazeshift import nets
     model = small_model(6)
-    adam = nets.AdamState.for_params(model.params(), lr=1e-3)
+    adam = nets.AdamState(1e-3, model.layout)
     before = model.flat.copy()
     grad = np.zeros(model.flat.size)
-    grad[model.layout.offsets["decoder.2.b"] + 1] = np.inf
+    grad[model.layout.spans["decoder.2.b"][0].start + 1] = np.inf
     with pytest.raises(nets.NonFiniteGradient) as err:
         nets.adam_step(adam, model.flat, grad)
     assert err.value.name == "decoder.2.b"
@@ -674,7 +674,7 @@ def test_adam_names_the_non_finite_parameter_of_the_flat_vector():
 def test_checkpoint_round_trip_keeps_params_per_key(tmp_path):
     from gazeshift import nets
     model, Y, X = stable_fixture(110)
-    adam = nets.AdamState.for_params(model.params(), lr=1e-3, weight_decay=1e-4)
+    adam = nets.AdamState(1e-3, model.layout, 1e-4)
     for _ in range(3):
         _, grad = model.loss_and_grads(Y, X)
         nets.adam_step(adam, model.flat, grad)

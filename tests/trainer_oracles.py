@@ -45,11 +45,11 @@ def stage1_reference(dataset, config) -> list:
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
     Y, C = dataset_arrays(dataset, "train")
-    R_true = target_rotations(Y, C).reshape(2, len(Y), 3, 3)
+    R_true = target_rotations(Y, C)
 
     def step(batch):
         terms, grad = model.loss_and_grads(*model_inputs(Y[batch], C[batch], config.target_scale),
-                                           R_true=R_true[:, batch].reshape(-1, 3, 3))
+                                           R_true=R_true[batch])
         return np.array([terms.total, terms.rec, terms.embed, terms.commit]), grad
 
     return fit_reference(model.flat, len(Y), config.stage1_epochs,
