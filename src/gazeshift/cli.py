@@ -29,7 +29,7 @@ from pathlib import Path
 # numpy), `train`, `eval` and `sample` the model layers, and `replay` the
 # reasoner (`backends` only for the remote backend); `--help` and
 # `--version` run none of them.
-from . import __version__, datagen, prior as prior_mod, reasoner, trainer, vqvae
+from . import __version__, datagen, reasoner, trainer, vqvae
 from .atomic import open_atomic
 from .config import Schema, check_object, parse_json
 from .errors import BackendError, ConfigError, DataError, GazeshiftError, TrainingError
@@ -168,35 +168,20 @@ def cmd_train(args) -> dict:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     dataset = datagen.read_dataset(args.dataset)
-    summary = trainer.run_training(dataset, config, args.out, stage=args.stage)
-    for stage_key in ("stage1", "stage2"):
-        if stage_key in summary:
-            best = summary[stage_key]
-            print(f"{stage_key}: best epoch {best['best_epoch']}, "
-                  f"val eye MGD {best['val_eye_mgd_deg']:.3f} deg, "
-                  f"val head MGD {best['val_head_mgd_deg']:.3f} deg")
-    return {"config": {"training": config.to_dict(), "stage": args.stage},
-            "inputs": {args.dataset: dataset.sha256, **summary["inputs"]},
-            "outputs": summary["outputs"], "dataset_hash": summary["dataset_hash"],
-            "best": {k: summary[k] for k in ("stage1", "stage2") if k in summary}}
-
-
-def _load_models(run_dir):
-    """The run's two models, and the SHA-256 of each checkpoint's bytes by path."""
-    run = Path(run_dir)
-    stage1_path, prior_path = run / trainer.STAGE1_CHECKPOINT, run / trainer.PRIOR_CHECKPOINT
-    with trainer.checkpoint_errors(run):
-        model, stage1 = vqvae.ConditionalVQVAE.load(stage1_path)
-        prior, ck = prior_mod.ConditionalPrior.load(prior_path, stage1=stage1)
-        trainer.shared_target_scale(model, prior.config)
-    return model, prior, {stage1_path: stage1.sha256, prior_path: ck.sha256}
+    record = trainer.run_training(dataset, config, args.out, stage=args.stage)
+    for stage_key, best in record["best"].items():
+        print(f"{stage_key}: best epoch {best['best_epoch']}, "
+              f"val eye MGD {best['val_eye_mgd_deg']:.3f} deg, "
+              f"val head MGD {best['val_head_mgd_deg']:.3f} deg")
+    return {**record, "config": {"training": config.to_dict(), "stage": args.stage},
+            "inputs": {args.dataset: dataset.sha256, **record["inputs"]}}
 
 
 def cmd_eval(args) -> dict:
     import numpy as np
 
     dataset = datagen.read_dataset(args.dataset)
-    model, prior, checkpoints = _load_models(args.run)
+    model, prior, checkpoints = trainer.load_models(args.run)
     # The split's inputs, checked and normalised once, feed every pass below.
     Yv, Cv = trainer.dataset_arrays(dataset, "val")
     Yv, Xv = vqvae.model_inputs(Yv, Cv, model.config.target_scale)
@@ -237,7 +222,7 @@ def cmd_sample(args) -> dict:
 
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
-    model, prior, checkpoints = _load_models(args.run)
+    model, prior, checkpoints = trainer.load_models(args.run)
     eye = _flag_floats(args.eye, 2, "--eye")
     head = _flag_floats(args.head, 3, "--head")
     target = _flag_floats(args.target, 3, "--target")
@@ -289,7 +274,7 @@ def _backend_factory(args, doc: dict):
         yield lambda scenario: reasoner.replay.OracleBackend(scenario, delay=1)
     elif kind == "adversarial":
         yield lambda scenario: reasoner.replay.OracleBackend(scenario, delay=3)
-    elif kind == "remote":
+    else:  # remote: argparse admits no other choice
         if "backend" not in doc:
             raise ConfigError("remote backend requires a 'backend' config section")
         config = _read_section(doc, "backend", reasoner.backends.RemoteConfig, args.config)
@@ -299,8 +284,6 @@ def _backend_factory(args, doc: dict):
             # bad credential into a 0% run.
             backend.preflight()
             yield lambda scenario: backend
-    else:
-        raise ConfigError(f"unknown backend {kind!r}")
 
 
 def cmd_replay(args) -> dict:

@@ -2,9 +2,9 @@
 
 Deliberately minimal: affine layers with rectifier or identity
 activations, a hand-written backward pass, Adam with decoupled weight
-decay, a multi-step learning-rate schedule, and versioned JSON
-checkpoints. Everything is plain float64 numpy so that a fixed seed
-reproduces training bit for bit and checkpoints round-trip exactly.
+decay, and versioned JSON checkpoints. Everything is plain float64 numpy
+so that a fixed seed reproduces training bit for bit and checkpoints
+round-trip exactly.
 
 A model keeps all of its parameters back to back in one flat float64
 vector; a :class:`Layout` names the stretches of it (``"0.W"``, ``"0.b"``,
@@ -331,28 +331,6 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     np.divide(a, b, out=a)
     params -= a
     return params
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Multi-step decay: base * factor ** (number of milestones <= epoch)."""
-
-    base: float
-    milestones: tuple = ()
-    factor: float = 0.5
-
-    def __post_init__(self):
-        if self.base <= 0:
-            raise ValueError("base learning rate must be positive")
-        if not 0 < self.factor <= 1:
-            raise ValueError("decay factor must be in (0, 1]")
-        if list(self.milestones) != sorted(set(self.milestones)):
-            raise ValueError("milestones must be strictly increasing")
-
-    def lr_at(self, epoch: int) -> float:
-        if epoch < 0:
-            raise ValueError("epoch must be non-negative")
-        return self.base * self.factor ** bisect_right(list(self.milestones), epoch)
 
 
 def _encode_param(p) -> dict:

@@ -34,12 +34,12 @@ PERSON_CATEGORIES = frozenset({"person"})
 ROTATION_ATOL = 1e-6
 
 
-def check_rotation(R, atol: float = ROTATION_ATOL) -> tuple:
-    """R's rows as float tuples; raise ValueError unless R is a rotation to within ``atol``.
+def check_rotation(R) -> tuple:
+    """R's rows as float tuples; raise ValueError unless R is a rotation within ``ROTATION_ATOL``.
 
     ``R`` is 3 rows of 3 finite numbers: nested sequences, or a float array.
     Orthogonality uses ``np.allclose``'s rule entry by entry,
-    |(R R^T)_kl - I_kl| <= atol + 1e-5 * |I_kl|; the determinant is the
+    |(R R^T)_kl - I_kl| <= ROTATION_ATOL + 1e-5 * |I_kl|; the determinant is the
     cofactor expansion along the first row.
     """
     rows = finite_floats(R, (3, 3))
@@ -49,11 +49,11 @@ def check_rotation(R, atol: float = ROTATION_ATOL) -> tuple:
         for m, b in enumerate(rows):
             dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
             eye = 1.0 if k == m else 0.0
-            if not abs(dot - eye) <= atol + 1e-5 * eye:
+            if not abs(dot - eye) <= ROTATION_ATOL + 1e-5 * eye:
                 raise ValueError("rotation matrix is not orthogonal within tolerance")
     (a, b, c), (d, e, f), (g, h, i) = rows
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if abs(det - 1.0) > atol:
+    if abs(det - 1.0) > ROTATION_ATOL:
         raise ValueError("rotation matrix determinant differs from +1 beyond tolerance")
     return rows
 

@@ -5,11 +5,11 @@ terms). Stage 2 freezes it, records the code index the encoder assigns to
 every sample of each split (``record_codes``), and fits the conditional
 prior to the training labels with the focal + motion-consistency objective.
 
-Both stages run through one epoch loop (``_fit``: Adam, LR schedule,
-shuffle, batches, best-epoch copy of the weights and restore); a stage
-supplies only its batch step and its epoch metrics. A ValueError in a
-step, such as a non-finite loss or gradient, aborts the run as a
-TrainingError.
+Both stages run through one epoch loop (``_fit``: Adam at the rate of
+``TrainConfig.lr_at``, shuffle, batches, best-epoch copy of the weights
+and restore); a stage supplies only its batch step and its epoch metrics.
+A ValueError in a step, such as a non-finite loss or gradient, aborts the
+run as a TrainingError.
 
 Every epoch is validated: stage 1 teacher-forced (encode the ground-truth
 allocation, quantise, decode), stage 2 with the prior's argmax code. With
@@ -46,6 +46,7 @@ import csv
 import json
 import math
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -92,10 +93,20 @@ class TrainConfig(PriorConfig, VQVAEConfig):
             raise ValueError("weight_decay must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        self.lr_schedule()  # checks lr, milestones and lr_decay
+        if self.lr <= 0:
+            raise ValueError("base learning rate must be positive")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError("decay factor must be in (0, 1]")
+        if list(self.milestones) != sorted(set(self.milestones)):
+            raise ValueError("milestones must be strictly increasing")
+        if self.milestones and self.milestones[0] < 0:
+            raise ValueError("milestones must be non-negative")
 
-    def lr_schedule(self) -> nets.LrSchedule:
-        return nets.LrSchedule(self.lr, tuple(self.milestones), self.lr_decay)
+    def lr_at(self, epoch: int) -> float:
+        """The epoch's learning rate: ``lr`` times ``lr_decay`` per milestone at or below it."""
+        if epoch < 0:
+            raise ValueError("epoch must be non-negative")
+        return self.lr * self.lr_decay ** bisect_right(self.milestones, epoch)
 
     def vqvae_config(self) -> VQVAEConfig:
         return VQVAEConfig(**{f.name: getattr(self, f.name) for f in fields(VQVAEConfig)})
@@ -203,12 +214,11 @@ def _fit(stage: int, flat: np.ndarray, layout: nets.Layout, rows: tuple, epochs:
     the result's ``timings``.
     """
     adam = nets.AdamState(config.lr, layout, config.weight_decay)
-    schedule = config.lr_schedule()
     metrics, timings = [], []
-    best = None
+    best_epoch, best_params = None, np.empty_like(flat)
     n = len(rows[0])
     for epoch in range(epochs):
-        adam.lr = schedule.lr_at(epoch)
+        adam.lr = config.lr_at(epoch)
         perm = rng.permutation(n)
         shuffled = [a[perm] for a in rows]
         sums = 0.0
@@ -231,10 +241,11 @@ def _fit(stage: int, flat: np.ndarray, layout: nets.Layout, rows: tuple, epochs:
         metrics.append(end_epoch(epoch, adam.lr, sums / n))
         timings.append({"stage": stage, "epoch": epoch, "step_s": step_s,
                         "optimizer_s": optimizer_s, "validation_s": time.perf_counter() - t0})
-        if best is None or metrics[-1].rank() < best.metrics[best.best_epoch].rank():
-            best = StageResult(stage, metrics, epoch, flat.copy(), timings)
-    flat[...] = best.best_params
-    return best
+        if best_epoch is None or metrics[-1].rank() < metrics[best_epoch].rank():
+            best_epoch = epoch
+            best_params[...] = flat
+    flat[...] = best_params
+    return StageResult(stage, metrics, best_epoch, best_params, timings)
 
 
 def validate_stage1(model: ConditionalVQVAE, Yv, Xv, Rv):
@@ -489,8 +500,10 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     ``stage`` is "1", "2", or "both"; stage "2" alone expects stage1.json in
     out_dir from an earlier run on the same dataset file. Both checkpoints
     record ``dataset.sha256`` as ``dataset_hash``, and prior.json records the
-    SHA-256 of stage1.json's bytes as ``stage1_sha256``. Returns a summary
-    dict for the manifest, whose ``inputs`` holds the digest of a loaded stage1.json.
+    SHA-256 of stage1.json's bytes as ``stage1_sha256``. Returns ``train``'s
+    manifest record: ``inputs`` (the digest of a loaded stage1.json),
+    ``outputs``, ``dataset_hash`` and ``best`` (each trained stage's best
+    epoch and MGDs, keyed ``stage1``/``stage2``).
     """
     if stage not in ("1", "2", "both"):
         raise ConfigError(f"unknown stage selector {stage!r}")
@@ -499,24 +512,24 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
     # A stage-2-only run keeps the stage-1 rows, so the files match "both".
     rows = _stage1_rows(out / METRICS_FILE) if stage == "2" else []
     timings = _stage1_timings(out / TIMINGS_FILE) if stage == "2" else []
-    outputs = [out / METRICS_FILE, out / TIMINGS_FILE]
-    summary = {"dataset_hash": dataset_hash, "inputs": {}}
+    record = {"inputs": {}, "outputs": [str(out / METRICS_FILE), str(out / TIMINGS_FILE)],
+              "dataset_hash": dataset_hash, "best": {}}
 
-    def record(result: StageResult, path: Path) -> dict:
+    def log(result: StageResult, path: Path) -> dict:
         """Log a trained stage; returns the metadata for its checkpoint at ``path``."""
         best = result.metrics[result.best_epoch]
         mgd = {"val_eye_mgd_deg": best.val_eye_mgd_deg, "val_head_mgd_deg": best.val_head_mgd_deg}
         rows.extend(m.row() for m in result.metrics)
         timings.extend(result.timings)
-        outputs.append(path)
-        summary[f"stage{result.stage}"] = {"best_epoch": result.best_epoch, **mgd}
+        record["outputs"].append(str(path))
+        record["best"][f"stage{result.stage}"] = {"best_epoch": result.best_epoch, **mgd}
         return {"stage": result.stage, "dataset_hash": dataset_hash,
                 "train_config": config.to_dict(), "best": {"epoch": result.best_epoch, **mgd}}
 
     model = None
     if stage in ("1", "both"):
         model, s1 = train_stage1(dataset, config)
-        stage1_sha256 = model.save(out / STAGE1_CHECKPOINT, record(s1, out / STAGE1_CHECKPOINT))
+        stage1_sha256 = model.save(out / STAGE1_CHECKPOINT, log(s1, out / STAGE1_CHECKPOINT))
     if stage in ("2", "both"):
         if model is None:
             ckpt_path = out / STAGE1_CHECKPOINT
@@ -527,11 +540,21 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir, stage: str = "b
             if dataset_hash is None or ck.metadata.get("dataset_hash") != dataset_hash:
                 raise TrainingError("stage-1 checkpoint was trained on a different dataset "
                                     "or records no dataset hash")
-            stage1_sha256 = summary["inputs"][str(ckpt_path)] = ck.sha256
+            stage1_sha256 = record["inputs"][str(ckpt_path)] = ck.sha256
         prior, s2 = train_stage2(model, dataset, config)
         prior.save(out / PRIOR_CHECKPOINT, stage1_sha256=stage1_sha256,
-                   metadata=record(s2, out / PRIOR_CHECKPOINT))
+                   metadata=log(s2, out / PRIOR_CHECKPOINT))
     write_metrics_csv(out / METRICS_FILE, rows)
     write_timings_jsonl(out / TIMINGS_FILE, timings)
-    summary["outputs"] = [str(p) for p in outputs]
-    return summary
+    return record
+
+
+def load_models(run_dir):
+    """The run's two models, and the SHA-256 of each checkpoint's bytes by path."""
+    run = Path(run_dir)
+    stage1_path, prior_path = run / STAGE1_CHECKPOINT, run / PRIOR_CHECKPOINT
+    with checkpoint_errors(run):
+        model, stage1 = ConditionalVQVAE.load(stage1_path)
+        prior, ck = ConditionalPrior.load(prior_path, stage1=stage1)
+        shared_target_scale(model, prior.config)
+    return model, prior, {stage1_path: stage1.sha256, prior_path: ck.sha256}

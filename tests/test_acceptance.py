@@ -314,14 +314,13 @@ def test_criterion_3_memorization_capacity():
                          milestones=(1200, 1600), codebook_init_scale=0.5, seed=0)
     model = ConditionalVQVAE(config.vqvae_config(), seed=config.seed)
     adam = nets.AdamState(config.lr, model.layout, config.weight_decay)
-    schedule = nets.LrSchedule(config.lr, tuple(config.milestones), config.lr_decay)
     shuffle = np.random.default_rng(1)
     R_true = target_rotations(Y, C)
     X = condition_inputs(C, model.config.target_scale)
     best = math.inf
     first_below = None
     for epoch in range(config.stage1_epochs):
-        adam.lr = schedule.lr_at(epoch)
+        adam.lr = config.lr_at(epoch)
         perm = shuffle.permutation(len(Y))
         _, grad = model.loss_and_grads(Y[perm], X[perm])
         nets.adam_step(adam, model.flat, grad)
@@ -357,10 +356,10 @@ def _stage_rows(out: Path, stage: str) -> list[dict]:
 
 def test_criterion_4_default_training_quality(default_run):
     dataset, summary, out, elapsed = default_run
-    s1_eye = summary["stage1"]["val_eye_mgd_deg"]
-    s1_head = summary["stage1"]["val_head_mgd_deg"]
-    s2_eye = summary["stage2"]["val_eye_mgd_deg"]
-    s2_head = summary["stage2"]["val_head_mgd_deg"]
+    s1_eye = summary["best"]["stage1"]["val_eye_mgd_deg"]
+    s1_head = summary["best"]["stage1"]["val_head_mgd_deg"]
+    s2_eye = summary["best"]["stage2"]["val_eye_mgd_deg"]
+    s2_head = summary["best"]["stage2"]["val_head_mgd_deg"]
     first = _stage_rows(out, "1")[0]
     first_eye = float(first["val_eye_mgd_deg"])
     first_head = float(first["val_head_mgd_deg"])
@@ -387,7 +386,7 @@ def test_default_run_keeps_the_unique_best_stage2_epoch(default_run):
     _, summary, out, _ = default_run
     summed = sorted(float(row["val_eye_mgd_deg"]) + float(row["val_head_mgd_deg"])
                     for row in _stage_rows(out, "2"))
-    assert summary["stage2"]["best_epoch"] == 20
+    assert summary["best"]["stage2"]["best_epoch"] == 20
     assert summed[0] < summed[1]
 
 
@@ -525,7 +524,7 @@ def test_criterion_8_training_determinism(default_run, tmp_path):
     elapsed = time.perf_counter() - t0
     problems = []
     for stage in ("stage1", "stage2"):
-        if repeat_summary[stage] != summary[stage]:
+        if repeat_summary["best"][stage] != summary["best"][stage]:
             problems.append(f"{stage} best metrics differ")
     identical = []
     for name in (trainer.METRICS_FILE, trainer.STAGE1_CHECKPOINT,

@@ -268,6 +268,17 @@ def test_training_section_fault_names_the_config_file(pipeline, tmp_path, capsys
     assert capsys.readouterr().err == f"error: {config}: base learning rate must be positive\n"
 
 
+def test_negative_milestone_is_refused_before_training(pipeline, tmp_path, capsys):
+    # a milestone below 0 would count as passed at epoch 0: training would start
+    # at lr * lr_decay while the checkpoint records lr
+    _, _, data_dir, _ = pipeline
+    config = write_config(tmp_path, {"training": {"milestones": [-3, 50]}})
+    assert main(["train", "--config", config, "--dataset", str(data_dir / "dataset.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {config}: milestones must be non-negative\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("section, fault", [
     ({"endpoint": "https://example.test/v1/chat/completions"}, "requires 'model'"),
     ({}, "requires 'endpoint' and 'model'")])  # an empty section used to name no file

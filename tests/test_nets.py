@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazeshift import nets
-from gazeshift.nets import AdamState, DenseNetwork, LrSchedule, NonFiniteGradient
+from gazeshift.nets import AdamState, DenseNetwork, NonFiniteGradient
 from gazeshift.prior import ConditionalPrior
 from gazeshift.vqvae import ConditionalVQVAE
 from json_numbers import bad_json_numbers
@@ -472,31 +472,6 @@ def test_adam_non_finite_gradient_leaves_everything_untouched(bad):
     for now, then in zip((flat, state.m, state.v), before):
         np.testing.assert_array_equal(now, then)
     assert state.step_count == 1
-
-
-# -- lr schedule ---------------------------------------------------------------
-
-def test_lr_schedule_reference_points():
-    sched = LrSchedule(1e-3, (100, 150), 0.5)
-    assert sched.lr_at(0) == 1e-3
-    assert sched.lr_at(99) == 1e-3
-    assert sched.lr_at(100) == 5e-4
-    assert sched.lr_at(149) == 5e-4
-    assert sched.lr_at(150) == 2.5e-4
-    assert sched.lr_at(199) == 2.5e-4
-
-
-def test_lr_schedule_validation():
-    with pytest.raises(ValueError):
-        LrSchedule(0.0)
-    with pytest.raises(ValueError):
-        LrSchedule(1e-3, (100, 100), 0.5)
-    with pytest.raises(ValueError):
-        LrSchedule(1e-3, (150, 100), 0.5)
-    with pytest.raises(ValueError):
-        LrSchedule(1e-3, (), 0.0)
-    with pytest.raises(ValueError):
-        LrSchedule(1e-3).lr_at(-1)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -133,6 +133,29 @@ def test_train_config_rejects_unknown_and_bad_fields():
         TrainConfig(batch_size=0)
 
 
+def test_lr_at_reference_points():
+    config = TrainConfig(lr=1e-3, milestones=(100, 150), lr_decay=0.5)
+    assert config.lr_at(0) == 1e-3
+    assert config.lr_at(99) == 1e-3
+    assert config.lr_at(100) == 5e-4
+    assert config.lr_at(149) == 5e-4
+    assert config.lr_at(150) == 2.5e-4
+    assert config.lr_at(199) == 2.5e-4
+
+
+def test_lr_fields_validation():
+    with pytest.raises(ValueError, match="base learning rate must be positive"):
+        TrainConfig(lr=0.0)
+    with pytest.raises(ValueError, match="milestones must be strictly increasing"):
+        TrainConfig(milestones=(100, 100))
+    with pytest.raises(ValueError, match="milestones must be strictly increasing"):
+        TrainConfig(milestones=(150, 100))
+    with pytest.raises(ValueError, match=re.escape("decay factor must be in (0, 1]")):
+        TrainConfig(milestones=(), lr_decay=0.0)
+    with pytest.raises(ValueError, match="epoch must be non-negative"):
+        TrainConfig().lr_at(-1)
+
+
 def test_train_config_fields_keep_their_order_and_defaults():
     # checkpoints record train_config in this order: the fields both models
     # share, the VQ-VAE's own, the prior's own, then the training loop's
@@ -706,8 +729,10 @@ def test_run_training_writes_everything(tmp_path, small_dataset):
     prior = nets.load_checkpoint(out / PRIOR_CHECKPOINT)
     assert stage1.metadata["dataset_hash"] == prior.metadata["dataset_hash"] == small_dataset.sha256
     assert prior.metadata["model"]["stage1_sha256"] == stage1.sha256
-    assert set(summary["stage1"]) == {"best_epoch", "val_eye_mgd_deg", "val_head_mgd_deg"}
-    assert set(summary["stage2"]) == {"best_epoch", "val_eye_mgd_deg", "val_head_mgd_deg"}
+    assert list(summary["best"]) == ["stage1", "stage2"]
+    for stage in ("stage1", "stage2"):
+        assert set(summary["best"][stage]) == {"best_epoch", "val_eye_mgd_deg",
+                                               "val_head_mgd_deg"}
     assert all(str(out) in p for p in summary["outputs"])
     # the prior checkpoint refuses to load against a different first stage
     other = ConditionalVQVAE(SMALL_TRAIN.vqvae_config(), seed=99)
@@ -749,8 +774,8 @@ def test_write_metrics_csv_failing_midway_keeps_previous_file(tmp_path, trained)
 def test_run_training_is_reproducible(tmp_path, small_dataset):
     a = run_training(small_dataset, SMALL_TRAIN, tmp_path / "a")
     b = run_training(small_dataset, SMALL_TRAIN, tmp_path / "b")
-    assert a["stage1"] == b["stage1"]
-    assert a["stage2"] == b["stage2"]
+    assert a["best"]["stage1"] == b["best"]["stage1"]
+    assert a["best"]["stage2"] == b["best"]["stage2"]
     assert ((tmp_path / "a" / METRICS_FILE).read_bytes()
             == (tmp_path / "b" / METRICS_FILE).read_bytes())
 

@@ -21,14 +21,16 @@ def fit_reference(flat, n: int, epochs: int, rng, config, step) -> list:
     """Per epoch, (a copy of ``flat`` after it, the row-weighted mean loss terms).
 
     The shuffle, batch order and short last batch are those of ``_fit``;
-    ``step(batch)`` returns (loss-term array, flat gradient).
+    ``step(batch)`` returns (loss-term array, flat gradient). Each epoch's
+    rate is counted here, ``lr * lr_decay ** (milestones <= epoch)``, not
+    read from ``TrainConfig.lr_at``.
     """
     state = {"lr": config.lr, "weight_decay": config.weight_decay,
              "m": np.zeros(len(flat)), "v": np.zeros(len(flat)), "t": 0}
-    schedule = config.lr_schedule()
     epochs_done = []
     for epoch in range(epochs):
-        state["lr"] = schedule.lr_at(epoch)
+        passed = sum(1 for milestone in config.milestones if milestone <= epoch)
+        state["lr"] = config.lr * config.lr_decay ** passed
         perm = rng.permutation(n)
         sums = 0.0
         for start in range(0, n, config.batch_size):
