@@ -2,7 +2,8 @@
 
 A cycle's marks are the positions of its instances: mark m, counted from
 1, is ``cycle.instances[m - 1]``, which ``ScenarioCycle`` keeps in mark
-order.
+order. One pass over them writes both the prompt's candidate block and
+the marked semantics that the prompt and the memory buffer share.
 
 The pipeline is total: whatever the backend does (valid answer, garbage,
 timeout), step_cycle emits a gaze record. Failures degrade to holding the
@@ -29,26 +30,14 @@ PROMPT_INSTRUCTIONS = (
     "of the form TARGET: <mark>, using one of the listed marks."
 )
 
+# The prompt up to its first candidate line.
+_PROMPT_HEAD = PROMPT_INSTRUCTIONS + "\n\nCandidates:"
+
 _TARGET_RE = re.compile(r"TARGET:\s*(\d+)")
 
 
 class ResponseParseError(Exception):
     """The backend response contained no usable mark."""
-
-
-def marked_semantics(cycle: ScenarioCycle) -> str:
-    """The cycle's semantics with each placeholder "{instance_id}" written "category [mark]".
-
-    The instances are taken in mark order, each rewriting the text as the
-    ones before it left it. An instance whose ``placeholder`` that text does
-    not hold is skipped, which changes nothing: replacing an absent
-    substring returns the text as it is.
-    """
-    text = cycle.semantics
-    for mark, inst in enumerate(cycle.instances, start=1):
-        if inst.placeholder in text:
-            text = text.replace(inst.placeholder, f"{inst.category} [{mark}]")
-    return text
 
 
 class GazeTargetRecord(NamedTuple):
@@ -99,8 +88,8 @@ class MemoryBuffer:
     def advance(self, cycle_index: int, semantics: str | None, record: GazeTargetRecord) -> None:
         """Record this cycle's outcome; the oldest history entry falls off at HISTORY_LENGTH.
 
-        ``semantics`` is the cycle's ``marked_semantics``, or None for a cycle
-        with no candidates.
+        ``semantics`` is the cycle's marked semantics, as ``synthesize_prompt``
+        returns it, or None for a cycle with no candidates.
         """
         scene = "cycle: (empty scene)" if semantics is None else f"cycle {cycle_index}: {semantics}"
         self.prev_record = record
@@ -108,30 +97,38 @@ class MemoryBuffer:
         self.history.append(f"{scene} -> {summary}")
 
 
-def synthesize_prompt(cycle: ScenarioCycle, semantics: str, buffer: MemoryBuffer) -> tuple:
-    """Build (text prompt, visual prompt reference) for one cycle.
+def synthesize_prompt(cycle: ScenarioCycle, buffer: MemoryBuffer) -> tuple:
+    """Build (text prompt, marked semantics) for one cycle in one pass over its instances.
 
-    ``semantics`` is the cycle's ``marked_semantics``. Section order is
-    fixed: instructions, candidates, current scene, previous gaze,
-    history. Empty sections are omitted, so the first cycle's prompt has
-    no history block. Identical inputs give
-    byte-identical prompts. Each candidate line is "  [mark] " and the
-    instance's ``prompt_entry``, which each instance formats once, when it
-    is built. The previous gaze is the summary text ``MemoryBuffer.advance`` kept.
-    The history block is its entries indented by two spaces and joined
-    with newlines in one step: an entry that holds a newline itself is
-    indented only on its first line, as a line per entry would be.
+    The marked semantics is the cycle's semantics with each placeholder
+    "{instance_id}" written "category [mark]". Each instance, in mark order,
+    adds its candidate line, "  [mark] " and the ``prompt_entry`` it
+    formatted once when it was built, and rewrites the semantics as the
+    instances before it left them; an instance whose ``placeholder`` that
+    text does not hold leaves it as it is.
+
+    Section order is fixed: instructions, candidates, current scene,
+    previous gaze, history. Empty sections are omitted, so the first
+    cycle's prompt has no history block. Identical inputs give
+    byte-identical prompts. The previous gaze is the summary text
+    ``MemoryBuffer.advance`` kept. The history block is its entries
+    indented by two spaces and joined with newlines in one step: an entry
+    that holds a newline itself is indented only on its first line, as a
+    line per entry would be.
     """
-    lines = [PROMPT_INSTRUCTIONS, "", "Candidates:"]
-    lines += [f"  [{mark}] {inst.prompt_entry}"
-              for mark, inst in enumerate(cycle.instances, start=1)]
-    lines += ["", "Current scene:", f"  {semantics}"]
+    semantics = cycle.semantics
+    candidates = []
+    for mark, inst in enumerate(cycle.instances, start=1):
+        candidates.append(f"\n  [{mark}] {inst.prompt_entry}")
+        if inst.placeholder in semantics:
+            semantics = semantics.replace(inst.placeholder, f"{inst.category} [{mark}]")
+    prompt = f"{_PROMPT_HEAD}{''.join(candidates)}\n\nCurrent scene:\n  {semantics}"
     if buffer.prev_summary is not None:
-        lines += ["", "Previous gaze:", "  " + buffer.prev_summary]
+        prompt += "\n\nPrevious gaze:\n  " + buffer.prev_summary
     if buffer.history:
-        lines += ["", f"History (last {len(buffer.history)} cycles):",
-                  "  " + "\n  ".join(buffer.history)]
-    return "\n".join(lines), cycle.image_ref
+        prompt += (f"\n\nHistory (last {len(buffer.history)} cycles):\n  "
+                   + "\n  ".join(buffer.history))
+    return prompt, semantics
 
 
 def query_backend(prompt: str, image_ref: str | None, cycle_index: int, backend) -> str:
@@ -171,11 +168,8 @@ def localize(mark: int, cycle: ScenarioCycle) -> GazeTargetRecord:
     and transform.
     """
     inst = cycle.instances[mark - 1]
-    return GazeTargetRecord(
-        mark=mark, instance_id=inst.instance_id, category=inst.category,
-        box=inst.box, face_box=inst.face_box, point_2d=inst.point_2d,
-        point_3d=inst.point_3d, face_fallback=inst.face_fallback,
-    )
+    return GazeTargetRecord(mark, inst.instance_id, inst.category, inst.box, inst.face_box,
+                            inst.point_2d, inst.point_3d, inst.face_fallback)
 
 
 def _fallback_record(buffer: MemoryBuffer) -> GazeTargetRecord:
@@ -188,15 +182,16 @@ def step_cycle(cycle: ScenarioCycle, buffer: MemoryBuffer, backend) -> GazeTarge
     """Run one full cycle and advance the buffer; never raises on backend
     or parse trouble — those degrade to re-emitting the previous target
     (or the rest record on a failed first cycle). A cycle with no
-    candidates is not queried: it degrades the same way."""
+    candidates is not queried: it degrades the same way. The query sends
+    the prompt with the cycle's own ``image_ref``, and the buffer keeps the
+    marked semantics that ``synthesize_prompt`` wrote beside the prompt."""
     if not cycle.instances:
         record = _fallback_record(buffer)
         buffer.advance(cycle.index, None, record)
         return record
-    semantics = marked_semantics(cycle)
-    prompt, image_ref = synthesize_prompt(cycle, semantics, buffer)
+    prompt, semantics = synthesize_prompt(cycle, buffer)
     try:
-        raw = query_backend(prompt, image_ref, cycle.index, backend)
+        raw = query_backend(prompt, cycle.image_ref, cycle.index, backend)
         record = localize(parse_response(raw, cycle), cycle)
     except (BackendError, ResponseParseError):
         record = _fallback_record(buffer)

@@ -100,7 +100,8 @@ def replay_scenario(scenario: Scenario, backend, log_fh=None) -> ReplayResult:
 
     Each ``log_fh`` line is the text ``json.dumps`` gives the cycle's record
     (scenario, cycle, mark, instance, category, point_2d, point_3d, held,
-    face_fallback, elapsed_s). The scenario id is encoded once, and the
+    face_fallback, elapsed_s); ``elapsed_s`` is the wall time of the cycle's
+    ``step_cycle`` call alone. The scenario id is encoded once, and the
     instance-to-point_3d stretch once per distinct localized target: its
     key is the marshalled values, so ``0.0`` and ``-0.0``, or ``1`` and
     ``1.0``, are distinct targets, as they are distinct JSON texts.
@@ -113,6 +114,7 @@ def replay_scenario(scenario: Scenario, backend, log_fh=None) -> ReplayResult:
     for cycle in scenario.cycles:
         t0 = time.monotonic()
         record = step_cycle(cycle, buffer, backend)
+        elapsed = time.monotonic() - t0
         records.append(record)
         if log_fh is not None:
             target = (record.instance_id, record.category, record.point_2d, record.point_3d)
@@ -124,7 +126,7 @@ def replay_scenario(scenario: Scenario, backend, log_fh=None) -> ReplayResult:
             log_fh.write(f'{{"scenario": {scenario_text}, "cycle": {cycle.index}, '
                          f'"mark": {mark}, {target_text}, "held": {_JSON_BOOL[record.held]}, '
                          f'"face_fallback": {_JSON_BOOL[record.face_fallback]}, '
-                         f'"elapsed_s": {time.monotonic() - t0!r}}}\n')
+                         f'"elapsed_s": {elapsed!r}}}\n')
     cue = scenario.cue_cycle()
     correct = False
     if cue is not None and cue.expected_instance is not None:

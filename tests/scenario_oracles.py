@@ -13,17 +13,19 @@ same message.
 box edge, then id. The package sorts each cycle's instances into it once,
 when the ``ScenarioCycle`` is built, and mark m is ``cycle.instances[m - 1]``.
 
-``marked_semantics_sequential`` is the placeholder rewrite
-``marked_semantics`` replaced: it formats each instance's "{id}" and replaces
-it, present or not, in mark order, where the package formats each
-placeholder once per instance and replaces only those the text holds.
+``marked_semantics_sequential`` is the placeholder rewrite on its own: it
+formats each instance's "{id}" and replaces it, present or not, in mark
+order, where the package's ``synthesize_prompt`` formats each placeholder
+once per instance and replaces only those the text holds, in the same pass
+that writes the candidate lines.
 
 ``synthesize_prompt_per_cycle`` is the prompt builder ``synthesize_prompt``
 replaced: it marks the instances it is given with ``mark_order``, writes the
 placeholders of the semantics as marked references, and formats every
-candidate line, the previous gaze and each history line on every call,
-where the package formats each instance's entry once and reuses it, and
-joins the history in one step. Both must give the same text for every cycle.
+candidate line, the previous gaze and each history line on every call, as
+lines joined at the end, where the package formats each instance's entry
+once and reuses it, and builds the prompt as one text. Both must give the
+same prompt and marked semantics for every cycle.
 
 ``localize_per_call`` is the ``localize`` replaced: it works out the selected
 instance's pixel and base-frame point from the camera and transform it is
@@ -117,8 +119,8 @@ def marked_semantics_sequential(semantics: str, marked) -> str:
     return semantics
 
 
-def synthesize_prompt_per_cycle(semantics: str, instances, image_ref: str | None,
-                                buffer: MemoryBuffer) -> tuple:
+def synthesize_prompt_per_cycle(semantics: str, instances, buffer: MemoryBuffer) -> tuple:
+    """(prompt, marked semantics) of a cycle that shows ``instances``."""
     marks = dict(enumerate(mark_order(instances), start=1))
     semantics = marked_semantics_sequential(semantics, marks.values())
     lines = [PROMPT_INSTRUCTIONS, "", "Candidates:"]
@@ -133,7 +135,7 @@ def synthesize_prompt_per_cycle(semantics: str, instances, image_ref: str | None
     if buffer.history:
         lines += ["", f"History (last {len(buffer.history)} cycles):"]
         lines += [f"  {entry}" for entry in buffer.history]
-    return "\n".join(lines), image_ref
+    return "\n".join(lines), semantics
 
 
 def localize_per_call(mark: int, cycle: ScenarioCycle, camera: CameraIntrinsics,

@@ -185,7 +185,7 @@ def test_backward_sums_over_batch_rows():
 # -- passes against the allocating oracle ------------------------------------------
 
 # The stage-1 networks at their shipped widths, and the prior's.
-WORKSPACE_NETS = [
+SHIPPED_NETS = [
     ([5, 64, 64], ["relu", "relu"]),
     ([8, 64, 64], ["relu", "relu"]),
     ([128, 8], ["identity"]),
@@ -195,7 +195,7 @@ WORKSPACE_NETS = [
 ]
 
 
-def workspace_net(sizes, acts, seed):
+def random_bias_net(sizes, acts, seed):
     """A network whose biases are random, so that zero input rows give both signs."""
     rng = np.random.default_rng(seed)
     net = DenseNetwork.create(sizes, rng, acts)
@@ -225,10 +225,10 @@ def check_pass(net, x, g, input_grad=True):
     return out
 
 
-@pytest.mark.parametrize("sizes,acts", WORKSPACE_NETS)
+@pytest.mark.parametrize("sizes,acts", SHIPPED_NETS)
 @pytest.mark.parametrize("n", [1, 2, 4, 32, 161, 644])  # 644: record_codes' pass
 def test_workspace_passes_match_allocating_oracle_bit_for_bit(sizes, acts, n):
-    net = workspace_net(sizes, acts, seed=n + sum(sizes))
+    net = random_bias_net(sizes, acts, seed=n + sum(sizes))
     rng = np.random.default_rng(n)
     for _ in range(2):  # the second pass overwrites the first one's gradient
         check_pass(net, rows_for(net, n, rng), rng.normal(size=(n, sizes[-1])))
@@ -238,7 +238,7 @@ def test_workspace_passes_match_allocating_oracle_bit_for_bit(sizes, acts, n):
 
 
 def test_workspace_interleaved_row_counts_match_oracle():
-    net = workspace_net([64, 64, 64, 5], ["relu", "relu", "identity"], seed=3)
+    net = random_bias_net([64, 64, 64, 5], ["relu", "relu", "identity"], seed=3)
     rng = np.random.default_rng(4)
     kept = []
     for n in (32, 161, 32, 4, 161, 1, 32):
@@ -253,7 +253,7 @@ def test_workspace_interleaved_row_counts_match_oracle():
 
 
 def test_backward_twice_on_one_cache_gives_the_same_bits():
-    net = workspace_net([5, 64, 64], ["relu", "relu"], seed=5)
+    net = random_bias_net([5, 64, 64], ["relu", "relu"], seed=5)
     rng = np.random.default_rng(6)
     x, g = rows_for(net, 32, rng), rng.normal(size=(32, 64))
     net.forward(x)
@@ -269,7 +269,7 @@ def test_backward_twice_on_one_cache_gives_the_same_bits():
 def test_backward_overwrites_and_returns_the_networks_own_gradient(n):
     # stale contents of ``grad`` must not leak into a pass: every element is
     # written, whatever the last pass left there
-    net = workspace_net([64, 64, 64, 5], ["relu", "relu", "identity"], seed=13)
+    net = random_bias_net([64, 64, 64, 5], ["relu", "relu", "identity"], seed=13)
     rng = np.random.default_rng(14)
     for input_grad in (True, False):
         net.grad[...] = np.nan
@@ -282,16 +282,16 @@ def test_backward_overwrites_and_returns_the_networks_own_gradient(n):
         assert again is grad and same_bits(again, ref_grad)
 
 
-@pytest.mark.parametrize("sizes,acts", WORKSPACE_NETS)
+@pytest.mark.parametrize("sizes,acts", SHIPPED_NETS)
 def test_backward_without_input_gradient_keeps_the_parameter_gradient(sizes, acts):
-    net = workspace_net(sizes, acts, seed=7)
+    net = random_bias_net(sizes, acts, seed=7)
     rng = np.random.default_rng(8)
     for n in (1, 32):
         check_pass(net, rows_for(net, n, rng), rng.normal(size=(n, sizes[-1])), input_grad=False)
 
 
 def test_forward_output_survives_a_later_forward_of_the_same_rows():
-    net = workspace_net([8, 64, 64, 10], ["relu", "relu", "identity"], seed=9)
+    net = random_bias_net([8, 64, 64, 10], ["relu", "relu", "identity"], seed=9)
     rng = np.random.default_rng(10)
     for n in (1, 32):
         first = net.forward(rng.normal(size=(n, 8)))
@@ -304,7 +304,7 @@ def test_forward_output_survives_a_later_forward_of_the_same_rows():
 def test_rectifier_masks_match_oracle_on_non_finite_values():
     # a NaN pre-activation is not > 0, in the cached output as in z; an
     # infinite upstream gradient times a closed mask is NaN, not 0
-    net = workspace_net([5, 64, 64], ["relu", "relu"], seed=11)
+    net = random_bias_net([5, 64, 64], ["relu", "relu"], seed=11)
     rng = np.random.default_rng(12)
     x = rows_for(net, 32, rng)
     x[5, 2] = np.nan

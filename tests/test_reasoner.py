@@ -29,9 +29,9 @@ from gazeshift.reasoner.backends import (API_KEY_ENV, OracleBackend,
 from gazeshift.reasoner.pipeline import (HISTORY_LENGTH, REST_RECORD,
                                          GazeTargetRecord, MemoryBuffer,
                                          ResponseParseError, localize,
-                                         marked_semantics, parse_response,
-                                         query_backend, step_cycle,
-                                         synthesize_prompt)
+                                         parse_response, query_backend,
+                                         step_cycle, synthesize_prompt)
+from gazeshift.reasoner import pipeline as pipeline_mod
 from gazeshift.reasoner import replay as replay_mod
 from gazeshift.reasoner.replay import (GroupRow, replay_evaluate,
                                        replay_scenario, write_success_table)
@@ -145,8 +145,8 @@ def test_cycle_keeps_its_instances_in_mark_order(data):
 
 
 def test_semantics_placeholders_become_marked_references():
-    assert marked_semantics(make_cycle(0, "{p_anna} waves at {c_mug}")) == \
-        "person [2] waves at cup [1]"
+    _, semantics = synthesize_prompt(make_cycle(0, "{p_anna} waves at {c_mug}"), MemoryBuffer())
+    assert semantics == "person [2] waves at cup [1]"
 
 
 # Ids and categories from a small alphabet with braces, so that placeholders sit side by
@@ -182,7 +182,8 @@ def test_marked_semantics_equals_sequential_replace(case):
     instances = tuple(instance(iid, category, (0, 0, 10, 10), 1.0)
                       for iid, category in zip(ids, categories))
     cycle = make_cycle(0, semantics, instances)
-    assert marked_semantics(cycle) == marked_semantics_sequential(semantics, cycle.instances)
+    _, marked = synthesize_prompt(cycle, MemoryBuffer())
+    assert marked == marked_semantics_sequential(semantics, cycle.instances)
 
 
 def test_empty_scene_raises():
@@ -193,28 +194,24 @@ def test_empty_scene_raises():
 
 # -- prompt synthesis -----------------------------------------------------------------
 
-def _prompt(cycle: ScenarioCycle, buffer: MemoryBuffer) -> tuple:
-    return synthesize_prompt(cycle, marked_semantics(cycle), buffer)
-
-
 def test_first_cycle_prompt_matches_golden():
     cycle = make_cycle(0, "{p_anna} sits near {c_mug} and {t_ball}", image_ref="frames/000.png")
-    prompt, image_ref = _prompt(cycle, MemoryBuffer())
+    prompt, semantics = synthesize_prompt(cycle, MemoryBuffer())
     golden = (DATA_DIR / "prompt_first_cycle.txt").read_text(encoding="utf-8")
     assert prompt == golden
-    assert image_ref == "frames/000.png"
+    assert semantics == "person [2] sits near cup [1] and toy [3]"
 
 
 def test_prompt_lists_every_mark_exactly_once():
     cycle = make_cycle(0, "scene")
-    prompt, _ = _prompt(cycle, MemoryBuffer())
+    prompt, _ = synthesize_prompt(cycle, MemoryBuffer())
     candidates = prompt.split("Candidates:")[1].split("Current scene:")[0]
     for mark in range(1, len(cycle.instances) + 1):
         assert candidates.count(f"[{mark}]") == 1
 
 
 def test_first_prompt_has_no_history_sections():
-    prompt, _ = _prompt(make_cycle(0, "scene"), MemoryBuffer())
+    prompt, _ = synthesize_prompt(make_cycle(0, "scene"), MemoryBuffer())
     assert "Previous gaze:" not in prompt
     assert "History" not in prompt
 
@@ -222,15 +219,16 @@ def test_first_prompt_has_no_history_sections():
 def test_later_prompt_carries_memory():
     buffer = MemoryBuffer()
     cycle0 = make_cycle(0, "scene")
-    buffer.advance(0, marked_semantics(cycle0), localize(1, cycle0))
-    prompt, _ = _prompt(make_cycle(1, "scene"), buffer)
+    _, semantics = synthesize_prompt(cycle0, buffer)
+    buffer.advance(0, semantics, localize(1, cycle0))
+    prompt, _ = synthesize_prompt(make_cycle(1, "scene"), buffer)
     assert "Previous gaze:" in prompt and "cup [1]" in prompt
     assert "History (last 1 cycles):" in prompt
 
 
 def test_prompt_is_deterministic():
     cycle = make_cycle(0, "scene")
-    assert _prompt(cycle, MemoryBuffer()) == _prompt(cycle, MemoryBuffer())
+    assert synthesize_prompt(cycle, MemoryBuffer()) == synthesize_prompt(cycle, MemoryBuffer())
 
 
 # Values where a candidate line's formatting could go wrong: boxes half-way between
@@ -259,15 +257,19 @@ def _prompt_instances(draw, iid):
 def test_prompt_matches_per_cycle_oracle(data):
     ids = data.draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True))
     pool = [data.draw(_prompt_instances(iid)) for iid in ids]
+    # each run outlasts the history and holds a cycle with no candidates
+    sizes = data.draw(st.lists(st.integers(0, len(pool)), min_size=HISTORY_LENGTH + 1,
+                               max_size=HISTORY_LENGTH + 3).filter(lambda s: 0 in s))
     buffer = MemoryBuffer()
-    for t in range(data.draw(st.integers(1, 4))):
-        shown = data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    for t, size in enumerate(sizes):
+        shown = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size,
+                                   unique=True))
         semantics = " near ".join("{" + inst.instance_id + "}" for inst in shown)
-        image_ref = data.draw(st.one_of(st.none(), _NAMES))
-        cycle = ScenarioCycle(t, semantics, tuple(shown), image_ref=image_ref)
-        expected = synthesize_prompt_per_cycle(semantics, shown, image_ref, buffer)
-        assert _prompt(cycle, buffer) == expected
-        buffer.advance(t, marked_semantics(cycle), localize(1, cycle))
+        cycle = ScenarioCycle(t, semantics, tuple(shown))
+        got = synthesize_prompt(cycle, buffer)
+        assert got == synthesize_prompt_per_cycle(semantics, shown, buffer)
+        buffer.advance(t, got[1] if shown else None,
+                       localize(1, cycle) if shown else REST_RECORD)
 
 
 @pytest.mark.parametrize("label, bad", [("box", "0"), ("box", True), ("box", False),
@@ -519,7 +521,8 @@ def test_history_is_capped_fifo():
     assert buffer.prev_record is None and not buffer.history
     for i in range(HISTORY_LENGTH + 3):
         cycle = make_cycle(i, f"scene {i}")
-        buffer.advance(i, marked_semantics(cycle), localize(1, cycle))
+        buffer.advance(i, marked_semantics_sequential(cycle.semantics, cycle.instances),
+                       localize(1, cycle))
     assert len(buffer.history) == HISTORY_LENGTH
     assert "cycle 3:" in buffer.history[0]  # cycles 0..2 were evicted
     assert f"cycle {HISTORY_LENGTH + 2}:" in buffer.history[-1]
@@ -659,6 +662,54 @@ def test_step_cycle_is_total_whatever_the_backend_does(script):
         assert record.held or record.mark in (1, 2, 3)
         assert buffer.prev_record is record
     assert len(buffer.history) == len(script)
+
+
+# -- the module globals the benchmark wraps (bench/tracing.py, bench/workloads.py) --------
+
+def _recorded(results, function):
+    """``function``, appending each value it returns to ``results``."""
+    def recording(*args, **kwargs):
+        result = function(*args, **kwargs)
+        results.append(result)
+        return result
+    return recording
+
+
+class RecordingBackend(ScriptedBackend):
+    """The scripted backend, keeping each query's prompt and image reference."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.queries = []
+
+    def query(self, prompt, image_ref, cycle_index):
+        self.queries.append((prompt, image_ref))
+        return super().query(prompt, image_ref, cycle_index)
+
+
+def test_replay_looks_step_cycle_up_in_its_module_on_every_cycle():
+    # the benchmark times each cycle by replacing replay's step_cycle
+    scenario = demo_scenario({0: "TARGET: 1", 1: "TARGET: 2", 2: "TARGET: 1", 3: "TARGET: 1"})
+    steps = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay_mod, "step_cycle", _recorded(steps, step_cycle))
+        result = replay_scenario(scenario, ScriptedBackend(scenario))
+    assert len(steps) == len(scenario.cycles) and tuple(steps) == result.records
+
+
+def test_step_cycle_calls_prompt_and_localize_through_pipeline_globals():
+    # the benchmark counts the bytes of the first value synthesize_prompt returns and
+    # the calls of localize, each by replacing the pipeline module's global
+    scenario = demo_scenario({0: "TARGET: 1", 1: "no mark", 2: "TARGET: 2", 3: "TARGET: 9"})
+    backend, prompts, localized = RecordingBackend(scenario), [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_mod, "synthesize_prompt", _recorded(prompts, synthesize_prompt))
+        patch.setattr(pipeline_mod, "localize", _recorded(localized, localize))
+        result = replay_scenario(scenario, backend)
+    assert backend.queries == [(prompt, cycle.image_ref)
+                               for (prompt, _), cycle in zip(prompts, scenario.cycles)]
+    assert all(isinstance(prompt, str) for prompt, _ in backend.queries)
+    assert len(localized) == 2 and localized == [r for r in result.records if not r.held]
 
 
 def test_oversized_mark_holds_one_cycle_of_a_bundled_replay():
@@ -1280,6 +1331,37 @@ def test_cycle_log_line_is_json_dumps_of_its_record(scenario_id, records):
             "category": r.category, "point_2d": r.point_2d, "point_3d": r.point_3d,
             "held": r.held, "face_fallback": r.face_fallback,
             "elapsed_s": json.loads(line)["elapsed_s"]}) + "\n"
+
+
+class _FakeClock:
+    """A monotonic clock that moves only when something advances it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def advancing(self, seconds, call):
+        def advanced(*args, **kwargs):
+            self.now += seconds
+            return call(*args, **kwargs)
+        return advanced
+
+
+def test_cycle_log_elapsed_s_is_the_step_cycle_time_alone():
+    # step_cycle takes 0.25 s on the fake clock; encoding the line's target, on its
+    # first sighting and after, takes 1 s more, which elapsed_s must not count
+    scenario = demo_scenario({0: "TARGET: 1", 1: "TARGET: 2", 2: "TARGET: 1",
+                              3: "TARGET: 1"})
+    clock, log = _FakeClock(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay_mod, "time", clock)
+        patch.setattr(replay_mod, "step_cycle", clock.advancing(0.25, step_cycle))
+        patch.setattr(replay_mod.marshal, "dumps", clock.advancing(1.0, replay_mod.marshal.dumps))
+        patch.setattr(replay_mod.json, "dumps", clock.advancing(1.0, replay_mod.json.dumps))
+        replay_scenario(scenario, ScriptedBackend(scenario), log_fh=log)
+    assert [json.loads(line)["elapsed_s"] for line in _dumped_lines(log.getvalue())] == [0.25] * 4
 
 
 def test_cycle_log_failing_midway_keeps_previous_file(tmp_path):

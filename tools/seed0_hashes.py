@@ -9,7 +9,13 @@ seed 0, then ``replay`` on the bundled scenarios with the ``scripted``,
 one BLAS thread, in a temporary directory (or under ``DIR``, which is kept).
 It also reruns ``train --stage 2`` on a copy of the trained run without its
 ``prior.json``, and each replay a second time in the same process, into
-``<replay>-again``. It prints each artifact's SHA-256 and exits 1 if any
+``<replay>-again``. Last it replays the bundled scenarios once more with the
+scripted backend, in process, through a backend that records every prompt
+it is sent, and writes those prompts in order, one JSON string a line, to
+``replay-prompts/prompts.jsonl``: where ``tests/data/prompt_first_cycle.txt``
+pins one synthetic first cycle, this pins every bundled prompt, its
+previous-gaze and history sections included. It prints each artifact's
+SHA-256 and exits 1 if any
 differs from ``EXPECTED``, if the ``--stage 2`` run's ``prior.json`` or
 ``metrics.csv`` hashes other than the ``train`` run's (README: ``--stage 1``
 followed by ``--stage 2`` writes the same files as ``--stage both``; what a
@@ -66,6 +72,8 @@ import numpy as np  # noqa: E402
 
 import gazeshift  # noqa: E402
 from gazeshift.cli import main  # noqa: E402
+from gazeshift.reasoner.replay import ScriptedBackend, replay_evaluate  # noqa: E402
+from gazeshift.reasoner.scenario import load_scenario_dir  # noqa: E402
 
 # The platform EXPECTED was measured on, as ``platform_line`` prints it.
 EXPECTED_PLATFORM = ("numpy 2.4.6, OpenBLAS core SkylakeX, "
@@ -88,12 +96,16 @@ EXPECTED = {
         "bf5b571f20be86410a3418789feddd1f9e2fe1dfac2df801316265b841f231f3",
     "replay-adversarial/cycles.jsonl":
         "e28441c36e5ff2b9ef9698e339a9768dc6d3c7ca821e88cf3e791f3ef826b6b0",
+    "replay-prompts/prompts.jsonl":
+        "958fa8046ea12c69f03f4b75cef3e7074e694b5543e930c73dbb486b25f95c2d",
 }
 
 REPLAYS = ("replay", "replay-oracle", "replay-adversarial")
 REPLAY_OUTPUTS = ("cycles.jsonl", "success_table.csv")
 STAGE2_OUTPUTS = ("prior.json", "metrics.csv")  # what ``--stage 2`` writes as ``--stage both`` does
 PHASES = ("step_s", "optimizer_s", "validation_s")  # the timed phases of a training epoch
+BUNDLED = Path(gazeshift.__file__).parent / "scenarios"
+PROMPTS = "replay-prompts/prompts.jsonl"
 
 
 def platform_line() -> str:
@@ -144,8 +156,30 @@ def commands(root: Path) -> list:
     return calls + [[*argv[:-1], f"{argv[-1]}-again"] for argv in calls if argv[0] == "replay"]
 
 
+class RecordingBackend(ScriptedBackend):
+    """The scripted backend, keeping every prompt it is sent in ``prompts``."""
+
+    def __init__(self, scenario, prompts: list):
+        super().__init__(scenario)
+        self.prompts = prompts
+
+    def query(self, prompt, image_ref, cycle_index):
+        self.prompts.append(prompt)
+        return super().query(prompt, image_ref, cycle_index)
+
+
+def write_prompts(path: Path) -> None:
+    """Replay the bundled scenarios with the scripted backend, in process, and write
+    every prompt it was sent to ``path``, in order, one JSON string a line."""
+    prompts = []
+    replay_evaluate(load_scenario_dir(BUNDLED), lambda s: RecordingBackend(s, prompts))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(json.dumps(prompt) + "\n" for prompt in prompts), encoding="utf-8")
+
+
 def walkthrough(root: Path) -> None:
-    """Run ``commands(root)``; raises on a non-zero exit or a ``RuntimeWarning``."""
+    """Run ``commands(root)``, then ``write_prompts``; raises on a non-zero exit or a
+    ``RuntimeWarning``."""
     warnings.simplefilter("error", RuntimeWarning)
     for argv in commands(root):
         if "--stage" in argv:
@@ -155,6 +189,7 @@ def walkthrough(root: Path) -> None:
             code = main(argv)
         if code != 0:
             raise SystemExit(f"gazeshift {argv[0]} exited {code}")
+    write_prompts(root / PROMPTS)
 
 
 def _content(path: Path) -> bytes:
@@ -202,7 +237,7 @@ def manifest_faults(root: Path) -> list:
         if (manifest["subcommand"], manifest["argv"]) != (argv[0], argv):
             faults.append(f"{directory}/manifest.json records {manifest['subcommand']!r} "
                           f"{manifest['argv']}, not the call {argv} that wrote it")
-    bundled = sorted((Path(gazeshift.__file__).parent / "scenarios").glob("*.json"))
+    bundled = sorted(BUNDLED.glob("*.json"))
     stage1 = root / "stage2" / "stage1.json"
     for directory, expected in (("replay", {str(p): _sha256(p) for p in bundled}),
                                 ("stage2", {str(stage1): _sha256(stage1)})):
