@@ -287,6 +287,8 @@ def _backend_factory(args, doc: dict):
 
 
 def cmd_replay(args) -> dict:
+    if args.scenarios == "":  # only a missing flag selects the bundled corpus
+        raise ConfigError("--scenarios must name a scenario directory, got ''")
     doc = load_config_file(args.config)
     scenario_dir = args.scenarios or str(Path(__file__).parent / "scenarios")
     scenarios = reasoner.scenario.load_scenario_dir(scenario_dir)

@@ -112,7 +112,7 @@ def condition_violations(C: np.ndarray) -> list:
     C = np.asarray(C, dtype=float)
     finite, size, T = np.isfinite(C), np.abs(C), C[:, 5:8]
     with np.errstate(invalid="ignore", over="ignore"):
-        norms = np.sqrt(np.matmul(T[:, None, :], T[:, :, None])[:, 0, 0])
+        norms = np.sqrt(_row_dots(T, T))
     rules = [(~finite[:, :2].all(axis=1), lambda i: "eye pose angles must be finite"),
              ((size[:, 0] > math.pi + 1e-9) | (size[:, 1] > math.pi / 2 + 1e-9),
               lambda i: (f"eye pose outside representational range: "
@@ -513,7 +513,8 @@ def read_dataset(path) -> Dataset:
     of ``condition_violations`` and ``allocation_violations``, then
     against the generator invariants recorded in the header with
     ``check_rows``. Any problem names the file and the first offending line,
-    as a line-by-line check would.
+    as a line-by-line check would. Split tags that leave a split empty are
+    refused, as a header whose split rule leaves one empty is.
     """
     try:
         text, sha256 = read_text(path)
@@ -568,4 +569,7 @@ def read_dataset(path) -> Dataset:
         raise DataError(
             f"{path}: header announces {header['n_samples']} samples, found {len(split)}"
         )
+    for which in ("train", "val"):
+        if which not in split:
+            raise DataError(f"{path}: the split tags leave the {which} split empty")
     return Dataset(conditions, allocations, strategy, split, header["seed"], config, sha256)

@@ -3,7 +3,8 @@
 A cycle's marks are the positions of its instances: mark m, counted from
 1, is ``cycle.instances[m - 1]``, which ``ScenarioCycle`` keeps in mark
 order. One pass over them writes both the prompt's candidate block and
-the marked semantics that the prompt and the memory buffer share.
+the marked semantics that the prompt and the memory buffer share. A
+cycle's gaze record names the chosen instance, placed when it was built.
 
 The pipeline is total: whatever the backend does (valid answer, garbage,
 timeout), step_cycle emits a gaze record. Failures degrade to holding the
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..errors import BackendError
-from .scenario import ScenarioCycle
+from .scenario import Instance, ScenarioCycle
 
 HISTORY_LENGTH = 10
 
@@ -41,35 +42,28 @@ class ResponseParseError(Exception):
 
 
 class GazeTargetRecord(NamedTuple):
-    """The pipeline's per-cycle output: what to look at and where it is.
+    """The pipeline's per-cycle output: the mark chosen and the instance it names.
 
+    ``target`` is the cycle's own ``Instance``, which carries its pixel and
+    base-frame gaze points, or None for the rest position at ``REST_POINT``.
     An immutable named tuple, built once per cycle: assigning a field
     raises AttributeError, so ``REST_RECORD`` can be shared, and a hold is
-    ``prev_record._replace(held=True)``. As a tuple it iterates and equals
-    a plain tuple of the same values.
+    ``prev_record._replace(held=True)``, which keeps the same instance.
     """
 
     mark: int | None
-    instance_id: str | None
-    category: str | None
-    box: tuple | None
-    face_box: tuple | None
-    point_2d: tuple | None  # pixels
-    point_3d: tuple  # metres, base frame
-    face_fallback: bool = False  # person lacked a face box; body box used
+    target: Instance | None
     held: bool = False  # fallback: previous target re-emitted
 
     def summary(self) -> str:
-        if self.instance_id is None:
+        if self.target is None:
             return "gaze: rest position"
         hold = " (held)" if self.held else ""
-        return f"gaze: {self.category} [{self.mark}]{hold}"
+        return f"gaze: {self.target.category} [{self.mark}]{hold}"
 
 
-REST_RECORD = GazeTargetRecord(
-    mark=None, instance_id=None, category=None, box=None, face_box=None,
-    point_2d=None, point_3d=(1.0, 0.0, 0.0), held=True,
-)
+REST_POINT = (1.0, 0.0, 0.0)  # metres, base frame: where the robot looks with no target
+REST_RECORD = GazeTargetRecord(None, None, held=True)
 
 
 @dataclass
@@ -160,16 +154,8 @@ def parse_response(raw: str, cycle: ScenarioCycle) -> int:
 
 
 def localize(mark: int, cycle: ScenarioCycle) -> GazeTargetRecord:
-    """The record of the selected instance, with its pixel and base-frame 3D point.
-
-    Persons are localized at the face-box center; a person without a face
-    box falls back to the body box, flagged on the record. The points are
-    the instance's own, placed when it was built with the scenario's camera
-    and transform.
-    """
-    inst = cycle.instances[mark - 1]
-    return GazeTargetRecord(mark, inst.instance_id, inst.category, inst.box, inst.face_box,
-                            inst.point_2d, inst.point_3d, inst.face_fallback)
+    """The record of ``cycle.instances[mark - 1]``, whose gaze points were set when it was built."""
+    return GazeTargetRecord(mark, cycle.instances[mark - 1])
 
 
 def _fallback_record(buffer: MemoryBuffer) -> GazeTargetRecord:

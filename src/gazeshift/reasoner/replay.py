@@ -15,7 +15,6 @@ two-cycle correctness window and must score zero. The remote backend is in
 from __future__ import annotations
 
 import json
-import marshal
 import time
 import warnings
 from contextlib import nullcontext
@@ -23,13 +22,15 @@ from dataclasses import dataclass
 
 from ..atomic import open_atomic
 from ..errors import BackendError
-from .pipeline import MemoryBuffer, step_cycle
+from .pipeline import REST_POINT, MemoryBuffer, step_cycle
 from .scenario import REGULARITIES, Scenario
 
 CORRECTNESS_WINDOW = (1, 2)  # offsets after cue onset that count
 
-# The cycle log's per-target keys, in line order, and its spelling of a bool.
+# The cycle log's per-target keys, in line order, their text for the rest
+# record, and its spelling of a bool.
 _TARGET_KEYS = ("instance", "category", "point_2d", "point_3d")
+_REST_TEXT = json.dumps(dict(zip(_TARGET_KEYS, (None, None, None, REST_POINT))))[1:-1]
 _JSON_BOOL = {True: "true", False: "false"}
 
 
@@ -102,38 +103,39 @@ def replay_scenario(scenario: Scenario, backend, log_fh=None) -> ReplayResult:
     (scenario, cycle, mark, instance, category, point_2d, point_3d, held,
     face_fallback, elapsed_s); ``elapsed_s`` is the wall time of the cycle's
     ``step_cycle`` call alone. The scenario id is encoded once, and the
-    instance-to-point_3d stretch once per distinct localized target: its
-    key is the marshalled values, so ``0.0`` and ``-0.0``, or ``1`` and
-    ``1.0``, are distinct targets, as they are distinct JSON texts.
+    instance-to-point_3d stretch once per target, keyed by its id: the
+    scenario keeps its instances alive, and equal instances (``0 == -0.0``)
+    each get their own text. The rest record's target, None, writes ``REST_POINT``.
     """
     buffer = MemoryBuffer()
     records = []
     if log_fh is not None:
         scenario_text = json.dumps(scenario.scenario_id)
-        targets = {}  # marshalled (instance, category, point_2d, point_3d) -> its JSON text
+        targets = {id(None): _REST_TEXT}  # id of a record's target -> its JSON text
     for cycle in scenario.cycles:
         t0 = time.monotonic()
         record = step_cycle(cycle, buffer, backend)
         elapsed = time.monotonic() - t0
         records.append(record)
         if log_fh is not None:
-            target = (record.instance_id, record.category, record.point_2d, record.point_3d)
-            key = marshal.dumps(target, 2)
-            target_text = targets.get(key)
+            target = record.target
+            target_text = targets.get(id(target))
             if target_text is None:
-                target_text = targets[key] = json.dumps(dict(zip(_TARGET_KEYS, target)))[1:-1]
+                target_text = targets[id(target)] = json.dumps(dict(zip(_TARGET_KEYS, (
+                    target.instance_id, target.category, target.point_2d, target.point_3d))))[1:-1]
             mark = "null" if record.mark is None else record.mark
+            face_fallback = target is not None and target.face_fallback
             log_fh.write(f'{{"scenario": {scenario_text}, "cycle": {cycle.index}, '
                          f'"mark": {mark}, {target_text}, "held": {_JSON_BOOL[record.held]}, '
-                         f'"face_fallback": {_JSON_BOOL[record.face_fallback]}, '
+                         f'"face_fallback": {_JSON_BOOL[face_fallback]}, '
                          f'"elapsed_s": {elapsed!r}}}\n')
     cue = scenario.cue_cycle()
     correct = False
     if cue is not None and cue.expected_instance is not None:
         for offset in CORRECTNESS_WINDOW:
             t = cue.index + offset
-            if t < len(records) and records[t].instance_id == cue.expected_instance \
-                    and not records[t].held:
+            if t < len(records) and not records[t].held \
+                    and records[t].target.instance_id == cue.expected_instance:
                 correct = True
                 break
     return ReplayResult(scenario.scenario_id, scenario.regularity,

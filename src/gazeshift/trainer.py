@@ -188,7 +188,6 @@ class StageResult:
     stage: int
     metrics: list
     best_epoch: int
-    best_params: np.ndarray  # flat copy, in the trained model's layout
     # per epoch: {"stage", "epoch", "step_s", "optimizer_s", "validation_s"}
     timings: list
 
@@ -245,7 +244,7 @@ def _fit(stage: int, flat: np.ndarray, layout: nets.Layout, rows: tuple, epochs:
             best_epoch = epoch
             best_params[...] = flat
     flat[...] = best_params
-    return StageResult(stage, metrics, best_epoch, best_params, timings)
+    return StageResult(stage, metrics, best_epoch, timings)
 
 
 def validate_stage1(model: ConditionalVQVAE, Yv, Xv, Rv):

@@ -406,4 +406,7 @@ def read_dataset_per_line(path) -> Dataset:
         raise DataError(
             f"{path}: header announces {header.get('n_samples')} samples, found {len(samples)}"
         )
+    for which in ("train", "val"):
+        if which not in split:
+            raise DataError(f"{path}: the split tags leave the {which} split empty")
     return rows_dataset(samples, split, header["seed"], config)

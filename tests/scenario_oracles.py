@@ -27,10 +27,11 @@ lines joined at the end, where the package formats each instance's entry
 once and reuses it, and builds the prompt as one text. Both must give the
 same prompt and marked semantics for every cycle.
 
-``localize_per_call`` is the ``localize`` replaced: it works out the selected
-instance's pixel and base-frame point from the camera and transform it is
-given on every call, where the package places each instance once, when it
-is built.
+``localize_per_call`` is the placement that ``localize`` once did on every
+call: it works out the selected instance's pixel and base-frame point, and
+whether a person fell back to the body box, from the camera and transform
+it is given, where the package places each instance once, when it is
+built, and ``localize``'s record names that instance.
 
 ``project`` is the inverse of ``CameraIntrinsics.back_project``: the pixel
 a camera-frame point lands on. The package needs only the one direction.
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from gazeshift.config import check_object
 from gazeshift.errors import DataError
-from gazeshift.reasoner.pipeline import PROMPT_INSTRUCTIONS, GazeTargetRecord, MemoryBuffer
+from gazeshift.reasoner.pipeline import PROMPT_INSTRUCTIONS, MemoryBuffer
 from gazeshift.reasoner.scenario import (CAMERA_SCHEMA, CYCLE_SCHEMA, DOCUMENT_SCHEMA,
                                          INSTANCE_SCHEMA, SCENARIO_SCHEMA, SCENARIO_VERSION,
                                          TRANSFORM_SCHEMA, CameraIntrinsics, Instance,
@@ -139,7 +140,8 @@ def synthesize_prompt_per_cycle(semantics: str, instances, buffer: MemoryBuffer)
 
 
 def localize_per_call(mark: int, cycle: ScenarioCycle, camera: CameraIntrinsics,
-                      base_from_camera: RigidTransform) -> GazeTargetRecord:
+                      base_from_camera: RigidTransform) -> tuple:
+    """(point_2d, point_3d, face_fallback) of the selected instance, worked out afresh."""
     inst = cycle.instances[mark - 1]
     face_fallback = False
     if inst.is_person() and inst.face_box is not None:
@@ -149,8 +151,4 @@ def localize_per_call(mark: int, cycle: ScenarioCycle, camera: CameraIntrinsics,
             face_fallback = True
         u, v = box_center(inst.box)
     cam_point = camera.back_project(u, v, inst.depth)
-    return GazeTargetRecord(
-        mark=mark, instance_id=inst.instance_id, category=inst.category,
-        box=inst.box, face_box=inst.face_box, point_2d=(u, v),
-        point_3d=base_from_camera.apply(cam_point), face_fallback=face_fallback,
-    )
+    return (u, v), base_from_camera.apply(cam_point), face_fallback

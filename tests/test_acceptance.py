@@ -458,10 +458,11 @@ def test_criterion_7_reasoner_plumbing():
     for result in results:
         scenario = by_id[result.scenario_id]
         for t, record in enumerate(result.records):
-            if record.held or record.instance_id is None:
+            if record.held:
                 continue
-            cycle = scenario.cycles[t]
-            inst = next(i for i in cycle.instances if i.instance_id == record.instance_id)
+            inst = record.target
+            if not any(i is inst for i in scenario.cycles[t].instances):
+                problems.append(f"{result.scenario_id} cycle {t}: target not of its cycle")
             box = inst.face_box if (inst.is_person() and inst.face_box) else inst.box
             u = (box[0] + box[2]) / 2.0
             v = (box[1] + box[3]) / 2.0
@@ -471,7 +472,7 @@ def test_criterion_7_reasoner_plumbing():
             expected = (scenario.base_from_camera.rotation @ p_cam
                         + scenario.base_from_camera.translation)
             worst_loc = max(worst_loc,
-                            float(np.linalg.norm(np.array(record.point_3d) - expected)))
+                            float(np.linalg.norm(np.array(inst.point_3d) - expected)))
             n_points += 1
     if n_points == 0 or worst_loc > 1e-6:
         problems.append(f"localization error {worst_loc:.2e} over {n_points} points")

@@ -171,6 +171,25 @@ def test_a_split_rule_that_leaves_a_split_empty_is_refused(pipeline, tmp_path, c
     assert capsys.readouterr().err == f"error: {dataset}: bad generator header: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("tag, empty", [("train", "val"), ("val", "train")])
+def test_split_tags_that_leave_a_split_empty_exit_data(pipeline, tmp_path, capsys, command,
+                                                       tag, empty):
+    # train and eval used to refuse such a file with exit 4 and a message that did
+    # not name it: "dataset has no 'val' samples"
+    _, train_config, data_dir, run_dir = pipeline
+    header, *samples = (data_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines(True)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(header + "".join(json.dumps({**json.loads(line), "split": tag}) + "\n"
+                                        for line in samples), encoding="utf-8")
+    flags = ["--config", train_config] if command == "train" else ["--run", str(run_dir)]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--dataset", str(dataset), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: {dataset}: the split tags leave the {empty} "
+                                       "split empty\n")
+    assert not out.exists()
+
+
 # -- configuration failures ------------------------------------------------------------
 
 def test_unknown_config_section_exit_config(tmp_path):
@@ -1274,6 +1293,15 @@ def test_replay_adversarial_scores_zero(tmp_path):
     table = (out / "success_table.csv").read_text(encoding="utf-8")
     for group in ("H1", "H2", "H3", "H4"):
         assert f"{group},3,0,0.0" in table
+
+
+def test_replay_empty_scenarios_value_exit_config(tmp_path, capsys):
+    # only a missing --scenarios selects the bundled corpus; an empty value used to
+    # replay it and exit 0
+    out = tmp_path / "r"
+    assert main(["replay", "--scenarios", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --scenarios must name a scenario directory, got ''\n"
+    assert not out.exists()
 
 
 def test_replay_empty_scenario_dir_exit_data(tmp_path):

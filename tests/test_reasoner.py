@@ -26,7 +26,7 @@ from gazeshift.errors import BackendError, ConfigError, DataError
 from gazeshift.reasoner.backends import (API_KEY_ENV, OracleBackend,
                                          RemoteBackend, RemoteConfig,
                                          ScriptedBackend, build_request)
-from gazeshift.reasoner.pipeline import (HISTORY_LENGTH, REST_RECORD,
+from gazeshift.reasoner.pipeline import (HISTORY_LENGTH, REST_POINT, REST_RECORD,
                                          GazeTargetRecord, MemoryBuffer,
                                          ResponseParseError, localize,
                                          parse_response, query_backend,
@@ -319,7 +319,7 @@ def test_prompt_entry_is_outside_equality_hash_and_repr():
     here = instance("c", "cup", (1, 2, 30, 40), 1.5)
     there = instance("c", "cup", (1, 2, 30, 40), 1.5, camera=wide)
     assert here.prompt_entry == there.prompt_entry == "cup (id c, box 1,2,30,40, depth 1.50 m)"
-    assert localize(1, make_cycle(0, "{c}", instances=(here,))).point_2d == (15.5, 21.0)
+    assert localize(1, make_cycle(0, "{c}", instances=(here,))).target.point_2d == (15.5, 21.0)
     assert here.point_3d != there.point_3d
     assert here == there and hash(here) == hash(there)
     assert repr(here) == repr(there) == text
@@ -446,19 +446,19 @@ def test_back_project_validation():
 
 
 def test_localize_person_uses_face_center():
-    record = localize(2, make_cycle(0, "scene"))  # p_anna
-    assert record.point_2d == box_center((340.0, 100.0, 380.0, 150.0))
-    assert not record.face_fallback
-    expected = demo_camera().back_project(*record.point_2d, 2.0)
-    np.testing.assert_allclose(record.point_3d, expected, atol=1e-12)
+    target = localize(2, make_cycle(0, "scene")).target  # p_anna
+    assert target.point_2d == box_center((340.0, 100.0, 380.0, 150.0))
+    assert not target.face_fallback
+    expected = demo_camera().back_project(*target.point_2d, 2.0)
+    np.testing.assert_allclose(target.point_3d, expected, atol=1e-12)
 
 
 def test_localize_person_without_face_box_falls_back_to_body():
     instances = (instance("p_solo", "person", (300.0, 80.0, 420.0, 460.0), 2.0),)
     cycle = make_cycle(0, "scene", instances)
-    record = localize(1, cycle)
-    assert record.face_fallback
-    assert record.point_2d == box_center((300.0, 80.0, 420.0, 460.0))
+    target = localize(1, cycle).target
+    assert target.face_fallback
+    assert target.point_2d == box_center((300.0, 80.0, 420.0, 460.0))
 
 
 def test_localize_applies_base_from_camera():
@@ -468,9 +468,9 @@ def test_localize_applies_base_from_camera():
     instances = (instance("c_one", "cup", (310.0, 230.0, 330.0, 250.0), 2.0,
                           base_from_camera=transform),)
     cycle = ScenarioCycle(index=0, semantics="s", instances=instances)
-    record = localize(1, cycle)
+    target = localize(1, cycle).target
     cam_point = demo_camera().back_project(320.0, 240.0, 2.0)
-    np.testing.assert_allclose(record.point_3d, R @ cam_point + [0, 0, 1.5],
+    np.testing.assert_allclose(target.point_3d, R @ cam_point + [0, 0, 1.5],
                                atol=1e-12)
 
 
@@ -510,8 +510,11 @@ def test_a_shared_instance_is_localized_as_every_call_would(placed, n_cycles):
     inst, camera, transform = placed
     for t in range(n_cycles):
         cycle = ScenarioCycle(t, "{x}", (inst,))
-        got, want = localize(1, cycle), localize_per_call(1, cycle, camera, transform)
-        assert got == want and repr(got) == repr(want)
+        got = localize(1, cycle)
+        assert got.mark == 1 and got.target is inst and not got.held
+        placed = (inst.point_2d, inst.point_3d, inst.face_fallback)
+        want = localize_per_call(1, cycle, camera, transform)
+        assert placed == want and repr(placed) == repr(want)
 
 
 # -- memory buffer ------------------------------------------------------------------------
@@ -554,21 +557,32 @@ def test_query_backend_rejects_non_text():
         query_backend("p", None, 0, NumberBackend())
 
 
+@pytest.mark.parametrize("mark", [1, 2, 3])
+def test_a_record_names_the_cycles_own_instance(mark):
+    cycle, buffer = make_cycle(0, "scene"), MemoryBuffer()
+    record = localize(mark, cycle)
+    assert GazeTargetRecord._fields == ("mark", "target", "held")
+    assert record.target is cycle.instances[mark - 1] and record == (mark, record.target, False)
+    buffer.advance(0, "scene", record)
+    held = step_cycle(make_cycle(1, "void"), buffer, GarbageBackend())
+    assert held.held and held.mark == mark and held.target is cycle.instances[mark - 1]
+
+
 def test_failed_first_cycle_rests():
     buffer = MemoryBuffer()
     record = step_cycle(make_cycle(0, "scene"), buffer, ExplodingBackend())
-    assert record.held and record.instance_id is None
-    assert record.point_3d == REST_RECORD.point_3d
+    assert record is REST_RECORD
+    assert record.held and record.mark is None and record.target is None
 
 
 def test_failure_after_success_holds_previous_target():
     buffer = MemoryBuffer()
     scenario = demo_scenario({0: "TARGET: 1"})
     good = step_cycle(scenario.cycles[0], buffer, ScriptedBackend(scenario))
-    assert good.instance_id == "c_mug" and not good.held
+    assert good.target is scenario.cycles[0].instances[0] and not good.held
+    assert good.target.instance_id == "c_mug"
     held = step_cycle(make_cycle(1, "scene"), buffer, GarbageBackend())
-    assert held.held and held.instance_id == "c_mug"
-    assert held.point_3d == good.point_3d
+    assert held.held and held.target is good.target and held.mark == good.mark
 
 
 def test_gaze_record_is_an_immutable_tuple():
@@ -603,8 +617,7 @@ def test_failing_cycle_holds_every_field_of_the_previous_record(instances, mark,
 
 
 def test_bundled_replay_failing_its_first_cycles_leaves_the_rest_record_unchanged():
-    rest = GazeTargetRecord(mark=None, instance_id=None, category=None, box=None, face_box=None,
-                            point_2d=None, point_3d=(1.0, 0.0, 0.0), held=True)
+    rest = GazeTargetRecord(mark=None, target=None, held=True)
     scenario = load_scenario(BUNDLED / "h1_point_cup.json")
     backend = ScriptedBackend(scenario)
     first, second = (cycle.index for cycle in scenario.cycles[:2])
@@ -613,6 +626,7 @@ def test_bundled_replay_failing_its_first_cycles_leaves_the_rest_record_unchange
     assert result.records[0] is REST_RECORD and result.records[1] == rest
     assert not result.records[2].held and result.correct
     assert REST_RECORD == rest and REST_RECORD.summary() == "gaze: rest position"
+    assert REST_POINT == (1.0, 0.0, 0.0)
 
 
 def test_empty_scene_is_survivable():
@@ -727,9 +741,10 @@ def test_successful_cycle_record_is_complete():
     buffer = MemoryBuffer()
     scenario = demo_scenario({0: "TARGET: 3"})
     record = step_cycle(scenario.cycles[0], buffer, ScriptedBackend(scenario))
-    assert record.mark == 3 and record.instance_id == "t_ball"
-    assert record.category == "toy" and not record.held
-    assert record.box == (500.0, 300.0, 560.0, 360.0)
+    assert record.mark == 3 and record.target is scenario.cycles[0].instances[2]
+    assert record.target.instance_id == "t_ball"
+    assert record.target.category == "toy" and not record.held
+    assert record.target.box == (500.0, 300.0, 560.0, 360.0)
     assert record.summary() == "gaze: toy [3]"
 
 
@@ -1228,9 +1243,9 @@ def test_replay_held_records_do_not_count():
     scenario = demo_scenario({0: "TARGET: 3", 1: "TARGET: 1", 2: "mumble",
                               3: "mumble"})
     result = replay_scenario(scenario, ScriptedBackend(scenario))
-    assert result.records[1].instance_id == "c_mug"
+    assert result.records[1].target.instance_id == "c_mug"
     assert not result.records[1].held
-    assert result.records[2].held and result.records[2].instance_id == "c_mug"
+    assert result.records[2].held and result.records[2].target is result.records[1].target
     assert not result.correct
 
 
@@ -1283,40 +1298,61 @@ def test_cycle_log_lines_are_what_json_dumps_writes(tmp_path):
 
 
 _LOG_TEXT = st.text(st.sampled_from('ab"\\/\n\u00e9\u4e2d\U0001f600'), max_size=5)
-_LOG_NUMBERS = st.one_of(st.sampled_from([0.0, -0.0, 0, 1, 1.0, 1e16, 5e-324]),
-                         st.floats(allow_nan=False, allow_infinity=False),
-                         st.integers(-10 ** 20, 10 ** 20))
+# Placed with the demo camera, an instance centred on its column cx and below its row cy
+# lands at base-frame x = 0.0 under one of these half turns and at x = -0.0 under the
+# other: two points that compare equal but are distinct JSON texts.
+_HALF_TURN = ((-1.0, -0.0, -0.0), (-0.0, -1.0, -0.0), (0.0, 0.0, 1.0))
+_SIGNED_ZERO_TRANSFORMS = (RigidTransform(_HALF_TURN, (0.0, 0.0, 0.0)),
+                           RigidTransform(_HALF_TURN, (-0.0, -0.0, -0.0)))
+_ON_AXIS_BOX = (300, 250, 340, 300)
+_ZERO_TWINS = tuple(instance("c", "cup", _ON_AXIS_BOX, 2.0, base_from_camera=transform)
+                    for transform in _SIGNED_ZERO_TRANSFORMS)
+
+
+@st.composite
+def _log_boxes(draw):
+    left, right = sorted(draw(st.lists(st.integers(0, 640), min_size=2, max_size=2,
+                                       unique=True)))
+    top, bottom = sorted(draw(st.lists(st.integers(0, 480), min_size=2, max_size=2,
+                                       unique=True)))
+    return (left, top, right, bottom)
+
+
+_LOG_PLACEMENTS = st.tuples(st.just(demo_camera()) | _CAMERAS,
+                            st.sampled_from(_SIGNED_ZERO_TRANSFORMS) | _TRANSFORMS)
 
 
 @st.composite
 def _log_records(draw):
-    """Records over a few targets, each also present with its numbers retyped (0.0 as -0.0,
-    1 as 1.0), as a mark, held or rest record; marks may be None."""
+    """Records over a few real instances, as a mark, held or rest record; marks may be None.
+
+    Each instance comes with a twin, a distinct Instance built from the same values and
+    so equal to it, placed with the same or another camera and transform."""
     targets = []
     for _ in range(draw(st.integers(1, 3))):
-        point_2d = draw(st.none() | st.tuples(_LOG_NUMBERS, _LOG_NUMBERS))
-        point_3d = draw(st.tuples(_LOG_NUMBERS, _LOG_NUMBERS, _LOG_NUMBERS))
-        target = (draw(st.none() | _LOG_TEXT), draw(st.none() | _LOG_TEXT), point_2d, point_3d)
-        targets += [target, (*target[:2], point_2d and tuple(map(_retyped, point_2d)),
-                             tuple(map(_retyped, point_3d)))]
+        box = draw(st.just(_ON_AXIS_BOX) | _log_boxes())
+        values = (draw(_LOG_TEXT.filter(bool)), draw(st.just("person") | _LOG_TEXT.filter(bool)),
+                  box, draw(st.floats(0.1, 10.0)), draw(st.none() | st.just(box)))
+        for camera, transform in (draw(_LOG_PLACEMENTS), draw(_LOG_PLACEMENTS)):
+            targets.append(Instance(*values, camera=camera, base_from_camera=transform))
     records = []
     for _ in range(draw(st.integers(1, 8))):
         if draw(st.integers(0, 5)) == 0:
             records.append(REST_RECORD)
             continue
-        instance_id, category, point_2d, point_3d = draw(st.sampled_from(targets))
-        records.append(GazeTargetRecord(
-            mark=draw(st.none() | st.integers(1, 10 ** 6)), instance_id=instance_id,
-            category=category, box=None, face_box=None, point_2d=point_2d, point_3d=point_3d,
-            face_fallback=draw(st.booleans()), held=draw(st.booleans())))
+        records.append(GazeTargetRecord(mark=draw(st.none() | st.integers(1, 10 ** 6)),
+                                        target=draw(st.sampled_from(targets)),
+                                        held=draw(st.booleans())))
     return records
 
 
 @settings(max_examples=300, deadline=None)
 @given(_LOG_TEXT, _log_records())
+@example("s", [GazeTargetRecord(1, twin) for twin in _ZERO_TWINS] + [REST_RECORD])
 def test_cycle_log_line_is_json_dumps_of_its_record(scenario_id, records):
     # Each target's text is encoded once and reused: a reused text must still be
-    # exactly the record's, down to the type and sign of every number.
+    # exactly the record's, down to the sign of every zero, and an instance equal
+    # to another, but placed elsewhere, gets its own text.
     scenario = Scenario(scenario_id, "H1", tuple(make_cycle(t, "s") for t in range(len(records))),
                         {}, demo_camera(), identity_transform())
     log, steps = io.StringIO(), iter(records)
@@ -1326,11 +1362,23 @@ def test_cycle_log_line_is_json_dumps_of_its_record(scenario_id, records):
     lines = _dumped_lines(log.getvalue())
     assert len(lines) == len(records)
     for t, (line, r) in enumerate(zip(lines, records)):
+        target, rest = r.target, r.target is None
         assert line == json.dumps({
-            "scenario": scenario_id, "cycle": t, "mark": r.mark, "instance": r.instance_id,
-            "category": r.category, "point_2d": r.point_2d, "point_3d": r.point_3d,
-            "held": r.held, "face_fallback": r.face_fallback,
+            "scenario": scenario_id, "cycle": t, "mark": r.mark,
+            "instance": None if rest else target.instance_id,
+            "category": None if rest else target.category,
+            "point_2d": None if rest else target.point_2d,
+            "point_3d": REST_POINT if rest else target.point_3d,
+            "held": r.held, "face_fallback": not rest and target.face_fallback,
             "elapsed_s": json.loads(line)["elapsed_s"]}) + "\n"
+
+
+def test_signed_zero_twins_are_equal_instances_at_distinct_points():
+    # what the log test's example relies on
+    first, second = _ZERO_TWINS
+    assert first == second and first is not second
+    assert first.point_3d == second.point_3d
+    assert [math.copysign(1.0, twin.point_3d[0]) for twin in _ZERO_TWINS] == [1.0, -1.0]
 
 
 class _FakeClock:
@@ -1358,7 +1406,6 @@ def test_cycle_log_elapsed_s_is_the_step_cycle_time_alone():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(replay_mod, "time", clock)
         patch.setattr(replay_mod, "step_cycle", clock.advancing(0.25, step_cycle))
-        patch.setattr(replay_mod.marshal, "dumps", clock.advancing(1.0, replay_mod.marshal.dumps))
         patch.setattr(replay_mod.json, "dumps", clock.advancing(1.0, replay_mod.json.dumps))
         replay_scenario(scenario, ScriptedBackend(scenario), log_fh=log)
     assert [json.loads(line)["elapsed_s"] for line in _dumped_lines(log.getvalue())] == [0.25] * 4

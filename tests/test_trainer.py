@@ -27,9 +27,9 @@ from gazeshift.errors import ConfigError, TrainingError
 from gazeshift.prior import ConditionalPrior, PriorConfig
 from gazeshift.trainer import (METRICS_COLUMNS, METRICS_FILE,
                                PRIOR_CHECKPOINT, STAGE1_CHECKPOINT, TIMINGS_FILE,
-                               CodeErrors, EpochMetrics, TrainConfig, _fit, dataset_arrays,
-                               draw_allocations, infer, record_codes, run_training,
-                               train_stage1, train_stage2, validate_stage1,
+                               CodeErrors, EpochMetrics, TrainConfig, _checked_split, _fit,
+                               dataset_arrays, draw_allocations, infer, record_codes,
+                               run_training, train_stage1, train_stage2, validate_stage1,
                                validate_stage2, write_metrics_csv)
 from gazeshift.vqvae import (ConditionalVQVAE, ConditionVector, VQVAEConfig, condition_inputs,
                              model_inputs, quantize_rows, target_rotations)
@@ -261,15 +261,18 @@ def test_validate_stage1_recomputes_from_public_pieces(trained, small_dataset):
     assert 0 < util <= 1
 
 
-def test_stage1_restores_best_epoch(trained):
+def test_stage1_restores_best_epoch(trained, small_dataset):
     model, s1 = trained[0], trained[1]
     summed = [m.summed_mgd() for m in s1.metrics]
     assert len(summed) == SMALL_TRAIN.stage1_epochs
     assert s1.best_epoch == int(np.argmin(summed))
     assert summed[s1.best_epoch] == pytest.approx(min(summed), abs=1e-12)
-    best = model.layout.views(s1.best_params)
-    for name, p in model.params().items():
-        np.testing.assert_array_equal(p, best[name])
+    # the model's flat weights validate to the best epoch's metrics, bit for bit, on
+    # the inputs training validated them on
+    Yv, Xv = _checked_split(1, "val", small_dataset, SMALL_TRAIN.target_scale)
+    best = s1.metrics[s1.best_epoch]
+    assert validate_stage1(model, Yv, Xv, target_rotations(Yv, Xv)) == (
+        best.val_eye_mgd_deg, best.val_head_mgd_deg, best.codebook_utilization)
 
 
 def test_stage1_is_deterministic(small_dataset, trained):
